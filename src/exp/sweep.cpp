@@ -128,8 +128,7 @@ void SweepReport::write_json(noc::JsonWriter& w, bool include_timing) const {
     // Fabric-plan amortization: how much construction wall time the
     // sweep spent cold (building a fabric) vs warm (reusing a resident
     // plan). Execution strategy like --shards — the stats JSON is
-    // byte-identical with the cache on or off.
-    w.kv("plan_cache", plan_cache);
+    // byte-identical whether a plan was built or reused.
     w.kv("build_threads", build_threads);
     w.kv("plan_builds", plan_builds);
     w.kv("plan_hits", plan_hits);
@@ -220,7 +219,6 @@ SweepReport SweepRunner::run(const std::vector<ScenarioSpec>& specs,
   }
   report.jobs = jobs;
   report.repeat = repeat;
-  report.plan_cache = opts.plan_cache;
   report.build_threads = opts.build_threads;
 
   // Core budget: clamp each scenario's shard count so jobs x shards
@@ -253,37 +251,34 @@ SweepReport SweepRunner::run(const std::vector<ScenarioSpec>& specs,
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= run_specs.size()) return;
       const ScenarioSpec& s = run_specs[i];
-      // Plan acquisition: with the cache on, fetch (building at most
-      // once per distinct fabric across the whole sweep — and across
-      // this runner's earlier sweeps); off, every run builds inline.
-      // Either way the simulation sees the identical plan content, so
-      // stats are byte-identical — a failed fetch reports the same
+      // Plan acquisition: fetch from the cache, building at most once
+      // per distinct fabric across the whole sweep (and across this
+      // runner's earlier sweeps). The simulation sees the same plan
+      // content an inline build gives, so stats are byte-identical to
+      // run_scenario(spec) — and a failed fetch reports the same
       // ModelError message an inline build would have thrown.
       RunOptions first_ro;
       RunOptions rerun_ro;
-      first_ro.build_threads = rerun_ro.build_threads = opts.build_threads;
       ScenarioResult best;
       bool fetch_ok = true;
-      if (opts.plan_cache) {
-        const auto tp0 = std::chrono::steady_clock::now();
-        try {
-          const noc::FabricPlanCache::Fetch fetch = plans_.get_or_build(
-              s.topology_spec(), s.router.be_vcs, opts.build_threads);
-          first_ro.plan = rerun_ro.plan = fetch.plan;
-          first_ro.plan_cached = fetch.hit;
-          rerun_ro.plan_cached = true;  // resident by the rerun
-          first_ro.plan_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - tp0)
-                                 .count();
-        } catch (const std::exception& e) {
-          fetch_ok = false;
-          best.spec = s;
-          best.error = e.what();
-          best.plan_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - tp0)
-                             .count();
-          best.construct_ms = best.wall_ms = best.plan_ms;
-        }
+      const auto tp0 = std::chrono::steady_clock::now();
+      try {
+        const noc::FabricPlanCache::Fetch fetch = plans_.get_or_build(
+            s.topology_spec(), s.router.be_vcs, opts.build_threads);
+        first_ro.plan = rerun_ro.plan = fetch.plan;
+        first_ro.plan_cached = fetch.hit;
+        rerun_ro.plan_cached = true;  // resident by the rerun
+        first_ro.plan_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - tp0)
+                               .count();
+      } catch (const std::exception& e) {
+        fetch_ok = false;
+        best.spec = s;
+        best.error = e.what();
+        best.plan_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - tp0)
+                           .count();
+        best.construct_ms = best.wall_ms = best.plan_ms;
       }
       if (fetch_ok) {
         best = run_scenario(s, first_ro);

@@ -38,7 +38,6 @@ struct SweepReport {
   /// shards: the plan cache is execution strategy and never changes
   /// stats). plan_builds counts cold fabric constructions, plan_hits
   /// scenarios served from a resident plan.
-  bool plan_cache = true;
   unsigned build_threads = 1;
   std::uint64_t plan_builds = 0;
   std::uint64_t plan_hits = 0;
@@ -70,20 +69,17 @@ struct SweepReport {
 ///   jobs x shards <= hardware  ->  shards (no oversubscription)
 ///   otherwise                  ->  max(1, hardware / jobs)
 ///
-/// Shards never affect simulation stats, so clamping changes wall time
-/// only — reports stay byte-identical. hardware_threads == 0 (unknown)
-/// is treated as 1.
+/// Shards are execution strategy, so clamping changes wall time only —
+/// reports stay byte-identical (DESIGN.md section 8 records the one
+/// known counterexample). hardware_threads == 0 (unknown) is treated
+/// as 1.
 unsigned effective_shards(unsigned jobs, unsigned shards,
                           unsigned hardware_threads);
 
 /// Execution-strategy knobs of one sweep invocation — like --shards,
 /// these move wall time only: per-scenario stats (and stats_json) are
-/// byte-identical for every combination.
+/// byte-identical for every value.
 struct SweepOptions {
-  /// Share one FabricPlan across scenarios on the same fabric (the
-  /// default); false (--no-plan-cache) rebuilds per scenario — the
-  /// ablation CI compares reports against.
-  bool plan_cache = true;
   /// Worker threads for each fabric plan materialization.
   unsigned build_threads = 1;
 };

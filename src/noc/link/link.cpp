@@ -68,7 +68,7 @@ void Link::push_boundary(unsigned dir, BoundaryKind kind, VcIdx wire,
   rec.kind = kind;
   rec.wire = wire;
   rec.lf = lf;
-  boundary_[dir]->push(rec);
+  boundary_[dir]->batch.push(rec);
 }
 
 sim::Time Link::forward_latency() const {

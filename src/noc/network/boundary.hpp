@@ -1,16 +1,17 @@
-// Cross-shard link boundary: the handoff records and SPSC channels.
+// Cross-shard link boundary: the handoff records and channels.
 //
 // A link whose endpoint routers live in different shards cannot schedule
 // the receive event directly into the peer's kernel (that kernel runs on
 // another thread). Instead, the sending side pushes a BoundaryRecord —
 // carrying the model-level arrival time AND the sender's scheduling time
-// (birth) — into the per-direction SPSC channel; the shard engine drains
+// (birth) — into the per-direction handoff channel; the shard engine drains
 // every channel at window barriers and admits the records into the
 // destination kernel sorted by (arrival, birth, channel order key, FIFO
 // order). The order key is the link's position in the Network's link
 // list times two plus the direction, which is a pure function of the
 // topology — never of the partition or of wall-clock arrival — so the
-// merged dispatch order is identical for every shard count.
+// records tied on (arrival, birth) break the tie the same way under
+// every partition.
 //
 // Boundary transfers always use the uncoalesced two-event handshake
 // chains: the coalesced fast path resolves the peer's switching plan at
@@ -44,32 +45,17 @@ struct BoundaryRecord {
   LinkFlit lf;     ///< payload (kind == kFlit)
 };
 
-/// One direction of one cross-shard link. Produced by the sending
-/// shard's worker during windows, drained by the engine at barriers.
-///
-/// Two handoff modes, selected once at network construction
-/// (NetworkConfig::batched_handoff; byte-identical stats either way):
-/// batched (default) accumulates records in the SpscBatch and publishes
-/// once per window from the engine's per-shard flush hook; per-record
-/// pushes straight into the SpscQueue with a release store per record
-/// (the pre-batching protocol, kept as the ablation/fallback path).
+/// One direction of one cross-shard link. The sending shard's worker
+/// accumulates records in the batch during a window and publishes them
+/// once from the engine's per-shard flush hook; the engine drains every
+/// channel at the barrier.
 struct BoundaryChannel {
   Router* dst = nullptr;
   PortIdx dst_port = 0;
   unsigned dst_shard = 0;
   unsigned src_shard = 0;  ///< producer: the flush hook's group key
   std::uint32_t order_key = 0;  ///< link index * 2 + direction
-  bool batched = true;
   sim::SpscBatch<BoundaryRecord> batch;
-  sim::SpscQueue<BoundaryRecord> queue;
-
-  void push(const BoundaryRecord& rec) {
-    if (batched) {
-      batch.push(rec);
-    } else {
-      queue.push(rec);
-    }
-  }
 };
 
 }  // namespace mango::noc

@@ -49,15 +49,9 @@ std::shared_ptr<const FabricPlan> FabricPlan::build(const TopologySpec& spec,
   // Deadlock freedom is a construction invariant, not an assumption:
   // reject any (topology, routing, VC config) whose BE channel
   // dependency graph is cyclic. The check runs against the materialized
-  // tables — validating exactly the routes the hot path will execute —
-  // and falls back to the virtual interface on fabrics too large to
-  // materialize.
-  plan->check_ = plan->table_->dense()
-                     ? check_deadlock_freedom(*plan->topo_, *plan->table_,
-                                              plan->vc_map_, be_vcs,
-                                              build_threads)
-                     : check_deadlock_freedom(*plan->topo_, *plan->routing_,
-                                              be_vcs);
+  // tables, validating exactly the routes the hot path will execute.
+  plan->check_ = check_deadlock_freedom(*plan->topo_, *plan->table_,
+                                        plan->vc_map_, be_vcs, build_threads);
   MANGO_ASSERT(plan->check_.acyclic,
                std::string(plan->routing_->name()) + " routing on " +
                    plan->topo_->label() +

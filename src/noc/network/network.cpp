@@ -21,6 +21,9 @@ sim::Time link_min_latency(const Link& l) {
 
 Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
     : ctx_(ctx), cfg_(cfg) {
+  MANGO_ASSERT(cfg_.batched_handoff,
+               "the per-record boundary handoff was removed; "
+               "batched_handoff must stay true");
   // The static side — topology, routing, materialized tables, deadlock
   // certificate, VC-class map, partition weights — comes from the
   // FabricPlan: the caller's shared one when provided (a sweep reusing
@@ -114,14 +117,12 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
         ab->dst_shard = shard_of_[peer_idx];
         ab->src_shard = shard_of_[i];
         ab->order_key = link_idx * 2;
-        ab->batched = cfg_.batched_handoff;
         auto ba = std::make_unique<BoundaryChannel>();
         ba->dst = &router(n);
         ba->dst_port = port_of(d);
         ba->dst_shard = shard_of_[i];
         ba->src_shard = shard_of_[peer_idx];
         ba->order_key = link_idx * 2 + 1;
-        ba->batched = cfg_.batched_handoff;
         l.set_boundary(ab.get(), ba.get());
         channels_.push_back(std::move(ab));
         channels_.push_back(std::move(ba));
@@ -166,11 +167,7 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
     engine_ = std::make_unique<sim::ShardEngine>(
         std::move(sims), sim::conservative_lookahead(slack), control_,
         [this] { drain_boundaries(); },
-        cfg_.batched_handoff
-            ? std::function<void(std::size_t)>(
-                  [this](std::size_t s) { flush_boundaries(s); })
-            : std::function<void(std::size_t)>(),
-        opt);
+        [this](std::size_t s) { flush_boundaries(s); }, opt);
   }
 
   // BE downstream configuration: credits = the peer's BE input depth and
@@ -200,10 +197,8 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
   // the paper's 15-code budget ship THDR headers whose next-hop lookups
   // resolve through the shared RouteTable (small fabrics never emit
   // them, so their wire traffic is unchanged).
-  if (table_->dense()) {
-    for (std::size_t i = 0; i < topo_->node_count(); ++i) {
-      routers_[i]->be_router().enable_table_routing(table_, i);
-    }
+  for (std::size_t i = 0; i < topo_->node_count(); ++i) {
+    routers_[i]->be_router().enable_table_routing(table_, i);
   }
 }
 
@@ -226,15 +221,9 @@ void Network::drain_boundaries() {
   admit_buf_.clear();
   for (auto& chp : channels_) {
     BoundaryChannel& ch = *chp;
-    if (ch.batched) {
-      ch.batch.consume([&](BoundaryRecord r) {
-        admit_buf_.push_back(PendingAdmit{r, &ch});
-      });
-    } else {
-      ch.queue.drain([&](BoundaryRecord r) {
-        admit_buf_.push_back(PendingAdmit{r, &ch});
-      });
-    }
+    ch.batch.consume([&](BoundaryRecord r) {
+      admit_buf_.push_back(PendingAdmit{r, &ch});
+    });
   }
   if (admit_buf_.empty()) return;
   // (arrival, birth, channel order key) with stable_sort: records of one
@@ -280,29 +269,15 @@ BeRoute Network::be_route(NodeId src, NodeId dst, LocalIface iface) const {
                "route endpoints outside the topology");
   BeRoute r;
   r.iface = iface;
-  if (table_->dense()) {
-    const std::size_t si = topo_->index(src);
-    const std::size_t di = topo_->index(dst);
-    table_->append_moves(si, di, r.moves);
-    r.delivery = direction_of(table_->delivery_port(si, di));
-    return r;
-  }
-  r.moves = src == dst ? routing_->self_route(src) : routing_->route(src, dst);
-  const auto end = topo_->walk(src, r.moves);
-  MANGO_ASSERT(end.has_value() && end->node == dst,
-               "routing produced a route that does not reach " +
-                   to_string(dst));
-  r.delivery = direction_of(end->arrival_port);
+  const std::size_t si = topo_->index(src);
+  const std::size_t di = topo_->index(dst);
+  table_->append_moves(si, di, r.moves);
+  r.delivery = direction_of(table_->delivery_port(si, di));
   return r;
 }
 
 BeHeader Network::be_header(NodeId src, NodeId dst, LocalIface iface) const {
-  if (table_->dense()) {
-    return table_->be_header(topo_->index(src), topo_->index(dst), iface);
-  }
-  // Non-materialized fabrics keep the paper's source-route-only scheme
-  // (and its 15-code ceiling).
-  return BeHeader{build_be_header(be_route(src, dst, iface)), false};
+  return table_->be_header(topo_->index(src), topo_->index(dst), iface);
 }
 
 std::vector<Direction> Network::route_moves(NodeId src, NodeId dst) const {

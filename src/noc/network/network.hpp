@@ -34,14 +34,17 @@ struct NetworkConfig {
   /// Worker shards the fabric is partitioned across (clamped to the
   /// node count). 1 = today's single-kernel run; N >= 2 runs one event
   /// kernel per contiguous node-index range under the conservative
-  /// shard engine. Stats are byte-identical for every value (see
-  /// DESIGN.md section 8).
+  /// shard engine. Stats are byte-identical across shard counts on the
+  /// golden corpus and every tested grid; DESIGN.md section 8 records a
+  /// known counterexample.
   unsigned shards = 1;
-  /// Shard-engine execution tuning (N >= 2 only; per-scenario stats are
-  /// byte-identical for every combination — these move wall time, never
-  /// results; see DESIGN.md section 8).
+  /// Shard-engine execution tuning (N >= 2 only; these move wall time,
+  /// never results; see DESIGN.md section 8).
   bool elide_windows = true;     ///< skip windows no shard can populate
-  bool batched_handoff = true;   ///< one boundary publish per window
+  /// Must stay true: false (the removed per-record handoff) is a
+  /// ModelError. Kept for perfbench/mango_bench.cpp, which sets it,
+  /// until a benchmark change drops it.
+  bool batched_handoff = true;
   std::uint32_t spin_us = sim::kDefaultBarrierSpinUs;  ///< 0 = condvar
   bool force_spin = false;  ///< test hook: spin even when cores < shards
   /// Prebuilt fabric plan to construct from (null: build one inline).
@@ -83,9 +86,7 @@ class Network {
 
   const Topology& topology() const { return *topo_; }
   const RoutingAlgorithm& routing() const { return *routing_; }
-  /// Materialized route tables (dense() may be false on very large
-  /// fabrics — the header/route accessors below then fall back to the
-  /// virtual routing interface transparently).
+  /// Materialized route tables (every constructible fabric has them).
   const RouteTable& route_table() const { return *table_; }
   /// The fabric plan this network was constructed from (shared when the
   /// config carried one, built inline otherwise).
@@ -154,9 +155,9 @@ class Network {
   /// table lookup, no allocation, no virtual dispatch). Routes within
   /// the paper's 15-code budget get the packed source-route word,
   /// bit-identical to build_be_header(be_route(src, dst, iface));
-  /// longer routes on materialized fabrics get the table-routed scheme
-  /// (BeHeader::table set). Self-routes stay source-routed and keep the
-  /// ModelError on cycles over the budget.
+  /// longer routes get the table-routed scheme (BeHeader::table set).
+  /// Self-routes stay source-routed and keep the ModelError on cycles
+  /// over the budget.
   BeHeader be_header(NodeId src, NodeId dst,
                      LocalIface iface = LocalIface::kNetworkAdapter) const;
 

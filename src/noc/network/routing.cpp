@@ -516,15 +516,18 @@ std::unique_ptr<RoutingAlgorithm> make_routing(const Topology& topo) {
 RouteTable::RouteTable(const Topology& topo, const RoutingAlgorithm& routing,
                        unsigned build_threads)
     : n_(topo.node_count()), routing_(&routing) {
-  if (n_ > kDenseNodeLimit) return;  // fall back to the virtual interface
-  dense_ = true;
+  if (n_ > kDenseNodeLimit) {
+    model_fail(topo.label() + " has " + std::to_string(n_) +
+               " nodes; route tables support at most " +
+               std::to_string(kDenseNodeLimit));
+  }
   materialize_adjacency(topo);
   materialize_self_routes(topo, routing, build_threads);
   materialize_pairs(topo, routing, build_threads);
 }
 
 bool operator==(const RouteTable& a, const RouteTable& b) {
-  return a.n_ == b.n_ && a.dense_ == b.dense_ && a.hop_ == b.hop_ &&
+  return a.n_ == b.n_ && a.hop_ == b.hop_ &&
          a.meta_ == b.meta_ && a.header_ == b.header_ && a.adj_ == b.adj_ &&
          a.self_moves_ == b.self_moves_ &&
          a.self_offsets_ == b.self_offsets_ &&
@@ -739,7 +742,6 @@ void RouteTable::materialize_pairs(const Topology& topo,
 
 void RouteTable::append_moves(std::size_t src_idx, std::size_t dst_idx,
                               std::vector<Direction>& out) const {
-  MANGO_ASSERT(dense_, "route table not materialized for this fabric size");
   MANGO_ASSERT(src_idx < n_ && dst_idx < n_, "route table index out of range");
   if (src_idx == dst_idx) {
     if (self_unavailable_[src_idx]) {
@@ -765,7 +767,6 @@ void RouteTable::append_moves(std::size_t src_idx, std::size_t dst_idx,
 
 PortIdx RouteTable::delivery_port(std::size_t src_idx,
                                   std::size_t dst_idx) const {
-  MANGO_ASSERT(dense_, "route table not materialized for this fabric size");
   MANGO_ASSERT(src_idx < n_ && dst_idx < n_, "route table index out of range");
   if (src_idx == dst_idx) {
     if (self_unavailable_[src_idx]) {
@@ -777,7 +778,6 @@ PortIdx RouteTable::delivery_port(std::size_t src_idx,
 }
 
 unsigned RouteTable::hops(std::size_t src_idx, std::size_t dst_idx) const {
-  MANGO_ASSERT(dense_, "route table not materialized for this fabric size");
   MANGO_ASSERT(src_idx < n_ && dst_idx < n_, "route table index out of range");
   if (src_idx == dst_idx) {
     if (self_unavailable_[src_idx]) {
@@ -794,7 +794,6 @@ unsigned RouteTable::hops(std::size_t src_idx, std::size_t dst_idx) const {
 
 BeHeader RouteTable::be_header(std::size_t src_idx, std::size_t dst_idx,
                                LocalIface iface) const {
-  MANGO_ASSERT(dense_, "route table not materialized for this fabric size");
   MANGO_ASSERT(src_idx < n_ && dst_idx < n_, "route table index out of range");
   if (src_idx == dst_idx) {
     if (self_unavailable_[src_idx]) {
@@ -1001,8 +1000,6 @@ DeadlockCheck check_deadlock_freedom(const Topology& topo,
                                      const BeVcClassMap& vc_map,
                                      unsigned be_vcs,
                                      unsigned threads) {
-  MANGO_ASSERT(table.dense(),
-               "table-based deadlock check needs a materialized table");
   const std::size_t n = table.node_count();
   const bool classes = vc_map.enabled && be_vcs >= 2;
   // Exhaustive pair coverage up to 1024 nodes; beyond that the same

@@ -224,9 +224,8 @@ std::unique_ptr<RoutingAlgorithm> make_routing(const Topology& topo);
 /// fabrics without a u-turn-free cycle record the miss and re-raise the
 /// routing error on first use, preserving lazy construction semantics.
 ///
-/// Beyond kDenseNodeLimit nodes the n^2 storage is not materialized
-/// (dense() == false) and callers fall back to the virtual interface
-/// (which re-imposes the paper's 14-hop BE ceiling).
+/// Fabrics beyond kDenseNodeLimit nodes are a ModelError: the n^2
+/// storage is the only route representation the network reads.
 class RouteTable {
  public:
   static constexpr std::size_t kDenseNodeLimit = 4096;
@@ -250,7 +249,10 @@ class RouteTable {
   /// for the parallel-build determinism contract.
   friend bool operator==(const RouteTable& a, const RouteTable& b);
 
-  bool dense() const { return dense_; }
+  /// Always true: every constructible table is materialized. Kept for
+  /// perfbench/mango_bench.cpp, which tests it, until a benchmark change
+  /// drops it.
+  bool dense() const { return true; }
   std::size_t node_count() const { return n_; }
 
   /// O(1) next-hop lookup for the table-routed header scheme: the out
@@ -316,7 +318,6 @@ class RouteTable {
                          unsigned build_threads);
 
   std::size_t n_ = 0;
-  bool dense_ = false;
   /// Per-pair next hops, one nibble per phase:
   /// [phase1: next_phase(1) port(2)][phase0: next_phase(1) port(2)].
   std::vector<std::uint8_t> hop_;
@@ -361,7 +362,9 @@ struct DeadlockCheck {
 /// the routing's dateline rule — and checks it for cycles. Exhaustive
 /// over all src/dst pairs up to 512 nodes, deterministically stratified
 /// beyond. `be_vcs` guards that the rule never demands a class the
-/// router configuration lacks.
+/// router configuration lacks. Networks validate with the table
+/// overload below; this one walks the virtual interface and serves as
+/// its independent reference (tests, perfbench).
 DeadlockCheck check_deadlock_freedom(const Topology& topo,
                                      const RoutingAlgorithm& routing,
                                      unsigned be_vcs);

@@ -83,8 +83,7 @@ void BeRouter::set_vc_classes(const std::array<bool, kNumDirections>& dateline) 
 
 void BeRouter::enable_table_routing(const RouteTable* table,
                                     std::size_t self_idx) {
-  MANGO_ASSERT(table != nullptr && table->dense(),
-               "table routing needs a materialized RouteTable");
+  MANGO_ASSERT(table != nullptr, "table routing needs a RouteTable");
   route_table_ = table;
   self_idx_ = static_cast<std::uint32_t>(self_idx);
 }

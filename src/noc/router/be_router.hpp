@@ -112,9 +112,8 @@ class BeRouter {
 
   /// Arms the table-routed header scheme: THDR headers resolve their
   /// next out-port through `table` (this router is dense node index
-  /// `self_idx`). Wired by Network after assembly on every fabric with
-  /// a materialized RouteTable; routers of non-dense fabrics reject
-  /// THDR flits (those fabrics never emit them).
+  /// `self_idx`). Wired by Network after assembly on every router; a
+  /// router built without a Network has no table and rejects THDR flits.
   void enable_table_routing(const RouteTable* table, std::size_t self_idx);
 
   /// Flit arriving on an input port (from the switching module's BE code

@@ -124,6 +124,7 @@ ShardEngine::ShardEngine(std::vector<Simulator*> shards, Time lookahead,
       elide_(opt.elide) {
   MANGO_ASSERT(shards_.size() >= 2, "shard engine needs at least 2 shards");
   MANGO_ASSERT(lookahead_ > 0, "shard engine needs a positive lookahead");
+  MANGO_ASSERT(drain_ && flush_, "shard engine needs drain and flush hooks");
   // Spinning only pays when every barrier participant owns a hardware
   // thread; oversubscribed, a spinner steals cycles from the very shard
   // it is waiting on, so fall back to the condvar protocol outright.
@@ -158,7 +159,7 @@ void ShardEngine::run_shard(std::size_t idx) {
   // Publish this shard's boundary batches before signalling the
   // barrier: the drain that consumes them runs strictly after every
   // done_ bump, so one release store per channel per phase suffices.
-  if (flush_) flush_(idx);
+  flush_(idx);
 }
 
 void ShardEngine::wait_for_command(std::uint64_t& seen) {

@@ -6,10 +6,12 @@
 // PDES; darsim drives hornet's parallel mode the same way). Within a
 // window no shard can affect another before the window's end, so the
 // shards run concurrently; at the barrier, boundary events are drained
-// from SPSC queues and admitted into their destination kernels — sorted
-// by (time, birth, channel, fifo-order), never by wall-clock arrival —
-// so the merged dispatch order is a pure function of the model and a
-// run with N shards reproduces the single-kernel run bit for bit.
+// from their channels and admitted into their destination kernels —
+// sorted by (time, birth, channel, fifo-order), never by wall-clock
+// arrival — so the merged dispatch order is a pure function of the
+// model and the shard count. A run with N shards reproduces the
+// single-kernel run bit for bit on every tested grid; DESIGN.md section
+// 8 records a known counterexample.
 //
 // Two pieces live here:
 //
@@ -149,11 +151,10 @@ class ShardEngine {
 
   /// `drain` runs on the engine thread at every barrier, with all
   /// workers parked: it must move boundary records into the destination
-  /// kernels (Network supplies it). `flush`, when set, runs on each
-  /// worker thread at the end of every phase it executes — before the
-  /// worker signals the barrier — so producer-owned boundary batches can
-  /// publish once per window instead of once per record. `lookahead`
-  /// must be positive (use conservative_lookahead()).
+  /// kernels (Network supplies it). `flush` runs on each worker thread
+  /// at the end of every phase it executes — before the worker signals
+  /// the barrier — so producer-owned boundary batches publish once per
+  /// window. `lookahead` must be positive (use conservative_lookahead()).
   ShardEngine(std::vector<Simulator*> shards, Time lookahead,
               ControlPlane& ctrl, std::function<void()> drain,
               std::function<void(std::size_t)> flush, Options opt);

@@ -1,15 +1,11 @@
-// Single-producer single-consumer handoff queue for shard boundaries.
+// Single-producer handoff channel for shard boundaries.
 //
 // Each direction of a cross-shard link is written by exactly one shard
 // worker (the sender) and drained by exactly one thread (the engine, at
-// window barriers, while every worker is parked). The fast path is a
-// classic Lamport ring — power-of-two buffer, acquire/release indices,
-// no locks, no allocation — so in-window producers never contend. When a
-// burst outruns the ring, entries overflow into a producer-owned spill
-// vector; order is preserved by diverting every later push to the spill
-// until the next drain empties both. The spill handoff needs no atomics:
-// the engine's phase barrier orders "producer parked" before "consumer
-// drains" (and back), which is exactly the happens-before TSan wants.
+// window barriers, while every worker is parked). The engine's phase
+// barrier orders "producer parked" before "consumer drains" (and back),
+// so the channel needs one release/acquire pair per window, not one per
+// record.
 #pragma once
 
 #include <atomic>
@@ -21,85 +17,17 @@
 
 namespace mango::sim {
 
-template <typename T>
-class SpscQueue {
- public:
-  explicit SpscQueue(std::size_t capacity = 1024) {
-    std::size_t cap = 8;
-    while (cap < capacity) cap *= 2;
-    buf_.resize(cap);
-    mask_ = cap - 1;
-  }
-
-  SpscQueue(const SpscQueue&) = delete;
-  SpscQueue& operator=(const SpscQueue&) = delete;
-
-  /// Producer side. Never blocks and never reorders: once one entry has
-  /// spilled, every later push spills too until the consumer drains.
-  void push(T v) {
-    if (!spill_.empty()) {
-      spill_.push_back(std::move(v));
-      if (spill_.size() > spill_hw_) spill_hw_ = spill_.size();
-      return;
-    }
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    if (tail - head == buf_.size()) {
-      spill_.push_back(std::move(v));
-      if (spill_.size() > spill_hw_) spill_hw_ = spill_.size();
-      return;
-    }
-    buf_[tail & mask_] = std::move(v);
-    tail_.store(tail + 1, std::memory_order_release);
-  }
-
-  /// Consumer side: true while an in-ring entry was popped. Lock-free;
-  /// safe to call concurrently with push().
-  bool try_pop(T& out) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    if (head == tail) return false;
-    out = std::move(buf_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Barrier drain: pops every ring entry, then every spilled entry, in
-  /// push order. Only valid while the producer is parked (the spill
-  /// vector is read without synchronization beyond the caller's phase
-  /// barrier).
-  template <typename Fn>
-  void drain(Fn&& fn) {
-    T v;
-    while (try_pop(v)) fn(std::move(v));
-    for (T& s : spill_) fn(std::move(s));
-    spill_.clear();
-  }
-
-  std::size_t spilled_high_water() const { return spill_hw_; }
-
- private:
-  std::vector<T> buf_;
-  std::size_t mask_ = 0;
-  std::vector<T> spill_;
-  std::size_t spill_hw_ = 0;
-  alignas(64) std::atomic<std::size_t> head_{0};
-  alignas(64) std::atomic<std::size_t> tail_{0};
-};
-
 /// Batched single-producer handoff for barrier-drained channels.
 ///
-/// Where SpscQueue pays one release store per record, SpscBatch pays
-/// one per *window*: the producer appends to a plain local vector while
-/// its shard runs, then publish() issues a single release store of the
+/// The producer appends to a plain local vector while its shard runs,
+/// then publish() issues a single release store of the
 /// watermark at the window flush (and none at all for windows that left
 /// the channel untouched). The consumer — the shard engine, at the
 /// barrier, with the producer parked — acquires the watermark and takes
 /// records [0, n) in FIFO order. The watermark's release/acquire pair
 /// carries the record contents; the consumer's reset is ordered before
 /// the producer's next append by the engine's phase barrier (generation
-/// release store, acquired by the worker), the same chain that already
-/// covers SpscQueue's spill vector.
+/// release store, acquired by the worker).
 template <typename T>
 class SpscBatch {
  public:

@@ -2,7 +2,7 @@
 // bit-identical for every thread count, the plan cache keys fabrics
 // canonically and builds each exactly once, and sharing a plan across
 // scenarios is pure execution strategy — stats (and whole sweep
-// reports) are byte-identical with the cache on, off, or any
+// reports) are byte-identical to per-scenario inline builds, for any
 // build-thread count.
 #include <gtest/gtest.h>
 
@@ -226,24 +226,28 @@ exp::SweepGrid plan_grid() {
   return g;
 }
 
-TEST(Sweep, ReportByteIdenticalWithCacheOnOffAndAnyBuildThreads) {
+/// The reference a cached sweep must reproduce: every spec run alone
+/// through run_scenario(spec), which builds its own plan inline.
+exp::SweepReport inline_report(const std::vector<exp::ScenarioSpec>& specs) {
+  exp::SweepReport report;
+  for (const exp::ScenarioSpec& spec : specs) {
+    report.results.push_back(exp::run_scenario(spec));
+  }
+  return report;
+}
+
+TEST(Sweep, CachedReportMatchesInlineBuildsAndAnyBuildThreads) {
   const auto specs = plan_grid().expand();
-  exp::SweepOptions on;
-  exp::SweepOptions off;
-  off.plan_cache = false;
   exp::SweepOptions threaded;
   threaded.build_threads = 4;
-  const exp::SweepReport r_on = exp::SweepRunner().run(specs, 2, {}, 1, on);
-  const exp::SweepReport r_off = exp::SweepRunner().run(specs, 2, {}, 1, off);
+  const exp::SweepReport cached = exp::SweepRunner().run(specs, 2);
   const exp::SweepReport r_thr =
       exp::SweepRunner().run(specs, 1, {}, 1, threaded);
-  EXPECT_EQ(r_on.stats_json(), r_off.stats_json());
-  EXPECT_EQ(r_on.stats_json(), r_thr.stats_json());
+  EXPECT_EQ(cached.stats_json(), inline_report(specs).stats_json());
+  EXPECT_EQ(cached.stats_json(), r_thr.stats_json());
   // 2 fabrics x 3 seeds: each fabric builds once, the rest are hits.
-  EXPECT_EQ(r_on.plan_builds, 2u);
-  EXPECT_EQ(r_on.plan_hits, 4u);
-  EXPECT_EQ(r_off.plan_builds, 6u);
-  EXPECT_EQ(r_off.plan_hits, 0u);
+  EXPECT_EQ(cached.plan_builds, 2u);
+  EXPECT_EQ(cached.plan_hits, 4u);
 }
 
 TEST(Sweep, PlanCacheStaysWarmAcrossRuns) {
@@ -258,22 +262,20 @@ TEST(Sweep, PlanCacheStaysWarmAcrossRuns) {
   EXPECT_EQ(cold.stats_json(), warm.stats_json());
 }
 
-TEST(Sweep, ErrorReportsIdenticalWithCacheOnAndOff) {
+TEST(Sweep, ErrorReportsMatchInlineBuilds) {
   exp::SweepGrid g;
   g.base.topology = TopologyKind::kTorus;
   g.base.router.be_vcs = 1;  // cyclic: every scenario fails construction
   g.base.duration_ps = 200000;
   g.seeds = {1, 2};
   const auto specs = g.expand();
-  exp::SweepOptions off;
-  off.plan_cache = false;
-  const exp::SweepReport r_on = exp::SweepRunner().run(specs, 1);
-  const exp::SweepReport r_off = exp::SweepRunner().run(specs, 1, {}, 1, off);
-  ASSERT_EQ(r_on.failed(), specs.size());
-  EXPECT_EQ(r_on.stats_json(), r_off.stats_json());
+  const exp::SweepReport cached = exp::SweepRunner().run(specs, 1);
+  const exp::SweepReport alone = inline_report(specs);
+  ASSERT_EQ(cached.failed(), specs.size());
+  EXPECT_EQ(cached.stats_json(), alone.stats_json());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(r_on.results[i].error, r_off.results[i].error);
-    EXPECT_FALSE(r_on.results[i].error.empty());
+    EXPECT_EQ(cached.results[i].error, alone.results[i].error);
+    EXPECT_FALSE(cached.results[i].error.empty());
   }
 }
 

@@ -1,5 +1,5 @@
 // Sharded conservative kernel: the (time, birth, seq) merge order, the
-// window/lookahead contract, SPSC boundary handoff, the topology
+// window/lookahead contract, the batched boundary handoff, the topology
 // partition, the sweep core budget — and the invariant everything above
 // exists to uphold: a scenario's stats are bit-identical for every
 // --shards value, on all four fabrics, with and without connection
@@ -116,22 +116,7 @@ TEST(ParallelKernel, ZeroLookaheadIsACheckedError) {
   EXPECT_EQ(sim::conservative_lookahead({500, 400, 800}), 400u);
 }
 
-// --- SPSC boundary queue ----------------------------------------------
-
-TEST(ParallelKernel, SpscQueuePreservesPushOrderThroughSpill) {
-  sim::SpscQueue<int> q(8);  // tiny ring: force the spill path
-  for (int i = 0; i < 50; ++i) q.push(i);
-  EXPECT_GT(q.spilled_high_water(), 0u);
-  std::vector<int> got;
-  q.drain([&](int v) { got.push_back(v); });
-  ASSERT_EQ(got.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(got[i], i);
-  // Drained queues start clean: the ring path is used again.
-  q.push(99);
-  int v = 0;
-  ASSERT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 99);
-}
+// --- boundary handoff ------------------------------------------------
 
 // The batched handoff: records accumulate locally, publish() exposes
 // them in one watermark store, consume() takes them in FIFO order and
@@ -156,6 +141,19 @@ TEST(ParallelKernel, SpscBatchPublishesOncePerWindowInFifoOrder) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], 42);
   EXPECT_EQ(b.high_water(), 20u);
+}
+
+// The per-record handoff is gone: asking for it is a checked error at
+// construction, on one shard as on many, never a silent fallback.
+TEST(ParallelKernel, PerRecordHandoffIsACheckedError) {
+  for (const unsigned shards : {1u, 2u}) {
+    sim::SimContext ctx;
+    noc::NetworkConfig cfg;
+    cfg.topology = noc::TopologySpec::mesh(4, 4);
+    cfg.shards = shards;
+    cfg.batched_handoff = false;
+    EXPECT_THROW(noc::Network(ctx, cfg), ModelError) << "shards=" << shards;
+  }
 }
 
 // --- topology partition ------------------------------------------------
@@ -341,25 +339,23 @@ TEST(ParallelScenario, Shards124AreBitIdenticalOnAllFabrics) {
 }
 
 // The engine's execution knobs — quiet-window elision, spin vs condvar
-// barrier, batched vs per-record handoff — are wall-clock strategies
-// only. Every combination must reproduce the single-kernel stats bit
-// for bit on every fabric kind, at 2 and 4 shards.
+// barrier — are wall-clock strategies only. Every combination must
+// reproduce the single-kernel stats bit for bit on every fabric kind,
+// at 2 and 4 shards.
 struct EngineMode {
   const char* tag;
   bool elide;
-  bool batched;
   std::uint32_t spin_us;
   bool force_spin;
 };
 
 const EngineMode kEngineModes[] = {
-    {"elide-off", false, true, sim::kDefaultBarrierSpinUs, false},
-    {"per-record", true, false, sim::kDefaultBarrierSpinUs, false},
-    {"condvar", true, true, 0, false},
+    {"elide-off", false, sim::kDefaultBarrierSpinUs, false},
+    {"condvar", true, 0, false},
     // Tiny forced spin budget: exercises the atomic fast path even on
     // machines with fewer cores than shards (where it would normally
     // auto-disable), without burning real time when it misses.
-    {"spin", true, true, 1, true},
+    {"spin", true, 1, true},
 };
 
 TEST(ParallelScenario, EngineModesAreBitIdenticalOnAllFabrics) {
@@ -374,7 +370,6 @@ TEST(ParallelScenario, EngineModesAreBitIdenticalOnAllFabrics) {
       for (const EngineMode& m : kEngineModes) {
         spec.shards = shards;
         spec.elide_windows = m.elide;
-        spec.batched_handoff = m.batched;
         spec.spin_us = m.spin_us;
         spec.force_spin = m.force_spin;
         const exp::ScenarioResult n = run_scenario(spec);
@@ -418,7 +413,6 @@ TEST(ParallelScenario, EngineModesAreBitIdenticalOnMesh32) {
   for (const EngineMode& m : kEngineModes) {
     spec.shards = 4;
     spec.elide_windows = m.elide;
-    spec.batched_handoff = m.batched;
     spec.spin_us = m.spin_us;
     spec.force_spin = m.force_spin;
     const exp::ScenarioResult n = run_scenario(spec);
@@ -457,7 +451,6 @@ TEST(ParallelScenario, ChurnIsBitIdenticalAcrossShards) {
       for (const EngineMode& m : kEngineModes) {
         spec.shards = 4;
         spec.elide_windows = m.elide;
-        spec.batched_handoff = m.batched;
         spec.spin_us = m.spin_us;
         spec.force_spin = m.force_spin;
         const exp::ScenarioResult n = run_scenario(spec);

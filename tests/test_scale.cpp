@@ -16,6 +16,7 @@
 #include "noc/network/topology.hpp"
 #include "noc/traffic/sink.hpp"
 #include "noc/traffic/workload.hpp"
+#include "sim/assert.hpp"
 #include "sim/context.hpp"
 
 namespace mango::noc {
@@ -38,6 +39,23 @@ TEST(ScaleRouteTable, ThousandNodeConstructionStaysInBudget) {
   EXPECT_EQ(table.node_count(), 1024u);
   EXPECT_LT(secs, 10.0) << "route-table construction went quadratic in "
                            "diameter again";
+}
+
+// Route tables stop at kDenseNodeLimit nodes, and nothing else routes a
+// network: one node more is a checked error at plan build, and a
+// scenario on such a fabric reports it instead of crashing.
+TEST(ScaleRouteTable, OverDenseLimitIsACheckedError) {
+  const std::uint16_t over = RouteTable::kDenseNodeLimit + 1;
+  EXPECT_THROW(FabricPlan::build(TopologySpec::ring(over), 2), ModelError);
+
+  exp::ScenarioSpec spec;
+  spec.topology = TopologyKind::kRing;
+  spec.width = over;
+  spec.height = 1;
+  spec.router.be_vcs = 2;
+  const exp::ScenarioResult r = exp::run_scenario(spec);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("at most 4096"), std::string::npos) << r.error;
 }
 
 // The header-scheme selection rule: a pair is table-routed exactly when

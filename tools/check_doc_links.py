@@ -21,8 +21,8 @@ import sys
 DOC_FILES = ["README.md", "DESIGN.md"]
 
 # Flags that appear in docs but belong to other tools (cmake, ctest,
-# benchmark binaries, git) rather than mango_sweep.  Anything matching
-# these is skipped during the flag check.
+# benchmark binaries, perfbench, git) rather than mango_sweep.  Anything
+# matching these is skipped during the flag check.
 NON_SWEEP_FLAGS = {
     "--output-on-failure",       # ctest
     "--test-dir",                # ctest
@@ -32,6 +32,10 @@ NON_SWEEP_FLAGS = {
     "--benchmark_out_format",    # google-benchmark
     "--build",                   # cmake
     "--target",                  # cmake
+    "--workload",                # perfbench/run.py
+    "--seconds",                 # perfbench/run.py
+    "--smoke",                   # perfbench/run.py
+    "--trace",                   # perfbench/run.py
 }
 
 # Reverse check: execution-strategy flags whose whole point is the
@@ -44,8 +48,6 @@ REQUIRED_DOCUMENTED_FLAGS = {
     "--repeat",
     "--spin-us",
     "--no-elide",
-    "--per-record-handoff",
-    "--no-plan-cache",
     "--build-threads",
 }
 

@@ -72,10 +72,12 @@ void usage(std::FILE* out) {
       "  --shards N            kernel shards per scenario: the fabric is\n"
       "                        partitioned across N threads advancing in\n"
       "                        conservative lookahead windows. Stats are\n"
-      "                        byte-identical for every N; wall time is\n"
-      "                        not. Clamped (with a warning) so that\n"
-      "                        jobs x shards never exceeds the hardware\n"
-      "                        thread count\n"
+      "                        byte-identical for every N on the golden\n"
+      "                        corpus and the tested grids (DESIGN.md\n"
+      "                        section 8 records a known counterexample);\n"
+      "                        wall time is not. Clamped (with a warning)\n"
+      "                        so that jobs x shards never exceeds the\n"
+      "                        hardware thread count\n"
       "  --repeat N            run each scenario N times; stats come from\n"
       "                        run 1 (and must match every rerun), wall\n"
       "                        time keeps the best — the JSON report's\n"
@@ -86,14 +88,6 @@ void usage(std::FILE* out) {
       "                        (default 50; 0 = condvar-only; ignored\n"
       "                        when cores < shards). Stats unchanged\n"
       "  --no-elide            disable quiet-window elision (ablation;\n"
-      "                        stats unchanged, wall time is not)\n"
-      "  --per-record-handoff  per-record boundary publishes instead of\n"
-      "                        one batch per window (ablation; stats\n"
-      "                        unchanged, wall time is not)\n"
-      "  --no-plan-cache       rebuild the fabric plan (topology, route\n"
-      "                        tables, deadlock certificate) per scenario\n"
-      "                        instead of sharing one immutable plan per\n"
-      "                        distinct fabric across the sweep (ablation;\n"
       "                        stats unchanged, wall time is not)\n"
       "  --build-threads N     worker threads materializing each fabric\n"
       "                        plan's route tables and dependency graph\n"
@@ -175,10 +169,9 @@ void print_summary(const exp::SweepReport& report) {
       static_cast<unsigned long long>(report.total_violations()),
       static_cast<unsigned long long>(report.total_events()), report.wall_ms,
       report.jobs, report.scenarios_per_hour());
-  std::printf("fabric plans: %llu built, %llu reused%s\n",
+  std::printf("fabric plans: %llu built, %llu reused\n",
               static_cast<unsigned long long>(report.plan_builds),
-              static_cast<unsigned long long>(report.plan_hits),
-              report.plan_cache ? "" : " (plan cache off)");
+              static_cast<unsigned long long>(report.plan_hits));
   std::uint64_t creq = 0, crej = 0, cclosed = 0;
   for (const exp::ScenarioResult& r : report.results) {
     creq += r.stats.churn_requested;
@@ -220,7 +213,6 @@ int main(int argc, char** argv) {
   bool set_shards = false;
   bool set_spin_us = false;
   bool set_no_elide = false;
-  bool set_per_record = false;
 
   const auto next_arg = [&](int& i, const char* flag) -> std::string {
     if (i + 1 >= argc) die(std::string(flag) + " needs an argument");
@@ -407,11 +399,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-elide") {
       grid.base.elide_windows = false;
       set_no_elide = true;
-    } else if (arg == "--per-record-handoff") {
-      grid.base.batched_handoff = false;
-      set_per_record = true;
-    } else if (arg == "--no-plan-cache") {
-      sweep_opts.plan_cache = false;
     } else if (arg == "--build-threads") {
       std::uint64_t n = 0;
       if (!parse_u64(next_arg(i, "--build-threads"), &n) || n == 0 ||
@@ -458,7 +445,6 @@ int main(int argc, char** argv) {
     if (set_shards) grid.base.shards = base.shards;
     if (set_spin_us) grid.base.spin_us = base.spin_us;
     if (set_no_elide) grid.base.elide_windows = base.elide_windows;
-    if (set_per_record) grid.base.batched_handoff = base.batched_handoff;
   }
 
   std::vector<exp::ScenarioSpec> specs = grid.expand();
