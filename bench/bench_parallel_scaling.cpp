@@ -14,13 +14,17 @@
 // headers) repeat the ladder at a thousand routers, where the window
 // count and boundary fan-in dwarf the 8x8 grid — this is the rung the
 // acceptance speedup targets are measured on. A barrier-cost microbench
-// (ns/window on a near-idle fabric with elision disabled) isolates the
-// per-window synchronisation overhead the spin barrier is meant to cut.
+// (ns/window on four kernels with one event in every window) isolates
+// the per-window synchronisation overhead the spin barrier is meant to
+// cut.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <memory>
+#include <vector>
 
 #include "exp/scenario.hpp"
+#include "sim/parallel.hpp"
 
 using namespace mango;
 
@@ -106,12 +110,9 @@ exp::ScenarioSpec scale1k_spec(noc::TopologyKind kind, unsigned shards) {
 void run_scaling_1k(benchmark::State& state, noc::TopologyKind kind,
                     exp::ScenarioStats& reference, bool& have_reference) {
   const auto shards = static_cast<unsigned>(state.range(0));
-  const bool elide = state.range(1) != 0;
   std::uint64_t events = 0;
   for (auto _ : state) {
-    exp::ScenarioSpec spec = scale1k_spec(kind, shards);
-    spec.elide_windows = elide;
-    const exp::ScenarioResult r = run_scenario(spec);
+    const exp::ScenarioResult r = run_scenario(scale1k_spec(kind, shards));
     if (!r.ok()) {
       state.SkipWithError(r.error.c_str());
       return;
@@ -138,45 +139,52 @@ void BM_Scale1kCMeshShards(benchmark::State& state) {
   static bool have_reference = false;
   run_scaling_1k(state, noc::TopologyKind::kCMesh, reference, have_reference);
 }
-// Second arg: window elision on/off — the {4, 0} row is the ablation
-// recorded alongside BENCH_scale.json entries.
-BENCHMARK(BM_Scale1kMeshShards)
-    ->Args({1, 1})->Args({2, 1})->Args({4, 1})->Args({4, 0})
+BENCHMARK(BM_Scale1kMeshShards)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_Scale1kCMeshShards)
-    ->Args({1, 1})->Args({2, 1})->Args({4, 1})->Args({4, 0})
+BENCHMARK(BM_Scale1kCMeshShards)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --- barrier-cost microbench ------------------------------------------
 //
-// A nearly idle 8x8 mesh at 4 shards with window elision DISABLED: the
-// kernel still walks every lookahead window, so almost all of the wall
-// time is the two barrier crossings per window. ns_per_window is the
-// figure the spin barrier attacks; Arg is the spin budget in us (0 =
-// pure condvar). On a machine with fewer than 4 cores the spin path
-// auto-disables, so both args report the condvar floor there.
+// The shard engine alone: four kernels, each holding one event that
+// reschedules itself one lookahead window later, so every window runs
+// (elision finds nothing to skip) and each does almost no work. Nearly
+// all of the wall time is the two barrier crossings per window.
+// ns_per_window is the figure the spin barrier attacks; Arg is the spin
+// budget in us (0 = pure condvar). On a machine with fewer than 4 cores
+// the spin path auto-disables, so both args report the condvar floor
+// there.
 void BM_BarrierSyncNsPerWindow(benchmark::State& state) {
-  exp::ScenarioSpec spec;
-  spec.name = "bench-barrier-cost";
-  spec.width = 8;
-  spec.height = 8;
-  spec.pattern = noc::BePattern::kUniform;
-  spec.be_interarrival_ps = 200000;  // sparse: most windows are empty
-  spec.duration_ps = 2000000;
-  spec.shards = 4;
-  spec.elide_windows = false;  // force a barrier round per window
-  spec.spin_us = static_cast<std::uint32_t>(state.range(0));
+  constexpr sim::Time kWindow = 1000;
+  constexpr std::uint64_t kWindows = 2000;
+  struct Tick {
+    sim::Simulator* s;
+    void operator()() const { s->after(kWindow, Tick{s}); }
+  };
+  sim::ShardEngine::Options opt;
+  opt.spin_us = static_cast<std::uint32_t>(state.range(0));
   std::uint64_t windows = 0;
   double ns = 0.0;
   for (auto _ : state) {
+    std::vector<std::unique_ptr<sim::Simulator>> kernels;
+    std::vector<sim::Simulator*> sims;
+    for (int i = 0; i < 4; ++i) {
+      kernels.push_back(std::make_unique<sim::Simulator>());
+      sims.push_back(kernels.back().get());
+      sims.back()->at(0, Tick{sims.back()});
+    }
+    sim::ControlPlane ctrl;
+    ctrl.bind_engine(sims);
+    sim::ShardEngine engine(sims, kWindow, ctrl, [] {}, [](std::size_t) {},
+                            opt);
     const auto t0 = std::chrono::steady_clock::now();
-    const exp::ScenarioResult r = run_scenario(spec);
+    engine.run_until(kWindows * kWindow);
     const auto t1 = std::chrono::steady_clock::now();
-    if (!r.ok()) {
-      state.SkipWithError(r.error.c_str());
+    if (engine.windows_run() != kWindows) {
+      state.SkipWithError("the engine elided a window that held an event");
       return;
     }
-    windows += r.windows_run;
+    windows += engine.windows_run();
     ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(windows));

@@ -67,14 +67,15 @@ struct ScenarioSpec {
   /// strategy, not a model parameter, so it is deliberately excluded
   /// from the scenario name and the report's spec section.
   unsigned shards = 1;
+  /// Both must stay true (false is a ModelError, see NetworkConfig).
+  /// Kept for perfbench/mango_bench.cpp until a benchmark change drops
+  /// them.
+  bool elide_windows = true;
+  bool batched_handoff = true;
   /// Shard-engine tuning (NetworkConfig equivalents; shards >= 2 only).
   /// Execution strategy like `shards`, so these too stay out of the
   /// scenario name and the report's spec section — only the timing
   /// block surfaces them.
-  bool elide_windows = true;
-  /// Must stay true (false is a ModelError, see NetworkConfig). Kept
-  /// for perfbench/mango_bench.cpp until a benchmark change drops it.
-  bool batched_handoff = true;
   std::uint32_t spin_us = sim::kDefaultBarrierSpinUs;
   bool force_spin = false;  ///< test hook: spin even when cores < shards
 

@@ -12,27 +12,12 @@
 
 namespace mango::noc::events {
 
-namespace detail {
-std::atomic<bool> g_typed_enabled{true};
-}  // namespace detail
-
-void set_typed_dispatch_enabled(bool on) {
-  detail::g_typed_enabled.store(on, std::memory_order_relaxed);
-}
-
 void dispatch_event(sim::TypedEvent& ev) {
   switch (ev.op) {
     case kOpLinkFlit:
       static_cast<Router*>(ev.p0)->receive_link_flit(
           static_cast<PortIdx>(ev.a), load_link_flit(ev));
       return;
-    case kOpGsDeliverId: {
-      Flit f = load_flit(ev);
-      static_cast<Router*>(ev.p0)->deliver_gs_coalesced(
-          VcBufferId{static_cast<PortIdx>(ev.a), static_cast<VcIdx>(ev.b)},
-          std::move(f));
-      return;
-    }
     case kOpGsDeliverPtr: {
       Flit f = load_flit(ev);
       static_cast<Router*>(ev.p0)->deliver_gs_coalesced(

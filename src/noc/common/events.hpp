@@ -11,14 +11,11 @@
 //
 // Every emitting component registers the switch idempotently from its
 // constructor (install()), so standalone component tests work without a
-// Network. A process-wide flag (set_typed_dispatch_enabled) force-routes
-// every emit through the InlineFunction fallback — the record is then
-// captured into a callback that calls dispatch_event() itself — giving
-// the differential tests a byte-identical two-implementation check: the
-// event draws the same (time, birth, seq) key either way.
+// Network, and schedules its records directly with Simulator::after_typed
+// / at_typed. A record crossing a shard boundary stays a TypedEvent: the
+// link hands it to the barrier, which admits it with admit_typed.
 #pragma once
 
-#include <atomic>
 #include <cstring>
 
 #include "noc/common/flit.hpp"
@@ -31,7 +28,6 @@ namespace mango::noc::events {
 enum Op : std::uint8_t {
   kOpCallback = 0,
   kOpLinkFlit,        ///< p0=Router*, a=in_port; payload LinkFlit
-  kOpGsDeliverId,     ///< p0=Router*, a=port, b=vc; payload Flit
   kOpGsDeliverPtr,    ///< p0=Router*, p1=VcBuffer*; payload Flit
   kOpReverse,         ///< p0=Router*, a=out_port, b=wire
   kOpReverseDone,     ///< p0=Router*, a=out_port, b=wire (coalesced)
@@ -62,17 +58,6 @@ inline void install(sim::Simulator& sim) {
   sim.set_typed_dispatcher(&dispatch_event);
 }
 
-namespace detail {
-extern std::atomic<bool> g_typed_enabled;
-}  // namespace detail
-
-/// Differential-test hook: when disabled, every emit routes through the
-/// InlineFunction fallback (same dispatch function, same event key).
-inline bool typed_dispatch_enabled() {
-  return detail::g_typed_enabled.load(std::memory_order_relaxed);
-}
-void set_typed_dispatch_enabled(bool on);
-
 // --- payload marshalling (trivially copyable blobs, by memcpy) ---
 
 static_assert(sizeof(Flit) <= sizeof(sim::TypedEvent::payload),
@@ -95,36 +80,6 @@ inline LinkFlit load_link_flit(const sim::TypedEvent& ev) {
   LinkFlit lf;
   std::memcpy(&lf, ev.payload, sizeof(LinkFlit));
   return lf;
-}
-
-// --- emit helpers: typed fast path or callback fallback ---
-
-inline void emit_after(sim::Simulator& sim, sim::Time delay,
-                       const sim::TypedEvent& ev) {
-  if (typed_dispatch_enabled()) {
-    sim.after_typed(delay, ev);
-    return;
-  }
-  sim.after(delay, [e = ev]() mutable { dispatch_event(e); });
-}
-
-inline void emit_at(sim::Simulator& sim, sim::Time t,
-                    const sim::TypedEvent& ev) {
-  if (typed_dispatch_enabled()) {
-    sim.at_typed(t, ev);
-    return;
-  }
-  sim.at(t, [e = ev]() mutable { dispatch_event(e); });
-}
-
-inline void emit_admit(sim::Simulator& sim, sim::Time t, sim::Time birth,
-                       const sim::TypedEvent& ev) {
-  if (typed_dispatch_enabled()) {
-    sim.admit_typed(t, birth, ev);
-    return;
-  }
-  sim.admit(t, birth,
-            sim::Simulator::Callback([e = ev]() mutable { dispatch_event(e); }));
 }
 
 }  // namespace mango::noc::events

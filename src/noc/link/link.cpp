@@ -18,7 +18,7 @@ Link::Link(Endpoint a, Endpoint b, unsigned pipeline_stages,
                "link endpoints must be routers");
   // Endpoints in different SimContexts are a shard boundary: allowed,
   // but every send must go through set_boundary() channels (asserted in
-  // the send paths).
+  // transfer()).
   sims_[0] = &a_.router->ctx().sim();
   sims_[1] = &b_.router->ctx().sim();
   MANGO_ASSERT(a_.router != b_.router, "self-links are not supported");
@@ -47,28 +47,24 @@ const Link::Endpoint& Link::peer_of(const Router* from) const {
   return a_;
 }
 
-const Link::Endpoint& Link::self_of(const Router* from) const {
-  if (from == a_.router) return a_;
-  MANGO_ASSERT(from == b_.router, "send from a router not on this link");
-  return b_;
-}
-
 unsigned Link::dir_of(const Router* from) const {
   if (from == a_.router) return 0;
   MANGO_ASSERT(from == b_.router, "send from a router not on this link");
   return 1;
 }
 
-void Link::push_boundary(unsigned dir, BoundaryKind kind, VcIdx wire,
-                         LinkFlit lf, sim::Time latency) {
+void Link::transfer(unsigned dir, sim::Time delay, const sim::TypedEvent& ev) {
   sim::Simulator& self = *sims_[dir];
-  BoundaryRecord rec;
-  rec.arrival = self.now() + latency;
-  rec.birth = self.now();
-  rec.kind = kind;
-  rec.wire = wire;
-  rec.lf = lf;
-  boundary_[dir]->batch.push(rec);
+  if (boundary_[dir] != nullptr) {
+    // Cross-shard: the record waits in the channel for barrier admission
+    // into the peer's kernel, under the sender's scheduling time.
+    boundary_[dir]->batch.push(
+        BoundaryRecord{self.now() + delay, self.now(), ev});
+    return;
+  }
+  MANGO_ASSERT(sims_[0] == sims_[1],
+               "cross-context link used without boundary channels");
+  self.after_typed(delay, ev);
 }
 
 sim::Time Link::forward_latency() const {
@@ -96,104 +92,35 @@ void Link::send_flit(const Router* from, LinkFlit lf) {
   const unsigned dir = dir_of(from);
   const Endpoint& peer = dir == 0 ? b_ : a_;
   ++flits_carried_[dir];
-  if (boundary_[dir] != nullptr) {
-    // Cross-shard: hand off for barrier admission; the destination runs
-    // the plain uncoalesced receive (no peer state is read here).
-    push_boundary(dir, BoundaryKind::kFlit, 0, lf, forward_latency());
-    return;
-  }
-  MANGO_ASSERT(sims_[0] == sims_[1],
-               "cross-context link used without boundary channels");
-  sim::Simulator& sim_ = *sims_[dir];
-  if (!coalesce_) {
-    sim::TypedEvent ev{};
-    ev.op = events::kOpLinkFlit;
-    ev.a = peer.port;
-    ev.p0 = peer.router;
-    events::store_link_flit(ev, lf);
-    events::emit_after(sim_, forward_latency(), ev);
-    return;
-  }
-  // Coalesced GS transfer: the peer's split map is static, so the
-  // destination is resolved now and the split/switch/unshare stage delay
-  // folds into this single event's timestamp — same arrival instant as
-  // the receive-then-traverse event pair it replaces. The folded link
-  // arrival is declared with its analytic time so event totals stay
-  // bit-identical even when run_until() cuts a chain mid-flight.
-  //
-  // BE transfers deliberately keep the two-event chain: push_input runs
-  // the BE router's arbitration synchronously at dispatch, so its
-  // same-timestamp order against other BE events is observable — folding
-  // would move its insertion point and flip tie-breaks. GS deliveries
-  // only schedule delayed effects (buffer advance, req_fwd), which makes
-  // the fold order-exact.
-  const sim::Time fwd = forward_latency();
-  const SwitchingModule::PlannedHop hop =
-      peer.router->switching().plan(peer.port, lf.steer);
-  if (hop.to_be) {
-    sim::TypedEvent ev{};
-    ev.op = events::kOpLinkFlit;
-    ev.a = peer.port;
-    ev.p0 = peer.router;
-    events::store_link_flit(ev, lf);
-    events::emit_after(sim_, fwd, ev);
-  } else {
-    sim_.note_folded_hop_at(sim_.now() + fwd);
-    sim::TypedEvent ev{};
-    ev.op = events::kOpGsDeliverId;
-    ev.a = hop.target.port;
-    ev.b = hop.target.vc;
-    ev.p0 = peer.router;
-    events::store_flit(ev, lf.flit);
-    events::emit_after(sim_, fwd + hop.stage_delay, ev);
-  }
-}
-
-void Link::send_be_flit(const Router* from, LinkFlit lf) {
-  const unsigned dir = dir_of(from);
-  const Endpoint& peer = dir == 0 ? b_ : a_;
-  ++flits_carried_[dir];
-  if (boundary_[dir] != nullptr) {
-    push_boundary(dir, BoundaryKind::kFlit, 0, lf, forward_latency());
-    return;
-  }
   sim::TypedEvent ev{};
   ev.op = events::kOpLinkFlit;
   ev.a = peer.port;
   ev.p0 = peer.router;
   events::store_link_flit(ev, lf);
-  events::emit_after(*sims_[dir], forward_latency(), ev);
+  transfer(dir, forward_latency(), ev);
 }
 
 void Link::send_reverse(const Router* from, VcIdx wire) {
   const unsigned dir = dir_of(from);
   const Endpoint& peer = dir == 0 ? b_ : a_;
-  if (boundary_[dir] != nullptr) {
-    push_boundary(dir, BoundaryKind::kReverse, wire, LinkFlit{},
-                  reverse_latency());
-    return;
-  }
-  sim::Simulator& sim_ = *sims_[dir];
-  if (!coalesce_) {
-    sim::TypedEvent ev{};
+  sim::TypedEvent ev{};
+  ev.a = peer.port;
+  ev.b = wire;
+  ev.p0 = peer.router;
+  if (!coalesce_ || boundary_[dir] != nullptr) {
+    // Cross-shard transfers keep the uncoalesced chain (boundary.hpp).
     ev.op = events::kOpReverse;
-    ev.a = peer.port;
-    ev.b = wire;
-    ev.p0 = peer.router;
-    events::emit_after(sim_, reverse_latency(), ev);
+    transfer(dir, reverse_latency(), ev);
     return;
   }
   // Fold the flow box's re-arm delay (0 for credit boxes) into the wire
   // event: one scheduled event from unlock toggle to box-ready.
+  sim::Simulator& sim_ = *sims_[dir];
   const sim::Time rearm = peer.router->reverse_fold_delay();
   const sim::Time rev = reverse_latency();
   if (rearm > 0) sim_.note_folded_hop_at(sim_.now() + rev);
-  sim::TypedEvent ev{};
   ev.op = events::kOpReverseDone;
-  ev.a = peer.port;
-  ev.b = wire;
-  ev.p0 = peer.router;
-  events::emit_after(sim_, rev + rearm, ev);
+  transfer(dir, rev + rearm, ev);
 }
 
 sim::Time Link::be_credit_latency() const {
@@ -204,17 +131,12 @@ sim::Time Link::be_credit_latency() const {
 void Link::send_be_credit(const Router* from, BeVcIdx vc) {
   const unsigned dir = dir_of(from);
   const Endpoint& peer = dir == 0 ? b_ : a_;
-  if (boundary_[dir] != nullptr) {
-    push_boundary(dir, BoundaryKind::kBeCredit, vc, LinkFlit{},
-                  be_credit_latency());
-    return;
-  }
   sim::TypedEvent ev{};
   ev.op = events::kOpBeCredit;
   ev.a = peer.port;
   ev.b = vc;
   ev.p0 = peer.router;
-  events::emit_after(*sims_[dir], be_credit_latency(), ev);
+  transfer(dir, be_credit_latency(), ev);
 }
 
 }  // namespace mango::noc

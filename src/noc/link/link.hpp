@@ -22,7 +22,6 @@ namespace mango::noc {
 
 class Router;
 struct BoundaryChannel;
-enum class BoundaryKind : std::uint8_t;
 
 class Link {
  public:
@@ -50,14 +49,14 @@ class Link {
        sim::Time skew_ps = 0);
 
   /// Sends a flit from `from` to the peer (arrives after the merge +
-  /// wire delay at the peer's input port).
+  /// wire delay at the peer's input port, where the split/switch stage
+  /// runs as a second event). Coalesced GS transfers bypass this: the
+  /// router's cached send plan folds the stage into one event. BE
+  /// transfers always take this two-event chain: push_input runs the BE
+  /// router's arbitration synchronously at dispatch, so its
+  /// same-timestamp order against other BE events is observable, and
+  /// folding would move its insertion point and flip tie-breaks.
   void send_flit(const Router* from, LinkFlit lf);
-
-  /// BE fast path: the caller (BeOutputStage) knows the steer decodes to
-  /// the peer's BE router, so the per-flit switching decode is skipped.
-  /// BE transfers always use the two-event chain (see send_flit's
-  /// comment on why the BE fold is forbidden).
-  void send_be_flit(const Router* from, LinkFlit lf);
 
   /// Reverse GS signal (unlock toggle / credit) from `from` back to the
   /// peer's flow box on wire `wire`.
@@ -116,10 +115,10 @@ class Link {
 
  private:
   const Endpoint& peer_of(const Router* from) const;
-  const Endpoint& self_of(const Router* from) const;
   unsigned dir_of(const Router* from) const;
-  void push_boundary(unsigned dir, BoundaryKind kind, VcIdx wire, LinkFlit lf,
-                     sim::Time latency);
+  /// Delivers `ev` to the peer after `delay`: scheduled into the shared
+  /// kernel, or handed to the boundary channel on a cross-shard link.
+  void transfer(unsigned dir, sim::Time delay, const sim::TypedEvent& ev);
 
   sim::Simulator* sims_[2];  ///< per endpoint (equal for intra-shard links)
   Endpoint a_;

@@ -151,21 +151,21 @@ void NetworkAdapter::drain_gs(LocalIfaceIdx iface) {
     ev.p0 = &router_;
     ev.p1 = src.inject_target;
     events::store_flit(ev, f);
-    events::emit_after(sim_, src.inject_delay, ev);
+    sim_.after_typed(src.inject_delay, ev);
   } else {
     sim::TypedEvent ev{};
     ev.op = events::kOpNaGsInject;
     ev.a = iface;
     ev.p0 = this;
     events::store_link_flit(ev, LinkFlit{src.steer, f});
-    events::emit_after(sim_, delays_.na_link_fwd, ev);
+    sim_.after_typed(delays_.na_link_fwd, ev);
   }
   // The local interface handshake stage recovers after one cycle.
   sim::TypedEvent ev{};
   ev.op = events::kOpNaGsRecover;
   ev.a = iface;
   ev.p0 = this;
-  events::emit_after(sim_, delays_.arb_cycle, ev);
+  sim_.after_typed(delays_.arb_cycle, ev);
 }
 
 void NetworkAdapter::inject_gs_now(LocalIfaceIdx iface, const LinkFlit& lf) {
@@ -221,7 +221,7 @@ void NetworkAdapter::on_local_head(LocalIfaceIdx iface) {
     ev.a = iface;
     ev.p0 = this;
     events::store_flit(ev, f);
-    events::emit_after(sim_, delays_.na_link_fwd, ev);
+    sim_.after_typed(delays_.na_link_fwd, ev);
     // The buffer refill (unsharebox advance) re-notifies us.
   });
 }
@@ -273,11 +273,11 @@ void NetworkAdapter::drain_be() {
     ev.op = events::kOpNaBeInject;
     ev.p0 = this;
     events::store_flit(ev, f);
-    events::emit_after(sim_, delays_.na_link_fwd, ev);
+    sim_.after_typed(delays_.na_link_fwd, ev);
     sim::TypedEvent rec{};
     rec.op = events::kOpNaBeRecover;
     rec.p0 = this;
-    events::emit_after(sim_, delays_.arb_cycle, rec);
+    sim_.after_typed(delays_.arb_cycle, rec);
     return;
   }
 }

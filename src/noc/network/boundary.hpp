@@ -3,15 +3,15 @@
 // A link whose endpoint routers live in different shards cannot schedule
 // the receive event directly into the peer's kernel (that kernel runs on
 // another thread). Instead, the sending side pushes a BoundaryRecord —
-// carrying the model-level arrival time AND the sender's scheduling time
-// (birth) — into the per-direction handoff channel; the shard engine drains
-// every channel at window barriers and admits the records into the
-// destination kernel sorted by (arrival, birth, channel order key, FIFO
-// order). The order key is the link's position in the Network's link
-// list times two plus the direction, which is a pure function of the
-// topology — never of the partition or of wall-clock arrival — so the
-// records tied on (arrival, birth) break the tie the same way under
-// every partition.
+// the typed event it would have scheduled, plus its model-level arrival
+// time AND the sender's scheduling time (birth) — into the per-direction
+// handoff channel; the shard engine drains every channel at window
+// barriers and admits the events into the destination kernel sorted by
+// (arrival, birth, channel order key, FIFO order). The order key is the
+// link's position in the Network's link list times two plus the
+// direction, which is a pure function of the topology — never of the
+// partition or of wall-clock arrival — so the records tied on (arrival,
+// birth) break the tie the same way under every partition.
 //
 // Boundary transfers always use the uncoalesced two-event handshake
 // chains: the coalesced fast path resolves the peer's switching plan at
@@ -22,27 +22,15 @@
 
 #include <cstdint>
 
-#include "noc/common/flit.hpp"
-#include "noc/common/ids.hpp"
+#include "sim/simulator.hpp"
 #include "sim/spsc.hpp"
-#include "sim/time.hpp"
 
 namespace mango::noc {
-
-class Router;
-
-enum class BoundaryKind : std::uint8_t {
-  kFlit,      ///< forward data (GS or BE) -> Router::receive_link_flit
-  kReverse,   ///< unlock/credit toggle    -> Router::receive_reverse
-  kBeCredit,  ///< BE credit return        -> Router::receive_be_credit
-};
 
 struct BoundaryRecord {
   sim::Time arrival = 0;  ///< model arrival instant at the destination
   sim::Time birth = 0;    ///< sender's now() when the transfer left
-  BoundaryKind kind = BoundaryKind::kFlit;
-  VcIdx wire = 0;  ///< reverse wire / BE credit lane (kind != kFlit)
-  LinkFlit lf;     ///< payload (kind == kFlit)
+  sim::TypedEvent ev;     ///< the receive event, addressed to the peer
 };
 
 /// One direction of one cross-shard link. The sending shard's worker
@@ -50,8 +38,6 @@ struct BoundaryRecord {
 /// once from the engine's per-shard flush hook; the engine drains every
 /// channel at the barrier.
 struct BoundaryChannel {
-  Router* dst = nullptr;
-  PortIdx dst_port = 0;
   unsigned dst_shard = 0;
   unsigned src_shard = 0;  ///< producer: the flush hook's group key
   std::uint32_t order_key = 0;  ///< link index * 2 + direction

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "noc/common/events.hpp"
 #include "sim/assert.hpp"
 
 namespace mango::noc {
@@ -24,6 +23,9 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
   MANGO_ASSERT(cfg_.batched_handoff,
                "the per-record boundary handoff was removed; "
                "batched_handoff must stay true");
+  MANGO_ASSERT(cfg_.elide_windows,
+               "the unelided window grid was removed; "
+               "elide_windows must stay true");
   // The static side — topology, routing, materialized tables, deadlock
   // certificate, VC-class map, partition weights — comes from the
   // FabricPlan: the caller's shared one when provided (a sweep reusing
@@ -112,14 +114,10 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
         Link& l = *links_.back();
         const auto link_idx = static_cast<std::uint32_t>(links_.size() - 1);
         auto ab = std::make_unique<BoundaryChannel>();
-        ab->dst = &router(peer->node);
-        ab->dst_port = peer->port;
         ab->dst_shard = shard_of_[peer_idx];
         ab->src_shard = shard_of_[i];
         ab->order_key = link_idx * 2;
         auto ba = std::make_unique<BoundaryChannel>();
-        ba->dst = &router(n);
-        ba->dst_port = port_of(d);
         ba->dst_shard = shard_of_[i];
         ba->src_shard = shard_of_[peer_idx];
         ba->order_key = link_idx * 2 + 1;
@@ -162,7 +160,6 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
     slack.push_back(min_link_latency_);
     sim::ShardEngine::Options opt;
     opt.spin_us = cfg_.spin_us;
-    opt.elide = cfg_.elide_windows;
     opt.spin_even_oversubscribed = cfg_.force_spin;
     engine_ = std::make_unique<sim::ShardEngine>(
         std::move(sims), sim::conservative_lookahead(slack), control_,
@@ -239,28 +236,9 @@ void Network::drain_boundaries() {
                      }
                      return x.ch->order_key < y.ch->order_key;
                    });
-  for (PendingAdmit& a : admit_buf_) {
-    sim::Simulator& dst = shard_ctxs_[a.ch->dst_shard]->sim();
-    Router* r = a.ch->dst;
-    const PortIdx port = a.ch->dst_port;
-    sim::TypedEvent ev{};
-    ev.a = port;
-    ev.p0 = r;
-    switch (a.rec.kind) {
-      case BoundaryKind::kFlit:
-        ev.op = events::kOpLinkFlit;
-        events::store_link_flit(ev, a.rec.lf);
-        break;
-      case BoundaryKind::kReverse:
-        ev.op = events::kOpReverse;
-        ev.b = a.rec.wire;
-        break;
-      case BoundaryKind::kBeCredit:
-        ev.op = events::kOpBeCredit;
-        ev.b = static_cast<BeVcIdx>(a.rec.wire);
-        break;
-    }
-    events::emit_admit(dst, a.rec.arrival, a.rec.birth, ev);
+  for (const PendingAdmit& a : admit_buf_) {
+    shard_ctxs_[a.ch->dst_shard]->sim().admit_typed(a.rec.arrival,
+                                                    a.rec.birth, a.rec.ev);
   }
 }
 

@@ -38,13 +38,14 @@ struct NetworkConfig {
   /// golden corpus and every tested grid; DESIGN.md section 8 records a
   /// known counterexample.
   unsigned shards = 1;
+  /// Both must stay true: false (the removed unelided window grid, the
+  /// removed per-record handoff) is a ModelError. Kept for
+  /// perfbench/mango_bench.cpp, which sets them, until a benchmark
+  /// change drops them.
+  bool elide_windows = true;
+  bool batched_handoff = true;
   /// Shard-engine execution tuning (N >= 2 only; these move wall time,
   /// never results; see DESIGN.md section 8).
-  bool elide_windows = true;     ///< skip windows no shard can populate
-  /// Must stay true: false (the removed per-record handoff) is a
-  /// ModelError. Kept for perfbench/mango_bench.cpp, which sets it,
-  /// until a benchmark change drops it.
-  bool batched_handoff = true;
   std::uint32_t spin_us = sim::kDefaultBarrierSpinUs;  ///< 0 = condvar
   bool force_spin = false;  ///< test hook: spin even when cores < shards
   /// Prebuilt fabric plan to construct from (null: build one inline).
@@ -118,7 +119,7 @@ class Network {
     return engine_ ? engine_->windows_run() : 0;
   }
   /// Windows the engine skipped as provably quiet (0 on single-shard
-  /// networks and with NetworkConfig::elide_windows off).
+  /// networks).
   std::uint64_t windows_elided() const {
     return engine_ ? engine_->windows_elided() : 0;
   }

@@ -95,7 +95,7 @@ void LinkArbiter::try_grant() {
   sim::TypedEvent ev{};
   ev.op = events::kOpArbRearm;
   ev.p0 = this;
-  events::emit_after(sim_, arb_cycle_, ev);
+  sim_.after_typed(arb_cycle_, ev);
 }
 
 void LinkArbiter::complete_cycle() {

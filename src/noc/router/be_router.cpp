@@ -250,7 +250,7 @@ void BeRouter::try_route(unsigned out) {
   ev.a = static_cast<std::uint8_t>(out);
   ev.p0 = this;
   events::store_flit(ev, f);
-  events::emit_after(sim_, delays_.be_route_cycle, ev);
+  sim_.after_typed(delays_.be_route_cycle, ev);
 }
 
 void BeRouter::complete_route_cycle(unsigned out, Flit&& f) {

@@ -40,7 +40,7 @@ void BeOutputStage::on_grant() {
     ++flits_sent_;
     Link* link = owner_->link(port_);
     MANGO_ASSERT(link != nullptr, "BE flit granted onto an unattached port");
-    link->send_be_flit(owner_, LinkFlit{SteerBits{peer_split_code_, 0}, f});
+    link->send_flit(owner_, LinkFlit{SteerBits{peer_split_code_, 0}, f});
     update_request();
     // A freed slot may unblock the BE router.
     owner_->be_router().notify_output_ready(static_cast<unsigned>(port_));
@@ -198,7 +198,7 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
       ev.op = events::kOpLocalBeCredit;
       ev.a = vc;
       ev.p0 = this;
-      events::emit_after(sim_, delays_.be_credit_back, ev);
+      sim_.after_typed(delays_.be_credit_back, ev);
     }
   });
 }
@@ -284,7 +284,7 @@ void Router::update_gs_request(PortIdx port, VcIdx vc) {
   ev.a = port;
   ev.b = vc;
   ev.p0 = this;
-  events::emit_after(sim_, delays_.req_fwd, ev);
+  sim_.after_typed(delays_.req_fwd, ev);
 }
 
 void Router::recheck_gs_request(PortIdx port, VcIdx vc) {
@@ -325,18 +325,11 @@ void Router::on_gs_grant(PortIdx port, VcIdx vc) {
   MANGO_ASSERT(fb.can_admit(), "grant to a VC whose flow box cannot admit");
   fb.on_admit();
   Flit f = vc_buffer({port, vc}).pop();
-  if (cfg_.coalesce_handshakes) {
-    Link* bl = links_[port];
-    if (bl != nullptr && bl->is_boundary(this)) {
-      // Cross-shard port: the coalesced plan would resolve the peer's
-      // switching state from another shard mid-window. Fall back to the
-      // uncoalesced send; the link pushes a boundary handoff record.
-      const SteerBits steer = table_.forward({port, vc});
-      ++link_flits_sent_;
-      bl->send_flit(this, LinkFlit{steer, f});
-      update_gs_request(port, vc);
-      return;
-    }
+  Link* l = links_[port];
+  // A cross-shard port never folds: the coalesced plan would resolve the
+  // peer's switching state from another shard mid-window, so it takes
+  // the uncoalesced send and the link hands the flit to the barrier.
+  if (cfg_.coalesce_handshakes && !(l != nullptr && l->is_boundary(this))) {
     const GsSendPlan& plan = send_plan(port, vc);
     ++*plan.flit_counter;
     ++link_flits_sent_;
@@ -346,12 +339,11 @@ void Router::on_gs_grant(PortIdx port, VcIdx vc) {
     ev.p0 = plan.peer;
     ev.p1 = plan.target;
     events::store_flit(ev, f);
-    events::emit_after(sim_, plan.total_delay, ev);
+    sim_.after_typed(plan.total_delay, ev);
     update_gs_request(port, vc);
     return;
   }
   const SteerBits steer = table_.forward({port, vc});  // throws if unset
-  Link* l = links_.at(port);
   MANGO_ASSERT(l != nullptr, "GS flit granted onto unattached port " +
                                  port_name(port) + " on " + name_);
   ++link_flits_sent_;

@@ -125,15 +125,10 @@ class Router {
   void receive_be_credit(PortIdx out_port, BeVcIdx vc);
 
   // --- coalesced data-plane entry points ---
-  // The sender resolved the switching decision and charged the stage
-  // delay into the event timestamp; these land the flit (or complete the
+  // The sender resolved the switching decision (the GS target buffer
+  // comes from its cached transfer plan) and charged the stage delay
+  // into the event timestamp; these land the flit (or complete the
   // reverse handshake) directly and account the folded hop.
-  void deliver_gs_coalesced(VcBufferId target, Flit&& f) {
-    switching_.note_routed();
-    vc_buffer(target).accept_unshare(std::move(f));
-  }
-  /// Pointer-resolved variant for cached transfer plans: the sender
-  /// looked the buffer up once at plan-build time.
   void deliver_gs_coalesced(VcBuffer* target, Flit&& f) {
     switching_.note_routed();
     target->accept_unshare(std::move(f));

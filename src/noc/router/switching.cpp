@@ -65,9 +65,8 @@ void SwitchingModule::route(PortIdx in_port, LinkFlit lf) {
       ev.b = static_cast<std::uint8_t>(vc);
       ev.p0 = this;
       events::store_flit(ev, lf.flit);
-      events::emit_after(
-          sim_, delays_.split_fwd + delays_.switch_fwd + delays_.unshare_fwd,
-          ev);
+      sim_.after_typed(
+          delays_.split_fwd + delays_.switch_fwd + delays_.unshare_fwd, ev);
       return;
     }
     case Dest::Kind::kBe: {
@@ -77,7 +76,7 @@ void SwitchingModule::route(PortIdx in_port, LinkFlit lf) {
       ev.a = in_port;
       ev.p0 = this;
       events::store_flit(ev, lf.flit);
-      events::emit_after(sim_, delays_.split_fwd, ev);
+      sim_.after_typed(delays_.split_fwd, ev);
       return;
     }
     case Dest::Kind::kInvalid:

@@ -43,7 +43,7 @@ void VcBuffer::try_advance() {
   sim::TypedEvent ev{};
   ev.op = events::kOpVcAdvance;
   ev.p0 = this;
-  events::emit_after(sim_, delays_.buf_advance, ev);
+  sim_.after_typed(delays_.buf_advance, ev);
 }
 
 void VcBuffer::complete_advance() {

@@ -27,7 +27,7 @@ void VcControlModule::signal(VcBufferId buf) {
       ev.a = static_cast<LocalIfaceIdx>(entry.wire);
       ev.b = 1;
       ev.p0 = this;
-      events::emit_after(sim_, delays_.na_link_fwd + local_fold_, ev);
+      sim_.after_typed(delays_.na_link_fwd + local_fold_, ev);
       return;
     }
     MANGO_ASSERT(static_cast<bool>(local_out_), "no local reverse sink wired");
@@ -38,7 +38,7 @@ void VcControlModule::signal(VcBufferId buf) {
     ev.a = static_cast<LocalIfaceIdx>(entry.wire);
     ev.b = 0;
     ev.p0 = this;
-    events::emit_after(sim_, delays_.na_link_fwd, ev);
+    sim_.after_typed(delays_.na_link_fwd, ev);
     return;
   }
   MANGO_ASSERT(static_cast<bool>(network_out_), "no network reverse sink wired");

@@ -120,8 +120,7 @@ ShardEngine::ShardEngine(std::vector<Simulator*> shards, Time lookahead,
       lookahead_(lookahead),
       ctrl_(ctrl),
       drain_(std::move(drain)),
-      flush_(std::move(flush)),
-      elide_(opt.elide) {
+      flush_(std::move(flush)) {
   MANGO_ASSERT(shards_.size() >= 2, "shard engine needs at least 2 shards");
   MANGO_ASSERT(lookahead_ > 0, "shard engine needs a positive lookahead");
   MANGO_ASSERT(drain_ && flush_, "shard engine needs drain and flush hooks");
@@ -283,29 +282,27 @@ std::uint64_t ShardEngine::run_until(Time t_end) {
     ControlPlane::Key k;
     const bool has_ctrl = ctrl_.peek(k) && k.time <= t_end;
     if (cursor_ >= t_end && !has_ctrl) break;
-    if (elide_) {
-      // Quiet-window elision: a window [c, c+W) in which no shard has
-      // an event with time < c+W dispatches nothing, schedules nothing
-      // and hands nothing across a boundary — a pure no-op apart from
-      // parking the kernels' clocks, which no model state observes. So
-      // jump the cursor over every window wholly before the global
-      // horizon. The window grid stays anchored at the cursor (skips
-      // are whole multiples of W), so the windows that DO run end at
-      // exactly the instants the non-elided grind would give them, and
-      // the merged dispatch order is bit-identical.
-      const Time h = global_horizon(has_ctrl ? k.time : kTimeNever);
-      if (!has_ctrl && h >= t_end) {
-        // Nothing dispatches strictly before t_end; events at exactly
-        // t_end belong to the final phase in the non-elided run too.
-        windows_elided_ += (t_end - cursor_ + lookahead_ - 1) / lookahead_;
-        cursor_ = t_end;
-        break;
-      }
-      if (h >= cursor_ + lookahead_) {
-        const std::uint64_t skip = (h - cursor_) / lookahead_;
-        windows_elided_ += skip;
-        cursor_ += static_cast<Time>(skip) * lookahead_;
-      }
+    // Quiet-window elision: a window [c, c+W) in which no shard has
+    // an event with time < c+W dispatches nothing, schedules nothing
+    // and hands nothing across a boundary — a pure no-op apart from
+    // parking the kernels' clocks, which no model state observes. So
+    // jump the cursor over every window wholly before the global
+    // horizon. The window grid stays anchored at the cursor (skips
+    // are whole multiples of W), so the windows that DO run end at
+    // exactly the instants they would end at if every window ran, and
+    // the merged dispatch order is the same.
+    const Time h = global_horizon(has_ctrl ? k.time : kTimeNever);
+    if (!has_ctrl && h >= t_end) {
+      // Nothing dispatches strictly before t_end; events at exactly
+      // t_end belong to the final phase either way.
+      windows_elided_ += (t_end - cursor_ + lookahead_ - 1) / lookahead_;
+      cursor_ = t_end;
+      break;
+    }
+    if (h >= cursor_ + lookahead_) {
+      const std::uint64_t skip = (h - cursor_) / lookahead_;
+      windows_elided_ += skip;
+      cursor_ += static_cast<Time>(skip) * lookahead_;
     }
     const Time window_end = std::min(cursor_ + lookahead_, t_end);
     if (has_ctrl && k.time <= window_end) {

@@ -140,10 +140,6 @@ class ShardEngine {
     /// machine has fewer hardware threads than shards, where spinning
     /// only steals cycles from the thread being waited on.
     std::uint32_t spin_us = kDefaultBarrierSpinUs;
-    /// Quiet-window elision: at each barrier, jump the cursor over
-    /// windows no shard can populate (computed from the global minimum
-    /// next-event key — a pure function of kernel state).
-    bool elide = true;
     /// Test hook: spin even when cores < shards (exercises the atomic
     /// fast path on any machine; keep spin_us tiny when setting this).
     bool spin_even_oversubscribed = false;
@@ -171,9 +167,11 @@ class ShardEngine {
 
   Time lookahead() const { return lookahead_; }
   std::uint64_t windows_run() const { return windows_; }
-  /// Windows skipped by quiet-window elision. Invariant:
-  /// windows_run() + windows_elided() equals windows_run() of the same
-  /// model with elision off (the window grid is anchored identically).
+  /// Windows skipped by quiet-window elision: at each barrier the
+  /// cursor jumps over every whole window no shard (and no control key)
+  /// can populate. Skips are whole multiples of the lookahead, so each
+  /// window that runs has the bounds it would have if every window ran,
+  /// and windows_run() + windows_elided() counts that full grid.
   std::uint64_t windows_elided() const { return windows_elided_; }
   /// True when barrier waits start with the atomic spin fast path.
   bool spinning() const { return spin_iters_ != 0; }
@@ -200,7 +198,6 @@ class ShardEngine {
   Time cursor_ = 0;
   std::uint64_t windows_ = 0;
   std::uint64_t windows_elided_ = 0;
-  bool elide_ = true;
   std::uint32_t spin_iters_ = 0;  ///< 0 = condvar-only barrier
 
   // Hybrid phase barrier. The engine writes the phase fields, resets

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "exp/scenario.hpp"
-#include "noc/common/events.hpp"
 #include "noc/network/connection_manager.hpp"
 #include "noc/network/network.hpp"
 #include "noc/traffic/generator.hpp"
@@ -173,80 +172,7 @@ TEST(HotpathDifferential, PerFlitArrivalSequencesMatchLegacy) {
   }
 }
 
-// --- 3. typed dispatch vs InlineFunction fallback ---------------------------
-
-/// Forces every emit through the InlineFunction fallback for its scope:
-/// the same dispatch_event() switch runs, but reached through a captured
-/// callback instead of the typed fast path. Both paths draw the same
-/// (time, birth, seq) key, so everything must be byte-identical.
-struct TypedDispatchOff {
-  TypedDispatchOff() { events::set_typed_dispatch_enabled(false); }
-  ~TypedDispatchOff() { events::set_typed_dispatch_enabled(true); }
-};
-
-exp::ScenarioSpec typed_differential_spec(TopologyKind kind,
-                                          std::uint64_t seed) {
-  exp::ScenarioSpec spec;
-  spec.topology = kind;
-  spec.width = 4;
-  spec.height = 4;  // ring/graph use width*height = 16 nodes
-  spec.router.be_vcs = 2;
-  spec.pattern = BePattern::kUniform;
-  spec.be_interarrival_ps = 6000;
-  spec.gs_set = GsSetKind::kRing;
-  spec.gs_period_ps = 6000;
-  spec.duration_ps = 300000;
-  spec.seed = seed;
-  return spec;
-}
-
-TEST(HotpathDifferential, TypedDispatchStatsMatchCallbackFallback) {
-  for (const TopologyKind kind :
-       {TopologyKind::kMesh, TopologyKind::kTorus, TopologyKind::kRing,
-        TopologyKind::kGraph}) {
-    for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-      const exp::ScenarioSpec spec = typed_differential_spec(kind, seed);
-      const exp::ScenarioResult typed = exp::run_scenario(spec);
-      const exp::ScenarioResult fallback = [&] {
-        TypedDispatchOff off;
-        return exp::run_scenario(spec);
-      }();
-      ASSERT_TRUE(typed.ok()) << typed.error;
-      ASSERT_TRUE(fallback.ok()) << fallback.error;
-      EXPECT_TRUE(typed.stats == fallback.stats)
-          << "stats diverged on " << spec.topology_spec().label() << " seed "
-          << seed << ": events " << typed.stats.events << " vs "
-          << fallback.stats.events << ", BE delivered "
-          << typed.stats.be_packets_delivered << " vs "
-          << fallback.stats.be_packets_delivered << ", GS p99 "
-          << typed.stats.gs_latency_p99_ns << " vs "
-          << fallback.stats.gs_latency_p99_ns;
-    }
-  }
-}
-
-TEST(HotpathDifferential, TypedDispatchPerFlitArrivalsMatchFallback) {
-  for (const std::uint64_t seed : {3ull, 11ull}) {
-    const auto typed = run_and_record(/*coalesce=*/true, seed);
-    const auto fallback = [&] {
-      TypedDispatchOff off;
-      return run_and_record(/*coalesce=*/true, seed);
-    }();
-    ASSERT_EQ(typed.size(), fallback.size());
-    for (std::size_t n = 0; n < typed.size(); ++n) {
-      ASSERT_EQ(typed[n].size(), fallback[n].size()) << "node " << n;
-      for (std::size_t k = 0; k < typed[n].size(); ++k) {
-        ASSERT_TRUE(typed[n][k] == fallback[n][k])
-            << "node " << n << " delivery " << k << ": tag "
-            << typed[n][k].tag << "/" << fallback[n][k].tag << " seq "
-            << typed[n][k].seq << "/" << fallback[n][k].seq << " at "
-            << typed[n][k].at << "/" << fallback[n][k].at;
-      }
-    }
-  }
-}
-
-// --- 4. steady-state zero-allocation on the pooled packet path --------------
+// --- 3. steady-state zero-allocation on the pooled packet path --------------
 
 TEST(HotpathAllocation, PooledBePathIsAllocationFreeAtSteadyState) {
   sim::SimContext ctx;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -143,16 +144,70 @@ TEST(ParallelKernel, SpscBatchPublishesOncePerWindowInFifoOrder) {
   EXPECT_EQ(b.high_water(), 20u);
 }
 
-// The per-record handoff is gone: asking for it is a checked error at
-// construction, on one shard as on many, never a silent fallback.
+// The per-record handoff and the unelided window grid are gone: asking
+// for either is a checked error at construction, on one shard as on
+// many, never a silent fallback — and run_scenario reports it as the
+// scenario's error.
 TEST(ParallelKernel, PerRecordHandoffIsACheckedError) {
-  for (const unsigned shards : {1u, 2u}) {
-    sim::SimContext ctx;
-    noc::NetworkConfig cfg;
-    cfg.topology = noc::TopologySpec::mesh(4, 4);
-    cfg.shards = shards;
-    cfg.batched_handoff = false;
-    EXPECT_THROW(noc::Network(ctx, cfg), ModelError) << "shards=" << shards;
+  struct Removed {
+    const char* field;
+    bool batched_handoff;
+    bool elide_windows;
+  };
+  for (const Removed& rm : {Removed{"batched_handoff", false, true},
+                            Removed{"elide_windows", true, false}}) {
+    for (const unsigned shards : {1u, 2u}) {
+      sim::SimContext ctx;
+      noc::NetworkConfig cfg;
+      cfg.topology = noc::TopologySpec::mesh(4, 4);
+      cfg.shards = shards;
+      cfg.batched_handoff = rm.batched_handoff;
+      cfg.elide_windows = rm.elide_windows;
+      EXPECT_THROW(noc::Network(ctx, cfg), ModelError)
+          << rm.field << " shards=" << shards;
+
+      exp::ScenarioSpec spec;
+      spec.width = spec.height = 4;
+      spec.duration_ps = 10000;
+      spec.shards = shards;
+      spec.batched_handoff = rm.batched_handoff;
+      spec.elide_windows = rm.elide_windows;
+      const exp::ScenarioResult r = exp::run_scenario(spec);
+      EXPECT_FALSE(r.ok()) << rm.field << " shards=" << shards;
+      EXPECT_NE(r.error.find(rm.field), std::string::npos) << r.error;
+    }
+  }
+}
+
+// Elision skips only whole windows no kernel can populate. Four kernels
+// each hold one self-rescheduling event: once per lookahead window,
+// every window runs; once every third window, two in three are elided,
+// and run + elided still counts every window of the grid.
+TEST(ParallelKernel, ElisionSkipsOnlyQuietWholeWindows) {
+  constexpr sim::Time kW = 1000;
+  constexpr std::uint64_t kWindows = 300;
+  struct Tick {
+    sim::Simulator* s;
+    sim::Time period;
+    void operator()() const { s->after(period, Tick{s, period}); }
+  };
+  for (const std::uint64_t every : {1u, 3u}) {
+    std::vector<std::unique_ptr<sim::Simulator>> kernels;
+    std::vector<sim::Simulator*> sims;
+    for (int i = 0; i < 4; ++i) {
+      kernels.push_back(std::make_unique<sim::Simulator>());
+      sims.push_back(kernels.back().get());
+      sims.back()->at(0, Tick{sims.back(), every * kW});
+    }
+    sim::ControlPlane ctrl;
+    ctrl.bind_engine(sims);
+    sim::ShardEngine engine(sims, kW, ctrl, [] {}, [](std::size_t) {},
+                            sim::ShardEngine::Options{});
+    const std::uint64_t events = engine.run_until(kWindows * kW);
+    EXPECT_EQ(events, 4 * (kWindows / every + 1)) << "every=" << every;
+    EXPECT_EQ(engine.windows_run(), kWindows / every) << "every=" << every;
+    EXPECT_EQ(engine.windows_run() + engine.windows_elided(), kWindows)
+        << "every=" << every;
   }
 }
 
@@ -269,20 +324,10 @@ TEST(ParallelKernel, ShardedNetworkPartitionsAndRunsWindows) {
   EXPECT_TRUE(net.control().engine_mode());
   net.run_until(100000);
   // An idle fabric is ALL quiet windows: elision jumps the cursor
-  // straight to the horizon instead of grinding them one by one.
+  // straight to the horizon, counting every window of the grid.
+  const sim::Time w = net.min_link_latency();
   EXPECT_EQ(net.windows_run(), 0u);
-  EXPECT_GT(net.windows_elided(), 0u);
-
-  // With elision off the engine grinds every window; the grid is
-  // anchored identically, so run + elided windows match exactly.
-  sim::SimContext ctx2;
-  noc::NetworkConfig cfg2 = cfg;
-  cfg2.elide_windows = false;
-  noc::Network grind(ctx2, cfg2);
-  grind.run_until(100000);
-  EXPECT_EQ(grind.windows_elided(), 0u);
-  EXPECT_EQ(grind.windows_run(),
-            net.windows_run() + net.windows_elided());
+  EXPECT_EQ(net.windows_elided(), (100000 + w - 1) / w);
 }
 
 TEST(ParallelKernel, SingleShardNetworkKeepsTheKernelPath) {
@@ -338,24 +383,21 @@ TEST(ParallelScenario, Shards124AreBitIdenticalOnAllFabrics) {
   }
 }
 
-// The engine's execution knobs — quiet-window elision, spin vs condvar
-// barrier — are wall-clock strategies only. Every combination must
-// reproduce the single-kernel stats bit for bit on every fabric kind,
-// at 2 and 4 shards.
+// The engine's barrier modes — spin vs condvar — are wall-clock
+// strategies only. Both must reproduce the single-kernel stats bit for
+// bit on every fabric kind, at 2 and 4 shards.
 struct EngineMode {
   const char* tag;
-  bool elide;
   std::uint32_t spin_us;
   bool force_spin;
 };
 
 const EngineMode kEngineModes[] = {
-    {"elide-off", false, sim::kDefaultBarrierSpinUs, false},
-    {"condvar", true, 0, false},
+    {"condvar", 0, false},
     // Tiny forced spin budget: exercises the atomic fast path even on
     // machines with fewer cores than shards (where it would normally
     // auto-disable), without burning real time when it misses.
-    {"spin", true, 1, true},
+    {"spin", 1, true},
 };
 
 TEST(ParallelScenario, EngineModesAreBitIdenticalOnAllFabrics) {
@@ -364,12 +406,8 @@ TEST(ParallelScenario, EngineModesAreBitIdenticalOnAllFabrics) {
     const exp::ScenarioResult one = run_scenario(spec);
     ASSERT_TRUE(one.ok()) << spec.name << ": " << one.error;
     for (const unsigned shards : {2u, 4u}) {
-      // kEngineModes[0] is elide-off: its windows_run is the full grid,
-      // the reference for the conservation check below.
-      std::uint64_t full_windows = 0;
       for (const EngineMode& m : kEngineModes) {
         spec.shards = shards;
-        spec.elide_windows = m.elide;
         spec.spin_us = m.spin_us;
         spec.force_spin = m.force_spin;
         const exp::ScenarioResult n = run_scenario(spec);
@@ -377,17 +415,6 @@ TEST(ParallelScenario, EngineModesAreBitIdenticalOnAllFabrics) {
                             << m.tag << ": " << n.error;
         EXPECT_EQ(n.stats, one.stats)
             << spec.name << " shards=" << shards << " mode=" << m.tag;
-        if (m.elide) {
-          // Conservation: elision only skips windows, it never reshapes
-          // the grid — run + elided must equal the unelided window count.
-          // (A busy 4x4 fabric may legitimately elide zero windows.)
-          EXPECT_EQ(n.windows_run + n.windows_elided, full_windows)
-              << spec.name << " shards=" << shards << " mode=" << m.tag;
-        } else {
-          EXPECT_EQ(n.windows_elided, 0u);
-          full_windows = n.windows_run;
-          EXPECT_GT(full_windows, 0u) << spec.name << " shards=" << shards;
-        }
       }
     }
   }
@@ -412,7 +439,6 @@ TEST(ParallelScenario, EngineModesAreBitIdenticalOnMesh32) {
   EXPECT_GT(one.stats.events, 0u);
   for (const EngineMode& m : kEngineModes) {
     spec.shards = 4;
-    spec.elide_windows = m.elide;
     spec.spin_us = m.spin_us;
     spec.force_spin = m.force_spin;
     const exp::ScenarioResult n = run_scenario(spec);
@@ -450,7 +476,6 @@ TEST(ParallelScenario, ChurnIsBitIdenticalAcrossShards) {
     if (spec.topology == noc::TopologyKind::kMesh) {
       for (const EngineMode& m : kEngineModes) {
         spec.shards = 4;
-        spec.elide_windows = m.elide;
         spec.spin_us = m.spin_us;
         spec.force_spin = m.force_spin;
         const exp::ScenarioResult n = run_scenario(spec);

@@ -96,6 +96,55 @@ TEST(Scheduler, AdmittedOverflowTiesDispatchByBirthThenSeq) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+// Typed records and callbacks draw their (time, birth, seq) keys from
+// one sequence: the encoding of an event never changes where it lands.
+// The test dispatcher records each typed record's id (field `a`).
+std::vector<int>* g_typed_order = nullptr;
+void record_typed(TypedEvent& ev) { g_typed_order->push_back(ev.a); }
+TypedEvent typed_id(std::uint8_t id) {
+  TypedEvent ev{};
+  ev.op = 1;
+  ev.a = id;
+  return ev;
+}
+
+TEST(Scheduler, TypedAndCallbackEventsAtOneTimestampKeepInsertionOrder) {
+  // Once in a wheel bucket, once in the overflow heap.
+  for (const Time t : {Time{700}, kBeyondHorizon}) {
+    Simulator sim;
+    sim.set_typed_dispatcher(&record_typed);
+    std::vector<int> order;
+    g_typed_order = &order;
+    sim.at_typed(t, typed_id(1));
+    sim.at(t, [&] { order.push_back(2); });
+    sim.after_typed(t, typed_id(3));
+    sim.after(t, [&] { order.push_back(4); });
+    sim.at_typed(t, typed_id(5));
+    sim.at(t - 1, [&] { order.push_back(0); });
+    sim.run();
+    g_typed_order = nullptr;
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5})) << "t=" << t;
+  }
+}
+
+TEST(Scheduler, AdmitTypedAndAdmitOrderByBirthThenSeq) {
+  for (const Time t : {Time{700}, kBeyondHorizon}) {
+    Simulator sim;
+    sim.set_typed_dispatcher(&record_typed);
+    std::vector<int> order;
+    g_typed_order = &order;
+    sim.admit_typed(t, 500, typed_id(4));
+    sim.admit(t, 200, [&] { order.push_back(2); });
+    sim.admit(t, 500, [&] { order.push_back(5); });  // seq tie with 4
+    sim.admit_typed(t, 100, typed_id(1));
+    sim.admit_typed(t, 200, typed_id(3));  // seq tie with 2
+    sim.at(t, [&] { order.push_back(0); });  // birth 0 = now()
+    sim.run();
+    g_typed_order = nullptr;
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5})) << "t=" << t;
+  }
+}
+
 TEST(Scheduler, OverflowEventEarlierThanLaterWheelInsertStillWins) {
   // Regression shape: an overflow event whose granule enters the wheel
   // window only after the cursor advances must still dispatch before a

@@ -47,7 +47,6 @@ REQUIRED_DOCUMENTED_FLAGS = {
     "--shards",
     "--repeat",
     "--spin-us",
-    "--no-elide",
     "--build-threads",
 }
 

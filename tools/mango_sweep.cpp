@@ -87,8 +87,6 @@ void usage(std::FILE* out) {
       "                        before falling back to the condvar sleep\n"
       "                        (default 50; 0 = condvar-only; ignored\n"
       "                        when cores < shards). Stats unchanged\n"
-      "  --no-elide            disable quiet-window elision (ablation;\n"
-      "                        stats unchanged, wall time is not)\n"
       "  --build-threads N     worker threads materializing each fabric\n"
       "                        plan's route tables and dependency graph\n"
       "                        (default 1; plans are byte-identical for\n"
@@ -212,7 +210,6 @@ int main(int argc, char** argv) {
   bool set_churn_gs_period = false;
   bool set_shards = false;
   bool set_spin_us = false;
-  bool set_no_elide = false;
 
   const auto next_arg = [&](int& i, const char* flag) -> std::string {
     if (i + 1 >= argc) die(std::string(flag) + " needs an argument");
@@ -396,9 +393,6 @@ int main(int argc, char** argv) {
       }
       grid.base.spin_us = static_cast<std::uint32_t>(n);
       set_spin_us = true;
-    } else if (arg == "--no-elide") {
-      grid.base.elide_windows = false;
-      set_no_elide = true;
     } else if (arg == "--build-threads") {
       std::uint64_t n = 0;
       if (!parse_u64(next_arg(i, "--build-threads"), &n) || n == 0 ||
@@ -444,7 +438,6 @@ int main(int argc, char** argv) {
     }
     if (set_shards) grid.base.shards = base.shards;
     if (set_spin_us) grid.base.spin_us = base.spin_us;
-    if (set_no_elide) grid.base.elide_windows = base.elide_windows;
   }
 
   std::vector<exp::ScenarioSpec> specs = grid.expand();
