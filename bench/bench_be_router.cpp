@@ -43,11 +43,11 @@ Point run_load(sim::Time interarrival_ps) {
     s->stop();
     generated += s->generated();
   }
-  sim::Histogram all;
+  sim::LatencyHistogram all;
   std::uint64_t delivered = 0;
   for (auto& [tag, s] : hub.flows_by_tag()) {
     delivered += s->packets;
-    for (double x : s->latency_ns.samples()) all.add(x);
+    s->latency_ns.count_into(all);
   }
   Point p{};
   p.offered_pkts_per_us = static_cast<double>(generated) / sim::to_us(window);

@@ -68,11 +68,11 @@ Point run(sim::Time be_interarrival_ps) {
   p.gs_p99 = g.latency_ns.p99();
   p.gs_jitter = g.latency_ns.max() - g.latency_ns.quantile(0.0);
   p.gs_seq_errors = g.seq_errors;
-  sim::Histogram be_all;
+  sim::LatencyHistogram be_all;
   for (auto& [tag, s] : hub.flows_by_tag()) {
     if (tag < kBeTagBase) continue;
     p.be_packets += s->packets;
-    for (double sample : s->latency_ns.samples()) be_all.add(sample);
+    s->latency_ns.count_into(be_all);
   }
   p.be_p50 = be_all.p50();
   p.be_p99 = be_all.p99();

@@ -28,6 +28,8 @@ std::uint64_t sum_counter(noc::Network& net, const std::string& name) {
   return n;
 }
 
+}  // namespace
+
 ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
                             const noc::HubSet& hub,
                             const std::vector<noc::GsSetEndpoint>& gs_eps,
@@ -39,8 +41,9 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
 
   // --- BE aggregate ---
   st.be_packets_generated = sum_counter(net, "traffic.be_packets_generated");
-  sim::Histogram be_lat;
-  std::vector<double> samples;
+  // Latency aggregates are counted over the per-flow logs of every
+  // shard hub: memory O(distinct latencies), not O(samples).
+  sim::LatencyHistogram be_lat;
   const auto be_base = noc::kBeTagBase;
   // One flow per core: concentrated meshes run spec().concentration BE
   // sources per router (flow = node * k + core).
@@ -50,9 +53,7 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
   for (const std::uint32_t tag : hub.tags()) {
     if (tag < be_base || tag >= be_end) continue;
     st.be_packets_delivered += hub.flow_packets(tag);
-    samples.clear();
-    hub.append_latency_samples(tag, samples);
-    for (const double s : samples) be_lat.add(s);
+    hub.count_latencies(tag, be_lat);
   }
   if (duration_ns > 0) {
     st.be_throughput_pkts_per_ns =
@@ -73,7 +74,7 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
                              ? guarantee
                              : 1000.0 / static_cast<double>(spec.gs_period_ps);
   const double expected_rate = std::min(offered, guarantee);
-  sim::Histogram gs_lat;
+  sim::LatencyHistogram gs_lat;
   for (const noc::GsSetEndpoint& ep : gs_eps) {
     if (!hub.has_flow(ep.tag)) {
       // Nothing delivered on an open, driven connection at all.
@@ -81,19 +82,16 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
       continue;
     }
     // A GS flow delivers entirely at its destination NA, so exactly one
-    // shard hub contributes — sample order (and thus the jitter
+    // shard hub contributes — the log order (and thus the jitter
     // accumulator) is the single-kernel delivery order.
     const std::uint64_t flits = hub.flow_flits(ep.tag);
     const std::uint64_t seq_errors = hub.flow_seq_errors(ep.tag);
     st.gs_flits_delivered += flits;
     st.gs_seq_errors += seq_errors;
-    samples.clear();
-    hub.append_latency_samples(ep.tag, samples);
+    hub.count_latencies(ep.tag, gs_lat);
     sim::Accumulator acc;
-    for (const double s : samples) {
-      gs_lat.add(s);
-      acc.add(s);
-    }
+    hub.for_each_latency(ep.tag,
+                         [&](sim::Time ps) { acc.add(sim::to_ns(ps)); });
     st.gs_jitter_max_ns = std::max(st.gs_jitter_max_ns, acc.stddev());
     // Rate contract: over the horizon the connection must deliver at
     // least min(offered, guarantee), with 10% tolerance for fill and
@@ -152,6 +150,8 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
   st.peak_link_utilization = rep.peak_link_utilization;
   return st;
 }
+
+namespace {
 
 std::uint64_t sum_held(
     const std::vector<std::unique_ptr<noc::BeTrafficSource>>& sources) {

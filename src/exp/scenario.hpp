@@ -190,6 +190,17 @@ struct RunOptions {
 ScenarioResult run_scenario(const ScenarioSpec& spec);
 ScenarioResult run_scenario(const ScenarioSpec& spec, const RunOptions& opt);
 
+/// The stats of a run that reached spec.duration_ps: sums over `hub`,
+/// BE and GS latency aggregates counted over the per-flow logs of every
+/// shard hub (allocation grows with the distinct latency values, not
+/// with the samples), the per-endpoint guarantee check, churn lifecycle
+/// and link summary. run_scenario calls it once at the horizon.
+ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
+                            const noc::HubSet& hub,
+                            const std::vector<noc::GsSetEndpoint>& gs_eps,
+                            const noc::ConnectionBroker* broker,
+                            const noc::ChurnWorkload* churn);
+
 /// Cartesian scenario grid. Empty dimension vectors fall back to the
 /// base spec's value; expansion order (and thus scenario naming and
 /// report order) is topologies > meshes > patterns > interarrivals >

@@ -4,31 +4,49 @@
 
 namespace mango::noc {
 
+FlowStats* MeasurementHub::lookup(std::uint32_t tag) const {
+  if (table_.empty()) return nullptr;
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = home(tag);; i = (i + 1) & mask) {
+    const auto& [t, s] = table_[i];
+    if (s == nullptr || t == tag) return s;
+  }
+}
+
+void MeasurementHub::table_insert(std::uint32_t tag, FlowStats* s) {
+  if (2 * index_.size() > table_.size()) {
+    // Rebuild at double size from the sorted index (which already holds
+    // the new flow).
+    const std::size_t size = std::max<std::size_t>(16, 2 * table_.size());
+    table_.assign(size, {0, nullptr});
+    table_shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(size));
+    for (const auto& [t, f] : index_) table_insert(t, f);
+    return;
+  }
+  const std::size_t mask = table_.size() - 1;
+  std::size_t i = home(tag);
+  while (table_[i].second != nullptr) i = (i + 1) & mask;
+  table_[i] = {tag, s};
+}
+
 FlowStats& MeasurementHub::slot(std::uint32_t tag) {
   if (cached_ != nullptr && cached_tag_ == tag) return *cached_;
-  const auto it = std::lower_bound(
-      index_.begin(), index_.end(), tag,
-      [](const auto& e, std::uint32_t t) { return e.first < t; });
-  FlowStats* s;
-  if (it != index_.end() && it->first == tag) {
-    s = it->second;
-  } else {
+  FlowStats* s = lookup(tag);
+  if (s == nullptr) {
     // First sight of this tag: assign a slot. Happens once per flow at
     // traffic setup, never in the steady-state record path.
     slots_.emplace_back();
     s = &slots_.back();
-    index_.insert(it, {tag, s});
+    index_.insert(std::lower_bound(index_.begin(), index_.end(), tag,
+                                   [](const auto& e, std::uint32_t t) {
+                                     return e.first < t;
+                                   }),
+                  {tag, s});
+    table_insert(tag, s);
   }
   cached_tag_ = tag;
   cached_ = s;
   return *s;
-}
-
-const FlowStats* MeasurementHub::find_flow(std::uint32_t tag) const {
-  const auto it = std::lower_bound(
-      index_.begin(), index_.end(), tag,
-      [](const auto& e, std::uint32_t t) { return e.first < t; });
-  return it != index_.end() && it->first == tag ? it->second : nullptr;
 }
 
 std::vector<std::pair<std::uint32_t, const FlowStats*>>
@@ -43,7 +61,7 @@ void MeasurementHub::record_gs_flit(sim::Time now, const Flit& f) {
   if (now > horizon_) return;
   FlowStats& s = slot(f.tag);
   ++s.flits;
-  s.latency_ns.add(sim::to_ns(now - f.injected_at));
+  s.latency_ns.add(now - f.injected_at);
   s.throughput.record(now);
   if (f.seq != s.next_seq) ++s.seq_errors;
   s.next_seq = f.seq + 1;
@@ -55,7 +73,7 @@ void MeasurementHub::record_be_packet(sim::Time now, const BePacket& pkt) {
   FlowStats& s = slot(header.tag);
   ++s.packets;
   s.flits += pkt.size();
-  s.latency_ns.add(sim::to_ns(now - header.injected_at));
+  s.latency_ns.add(now - header.injected_at);
   s.throughput.record(now);
 }
 
@@ -108,14 +126,16 @@ std::uint64_t HubSet::flow_seq_errors(std::uint32_t tag) const {
   return n;
 }
 
+void HubSet::count_latencies(std::uint32_t tag,
+                             sim::LatencyHistogram& into) const {
+  for (const MeasurementHub& hub : hubs_) {
+    if (const FlowStats* f = hub.find_flow(tag)) f->latency_ns.count_into(into);
+  }
+}
+
 void HubSet::append_latency_samples(std::uint32_t tag,
                                     std::vector<double>& out) const {
-  for (const MeasurementHub& hub : hubs_) {
-    if (const FlowStats* f = hub.find_flow(tag)) {
-      const std::vector<double>& s = f->latency_ns.samples();
-      out.insert(out.end(), s.begin(), s.end());
-    }
-  }
+  for_each_latency(tag, [&](sim::Time ps) { out.push_back(sim::to_ns(ps)); });
 }
 
 std::vector<std::uint32_t> HubSet::tags() const {

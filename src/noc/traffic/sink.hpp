@@ -2,12 +2,14 @@
 //
 // The hub sits on the delivery hot path (one record_* call per delivered
 // GS flit / BE packet), so flow stats live in dense, index-addressed
-// storage: each tag is assigned a small flow id on first sight (in
-// practice at traffic setup, before the measured window), records go
-// through a sorted flat index with a last-flow cache (delivered flits
-// arrive in per-flow runs, so the common case is a pointer chase, not a
-// tree walk), and iteration stays in ascending tag order so reports are
-// byte-stable.
+// storage: each tag is assigned a stable slot on first sight (in
+// practice at traffic setup, before the measured window), records find
+// it through a last-flow cache backed by an O(1) open-addressed tag map
+// (interleaved GS deliveries miss the cache on most records), and
+// iteration follows a sorted tag index so reports are byte-stable.
+// Latencies are logged as 4-byte integer-picosecond counts in delivery
+// order; aggregates are built by counting (sim::LatencyHistogram), never
+// by concatenating samples.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +26,9 @@ namespace mango::noc {
 /// Statistics of one measured flow (GS connection or BE packet stream),
 /// keyed by the flit tag.
 struct FlowStats {
-  sim::Histogram latency_ns;      ///< per flit (GS) or per packet (BE)
+  /// Per flit (GS) or per packet (BE), in delivery order; stored in ps,
+  /// quantiles read in ns.
+  sim::LatencyLog latency_ns;
   sim::ThroughputMeter throughput; ///< flits (GS) / packets (BE)
   std::uint64_t flits = 0;
   std::uint64_t packets = 0;
@@ -46,8 +50,8 @@ class MeasurementHub;
 /// delivered entirely at one NA and therefore lives in exactly one hub
 /// (its seq tracking and sample order stay intact); a BE flow (keyed by
 /// its *source* tag) delivers at many NAs and may spread across hubs —
-/// every merged read below is a sum or a sample concatenation whose
-/// consumers compute sort-based quantiles, so the results are
+/// every merged read below is a sum, a count or a sample concatenation
+/// whose consumers compute order-free quantiles, so the results are
 /// shard-count invariant.
 class HubSet {
  public:
@@ -65,16 +69,22 @@ class HubSet {
   std::uint64_t flow_flits(std::uint32_t tag) const;
   std::uint64_t flow_packets(std::uint32_t tag) const;
   std::uint64_t flow_seq_errors(std::uint32_t tag) const;
-  /// Appends every latency sample of `tag` (shard order — immaterial to
-  /// the sort-based quantile consumers; a GS flow has one contributing
-  /// hub, so its delivery order is preserved exactly).
+  /// Calls f(ps) for every latency sample of `tag`, hub by hub, each in
+  /// delivery order. A GS flow has one contributing hub, so it visits a
+  /// GS flow's samples in exact delivery order.
+  template <class F>
+  void for_each_latency(std::uint32_t tag, F&& f) const;
+  /// Counts every latency sample of `tag` into `into`.
+  void count_latencies(std::uint32_t tag, sim::LatencyHistogram& into) const;
+  /// Appends every latency sample of `tag` as sim::to_ns(ps), in
+  /// for_each_latency order (delivery order for a GS flow).
   void append_latency_samples(std::uint32_t tag,
                               std::vector<double>& out) const;
   /// Ascending, deduplicated tags across all hubs.
   std::vector<std::uint32_t> tags() const;
 
  private:
-  /// Hubs hold interior pointers (index_ -> slots_); a deque constructed
+  /// Hubs hold interior pointers (index_/table_ -> slots_); a deque constructed
   /// once never moves or copies them.
   std::deque<MeasurementHub> hubs_;
 };
@@ -97,7 +107,7 @@ class MeasurementHub {
   /// Stats slot of `tag`, assigned on first access. References stay
   /// valid for the hub's lifetime (slots never move).
   FlowStats& flow(std::uint32_t tag) { return slot(tag); }
-  const FlowStats* find_flow(std::uint32_t tag) const;
+  const FlowStats* find_flow(std::uint32_t tag) const { return lookup(tag); }
   bool has_flow(std::uint32_t tag) const { return find_flow(tag) != nullptr; }
 
   std::size_t flow_count() const { return index_.size(); }
@@ -112,9 +122,21 @@ class MeasurementHub {
 
  private:
   FlowStats& slot(std::uint32_t tag);
+  FlowStats* lookup(std::uint32_t tag) const;
+  void table_insert(std::uint32_t tag, FlowStats* s);
+  /// First probe position of `tag` in table_ (Fibonacci hashing).
+  std::size_t home(std::uint32_t tag) const {
+    return static_cast<std::size_t>((tag * 0x9E3779B97F4A7C15ull) >>
+                                    table_shift_);
+  }
 
-  /// Sorted (tag -> slot) index; binary-searched on a cache miss.
+  /// Sorted (tag -> slot) index: report iteration order only.
   std::vector<std::pair<std::uint32_t, FlowStats*>> index_;
+  /// Open-addressed (tag -> slot) map for record-path lookups: linear
+  /// probing, power-of-two size, at most half full; a null slot marks an
+  /// empty entry.
+  std::vector<std::pair<std::uint32_t, FlowStats*>> table_;
+  unsigned table_shift_ = 64;
   /// Stable storage: a deque never relocates existing elements.
   std::deque<FlowStats> slots_;
   /// Last flow touched — delivered traffic arrives in per-flow runs.
@@ -122,5 +144,12 @@ class MeasurementHub {
   FlowStats* cached_ = nullptr;
   sim::Time horizon_ = sim::kTimeNever;
 };
+
+template <class F>
+void HubSet::for_each_latency(std::uint32_t tag, F&& f) const {
+  for (const MeasurementHub& hub : hubs_) {
+    if (const FlowStats* s = hub.find_flow(tag)) s->latency_ns.for_each(f);
+  }
+}
 
 }  // namespace mango::noc

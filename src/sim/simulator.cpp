@@ -89,6 +89,7 @@ void Simulator::insert(EventNode* n) {
   } else {
     overflow_.push_back(n);
     std::push_heap(overflow_.begin(), overflow_.end(), HeapLater{});
+    overflow_top_ = std::min(overflow_top_, n->time);
   }
 }
 
@@ -139,17 +140,22 @@ void Simulator::insert_wheel(EventNode* n) {
   }
 }
 
+Simulator::EventNode* Simulator::pop_overflow() {
+  std::pop_heap(overflow_.begin(), overflow_.end(), HeapLater{});
+  EventNode* n = overflow_.back();
+  overflow_.pop_back();
+  overflow_top_ = overflow_.empty() ? kTimeNever : overflow_.front()->time;
+  return n;
+}
+
 void Simulator::migrate_overflow() {
   // Same now()-anchored horizon as insert(): migrating against the cursor
   // would re-create the one-lap-early aliasing that admission avoids.
   while (!overflow_.empty() &&
-         granule_of(overflow_.front()->time) < granule_of(now_) + kWheelSize) {
+         granule_of(overflow_top_) < granule_of(now_) + kWheelSize) {
     // The heap pops in (time, seq) order, so same-bucket migrants arrive
     // in dispatch order and insert_wheel's append fast path applies.
-    std::pop_heap(overflow_.begin(), overflow_.end(), HeapLater{});
-    EventNode* n = overflow_.back();
-    overflow_.pop_back();
-    insert_wheel(n);
+    insert_wheel(pop_overflow());
   }
 }
 
@@ -159,15 +165,12 @@ Simulator::EventNode* Simulator::pop_earliest() {
     // directly and re-anchor the cursor at the popped event's granule.
     // step() sets now() to its time before dispatch, so the remaining
     // overflow (all with time >= this one) stays ahead of the window.
-    std::pop_heap(overflow_.begin(), overflow_.end(), HeapLater{});
-    EventNode* n = overflow_.back();
-    overflow_.pop_back();
+    EventNode* n = pop_overflow();
     cur_granule_ = granule_of(n->time);
     --pending_;
     return n;
   }
-  if (!overflow_.empty() &&
-      granule_of(overflow_.front()->time) < cur_granule_) {
+  if (!overflow_.empty() && granule_of(overflow_top_) < cur_granule_) {
     // next_event_time() fast-forwarded the cursor past the overflow
     // top's granule (an overflow event older than every wheel event).
     // Rewind to now()'s granule — at or below every pending granule — so
@@ -230,9 +233,7 @@ Time Simulator::next_event_time() {
   // An overflow event can be *earlier* than wheel events inserted after
   // the cursor advanced past its granule (it only migrates at pop time),
   // so the overflow top always participates in the minimum.
-  if (!overflow_.empty() && overflow_.front()->time < best) {
-    best = overflow_.front()->time;
-  }
+  if (overflow_top_ < best) best = overflow_top_;
   return best;
 }
 

@@ -358,6 +358,8 @@ class Simulator {
     const std::size_t idx = cur_granule_ & kWheelMask;
     cur_granule_ += (next_occupied(idx) - idx) & kWheelMask;
   }
+  /// Pops the overflow heap's top and refreshes overflow_top_.
+  EventNode* pop_overflow();
   /// Moves every overflow event now inside the wheel horizon into the wheel.
   void migrate_overflow();
   /// Unlinks and returns the earliest pending event (caller checks pending_).
@@ -407,6 +409,10 @@ class Simulator {
   /// Beyond-horizon events: min-heap on the full dispatch key
   /// (time, birth, seq) — see HeapLater.
   std::vector<EventNode*> overflow_;
+  /// Time of the overflow top (kTimeNever when empty), kept on every
+  /// push and pop: the per-pop horizon checks read it instead of the
+  /// top node, which is usually cold.
+  Time overflow_top_ = kTimeNever;
   /// Unsorted ledger of declared folded-hop times not yet retired.
   std::vector<Time> folds_;
   std::size_t fold_compact_at_ = kFoldCompactLimit;

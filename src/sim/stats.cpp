@@ -53,6 +53,60 @@ double Histogram::mean() const {
          static_cast<double>(samples_.size());
 }
 
+LatencyHistogram& LatencyHistogram::operator+=(const LatencyHistogram& other) {
+  for (const auto& [ps, n] : other.counts_) add(ps, n);
+  return *this;
+}
+
+double LatencyHistogram::quantile(double q) const {
+  if (count_ == 0) return 0.0;
+  MANGO_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
+  std::vector<std::pair<Time, std::uint64_t>> sorted(counts_.begin(),
+                                                     counts_.end());
+  std::sort(sorted.begin(), sorted.end());
+  // Histogram::quantile's arithmetic, with the sorted sample at rank r
+  // read off the cumulative counts.
+  const double pos = q * static_cast<double>(count_ - 1);
+  const auto lo = static_cast<std::uint64_t>(pos);
+  const std::uint64_t hi = std::min(lo + 1, count_ - 1);
+  const double frac = pos - static_cast<double>(lo);
+  Time at_lo = 0;
+  Time at_hi = 0;
+  std::uint64_t below = 0;  // samples ranked before the current entry
+  for (const auto& [ps, n] : sorted) {
+    if (lo >= below && lo < below + n) at_lo = ps;
+    below += n;
+    if (hi < below) {
+      at_hi = ps;
+      break;
+    }
+  }
+  return to_ns(at_lo) * (1.0 - frac) + to_ns(at_hi) * frac;
+}
+
+void LatencyLog::count_into(LatencyHistogram& into) const {
+  // Saturated GS streams deliver runs of equal latencies (about six
+  // samples a run on the 8x8 ring set); one add per run.
+  Time run = 0;
+  std::uint64_t n = 0;
+  for_each([&](Time ps) {
+    if (n != 0 && ps == run) {
+      ++n;
+      return;
+    }
+    if (n != 0) into.add(run, n);
+    run = ps;
+    n = 1;
+  });
+  if (n != 0) into.add(run, n);
+}
+
+double LatencyLog::quantile(double q) const {
+  LatencyHistogram h;
+  count_into(h);
+  return h.quantile(q);
+}
+
 std::uint64_t StatsRegistry::counter_value(const std::string& name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;

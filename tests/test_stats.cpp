@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "sim/assert.hpp"
+#include "sim/random.hpp"
 #include "sim/stats.hpp"
 
 namespace mango::sim {
@@ -77,6 +79,130 @@ TEST(Histogram, UnsortedInsertionOrderDoesNotMatter) {
   EXPECT_DOUBLE_EQ(h.p50(), 5.0);
   h.add(0.0);  // interleave adds with queries
   EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
+}
+
+// --- counting latency histogram and the picosecond log --------------------
+
+constexpr double kQs[] = {0.0, 0.5, 0.95, 0.99, 1.0};
+
+/// Expects `h` to report exactly (bit for bit) what a sample-storing
+/// Histogram of the same latencies, added as to_ns(ps), reports.
+void expect_same_quantiles(const LatencyHistogram& h,
+                           const std::vector<Time>& ps) {
+  Histogram ref;
+  for (const Time p : ps) ref.add(to_ns(p));
+  ASSERT_EQ(h.count(), ref.count());
+  for (const double q : kQs) EXPECT_EQ(h.quantile(q), ref.quantile(q)) << q;
+}
+
+TEST(LatencyHistogram, QuantilesEqualSampleHistogramOnRandomData) {
+  Rng rng(11);
+  for (const std::size_t n : {2u, 3u, 7u, 100u, 101u, 5000u}) {
+    for (const std::uint64_t spread : {1u, 5u, 300u, 100000u}) {
+      std::vector<Time> ps;
+      LatencyHistogram h;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Small spreads force heavy duplication.
+        ps.push_back(4000 + rng.next_below(spread));
+        h.add(ps.back());
+      }
+      expect_same_quantiles(h, ps);
+      EXPECT_LE(h.distinct(), spread);
+    }
+  }
+}
+
+TEST(LatencyHistogram, SingleSampleAndEmpty) {
+  LatencyHistogram empty;
+  expect_same_quantiles(empty, {});
+  EXPECT_EQ(empty.p99(), 0.0);
+
+  LatencyHistogram one;
+  one.add(4031);
+  expect_same_quantiles(one, {4031});
+  EXPECT_EQ(one.max(), 4.031);
+}
+
+TEST(LatencyHistogram, WeightedAddEqualsRepeatedAdds) {
+  LatencyHistogram runs;
+  runs.add(7000, 3);
+  runs.add(5000, 2);
+  expect_same_quantiles(runs, {7000, 7000, 7000, 5000, 5000});
+}
+
+TEST(LatencyHistogram, MergeEqualsConcatenation) {
+  Rng rng(5);
+  LatencyHistogram a;
+  LatencyHistogram b;
+  LatencyHistogram both;
+  std::vector<Time> all;
+  for (int i = 0; i < 3000; ++i) {
+    const Time p = 2000 + rng.next_below(i % 2 == 0 ? 50 : 4000);
+    (rng.next_below(3) == 0 ? a : b).add(p);
+    both.add(p);
+    all.push_back(p);
+  }
+  a += b;
+  EXPECT_EQ(a.count(), both.count());
+  EXPECT_EQ(a.distinct(), both.distinct());
+  for (const double q : kQs) EXPECT_EQ(a.quantile(q), both.quantile(q));
+  expect_same_quantiles(a, all);
+}
+
+TEST(LatencyHistogram, OutOfRangeQuantileThrows) {
+  LatencyHistogram h;
+  h.add(1);
+  EXPECT_THROW(h.quantile(-0.1), mango::ModelError);
+  EXPECT_THROW(h.quantile(1.5), mango::ModelError);
+}
+
+TEST(LatencyLog, WideLatenciesRoundTripExactly) {
+  // 2^32 ps is ~4.3 ms: values from just below the 4-byte mark to far
+  // beyond it must come back unchanged and in order.
+  const std::vector<Time> in = {5,
+                                LatencyLog::kWide - 1,
+                                LatencyLog::kWide,
+                                Time{1} << 32,
+                                12,
+                                (Time{1} << 40) + 7,
+                                kTimeNever - 1,
+                                LatencyLog::kWide};
+  LatencyLog log;
+  for (const Time p : in) log.add(p);
+  std::vector<Time> out;
+  log.for_each([&](Time p) { out.push_back(p); });
+  EXPECT_EQ(out, in);
+  EXPECT_EQ(log.count(), in.size());
+  EXPECT_EQ(log.max(), to_ns(kTimeNever - 1));
+
+  LatencyHistogram h;
+  log.count_into(h);
+  expect_same_quantiles(h, in);
+}
+
+TEST(LatencyLog, QuantilesEqualSampleHistogramInDeliveryOrder) {
+  // Runs of equal latencies (counted as one add each) interleaved with
+  // singletons.
+  Rng rng(3);
+  std::vector<Time> in;
+  LatencyLog log;
+  for (int i = 0; i < 2000; ++i) {
+    const Time p = 4000 + 31 * rng.next_below(20);
+    for (std::uint64_t r = rng.next_below(6); r-- > 0;) {
+      in.push_back(p);
+      log.add(p);
+    }
+  }
+  std::vector<Time> out;
+  log.for_each([&](Time p) { out.push_back(p); });
+  EXPECT_EQ(out, in);
+  LatencyHistogram h;
+  log.count_into(h);
+  expect_same_quantiles(h, in);
+  Histogram ref;
+  for (const Time p : in) ref.add(to_ns(p));
+  EXPECT_EQ(log.p50(), ref.p50());
+  EXPECT_EQ(log.p99(), ref.p99());
 }
 
 TEST(ThroughputMeter, RatesOverWindows) {
