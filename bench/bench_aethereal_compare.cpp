@@ -10,6 +10,7 @@
 #include "model/area.hpp"
 #include "model/timing.hpp"
 #include "noc/common/config.hpp"
+#include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/context.hpp"
@@ -26,6 +27,8 @@ double tdm_worst_wait_ns(unsigned slots, sim::Time clk_ps) {
   sim::SimContext ctx;
   sim::Simulator& simulator = ctx.sim();
   baseline::TdmRouter tdm(ctx, 5, slots, clk_ps);
+  sim::ControlPlane injections;
+  injections.bind_kernel(simulator);
   tdm.reserve(1, 0, 1);
   sim::Histogram waits;
   sim::Time injected_at = 0;
@@ -36,7 +39,8 @@ double tdm_worst_wait_ns(unsigned slots, sim::Time clk_ps) {
   // Inject one flit at an awkward phase per revolution.
   const sim::Time rev = static_cast<sim::Time>(slots) * clk_ps;
   for (unsigned i = 0; i < 64; ++i) {
-    simulator.at(i * rev + (i % slots) * clk_ps + clk_ps / 3, [&] {
+    const sim::Time t = i * rev + (i % slots) * clk_ps + clk_ps / 3;
+    injections.post_at(simulator, t, [&] {
       injected_at = simulator.now();
       tdm.inject(1, noc::Flit{});
     });

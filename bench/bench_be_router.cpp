@@ -93,9 +93,9 @@ double hol_probe_p99(unsigned be_vcs) {
     for (Flit& f : pkt.flits) f.injected_at = now;
     net.na({0, 0}).send_be_packet(std::move(pkt), probe_vc);
     ++sent;
-    simulator.after(25000, send_probe);
+    net.control().post_at(simulator, simulator.now() + 25000, send_probe);
   };
-  simulator.after(1000, send_probe);
+  net.control().post_at(simulator, simulator.now() + 1000, send_probe);
 
   hub.set_horizon(50_us);
   simulator.run_until(50_us);

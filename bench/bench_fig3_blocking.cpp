@@ -11,6 +11,7 @@
 
 #include "baseline/output_buffered_router.hpp"
 #include "noc/common/config.hpp"
+#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -35,6 +36,8 @@ Result run_generic(double background_load) {
   sim::Simulator& simulator = ctx.sim();
   const StageDelays d = stage_delays(TimingCorner::kWorstCase);
   baseline::OutputBufferedRouter router(ctx, 5, d);
+  sim::ControlPlane injections;
+  injections.bind_kernel(simulator);
   sim::Histogram probe_lat;
   router.set_delivery([&](unsigned, Flit&& f, sim::Time lat) {
     if (f.tag == 1) probe_lat.add(sim::to_ns(lat));
@@ -42,7 +45,7 @@ Result run_generic(double background_load) {
   // Probe: CBR at 1/8 of the link rate.
   const sim::Time probe_period = 8 * d.arb_cycle;
   for (sim::Time t = 0; t < 50_us; t += probe_period) {
-    simulator.at(t, [&router] {
+    injections.post_at(simulator, t, [&router] {
       Flit f;
       f.tag = 1;
       router.inject(0, 4, f);
@@ -53,7 +56,7 @@ Result run_generic(double background_load) {
   for (unsigned in = 1; in <= 3; ++in) {
     for (sim::Time t = 0; t < 50_us; t += d.arb_cycle) {
       if (rng.next_bool(background_load / 3.0)) {
-        simulator.at(t, [&router, in] {
+        injections.post_at(simulator, t, [&router, in] {
           Flit f;
           f.tag = 100 + in;
           router.inject(in, 4, f);

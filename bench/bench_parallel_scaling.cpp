@@ -157,9 +157,9 @@ BENCHMARK(BM_Scale1kCMeshShards)->Arg(1)->Arg(2)->Arg(4)
 void BM_BarrierSyncNsPerWindow(benchmark::State& state) {
   constexpr sim::Time kWindow = 1000;
   constexpr std::uint64_t kWindows = 2000;
-  struct Tick {
-    sim::Simulator* s;
-    void operator()() const { s->after(kWindow, Tick{s}); }
+  // Each kernel's one record re-arms itself: p0 is its own kernel.
+  const sim::Simulator::TypedDispatcher tick = [](sim::TypedEvent& ev) {
+    static_cast<sim::Simulator*>(ev.p0)->after_typed(kWindow, ev);
   };
   sim::ShardEngine::Options opt;
   opt.spin_us = static_cast<std::uint32_t>(state.range(0));
@@ -171,7 +171,11 @@ void BM_BarrierSyncNsPerWindow(benchmark::State& state) {
     for (int i = 0; i < 4; ++i) {
       kernels.push_back(std::make_unique<sim::Simulator>());
       sims.push_back(kernels.back().get());
-      sims.back()->at(0, Tick{sims.back()});
+      sims.back()->set_typed_dispatcher(tick);
+      sim::TypedEvent ev{};
+      ev.op = 1;
+      ev.p0 = sims.back();
+      sims.back()->at_typed(0, ev);
     }
     sim::ControlPlane ctrl;
     ctrl.bind_engine(sims);

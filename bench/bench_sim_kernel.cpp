@@ -1,18 +1,19 @@
 // E14 — substrate performance: google-benchmark microbenchmarks of the
-// event kernel, handshake channels and a full router hop. These bound
-// how much simulated traffic the reproduction can run per wall second.
+// event kernel and a full router hop. These bound how much simulated
+// traffic the reproduction can run per wall second.
 //
 // Every kernel benchmark runs twice: once on the production calendar-
-// queue kernel (sim::Simulator) and once on the reference priority-queue
-// kernel (sim::LegacySimulator) it replaced, so the events/sec ratio of
-// the two is tracked release over release (BENCH_sim_kernel.json).
+// queue kernel (sim::Simulator), which schedules typed records through
+// one registered switch, and once on the reference priority-queue kernel
+// (sim::LegacySimulator) it replaced, which schedules closures, so the
+// events/sec ratio of the two is tracked release over release
+// (BENCH_sim_kernel.json).
 #include <benchmark/benchmark.h>
 
 #include <functional>
 
 #include "noc/network/connection_manager.hpp"
 #include "noc/network/network.hpp"
-#include "sim/channel.hpp"
 #include "sim/context.hpp"
 #include "sim/legacy_kernel.hpp"
 #include "sim/random.hpp"
@@ -24,38 +25,57 @@ using namespace mango::noc;
 namespace {
 
 // Identical workload shapes run on both kernels, so the reported ratio is
-// pure kernel overhead (queue discipline + callback materialization).
+// pure kernel overhead (queue discipline + event materialization). The
+// production kernel's workloads keep their state behind the record's p0
+// and re-arm by scheduling the record they were handed.
 
-template <typename Kernel>
-void event_dispatch(benchmark::State& state) {
+sim::TypedEvent record_for(void* state) {
+  sim::TypedEvent ev{};
+  ev.op = 1;
+  ev.p0 = state;
+  return ev;
+}
+
+void BM_EventDispatch(benchmark::State& state) {
   for (auto _ : state) {
-    Kernel simulator;
+    sim::Simulator simulator;
+    simulator.set_typed_dispatcher(+[](sim::TypedEvent&) {});
+    const sim::TypedEvent ev = record_for(nullptr);
     const auto n = static_cast<std::uint64_t>(state.range(0));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      simulator.at(i, [] {});
-    }
+    for (std::uint64_t i = 0; i < n; ++i) simulator.at_typed(i, ev);
     benchmark::DoNotOptimize(simulator.run());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-
-void BM_EventDispatch(benchmark::State& state) {
-  event_dispatch<sim::Simulator>(state);
-}
 BENCHMARK(BM_EventDispatch)->Arg(1000)->Arg(100000);
 
 void BM_LegacyEventDispatch(benchmark::State& state) {
-  event_dispatch<sim::LegacySimulator>(state);
+  for (auto _ : state) {
+    sim::LegacySimulator simulator;
+    const auto n = static_cast<std::uint64_t>(state.range(0));
+    for (std::uint64_t i = 0; i < n; ++i) simulator.at(i, [] {});
+    benchmark::DoNotOptimize(simulator.run());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_LegacyEventDispatch)->Arg(1000)->Arg(100000);
 
-/// Self-scheduling chain: the pattern every clockless stage uses. The
-/// 24-byte functor exceeds std::function's 16-byte SBO (so the legacy
-/// kernel heap-allocates per event) and fits the calendar-queue kernel's
-/// inline capture budget — exactly the per-flit situation in the model.
-template <typename Kernel>
-struct ChainFn {
-  Kernel* simulator;
+/// Self-scheduling chain: the pattern every clockless stage uses. On the
+/// reference kernel the 24-byte functor exceeds std::function's 16-byte
+/// SBO, so it heap-allocates per event — the per-flit situation the
+/// production kernel's records replaced.
+struct Chain {
+  sim::Simulator* simulator;
+  std::uint64_t count;
+  std::uint64_t limit;
+  static void fire(sim::TypedEvent& ev) {
+    auto* c = static_cast<Chain*>(ev.p0);
+    if (++c->count < c->limit) c->simulator->after_typed(100, ev);
+  }
+};
+
+struct LegacyChainFn {
+  sim::LegacySimulator* simulator;
   std::uint64_t* count;
   std::uint64_t limit;
   void operator()() const {
@@ -63,85 +83,97 @@ struct ChainFn {
   }
 };
 
-template <typename Kernel>
-void event_chain(benchmark::State& state) {
+void BM_EventChain(benchmark::State& state) {
   for (auto _ : state) {
-    Kernel simulator;
-    std::uint64_t count = 0;
-    const auto limit = static_cast<std::uint64_t>(state.range(0));
-    simulator.after(100, ChainFn<Kernel>{&simulator, &count, limit});
+    sim::Simulator simulator;
+    simulator.set_typed_dispatcher(&Chain::fire);
+    Chain chain{&simulator, 0, static_cast<std::uint64_t>(state.range(0))};
+    simulator.after_typed(100, record_for(&chain));
     simulator.run();
-    benchmark::DoNotOptimize(count);
+    benchmark::DoNotOptimize(chain.count);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_EventChain(benchmark::State& state) {
-  event_chain<sim::Simulator>(state);
 }
 BENCHMARK(BM_EventChain)->Arg(100000);
 
 void BM_LegacyEventChain(benchmark::State& state) {
-  event_chain<sim::LegacySimulator>(state);
+  for (auto _ : state) {
+    sim::LegacySimulator simulator;
+    std::uint64_t count = 0;
+    const auto limit = static_cast<std::uint64_t>(state.range(0));
+    simulator.after(100, LegacyChainFn{&simulator, &count, limit});
+    simulator.run();
+    benchmark::DoNotOptimize(count);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_LegacyEventChain)->Arg(100000);
 
 /// Interleaved near/far horizon traffic: stresses the calendar queue's
 /// overflow heap and wheel migration (timeouts and packet interarrivals
-/// mixed with handshake-scale delays, 64 concurrent event chains).
-template <typename Kernel>
-void event_mixed_horizon(benchmark::State& state) {
-  for (auto _ : state) {
-    Kernel simulator;
-    sim::Rng rng(7);
-    std::uint64_t count = 0;
-    const auto limit = static_cast<std::uint64_t>(state.range(0));
-    std::function<void()> self = [&simulator, &rng, &count, limit, &self] {
-      if (++count >= limit) return;
-      const bool far = rng.next_below(8) == 0;
-      simulator.after(far ? 1000000 + rng.next_below(5000000)
-                          : 60 + rng.next_below(2000),
-                      self);
-    };
-    for (int i = 0; i < 64; ++i) {
-      simulator.after(rng.next_below(2000), self);
-    }
-    simulator.run();
-    benchmark::DoNotOptimize(count);
+/// mixed with handshake-scale delays, 64 concurrent event chains). Both
+/// kernels draw the same delays from the same seed.
+struct MixedHorizon {
+  sim::Rng rng{7};
+  std::uint64_t count = 0;
+  std::uint64_t limit = 0;
+  /// Next delay, or false once the budget is spent.
+  bool next_delay(sim::Time& d) {
+    if (++count >= limit) return false;
+    const bool far = rng.next_below(8) == 0;
+    d = far ? 1000000 + rng.next_below(5000000) : 60 + rng.next_below(2000);
+    return true;
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
+};
 
 void BM_EventMixedHorizon(benchmark::State& state) {
-  event_mixed_horizon<sim::Simulator>(state);
+  // The record's handler calls a std::function, as the legacy side's
+  // closure does, so the pair's ratio isolates the queue discipline.
+  struct Typed {
+    std::function<void()> body;
+    static void fire(sim::TypedEvent& ev) {
+      static_cast<Typed*>(ev.p0)->body();
+    }
+  };
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    simulator.set_typed_dispatcher(&Typed::fire);
+    MixedHorizon mix;
+    mix.limit = static_cast<std::uint64_t>(state.range(0));
+    Typed t;
+    const sim::TypedEvent ev = record_for(&t);
+    t.body = [&simulator, &mix, ev] {
+      sim::Time d = 0;
+      if (mix.next_delay(d)) simulator.after_typed(d, ev);
+    };
+    for (int i = 0; i < 64; ++i) {
+      simulator.after_typed(mix.rng.next_below(2000), ev);
+    }
+    simulator.run();
+    benchmark::DoNotOptimize(mix.count);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventMixedHorizon)->Arg(100000);
 
 void BM_LegacyEventMixedHorizon(benchmark::State& state) {
-  event_mixed_horizon<sim::LegacySimulator>(state);
-}
-BENCHMARK(BM_LegacyEventMixedHorizon)->Arg(100000);
-
-void BM_ChannelHandshakes(benchmark::State& state) {
   for (auto _ : state) {
-    sim::Simulator simulator;
-    sim::Channel<int> ch(simulator, sim::ChannelTiming{400, 250});
-    std::uint64_t received = 0;
-    const auto limit = static_cast<std::uint64_t>(state.range(0));
-    ch.set_receiver([&](int&&) {
-      ++received;
-      ch.ack();
-    });
-    ch.set_on_ready([&] {
-      if (received < limit) ch.send(static_cast<int>(received));
-    });
-    ch.send(0);
+    sim::LegacySimulator simulator;
+    MixedHorizon mix;
+    mix.limit = static_cast<std::uint64_t>(state.range(0));
+    std::function<void()> self = [&simulator, &mix, &self] {
+      sim::Time d = 0;
+      if (mix.next_delay(d)) simulator.after(d, self);
+    };
+    for (int i = 0; i < 64; ++i) {
+      simulator.after(mix.rng.next_below(2000), self);
+    }
     simulator.run();
-    benchmark::DoNotOptimize(received);
+    benchmark::DoNotOptimize(mix.count);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ChannelHandshakes)->Arg(50000);
+BENCHMARK(BM_LegacyEventMixedHorizon)->Arg(100000);
 
 void BM_GsFlitHop(benchmark::State& state) {
   // Full-stack cost of one GS flit across one router hop.

@@ -1,5 +1,6 @@
 #include "baseline/output_buffered_router.hpp"
 
+#include "noc/common/events.hpp"
 #include "sim/assert.hpp"
 
 namespace mango::baseline {
@@ -11,7 +12,10 @@ OutputBufferedRouter::OutputBufferedRouter(sim::SimContext& ctx, unsigned ports,
       delays_(delays),
       queues_(ports),
       busy_(ports, false),
-      peaks_(ports, 0) {}
+      peaks_(ports, 0) {
+  control_.bind_kernel(sim_);
+  noc::events::install(sim_);
+}
 
 void OutputBufferedRouter::inject(unsigned in, unsigned out, noc::Flit f) {
   MANGO_ASSERT(in < ports_ && out < ports_, "port out of range");
@@ -30,9 +34,9 @@ void OutputBufferedRouter::serve(unsigned out) {
   // the VC buffer.
   const sim::Time traverse =
       delays_.split_fwd + delays_.switch_fwd + delays_.unshare_fwd;
-  sim_.after(delays_.arb_cycle, [this, out, p, traverse] {
+  after(delays_.arb_cycle, [this, out, p, traverse] {
     busy_[out] = false;
-    sim_.after(traverse, [this, out, p] {
+    after(traverse, [this, out, p] {
       ++delivered_;
       if (delivery_) {
         noc::Flit f = p.flit;

@@ -21,6 +21,7 @@
 #include "noc/common/config.hpp"
 #include "noc/common/flit.hpp"
 #include "sim/context.hpp"
+#include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 
@@ -56,8 +57,13 @@ class OutputBufferedRouter {
   };
 
   void serve(unsigned out);
+  /// Schedules `fn` after `delay`, as a kernel-mode control post.
+  void after(sim::Time delay, sim::ControlPlane::Fn fn) {
+    control_.post_at(sim_, sim_.now() + delay, std::move(fn));
+  }
 
   sim::Simulator& sim_;
+  sim::ControlPlane control_;
   unsigned ports_;
   const noc::StageDelays& delays_;
   std::vector<std::deque<Pending>> queues_;  ///< per-output contention queue

@@ -1,5 +1,6 @@
 #include "baseline/tdm_router.hpp"
 
+#include "noc/common/events.hpp"
 #include "sim/assert.hpp"
 
 namespace mango::baseline {
@@ -12,6 +13,8 @@ TdmRouter::TdmRouter(sim::SimContext& ctx, unsigned ports, unsigned slots,
       period_(clock_period_ps),
       slot_table_(ports, std::vector<std::uint32_t>(slots, kFree)) {
   MANGO_ASSERT(ports_ >= 1 && slots_ >= 1 && period_ > 0, "bad TDM config");
+  control_.bind_kernel(sim_);
+  noc::events::install(sim_);
 }
 
 bool TdmRouter::reserve(std::uint32_t conn, unsigned out, unsigned count) {
@@ -60,7 +63,7 @@ void TdmRouter::inject(std::uint32_t conn, noc::Flit f) {
 void TdmRouter::start() {
   MANGO_ASSERT(!running_, "TDM clock already running");
   running_ = true;
-  sim_.after(period_, [this] { tick(); });
+  control_.post_at(sim_, sim_.now() + period_, [this] { tick(); });
 }
 
 void TdmRouter::tick() {
@@ -77,7 +80,7 @@ void TdmRouter::tick() {
     if (delivery_) delivery_(conn, std::move(f));
   }
   cursor_ = (cursor_ + 1) % slots_;
-  sim_.after(period_, [this] { tick(); });
+  control_.post_at(sim_, sim_.now() + period_, [this] { tick(); });
 }
 
 unsigned TdmRouter::slots_reserved(std::uint32_t conn) const {

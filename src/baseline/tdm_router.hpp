@@ -22,6 +22,7 @@
 
 #include "noc/common/flit.hpp"
 #include "sim/context.hpp"
+#include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 
 namespace mango::baseline {
@@ -60,6 +61,8 @@ class TdmRouter {
   void tick();
 
   sim::Simulator& sim_;
+  /// Schedules the slot clock as kernel-mode control posts.
+  sim::ControlPlane control_;
   unsigned ports_;
   unsigned slots_;
   sim::Time period_;

@@ -1,14 +1,17 @@
 #include "noc/common/events.hpp"
 
 #include "noc/na/network_adapter.hpp"
+#include "noc/network/connection_broker.hpp"
 #include "noc/router/arbiter.hpp"
 #include "noc/router/be_router.hpp"
 #include "noc/router/router.hpp"
+#include "noc/router/sharebox.hpp"
 #include "noc/router/switching.hpp"
 #include "noc/router/vc_buffer.hpp"
 #include "noc/router/vc_control.hpp"
 #include "noc/traffic/generator.hpp"
 #include "sim/assert.hpp"
+#include "sim/parallel.hpp"
 
 namespace mango::noc::events {
 
@@ -97,6 +100,34 @@ void dispatch_event(sim::TypedEvent& ev) {
     case kOpVcLocalReverse:
       static_cast<VcControlModule*>(ev.p0)->deliver_local(
           static_cast<LocalIfaceIdx>(ev.a), ev.b != 0);
+      return;
+    case kOpNaSinkService:
+      static_cast<NetworkAdapter*>(ev.p0)->serve_sink(
+          static_cast<LocalIfaceIdx>(ev.a));
+      return;
+    case kOpNaBeDeliver:
+      static_cast<Router*>(ev.p0)->deliver_local_be(load_flit(ev));
+      return;
+    case kOpShareboxRearm:
+      static_cast<Sharebox*>(ev.p0)->rearm();
+      return;
+    case kOpGsSourceStart:
+      static_cast<GsStreamSource*>(ev.p0)->begin();
+      return;
+    case kOpBeSourceStart:
+      static_cast<BeTrafficSource*>(ev.p0)->begin();
+      return;
+    case kOpBePhaseToggle:
+      static_cast<BeTrafficSource*>(ev.p0)->toggle_phase();
+      return;
+    case kOpBeTraceInject:
+      static_cast<BeTraceSource*>(ev.p0)->inject(ev.d);
+      return;
+    case kOpBrokerClear:
+      static_cast<ConnectionBroker*>(ev.p0)->begin_clear(ev.d);
+      return;
+    case kOpControlPlane:
+      sim::ControlPlane::fire(ev);
       return;
     default:
       break;

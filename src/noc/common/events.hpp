@@ -1,13 +1,16 @@
-// Typed hot-path event records for the NoC model.
+// Typed event records for the NoC model.
 //
-// The dominant per-flit events — link transfers, switching traversals,
-// BE route cycles, arbiter/stage recoveries, credit and reverse
-// signals, source fires — are scheduled as sim::TypedEvent records (a
+// Every kernel event in the model — link transfers, switching
+// traversals, BE route cycles, arbiter/stage recoveries, credit and
+// reverse signals, source fires, and the cold ones (sink service,
+// source starts, broker drains) — is a sim::TypedEvent record (a
 // one-byte opcode plus packed args filling the event node's 64-byte
-// capture area) and dispatched through the single switch in
+// capture area) dispatched through the single switch in
 // dispatch_event(), entering the component models through non-virtual
-// entry points. Cold/control events (OCP transactions, churn control,
-// failure hooks) keep the type-erased InlineFunction fallback.
+// entry points. Actions that own memory (OCP clock edges, host-local
+// programming, churn timers, the baseline routers' clocks) go through
+// a sim::ControlPlane instead: in kernel mode the plane parks the
+// closure and schedules one kOpControlPlane record carrying its slot.
 //
 // Every emitting component registers the switch idempotently from its
 // constructor (install()), so standalone component tests work without a
@@ -23,11 +26,11 @@
 
 namespace mango::noc::events {
 
-/// Opcodes. 0 is the kernel-reserved callback fallback; everything else
-/// documents its packed-argument convention next to the name.
+/// Opcodes, each documenting its packed-argument convention. 0 is no
+/// opcode (a zeroed record is rejected by the switch), and
+/// kOpControlPlane is the value sim/ reserves for ControlPlane posts.
 enum Op : std::uint8_t {
-  kOpCallback = 0,
-  kOpLinkFlit,        ///< p0=Router*, a=in_port; payload LinkFlit
+  kOpLinkFlit = 1,    ///< p0=Router*, a=in_port; payload LinkFlit
   kOpGsDeliverPtr,    ///< p0=Router*, p1=VcBuffer*; payload Flit
   kOpReverse,         ///< p0=Router*, a=out_port, b=wire
   kOpReverseDone,     ///< p0=Router*, a=out_port, b=wire (coalesced)
@@ -47,6 +50,15 @@ enum Op : std::uint8_t {
   kOpGsSourceTick,    ///< p0=GsStreamSource*
   kOpBeSourceInject,  ///< p0=BeTrafficSource*
   kOpVcLocalReverse,  ///< p0=VcControlModule*, a=iface, b=complete-flag
+  kOpNaSinkService,   ///< p0=NetworkAdapter*, a=iface
+  kOpNaBeDeliver,     ///< p0=Router*; payload Flit (NA-link BE forward)
+  kOpShareboxRearm,   ///< p0=Sharebox*
+  kOpGsSourceStart,   ///< p0=GsStreamSource*
+  kOpBeSourceStart,   ///< p0=BeTrafficSource*
+  kOpBePhaseToggle,   ///< p0=BeTrafficSource*
+  kOpBeTraceInject,   ///< p0=BeTraceSource*, d=trace index
+  kOpBrokerClear,     ///< p0=ConnectionBroker*, d=request id
+  kOpControlPlane = sim::kOpControlPlane,  ///< p0=ControlPlane*, d=slot
 };
 
 /// The typed-event switch (the only TypedDispatcher in the model).
@@ -80,6 +92,18 @@ inline LinkFlit load_link_flit(const sim::TypedEvent& ev) {
   LinkFlit lf;
   std::memcpy(&lf, ev.payload, sizeof(LinkFlit));
   return lf;
+}
+
+/// A record with opcode `op`, receiver `p0` and scalars `a`, `b`; the
+/// caller sets p1 or d where its opcode needs them.
+inline sim::TypedEvent make(Op op, void* p0, std::uint8_t a = 0,
+                            std::uint8_t b = 0) {
+  sim::TypedEvent ev{};
+  ev.op = op;
+  ev.a = a;
+  ev.b = b;
+  ev.p0 = p0;
+  return ev;
 }
 
 }  // namespace mango::noc::events

@@ -212,18 +212,21 @@ void NetworkAdapter::on_local_head(LocalIfaceIdx iface) {
   }
   if (sink_busy_.at(iface)) return;
   sink_busy_[iface] = true;
-  sim_.after(sink_service_, [this, iface] {
-    sink_busy_[iface] = false;
-    if (!router_.local_out_has_head(iface)) return;
-    Flit f = router_.local_out_pop(iface);
-    sim::TypedEvent ev{};
-    ev.op = events::kOpNaGsHandoff;
-    ev.a = iface;
-    ev.p0 = this;
-    events::store_flit(ev, f);
-    sim_.after_typed(delays_.na_link_fwd, ev);
-    // The buffer refill (unsharebox advance) re-notifies us.
-  });
+  sim_.after_typed(sink_service_,
+                   events::make(events::kOpNaSinkService, this, iface));
+}
+
+void NetworkAdapter::serve_sink(LocalIfaceIdx iface) {
+  sink_busy_[iface] = false;
+  if (!router_.local_out_has_head(iface)) return;
+  Flit f = router_.local_out_pop(iface);
+  sim::TypedEvent ev{};
+  ev.op = events::kOpNaGsHandoff;
+  ev.a = iface;
+  ev.p0 = this;
+  events::store_flit(ev, f);
+  sim_.after_typed(delays_.na_link_fwd, ev);
+  // The buffer refill (unsharebox advance) re-notifies us.
 }
 
 void NetworkAdapter::handoff_gs(LocalIfaceIdx iface, Flit&& f) {

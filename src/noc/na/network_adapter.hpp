@@ -124,6 +124,8 @@ class NetworkAdapter {
   void inject_be_now(Flit f);
   /// The BE injection stage recovers after one cycle.
   void recover_be_stage();
+  /// The sink's service time elapsed: consume `iface`'s head, if any.
+  void serve_sink(LocalIfaceIdx iface);
 
  private:
   struct GsSource {

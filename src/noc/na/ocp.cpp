@@ -34,6 +34,7 @@ OcpMaster::OcpMaster(NetworkAdapter& na, ClockDomain clock, std::string name)
       na_(na),
       clock_(clock),
       name_(std::move(name)) {
+  control_.bind_kernel(sim_);
   na_.set_be_handler([this](BePacket&& pkt) { on_packet(std::move(pkt)); });
 }
 
@@ -54,12 +55,13 @@ void OcpMaster::issue(const OcpRequest& req, const BeRoute& route,
   // the NA ingress synchronizer costs two further core cycles.
   const sim::Time issue_at = clock_.sync_in(sim_.now());
   pending_[tag] = {std::move(done), sim_.now()};
-  sim_.at(issue_at, [this, route, payload = std::move(payload), tag] {
-    BePacket pkt = make_be_packet(route, payload, tag);
-    const sim::Time now = sim_.now();
-    for (Flit& f : pkt.flits) f.injected_at = now;
-    na_.send_be_packet(std::move(pkt));
-  });
+  control_.post_at(
+      sim_, issue_at, [this, route, payload = std::move(payload), tag] {
+        BePacket pkt = make_be_packet(route, payload, tag);
+        const sim::Time now = sim_.now();
+        for (Flit& f : pkt.flits) f.injected_at = now;
+        na_.send_be_packet(std::move(pkt));
+      });
 }
 
 void OcpMaster::on_packet(BePacket&& pkt) {
@@ -79,10 +81,11 @@ void OcpMaster::on_packet(BePacket&& pkt) {
   ++completed_;
   // Synchronize the completion back into the master's clock domain.
   const sim::Time deliver_at = clock_.sync_in(sim_.now());
-  sim_.at(deliver_at, [this, resp, done = std::move(done)]() mutable {
-    resp.completed_at = sim_.now();
-    if (done) done(resp);
-  });
+  control_.post_at(sim_, deliver_at,
+                   [this, resp, done = std::move(done)]() mutable {
+                     resp.completed_at = sim_.now();
+                     if (done) done(resp);
+                   });
 }
 
 OcpSlave::OcpSlave(NetworkAdapter& na, ClockDomain clock, std::string name,
@@ -92,6 +95,7 @@ OcpSlave::OcpSlave(NetworkAdapter& na, ClockDomain clock, std::string name,
       clock_(clock),
       name_(std::move(name)),
       memory_(memory_words, 0) {
+  control_.bind_kernel(sim_);
   na_.set_be_handler([this](BePacket&& pkt) { on_packet(std::move(pkt)); });
 }
 
@@ -128,29 +132,30 @@ void OcpSlave::on_packet(BePacket&& pkt) {
   // Serve on the slave's clock (ingress sync + one service cycle), then
   // send the response along the pre-built return route.
   const sim::Time respond_at = clock_.sync_in(sim_.now()) + clock_.period();
-  sim_.at(respond_at, [this, cmd, tag, status, rdata, return_header] {
-    std::vector<std::uint32_t> payload;
-    payload.push_back(ocp_encode_cmd(OcpCmd::kResp, tag, status));
-    if (cmd == OcpCmd::kRead) payload.push_back(rdata);
-    // Wrap the pre-built header into a packet manually: the route was
-    // encoded by the master, we must not rebuild it.
-    BePacket pkt;
-    Flit header;
-    header.data = return_header;
-    header.tag = tag;
-    header.injected_at = sim_.now();
-    pkt.flits.push_back(header);
-    for (std::size_t i = 0; i < payload.size(); ++i) {
-      Flit f;
-      f.data = payload[i];
-      f.tag = tag;
-      f.seq = i + 1;
-      f.eop = (i + 1 == payload.size());
-      f.injected_at = sim_.now();
-      pkt.flits.push_back(f);
-    }
-    na_.send_be_packet(std::move(pkt));
-  });
+  control_.post_at(
+      sim_, respond_at, [this, cmd, tag, status, rdata, return_header] {
+        std::vector<std::uint32_t> payload;
+        payload.push_back(ocp_encode_cmd(OcpCmd::kResp, tag, status));
+        if (cmd == OcpCmd::kRead) payload.push_back(rdata);
+        // Wrap the pre-built header into a packet manually: the route was
+        // encoded by the master, we must not rebuild it.
+        BePacket pkt;
+        Flit header;
+        header.data = return_header;
+        header.tag = tag;
+        header.injected_at = sim_.now();
+        pkt.flits.push_back(header);
+        for (std::size_t i = 0; i < payload.size(); ++i) {
+          Flit f;
+          f.data = payload[i];
+          f.tag = tag;
+          f.seq = i + 1;
+          f.eop = (i + 1 == payload.size());
+          f.injected_at = sim_.now();
+          pkt.flits.push_back(f);
+        }
+        na_.send_be_packet(std::move(pkt));
+      });
 }
 
 }  // namespace mango::noc

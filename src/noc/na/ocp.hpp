@@ -20,6 +20,7 @@
 
 #include "noc/common/packet.hpp"
 #include "noc/na/network_adapter.hpp"
+#include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 
 namespace mango::noc {
@@ -86,6 +87,9 @@ class OcpMaster {
   void on_packet(BePacket&& pkt);
 
   sim::Simulator& sim_;
+  /// Schedules the clock-edge actions as kernel-mode control posts (the
+  /// NA has registered the model's dispatcher on sim_).
+  sim::ControlPlane control_;
   NetworkAdapter& na_;
   ClockDomain clock_;
   std::string name_;
@@ -108,6 +112,9 @@ class OcpSlave {
   void on_packet(BePacket&& pkt);
 
   sim::Simulator& sim_;
+  /// Schedules the clock-edge actions as kernel-mode control posts (the
+  /// NA has registered the model's dispatcher on sim_).
+  sim::ControlPlane control_;
   NetworkAdapter& na_;
   ClockDomain clock_;
   std::string name_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "noc/common/events.hpp"
 #include "sim/assert.hpp"
 
 namespace mango::noc {
@@ -215,7 +216,9 @@ void ConnectionBroker::request_close(RequestId id, ClosedFn on_closed) {
   rq.close_requested_at = net_.simulator().now();
   rq.on_closed = std::move(on_closed);
   mgr_.mark_draining(rq.conn);
-  net_.simulator().after(cfg_.drain_ps, [this, id] { begin_clear(id); });
+  sim::TypedEvent ev = events::make(events::kOpBrokerClear, this);
+  ev.d = id;
+  net_.simulator().after_typed(cfg_.drain_ps, ev);
 }
 
 void ConnectionBroker::begin_clear(RequestId id) {

@@ -129,6 +129,10 @@ class ConnectionBroker {
   std::size_t live_connections() const { return live_; }
   const Stats& stats() const { return stats_; }
 
+  /// Typed-dispatch entry: request `id`'s drain window elapsed; issue
+  /// the close.
+  void begin_clear(RequestId id);
+
  private:
   /// Resource demand of one path: (node index, port) per traversed link
   /// plus the two local endpoints.
@@ -160,7 +164,6 @@ class ConnectionBroker {
   void release(const Demand& d);
   void admit(Request& rq);
   void on_conn_ready(RequestId id, const Connection& c);
-  void begin_clear(RequestId id);
   void on_conn_closed(RequestId id);
   void retry_queued();
   Request& require(RequestId id);

@@ -41,6 +41,7 @@ const char* to_string(ConnState s) {
 ConnectionManager::ConnectionManager(Network& net, NodeId host)
     : net_(net), host_(host) {
   MANGO_ASSERT(net_.topology().contains(host_), "host node out of bounds");
+  host_programming_.bind_kernel(net_.simulator());
   // Track programming completion on every router. The observer fires
   // inside the firing router's shard kernel; the bookkeeping it triggers
   // reads manager state and may schedule packets from the host node, so
@@ -262,9 +263,10 @@ void ConnectionManager::program_host_locally(std::vector<std::uint32_t> words,
   // One NA wire hop plus one BE-router cycle per word (header included),
   // mirroring what the packet path would cost without the transit hops.
   const StageDelays& d = stage_delays(net_.config().router.corner);
+  sim::Simulator& sim = net_.simulator();
   const sim::Time done =
-      d.na_link_fwd + d.be_route_cycle * (words.size() + 1);
-  net_.simulator().after(done, [this, words = std::move(words), tag] {
+      sim.now() + d.na_link_fwd + d.be_route_cycle * (words.size() + 1);
+  host_programming_.post_at(sim, done, [this, words = std::move(words), tag] {
     ProgrammingInterface& prog = net_.router(host_).programming();
     Flit header;  // consumed by the interface, carries the tag
     header.tag = tag;

@@ -43,6 +43,7 @@
 
 #include "noc/common/ids.hpp"
 #include "noc/network/network.hpp"
+#include "sim/parallel.hpp"
 
 namespace mango::noc {
 
@@ -199,6 +200,8 @@ class ConnectionManager {
 
   Network& net_;
   NodeId host_;
+  /// Schedules host-local programming as kernel-mode control posts.
+  sim::ControlPlane host_programming_;
   ConnectionId next_id_ = 1;
   std::map<ConnectionId, Record> records_;
   std::map<BufKey, ConnectionId> buffer_owner_;

@@ -171,10 +171,11 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
                        }
                        MANGO_ASSERT(static_cast<bool>(local_be_delivery_),
                                     "no NA BE delivery sink on " + name_);
-                       sim_.after(delays_.na_link_fwd,
-                                  [this, f = std::move(f)]() mutable {
-                                    local_be_delivery_(std::move(f));
-                                  });
+                       sim::TypedEvent ev{};
+                       ev.op = events::kOpNaBeDeliver;
+                       ev.p0 = this;
+                       events::store_flit(ev, f);
+                       sim_.after_typed(delays_.na_link_fwd, ev);
                      },
                  });
   be_.set_output(BeRouter::kOutProgramming,

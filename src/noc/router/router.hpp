@@ -143,6 +143,8 @@ class Router {
   void recheck_gs_request(PortIdx port, VcIdx vc);
   /// A local BE credit lands at the NA after the credit-wire delay.
   void deliver_local_be_credit(BeVcIdx vc);
+  /// A BE flit crosses the NA-local wire to the NA's delivery sink.
+  void deliver_local_be(Flit&& f) { local_be_delivery_(std::move(f)); }
 
   /// Re-arm delay the coalesced reverse path folds into the wire event
   /// (sharebox re-arm for share-based VC control, 0 for credit-based).

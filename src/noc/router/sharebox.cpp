@@ -1,5 +1,6 @@
 #include "noc/router/sharebox.hpp"
 
+#include "noc/common/events.hpp"
 #include "sim/assert.hpp"
 
 namespace mango::noc {
@@ -12,10 +13,12 @@ void Sharebox::on_admit() {
 void Sharebox::on_reverse_signal() {
   MANGO_ASSERT(locked_, "unlock toggle on an unlocked sharebox");
   count_reverse();
-  sim_.after(rearm_ps_, [this] {
-    locked_ = false;
-    notify_ready();
-  });
+  sim_.after_typed(rearm_ps_, events::make(events::kOpShareboxRearm, this));
+}
+
+void Sharebox::rearm() {
+  locked_ = false;
+  notify_ready();
 }
 
 void Sharebox::complete_reverse() {

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "noc/common/events.hpp"
 #include "sim/arena.hpp"
 #include "sim/callback.hpp"
 #include "sim/simulator.hpp"
@@ -72,12 +73,17 @@ class Sharebox final : public VcFlowControl {
  public:
   /// `rearm_ps` is the sharebox re-arm delay after the unlock toggle.
   Sharebox(sim::Simulator& sim, sim::Time rearm_ps)
-      : sim_(sim), rearm_ps_(rearm_ps) {}
+      : sim_(sim), rearm_ps_(rearm_ps) {
+    events::install(sim_);
+  }
 
   bool can_admit() const override { return !locked_; }
   void on_admit() override;
   void on_reverse_signal() override;
   void complete_reverse() override;
+  /// Typed-dispatch entry: the re-arm delay after the unlock toggle
+  /// elapsed.
+  void rearm();
 
   bool locked() const { return locked_; }
 

@@ -20,16 +20,18 @@ GsStreamSource::GsStreamSource(NetworkAdapter& na, LocalIfaceIdx iface,
 void GsStreamSource::start(sim::Time at) {
   MANGO_ASSERT(!started_, "GS source started twice");
   started_ = true;
-  const sim::Time t = std::max(at, sim_.now());
-  sim_.at(t, [this] {
-    started_at_ = sim_.now();
-    if (opt_.period_ps == 0) {
-      // Saturating: pull-model supplier, no queue growth.
-      na_.set_gs_supplier(iface_, [this] { return supply(); });
-    } else {
-      tick();
-    }
-  });
+  sim_.at_typed(std::max(at, sim_.now()),
+                events::make(events::kOpGsSourceStart, this));
+}
+
+void GsStreamSource::begin() {
+  started_at_ = sim_.now();
+  if (opt_.period_ps == 0) {
+    // Saturating: pull-model supplier, no queue growth.
+    na_.set_gs_supplier(iface_, [this] { return supply(); });
+  } else {
+    tick();
+  }
 }
 
 bool GsStreamSource::in_on_phase() const {
@@ -75,6 +77,7 @@ BeTraceSource::BeTraceSource(Network& net, NodeId src, std::uint32_t tag,
       trace_(std::move(trace)),
       sim_(net.na(src).router().ctx().sim()),
       flit_pool_(net.na(src).router().ctx().pools().vectors<Flit>()) {
+  events::install(sim_);
   MANGO_ASSERT(net_.topology().contains(src_), "trace source out of bounds");
   for (std::size_t i = 0; i < trace_.size(); ++i) {
     MANGO_ASSERT(trace_[i].dst != src_, "trace destination equals source");
@@ -87,7 +90,8 @@ BeTraceSource::BeTraceSource(Network& net, NodeId src, std::uint32_t tag,
 
 void BeTraceSource::start() {
   if (!trace_.empty()) {
-    sim_.at(std::max(trace_.front().at, sim_.now()), [this] { inject(0); });
+    sim_.at_typed(std::max(trace_.front().at, sim_.now()),
+                  events::make(events::kOpBeTraceInject, this));
   }
 }
 
@@ -105,8 +109,9 @@ void BeTraceSource::inject(std::size_t idx) {
   net_.na(src_).send_be_packet(std::move(pkt), e.vc);
   ++injected_;
   if (idx + 1 < trace_.size()) {
-    const sim::Time next = std::max(trace_[idx + 1].at, now);
-    sim_.at(next, [this, idx] { inject(idx + 1); });
+    sim::TypedEvent ev = events::make(events::kOpBeTraceInject, this);
+    ev.d = static_cast<std::uint32_t>(idx + 1);
+    sim_.at_typed(std::max(trace_[idx + 1].at, now), ev);
   }
 }
 
@@ -129,10 +134,13 @@ BeTrafficSource::BeTrafficSource(Network& net, NodeId src, std::uint32_t tag,
 }
 
 void BeTrafficSource::start(sim::Time at) {
-  sim_.at(std::max(at, sim_.now()), [this] {
-    if (modulated()) schedule_phase_toggle();
-    schedule_next();
-  });
+  sim_.at_typed(std::max(at, sim_.now()),
+                events::make(events::kOpBeSourceStart, this));
+}
+
+void BeTrafficSource::begin() {
+  if (modulated()) schedule_phase_toggle();
+  schedule_next();
 }
 
 void BeTrafficSource::schedule_phase_toggle() {
@@ -141,11 +149,13 @@ void BeTrafficSource::schedule_phase_toggle() {
   const auto len =
       std::max<sim::Time>(1, static_cast<sim::Time>(rng_.next_exponential(mean)));
   phase_end_ = sim_.now() + len;
-  sim_.after(len, [this] {
-    if (stopped_) return;
-    on_phase_ = !on_phase_;
-    schedule_phase_toggle();
-  });
+  sim_.after_typed(len, events::make(events::kOpBePhaseToggle, this));
+}
+
+void BeTrafficSource::toggle_phase() {
+  if (stopped_) return;
+  on_phase_ = !on_phase_;
+  schedule_phase_toggle();
 }
 
 NodeId BeTrafficSource::pick_dst() {

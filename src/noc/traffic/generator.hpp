@@ -45,8 +45,9 @@ class GsStreamSource {
   std::uint64_t generated() const { return generated_; }
   std::uint32_t tag() const { return tag_; }
 
-  /// Typed-dispatch entry: one CBR/bursty period elapses (offers a flit
-  /// and re-arms itself).
+  /// Typed-dispatch entries: the source starts at its start time, and
+  /// one CBR/bursty period elapses (offers a flit and re-arms itself).
+  void begin();
   void tick();
 
  private:
@@ -89,9 +90,10 @@ class BeTraceSource {
   std::uint64_t injected() const { return injected_; }
   std::uint32_t tag() const { return tag_; }
 
- private:
+  /// Typed-dispatch entry: trace entry `idx` is due.
   void inject(std::size_t idx);
 
+ private:
   Network& net_;
   NodeId src_;
   std::uint32_t tag_;
@@ -141,9 +143,12 @@ class BeTrafficSource {
   std::uint64_t offered_but_held() const { return held_; }
   std::uint32_t tag() const { return tag_; }
 
-  /// Typed-dispatch entry: an injection attempt fires (interarrival gap,
-  /// backpressure retry, or deferred ON-edge injection).
+  /// Typed-dispatch entries: the source starts at its start time; an
+  /// injection attempt fires (interarrival gap, backpressure retry, or
+  /// deferred ON-edge injection); the on/off phase toggles.
+  void begin();
   void inject();
+  void toggle_phase();
 
  private:
   void schedule_next();

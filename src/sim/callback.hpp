@@ -1,14 +1,14 @@
 // Small-buffer-optimized, move-only callable wrapper.
 //
-// Every flit traversal in the model is a chain of scheduled handshake
-// callbacks, so the cost of materializing one callback is on the hottest
-// path of the simulator. std::function heap-allocates once a capture
-// exceeds its tiny SBO (16 bytes on libstdc++) and drags in RTTI-based
-// management; InlineFunction instead stores captures up to a
+// The model's notification wires (buffer head and ready notifications,
+// unlock outputs, router and NA hooks) fire once per flit, so the cost
+// of one call is on the hot path. std::function heap-allocates once a
+// capture exceeds its tiny SBO (16 bytes on libstdc++) and drags in
+// RTTI-based management; InlineFunction instead stores captures up to a
 // compile-time budget directly in the object (the default budget is
-// 3 pointer words) and spills to the heap only beyond that. Combined
-// with the slab-allocated event nodes in Simulator this makes the
-// steady-state event loop allocation-free.
+// 3 pointer words) and spills to the heap only beyond that. Kernel
+// events do not use it: they are TypedEvent records
+// (sim/simulator.hpp).
 //
 // Differences from std::function, by design:
 //   * move-only (so move-only captures, e.g. owned flits, work),

@@ -25,6 +25,8 @@ Time conservative_lookahead(const std::vector<Time>& boundary_latencies) {
 
 void ControlPlane::bind_kernel(Simulator& sim) {
   kernel_ = &sim;
+  parked_.clear();
+  free_slots_.clear();
   shards_.clear();
   per_shard_.clear();
 }
@@ -49,12 +51,32 @@ void ControlPlane::post_at(Simulator& from, Time t, Fn fn) {
   MANGO_ASSERT(t >= from.now(), "control post in the past");
   if (kernel_ != nullptr) {
     MANGO_ASSERT(&from == kernel_, "control post from a foreign kernel");
-    kernel_->at(t, [fn = std::move(fn)] { fn(); });
+    TypedEvent ev{};
+    ev.op = kOpControlPlane;
+    ev.p0 = this;
+    ev.d = free_slots_.empty() ? static_cast<std::uint32_t>(parked_.size())
+                               : free_slots_.back();
+    // Schedule before parking: a rejected schedule claims no slot.
+    kernel_->at_typed(t, ev);
+    if (ev.d == parked_.size()) {
+      parked_.push_back(std::move(fn));
+    } else {
+      free_slots_.pop_back();
+      parked_[ev.d] = std::move(fn);
+    }
     return;
   }
   const std::uint32_t s = shard_index(from);
   PerShard& b = per_shard_[s];
   b.out.push_back(Pending{t, from.now(), s, b.seq++, std::move(fn)});
+}
+
+void ControlPlane::fire(TypedEvent& ev) {
+  auto* self = static_cast<ControlPlane*>(ev.p0);
+  Fn fn = std::move(self->parked_[ev.d]);
+  self->parked_[ev.d] = nullptr;
+  self->free_slots_.push_back(ev.d);
+  fn();
 }
 
 void ControlPlane::collect() {

@@ -18,10 +18,12 @@
 //  * ControlPlane — a deterministic scheduler for *control* actions
 //    (connection programming callbacks, churn timers) that must read or
 //    mutate state across shards. At N=1 it degenerates to the kernel
-//    itself (posts become plain events, so the single-kernel run is
-//    untouched); at N>=2 the engine parks every shard on the exact
-//    (time, birth) key of the next control event and runs the action on
-//    the engine thread while the fabric is quiescent.
+//    itself: a post parks its action in a slot table and schedules one
+//    kOpControlPlane record carrying the slot, so it draws the key a
+//    plain event would and the single-kernel run is untouched. At N>=2
+//    the engine parks every shard on the exact (time, birth) key of the
+//    next control event and runs the action on the engine thread while
+//    the fabric is quiescent.
 //
 //  * ShardEngine — the window/barrier loop and worker threads.
 #pragma once
@@ -54,7 +56,9 @@ class ControlPlane {
  public:
   using Fn = std::function<void()>;
 
-  /// N == 1: every post becomes a plain kernel event on `sim`.
+  /// N == 1: every post becomes a kOpControlPlane event on `sim`. The
+  /// kernel's dispatcher must route that opcode to fire(), and this
+  /// plane must outlive every event it posted.
   void bind_kernel(Simulator& sim);
   /// N >= 2: per-shard post buffers merged by the engine. `shard_sims`
   /// maps shard index -> kernel; posts are keyed by the posting kernel.
@@ -67,10 +71,16 @@ class ControlPlane {
   Time deferral() const { return deferral_; }
 
   /// Schedules `fn` at absolute time `t` with birth = from.now(). In
-  /// kernel mode this is exactly sim.at(); in engine mode the action is
-  /// queued under the deterministic key (t, birth, shard, post-seq) and
-  /// executed with every shard parked at that key.
+  /// kernel mode this is one sim.at_typed() of a kOpControlPlane record;
+  /// in engine mode the action is queued under the deterministic key
+  /// (t, birth, shard, post-seq) and executed with every shard parked at
+  /// that key.
   void post_at(Simulator& from, Time t, Fn fn);
+
+  /// Runs the kernel-mode action a kOpControlPlane record names (the
+  /// dispatcher's case for that opcode). The action is moved out of its
+  /// slot first, so it may post further actions.
+  static void fire(TypedEvent& ev);
 
   /// Schedules `fn` at from.now() + deferral(). Cross-shard callbacks
   /// (e.g. programming-complete observers) MUST use this: the deferral
@@ -120,6 +130,10 @@ class ControlPlane {
   std::uint32_t shard_index(const Simulator& s) const;
 
   Simulator* kernel_ = nullptr;
+  /// Kernel mode: actions awaiting their kOpControlPlane event, indexed
+  /// by the record's slot; freed slots are reused.
+  std::vector<Fn> parked_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<Simulator*> shards_;
   std::vector<PerShard> per_shard_;
   std::vector<Pending> queue_;  // sorted ascending by key_before

@@ -6,11 +6,6 @@
 
 namespace mango::sim {
 
-Simulator::~Simulator() {
-  // Nodes live inside slabs_; pending callbacks are destroyed with the
-  // EventNode destructors when the slabs are released. Nothing to do.
-}
-
 Simulator::EventNode* Simulator::alloc_node() {
   if (free_list_ == nullptr) {
     slabs_.push_back(std::make_unique<EventNode[]>(kSlabNodes));
@@ -27,39 +22,8 @@ Simulator::EventNode* Simulator::alloc_node() {
 }
 
 void Simulator::free_node(EventNode* n) {
-  if (n->body.ev.op == 0) {
-    n->body.cb.cb.reset();
-  } else {
-    // Typed records are trivially destructible: re-arm the callback
-    // slot (empty, opcode 0) so the recycled node is ready for either
-    // schedule kind.
-    ::new (&n->body.cb) CallbackSlot{};
-  }
   n->next = free_list_;
   free_list_ = n;
-}
-
-void Simulator::at(Time t, Callback cb) {
-  MANGO_ASSERT(t >= now_, "cannot schedule an event in the past");
-  MANGO_ASSERT(static_cast<bool>(cb), "cannot schedule an empty callback");
-  EventNode* n = alloc_node();
-  n->time = t;
-  n->birth = now_;
-  n->seq = next_seq_++;
-  n->body.cb.cb = std::move(cb);
-  insert(n);
-}
-
-void Simulator::admit(Time t, Time birth, Callback cb) {
-  MANGO_ASSERT(t >= now_, "cannot admit an event in the past");
-  MANGO_ASSERT(birth <= t, "admitted birth must not exceed the event time");
-  MANGO_ASSERT(static_cast<bool>(cb), "cannot admit an empty callback");
-  EventNode* n = alloc_node();
-  n->time = t;
-  n->birth = birth;
-  n->seq = next_seq_++;
-  n->body.cb.cb = std::move(cb);
-  insert(n);
 }
 
 void Simulator::insert(EventNode* n) {
@@ -291,16 +255,12 @@ bool Simulator::step() {
   EventNode* n = pop_earliest();
   now_ = n->time;
   ++dispatched_;
-  // Invoke straight from the node — the node is unlinked, so handlers
+  // Dispatch straight from the node — the node is unlinked, so handlers
   // may freely schedule new events (those draw fresh nodes); it is
   // recycled after the call returns. If the handler throws (model
   // errors in failure-injection tests), the node is simply orphaned
   // until slab teardown — never double-used.
-  if (n->body.ev.op != 0) {
-    dispatcher_(n->body.ev);
-  } else {
-    n->body.cb.cb();
-  }
+  dispatcher_(n->ev);
   free_node(n);
   return true;
 }

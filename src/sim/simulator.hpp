@@ -3,7 +3,7 @@
 // Clockless (asynchronous) circuits are data-driven: every latch, arbiter
 // and handshake control fires when its inputs change, after a circuit-
 // specific delay. That maps directly onto a classic discrete-event kernel:
-// components schedule callbacks at absolute picosecond timestamps, and the
+// components schedule events at absolute picosecond timestamps, and the
 // kernel dispatches them in (time, insertion-order) order so runs are
 // fully deterministic.
 //
@@ -22,51 +22,49 @@
 //     interarrivals, warm-up deadlines). Overflow events migrate into the
 //     wheel as the cursor approaches them.
 //
-// Hot per-flit events travel as TypedEvent records — a one-byte opcode
-// plus packed arguments filling the node's 64-byte capture area —
-// dispatched through a single registered switch function, so the steady-
-// state loop pays no indirect call, no capture construction and no
-// destructor per event. Cold/control events keep the type-erased
-// InlineFunction fallback (opcode 0). Event nodes are recycled through a
-// free list carved from slabs — the steady-state loop performs no
-// allocation at all.
+// Every event is a TypedEvent record — a one-byte opcode plus packed
+// arguments filling the node's 64-byte capture area — dispatched through
+// the one switch function registered on the kernel, so the loop pays no
+// indirect call per event beyond that switch, no capture construction
+// and no destructor. The node is trivially copyable. Payloads that own
+// memory stay with the component that scheduled them; the record
+// carries a receiver pointer and, where needed, a slot handle. Event
+// nodes are recycled through a free list carved from slabs — the
+// steady-state loop performs no allocation at all.
 //
 // Dispatch order is (time, birth, insertion seq), where `birth` is the
 // kernel clock at scheduling time. For events scheduled organically via
-// at()/after() the birth of a later seq is never smaller at equal time
-// (now() is nondecreasing), so the order is bit-identical to the classic
-// (time, insertion seq) kernel (sim/legacy_kernel.hpp keeps that
-// implementation for differential tests and benchmarks). The explicit
-// birth component exists for the sharded engine (sim/parallel.hpp):
-// boundary events handed across shards are admitted with the *sender's*
-// scheduling time as their birth, so a merged multi-kernel run dispatches
-// them exactly where the single-kernel run would have.
+// at_typed()/after_typed() the birth of a later seq is never smaller at
+// equal time (now() is nondecreasing), so the order is bit-identical to
+// the classic (time, insertion seq) kernel (sim/legacy_kernel.hpp keeps
+// that implementation for differential tests and benchmarks). The
+// explicit birth component exists for the sharded engine
+// (sim/parallel.hpp): boundary events handed across shards are admitted
+// with the *sender's* scheduling time as their birth, so a merged
+// multi-kernel run dispatches them exactly where the single-kernel run
+// would have.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <new>
 #include <type_traits>
 #include <vector>
 
 #include "sim/assert.hpp"
-#include "sim/callback.hpp"
 #include "sim/time.hpp"
 
 namespace mango::sim {
 
-/// POD record for a typed hot-path event: a small opcode plus packed
-/// arguments, dispatched through one registered switch function instead
-/// of a per-event type-erased callback. The payload holds a trivially
-/// copyable argument blob (a Flit or LinkFlit in the NoC model) by
-/// memcpy; p0/p1 carry receiver pointers and a/b/c/d small scalars. The
-/// record is exactly the event node's capture area, so scheduling a
-/// typed event is one 64-byte store with no indirect call, no capture
-/// construction and no destructor on recycle.
+/// POD record for one kernel event: a small opcode plus packed
+/// arguments, dispatched through one registered switch function. The
+/// payload holds a trivially copyable argument blob (a Flit or LinkFlit
+/// in the NoC model) by memcpy; p0/p1 carry receiver pointers and
+/// a/b/c/d small scalars. The record is exactly the event node's capture
+/// area, so scheduling an event is one 64-byte store with no indirect
+/// call, no capture construction and no destructor on recycle.
 struct TypedEvent {
-  std::uint8_t op;  ///< nonzero opcode (0 is reserved for callbacks)
+  std::uint8_t op;  ///< opcode, owned by the registered dispatcher
   std::uint8_t a;
   std::uint8_t b;
   std::uint8_t c;
@@ -79,106 +77,73 @@ static_assert(sizeof(TypedEvent) == 64, "typed record fills the capture area");
 static_assert(std::is_trivially_copyable_v<TypedEvent>,
               "typed records move by memcpy");
 
+/// The one opcode value sim/ reserves: a kernel-mode ControlPlane post
+/// (sim/parallel.hpp). p0 = the ControlPlane, d = its parked-action slot.
+/// Every dispatcher that shares a kernel with a ControlPlane routes this
+/// opcode to ControlPlane::fire(); every other value belongs to the
+/// model.
+inline constexpr std::uint8_t kOpControlPlane = 0xFF;
+
 /// The event kernel. One instance drives one simulated network.
 class Simulator {
  public:
-  /// 5 words of inline capture: fits every remaining cold-path callback
-  /// in the model (the largest captures a receiver pointer plus a
-  /// 32-byte Flit); hot per-flit events travel as TypedEvent records.
-  using Callback = InlineFunction<void(), 5>;
-
-  /// The typed-event switch, registered once by the model layer. Takes
-  /// the record by reference straight out of the event node.
+  /// The event switch, registered once per kernel by the model layer.
+  /// Takes the record by reference straight out of the event node.
   using TypedDispatcher = void (*)(TypedEvent&);
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-  ~Simulator();
 
   /// Current simulation time.
   Time now() const { return now_; }
 
-  /// Schedules `cb` at absolute time `t` (must be >= now()).
-  void at(Time t, Callback cb);
-
-  /// Emplace overload: constructs the callback directly inside the event
-  /// node — one capture construction instead of the three transfers
-  /// (functor -> Callback -> parameter -> node) the type-erased overload
-  /// performs. Every hot-path schedule resolves here.
-  template <typename F,
-            std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, Callback> &&
-                    std::is_invocable_r_v<void, std::decay_t<F>&>,
-                int> = 0>
-  void at(Time t, F&& f) {
-    MANGO_ASSERT(t >= now_, "cannot schedule an event in the past");
-    EventNode* n = alloc_node();
-    n->time = t;
-    n->birth = now_;
-    n->seq = next_seq_++;
-    n->body.cb.cb = std::forward<F>(f);
-    insert(n);
-  }
-
-  /// Schedules `cb` after `delay` picoseconds.
-  void after(Time delay, Callback cb) { at(now_ + delay, std::move(cb)); }
-
-  template <typename F,
-            std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, Callback> &&
-                    std::is_invocable_r_v<void, std::decay_t<F>&>,
-                int> = 0>
-  void after(Time delay, F&& f) {
-    at(now_ + delay, std::forward<F>(f));
-  }
-
-  /// Admits an event with an explicit birth timestamp. Used by the shard
-  /// engine to merge boundary events from other kernels: the event keeps
-  /// the *sender's* scheduling time as its tie-break key, so it sorts
-  /// against local events exactly as it would have in one shared kernel.
-  /// Requires t >= now() and birth <= t.
-  void admit(Time t, Time birth, Callback cb);
-
-  /// Registers the typed-event switch. Idempotent: re-registering the
-  /// same function is a no-op, a different one is a model error (the
-  /// kernel supports exactly one dispatch table per process image).
+  /// Registers the event switch. Idempotent: re-registering the same
+  /// function is a no-op, a different one is a model error (each
+  /// Simulator dispatches through exactly one switch; another kernel may
+  /// register a different one).
   void set_typed_dispatcher(TypedDispatcher d) {
     MANGO_ASSERT(dispatcher_ == nullptr || dispatcher_ == d,
                  "conflicting typed-event dispatchers");
     dispatcher_ = d;
   }
 
-  /// Schedules a typed record at absolute time `t` (must be >= now()).
-  /// The record is copied into the node's capture area — one 64-byte
-  /// store; dispatch order is identical to the callback overloads (the
-  /// node draws the same (time, birth, seq) key either way).
+  /// Schedules a record at absolute time `t` (must be >= now()). The
+  /// record is copied into the node's capture area — one 64-byte store.
+  /// A kernel with no registered dispatcher rejects the schedule, so
+  /// dispatch never calls through a null switch.
   void at_typed(Time t, const TypedEvent& ev) {
     MANGO_ASSERT(t >= now_, "cannot schedule an event in the past");
-    MANGO_ASSERT(ev.op != 0, "typed events need a nonzero opcode");
+    MANGO_ASSERT(dispatcher_ != nullptr,
+                 "event scheduled on a kernel with no dispatcher");
     EventNode* n = alloc_node();
     n->time = t;
     n->birth = now_;
     n->seq = next_seq_++;
-    ::new (&n->body.ev) TypedEvent(ev);
+    n->ev = ev;
     insert(n);
   }
 
-  /// Schedules a typed record after `delay` picoseconds.
+  /// Schedules a record after `delay` picoseconds.
   void after_typed(Time delay, const TypedEvent& ev) {
     at_typed(now_ + delay, ev);
   }
 
-  /// Typed twin of admit(): explicit-birth merge of a boundary record.
+  /// Admits a record with an explicit birth timestamp. Used by the shard
+  /// engine to merge boundary events from other kernels: the event keeps
+  /// the *sender's* scheduling time as its tie-break key, so it sorts
+  /// against local events exactly as it would have in one shared kernel.
+  /// Requires t >= now() and birth <= t.
   void admit_typed(Time t, Time birth, const TypedEvent& ev) {
     MANGO_ASSERT(t >= now_, "cannot admit an event in the past");
     MANGO_ASSERT(birth <= t, "admitted birth must not exceed the event time");
-    MANGO_ASSERT(ev.op != 0, "typed events need a nonzero opcode");
+    MANGO_ASSERT(dispatcher_ != nullptr,
+                 "event admitted on a kernel with no dispatcher");
     EventNode* n = alloc_node();
     n->time = t;
     n->birth = birth;
     n->seq = next_seq_++;
-    ::new (&n->body.ev) TypedEvent(ev);
+    n->ev = ev;
     insert(n);
   }
 
@@ -249,44 +214,21 @@ class Simulator {
   }
 
  private:
-  /// Fallback capture area: a type-erased callback behind the reserved
-  /// opcode 0. Shares a common initial sequence (the leading opcode
-  /// byte) with TypedEvent, so the kernel reads body.ev.op to tell which
-  /// union member is live without a separate discriminant.
-  struct CallbackSlot {
-    std::uint8_t op = 0;  ///< always 0 while a callback is live
-    Callback cb;
-  };
-  static_assert(sizeof(CallbackSlot) <= sizeof(TypedEvent),
-                "the callback fallback must fit the typed capture area");
-
   struct EventNode {
-    Time time = 0;
-    Time birth = 0;         // now() at scheduling time (tie-break level 2)
-    std::uint64_t seq = 0;  // FIFO tie-break for simultaneous events
-    EventNode* next = nullptr;
-    EventNode* prev = nullptr;  // bucket chains are doubly linked so the
-                                // out-of-order insert searches backward
-                                // from the tail (see insert_wheel)
-    /// 64-byte capture area. A recycled node always parks with the
-    /// callback slot live and empty (free_node restores that state), so
-    /// scheduling only ever transitions: callback schedules assign into
-    /// the empty cb, typed schedules end the slot's lifetime with a
-    /// trivial placement-new of the record.
-    union Body {
-      CallbackSlot cb;  ///< live iff ev.op == 0
-      TypedEvent ev;
-      Body() : cb{} {}
-      ~Body() {}  // EventNode destroys the live member
-    } body;
-
-    EventNode() = default;
-    EventNode(const EventNode&) = delete;
-    EventNode& operator=(const EventNode&) = delete;
-    ~EventNode() {
-      if (body.ev.op == 0) body.cb.~CallbackSlot();
-    }
+    Time time;
+    Time birth;         // now() at scheduling time (tie-break level 2)
+    std::uint64_t seq;  // FIFO tie-break for simultaneous events
+    EventNode* next;
+    EventNode* prev;  // bucket chains are doubly linked so the
+                      // out-of-order insert searches backward from the
+                      // tail (see insert_wheel)
+    TypedEvent ev;    // 64-byte capture area
   };
+  static_assert(std::is_trivially_copyable_v<EventNode>,
+                "event nodes are plain records");
+  static_assert(std::is_trivially_destructible_v<EventNode>,
+                "recycling a node runs no destructor");
+  static_assert(sizeof(EventNode) == 104, "five key/link words + the record");
   struct Bucket {
     EventNode* head = nullptr;
     EventNode* tail = nullptr;

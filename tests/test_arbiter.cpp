@@ -4,8 +4,9 @@
 #include <vector>
 
 #include "noc/router/arbiter.hpp"
-#include "sim/simulator.hpp"
 #include "sim/context.hpp"
+#include "sim/parallel.hpp"
+#include "sim/simulator.hpp"
 
 namespace mango::noc {
 namespace {
@@ -13,6 +14,8 @@ namespace {
 struct ArbiterHarness {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
+  /// Posts the harness's re-requests as kernel events.
+  sim::ControlPlane ctrl;
   RouterConfig cfg;
   StageDelays delays = stage_delays(TimingCorner::kWorstCase);
   std::unique_ptr<LinkArbiter> arb;
@@ -26,6 +29,7 @@ struct ArbiterHarness {
                           BePolicy policy = BePolicy::kIdleShares) {
     cfg.arbiter = kind;
     cfg.be_policy = policy;
+    ctrl.bind_kernel(sim);
     arb = std::make_unique<LinkArbiter>(sim, cfg, delays, "test-arb");
     grants.assign(cfg.vcs_per_port, 0);
     persistent.assign(cfg.vcs_per_port, false);
@@ -33,14 +37,16 @@ struct ArbiterHarness {
       ++grants[vc];
       arb->set_request_gs(vc, false);
       if (persistent[vc]) {
-        sim.after(1, [this, vc] { arb->set_request_gs(vc, true); });
+        ctrl.post_at(sim, sim.now() + 1,
+                     [this, vc] { arb->set_request_gs(vc, true); });
       }
     });
     arb->set_grant_be([this] {
       ++be_grants;
       arb->set_request_be(false);
       if (be_persistent) {
-        sim.after(1, [this] { arb->set_request_be(true); });
+        ctrl.post_at(sim, sim.now() + 1,
+                     [this] { arb->set_request_be(true); });
       }
     });
   }

@@ -4,9 +4,10 @@
 #include "baseline/output_buffered_router.hpp"
 #include "baseline/priority_vc_router.hpp"
 #include "baseline/tdm_router.hpp"
+#include "sim/context.hpp"
+#include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
-#include "sim/context.hpp"
 
 namespace mango::baseline {
 namespace {
@@ -25,10 +26,11 @@ TEST(OutputBuffered, UncontendedLatencyIsConstant) {
     latencies.push_back(lat);
   });
   // Well-spaced flits from one input: no contention.
+  sim::ControlPlane ctrl;
+  ctrl.bind_kernel(sim);
   for (int i = 0; i < 10; ++i) {
-    sim.at(static_cast<sim::Time>(i) * 10000, [&router] {
-      router.inject(0, 1, Flit{});
-    });
+    ctrl.post_at(sim, static_cast<sim::Time>(i) * 10000,
+                 [&router] { router.inject(0, 1, Flit{}); });
   }
   sim.run();
   ASSERT_EQ(latencies.size(), 10u);

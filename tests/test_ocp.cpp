@@ -1,6 +1,9 @@
 // Unit + integration tests for the OCP transaction layer and GALS model.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "noc/na/ocp.hpp"
 #include "noc/network/network.hpp"
 #include "sim/simulator.hpp"
@@ -120,6 +123,24 @@ TEST_F(OcpFixture, MultipleOutstandingTransactionsMatchByTag) {
   EXPECT_EQ(master.completed(), 8u);
   EXPECT_EQ(master.outstanding(), 0u);
   for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(read_back[i], 100 + i);
+}
+
+// Reads issued back to back complete in issue order with their own data,
+// also when a slow master clock holds several requests, and several
+// responses, in synchronization at once.
+TEST_F(OcpFixture, BackToBackReadsCompleteInIssueOrder) {
+  OcpMaster slow{net.na({0, 0}), ClockDomain{20000, 0}, "slow-cpu"};
+  for (std::uint32_t i = 0; i < 4; ++i) slave.poke(i, 100 + i);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> done;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    slow.issue(OcpRequest{OcpCmd::kRead, i, 0}, to_slave(), to_master(),
+               [&, i](const OcpResponse& r) { done.emplace_back(i, r.data); });
+  }
+  sim.run();
+  ASSERT_EQ(done.size(), 4u);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(done[i], std::make_pair(i, 100 + i));
+  }
 }
 
 TEST_F(OcpFixture, PokePeekBypassTheNetwork) {

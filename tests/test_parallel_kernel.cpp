@@ -20,6 +20,7 @@
 #include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "sim/spsc.hpp"
+#include "typed_recorder.hpp"
 
 namespace mango {
 namespace {
@@ -31,34 +32,28 @@ namespace {
 // though it was inserted later.
 TEST(ParallelKernel, AdmittedEventSortsByBirthAgainstLocals) {
   sim::Simulator s;
-  std::vector<int> order;
+  test::Recorder r(s);
   // Local event scheduled at t=50 for t=100: birth 50.
-  s.at(50, [&] { s.at(100, [&] { order.push_back(1); }); });
+  s.at_typed(50, r.action([&] { s.at_typed(100, r.id(1)); }));
   EXPECT_EQ(s.run_until(60), 1u);
   // Boundary event for the same instant, born at 10 on the sender.
-  s.admit(100, 10, [&] { order.push_back(2); });
+  s.admit_typed(100, 10, r.id(2));
   // And one born later than the local event.
-  s.admit(100, 70, [&] { order.push_back(3); });
+  s.admit_typed(100, 70, r.id(3));
   s.run_until(100);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 2);
-  EXPECT_EQ(order[1], 1);
-  EXPECT_EQ(order[2], 3);
+  EXPECT_EQ(r.order, (std::vector<int>{2, 1, 3}));
 }
 
 // Equal (time, birth) falls back to insertion order — the organic case,
 // identical to the classic (time, seq) kernel.
 TEST(ParallelKernel, EqualBirthPreservesInsertionOrder) {
   sim::Simulator s;
-  std::vector<int> order;
-  s.at(100, [&] { order.push_back(1); });
-  s.at(100, [&] { order.push_back(2); });
-  s.admit(100, 0, [&] { order.push_back(3); });
+  test::Recorder r(s);
+  s.at_typed(100, r.id(1));
+  s.at_typed(100, r.id(2));
+  s.admit_typed(100, 0, r.id(3));
   s.run();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
-  EXPECT_EQ(order[2], 3);
+  EXPECT_EQ(r.order, (std::vector<int>{1, 2, 3}));
 }
 
 // --- window contract ---------------------------------------------------
@@ -68,12 +63,11 @@ TEST(ParallelKernel, EqualBirthPreservesInsertionOrder) {
 // the barrier can admit boundary events *at* the edge.
 TEST(ParallelKernel, RunWindowIsHalfOpen) {
   sim::Simulator s;
-  int before = 0, edge = 0;
-  s.at(99, [&] { ++before; });
-  s.at(100, [&] { ++edge; });
+  test::Recorder r(s);
+  s.at_typed(99, r.id(1));
+  s.at_typed(100, r.id(2));
   EXPECT_EQ(s.run_window(100), 1u);
-  EXPECT_EQ(before, 1);
-  EXPECT_EQ(edge, 0);
+  EXPECT_EQ(r.order, (std::vector<int>{1}));
   EXPECT_EQ(s.now(), 100u);
   EXPECT_EQ(s.pending(), 1u);
 }
@@ -84,29 +78,69 @@ TEST(ParallelKernel, RunWindowIsHalfOpen) {
 // its sender-side birth is earlier.
 TEST(ParallelKernel, BoundaryFlitExactlyOnWindowEdgeMergesByBirth) {
   sim::Simulator s;
-  std::vector<int> order;
-  s.at(40, [&] { s.at(100, [&] { order.push_back(1); }); });  // birth 40
+  test::Recorder r(s);
+  s.at_typed(40, r.action([&] { s.at_typed(100, r.id(1)); }));  // birth 40
   s.run_window(100);  // park at the edge; the t=100 event is pending
-  s.admit(100, 20, [&] { order.push_back(2); });  // born earlier remotely
+  s.admit_typed(100, 20, r.id(2));  // born earlier remotely
   s.run_window(200);
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 2);
-  EXPECT_EQ(order[1], 1);
+  EXPECT_EQ(r.order, (std::vector<int>{2, 1}));
 }
 
 // run_until_tie aligns a shard on an exact (time, birth) key: events
 // strictly before the key dispatch, the event *at* the key does not.
 TEST(ParallelKernel, RunUntilTieStopsAtTheExactKey) {
   sim::Simulator s;
-  std::vector<int> order;
-  s.admit(100, 10, [&] { order.push_back(1); });
-  s.admit(100, 50, [&] { order.push_back(2); });
+  test::Recorder r(s);
+  s.admit_typed(100, 10, r.id(1));
+  s.admit_typed(100, 50, r.id(2));
   EXPECT_EQ(s.run_until_tie(100, 50), 1u);
-  ASSERT_EQ(order.size(), 1u);
-  EXPECT_EQ(order[0], 1);
+  EXPECT_EQ(r.order, (std::vector<int>{1}));
   EXPECT_EQ(s.now(), 100u);
   s.run();
-  EXPECT_EQ(order.size(), 2u);
+  EXPECT_EQ(r.order.size(), 2u);
+}
+
+// In kernel mode a control post is one typed record: it draws the
+// (time, birth, seq) key at_typed() would, and an action may post more
+// actions (its slot is freed before it runs, so the nested post reuses
+// it).
+TEST(ParallelKernel, KernelModeControlPostKeepsThePlainEventKey) {
+  sim::Simulator s;
+  test::Recorder r(s);
+  sim::ControlPlane ctrl;
+  ctrl.bind_kernel(s);
+  s.at_typed(100, r.id(1));  // birth 0
+  s.run_until(50);
+  s.admit_typed(100, 20, r.id(2));  // born before the post
+  ctrl.post_at(s, 100, [&] {        // birth 50
+    r.order.push_back(3);
+    ctrl.post_at(s, 100, [&] { r.order.push_back(5); });  // birth 100
+  });
+  s.admit_typed(100, 70, r.id(4));  // born after the post
+  s.run();
+  EXPECT_EQ(r.order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+// A kernel-mode post the kernel rejects (here: no dispatcher registered)
+// claims no slot, so the next post reuses slot 0.
+std::vector<std::uint32_t> g_fired_slots;
+void record_slot(sim::TypedEvent& ev) {
+  g_fired_slots.push_back(ev.d);
+  sim::ControlPlane::fire(ev);
+}
+
+TEST(ParallelKernel, RejectedKernelModePostClaimsNoSlot) {
+  g_fired_slots.clear();
+  sim::Simulator s;
+  sim::ControlPlane ctrl;
+  ctrl.bind_kernel(s);
+  bool ran = false;
+  EXPECT_THROW(ctrl.post_at(s, 10, [&] { ran = true; }), ModelError);
+  s.set_typed_dispatcher(&record_slot);
+  ctrl.post_at(s, 10, [&] { ran = true; });
+  s.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(g_fired_slots, (std::vector<std::uint32_t>{0}));
 }
 
 // --- lookahead ---------------------------------------------------------
@@ -186,10 +220,10 @@ TEST(ParallelKernel, PerRecordHandoffIsACheckedError) {
 TEST(ParallelKernel, ElisionSkipsOnlyQuietWholeWindows) {
   constexpr sim::Time kW = 1000;
   constexpr std::uint64_t kWindows = 300;
-  struct Tick {
-    sim::Simulator* s;
-    sim::Time period;
-    void operator()() const { s->after(period, Tick{s, period}); }
+  // Each kernel's one record re-arms itself: p0 = its kernel, d = its
+  // period.
+  const sim::Simulator::TypedDispatcher tick = [](sim::TypedEvent& ev) {
+    static_cast<sim::Simulator*>(ev.p0)->after_typed(ev.d, ev);
   };
   for (const std::uint64_t every : {1u, 3u}) {
     std::vector<std::unique_ptr<sim::Simulator>> kernels;
@@ -197,7 +231,12 @@ TEST(ParallelKernel, ElisionSkipsOnlyQuietWholeWindows) {
     for (int i = 0; i < 4; ++i) {
       kernels.push_back(std::make_unique<sim::Simulator>());
       sims.push_back(kernels.back().get());
-      sims.back()->at(0, Tick{sims.back(), every * kW});
+      sims.back()->set_typed_dispatcher(tick);
+      sim::TypedEvent ev{};
+      ev.op = 1;
+      ev.p0 = sims.back();
+      ev.d = static_cast<std::uint32_t>(every * kW);
+      sims.back()->at_typed(0, ev);
     }
     sim::ControlPlane ctrl;
     ctrl.bind_engine(sims);

@@ -2,8 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "noc/router/sharebox.hpp"
-#include "sim/simulator.hpp"
 #include "sim/context.hpp"
+#include "sim/parallel.hpp"
+#include "sim/simulator.hpp"
 
 namespace mango::noc {
 namespace {
@@ -17,7 +18,9 @@ TEST(Sharebox, LockUnlockCycle) {
   EXPECT_FALSE(box.can_admit());
   sim::Time ready_at = 0;
   box.set_on_ready([&] { ready_at = sim.now(); });
-  sim.at(1000, [&] { box.on_reverse_signal(); });
+  sim::ControlPlane ctrl;
+  ctrl.bind_kernel(sim);
+  ctrl.post_at(sim, 1000, [&] { box.on_reverse_signal(); });
   sim.run();
   EXPECT_TRUE(box.can_admit());
   EXPECT_EQ(ready_at, 1100u);  // unlock toggle + re-arm delay

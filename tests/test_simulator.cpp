@@ -4,9 +4,12 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "typed_recorder.hpp"
 
 namespace mango::sim {
 namespace {
+
+using test::Recorder;
 
 TEST(Simulator, StartsAtTimeZeroAndIdle) {
   Simulator sim;
@@ -18,42 +21,43 @@ TEST(Simulator, StartsAtTimeZeroAndIdle) {
 
 TEST(Simulator, DispatchesInTimeOrder) {
   Simulator sim;
-  std::vector<int> order;
-  sim.at(300, [&] { order.push_back(3); });
-  sim.at(100, [&] { order.push_back(1); });
-  sim.at(200, [&] { order.push_back(2); });
+  Recorder r(sim);
+  sim.at_typed(300, r.id(3));
+  sim.at_typed(100, r.id(1));
+  sim.at_typed(200, r.id(2));
   sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(r.order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.now(), 300u);
 }
 
 TEST(Simulator, SimultaneousEventsDispatchFifo) {
   Simulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    sim.at(500, [&order, i] { order.push_back(i); });
-  }
+  Recorder r(sim);
+  for (int i = 0; i < 10; ++i) sim.at_typed(500, r.id(i));
   sim.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(r.order[static_cast<size_t>(i)], i);
 }
 
 TEST(Simulator, AfterSchedulesRelativeToNow) {
   Simulator sim;
+  Recorder r(sim);
   Time fired_at = 0;
-  sim.at(1000, [&] {
-    sim.after(250, [&] { fired_at = sim.now(); });
-  });
+  sim.at_typed(1000, r.action([&] {
+    sim.after_typed(250, r.action([&] { fired_at = sim.now(); }));
+  }));
   sim.run();
   EXPECT_EQ(fired_at, 1250u);
 }
 
 TEST(Simulator, EventsMayScheduleMoreEvents) {
   Simulator sim;
+  Recorder r(sim);
   int count = 0;
-  std::function<void()> chain = [&] {
-    if (++count < 100) sim.after(10, chain);
-  };
-  sim.after(10, chain);
+  TypedEvent chain{};
+  chain = r.action([&] {
+    if (++count < 100) sim.after_typed(10, chain);
+  });
+  sim.after_typed(10, chain);
   sim.run();
   EXPECT_EQ(count, 100);
   EXPECT_EQ(sim.now(), 1000u);
@@ -61,58 +65,82 @@ TEST(Simulator, EventsMayScheduleMoreEvents) {
 
 TEST(Simulator, RunUntilStopsAtBoundaryAndAdvancesClock) {
   Simulator sim;
-  int fired = 0;
-  sim.at(100, [&] { ++fired; });
-  sim.at(200, [&] { ++fired; });
-  sim.at(300, [&] { ++fired; });
+  Recorder r(sim);
+  sim.at_typed(100, r.id(0));
+  sim.at_typed(200, r.id(0));
+  sim.at_typed(300, r.id(0));
   const auto n = sim.run_until(250);
   EXPECT_EQ(n, 2u);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(r.order.size(), 2u);
   EXPECT_EQ(sim.now(), 250u);  // clock advances to the boundary
   EXPECT_EQ(sim.pending(), 1u);
   sim.run();
-  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(r.order.size(), 3u);
 }
 
 TEST(Simulator, RunUntilIncludesEventsAtTheBoundary) {
   Simulator sim;
-  int fired = 0;
-  sim.at(250, [&] { ++fired; });
+  Recorder r(sim);
+  sim.at_typed(250, r.id(0));
   sim.run_until(250);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(r.order.size(), 1u);
 }
 
 TEST(Simulator, SchedulingInThePastIsAModelError) {
   Simulator sim;
-  sim.at(100, [] {});
+  Recorder r(sim);
+  sim.at_typed(100, r.id(0));
   sim.step();
   EXPECT_EQ(sim.now(), 100u);
-  EXPECT_THROW(sim.at(50, [] {}), ModelError);
+  EXPECT_THROW(sim.at_typed(50, r.id(0)), ModelError);
+  EXPECT_THROW(sim.admit_typed(50, 0, r.id(0)), ModelError);
 }
 
-TEST(Simulator, EmptyCallbackIsAModelError) {
+// A kernel with no registered dispatcher rejects every schedule as a
+// model error — it never reaches dispatch with a null switch — and
+// stays usable once a dispatcher is registered.
+TEST(Simulator, SchedulingWithoutADispatcherIsAModelError) {
   Simulator sim;
-  EXPECT_THROW(sim.at(10, Simulator::Callback{}), ModelError);
+  TypedEvent ev{};
+  ev.op = 1;
+  EXPECT_THROW(sim.at_typed(10, ev), ModelError);
+  EXPECT_THROW(sim.after_typed(10, ev), ModelError);
+  EXPECT_THROW(sim.admit_typed(10, 0, ev), ModelError);
+  EXPECT_TRUE(sim.idle());
+  Recorder r(sim);
+  sim.at_typed(10, r.id(1));
+  sim.run();
+  EXPECT_EQ(r.order, (std::vector<int>{1}));
+}
+
+TEST(Simulator, ConflictingDispatchersAreAModelError) {
+  Simulator sim;
+  Recorder r(sim);
+  EXPECT_THROW(sim.set_typed_dispatcher([](TypedEvent&) {}), ModelError);
+  // Each kernel owns its dispatcher: another kernel may register another.
+  Simulator other;
+  other.set_typed_dispatcher([](TypedEvent&) {});
 }
 
 TEST(Simulator, CountsDispatchedEvents) {
   Simulator sim;
-  for (int i = 0; i < 7; ++i) sim.at(static_cast<Time>(i), [] {});
+  Recorder r(sim);
+  for (int i = 0; i < 7; ++i) sim.at_typed(static_cast<Time>(i), r.id(i));
   sim.run();
   EXPECT_EQ(sim.events_dispatched(), 7u);
 }
 
 TEST(Simulator, ZeroDelayEventRunsAtCurrentTime) {
   Simulator sim;
-  std::vector<int> order;
-  sim.at(100, [&] {
-    order.push_back(1);
-    sim.after(0, [&] { order.push_back(2); });
-  });
-  sim.at(100, [&] { order.push_back(3); });
+  Recorder r(sim);
+  sim.at_typed(100, r.action([&] {
+    r.order.push_back(1);
+    sim.after_typed(0, r.id(2));
+  }));
+  sim.at_typed(100, r.id(3));
   sim.run();
   // The zero-delay event was enqueued after the second t=100 event.
-  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+  EXPECT_EQ(r.order, (std::vector<int>{1, 3, 2}));
 }
 
 TEST(TimeHelpers, LiteralsAndConversions) {

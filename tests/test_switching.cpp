@@ -5,8 +5,9 @@
 
 #include "noc/common/config.hpp"
 #include "noc/router/switching.hpp"
-#include "sim/simulator.hpp"
 #include "sim/context.hpp"
+#include "sim/parallel.hpp"
+#include "sim/simulator.hpp"
 
 namespace mango::noc {
 namespace {
@@ -17,6 +18,9 @@ struct SwitchingFixture : ::testing::Test {
   RouterConfig cfg;
   StageDelays delays = stage_delays(TimingCorner::kWorstCase);
   SwitchingModule sw{sim, cfg, delays};
+  /// Posts test stimuli as kernel events.
+  sim::ControlPlane ctrl;
+  SwitchingFixture() { ctrl.bind_kernel(sim); }
 };
 
 TEST_F(SwitchingFixture, NetworkInputMapUsesAllEightCodes) {
@@ -106,7 +110,7 @@ TEST_F(SwitchingFixture, GsDeliveryIsConstantLatency) {
   const SteerBits steer = sw.encode_gs(port_of(Direction::kWest), dest);
   Flit f;
   f.data = 99;
-  sim.at(1000, [&] {
+  ctrl.post_at(sim, 1000, [&] {
     sw.route(port_of(Direction::kWest), LinkFlit{steer, f});
   });
   sim.run();
@@ -126,7 +130,7 @@ TEST_F(SwitchingFixture, BeDeliveryAfterSplitOnly) {
   });
   const PortIdx in = port_of(Direction::kSouth);
   Flit f;
-  sim.at(500, [&] {
+  ctrl.post_at(sim, 500, [&] {
     sw.route(in, LinkFlit{SteerBits{sw.be_code(in), 0}, f});
   });
   sim.run();

@@ -2,8 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "noc/router/vc_buffer.hpp"
-#include "sim/simulator.hpp"
 #include "sim/context.hpp"
+#include "sim/parallel.hpp"
+#include "sim/simulator.hpp"
 
 namespace mango::noc {
 namespace {
@@ -14,6 +15,9 @@ struct VcBufferFixture : ::testing::Test {
   StageDelays delays = stage_delays(TimingCorner::kWorstCase);
   VcBufferId id{port_of(Direction::kEast), 2};
   VcBuffer buf{sim, delays, VcScheme::kShareBased, id};
+  /// Posts test stimuli as kernel events.
+  sim::ControlPlane ctrl;
+  VcBufferFixture() { ctrl.bind_kernel(sim); }
 };
 
 TEST_F(VcBufferFixture, FlitAdvancesToSlotAfterBufAdvance) {
@@ -21,7 +25,7 @@ TEST_F(VcBufferFixture, FlitAdvancesToSlotAfterBufAdvance) {
   buf.set_on_head([&] { head_at = sim.now(); });
   Flit f;
   f.data = 7;
-  sim.at(100, [&] { buf.accept_unshare(f); });
+  ctrl.post_at(sim, 100, [&] { buf.accept_unshare(f); });
   sim.run();
   EXPECT_TRUE(buf.has_head());
   EXPECT_EQ(buf.head().data, 7u);
@@ -108,14 +112,17 @@ TEST(VcBufferOrder, FifoOrderPreserved) {
   VcBuffer buf(sim, delays, VcScheme::kShareBased,
                VcBufferId{port_of(Direction::kNorth), 1});
   std::vector<std::uint32_t> out;
+  sim::ControlPlane ctrl;
+  ctrl.bind_kernel(sim);
   // Interleave accepts and pops with proper spacing.
   for (std::uint32_t i = 0; i < 10; ++i) {
-    sim.at(i * 5000, [&buf, i] {
+    ctrl.post_at(sim, i * 5000, [&buf, i] {
       Flit f;
       f.data = i;
       buf.accept_unshare(f);
     });
-    sim.at(i * 5000 + 2000, [&buf, &out] { out.push_back(buf.pop().data); });
+    ctrl.post_at(sim, i * 5000 + 2000,
+                 [&buf, &out] { out.push_back(buf.pop().data); });
   }
   sim.run();
   ASSERT_EQ(out.size(), 10u);
