@@ -43,7 +43,7 @@ Point run_load(sim::Time interarrival_ps) {
     s->stop();
     generated += s->generated();
   }
-  sim::LatencyHistogram all;
+  sim::Histogram all;
   std::uint64_t delivered = 0;
   for (auto& [tag, s] : hub.flows_by_tag()) {
     delivered += s->packets;

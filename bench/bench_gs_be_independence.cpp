@@ -68,7 +68,7 @@ Point run(sim::Time be_interarrival_ps) {
   p.gs_p99 = g.latency_ns.p99();
   p.gs_jitter = g.latency_ns.max() - g.latency_ns.quantile(0.0);
   p.gs_seq_errors = g.seq_errors;
-  sim::LatencyHistogram be_all;
+  sim::Histogram be_all;
   for (auto& [tag, s] : hub.flows_by_tag()) {
     if (tag < kBeTagBase) continue;
     p.be_packets += s->packets;

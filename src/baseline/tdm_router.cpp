@@ -67,7 +67,6 @@ void TdmRouter::start() {
 }
 
 void TdmRouter::tick() {
-  ++ticks_;
   // All output ports advance in lockstep on the global clock.
   for (unsigned out = 0; out < ports_; ++out) {
     const std::uint32_t conn = slot_table_[out][cursor_];
@@ -76,7 +75,6 @@ void TdmRouter::tick() {
     if (q.empty()) continue;  // unused slot is wasted (no work conservation)
     noc::Flit f = q.front();
     q.pop_front();
-    ++forwarded_;
     if (delivery_) delivery_(conn, std::move(f));
   }
   cursor_ = (cursor_ + 1) % slots_;

@@ -50,8 +50,6 @@ class TdmRouter {
 
   unsigned slots_reserved(std::uint32_t conn) const;
   unsigned slots_free(unsigned out) const;
-  std::uint64_t flits_forwarded() const { return forwarded_; }
-  std::uint64_t clock_ticks() const { return ticks_; }
   /// Bandwidth granularity: fraction of link bandwidth per slot.
   double bandwidth_quantum() const { return 1.0 / slots_; }
 
@@ -73,8 +71,6 @@ class TdmRouter {
   unsigned cursor_ = 0;
   bool running_ = false;
   Delivery delivery_;
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t ticks_ = 0;
 };
 
 }  // namespace mango::baseline

@@ -43,7 +43,7 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
   st.be_packets_generated = sum_counter(net, "traffic.be_packets_generated");
   // Latency aggregates are counted over the per-flow logs of every
   // shard hub: memory O(distinct latencies), not O(samples).
-  sim::LatencyHistogram be_lat;
+  sim::Histogram be_lat;
   const auto be_base = noc::kBeTagBase;
   // One flow per core: concentrated meshes run spec().concentration BE
   // sources per router (flow = node * k + core).
@@ -74,7 +74,7 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
                              ? guarantee
                              : 1000.0 / static_cast<double>(spec.gs_period_ps);
   const double expected_rate = std::min(offered, guarantee);
-  sim::LatencyHistogram gs_lat;
+  sim::Histogram gs_lat;
   for (const noc::GsSetEndpoint& ep : gs_eps) {
     if (!hub.has_flow(ep.tag)) {
       // Nothing delivered on an open, driven connection at all.

@@ -5,10 +5,8 @@
 // at a time, zero shared mutable state between scenarios), so results
 // are bit-identical for any --jobs value: workers write into a
 // preallocated slot per spec and the report keeps spec order, not
-// completion order. The only process-global the simulation layer has is
-// Logger::instance() behind MANGO_LOG, which the sweep contract
-// requires to stay at its default kOff level while a sweep is running
-// (see DESIGN.md "Experiment layer").
+// completion order. The simulation layer holds no process-global
+// simulation state (see DESIGN.md "Experiment layer").
 #pragma once
 
 #include <cstdint>

@@ -95,7 +95,6 @@ struct Connection {
   bool ready() const {
     return state == ConnState::kReady || state == ConnState::kDraining;
   }
-  LocalIfaceIdx dst_iface() const { return hops.back().second.vc; }
   unsigned link_hops() const {
     return static_cast<unsigned>(hops.size()) - 1;
   }

@@ -52,9 +52,8 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
   // router), so stripes balance work, not node count — on a cmesh every
   // router carries `concentration` cores' injection, on an irregular
   // graph hub nodes carry more transit. Every shard above 0 gets its
-  // own SimContext, seeded like shard 0's so derived streams are
-  // reproducible; no component draws from a context RNG at run time, so
-  // identical seeding is safe.
+  // own SimContext with shard 0's seed (a context draws no random
+  // numbers, so identical seeding is safe).
   shard_of_ = partition_shards(plan_->partition_weights(),
                                cfg_.shards == 0 ? 1 : cfg_.shards);
   const unsigned n_shards = shard_of_.empty() ? 1 : shard_of_.back() + 1;

@@ -145,14 +145,11 @@ ConnectionLifecycleReport ConnectionLifecycleReport::from(
   r.closed = st.closed;
   r.retries = st.retries;
   r.blocking_probability = st.blocking_probability();
-  // Histogram quantiles sort lazily; copy so a const broker stays const.
-  sim::Histogram setup = st.setup_latency_ns;
-  sim::Histogram teardown = st.teardown_latency_ns;
-  r.setup_p50_ns = setup.p50();
-  r.setup_p99_ns = setup.p99();
-  r.setup_max_ns = setup.max();
-  r.teardown_p50_ns = teardown.p50();
-  r.teardown_p99_ns = teardown.p99();
+  r.setup_p50_ns = st.setup_latency_ns.p50();
+  r.setup_p99_ns = st.setup_latency_ns.p99();
+  r.setup_max_ns = st.setup_latency_ns.max();
+  r.teardown_p50_ns = st.teardown_latency_ns.p50();
+  r.teardown_p99_ns = st.teardown_latency_ns.p99();
   return r;
 }
 

@@ -30,7 +30,6 @@
 
 #include "noc/common/config.hpp"
 #include "noc/common/ids.hpp"
-#include "sim/assert.hpp"
 #include "sim/callback.hpp"
 #include "sim/simulator.hpp"
 
@@ -53,12 +52,6 @@ class LinkArbiter {
   /// lines in sync with that condition.
   void set_request_gs(VcIdx vc, bool requesting);
   void set_request_be(bool requesting);
-
-  bool request_gs(VcIdx vc) const {
-    MANGO_ASSERT(vc < vcs_, "request query for nonexistent VC on " + name_);
-    return ((gs_mask_ >> vc) & 1u) != 0;
-  }
-  bool request_be() const { return be_req_; }
 
   /// Grant counters (fairness measurements).
   std::uint64_t grants_gs(VcIdx vc) const { return gs_grants_.at(vc); }

@@ -233,7 +233,6 @@ void BeRouter::try_route(unsigned out) {
   f.bevc = ovc != 0;
   const bool eop = f.eop;
   ++flits_routed_;
-  ++out_flits_[out];
   if (eop) {
     ++packets_routed_;
     ist.awaiting_header = true;

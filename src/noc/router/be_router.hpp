@@ -134,7 +134,6 @@ class BeRouter {
 
   std::uint64_t flits_routed() const { return flits_routed_; }
   std::uint64_t packets_routed() const { return packets_routed_; }
-  std::uint64_t flits_to(unsigned out) const { return out_flits_.at(out); }
 
  private:
   static constexpr std::uint8_t kNoReg = 0xFF;
@@ -185,7 +184,6 @@ class BeRouter {
   std::array<std::array<InputState, kMaxBeVcs>, kNumPorts> in_state_{};
   std::array<OutputHooks, kNumOutputs> outputs_{};
   std::array<OutputState, kNumOutputs> out_state_{};
-  std::array<std::uint64_t, kNumOutputs> out_flits_{};
   std::uint64_t flits_routed_ = 0;
   std::uint64_t packets_routed_ = 0;
 };

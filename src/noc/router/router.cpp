@@ -37,7 +37,7 @@ void BeOutputStage::on_grant() {
     Flit f = lane.fifo.front();
     lane.fifo.pop_front();
     --lane.credits;
-    ++flits_sent_;
+    ++owner_->link_flits_sent_;
     Link* link = owner_->link(port_);
     MANGO_ASSERT(link != nullptr, "BE flit granted onto an unattached port");
     link->send_flit(owner_, LinkFlit{SteerBits{peer_split_code_, 0}, f});

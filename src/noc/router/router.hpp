@@ -63,7 +63,6 @@ class BeOutputStage {
   void on_credit_return(BeVcIdx vc);    ///< downstream freed a VC slot
 
   unsigned credits(BeVcIdx vc = 0) const { return lanes_.at(vc).credits; }
-  std::uint64_t flits_sent() const { return flits_sent_; }
 
  private:
   struct Lane {
@@ -79,7 +78,6 @@ class BeOutputStage {
   std::vector<Lane> lanes_;
   unsigned rr_ = 0;
   std::uint8_t peer_split_code_ = 0;
-  std::uint64_t flits_sent_ = 0;
 };
 
 /// Aggregated activity counters (input to the power model).
@@ -88,7 +86,7 @@ struct RouterActivity {
   std::uint64_t vc_control_signals = 0;
   std::uint64_t arb_grants = 0;
   std::uint64_t be_router_flits = 0;
-  std::uint64_t link_flits_sent = 0;
+  std::uint64_t link_flits_sent = 0;  ///< GS and BE flits put on links
 };
 
 class Router {
@@ -106,7 +104,7 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   /// The simulation services this router runs in. Components attached to
-  /// the router (NA, links, traffic) reach the kernel/RNG/stats this way
+  /// the router (NA, links, traffic) reach the kernel/stats/pools this way
   /// instead of taking them as constructor arguments.
   sim::SimContext& ctx() { return ctx_; }
 
@@ -229,7 +227,6 @@ class Router {
   const LinkArbiter& arbiter(PortIdx port) const { return *arbiters_.at(port); }
   BeRouter& be_router() { return be_; }
   const BeRouter& be_router() const { return be_; }
-  BeOutputStage& be_output(PortIdx port) { return be_out_.at(port); }
   VcBuffer& vc_buffer(VcBufferId id) { return *bufs_.at(buf_index(id)); }
   VcFlowControl& flow_control(PortIdx port, VcIdx vc);
 
@@ -285,6 +282,8 @@ class Router {
   BeDeliveryHook local_be_delivery_;
   BeTimedDeliveryHook local_be_delivery_timed_;
 
+  /// GS sends count here directly, BE sends through the output stage.
+  friend class BeOutputStage;
   std::uint64_t link_flits_sent_ = 0;
 };
 

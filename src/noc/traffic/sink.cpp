@@ -62,7 +62,6 @@ void MeasurementHub::record_gs_flit(sim::Time now, const Flit& f) {
   FlowStats& s = slot(f.tag);
   ++s.flits;
   s.latency_ns.add(now - f.injected_at);
-  s.throughput.record(now);
   if (f.seq != s.next_seq) ++s.seq_errors;
   s.next_seq = f.seq + 1;
 }
@@ -74,7 +73,6 @@ void MeasurementHub::record_be_packet(sim::Time now, const BePacket& pkt) {
   ++s.packets;
   s.flits += pkt.size();
   s.latency_ns.add(now - header.injected_at);
-  s.throughput.record(now);
 }
 
 std::uint64_t MeasurementHub::total_flits() const {
@@ -126,8 +124,7 @@ std::uint64_t HubSet::flow_seq_errors(std::uint32_t tag) const {
   return n;
 }
 
-void HubSet::count_latencies(std::uint32_t tag,
-                             sim::LatencyHistogram& into) const {
+void HubSet::count_latencies(std::uint32_t tag, sim::Histogram& into) const {
   for (const MeasurementHub& hub : hubs_) {
     if (const FlowStats* f = hub.find_flow(tag)) f->latency_ns.count_into(into);
   }

@@ -1,4 +1,4 @@
-// Measurement sinks: per-flow latency/throughput/ordering statistics.
+// Measurement sinks: per-flow latency, volume and ordering statistics.
 //
 // The hub sits on the delivery hot path (one record_* call per delivered
 // GS flit / BE packet), so flow stats live in dense, index-addressed
@@ -8,8 +8,8 @@
 // (interleaved GS deliveries miss the cache on most records), and
 // iteration follows a sorted tag index so reports are byte-stable.
 // Latencies are logged as 4-byte integer-picosecond counts in delivery
-// order; aggregates are built by counting (sim::LatencyHistogram), never
-// by concatenating samples.
+// order; aggregates are built by counting (sim::Histogram), never by
+// concatenating samples.
 #pragma once
 
 #include <cstdint>
@@ -29,17 +29,10 @@ struct FlowStats {
   /// Per flit (GS) or per packet (BE), in delivery order; stored in ps,
   /// quantiles read in ns.
   sim::LatencyLog latency_ns;
-  sim::ThroughputMeter throughput; ///< flits (GS) / packets (BE)
   std::uint64_t flits = 0;
   std::uint64_t packets = 0;
   std::uint64_t seq_errors = 0;   ///< out-of-order or lost flits
   std::uint64_t next_seq = 0;
-
-  /// Delivered flit rate in flits per nanosecond over [t0, t1].
-  double flits_per_ns(sim::Time t0, sim::Time t1) const {
-    if (t1 <= t0) return 0.0;
-    return static_cast<double>(flits) / sim::to_ns(t1 - t0);
-  }
 };
 
 class MeasurementHub;
@@ -74,8 +67,8 @@ class HubSet {
   /// GS flow's samples in exact delivery order.
   template <class F>
   void for_each_latency(std::uint32_t tag, F&& f) const;
-  /// Counts every latency sample of `tag` into `into`.
-  void count_latencies(std::uint32_t tag, sim::LatencyHistogram& into) const;
+  /// Counts every latency sample of `tag` into `into`, as sim::to_ns(ps).
+  void count_latencies(std::uint32_t tag, sim::Histogram& into) const;
   /// Appends every latency sample of `tag` as sim::to_ns(ps), in
   /// for_each_latency order (delivery order for a GS flow).
   void append_latency_samples(std::uint32_t tag,
@@ -109,8 +102,6 @@ class MeasurementHub {
   FlowStats& flow(std::uint32_t tag) { return slot(tag); }
   const FlowStats* find_flow(std::uint32_t tag) const { return lookup(tag); }
   bool has_flow(std::uint32_t tag) const { return find_flow(tag) != nullptr; }
-
-  std::size_t flow_count() const { return index_.size(); }
 
   /// Flows in ascending tag order (deterministic report iteration).
   std::vector<std::pair<std::uint32_t, const FlowStats*>> flows_by_tag() const;

@@ -1,7 +1,10 @@
 #include "noc/traffic/workload.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
+#include "model/timing.hpp"
 #include "sim/assert.hpp"
 
 namespace mango::noc {
@@ -370,6 +373,19 @@ ChurnWorkload::ChurnWorkload(Network& net, ConnectionBroker& broker,
   MANGO_ASSERT(opt_.gs_period_ps > 0,
                "churn streams must be CBR (period > 0): a saturating "
                "stream never drains for teardown");
+  // A stream faster than its VC's worst-case service rate backs up in
+  // the NA source queue, and the post-stop drain need not finish. The
+  // service time is a whole number of ps (V arbitration cycles or one
+  // VC handshake loop); llround only undoes the division's rounding.
+  const NetworkConfig& cfg = net_.config();
+  const auto min_period = static_cast<sim::Time>(
+      std::llround(1000.0 / model::fair_share_guarantee_flits_per_ns(
+                                cfg.router.corner, cfg.router.vcs_per_port,
+                                cfg.link_pipeline_stages)));
+  MANGO_ASSERT(opt_.gs_period_ps >= min_period,
+               "churn GS period " + std::to_string(opt_.gs_period_ps) +
+                   " ps is below the worst-case per-VC service time " +
+                   std::to_string(min_period) + " ps");
   MANGO_ASSERT(net_.node_count() > 1, "churn needs at least two nodes");
 }
 

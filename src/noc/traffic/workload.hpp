@@ -167,7 +167,8 @@ struct ChurnOptions {
   sim::Time mean_hold_ps = 300000;
   /// CBR flit period of the per-connection GS stream. Must be >= the
   /// worst-case per-VC service time (fair-share guarantee period) so the
-  /// NA source queue stays empty and the post-stop drain terminates.
+  /// NA source queue stays empty and the post-stop drain terminates;
+  /// the constructor throws a ModelError otherwise.
   sim::Time gs_period_ps = 16000;
   /// Drain poll cadence: after stopping a stream the workload waits
   /// until delivered == generated before requesting the close.

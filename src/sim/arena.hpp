@@ -77,12 +77,6 @@ class Arena {
     for (const Chunk& c : chunks_) n += c.size;
     return n;
   }
-  /// Bytes handed out (including alignment padding).
-  std::size_t bytes_used() const {
-    std::size_t n = 0;
-    for (const Chunk& c : chunks_) n += c.used;
-    return n;
-  }
 
  private:
   struct Chunk {

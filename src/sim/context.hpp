@@ -1,23 +1,18 @@
 // SimContext: the per-simulation service bundle.
 //
-// One simulated network needs exactly one event kernel, one root RNG, one
-// stats registry and a logger. Before SimContext these traveled as ad-hoc
-// constructor arguments (every component took Simulator&, traffic sources
-// seeded their own RNGs, stats lived wherever a bench put them); now a
-// single context object is threaded through Network -> Router/NA/Link ->
-// traffic, and any component can reach every service from it. Two
-// SimContexts never share state — each owns its kernel, RNG, stats and
-// logger — so independent simulations can run side by side in one
-// process (A/B corners, differential tests). Only the MANGO_LOG macro
-// bypasses the context: it writes to the process-global
-// Logger::instance(), not to any context's logger.
+// One simulated network needs exactly one event kernel, one stats
+// registry and one set of object pools. A single context object is
+// threaded through Network -> Router/NA/Link -> traffic, and any
+// component can reach every service from it. Two SimContexts never
+// share state, so independent simulations can run side by side in one
+// process (A/B corners, differential tests, sweep workers). The context
+// carries its seed (a sharded network seeds its shard contexts from it)
+// but draws no random numbers: every traffic source owns a private Rng.
 #pragma once
 
 #include <cstdint>
 
-#include "sim/logging.hpp"
 #include "sim/pool.hpp"
-#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -28,8 +23,7 @@ class SimContext {
  public:
   static constexpr std::uint64_t kDefaultSeed = 0x9E3779B97F4A7C15ull;
 
-  explicit SimContext(std::uint64_t seed = kDefaultSeed)
-      : seed_(seed), rng_(seed) {}
+  explicit SimContext(std::uint64_t seed = kDefaultSeed) : seed_(seed) {}
 
   SimContext(const SimContext&) = delete;
   SimContext& operator=(const SimContext&) = delete;
@@ -37,14 +31,8 @@ class SimContext {
   Simulator& sim() { return sim_; }
   const Simulator& sim() const { return sim_; }
 
-  /// Root RNG. Components needing reproducible private streams should
-  /// derive one: Rng(ctx.rng().next_u64()) or Rng(ctx.seed() ^ salt).
-  Rng& rng() { return rng_; }
-
   StatsRegistry& stats() { return stats_; }
   const StatsRegistry& stats() const { return stats_; }
-
-  Logger& log() { return log_; }
 
   /// Per-context object pools (packet/flit storage recycling). Resolve
   /// the typed pool once at wiring time: ctx.pools().vectors<Flit>().
@@ -60,9 +48,7 @@ class SimContext {
  private:
   std::uint64_t seed_;
   Simulator sim_;
-  Rng rng_;
   StatsRegistry stats_;
-  Logger log_;
   PoolRegistry pools_;
 };
 

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -27,14 +26,10 @@ class VectorPool {
 
   /// An empty vector, reusing a retired body's capacity when available.
   std::vector<T> acquire() {
-    if (free_.empty()) {
-      ++fresh_;
-      return {};
-    }
+    if (free_.empty()) return {};
     std::vector<T> v = std::move(free_.back());
     free_.pop_back();
     v.clear();
-    ++reused_;
     return v;
   }
 
@@ -46,13 +41,9 @@ class VectorPool {
   }
 
   std::size_t retained() const { return free_.size(); }
-  std::uint64_t acquires_fresh() const { return fresh_; }
-  std::uint64_t acquires_reused() const { return reused_; }
 
  private:
   std::vector<std::vector<T>> free_;
-  std::uint64_t fresh_ = 0;
-  std::uint64_t reused_ = 0;
 };
 
 /// Type-erased registry of VectorPools, one slot per element type.

@@ -1,8 +1,8 @@
 #include "sim/stats.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <numeric>
 
 #include "sim/assert.hpp"
 
@@ -29,62 +29,39 @@ double Accumulator::variance() const {
 
 double Accumulator::stddev() const { return std::sqrt(variance()); }
 
-void Histogram::ensure_sorted() {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
-double Histogram::quantile(double q) {
-  if (samples_.empty()) return 0.0;
-  MANGO_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
-  ensure_sorted();
-  const double pos = q * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-double Histogram::mean() const {
-  if (samples_.empty()) return 0.0;
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
-}
-
-LatencyHistogram& LatencyHistogram::operator+=(const LatencyHistogram& other) {
-  for (const auto& [ps, n] : other.counts_) add(ps, n);
+Histogram& Histogram::operator+=(const Histogram& other) {
+  for (const auto& [x, n] : other.counts_) add(x, n);
   return *this;
 }
 
-double LatencyHistogram::quantile(double q) const {
+double Histogram::quantile(double q) const {
   if (count_ == 0) return 0.0;
   MANGO_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
-  std::vector<std::pair<Time, std::uint64_t>> sorted(counts_.begin(),
-                                                     counts_.end());
+  // Sorted per query, not kept sorted: a hash map holds the counts in
+  // less memory than a tree, and a report asks for a handful of
+  // quantiles. The sample at rank r is read off the cumulative counts.
+  std::vector<std::pair<double, std::uint64_t>> sorted(counts_.begin(),
+                                                       counts_.end());
   std::sort(sorted.begin(), sorted.end());
-  // Histogram::quantile's arithmetic, with the sorted sample at rank r
-  // read off the cumulative counts.
   const double pos = q * static_cast<double>(count_ - 1);
   const auto lo = static_cast<std::uint64_t>(pos);
   const std::uint64_t hi = std::min(lo + 1, count_ - 1);
   const double frac = pos - static_cast<double>(lo);
-  Time at_lo = 0;
-  Time at_hi = 0;
+  double at_lo = 0.0;
+  double at_hi = 0.0;
   std::uint64_t below = 0;  // samples ranked before the current entry
-  for (const auto& [ps, n] : sorted) {
-    if (lo >= below && lo < below + n) at_lo = ps;
+  for (const auto& [x, n] : sorted) {
+    if (lo >= below && lo < below + n) at_lo = x;
     below += n;
     if (hi < below) {
-      at_hi = ps;
+      at_hi = x;
       break;
     }
   }
-  return to_ns(at_lo) * (1.0 - frac) + to_ns(at_hi) * frac;
+  return at_lo * (1.0 - frac) + at_hi * frac;
 }
 
-void LatencyLog::count_into(LatencyHistogram& into) const {
+void LatencyLog::count_into(Histogram& into) const {
   // Saturated GS streams deliver runs of equal latencies (about six
   // samples a run on the 8x8 ring set); one add per run.
   Time run = 0;
@@ -94,15 +71,15 @@ void LatencyLog::count_into(LatencyHistogram& into) const {
       ++n;
       return;
     }
-    if (n != 0) into.add(run, n);
+    if (n != 0) into.add(to_ns(run), n);
     run = ps;
     n = 1;
   });
-  if (n != 0) into.add(run, n);
+  if (n != 0) into.add(to_ns(run), n);
 }
 
 double LatencyLog::quantile(double q) const {
-  LatencyHistogram h;
+  Histogram h;
   count_into(h);
   return h.quantile(q);
 }

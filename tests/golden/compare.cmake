@@ -4,9 +4,9 @@
 #   cmake -DSWEEP=<mango_sweep> "-DARGS=<sweep flags>" -DGOLDEN=<file>
 #         -DOUT=<scratch file> -P compare.cmake
 #
-# ARGS is a space-separated flag list; the script appends
-# --jobs 1 --stable --quiet --out OUT. A nonzero mango_sweep exit or
-# any byte difference fails.
+# ARGS is a space-separated flag list, execution flags (--jobs, --shards,
+# --build-threads) included; the script appends --stable --quiet
+# --out OUT. A nonzero mango_sweep exit or any byte difference fails.
 foreach(var SWEEP ARGS GOLDEN OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "compare.cmake: -D${var}=... is required")
@@ -19,7 +19,7 @@ file(REMOVE "${OUT}")
 get_filename_component(out_dir "${OUT}" DIRECTORY)
 file(MAKE_DIRECTORY "${out_dir}")
 execute_process(
-  COMMAND "${SWEEP}" ${sweep_args} --jobs 1 --stable --quiet --out "${OUT}"
+  COMMAND "${SWEEP}" ${sweep_args} --stable --quiet --out "${OUT}"
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "mango_sweep ${ARGS} exited with ${rc}")

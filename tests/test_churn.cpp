@@ -86,6 +86,26 @@ TEST(Churn, StormWithRejectionsStaysClean) {
   EXPECT_EQ(r.stats.guarantee_violations, 0u);
 }
 
+// A churn stream faster than its VC's worst-case service rate backs up
+// at the NA and its drain need not finish, so the workload refuses it.
+// At the worst-case corner with V = 8 the bound is 8 arbitration cycles:
+// 15536 ps.
+TEST(Churn, PeriodBelowVcServiceTimeIsAModelError) {
+  ScenarioSpec spec = churn_spec(noc::TopologyKind::kMesh, 1);
+  spec.duration_ps = 50000;
+  for (const sim::Time period : {sim::Time{4000}, sim::Time{15535}}) {
+    spec.churn_gs_period_ps = period;
+    const ScenarioResult r = run_scenario(spec);
+    EXPECT_FALSE(r.ok()) << period;
+    EXPECT_NE(r.error.find("below the worst-case per-VC service time 15536"),
+              std::string::npos)
+        << r.error;
+  }
+  spec.churn_gs_period_ps = 15536;
+  const ScenarioResult r = run_scenario(spec);
+  EXPECT_TRUE(r.ok()) << r.error;
+}
+
 // Same spec, same stats — rerunning a churn scenario is bit-identical
 // (the broker and workload draw only on per-context determinism).
 TEST(Churn, RerunIsBitIdentical) {

@@ -81,6 +81,23 @@ TEST(RouterUnit, ActivityCountersTrackTraffic) {
   EXPECT_EQ(a1.vc_control_signals, 10u);
 }
 
+// The power model's link term covers every flit a router puts on a
+// link, BE as well as GS.
+TEST(RouterUnit, BeFlitsCountInLinkActivity) {
+  sim::SimContext ctx;
+  MeshConfig mesh{2, 1, RouterConfig{}, 1};
+  Network net(ctx, mesh);
+  net.na({1, 0}).set_be_handler([](BePacket&&) {});
+  BePacket pkt = make_be_packet(net.be_route({0, 0}, {1, 0}), {1u, 2u, 3u});
+  ASSERT_EQ(pkt.size(), 4u);
+  net.na({0, 0}).send_be_packet(std::move(pkt), 0);
+  ctx.run();
+  const RouterActivity a0 = net.router({0, 0}).activity();
+  EXPECT_EQ(a0.arb_grants, 4u);
+  EXPECT_EQ(a0.link_flits_sent, 4u);
+  EXPECT_EQ(net.router({1, 0}).activity().link_flits_sent, 0u);
+}
+
 TEST(RouterUnit, LocalGsInjectValidatesInterface) {
   sim::SimContext ctx;
   RouterConfig cfg;

@@ -1,6 +1,7 @@
 // Unit tests for the measurement primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -51,6 +52,41 @@ TEST(Accumulator, ResetClears) {
   EXPECT_EQ(a.count(), 0u);
 }
 
+// --- counting histogram and the picosecond log ----------------------------
+
+constexpr double kQs[] = {0.0, 0.5, 0.95, 0.99, 1.0};
+
+/// Reference quantile: sort every sample and interpolate between the
+/// two around rank q * (n - 1).
+double oracle_quantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+/// Expects `h` to report exactly (bit for bit) the oracle's quantiles of
+/// `xs`.
+void expect_matches_oracle(const Histogram& h, std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  ASSERT_EQ(h.count(), xs.size());
+  for (const double q : kQs) {
+    EXPECT_EQ(h.quantile(q), oracle_quantile(xs, q)) << q;
+  }
+  EXPECT_EQ(h.p50(), oracle_quantile(xs, 0.50));
+  EXPECT_EQ(h.p95(), oracle_quantile(xs, 0.95));
+  EXPECT_EQ(h.p99(), oracle_quantile(xs, 0.99));
+  EXPECT_EQ(h.max(), oracle_quantile(xs, 1.0));
+}
+
+std::vector<double> as_ns(const std::vector<Time>& ps) {
+  std::vector<double> out;
+  for (const Time p : ps) out.push_back(to_ns(p));
+  return out;
+}
+
 TEST(Histogram, QuantilesOfKnownData) {
   Histogram h;
   for (int i = 1; i <= 100; ++i) h.add(static_cast<double>(i));
@@ -58,18 +94,20 @@ TEST(Histogram, QuantilesOfKnownData) {
   EXPECT_NEAR(h.quantile(0.0), 1.0, 1e-9);
   EXPECT_NEAR(h.max(), 100.0, 1e-9);
   EXPECT_NEAR(h.p99(), 99.01, 0.05);
-  EXPECT_NEAR(h.mean(), 50.5, 1e-9);
 }
 
 TEST(Histogram, EmptyQuantileIsZero) {
   Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.distinct(), 0u);
   EXPECT_EQ(h.p99(), 0.0);
-  EXPECT_EQ(h.mean(), 0.0);
+  expect_matches_oracle(h, {});
 }
 
 TEST(Histogram, OutOfRangeQuantileThrows) {
   Histogram h;
   h.add(1.0);
+  EXPECT_THROW(h.quantile(-0.1), mango::ModelError);
   EXPECT_THROW(h.quantile(1.5), mango::ModelError);
 }
 
@@ -81,79 +119,70 @@ TEST(Histogram, UnsortedInsertionOrderDoesNotMatter) {
   EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
 }
 
-// --- counting latency histogram and the picosecond log --------------------
-
-constexpr double kQs[] = {0.0, 0.5, 0.95, 0.99, 1.0};
-
-/// Expects `h` to report exactly (bit for bit) what a sample-storing
-/// Histogram of the same latencies, added as to_ns(ps), reports.
-void expect_same_quantiles(const LatencyHistogram& h,
-                           const std::vector<Time>& ps) {
-  Histogram ref;
-  for (const Time p : ps) ref.add(to_ns(p));
-  ASSERT_EQ(h.count(), ref.count());
-  for (const double q : kQs) EXPECT_EQ(h.quantile(q), ref.quantile(q)) << q;
-}
-
-TEST(LatencyHistogram, QuantilesEqualSampleHistogramOnRandomData) {
+TEST(Histogram, QuantilesEqualOracleOnRandomLatencies) {
   Rng rng(11);
   for (const std::size_t n : {2u, 3u, 7u, 100u, 101u, 5000u}) {
     for (const std::uint64_t spread : {1u, 5u, 300u, 100000u}) {
       std::vector<Time> ps;
-      LatencyHistogram h;
+      Histogram h;
       for (std::size_t i = 0; i < n; ++i) {
         // Small spreads force heavy duplication.
         ps.push_back(4000 + rng.next_below(spread));
-        h.add(ps.back());
+        h.add(to_ns(ps.back()));
       }
-      expect_same_quantiles(h, ps);
+      expect_matches_oracle(h, as_ns(ps));
       EXPECT_LE(h.distinct(), spread);
     }
   }
 }
 
-TEST(LatencyHistogram, SingleSampleAndEmpty) {
-  LatencyHistogram empty;
-  expect_same_quantiles(empty, {});
-  EXPECT_EQ(empty.p99(), 0.0);
-
-  LatencyHistogram one;
-  one.add(4031);
-  expect_same_quantiles(one, {4031});
+TEST(Histogram, SingleSample) {
+  Histogram one;
+  one.add(to_ns(4031));
+  expect_matches_oracle(one, {4.031});
   EXPECT_EQ(one.max(), 4.031);
 }
 
-TEST(LatencyHistogram, WeightedAddEqualsRepeatedAdds) {
-  LatencyHistogram runs;
-  runs.add(7000, 3);
-  runs.add(5000, 2);
-  expect_same_quantiles(runs, {7000, 7000, 7000, 5000, 5000});
+TEST(Histogram, WeightedAddEqualsRepeatedAdds) {
+  Histogram runs;
+  runs.add(7.0, 3);
+  runs.add(5.0, 2);
+  EXPECT_EQ(runs.distinct(), 2u);
+  expect_matches_oracle(runs, {7.0, 7.0, 7.0, 5.0, 5.0});
 }
 
-TEST(LatencyHistogram, MergeEqualsConcatenation) {
+TEST(Histogram, MergeEqualsConcatenation) {
   Rng rng(5);
-  LatencyHistogram a;
-  LatencyHistogram b;
-  LatencyHistogram both;
-  std::vector<Time> all;
+  Histogram a;
+  Histogram b;
+  Histogram both;
+  std::vector<double> all;
   for (int i = 0; i < 3000; ++i) {
-    const Time p = 2000 + rng.next_below(i % 2 == 0 ? 50 : 4000);
-    (rng.next_below(3) == 0 ? a : b).add(p);
-    both.add(p);
-    all.push_back(p);
+    const double x = to_ns(2000 + rng.next_below(i % 2 == 0 ? 50 : 4000));
+    (rng.next_below(3) == 0 ? a : b).add(x);
+    both.add(x);
+    all.push_back(x);
   }
   a += b;
   EXPECT_EQ(a.count(), both.count());
   EXPECT_EQ(a.distinct(), both.distinct());
   for (const double q : kQs) EXPECT_EQ(a.quantile(q), both.quantile(q));
-  expect_same_quantiles(a, all);
+  expect_matches_oracle(a, all);
 }
 
-TEST(LatencyHistogram, OutOfRangeQuantileThrows) {
-  LatencyHistogram h;
-  h.add(1);
-  EXPECT_THROW(h.quantile(-0.1), mango::ModelError);
-  EXPECT_THROW(h.quantile(1.5), mango::ModelError);
+TEST(Histogram, MemoryBoundedByDistinctValues) {
+  // A million samples over 100 distinct latencies keep 100 counts.
+  Rng rng(17);
+  Histogram h;
+  std::vector<double> all;
+  all.reserve(1000000);
+  for (int i = 0; i < 1000000; ++i) {
+    const double x = to_ns(4000 + 31 * rng.next_below(100));
+    h.add(x);
+    all.push_back(x);
+  }
+  EXPECT_EQ(h.distinct(), 100u);
+  expect_matches_oracle(h, std::move(all));
 }
 
 TEST(LatencyLog, WideLatenciesRoundTripExactly) {
@@ -175,12 +204,12 @@ TEST(LatencyLog, WideLatenciesRoundTripExactly) {
   EXPECT_EQ(log.count(), in.size());
   EXPECT_EQ(log.max(), to_ns(kTimeNever - 1));
 
-  LatencyHistogram h;
+  Histogram h;
   log.count_into(h);
-  expect_same_quantiles(h, in);
+  expect_matches_oracle(h, as_ns(in));
 }
 
-TEST(LatencyLog, QuantilesEqualSampleHistogramInDeliveryOrder) {
+TEST(LatencyLog, QuantilesEqualOracleInDeliveryOrder) {
   // Runs of equal latencies (counted as one add each) interleaved with
   // singletons.
   Rng rng(3);
@@ -196,33 +225,13 @@ TEST(LatencyLog, QuantilesEqualSampleHistogramInDeliveryOrder) {
   std::vector<Time> out;
   log.for_each([&](Time p) { out.push_back(p); });
   EXPECT_EQ(out, in);
-  LatencyHistogram h;
+  Histogram h;
   log.count_into(h);
-  expect_same_quantiles(h, in);
-  Histogram ref;
-  for (const Time p : in) ref.add(to_ns(p));
-  EXPECT_EQ(log.p50(), ref.p50());
-  EXPECT_EQ(log.p99(), ref.p99());
-}
-
-TEST(ThroughputMeter, RatesOverWindows) {
-  ThroughputMeter m;
-  m.record(1000);   // 1 ns
-  m.record(2000);
-  m.record(3000);
-  m.record(4000);   // 4 ns
-  EXPECT_EQ(m.count(), 4u);
-  // 4 units over a 4 ns window.
-  EXPECT_DOUBLE_EQ(m.per_ns(0, 4000), 1.0);
-  // Observed span: 3 intervals over 3 ns.
-  EXPECT_DOUBLE_EQ(m.per_ns_observed(), 1.0);
-}
-
-TEST(ThroughputMeter, DegenerateWindows) {
-  ThroughputMeter m;
-  EXPECT_EQ(m.per_ns(0, 0), 0.0);
-  m.record(100);
-  EXPECT_EQ(m.per_ns_observed(), 0.0);  // single sample: no interval
+  expect_matches_oracle(h, as_ns(in));
+  std::vector<double> sorted = as_ns(in);
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(log.p50(), oracle_quantile(sorted, 0.50));
+  EXPECT_EQ(log.p99(), oracle_quantile(sorted, 0.99));
 }
 
 TEST(TablePrinter, RowWidthMismatchThrows) {
