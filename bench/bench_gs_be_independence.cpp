@@ -106,8 +106,8 @@ int main() {
   table.print();
   std::printf(
       "\nGS latency and jitter are flat across the sweep: BE only uses "
-      "link cycles no GS VC\nrequests (BePolicy::kIdleShares), so GS "
-      "connections avoid \"the mutual influence that\nBE packets routed "
+      "link cycles no GS VC\nrequests (the arbiter's idle-cycle rule), so "
+      "GS connections avoid \"the mutual influence that\nBE packets routed "
       "on the same logical network may experience\" (Section 2).\nBE "
       "latency, by contrast, grows with its own load.\n");
   return 0;

@@ -489,10 +489,10 @@ SweepGrid make_scale_1k() {
   // budget, so these rows exercise the table-routed (THDR) scheme end to
   // end — route-table materialization, per-hop table lookups, dateline
   // VCs on the tori — while the GS ring asserts the service guarantee
-  // holds at every scale (violations exit non-zero). CI's scale-smoke
-  // job runs the 8x8/16x16 rows with a shards 1-vs-4 byte-equality
-  // comparison; the 32x32 rows are the local/nightly thousand-node
-  // proof. Short horizon: a 32x32 uniform row still moves ~50 packets
+  // holds at every scale (violations exit non-zero). The
+  // golden_scale-1k-* ctests run the 8x8/16x16 rows against recorded
+  // reports at shards 1, at shards 4 and on four workers; the 32x32 rows
+  // are the local/nightly thousand-node proof. Short horizon: a 32x32 uniform row still moves ~50 packets
   // per node across a 21-hop mean distance.
   SweepGrid g;
   g.base.duration_ps = 400000;

@@ -67,17 +67,6 @@ struct StageDelays {
 /// kTypical scales every delay by 1258/1942 (the 515->795 MHz ratio).
 StageDelays stage_delays(TimingCorner corner);
 
-/// How BE traffic shares link bandwidth with the GS VCs (a reconstruction
-/// knob; see DESIGN.md).
-enum class BePolicy {
-  /// BE is granted only link cycles in which no GS VC requests. The hard
-  /// 1/V GS guarantee and full GS/BE independence hold (default).
-  kIdleShares,
-  /// BE contends as an extra round-robin requester; GS VCs are then only
-  /// guaranteed 1/(V+1) of the link (ablation).
-  kEqualShare,
-};
-
 /// Link-access arbitration scheme (Section 4.4: GS schemes are pluggable).
 enum class ArbiterKind {
   kFairShare,       ///< round-robin: every VC guaranteed >= 1/V of the link
@@ -120,7 +109,6 @@ struct RouterConfig {
   /// 5); be_vcs = 2 enables that extension (per-VC input buffers and
   /// wormhole state, avoiding head-of-line blocking between packets).
   unsigned be_vcs = 1;
-  BePolicy be_policy = BePolicy::kIdleShares;
   ArbiterKind arbiter = ArbiterKind::kFairShare;
   TimingCorner corner = TimingCorner::kWorstCase;
 

@@ -1,7 +1,5 @@
 #include "noc/network/connection_broker.hpp"
 
-#include <algorithm>
-
 #include "noc/common/events.hpp"
 #include "sim/assert.hpp"
 
@@ -22,95 +20,11 @@ const char* to_string(RequestState s) {
 
 ConnectionBroker::ConnectionBroker(Network& net, ConnectionManager& mgr,
                                    BrokerConfig cfg)
-    : net_(net),
-      mgr_(mgr),
-      cfg_(cfg),
-      link_reserved_(net.node_count()),
-      src_reserved_(net.node_count(), 0) {
-  for (auto& ports : link_reserved_) ports.fill(0);
-  // Seed the ledger from connections opened before the broker existed
-  // (static GS sets): the broker must see their VCs as spoken for.
-  mgr_.for_each_connection([this](const Connection& c) {
-    Demand d;
-    d.src_idx = net_.topology().index(c.src);
-    d.dst_idx = net_.topology().index(c.dst);
-    for (std::size_t k = 0; k + 1 < c.hops.size(); ++k) {
-      d.link_vcs.emplace_back(net_.topology().index(c.hops[k].first),
-                              c.hops[k].second.port);
-    }
-    reserve(d);
-    ++live_;
-  });
-}
-
-bool ConnectionBroker::plan_demand(NodeId src, NodeId dst, Demand* out) const {
-  if (src == dst || !net_.topology().contains(src) ||
-      !net_.topology().contains(dst)) {
-    return false;
-  }
-  std::vector<PathLink> links;
-  try {
-    links = route_links(net_, src, dst);  // the walk plan()/can_open() use
-  } catch (const ModelError&) {
-    return false;  // unroutable pair
-  }
-  Demand d;
-  d.src_idx = net_.topology().index(src);
-  d.dst_idx = net_.topology().index(dst);
-  d.link_vcs.reserve(links.size());
-  for (const PathLink& link : links) {
-    d.link_vcs.emplace_back(link.node_idx, link.out_port);
-  }
-  *out = std::move(d);
-  return true;
-}
-
-bool ConnectionBroker::demand_fits(const Demand& d) const {
-  const RouterConfig& rc = net_.config().router;
-  if (src_reserved_[d.src_idx] >= rc.local_gs_ifaces) return false;
-  if (link_reserved_[d.dst_idx][kLocalPort] >= rc.local_gs_ifaces) {
-    return false;
-  }
-  for (const auto& [node_idx, port] : d.link_vcs) {
-    if (link_reserved_[node_idx][port] >= rc.vcs_per_port) return false;
-  }
-  return true;
-}
-
-void ConnectionBroker::reserve(const Demand& d) {
-  ++src_reserved_[d.src_idx];
-  ++link_reserved_[d.dst_idx][kLocalPort];
-  for (const auto& [node_idx, port] : d.link_vcs) {
-    ++link_reserved_[node_idx][port];
-  }
-}
-
-void ConnectionBroker::release(const Demand& d) {
-  MANGO_ASSERT(src_reserved_[d.src_idx] > 0, "broker ledger underflow (src)");
-  MANGO_ASSERT(link_reserved_[d.dst_idx][kLocalPort] > 0,
-               "broker ledger underflow (dst)");
-  --src_reserved_[d.src_idx];
-  --link_reserved_[d.dst_idx][kLocalPort];
-  for (const auto& [node_idx, port] : d.link_vcs) {
-    MANGO_ASSERT(link_reserved_[node_idx][port] > 0,
-                 "broker ledger underflow (link)");
-    --link_reserved_[node_idx][port];
-  }
-}
-
-bool ConnectionBroker::admissible(NodeId src, NodeId dst) const {
-  Demand d;
-  return plan_demand(src, dst, &d) && demand_fits(d);
-}
+    : net_(net), mgr_(mgr), cfg_(cfg) {}
 
 double ConnectionBroker::reserved_share(NodeId node, PortIdx port) const {
-  const std::size_t idx = net_.topology().index(node);
-  const RouterConfig& rc = net_.config().router;
-  const unsigned cap =
-      port == kLocalPort ? rc.local_gs_ifaces : rc.vcs_per_port;
-  return cap == 0 ? 0.0
-                  : static_cast<double>(link_reserved_[idx][port]) /
-                        static_cast<double>(cap);
+  return static_cast<double>(mgr_.reserved_vcs(node, port)) /
+         static_cast<double>(mgr_.port_capacity(port));
 }
 
 RequestId ConnectionBroker::request_open(NodeId src, NodeId dst,
@@ -126,23 +40,20 @@ RequestId ConnectionBroker::request_open(NodeId src, NodeId dst,
   rq.on_ready = std::move(on_ready);
   rq.on_reject = std::move(on_reject);
 
-  Demand d;
-  const bool routable = plan_demand(src, dst, &d);
-  if (routable && demand_fits(d)) {
-    rq.demand = std::move(d);
+  const PathStatus path = mgr_.path_status(src, dst);
+  if (path == PathStatus::kFree) {
     Request& stored = requests_.emplace(id, std::move(rq)).first->second;
     admit(stored);
     return id;
   }
-  if (routable && queue_.size() < cfg_.max_queue) {
-    rq.demand = std::move(d);
+  if (path == PathStatus::kBusy && queue_.size() < cfg_.max_queue) {
     ++stats_.queued;
     requests_.emplace(id, std::move(rq));
     queue_.push_back(id);
     return id;
   }
-  // Unroutable pair, or path busy with a full queue: reject. The ledger
-  // was never touched — a later open of the same pair must succeed once
+  // Unroutable pair, or path busy with a full queue: reject. Nothing
+  // was reserved — a later open of the same pair must succeed once
   // resources free up (regression-tested) — and the request was never
   // stored: terminal requests keep only their state byte.
   set_state(id, RequestState::kRejected);
@@ -152,23 +63,11 @@ RequestId ConnectionBroker::request_open(NodeId src, NodeId dst,
 }
 
 void ConnectionBroker::admit(Request& rq) {
-  // The broker's ledger and the manager's ground-truth ledger must
-  // agree at every admission; divergence means connections were opened
-  // or closed behind the broker's back. O(path) per open — a loud
-  // error instead of silent drift between the two admission walks.
-  MANGO_ASSERT(mgr_.can_open(rq.src, rq.dst),
-               "broker admitted " + to_string(rq.src) + " -> " +
-                   to_string(rq.dst) +
-                   " but the connection manager's ledger disagrees (was a "
-                   "connection opened/closed without going through the "
-                   "broker?)");
-  reserve(rq.demand);
+  // Callers admit only after the manager reported the path free, so the
+  // manager's open reserves without throwing.
   set_state(rq.id, RequestState::kProgramming);
   ++stats_.admitted;
-  ++live_;
   const RequestId id = rq.id;
-  // A manager throw here is a ledger-divergence bug (someone opened a
-  // connection behind the broker's back), not a rejection — propagate.
   if (cfg_.packet_mode) {
     const Connection& c = mgr_.open_via_packets(
         rq.src, rq.dst,
@@ -237,9 +136,6 @@ void ConnectionBroker::begin_clear(RequestId id) {
 void ConnectionBroker::on_conn_closed(RequestId id) {
   auto it = requests_.find(id);
   MANGO_ASSERT(it != requests_.end(), "unknown broker request");
-  release(it->second.demand);
-  MANGO_ASSERT(live_ > 0, "broker live-connection underflow");
-  --live_;
   ++stats_.closed;
   stats_.teardown_latency_ns.add(
       sim::to_ns(net_.simulator().now() - it->second.close_requested_at));
@@ -261,7 +157,7 @@ void ConnectionBroker::retry_queued() {
     Request& rq = require(queue_[i]);
     MANGO_ASSERT(state(rq.id) == RequestState::kQueued,
                  "non-queued request parked in the broker queue");
-    if (demand_fits(rq.demand)) {
+    if (mgr_.can_open(rq.src, rq.dst)) {
       queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
       ++stats_.retries;
       admit(rq);

@@ -4,8 +4,8 @@
 // The paper's headline property is *connection-oriented* service: GS
 // circuits are opened and torn down at run time by BE programming
 // packets. The ConnectionBroker turns that from test scaffolding into a
-// subsystem: it owns per-link/per-VC bandwidth-and-buffer accounting
-// derived from the materialized route tables, accepts simulated-time
+// subsystem: it admits against the manager's per-link/per-VC
+// bandwidth-and-buffer reservations, accepts simulated-time
 // request_open/request_close calls, parks requests in a bounded FIFO (or
 // rejects them) when resources along the path are exhausted — instead of
 // the hard ModelError the ConnectionManager raises — and drives the
@@ -20,18 +20,16 @@
 // reserved_share(node, port) is the fraction of that link's guaranteed
 // bandwidth already promised to connections. Admission = every traversed
 // (node, port) has a free VC, the source NA has a free GS interface, and
-// the destination has a free local output interface. The broker's ledger
-// is seeded from the manager's live connections at construction; all
-// later opens/closes must go through the broker or the two ledgers
-// diverge (checked: a manager throw under broker admission is a bug, not
-// a rejection).
+// the destination has a free local output interface. The broker keeps
+// no ledger of its own: every admission decision reads the
+// ConnectionManager's reservations, so connections opened on the
+// manager directly (static GS sets) count against admission too.
 //
 // Determinism: all decisions derive from simulated time and FIFO order —
 // queued requests are retried in arrival order whenever a close frees
 // resources — so churn scenarios stay bit-identical across --jobs.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -120,13 +118,16 @@ class ConnectionBroker {
   /// otherwise).
   const Connection* connection(RequestId id) const;
 
-  /// Pure admission query against the broker's ledger (no mutation).
-  bool admissible(NodeId src, NodeId dst) const;
+  /// Pure admission query against the manager's reservations.
+  bool admissible(NodeId src, NodeId dst) const {
+    return mgr_.can_open(src, dst);
+  }
   /// Fraction of (node, port)'s guaranteed link bandwidth reserved.
   double reserved_share(NodeId node, PortIdx port) const;
 
   std::size_t queue_depth() const { return queue_.size(); }
-  std::size_t live_connections() const { return live_; }
+  /// Live connections on the manager, broker-opened or not.
+  std::size_t live_connections() const { return mgr_.open_connections(); }
   const Stats& stats() const { return stats_; }
 
   /// Typed-dispatch entry: request `id`'s drain window elapsed; issue
@@ -134,14 +135,6 @@ class ConnectionBroker {
   void begin_clear(RequestId id);
 
  private:
-  /// Resource demand of one path: (node index, port) per traversed link
-  /// plus the two local endpoints.
-  struct Demand {
-    std::vector<std::pair<std::size_t, PortIdx>> link_vcs;
-    std::size_t src_idx = 0;  ///< local GS source interface
-    std::size_t dst_idx = 0;  ///< local output interface (kLocalPort VC)
-  };
-
   /// A *live* request (Queued .. Clearing). Terminal requests are
   /// erased — live memory is O(live connections + queue), not lifetime
   /// opens — and only their 1-byte state survives in states_.
@@ -152,16 +145,11 @@ class ConnectionBroker {
     sim::Time requested_at = 0;
     sim::Time close_requested_at = 0;
     ConnectionId conn = 0;
-    Demand demand;  ///< reserved resources (valid once admitted)
     ReadyFn on_ready;
     RejectFn on_reject;
     ClosedFn on_closed;
   };
 
-  bool plan_demand(NodeId src, NodeId dst, Demand* out) const;
-  bool demand_fits(const Demand& d) const;
-  void reserve(const Demand& d);
-  void release(const Demand& d);
   void admit(Request& rq);
   void on_conn_ready(RequestId id, const Connection& c);
   void on_conn_closed(RequestId id);
@@ -182,12 +170,6 @@ class ConnectionBroker {
   /// retires without keeping its record.
   std::vector<std::uint8_t> states_;
   std::deque<RequestId> queue_;  ///< parked opens, FIFO arrival order
-  /// Reserved VCs per (node, port); kLocalPort slots count the
-  /// destination-side local output interfaces.
-  std::vector<std::array<std::uint8_t, kNumPorts>> link_reserved_;
-  /// Reserved GS source interfaces per node.
-  std::vector<std::uint8_t> src_reserved_;
-  std::size_t live_ = 0;
   Stats stats_;
 };
 

@@ -39,7 +39,7 @@ const char* to_string(ConnState s) {
 }
 
 ConnectionManager::ConnectionManager(Network& net, NodeId host)
-    : net_(net), host_(host) {
+    : net_(net), host_(host), reserved_(net.node_count()) {
   MANGO_ASSERT(net_.topology().contains(host_), "host node out of bounds");
   host_programming_.bind_kernel(net_.simulator());
   // Track programming completion on every router. The observer fires
@@ -61,80 +61,54 @@ ConnectionManager::ConnectionManager(Network& net, NodeId host)
   }
 }
 
-unsigned ConnectionManager::used_vcs(std::size_t node_idx, PortIdx port) const {
-  const unsigned cap = port == kLocalPort ? net_.config().router.local_gs_ifaces
-                                          : net_.config().router.vcs_per_port;
-  unsigned used = 0;
-  for (VcIdx vc = 0; vc < cap; ++vc) {
-    if (buffer_owner_.find(BufKey{node_idx, port, vc}) != buffer_owner_.end()) {
-      ++used;
-    }
-  }
-  return used;
+unsigned ConnectionManager::port_capacity(PortIdx port) const {
+  const RouterConfig& rc = net_.config().router;
+  return port == kLocalPort ? rc.local_gs_ifaces : rc.vcs_per_port;
 }
 
-VcIdx ConnectionManager::allocate_vc(NodeId node, PortIdx port) {
-  const std::size_t idx = net_.topology().index(node);
-  const unsigned vcs = net_.config().router.vcs_per_port;
-  for (VcIdx vc = 0; vc < vcs; ++vc) {
-    if (buffer_owner_.find(BufKey{idx, port, vc}) == buffer_owner_.end()) {
-      return vc;
-    }
-  }
-  model_fail("no free VC on " + to_string(node) + " port " + port_name(port));
+namespace {
+/// Lowest clear bit of `used` below `cap`, or -1 when all are set.
+int lowest_free(std::uint8_t used, unsigned cap) {
+  const unsigned free = ~static_cast<unsigned>(used) & ((1u << cap) - 1u);
+  return free == 0 ? -1 : __builtin_ctz(free);
+}
+}  // namespace
+
+int ConnectionManager::free_vc(std::size_t node_idx, PortIdx port) const {
+  return lowest_free(reserved_[node_idx].vcs[port], port_capacity(port));
 }
 
-LocalIfaceIdx ConnectionManager::allocate_local_source(NodeId node) {
-  const std::size_t idx = net_.topology().index(node);
-  auto& used = src_ifaces_used_[idx];
-  used.resize(net_.config().router.local_gs_ifaces, false);
-  for (LocalIfaceIdx i = 0; i < used.size(); ++i) {
-    if (!used[i]) return i;
-  }
-  model_fail("no free GS source interface at " + to_string(node));
+int ConnectionManager::free_src_iface(std::size_t node_idx) const {
+  return lowest_free(reserved_[node_idx].src_ifaces,
+                     net_.config().router.local_gs_ifaces);
 }
 
-LocalIfaceIdx ConnectionManager::allocate_local_sink(NodeId node) {
-  const std::size_t idx = net_.topology().index(node);
-  const unsigned ifaces = net_.config().router.local_gs_ifaces;
-  for (LocalIfaceIdx i = 0; i < ifaces; ++i) {
-    if (buffer_owner_.find(BufKey{idx, kLocalPort, i}) == buffer_owner_.end()) {
-      return i;
-    }
-  }
-  model_fail("no free local output interface at " + to_string(node));
+unsigned ConnectionManager::reserved_vcs(NodeId node, PortIdx port) const {
+  return static_cast<unsigned>(
+      __builtin_popcount(reserved_[net_.topology().index(node)].vcs[port]));
 }
 
-bool ConnectionManager::can_open(NodeId src, NodeId dst) const {
+PathStatus ConnectionManager::path_status(NodeId src, NodeId dst) const {
   if (src == dst || !net_.topology().contains(src) ||
       !net_.topology().contains(dst)) {
-    return false;
+    return PathStatus::kUnroutable;
   }
   std::vector<PathLink> links;
   try {
     links = route_links(net_, src, dst);
   } catch (const ModelError&) {
-    return false;  // unroutable pair
+    return PathStatus::kUnroutable;
   }
-  // Local GS source interface at src.
-  {
-    const auto it = src_ifaces_used_.find(net_.topology().index(src));
-    unsigned used = 0;
-    if (it != src_ifaces_used_.end()) {
-      for (const bool b : it->second) used += b ? 1u : 0u;
-    }
-    if (used >= net_.config().router.local_gs_ifaces) return false;
+  // A local GS source interface at src, one VC per traversed link port,
+  // and a local output interface at the destination.
+  if (free_src_iface(net_.topology().index(src)) < 0 ||
+      free_vc(net_.topology().index(dst), kLocalPort) < 0) {
+    return PathStatus::kBusy;
   }
-  // One VC per traversed link port, plus a local output interface at
-  // the destination.
   for (const PathLink& link : links) {
-    if (used_vcs(link.node_idx, link.out_port) >=
-        net_.config().router.vcs_per_port) {
-      return false;
-    }
+    if (free_vc(link.node_idx, link.out_port) < 0) return PathStatus::kBusy;
   }
-  return used_vcs(net_.topology().index(dst), kLocalPort) <
-         net_.config().router.local_gs_ifaces;
+  return PathStatus::kFree;
 }
 
 std::vector<ConnectionManager::PlannedHop> ConnectionManager::plan(
@@ -147,20 +121,34 @@ std::vector<ConnectionManager::PlannedHop> ConnectionManager::plan(
   const std::vector<PathLink> links = route_links(net_, src, dst);
   const std::size_t n = links.size();
 
-  src_iface_out = allocate_local_source(src);
+  const int iface = free_src_iface(net_.topology().index(src));
+  if (iface < 0) {
+    model_fail("no free GS source interface at " + to_string(src));
+  }
+  src_iface_out = static_cast<LocalIfaceIdx>(iface);
 
-  // Pick buffers (no state mutation yet; commit() records ownership).
+  // Pick buffers (no state mutation yet; commit() reserves them).
   std::vector<PlannedHop> hops;
   std::vector<PortIdx> arrival(n + 1, kLocalPort);
   hops.reserve(n + 1);
   for (std::size_t k = 0; k < n; ++k) {
     const NodeId node = net_.topology().node_at(links[k].node_idx);
-    hops.push_back(PlannedHop{
-        node, VcBufferId{links[k].out_port, allocate_vc(node, links[k].out_port)},
-        std::nullopt, ReverseEntry{}});
+    const PortIdx out = links[k].out_port;
+    const int vc = free_vc(links[k].node_idx, out);
+    if (vc < 0) {
+      model_fail("no free VC on " + to_string(node) + " port " +
+                 port_name(out));
+    }
+    hops.push_back(PlannedHop{node, VcBufferId{out, static_cast<VcIdx>(vc)},
+                              std::nullopt, ReverseEntry{}});
     arrival[k + 1] = links[k].arrival_port;
   }
-  hops.push_back(PlannedHop{dst, VcBufferId{kLocalPort, allocate_local_sink(dst)},
+  const int sink = free_vc(net_.topology().index(dst), kLocalPort);
+  if (sink < 0) {
+    model_fail("no free local output interface at " + to_string(dst));
+  }
+  hops.push_back(PlannedHop{dst,
+                            VcBufferId{kLocalPort, static_cast<VcIdx>(sink)},
                             std::nullopt, ReverseEntry{}});
 
   // Forward steering: entry at hop k guides flits into hop k+1's buffer,
@@ -192,10 +180,11 @@ ConnectionManager::Record& ConnectionManager::commit(
   conn.requested_at = net_.simulator().now();
   for (const PlannedHop& h : hops) {
     conn.hops.emplace_back(h.node, h.buffer);
-    buffer_owner_[BufKey{net_.topology().index(h.node), h.buffer.port,
-                         h.buffer.vc}] = id;
+    reserved_[net_.topology().index(h.node)].vcs[h.buffer.port] |=
+        static_cast<std::uint8_t>(1u << h.buffer.vc);
   }
-  src_ifaces_used_[net_.topology().index(src)][src_iface] = true;
+  reserved_[net_.topology().index(src)].src_ifaces |=
+      static_cast<std::uint8_t>(1u << src_iface);
 
   // The source core configures its own NA locally (first-hop steering
   // bits towards hop 0's buffer).
@@ -312,11 +301,12 @@ void ConnectionManager::on_programmed(NodeId /*node*/, std::uint32_t tag,
 void ConnectionManager::release_resources(Connection& conn) {
   if (conn.state == ConnState::kClosed) return;  // idempotent
   for (const auto& [node, buffer] : conn.hops) {
-    buffer_owner_.erase(
-        BufKey{net_.topology().index(node), buffer.port, buffer.vc});
+    reserved_[net_.topology().index(node)].vcs[buffer.port] &=
+        static_cast<std::uint8_t>(~(1u << buffer.vc));
   }
   net_.na(conn.src).release_gs_source(conn.src_iface);
-  src_ifaces_used_[net_.topology().index(conn.src)][conn.src_iface] = false;
+  reserved_[net_.topology().index(conn.src)].src_ifaces &=
+      static_cast<std::uint8_t>(~(1u << conn.src_iface));
   conn.state = ConnState::kClosed;
 }
 
@@ -391,11 +381,6 @@ void ConnectionManager::close_via_packets(ConnectionId id,
 const Connection* ConnectionManager::get(ConnectionId id) const {
   auto it = records_.find(id);
   return it == records_.end() ? nullptr : &it->second.conn;
-}
-
-void ConnectionManager::for_each_connection(
-    const std::function<void(const Connection&)>& fn) const {
-  for (const auto& [id, rec] : records_) fn(rec.conn);
 }
 
 }  // namespace mango::noc

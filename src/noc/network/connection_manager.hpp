@@ -6,7 +6,9 @@
 //   * computes the XY path,
 //   * reserves one VC buffer per router on the path (plus a local GS
 //     source interface at the source NA and a local output interface at
-//     the destination router),
+//     the destination router) in its reservation ledger — the only
+//     record of GS reservations, which the ConnectionBroker's admission
+//     reads too, so connections may be opened on either,
 //   * programs, per router, the forward steering entry and the reverse
 //     unlock-map entry — either directly (zero-time; unit tests and
 //     benches) or realistically with BE programming packets sent from a
@@ -35,6 +37,7 @@
 // u-turn-free cycle is 16 hops, past the 15-code header budget).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -62,8 +65,8 @@ struct PathLink {
 
 /// Walks the materialized route src -> dst (src != dst) over the
 /// topology's port adjacency — the single traversal behind
-/// ConnectionManager::plan()/can_open() and the broker's demand
-/// planning, so their per-(node, port) accounting cannot drift.
+/// ConnectionManager::plan() and path_status(), so admission and
+/// reservation account the same (node, port) pairs.
 /// Throws ModelError when the pair is unroutable.
 std::vector<PathLink> route_links(const Network& net, NodeId src, NodeId dst);
 
@@ -78,6 +81,13 @@ enum class ConnState : std::uint8_t {
 };
 
 const char* to_string(ConnState s);
+
+/// Dry-run admission verdict for a src -> dst pair.
+enum class PathStatus : std::uint8_t {
+  kFree = 0,        ///< open_* would succeed right now
+  kBusy = 1,        ///< routable, but a resource on the path is taken
+  kUnroutable = 2,  ///< src == dst, out of bounds, or no route
+};
 
 struct Connection {
   ConnectionId id = 0;
@@ -131,17 +141,20 @@ class ConnectionManager {
   /// before issuing the close. Checked error in any other state.
   void mark_draining(ConnectionId id);
 
-  /// Dry-run admission query: would open_* succeed right now? Pure —
-  /// reserves nothing, never throws (an unroutable pair is just false).
-  bool can_open(NodeId src, NodeId dst) const;
+  /// Dry-run admission query. Pure — reserves nothing, never throws.
+  PathStatus path_status(NodeId src, NodeId dst) const;
+  bool can_open(NodeId src, NodeId dst) const {
+    return path_status(src, dst) == PathStatus::kFree;
+  }
+
+  /// Reserved VCs on (node, port); at kLocalPort, the reserved local
+  /// output interfaces.
+  unsigned reserved_vcs(NodeId node, PortIdx port) const;
+  /// VCs per network port; at kLocalPort, the local output interfaces.
+  unsigned port_capacity(PortIdx port) const;
 
   const Connection* get(ConnectionId id) const;
   std::size_t open_connections() const { return records_.size(); }
-
-  /// Visits every live connection in ascending id order (deterministic);
-  /// used by the broker to seed its accounting from pre-opened sets.
-  void for_each_connection(
-      const std::function<void(const Connection&)>& fn) const;
 
  protected:
   /// Returns every reserved resource of `conn` to the free pool and
@@ -166,8 +179,8 @@ class ConnectionManager {
     ClosedCallback on_closed;
   };
 
-  /// Reserves resources and computes all table entries. Throws on
-  /// resource exhaustion (rolls back reservations first).
+  /// Picks the lowest free resources and computes all table entries;
+  /// reserves nothing (commit() does). Throws on resource exhaustion.
   std::vector<PlannedHop> plan(NodeId src, NodeId dst,
                                LocalIfaceIdx& src_iface_out);
   Record& commit(NodeId src, NodeId dst, LocalIfaceIdx src_iface,
@@ -180,22 +193,18 @@ class ConnectionManager {
   void program_host_locally(std::vector<std::uint32_t> words,
                             std::uint32_t tag);
 
-  VcIdx allocate_vc(NodeId node, PortIdx port);
-  LocalIfaceIdx allocate_local_source(NodeId node);
-  LocalIfaceIdx allocate_local_sink(NodeId node);
-
-  struct BufKey {
-    std::size_t node_idx;
-    PortIdx port;
-    VcIdx vc;
-    friend bool operator<(const BufKey& a, const BufKey& b) {
-      if (a.node_idx != b.node_idx) return a.node_idx < b.node_idx;
-      if (a.port != b.port) return a.port < b.port;
-      return a.vc < b.vc;
-    }
+  /// One node's GS reservations, one bit per index (V <= 8, at most
+  /// four local interfaces).
+  struct NodeReservations {
+    /// Reserved VC buffers per output port; kLocalPort = the local
+    /// output interfaces connections terminate on.
+    std::array<std::uint8_t, kNumPorts> vcs{};
+    std::uint8_t src_ifaces = 0;  ///< GS source interfaces at this NA
   };
 
-  unsigned used_vcs(std::size_t node_idx, PortIdx port) const;
+  /// Lowest free index of `port` at `node_idx` (-1 when full).
+  int free_vc(std::size_t node_idx, PortIdx port) const;
+  int free_src_iface(std::size_t node_idx) const;
 
   Network& net_;
   NodeId host_;
@@ -203,9 +212,9 @@ class ConnectionManager {
   sim::ControlPlane host_programming_;
   ConnectionId next_id_ = 1;
   std::map<ConnectionId, Record> records_;
-  std::map<BufKey, ConnectionId> buffer_owner_;
-  /// Source-interface occupancy per node.
-  std::map<std::size_t, std::vector<bool>> src_ifaces_used_;
+  /// The GS reservation ledger, indexed by topology node: the only
+  /// record of which VCs and interfaces live connections hold.
+  std::vector<NodeReservations> reserved_;
 };
 
 }  // namespace mango::noc

@@ -11,7 +11,6 @@ LinkArbiter::LinkArbiter(sim::Simulator& sim, const RouterConfig& cfg,
                          const StageDelays& delays, std::string name)
     : sim_(sim),
       kind_(cfg.arbiter),
-      be_policy_(cfg.be_policy),
       arb_cycle_(delays.arb_cycle),
       name_(std::move(name)),
       vcs_(cfg.vcs_per_port),
@@ -34,36 +33,18 @@ void LinkArbiter::set_request_be(bool requesting) {
 }
 
 int LinkArbiter::pick() const {
-  switch (kind_) {
-    case ArbiterKind::kFairShare: {
-      // Round-robin ring; with kEqualShare BE occupies one extra slot.
-      // The scan is a rotate + count-trailing-zeros over the request
-      // bits — identical winner to the per-slot loop it replaces.
-      const unsigned slots =
-          be_policy_ == BePolicy::kEqualShare ? vcs_ + 1 : vcs_;
-      std::uint32_t m = gs_mask_;
-      if (be_policy_ == BePolicy::kEqualShare && be_req_) m |= 1u << vcs_;
-      if (m != 0) {
-        const unsigned r = rr_next_;
-        const std::uint32_t rot = (m >> r) | (m << (slots - r));
-        const unsigned s =
-            (r + static_cast<unsigned>(__builtin_ctz(rot))) % slots;
-        return static_cast<int>(s);
-      }
-      if (be_policy_ == BePolicy::kIdleShares && be_req_) {
-        return static_cast<int>(vcs_);
-      }
-      return -1;
-    }
-    case ArbiterKind::kStaticPriority:
-    case ArbiterKind::kUnregulated: {
-      if (gs_mask_ != 0) return __builtin_ctz(gs_mask_);
-      // BE is the lowest priority under either BE policy.
-      if (be_req_) return static_cast<int>(vcs_);
-      return -1;
-    }
+  if (gs_mask_ != 0) {
+    if (kind_ != ArbiterKind::kFairShare) return __builtin_ctz(gs_mask_);
+    // Round-robin ring over the V VCs. The scan is a rotate +
+    // count-trailing-zeros over the request bits — identical winner to
+    // the per-slot loop it replaces.
+    const unsigned r = rr_next_;
+    const std::uint32_t rot = (gs_mask_ >> r) | (gs_mask_ << (vcs_ - r));
+    return static_cast<int>(
+        (r + static_cast<unsigned>(__builtin_ctz(rot))) % vcs_);
   }
-  return -1;
+  // BE takes only the cycles no GS VC requests, under every scheme.
+  return be_req_ ? static_cast<int>(vcs_) : -1;
 }
 
 void LinkArbiter::try_grant() {
@@ -74,18 +55,12 @@ void LinkArbiter::try_grant() {
   ++total_grants_;
   if (sel == static_cast<int>(vcs_)) {
     ++be_grants_;
-    if (kind_ == ArbiterKind::kFairShare &&
-        be_policy_ == BePolicy::kEqualShare) {
-      rr_next_ = 0;  // BE slot is the last ring position; wrap
-    }
     MANGO_ASSERT(static_cast<bool>(grant_be_), "no BE grant sink on " + name_);
     grant_be_();
   } else {
     ++gs_grants_[static_cast<unsigned>(sel)];
     if (kind_ == ArbiterKind::kFairShare) {
-      const unsigned slots =
-          be_policy_ == BePolicy::kEqualShare ? vcs_ + 1 : vcs_;
-      rr_next_ = (static_cast<unsigned>(sel) + 1) % slots;
+      rr_next_ = (static_cast<unsigned>(sel) + 1) % vcs_;
     }
     MANGO_ASSERT(static_cast<bool>(grant_gs_), "no GS grant sink on " + name_);
     grant_gs_(static_cast<VcIdx>(sel));

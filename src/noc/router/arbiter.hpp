@@ -14,10 +14,8 @@
 //    models priority-QoS clockless routers that improve latency for some
 //    VCs but give no hard guarantees (low VCs can starve).
 //
-// BE traffic merges onto the link per BePolicy: by default it only takes
-// link cycles no GS VC requests (kIdleShares), keeping GS fully
-// independent of BE load; kEqualShare lets BE contend as one extra
-// round-robin requester (ablation).
+// BE traffic takes only link cycles no GS VC requests, keeping the hard
+// 1/V GS guarantee and GS fully independent of BE load.
 //
 // Timing: a grant occupies the link-output stage for `arb_cycle` ps; the
 // reciprocal of arb_cycle is the paper's per-port speed (515 MHz worst
@@ -71,7 +69,6 @@ class LinkArbiter {
 
   sim::Simulator& sim_;
   ArbiterKind kind_;
-  BePolicy be_policy_;
   sim::Time arb_cycle_;
   std::string name_;
   unsigned vcs_;
@@ -80,7 +77,7 @@ class LinkArbiter {
   std::uint32_t gs_mask_ = 0;
   bool be_req_ = false;
   bool busy_ = false;
-  unsigned rr_next_ = 0;  ///< fair-share: next ring position (0..V = BE slot)
+  unsigned rr_next_ = 0;  ///< fair-share: next ring position (0..V-1)
   GrantGs grant_gs_;
   GrantBe grant_be_;
   std::vector<std::uint64_t> gs_grants_;

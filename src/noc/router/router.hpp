@@ -11,7 +11,7 @@
 // upstream flow box re-arms.
 //
 // BE flits ride the same links through per-port BE output stages that
-// merge into the link arbiters according to the configured BePolicy.
+// merge into the link arbiters in the cycles no GS VC requests.
 #pragma once
 
 #include <array>

@@ -25,10 +25,8 @@ struct ArbiterHarness {
   std::vector<bool> persistent;
   bool be_persistent = false;
 
-  explicit ArbiterHarness(ArbiterKind kind,
-                          BePolicy policy = BePolicy::kIdleShares) {
+  explicit ArbiterHarness(ArbiterKind kind) {
     cfg.arbiter = kind;
-    cfg.be_policy = policy;
     ctrl.bind_kernel(sim);
     arb = std::make_unique<LinkArbiter>(sim, cfg, delays, "test-arb");
     grants.assign(cfg.vcs_per_port, 0);
@@ -135,7 +133,7 @@ TEST(LinkArbiter, StaticPriorityServesLowerWhenHighIdles) {
 }
 
 TEST(LinkArbiter, BeIdleSharesPolicyYieldsToGs) {
-  ArbiterHarness h(ArbiterKind::kFairShare, BePolicy::kIdleShares);
+  ArbiterHarness h(ArbiterKind::kFairShare);
   h.be_persistent = true;
   h.arb->set_request_be(true);
   h.make_persistent({0, 1, 2, 3, 4, 5, 6, 7});
@@ -148,21 +146,11 @@ TEST(LinkArbiter, BeIdleSharesPolicyYieldsToGs) {
 }
 
 TEST(LinkArbiter, BeIdleSharesPolicyGrantsWhenGsIdle) {
-  ArbiterHarness h(ArbiterKind::kFairShare, BePolicy::kIdleShares);
+  ArbiterHarness h(ArbiterKind::kFairShare);
   h.be_persistent = true;
   h.arb->set_request_be(true);
   h.sim.run_until(100 * h.delays.arb_cycle);
   EXPECT_GE(h.be_grants, 99u);
-}
-
-TEST(LinkArbiter, BeEqualSharePolicyGivesBeOneSlot) {
-  ArbiterHarness h(ArbiterKind::kFairShare, BePolicy::kEqualShare);
-  h.be_persistent = true;
-  h.arb->set_request_be(true);
-  h.make_persistent({0, 1, 2, 3, 4, 5, 6, 7});
-  h.sim.run_until(900 * h.delays.arb_cycle);
-  // BE behaves like a 9th VC: ~1/9 of grants.
-  EXPECT_NEAR(static_cast<double>(h.be_grants), 100.0, 5.0);
 }
 
 TEST(LinkArbiter, CountersAndName) {

@@ -155,6 +155,19 @@ TEST_F(BrokerFixture, SeedsLedgerFromPreexistingConnections) {
   EXPECT_DOUBLE_EQ(broker.reserved_share({1, 0}, kLocalPort), 1.0);
 }
 
+TEST_F(BrokerFixture, SeesConnectionsOpenedOnTheManager) {
+  // Connections opened on the manager after the broker exists count
+  // against admission too: the broker reads the manager's reservations
+  // rather than keeping its own copy.
+  ConnectionBroker broker(net, mgr, direct_cfg());
+  for (int i = 0; i < 4; ++i) mgr.open_direct({0, 0}, {1, 0});
+  EXPECT_FALSE(broker.admissible({0, 0}, {1, 0}));
+  EXPECT_DOUBLE_EQ(broker.reserved_share({1, 0}, kLocalPort), 1.0);
+  RequestId id = 0;
+  EXPECT_NO_THROW(id = broker.request_open({0, 0}, {1, 0}));
+  EXPECT_EQ(broker.state(id), RequestState::kQueued);
+}
+
 TEST(BrokerPacketMode, SetupAndTeardownLatenciesAreMeasured) {
   sim::SimContext ctx;
   MeshConfig mesh{3, 3, RouterConfig{}, 1};

@@ -66,8 +66,8 @@ void usage(std::FILE* out) {
       "run options:\n"
       "  --filter SUBSTR       run only scenarios whose name contains\n"
       "                        SUBSTR (applied after grid expansion; the\n"
-      "                        scale-smoke CI job uses this to pick the\n"
-      "                        small rows of scale-1k)\n"
+      "                        golden_scale-1k-* ctests use this to pick\n"
+      "                        the small rows of scale-1k)\n"
       "  --jobs N              worker threads (default: hardware cores)\n"
       "  --shards N            kernel shards per scenario: the fabric is\n"
       "                        partitioned across N threads advancing in\n"
