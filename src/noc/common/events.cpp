@@ -8,7 +8,6 @@
 #include "noc/router/sharebox.hpp"
 #include "noc/router/switching.hpp"
 #include "noc/router/vc_buffer.hpp"
-#include "noc/router/vc_control.hpp"
 #include "noc/traffic/generator.hpp"
 #include "sim/assert.hpp"
 #include "sim/parallel.hpp"
@@ -68,7 +67,7 @@ void dispatch_event(sim::TypedEvent& ev) {
           static_cast<PortIdx>(ev.a), static_cast<VcIdx>(ev.b));
       return;
     case kOpLocalBeCredit:
-      static_cast<Router*>(ev.p0)->deliver_local_be_credit(
+      static_cast<NetworkAdapter*>(ev.p0)->return_be_credit(
           static_cast<BeVcIdx>(ev.a));
       return;
     case kOpNaGsInject:
@@ -97,16 +96,22 @@ void dispatch_event(sim::TypedEvent& ev) {
     case kOpBeSourceInject:
       static_cast<BeTrafficSource*>(ev.p0)->inject();
       return;
-    case kOpVcLocalReverse:
-      static_cast<VcControlModule*>(ev.p0)->deliver_local(
-          static_cast<LocalIfaceIdx>(ev.a), ev.b != 0);
+    case kOpVcLocalReverse: {
+      NetworkAdapter* na = static_cast<NetworkAdapter*>(ev.p0);
+      const LocalIfaceIdx iface = static_cast<LocalIfaceIdx>(ev.a);
+      if (ev.b != 0) {
+        na->complete_local_reverse(iface);
+      } else {
+        na->on_local_reverse(iface);
+      }
       return;
+    }
     case kOpNaSinkService:
       static_cast<NetworkAdapter*>(ev.p0)->serve_sink(
           static_cast<LocalIfaceIdx>(ev.a));
       return;
     case kOpNaBeDeliver:
-      static_cast<Router*>(ev.p0)->deliver_local_be(load_flit(ev));
+      static_cast<NetworkAdapter*>(ev.p0)->accept_be_flit(load_flit(ev));
       return;
     case kOpShareboxRearm:
       static_cast<Sharebox*>(ev.p0)->rearm();

@@ -7,7 +7,10 @@
 // one-byte opcode plus packed args filling the event node's 64-byte
 // capture area) dispatched through the single switch in
 // dispatch_event(), entering the component models through non-virtual
-// entry points. Actions that own memory (OCP clock edges, host-local
+// entry points. A record's p0 is the component that handles it: the
+// router's local-port records (first-hop reverse, BE credit, BE
+// delivery) name the attached NetworkAdapter itself, so no relay sits
+// between the switch and the NA. Actions that own memory (OCP clock edges, host-local
 // programming, churn timers, the baseline routers' clocks) go through
 // a sim::ControlPlane instead: in kernel mode the plane parks the
 // closure and schedules one kOpControlPlane record carrying its slot.
@@ -41,7 +44,7 @@ enum Op : std::uint8_t {
   kOpSwitchGs,        ///< p0=SwitchingModule*, a=port, b=vc; payload Flit
   kOpSwitchBe,        ///< p0=SwitchingModule*, a=in_port; payload Flit
   kOpGsReqRecheck,    ///< p0=Router*, a=port, b=vc
-  kOpLocalBeCredit,   ///< p0=Router*, a=be_vc
+  kOpLocalBeCredit,   ///< p0=NetworkAdapter*, a=be_vc
   kOpNaGsInject,      ///< p0=NetworkAdapter*, a=iface; payload LinkFlit
   kOpNaGsRecover,     ///< p0=NetworkAdapter*, a=iface
   kOpNaGsHandoff,     ///< p0=NetworkAdapter*, a=iface; payload Flit
@@ -49,9 +52,9 @@ enum Op : std::uint8_t {
   kOpNaBeRecover,     ///< p0=NetworkAdapter*
   kOpGsSourceTick,    ///< p0=GsStreamSource*
   kOpBeSourceInject,  ///< p0=BeTrafficSource*
-  kOpVcLocalReverse,  ///< p0=VcControlModule*, a=iface, b=complete-flag
+  kOpVcLocalReverse,  ///< p0=NetworkAdapter*, a=iface, b=complete-flag
   kOpNaSinkService,   ///< p0=NetworkAdapter*, a=iface
-  kOpNaBeDeliver,     ///< p0=Router*; payload Flit (NA-link BE forward)
+  kOpNaBeDeliver,     ///< p0=NetworkAdapter*; payload Flit (NA-link BE forward)
   kOpShareboxRearm,   ///< p0=Sharebox*
   kOpGsSourceStart,   ///< p0=GsStreamSource*
   kOpBeSourceStart,   ///< p0=BeTrafficSource*

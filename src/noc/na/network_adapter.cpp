@@ -19,35 +19,19 @@ NetworkAdapter::NetworkAdapter(Router& router, std::string name)
   for (BeLane& lane : be_lanes_) {
     lane.credits = router.config().be_buffer_depth;
   }
-  router_.set_local_reverse_handler(
-      [this](LocalIfaceIdx i) { on_local_reverse(i); });
-  router_.set_local_reverse_complete_handler(
-      [this](LocalIfaceIdx i) { complete_local_reverse(i); });
-  router_.set_local_out_notify([this](LocalIfaceIdx i) { on_local_head(i); });
-  router_.set_local_be_credit_handler([this](BeVcIdx vc) {
-    ++be_lanes_.at(vc).credits;
-    drain_be();
-  });
-  wire_be_delivery();
+  router_.attach_na(*this);
 }
 
-void NetworkAdapter::wire_be_delivery() {
-  // Passive (timed) BE handlers let the router hand flits over
-  // synchronously with the delivery instant attached; reactive handlers
-  // keep the evented hand-over. Reassembly itself is passive either way.
-  router_.set_local_be_delivery(
-      [this](Flit&& f) { accept_be_flit(std::move(f), sim_.now()); });
-  if (be_timed_handler_) {
-    router_.set_local_be_delivery_timed([this](Flit&& f, sim::Time at) {
-      accept_be_flit(std::move(f), at);
-    });
-  } else {
-    router_.set_local_be_delivery_timed(nullptr);
-  }
+void NetworkAdapter::return_be_credit(BeVcIdx vc) {
+  ++be_lanes_.at(vc).credits;
+  drain_be();
 }
 
 void NetworkAdapter::accept_be_flit(Flit&& f, sim::Time at) {
-  // Packets on different BE VCs may interleave: reassemble per VC.
+  // Passive (timed) BE handlers get the flits synchronously with the
+  // delivery instant attached; reactive handlers get the evented
+  // hand-over. Reassembly itself is passive either way. Packets on
+  // different BE VCs may interleave: reassemble per VC.
   BeLane& lane = be_lanes_.at(be_vc_of(f));
   lane.assembling.push_back(f);
   if (!f.eop) return;
@@ -81,12 +65,8 @@ void NetworkAdapter::configure_gs_source(LocalIfaceIdx iface,
     src.inject_target = &router_.vc_buffer(hop.target);
     src.inject_delay = delays_.na_link_fwd + hop.stage_delay;
   }
-  const VcScheme scheme =
-      router_.config().arbiter == ArbiterKind::kUnregulated
-          ? VcScheme::kCreditBased
-          : VcScheme::kShareBased;
-  src.flow = make_flow_control(sim_, scheme, delays_.sharebox_unlock,
-                               /*credits=*/2);
+  src.flow = make_flow_control(sim_, router_.vc_scheme(),
+                               delays_.sharebox_unlock, /*credits=*/2);
   src.flow->set_on_ready([this, iface] { drain_gs(iface); });
 }
 
@@ -97,10 +77,6 @@ void NetworkAdapter::release_gs_source(LocalIfaceIdx iface) {
   src.configured = false;
   src.flow.reset();
   src.supplier = nullptr;
-}
-
-bool NetworkAdapter::gs_source_configured(LocalIfaceIdx iface) const {
-  return gs_src_.at(iface).configured;
 }
 
 void NetworkAdapter::gs_send(LocalIfaceIdx iface, Flit f) {

@@ -16,6 +16,11 @@
 // GS sources accept flits either through a push queue (gs_send) or a
 // pull supplier (set_gs_supplier) — the latter lets saturating workloads
 // run without unbounded queues.
+//
+// The constructor attaches the NA to its router's local port
+// (Router::attach_na); the router then calls the "router-side entry
+// points" below directly. The delivery handlers and GS suppliers are
+// the NA's only callbacks: users install them.
 #pragma once
 
 #include <array>
@@ -58,7 +63,7 @@ class NetworkAdapter {
       sim::InlineFunction<void(BePacket&&, sim::Time at), 5>;
 
   /// Attaches to `router`'s local port and runs in the router's
-  /// SimContext.
+  /// SimContext. ModelError if the router already has an NA.
   NetworkAdapter(Router& router, std::string name);
 
   // --- GS source side ---
@@ -66,7 +71,6 @@ class NetworkAdapter {
   /// and a fresh flow box for the first media crossing.
   void configure_gs_source(LocalIfaceIdx iface, SteerBits first_hop);
   void release_gs_source(LocalIfaceIdx iface);
-  bool gs_source_configured(LocalIfaceIdx iface) const;
 
   /// Queues a flit on a configured source interface (push model).
   void gs_send(LocalIfaceIdx iface, Flit f);
@@ -98,13 +102,11 @@ class NetworkAdapter {
   void set_be_handler(BeHandler h) {
     be_handler_ = std::move(h);
     be_timed_handler_ = nullptr;
-    wire_be_delivery();
   }
   /// Passive variant (see BeTimedHandler).
   void set_be_handler_timed(BeTimedHandler h) {
     be_timed_handler_ = std::move(h);
     be_handler_ = nullptr;
-    wire_be_delivery();
   }
   std::size_t be_queue_flits() const;
   std::uint64_t be_packets_sent() const { return be_packets_sent_; }
@@ -127,6 +129,23 @@ class NetworkAdapter {
   /// The sink's service time elapsed: consume `iface`'s head, if any.
   void serve_sink(LocalIfaceIdx iface);
 
+  // --- router-side entry points (direct calls and typed records) ---
+  /// First-hop reverse signal for source `iface`'s flow box; the
+  /// complete variant has the re-arm charged already (coalesced path).
+  void on_local_reverse(LocalIfaceIdx iface);
+  void complete_local_reverse(LocalIfaceIdx iface);
+  /// Local output interface `iface` has a head flit for the core.
+  void on_local_head(LocalIfaceIdx iface);
+  /// The router's local BE input freed a slot on BE VC `vc`.
+  void return_be_credit(BeVcIdx vc);
+  /// True when the BE handler is passive, so the router may hand flits
+  /// over synchronously with their delivery instant.
+  bool be_passive() const { return static_cast<bool>(be_timed_handler_); }
+  /// A BE flit arrives for reassembly; `at` is its delivery instant
+  /// (now() for the evented hand-over).
+  void accept_be_flit(Flit&& f, sim::Time at);
+  void accept_be_flit(Flit&& f) { accept_be_flit(std::move(f), sim_.now()); }
+
  private:
   struct GsSource {
     bool configured = false;
@@ -143,14 +162,7 @@ class NetworkAdapter {
   };
 
   void drain_gs(LocalIfaceIdx iface);
-  void on_local_reverse(LocalIfaceIdx iface);
-  void complete_local_reverse(LocalIfaceIdx iface);
-  void on_local_head(LocalIfaceIdx iface);
   void drain_be();
-  /// (Re)installs the router-side BE delivery hook to match the handler
-  /// style (evented vs passive-timed).
-  void wire_be_delivery();
-  void accept_be_flit(Flit&& f, sim::Time at);
 
   sim::Simulator& sim_;
   Router& router_;

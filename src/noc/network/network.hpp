@@ -87,8 +87,6 @@ class Network {
 
   const Topology& topology() const { return *topo_; }
   const RoutingAlgorithm& routing() const { return *routing_; }
-  /// Materialized route tables (every constructible fabric has them).
-  const RouteTable& route_table() const { return *table_; }
   /// The fabric plan this network was constructed from (shared when the
   /// config carried one, built inline otherwise).
   const FabricPlan& plan() const { return *plan_; }

@@ -11,10 +11,8 @@ void BeInputBuffer::push(Flit f) {
   MANGO_ASSERT(fifo_.size() < capacity_,
                "BE input buffer overflow at " + name_ +
                    " — upstream violated credit flow control");
-  const bool was_empty = fifo_.empty();
   fifo_.push_back(f);
   ++flits_through_;
-  if (was_empty && on_head_) on_head_();
 }
 
 const Flit& BeInputBuffer::head() const {
@@ -26,8 +24,6 @@ Flit BeInputBuffer::pop() {
   MANGO_ASSERT(!fifo_.empty(), "pop() on empty BE buffer " + name_);
   Flit f = fifo_.front();
   fifo_.pop_front();
-  if (on_credit_return_) on_credit_return_();
-  if (!fifo_.empty() && on_head_) on_head_();
   return f;
 }
 
@@ -43,7 +39,6 @@ BeRouter::BeRouter(sim::SimContext& ctx, const RouterConfig& cfg,
       inputs_[p].emplace_back(cfg.be_buffer_depth,
                               name_ + ".be" + port_name(p) + ".vc" +
                                   std::to_string(vc));
-      inputs_[p].back().set_on_head([this, p, vc] { on_input_head(p, vc); });
     }
   }
 }
@@ -57,13 +52,7 @@ void BeRouter::set_output(unsigned out, OutputHooks hooks) {
 
 void BeRouter::set_credit_return(PortIdx in,
                                  sim::InlineFunction<void(BeVcIdx)> cb) {
-  // The callback is shared by this port's per-VC buffers; move it into a
-  // shared slot the per-VC notifies reference.
-  credit_cbs_[in] = std::move(cb);
-  for (BeVcIdx vc = 0; vc < be_vcs_; ++vc) {
-    inputs_.at(in)[vc].set_on_credit_return(
-        [this, in, vc] { credit_cbs_[in](vc); });
-  }
+  credit_cbs_.at(in) = std::move(cb);
 }
 
 void BeRouter::push_input(PortIdx in, Flit&& f) {
@@ -71,7 +60,10 @@ void BeRouter::push_input(PortIdx in, Flit&& f) {
   MANGO_ASSERT(vc < be_vcs_,
                "flit selects BE VC " + std::to_string(vc) +
                    " but the router has " + std::to_string(be_vcs_));
-  inputs_.at(in)[vc].push(f);
+  BeInputBuffer& buf = inputs_.at(in)[vc];
+  const bool was_empty = !buf.has_head();
+  buf.push(f);
+  if (was_empty) on_input_head(in, vc);
 }
 
 void BeRouter::set_vc_classes(const std::array<bool, kNumDirections>& dateline) {
@@ -199,13 +191,19 @@ void BeRouter::try_route(unsigned out) {
   }
   if (in == kNumPorts) return;
 
-  // Claim the routing cycle before popping: pop() can re-enter try_route
-  // via the input's head callback.
+  // Claim the routing cycle before popping: the next head's on_input_head
+  // below can re-enter try_route.
   ost.busy = true;
 
   InputState& ist = in_state_[in][vc];
-  Flit f = inputs_[in][vc].pop();
-  if (!inputs_[in][vc].has_head()) clear_req(in, vc);
+  BeInputBuffer& buf = inputs_[in][vc];
+  Flit f = buf.pop();
+  if (credit_cbs_[in]) credit_cbs_[in](vc);
+  if (buf.has_head()) {
+    on_input_head(in, vc);
+  } else {
+    clear_req(in, vc);
+  }
   if (ist.awaiting_header) {
     if (f.thdr) {
       // Table scheme: the header word is not consumed — only the
@@ -239,10 +237,10 @@ void BeRouter::try_route(unsigned out) {
     ist.target.reset();
     clear_req(in, vc);
     ost.locked[ovc].reset();
-    // The next packet's header may already sit at the input head; its
-    // head callback fired while our stale target was still set, so
-    // re-decode explicitly.
-    if (inputs_[in][vc].has_head()) on_input_head(in, vc);
+    // The next packet's header may already sit at the input head;
+    // on_input_head ran after the pop while our stale target was still
+    // set, so re-decode explicitly.
+    if (buf.has_head()) on_input_head(in, vc);
   }
   sim::TypedEvent ev{};
   ev.op = events::kOpBeRouteDone;

@@ -23,7 +23,9 @@
 //
 // The BE router hands flits bound for the network to per-port BE output
 // stages owned by the Router, which merge them onto the links through
-// the link arbiters.
+// the link arbiters. Its input FIFOs are plain storage: push_input()
+// decodes a head that lands in an empty FIFO, and the route cycle
+// returns the freed slot's credit upstream right after its pop.
 #pragma once
 
 #include <array>
@@ -46,16 +48,12 @@ namespace mango::noc {
 
 class RouteTable;  // noc/network/routing.hpp
 
-/// Credit-controlled BE input FIFO (one per input port per BE VC).
+/// Credit-controlled BE input FIFO (one per input port per BE VC). The
+/// owning BeRouter reacts to a new head and returns the credit itself.
 class BeInputBuffer {
  public:
-  using Notify = sim::InlineCallback;
-
   BeInputBuffer(unsigned capacity, std::string name)
       : capacity_(capacity), name_(std::move(name)) {}
-
-  void set_on_credit_return(Notify n) { on_credit_return_ = std::move(n); }
-  void set_on_head(Notify n) { on_head_ = std::move(n); }
 
   /// Pushes a flit; overflow means the upstream violated credit flow
   /// control and raises ModelError.
@@ -63,7 +61,7 @@ class BeInputBuffer {
 
   bool has_head() const { return !fifo_.empty(); }
   const Flit& head() const;
-  Flit pop();  ///< fires the credit-return callback
+  Flit pop();
 
   unsigned capacity() const { return capacity_; }
   std::size_t size() const { return fifo_.size(); }
@@ -73,8 +71,6 @@ class BeInputBuffer {
   unsigned capacity_;
   std::string name_;
   sim::FifoRing<Flit> fifo_;
-  Notify on_credit_return_;
-  Notify on_head_;
   std::uint64_t flits_through_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include "noc/common/events.hpp"
 #include "noc/link/link.hpp"
+#include "noc/na/network_adapter.hpp"
 #include "sim/assert.hpp"
 
 namespace mango::noc {
@@ -75,7 +76,6 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
       name_(std::move(name)),
       table_(cfg),
       switching_(sim_, cfg, delays_),
-      vc_control_(sim_, table_, delays_),
       prog_(table_),
       be_(ctx, cfg, delays_, name_),
       arena_(arena) {
@@ -100,7 +100,7 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
       VcBuffer& buf = *bufs_.back();
       VcFlowControl& fb = *flow_.back();
       buf.set_on_head([this, p, vc] { update_gs_request(p, vc); });
-      buf.set_on_reverse([this, id] { vc_control_.signal(id); });
+      buf.set_on_reverse([this, id] { signal_reverse(id); });
       fb.set_on_ready([this, p, vc] { update_gs_request(p, vc); });
     }
     arbiters_[p]->set_grant_gs([this, p](VcIdx vc) { on_gs_grant(p, vc); });
@@ -114,9 +114,9 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
     bufs_.push_back(make_component<VcBuffer>(sim_, delays_, scheme, id));
     VcBuffer& buf = *bufs_.back();
     buf.set_on_head([this, i] {
-      if (local_out_notify_) local_out_notify_(i);
+      if (na_ != nullptr) na_->on_local_head(i);
     });
-    buf.set_on_reverse([this, id] { vc_control_.signal(id); });
+    buf.set_on_reverse([this, id] { signal_reverse(id); });
   }
 
   // Switching module sinks.
@@ -126,28 +126,6 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
   switching_.set_be_sink([this](PortIdx in, Flit&& f) {
     be_.push_input(in, std::move(f));
   });
-
-  // VC control module outputs.
-  vc_control_.set_network_out([this](PortIdx in_port, VcIdx wire) {
-    Link* l = links_.at(in_port);
-    MANGO_ASSERT(l != nullptr, "reverse signal through unattached port " +
-                                   port_name(in_port) + " on " + name_);
-    l->send_reverse(this, wire);
-  });
-  vc_control_.set_local_out([this](LocalIfaceIdx iface) {
-    MANGO_ASSERT(static_cast<bool>(local_reverse_),
-                 "no NA reverse handler on " + name_);
-    local_reverse_(iface);
-  });
-  if (cfg_.coalesce_handshakes) {
-    vc_control_.set_local_complete(
-        [this](LocalIfaceIdx iface) {
-          MANGO_ASSERT(static_cast<bool>(local_reverse_complete_),
-                       "no NA reverse-complete handler on " + name_);
-          local_reverse_complete_(iface);
-        },
-        reverse_fold_delay());
-  }
 
   // BE router outputs: 4 network stages + local NA + programming.
   for (PortIdx p = 0; p < kNumDirections; ++p) {
@@ -160,20 +138,19 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
                  BeRouter::OutputHooks{
                      [](BeVcIdx) { return true; },  // NA rx is unbounded
                      [this](Flit&& f) {
-                       if (cfg_.coalesce_handshakes &&
-                           local_be_delivery_timed_) {
+                       MANGO_ASSERT(na_ != nullptr,
+                                    "no NA BE delivery sink on " + name_);
+                       if (cfg_.coalesce_handshakes && na_->be_passive()) {
                          // Passive NA consumer: fold the wire hop.
                          const sim::Time at =
                              sim_.now() + delays_.na_link_fwd;
                          sim_.note_folded_hop_at(at);
-                         local_be_delivery_timed_(std::move(f), at);
+                         na_->accept_be_flit(std::move(f), at);
                          return;
                        }
-                       MANGO_ASSERT(static_cast<bool>(local_be_delivery_),
-                                    "no NA BE delivery sink on " + name_);
                        sim::TypedEvent ev{};
                        ev.op = events::kOpNaBeDeliver;
-                       ev.p0 = this;
+                       ev.p0 = na_;
                        events::store_flit(ev, f);
                        sim_.after_typed(delays_.na_link_fwd, ev);
                      },
@@ -194,12 +171,9 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
     });
   }
   be_.set_credit_return(kLocalPort, [this](BeVcIdx vc) {
-    if (local_be_credit_) {
-      sim::TypedEvent ev{};
-      ev.op = events::kOpLocalBeCredit;
-      ev.a = vc;
-      ev.p0 = this;
-      sim_.after_typed(delays_.be_credit_back, ev);
+    if (na_ != nullptr) {
+      sim_.after_typed(delays_.be_credit_back,
+                       events::make(events::kOpLocalBeCredit, na_, vc));
     }
   });
 }
@@ -225,6 +199,12 @@ std::size_t Router::buf_index(VcBufferId id) const {
 VcFlowControl& Router::flow_control(PortIdx port, VcIdx vc) {
   MANGO_ASSERT(port < kNumDirections, "flow boxes exist on network ports only");
   return *flow_.at(buf_index({port, vc}));
+}
+
+void Router::attach_na(NetworkAdapter& na) {
+  MANGO_ASSERT(na_ == nullptr, "a second network adapter (" + na.name() +
+                                   ") on the local port of " + name_);
+  na_ = &na;
 }
 
 void Router::attach_link(PortIdx port, Link* link) {
@@ -292,7 +272,32 @@ void Router::recheck_gs_request(PortIdx port, VcIdx vc) {
   arbiters_[port]->set_request_gs(vc, gs_eligible(port, vc));
 }
 
-void Router::deliver_local_be_credit(BeVcIdx vc) { local_be_credit_(vc); }
+void Router::signal_reverse(VcBufferId buf) {
+  const ReverseEntry entry = table_.reverse(buf);  // throws if unprogrammed
+  ++vc_control_signals_;
+  if (entry.in_port != kLocalPort) {
+    // The attached link charges the unlock-wire delay.
+    Link* l = links_.at(entry.in_port);
+    MANGO_ASSERT(l != nullptr, "reverse signal through unattached port " +
+                                   port_name(entry.in_port) + " on " + name_);
+    l->send_reverse(this, entry.wire);
+    return;
+  }
+  MANGO_ASSERT(na_ != nullptr, "no NA reverse handler on " + name_);
+  // The NA sits next to the router; charge the (shorter) local wire. The
+  // uncoalesced NA flow box adds its own re-arm delay; the coalesced
+  // path charges the re-arm here too and the box completes directly at
+  // the analytically computed ready instant — one event instead of two.
+  sim::Time delay = delays_.na_link_fwd;
+  if (cfg_.coalesce_handshakes) {
+    const sim::Time fold = reverse_fold_delay();
+    if (fold > 0) sim_.note_folded_hop_at(sim_.now() + delay);
+    delay += fold;
+  }
+  sim_.after_typed(delay, events::make(events::kOpVcLocalReverse, na_,
+                                       static_cast<LocalIfaceIdx>(entry.wire),
+                                       cfg_.coalesce_handshakes ? 1 : 0));
+}
 
 const Router::GsSendPlan& Router::send_plan(PortIdx port, VcIdx vc) {
   if (send_plans_.empty()) {
@@ -355,7 +360,7 @@ void Router::on_gs_grant(PortIdx port, VcIdx vc) {
 RouterActivity Router::activity() const {
   RouterActivity a;
   a.switch_flits = switching_.flits_routed();
-  a.vc_control_signals = vc_control_.signals();
+  a.vc_control_signals = vc_control_signals_;
   for (PortIdx p = 0; p < kNumDirections; ++p) {
     a.arb_grants += arbiters_[p]->total_grants();
   }

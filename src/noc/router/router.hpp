@@ -6,12 +6,17 @@
 //   bits appended from the connection table) -> link -> split module ->
 //   4x4 half-switch -> unsharebox of the reserved VC buffer.
 // Reverse control path: on the buffer advance (share-based) or buffer pop
-// (credit-based) the VC control module switches the reverse signal onto
-// the programmed input-port wire, the link carries it back, and the
-// upstream flow box re-arms.
+// (credit-based) signal_reverse() plays the VC control module (Section
+// 4.3): it switches the reverse signal onto the programmed input-port
+// wire, the link carries it back, and the upstream flow box re-arms.
 //
 // BE flits ride the same links through per-port BE output stages that
 // merge into the link arbiters in the cycles no GS VC requests.
+//
+// The local port's partner is the one NetworkAdapter that attaches
+// itself (attach_na); the router calls it directly for first-hop
+// reverse signals, GS delivery notifications, BE credits and BE
+// delivery.
 #pragma once
 
 #include <array>
@@ -31,7 +36,6 @@
 #include "noc/router/sharebox.hpp"
 #include "noc/router/switching.hpp"
 #include "noc/router/vc_buffer.hpp"
-#include "noc/router/vc_control.hpp"
 #include "sim/arena.hpp"
 #include "sim/context.hpp"
 #include "sim/ring.hpp"
@@ -40,6 +44,7 @@
 namespace mango::noc {
 
 class Link;
+class NetworkAdapter;
 class Router;
 
 /// Per-network-port stage merging BE flits onto the link: one two-deep
@@ -139,10 +144,6 @@ class Router {
   /// The req_fwd wire delay elapsed: re-evaluate (port, vc)'s request
   /// line against the current buffer/flow state.
   void recheck_gs_request(PortIdx port, VcIdx vc);
-  /// A local BE credit lands at the NA after the credit-wire delay.
-  void deliver_local_be_credit(BeVcIdx vc);
-  /// A BE flit crosses the NA-local wire to the NA's delivery sink.
-  void deliver_local_be(Flit&& f) { local_be_delivery_(std::move(f)); }
 
   /// Re-arm delay the coalesced reverse path folds into the wire event
   /// (sharebox re-arm for share-based VC control, 0 for credit-based).
@@ -167,52 +168,17 @@ class Router {
     sim::Time total_delay = 0;  ///< fwd + peer switch stage
   };
 
-  /// Inline-capture local-side hooks ([this]-sized NA captures); each
-  /// fires once or twice per flit on the local hot paths.
-  using LocalHook = sim::InlineFunction<void(LocalIfaceIdx)>;
-  using BeCreditHook = sim::InlineFunction<void(BeVcIdx)>;
-  using BeDeliveryHook = sim::InlineFunction<void(Flit&&)>;
-  /// Passive BE delivery: called synchronously with the delivery
-  /// instant; the NA wire hop is folded into the timestamp.
-  using BeTimedDeliveryHook =
-      sim::InlineFunction<void(Flit&&, sim::Time at), 4>;
-
-  // --- local (NA) side: GS injection ---
+  // --- local (NA) side ---
+  /// Makes `na` the local port's partner. The NA constructor calls this;
+  /// a second NA on the same router is a ModelError.
+  void attach_na(NetworkAdapter& na);
   /// NA pushes a steered flit into the switching module via a local GS
   /// input interface. The NA charges the local wire delay and obeys its
   /// flow box; `iface` is recorded for diagnostics only.
   void inject_local_gs(LocalIfaceIdx iface, LinkFlit lf);
-  /// First-hop reverse signals (to the NA's flow boxes).
-  void set_local_reverse_handler(LocalHook h) {
-    local_reverse_ = std::move(h);
-  }
-  /// Coalesced first-hop reverse completion (wire + re-arm charged into
-  /// the event; the NA completes its flow box directly).
-  void set_local_reverse_complete_handler(LocalHook h) {
-    local_reverse_complete_ = std::move(h);
-  }
-
-  // --- local (NA) side: GS delivery ---
   bool local_out_has_head(LocalIfaceIdx iface) const;
   Flit local_out_pop(LocalIfaceIdx iface);
-  /// Fired when a local output interface has a head flit for the NA.
-  void set_local_out_notify(LocalHook h) {
-    local_out_notify_ = std::move(h);
-  }
-
-  // --- local (NA) side: BE ---
   void inject_local_be(Flit f);  ///< NA tracks the credits (per BE VC)
-  void set_local_be_credit_handler(BeCreditHook h) {
-    local_be_credit_ = std::move(h);
-  }
-  void set_local_be_delivery(BeDeliveryHook h) {
-    local_be_delivery_ = std::move(h);
-  }
-  /// Passive variant (installed by the NA when its BE handler is
-  /// measurement-style); takes precedence under coalescing.
-  void set_local_be_delivery_timed(BeTimedDeliveryHook h) {
-    local_be_delivery_timed_ = std::move(h);
-  }
 
   // --- component access ---
   const RouterConfig& config() const { return cfg_; }
@@ -243,6 +209,10 @@ class Router {
     }
     return new T(std::forward<Args>(args)...);
   }
+  /// The VC control module: switches VC buffer `buf`'s reverse signal
+  /// onto its programmed input-port wire (a link, or the NA's flow box).
+  /// ModelError if the buffer has no programmed reverse entry.
+  void signal_reverse(VcBufferId buf);
   bool gs_eligible(PortIdx port, VcIdx vc) const;
   void update_gs_request(PortIdx port, VcIdx vc);
   void on_gs_grant(PortIdx port, VcIdx vc);
@@ -258,7 +228,6 @@ class Router {
 
   ConnectionTable table_;
   SwitchingModule switching_;
-  VcControlModule vc_control_;
   ProgrammingInterface prog_;
   BeRouter be_;
 
@@ -275,12 +244,8 @@ class Router {
   /// Cached per-(port, vc) GS transfer plans (coalesced path).
   std::vector<GsSendPlan> send_plans_;
 
-  LocalHook local_reverse_;
-  LocalHook local_reverse_complete_;
-  LocalHook local_out_notify_;
-  BeCreditHook local_be_credit_;
-  BeDeliveryHook local_be_delivery_;
-  BeTimedDeliveryHook local_be_delivery_timed_;
+  NetworkAdapter* na_ = nullptr;  ///< the local port's partner, if any
+  std::uint64_t vc_control_signals_ = 0;
 
   /// GS sends count here directly, BE sends through the output stage.
   friend class BeOutputStage;

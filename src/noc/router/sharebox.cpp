@@ -39,8 +39,8 @@ void CreditBox::on_admit() {
 
 void CreditBox::on_reverse_signal() {
   count_reverse();
-  // The credit wire delay is charged by the caller (link / VC control
-  // module); the counter update itself is immediate.
+  // The credit wire delay is charged by the caller (link / the router's
+  // signal_reverse); the counter update itself is immediate.
   MANGO_ASSERT(credits_ < capacity_, "credit overflow: more returns than admits");
   ++credits_;
   notify_ready();

@@ -111,13 +111,42 @@ TEST(RouterUnit, UnattachedPortGrantIsDetected) {
   sim::Simulator& sim = ctx.sim();
   RouterConfig cfg;
   Router r(ctx, cfg, NodeId{0, 0}, "R");
-  r.set_local_reverse_handler([](LocalIfaceIdx) {});
-  const VcBufferId buf{port_of(Direction::kWest), 0};  // edge, no link
+  const PortIdx west = port_of(Direction::kWest);  // edge, no link
+  const VcBufferId buf{west, 0};
+  // The buffer's reverse signal needs an attached NA (a missing one is
+  // a ModelError of its own), so attach one with source 0 bound: the
+  // error must then be the grant onto the unattached port.
+  NetworkAdapter na(r, "NA");
+  na.configure_gs_source(0, r.switching().encode_gs(kLocalPort, buf));
   r.table().set_forward(buf, SteerBits{0, 0});
   r.table().set_reverse(buf, ReverseEntry{kLocalPort, 0});
   // Drop a flit straight into the buffer and let it request the link.
   r.vc_buffer(buf).accept_unshare(Flit{});
-  EXPECT_THROW(sim.run(), mango::ModelError);
+  try {
+    sim.run();
+    FAIL() << "the grant onto an unattached port went unnoticed";
+  } catch (const mango::ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("unattached port " + port_name(west)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RouterUnit, SecondNetworkAdapterOnOneRouterIsAModelError) {
+  // The local port has one partner. A second NA must not take over the
+  // first one's reverse signals, deliveries and BE credits.
+  sim::SimContext ctx;
+  MeshConfig mesh{2, 1, RouterConfig{}, 1};
+  Network net(ctx, mesh);
+  EXPECT_THROW(NetworkAdapter(net.router({1, 0}), "NA-extra"),
+               mango::ModelError);
+  // The network's own NA still receives what the local port delivers.
+  std::size_t received = 0;
+  net.na({1, 0}).set_be_handler([&](BePacket&&) { ++received; });
+  net.na({0, 0}).send_be_packet(
+      make_be_packet(net.be_route({0, 0}, {1, 0}), {1u, 2u}), 0);
+  ctx.run();
+  EXPECT_EQ(received, 1u);
 }
 
 }  // namespace
