@@ -13,8 +13,7 @@
 //                              materialized route tables, injection to
 //                              reassembled delivery at a passive sink.
 //   * BM_BeHeaderLookup      — the per-packet route cost alone: the
-//                              route-table header lookup vs rebuilding
-//                              the route through the virtual interface.
+//                              route-table header lookup.
 #include <benchmark/benchmark.h>
 
 #include "noc/network/connection_manager.hpp"
@@ -112,29 +111,6 @@ void BM_BeHeaderLookup(benchmark::State& state) {
   benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_BeHeaderLookup);
-
-void BM_BeRouteLegacyBuild(benchmark::State& state) {
-  // The pre-table cost: virtual route() + vector materialization +
-  // header encoding per packet.
-  sim::SimContext ctx;
-  MeshConfig mesh{4, 4, RouterConfig{}, 1};
-  Network net(ctx, mesh);
-  std::uint32_t acc = 0;
-  std::uint16_t i = 0;
-  for (auto _ : state) {
-    const NodeId src{static_cast<std::uint16_t>(i & 3),
-                     static_cast<std::uint16_t>((i >> 2) & 3)};
-    const NodeId dst{static_cast<std::uint16_t>(3 - (i & 3)),
-                     static_cast<std::uint16_t>(3 - ((i >> 2) & 3))};
-    i = static_cast<std::uint16_t>((i + 1) & 15);
-    if (src == dst) continue;
-    BeRoute r;
-    r.moves = net.routing().route(src, dst);
-    acc ^= build_be_header(r);
-  }
-  benchmark::DoNotOptimize(acc);
-}
-BENCHMARK(BM_BeRouteLegacyBuild);
 
 }  // namespace
 

@@ -8,11 +8,12 @@
 //
 // The free functions below are MESH GEOMETRY ONLY: they know Manhattan
 // coordinates and nothing about wrap-around links or irregular
-// adjacency. Production route and distance queries go through the
-// Topology / RoutingAlgorithm layers (noc/network/topology.hpp,
-// noc/network/routing.hpp), which are wrap-aware; feeding these
-// functions a torus-width wrap is a checked error (step() asserts
-// instead of silently wrapping the 16-bit coordinate).
+// adjacency. Production routes and hop counts are walks of the
+// materialized RouteTable (noc/network/routing.hpp), which is
+// wrap-aware; xy_route stays as the mesh reference the route-table
+// tests compare against. Feeding these functions a torus-width wrap is
+// a checked error (step() asserts instead of silently wrapping the
+// 16-bit coordinate).
 #pragma once
 
 #include <vector>
@@ -32,7 +33,7 @@ std::vector<Direction> xy_route(NodeId src, NodeId dst);
 NodeId step(NodeId n, Direction d);
 
 /// Number of mesh hops between two nodes (Manhattan distance). Mesh
-/// only: wrap-aware distances come from RoutingAlgorithm::hop_distance.
+/// only: wrap-aware hop counts come from RouteTable::hops.
 unsigned hop_distance(NodeId a, NodeId b);
 
 /// True if the move sequence leads from src to dst on an unbounded mesh.

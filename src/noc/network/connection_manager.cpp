@@ -10,7 +10,7 @@ std::vector<PathLink> route_links(const Network& net, NodeId src, NodeId dst) {
   const Topology& topo = net.topology();
   MANGO_ASSERT(topo.contains(src) && topo.contains(dst),
                "route endpoint out of bounds");
-  const std::vector<Direction> moves = net.route_moves(src, dst);
+  const std::vector<Direction> moves = net.be_route(src, dst).moves;
   std::vector<PathLink> links;
   links.reserve(moves.size());
   NodeId cur = src;

@@ -54,7 +54,6 @@ class FabricPlan {
                                                  unsigned build_threads = 1);
 
   const Topology& topology() const { return *topo_; }
-  const RoutingAlgorithm& routing() const { return *routing_; }
   const RouteTable& table() const { return *table_; }
   /// The CDG acyclicity certificate the build validated (always
   /// acyclic — a cyclic graph fails the build).
@@ -77,6 +76,8 @@ class FabricPlan {
   FabricPlan() = default;
 
   std::unique_ptr<Topology> topo_;
+  /// Kept alive for RouteTable, which re-raises self-route errors
+  /// through it.
   std::unique_ptr<RoutingAlgorithm> routing_;
   std::unique_ptr<RouteTable> table_;
   DeadlockCheck check_;

@@ -41,7 +41,6 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
                    fabric_plan_key(cfg_.topology, cfg_.router.be_vcs) +
                    " but the shared plan is " + plan_->key());
   topo_ = &plan_->topology();
-  routing_ = &plan_->routing();
   table_ = &plan_->table();
   MANGO_ASSERT(topo_->node_count() >= 2,
                "a network needs at least two nodes (self-programming uses "
@@ -255,10 +254,6 @@ BeRoute Network::be_route(NodeId src, NodeId dst, LocalIface iface) const {
 
 BeHeader Network::be_header(NodeId src, NodeId dst, LocalIface iface) const {
   return table_->be_header(topo_->index(src), topo_->index(dst), iface);
-}
-
-std::vector<Direction> Network::route_moves(NodeId src, NodeId dst) const {
-  return be_route(src, dst).moves;
 }
 
 }  // namespace mango::noc

@@ -86,7 +86,6 @@ class Network {
   Network(sim::SimContext& ctx, const NetworkConfig& cfg);
 
   const Topology& topology() const { return *topo_; }
-  const RoutingAlgorithm& routing() const { return *routing_; }
   /// The fabric plan this network was constructed from (shared when the
   /// config carried one, built inline otherwise).
   const FabricPlan& plan() const { return *plan_; }
@@ -142,7 +141,7 @@ class Network {
   std::size_t node_count() const { return topo_->node_count(); }
   NodeId node_at(std::size_t idx) const { return topo_->node_at(idx); }
 
-  /// BE route from src to dst under the installed routing algorithm.
+  /// BE route from src to dst: the walk of the plan's route table.
   /// src == dst yields the topology's shortest u-turn-free cycle back to
   /// src (used to reach a node's own local port, e.g. for
   /// self-programming; see DESIGN.md) — a checked error on fabrics with
@@ -159,10 +158,6 @@ class Network {
   /// over the budget.
   BeHeader be_header(NodeId src, NodeId dst,
                      LocalIface iface = LocalIface::kNetworkAdapter) const;
-
-  /// Move sequence of the src -> dst route (src == dst: the self-route
-  /// cycle). Setup-path convenience over the materialized table.
-  std::vector<Direction> route_moves(NodeId src, NodeId dst) const;
 
   /// All links (diagnostics).
   const std::vector<Link*>& links() const { return links_; }
@@ -193,7 +188,6 @@ class Network {
   /// outlives anything that reads the table during teardown.
   std::shared_ptr<const FabricPlan> plan_;
   const Topology* topo_ = nullptr;
-  const RoutingAlgorithm* routing_ = nullptr;
   const RouteTable* table_ = nullptr;
   std::vector<std::unique_ptr<sim::SimContext>> extra_ctxs_;  ///< shards 1..N-1
   std::vector<sim::SimContext*> shard_ctxs_;  ///< [0] == &ctx_

@@ -59,11 +59,6 @@ void parallel_items(std::size_t items, unsigned threads, MakeState make_state,
 
 // --- base --------------------------------------------------------------------
 
-unsigned RoutingAlgorithm::hop_distance(NodeId a, NodeId b) const {
-  if (a == b) return 0;
-  return static_cast<unsigned>(route(a, b).size());
-}
-
 std::vector<Direction> RoutingAlgorithm::self_route(NodeId src) const {
   // BFS over (node, arrival port) states for the shortest cycle back to
   // src that never leaves a node by its arrival port (the u-turn code
@@ -128,14 +123,8 @@ std::vector<Direction> RoutingAlgorithm::self_route(NodeId src) const {
 
 // --- XY on the mesh ----------------------------------------------------------
 
-std::vector<Direction> XyRouting::route(NodeId src, NodeId dst) const {
-  MANGO_ASSERT(topo_.contains(src) && topo_.contains(dst),
-               "route endpoints out of bounds");
-  return xy_route(src, dst);
-}
-
 NextHop XyRouting::next_hop(NodeId node, NodeId dst, unsigned) const {
-  // One step of xy_route: finish x before y, matching route() exactly.
+  // XY: finish x before y (xy_route is the same walk, whole).
   if (node.x != dst.x) {
     return NextHop{
         port_of(node.x < dst.x ? Direction::kEast : Direction::kWest), 0};
@@ -145,33 +134,15 @@ NextHop XyRouting::next_hop(NodeId node, NodeId dst, unsigned) const {
       port_of(node.y < dst.y ? Direction::kNorth : Direction::kSouth), 0};
 }
 
-unsigned XyRouting::hop_distance(NodeId a, NodeId b) const {
-  return mango::noc::hop_distance(a, b);  // Manhattan
-}
-
 // --- dimension-ordered torus -------------------------------------------------
 
 namespace {
 
-/// Minimal moves along one wrap dimension: distance `fwd` going the
+/// One minimal step along one wrap dimension: distance `fwd` going the
 /// positive direction, `extent - fwd` going back; ties go forward.
-void append_dim_moves(std::vector<Direction>& moves, unsigned from,
-                      unsigned to, unsigned extent, Direction fwd_dir,
-                      Direction back_dir) {
-  const unsigned fwd = (to + extent - from) % extent;
-  const unsigned back = extent - fwd;
-  if (fwd == 0) return;
-  if (fwd <= back) {
-    moves.insert(moves.end(), fwd, fwd_dir);
-  } else {
-    moves.insert(moves.end(), back, back_dir);
-  }
-}
-
-/// One step of append_dim_moves. Memoryless: moving toward `to` only
-/// shrinks the chosen side of the fwd-vs-back comparison (ties go
-/// forward both before and after the step), so the per-hop choice
-/// reproduces the whole-route choice.
+/// Memoryless: moving toward `to` only shrinks the chosen side of the
+/// comparison (ties go forward both before and after the step), so the
+/// walk of these steps is a minimal route.
 Direction dim_step(unsigned from, unsigned to, unsigned extent,
                    Direction fwd_dir, Direction back_dir) {
   const unsigned fwd = (to + extent - from) % extent;
@@ -180,18 +151,6 @@ Direction dim_step(unsigned from, unsigned to, unsigned extent,
 }
 
 }  // namespace
-
-std::vector<Direction> TorusDorRouting::route(NodeId src, NodeId dst) const {
-  MANGO_ASSERT(topo_.contains(src) && topo_.contains(dst),
-               "route endpoints out of bounds");
-  const auto& torus = static_cast<const TorusTopology&>(topo_);
-  std::vector<Direction> moves;
-  append_dim_moves(moves, src.x, dst.x, torus.width(), Direction::kEast,
-                   Direction::kWest);
-  append_dim_moves(moves, src.y, dst.y, torus.height(), Direction::kNorth,
-                   Direction::kSouth);
-  return moves;
-}
 
 NextHop TorusDorRouting::next_hop(NodeId node, NodeId dst, unsigned) const {
   const auto& torus = static_cast<const TorusTopology&>(topo_);
@@ -204,14 +163,6 @@ NextHop TorusDorRouting::next_hop(NodeId node, NodeId dst, unsigned) const {
   return NextHop{port_of(dim_step(node.y, dst.y, torus.height(),
                                   Direction::kNorth, Direction::kSouth)),
                  0};
-}
-
-unsigned TorusDorRouting::hop_distance(NodeId a, NodeId b) const {
-  const auto& torus = static_cast<const TorusTopology&>(topo_);
-  const unsigned dxf = (b.x + torus.width() - a.x) % torus.width();
-  const unsigned dyf = (b.y + torus.height() - a.y) % torus.height();
-  return std::min(dxf, torus.width() - dxf) +
-         std::min(dyf, torus.height() - dyf);
 }
 
 BeVcClassMap TorusDorRouting::vc_class_map() const {
@@ -234,28 +185,12 @@ BeVcClassMap TorusDorRouting::vc_class_map() const {
 
 // --- ring --------------------------------------------------------------------
 
-std::vector<Direction> RingRouting::route(NodeId src, NodeId dst) const {
-  MANGO_ASSERT(topo_.contains(src) && topo_.contains(dst),
-               "route endpoints out of bounds");
-  const unsigned n = static_cast<unsigned>(topo_.node_count());
-  std::vector<Direction> moves;
-  append_dim_moves(moves, src.x, dst.x, n, Direction::kEast,
-                   Direction::kWest);
-  return moves;
-}
-
 NextHop RingRouting::next_hop(NodeId node, NodeId dst, unsigned) const {
   const unsigned n = static_cast<unsigned>(topo_.node_count());
   MANGO_ASSERT(node.x != dst.x, "next_hop at the destination");
   return NextHop{port_of(dim_step(node.x, dst.x, n, Direction::kEast,
                                   Direction::kWest)),
                  0};
-}
-
-unsigned RingRouting::hop_distance(NodeId a, NodeId b) const {
-  const unsigned n = static_cast<unsigned>(topo_.node_count());
-  const unsigned fwd = (b.x + n - a.x) % n;
-  return std::min(fwd, n - fwd);
 }
 
 BeVcClassMap RingRouting::vc_class_map() const {
@@ -266,87 +201,6 @@ BeVcClassMap RingRouting::vc_class_map() const {
   map.dateline[n - 1][port_of(Direction::kEast)] = true;  // (n-1) -> 0
   map.dateline[0][port_of(Direction::kWest)] = true;      // 0 -> (n-1)
   return map;
-}
-
-// --- shortest-path tables ----------------------------------------------------
-
-ShortestPathRouting::ShortestPathRouting(const Topology& topo)
-    : RoutingAlgorithm(topo) {
-  const std::size_t n = topo.node_count();
-  constexpr std::uint16_t kUnreached = 0xFFFF;
-  dist_.assign(n, std::vector<std::uint16_t>(n, kUnreached));
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    auto& field = dist_[dst];
-    field[dst] = 0;
-    std::deque<std::size_t> queue{dst};
-    while (!queue.empty()) {
-      const std::size_t cur = queue.front();
-      queue.pop_front();
-      const NodeId cur_node = topo.node_at(cur);
-      for (PortIdx p = 0; p < kNumDirections; ++p) {
-        const auto peer = topo.link_peer(cur_node, p);
-        if (!peer.has_value()) continue;
-        const std::size_t pi = topo.index(peer->node);
-        if (field[pi] != kUnreached) continue;
-        field[pi] = static_cast<std::uint16_t>(field[cur] + 1);
-        queue.push_back(pi);
-      }
-    }
-    MANGO_ASSERT(
-        std::find(field.begin(), field.end(), kUnreached) == field.end(),
-        "topology " + topo.label() + " is disconnected: node " +
-            to_string(topo.node_at(dst)) + " is unreachable");
-  }
-}
-
-std::vector<Direction> ShortestPathRouting::route(NodeId src,
-                                                  NodeId dst) const {
-  MANGO_ASSERT(topo_.contains(src) && topo_.contains(dst),
-               "route endpoints out of bounds");
-  const std::size_t dst_idx = topo_.index(dst);
-  const auto& field = dist_[dst_idx];
-  std::vector<Direction> moves;
-  NodeId cur = src;
-  std::size_t cur_idx = topo_.index(src);
-  moves.reserve(field[cur_idx]);
-  while (cur_idx != dst_idx) {
-    // Greedy descent: distance strictly decreases each hop, so the walk
-    // terminates and never re-exits through its arrival port.
-    bool advanced = false;
-    for (PortIdx p = 0; p < kNumDirections && !advanced; ++p) {
-      const auto peer = topo_.link_peer(cur, p);
-      if (!peer.has_value()) continue;
-      const std::size_t pi = topo_.index(peer->node);
-      if (field[pi] + 1 != field[cur_idx]) continue;
-      moves.push_back(direction_of(p));
-      cur = peer->node;
-      cur_idx = pi;
-      advanced = true;
-    }
-    MANGO_ASSERT(advanced, "distance field has no descent — corrupt table");
-  }
-  return moves;
-}
-
-NextHop ShortestPathRouting::next_hop(NodeId node, NodeId dst,
-                                      unsigned) const {
-  // One iteration of route()'s greedy descent: the first port (in port
-  // order) whose peer is strictly closer to dst.
-  const auto& field = dist_[topo_.index(dst)];
-  const std::size_t cur_idx = topo_.index(node);
-  MANGO_ASSERT(cur_idx != topo_.index(dst), "next_hop at the destination");
-  for (PortIdx p = 0; p < kNumDirections; ++p) {
-    const auto peer = topo_.link_peer(node, p);
-    if (!peer.has_value()) continue;
-    if (field[topo_.index(peer->node)] + 1 != field[cur_idx]) continue;
-    return NextHop{p, 0};
-  }
-  MANGO_ASSERT(false, "distance field has no descent — corrupt table");
-  return NextHop{};
-}
-
-unsigned ShortestPathRouting::hop_distance(NodeId a, NodeId b) const {
-  return dist_[topo_.index(b)][topo_.index(a)];
 }
 
 // --- up*/down* ---------------------------------------------------------------
@@ -429,42 +283,12 @@ UpDownRouting::UpDownRouting(const Topology& topo) : RoutingAlgorithm(topo) {
   }
 }
 
-std::vector<Direction> UpDownRouting::route(NodeId src, NodeId dst) const {
-  MANGO_ASSERT(topo_.contains(src) && topo_.contains(dst),
-               "route endpoints out of bounds");
-  const std::size_t dst_idx = topo_.index(dst);
-  const auto& d = dist_[dst_idx];
-  std::vector<Direction> moves;
-  NodeId cur = src;
-  std::size_t cur_idx = topo_.index(src);
-  unsigned phase = 0;
-  moves.reserve(d[2 * cur_idx]);
-  while (cur_idx != dst_idx) {
-    bool advanced = false;
-    for (PortIdx p = 0; p < kNumDirections && !advanced; ++p) {
-      const auto peer = topo_.link_peer(cur, p);
-      if (!peer.has_value()) continue;
-      const std::size_t pi = topo_.index(peer->node);
-      const bool up_move = is_up(cur_idx, pi);
-      if (phase == 1 && up_move) continue;  // no down->up turns
-      const unsigned next_phase = up_move ? phase : 1;
-      if (d[2 * pi + next_phase] + 1 != d[2 * cur_idx + phase]) continue;
-      moves.push_back(direction_of(p));
-      cur = peer->node;
-      cur_idx = pi;
-      phase = next_phase;
-      advanced = true;
-    }
-    MANGO_ASSERT(advanced, "up*/down* table has no descent — corrupt table");
-  }
-  return moves;
-}
-
 NextHop UpDownRouting::next_hop(NodeId node, NodeId dst,
                                 unsigned phase) const {
-  // One iteration of route()'s greedy descent over the legal-step state
-  // graph — including the phase evolution (phase 1 after the first down
-  // move), which is exactly the bit the table-routed header carries.
+  // Greedy descent over the legal-step state graph: the first port (in
+  // port order) one legal hop closer to dst — including the phase
+  // evolution (phase 1 after the first down move), which is exactly the
+  // bit the table-routed header carries.
   const auto& d = dist_[topo_.index(dst)];
   const std::size_t cur_idx = topo_.index(node);
   MANGO_ASSERT(cur_idx != topo_.index(dst), "next_hop at the destination");
@@ -480,10 +304,6 @@ NextHop UpDownRouting::next_hop(NodeId node, NodeId dst,
   }
   MANGO_ASSERT(false, "up*/down* table has no descent — corrupt table");
   return NextHop{};
-}
-
-unsigned UpDownRouting::hop_distance(NodeId a, NodeId b) const {
-  return dist_[topo_.index(b)][2 * topo_.index(a)];
 }
 
 // --- factory -----------------------------------------------------------------
@@ -686,7 +506,7 @@ void RouteTable::materialize_pairs(const Topology& topo,
         MANGO_ASSERT(sc.stack.size() <= states,
                      "next_hop walk from " + to_string(topo.node_at(v)) +
                          " never reaches " + to_string(dst) +
-                         " — route() is not the greedy walk of next_hop()");
+                         " — next_hop() loops");
         s = sc.succ[s];
       }
       for (std::size_t k = sc.stack.size(); k-- > 0;) {
@@ -740,13 +560,18 @@ void RouteTable::materialize_pairs(const Topology& topo,
       resolve_destination);
 }
 
+bool RouteTable::self_pair(std::size_t src_idx, std::size_t dst_idx) const {
+  MANGO_ASSERT(src_idx < n_ && dst_idx < n_, "route table index out of range");
+  if (src_idx != dst_idx) return false;
+  if (self_unavailable_[src_idx]) {
+    routing_->self_route(routing_->topology().node_at(src_idx));  // throws
+  }
+  return true;
+}
+
 void RouteTable::append_moves(std::size_t src_idx, std::size_t dst_idx,
                               std::vector<Direction>& out) const {
-  MANGO_ASSERT(src_idx < n_ && dst_idx < n_, "route table index out of range");
-  if (src_idx == dst_idx) {
-    if (self_unavailable_[src_idx]) {
-      routing_->self_route(routing_->topology().node_at(src_idx));  // throws
-    }
+  if (self_pair(src_idx, dst_idx)) {
     out.insert(out.end(), self_moves_.begin() + self_offsets_[src_idx],
                self_moves_.begin() + self_offsets_[src_idx + 1]);
     return;
@@ -767,22 +592,14 @@ void RouteTable::append_moves(std::size_t src_idx, std::size_t dst_idx,
 
 PortIdx RouteTable::delivery_port(std::size_t src_idx,
                                   std::size_t dst_idx) const {
-  MANGO_ASSERT(src_idx < n_ && dst_idx < n_, "route table index out of range");
-  if (src_idx == dst_idx) {
-    if (self_unavailable_[src_idx]) {
-      routing_->self_route(routing_->topology().node_at(src_idx));  // throws
-    }
+  if (self_pair(src_idx, dst_idx)) {
     return static_cast<PortIdx>(self_delivery_[src_idx]);
   }
   return static_cast<PortIdx>(meta_[pair(src_idx, dst_idx)] & 0x3u);
 }
 
 unsigned RouteTable::hops(std::size_t src_idx, std::size_t dst_idx) const {
-  MANGO_ASSERT(src_idx < n_ && dst_idx < n_, "route table index out of range");
-  if (src_idx == dst_idx) {
-    if (self_unavailable_[src_idx]) {
-      routing_->self_route(routing_->topology().node_at(src_idx));  // throws
-    }
+  if (self_pair(src_idx, dst_idx)) {
     return self_offsets_[src_idx + 1] - self_offsets_[src_idx];
   }
   const std::uint8_t code = shift_code(src_idx, dst_idx);
@@ -794,11 +611,7 @@ unsigned RouteTable::hops(std::size_t src_idx, std::size_t dst_idx) const {
 
 BeHeader RouteTable::be_header(std::size_t src_idx, std::size_t dst_idx,
                                LocalIface iface) const {
-  MANGO_ASSERT(src_idx < n_ && dst_idx < n_, "route table index out of range");
-  if (src_idx == dst_idx) {
-    if (self_unavailable_[src_idx]) {
-      routing_->self_route(routing_->topology().node_at(src_idx));  // throws
-    }
+  if (self_pair(src_idx, dst_idx)) {
     const std::uint8_t shift = self_shift_[src_idx];
     if (shift == kNoHeader) {
       // Over budget: rebuild through the legacy path so the ModelError
@@ -838,53 +651,14 @@ std::string channel_name(const Topology& topo, std::uint32_t chan) {
          port_name(static_cast<PortIdx>(port)) + "/vc" + std::to_string(vc);
 }
 
-/// Accumulates the channel-dependency graph of walked routes and runs
-/// the cycle check — shared by the virtual-interface and materialized-
-/// table entry points so both validate the identical walk semantics.
+/// Accumulates the channel-dependency graph of the table walks and runs
+/// the cycle check.
 class CdgBuilder {
  public:
-  CdgBuilder(const Topology& topo, const BeVcClassMap& map, bool classes)
-      : topo_(topo),
-        map_(map),
-        classes_(classes),
-        deps_(topo.node_count() * kNumDirections * kMaxBeVcs) {}
+  explicit CdgBuilder(const Topology& topo)
+      : topo_(topo), deps_(topo.node_count() * kNumDirections * kMaxBeVcs) {}
 
-  void add_route(NodeId src, NodeId dst, const Direction* mv,
-                 std::size_t len) {
-    NodeId cur = src;
-    PortIdx in = kLocalPort;
-    unsigned vc = 0;
-    std::optional<std::uint32_t> prev;
-    for (std::size_t k = 0; k < len; ++k) {
-      const Direction d = mv[k];
-      const std::size_t ci = topo_.index(cur);
-      MANGO_ASSERT(!is_network_port(in) || in != port_of(d),
-                   "route " + to_string(src) + "->" + to_string(dst) +
-                       " u-turns at " + to_string(cur) +
-                       " (reads as the local-delivery code)");
-      if (classes_) {
-        vc = be_vc_class_step(in, d, vc, map_.dateline[ci][port_of(d)]);
-      }
-      const auto chan = static_cast<std::uint32_t>(
-          (ci * kNumDirections + port_of(d)) * kMaxBeVcs + vc);
-      if (prev.has_value()) add_edge(*prev, chan);
-      prev = chan;
-      const auto peer = topo_.link_peer(cur, port_of(d));
-      MANGO_ASSERT(peer.has_value(),
-                   "route " + to_string(src) + "->" + to_string(dst) +
-                       " uses the unwired port " + port_name(port_of(d)) +
-                       " at " + to_string(cur));
-      cur = peer->node;
-      in = peer->port;
-    }
-    MANGO_ASSERT(cur == dst, "route " + to_string(src) + "->" +
-                                 to_string(dst) + " ends at " +
-                                 to_string(cur));
-  }
-
-  /// Record a single channel dependency directly — used by the memoized
-  /// table sweep, which enumerates the same consecutive-channel pairs as
-  /// add_route without re-walking whole routes.
+  /// Record one channel dependency (deduplicated).
   void add_edge(std::uint32_t from, std::uint32_t to) {
     if (from == to) return;
     auto& out = deps_[from];
@@ -942,47 +716,10 @@ class CdgBuilder {
 
  private:
   const Topology& topo_;
-  const BeVcClassMap& map_;
-  bool classes_;
   std::vector<std::vector<std::uint32_t>> deps_;
   std::uint64_t edges_ = 0;
   std::uint64_t digest_ = 1469598103934665603ull;  // FNV-1a offset basis
 };
-
-}  // namespace
-
-DeadlockCheck check_deadlock_freedom(const Topology& topo,
-                                     const RoutingAlgorithm& routing,
-                                     unsigned be_vcs) {
-  const std::size_t n = topo.node_count();
-  const BeVcClassMap map = routing.vc_class_map();
-  // The dateline rule only takes effect when the router configuration
-  // actually has a second BE VC — modelling exactly what the hardware
-  // would do, so a torus forced onto one VC is correctly reported as
-  // cyclic.
-  const bool classes = map.enabled && be_vcs >= 2;
-  CdgBuilder builder(topo, map, classes);
-
-  // Exhaustive pair coverage up to 512 nodes; beyond that, a
-  // deterministic stratified subset (every k-th node as src and as dst)
-  // bounds validation cost on very large fabrics.
-  const std::size_t stride = n <= 512 ? 1 : (n + 511) / 512;
-  std::vector<std::size_t> sample;
-  for (std::size_t i = 0; i < n; i += stride) sample.push_back(i);
-
-  for (const std::size_t si : sample) {
-    for (const std::size_t di : sample) {
-      if (si == di) continue;
-      const NodeId src = topo.node_at(si);
-      const NodeId dst = topo.node_at(di);
-      const std::vector<Direction> moves = routing.route(src, dst);
-      builder.add_route(src, dst, moves.data(), moves.size());
-    }
-  }
-  return builder.finish();
-}
-
-namespace {
 
 /// Per-worker scratch for the memoized table sweep: visited stamps are
 /// per-destination epochs, so the array is never cleared.
@@ -1001,10 +738,14 @@ DeadlockCheck check_deadlock_freedom(const Topology& topo,
                                      unsigned be_vcs,
                                      unsigned threads) {
   const std::size_t n = table.node_count();
+  // The dateline rule only takes effect when the router configuration
+  // actually has a second BE VC — modelling exactly what the hardware
+  // would do, so a torus forced onto one VC is correctly reported as
+  // cyclic.
   const bool classes = vc_map.enabled && be_vcs >= 2;
-  // Exhaustive pair coverage up to 1024 nodes; beyond that the same
-  // deterministic stratified sampling as the virtual check bounds the
-  // sweep on 4096-node fabrics.
+  // Exhaustive pair coverage up to 1024 nodes; beyond that a
+  // deterministic stratified subset (every k-th node as src and as dst)
+  // bounds the sweep on 4096-node fabrics.
   const std::size_t stride = n <= 1024 ? 1 : (n + 1023) / 1024;
   std::vector<std::size_t> dsts;
   for (std::size_t di = 0; di < n; di += stride) dsts.push_back(di);
@@ -1017,9 +758,9 @@ DeadlockCheck check_deadlock_freedom(const Topology& topo,
   // state's outgoing channel (its predecessor channel is new) and
   // stops; the suffix edges were recorded by the first expansion. The
   // emitted edge set is therefore exactly the union, over all sampled
-  // routes, of their consecutive-channel pairs — the same CDG the
-  // per-pair route walk builds — at O(states) instead of
-  // O(pairs x hops) per destination.
+  // routes, of their consecutive-channel pairs — the CDG a per-pair
+  // route walk would build — at O(states) instead of O(pairs x hops)
+  // per destination.
   //
   // Parallel shape: destinations are independent (stamps are private
   // per destination), so workers collect each destination's emitted
@@ -1081,11 +822,18 @@ DeadlockCheck check_deadlock_freedom(const Topology& topo,
         }
       });
 
-  CdgBuilder builder(topo, vc_map, classes);
+  CdgBuilder builder(topo);
   for (const auto& edges : emitted) {
     for (const auto& [from, to] : edges) builder.add_edge(from, to);
   }
   return builder.finish();
+}
+
+DeadlockCheck check_deadlock_freedom(const Topology& topo,
+                                     const RoutingAlgorithm& routing,
+                                     unsigned be_vcs) {
+  return check_deadlock_freedom(topo, RouteTable(topo, routing),
+                                routing.vc_class_map(), be_vcs);
 }
 
 }  // namespace mango::noc

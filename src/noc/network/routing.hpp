@@ -1,8 +1,11 @@
 // Routing algorithms over pluggable topologies.
 //
-// A RoutingAlgorithm turns (src, dst) into the out-port move sequence
-// the source-routed BE header encodes and the GS connection manager
-// walks when it reserves VCs hop by hop. Implementations:
+// A RoutingAlgorithm is one routing function, next_hop(node, dst,
+// phase): the out port a packet at `node` takes toward `dst`. The
+// RouteTable below materializes it once per fabric, and every route the
+// simulator uses — the source-routed BE header, the path the GS
+// connection manager reserves hop by hop, hop counts, the deadlock
+// check — is a walk of that table. Implementations:
 //
 //   * XyRouting            — dimension-ordered XY on the mesh (the
 //                            paper's scheme; acyclic by monotonicity),
@@ -18,14 +21,13 @@
 //                            a BFS spanning order (up edges point toward
 //                            the root level). Pure minimal routing on an
 //                            irregular graph is NOT deadlock-free in
-//                            general — ShortestPathRouting below exists
-//                            as exactly that counterexample and the
-//                            validator rejects it.
+//                            general; tests/test_routing.cpp shows the
+//                            validator rejecting it.
 //
 // Deadlock freedom is not taken on faith: check_deadlock_freedom()
-// builds the channel-dependency graph of (topology, routing, VC-class
-// rule) and reports the first cycle, and Network construction rejects
-// cyclic routing functions up front.
+// builds the channel-dependency graph of (topology, route table,
+// VC-class rule) and reports the first cycle, and FabricPlan::build
+// rejects cyclic routing functions up front.
 #pragma once
 
 #include <array>
@@ -76,28 +78,14 @@ class RoutingAlgorithm {
 
   virtual const char* name() const = 0;
 
-  /// Out-port move sequence from src to dst (src != dst). Every
-  /// implementation guarantees: the route reaches dst over wired links,
-  /// and no intermediate hop leaves by its arrival port (a u-turn would
-  /// read as the local-delivery code).
-  virtual std::vector<Direction> route(NodeId src, NodeId dst) const = 0;
-
-  /// One step of route(node, dst) from `node` in routing phase `phase`
-  /// (node != dst). The contract that makes RouteTable's O(n^2) chain
-  /// construction exact: every route() is the greedy walk of its own
-  /// next_hop over (node, phase) states — route(s, d) = next_hop step at
-  /// s, then route continues as the walk from the successor state. The
-  /// base implementation re-derives the first move of route() (correct
-  /// for any phase-free routing, O(route length)); implementations
-  /// override it with an O(ports) or O(1) step.
-  virtual NextHop next_hop(NodeId node, NodeId dst, unsigned phase) const {
-    (void)phase;
-    return NextHop{port_of(route(node, dst).front()), 0};
-  }
-
-  /// Link hops between two nodes under this routing (wrap-aware; the
-  /// topology-correct replacement for the mesh-only free hop_distance).
-  virtual unsigned hop_distance(NodeId a, NodeId b) const;
+  /// The routing function: the out port from `node` toward `dst` in
+  /// routing phase `phase` (node != dst), and the phase after the hop.
+  /// Routes are the greedy walks of next_hop from phase 0, so every
+  /// implementation guarantees that the walk reaches dst over wired
+  /// links and never leaves a node by its arrival port (a u-turn would
+  /// read as the local-delivery code). The RouteTable build checks the
+  /// first and the deadlock check the second.
+  virtual NextHop next_hop(NodeId node, NodeId dst, unsigned phase) const = 0;
 
   /// The dateline VC-class rule this routing needs (empty by default).
   virtual BeVcClassMap vc_class_map() const { return {}; }
@@ -121,9 +109,7 @@ class XyRouting : public RoutingAlgorithm {
   explicit XyRouting(const MeshTopology& topo)
       : RoutingAlgorithm(topo) {}
   const char* name() const override { return "xy"; }
-  std::vector<Direction> route(NodeId src, NodeId dst) const override;
   NextHop next_hop(NodeId node, NodeId dst, unsigned phase) const override;
-  unsigned hop_distance(NodeId a, NodeId b) const override;
 };
 
 class TorusDorRouting : public RoutingAlgorithm {
@@ -131,9 +117,7 @@ class TorusDorRouting : public RoutingAlgorithm {
   explicit TorusDorRouting(const TorusTopology& topo)
       : RoutingAlgorithm(topo) {}
   const char* name() const override { return "torus-dor"; }
-  std::vector<Direction> route(NodeId src, NodeId dst) const override;
   NextHop next_hop(NodeId node, NodeId dst, unsigned phase) const override;
-  unsigned hop_distance(NodeId a, NodeId b) const override;
   BeVcClassMap vc_class_map() const override;
   unsigned required_be_vcs() const override { return 2; }
 };
@@ -142,31 +126,9 @@ class RingRouting : public RoutingAlgorithm {
  public:
   explicit RingRouting(const RingTopology& topo) : RoutingAlgorithm(topo) {}
   const char* name() const override { return "ring"; }
-  std::vector<Direction> route(NodeId src, NodeId dst) const override;
   NextHop next_hop(NodeId node, NodeId dst, unsigned phase) const override;
-  unsigned hop_distance(NodeId a, NodeId b) const override;
   BeVcClassMap vc_class_map() const override;
   unsigned required_be_vcs() const override { return 2; }
-};
-
-/// Unrestricted minimal table routing: per-destination BFS distance
-/// fields, greedy descent with deterministic tie-breaks. On cyclic
-/// graphs its channel-dependency graph is cyclic in general, so
-/// make_routing() never installs it — it is the reference "plausible
-/// but deadlock-prone" routing function the validator demonstrably
-/// rejects (tests/test_routing.cpp) and a baseline for route-length
-/// comparisons.
-class ShortestPathRouting : public RoutingAlgorithm {
- public:
-  explicit ShortestPathRouting(const Topology& topo);
-  const char* name() const override { return "shortest-path"; }
-  std::vector<Direction> route(NodeId src, NodeId dst) const override;
-  NextHop next_hop(NodeId node, NodeId dst, unsigned phase) const override;
-  unsigned hop_distance(NodeId a, NodeId b) const override;
-
- private:
-  /// dist_[dst_idx][node_idx] = link hops node -> dst.
-  std::vector<std::vector<std::uint16_t>> dist_;
 };
 
 /// Up*/down* table routing for irregular graphs: edges are oriented
@@ -180,9 +142,7 @@ class UpDownRouting : public RoutingAlgorithm {
  public:
   explicit UpDownRouting(const Topology& topo);
   const char* name() const override { return "up-down"; }
-  std::vector<Direction> route(NodeId src, NodeId dst) const override;
   NextHop next_hop(NodeId node, NodeId dst, unsigned phase) const override;
-  unsigned hop_distance(NodeId a, NodeId b) const override;
 
  private:
   bool is_up(std::size_t from, std::size_t to) const {
@@ -306,6 +266,10 @@ class RouteTable {
 
  private:
   std::size_t pair(std::size_t s, std::size_t d) const { return s * n_ + d; }
+  /// Range-checks a pair and tells whether it is a self-route; on a
+  /// fabric without a u-turn-free cycle through src it re-raises the
+  /// routing's self-route ModelError instead.
+  bool self_pair(std::size_t src_idx, std::size_t dst_idx) const;
   std::uint8_t shift_code(std::size_t s, std::size_t d) const {
     return static_cast<std::uint8_t>(meta_[pair(s, d)] >> 4);
   }
@@ -357,23 +321,15 @@ struct DeadlockCheck {
   std::uint64_t digest = 0;
 };
 
-/// Builds the channel-dependency graph of `routing` over `topo` —
-/// channels are (link, BE VC class) pairs, with the VC class evolved by
-/// the routing's dateline rule — and checks it for cycles. Exhaustive
-/// over all src/dst pairs up to 512 nodes, deterministically stratified
-/// beyond. `be_vcs` guards that the rule never demands a class the
-/// router configuration lacks. Networks validate with the table
-/// overload below; this one walks the virtual interface and serves as
-/// its independent reference (tests, perfbench).
-DeadlockCheck check_deadlock_freedom(const Topology& topo,
-                                     const RoutingAlgorithm& routing,
-                                     unsigned be_vcs);
-
-/// Same check, run against the materialized route tables instead of the
-/// virtual interface: what Network validates is exactly what the hot
+/// Builds the channel-dependency graph of a routed fabric — channels are
+/// (link, BE VC class) pairs, with the VC class evolved by the routing's
+/// dateline rule — and checks it for cycles. It walks the materialized
+/// route tables, so what FabricPlan validates is exactly what the hot
 /// path will execute. Exhaustive over every (src, dst) pair up to 1024
-/// nodes, deterministically stratified beyond (mirroring the virtual
-/// check's sampling so 4096-node construction stays bounded).
+/// nodes, deterministically stratified beyond (every k-th node as source
+/// and destination), so 4096-node construction stays bounded. `be_vcs`
+/// guards that the rule never demands a class the router configuration
+/// lacks.
 ///
 /// `threads` bounds the worker pool enumerating per-destination edge
 /// sequences; the sequences merge serially in destination order, which
@@ -385,5 +341,11 @@ DeadlockCheck check_deadlock_freedom(const Topology& topo,
                                      const BeVcClassMap& vc_map,
                                      unsigned be_vcs,
                                      unsigned threads = 1);
+
+/// The same check for a routing function: materializes its RouteTable
+/// and runs the check above with the routing's own VC-class rule.
+DeadlockCheck check_deadlock_freedom(const Topology& topo,
+                                     const RoutingAlgorithm& routing,
+                                     unsigned be_vcs);
 
 }  // namespace mango::noc

@@ -71,8 +71,7 @@ TEST(ScaleRouteTable, TableRoutedExactlyWhenOverHeaderBudget) {
     for (std::size_t d = 0; d < topo.node_count(); ++d) {
       if (s == d) continue;
       const unsigned hops = table.hops(s, d);
-      EXPECT_EQ(hops,
-                routing->hop_distance(topo.node_at(s), topo.node_at(d)));
+      EXPECT_EQ(hops, hop_distance(topo.node_at(s), topo.node_at(d)));
       EXPECT_EQ(table.table_routed(s, d), hops > kMaxHeaderCodes - 1)
           << s << "->" << d << " (" << hops << " hops)";
       if (table.table_routed(s, d)) ++long_routes;
@@ -81,9 +80,10 @@ TEST(ScaleRouteTable, TableRoutedExactlyWhenOverHeaderBudget) {
   EXPECT_GT(long_routes, 0u) << "a 32x32 mesh must have >14-hop pairs";
 }
 
-// The materialized chain walk reproduces route() exactly, on every
-// topology kind (phase-carrying up*/down* included).
-TEST(ScaleRouteTable, AppendMovesMatchesRouteOnEveryFabric) {
+// The materialized chain walk reproduces a direct walk of the routing's
+// next_hop exactly, on every topology kind (phase-carrying up*/down*
+// included); on the mesh it is also the reference XY route.
+TEST(ScaleRouteTable, AppendMovesMatchesNextHopWalkOnEveryFabric) {
   const std::vector<TopologySpec> specs = {
       TopologySpec::mesh(5, 3),
       TopologySpec::torus(4, 4),
@@ -99,10 +99,28 @@ TEST(ScaleRouteTable, AppendMovesMatchesRouteOnEveryFabric) {
     for (std::size_t s = 0; s < topo->node_count(); ++s) {
       for (std::size_t d = 0; d < topo->node_count(); ++d) {
         if (s == d) continue;
+        const NodeId src = topo->node_at(s);
+        const NodeId dst = topo->node_at(d);
+        std::vector<Direction> walk;
+        NodeId cur = src;
+        unsigned phase = 0;
+        while (cur != dst) {
+          ASSERT_LE(walk.size(), 2 * topo->node_count())
+              << spec.label() << " " << s << "->" << d;
+          const NextHop nh = routing->next_hop(cur, dst, phase);
+          const auto peer = topo->link_peer(cur, nh.port);
+          ASSERT_TRUE(peer.has_value()) << spec.label();
+          walk.push_back(direction_of(nh.port));
+          cur = peer->node;
+          phase = nh.phase;
+        }
         std::vector<Direction> mv;
         table.append_moves(s, d, mv);
-        EXPECT_EQ(mv, routing->route(topo->node_at(s), topo->node_at(d)))
-            << spec.label() << " " << s << "->" << d;
+        EXPECT_EQ(mv, walk) << spec.label() << " " << s << "->" << d;
+        if (spec.kind == TopologyKind::kMesh) {
+          EXPECT_EQ(mv, xy_route(src, dst))
+              << spec.label() << " " << s << "->" << d;
+        }
       }
     }
   }

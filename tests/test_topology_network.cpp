@@ -78,13 +78,10 @@ TEST(TopologyNetwork, GsStreamsAcrossWrapAndGraphPaths) {
     ConnectionManager mgr(net, net.node_at(0));
     // The pair with the longest route in the fabric exercises the most
     // hops; node 0 to the farthest node always crosses interesting links.
-    const auto& routing = net.routing();
+    const RouteTable& table = net.plan().table();
     std::size_t far = 1;
     for (std::size_t i = 1; i < net.node_count(); ++i) {
-      if (routing.hop_distance(net.node_at(0), net.node_at(i)) >
-          routing.hop_distance(net.node_at(0), net.node_at(far))) {
-        far = i;
-      }
+      if (table.hops(0, i) > table.hops(0, far)) far = i;
     }
     auto gen = saturate_connection(net, mgr, net.node_at(0),
                                    net.node_at(far), /*tag=*/7);
