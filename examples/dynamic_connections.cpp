@@ -67,7 +67,7 @@ int main() {
               "%llu seq errors\n",
               sim::format_time(simulator.now()).c_str(),
               static_cast<unsigned long long>(s1.flits),
-              const_cast<FlowStats&>(s1).latency_ns.p99(),
+              s1.latency_ns.p99(),
               static_cast<unsigned long long>(s1.seq_errors));
 
   // Phase 2: exhaust (2,0)'s four GS source interfaces, then ask for a

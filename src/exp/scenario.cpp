@@ -42,7 +42,8 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
   // --- BE aggregate ---
   st.be_packets_generated = sum_counter(net, "traffic.be_packets_generated");
   // Latency aggregates are counted over the per-flow logs of every
-  // shard hub: memory O(distinct latencies), not O(samples).
+  // shard hub, one add per run of equal latencies, into flat histograms
+  // whose memory is O(distinct latencies), not O(samples).
   sim::Histogram be_lat;
   const auto be_base = noc::kBeTagBase;
   // One flow per core: concentrated meshes run spec().concentration BE

@@ -7,9 +7,9 @@
 // it through a last-flow cache backed by an O(1) open-addressed tag map
 // (interleaved GS deliveries miss the cache on most records), and
 // iteration follows a sorted tag index so reports are byte-stable.
-// Latencies are logged as 4-byte integer-picosecond counts in delivery
-// order; aggregates are built by counting (sim::Histogram), never by
-// concatenating samples.
+// Latencies are logged in delivery order as integer picoseconds,
+// run-length encoded in 4-byte words (sim::LatencyLog); aggregates are
+// built by counting (sim::Histogram), never by concatenating samples.
 #pragma once
 
 #include <cstdint>

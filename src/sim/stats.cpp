@@ -30,19 +30,32 @@ double Accumulator::variance() const {
 double Accumulator::stddev() const { return std::sqrt(variance()); }
 
 Histogram& Histogram::operator+=(const Histogram& other) {
-  for (const auto& [x, n] : other.counts_) add(x, n);
+  if (&other == this) return *this += Histogram(other);
+  for (const auto& [x, n] : other.bins_) add(x, n);
   return *this;
+}
+
+void Histogram::compact() const {
+  if (sorted_ == bins_.size()) return;
+  std::sort(bins_.begin(), bins_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::size_t last = 0;
+  for (std::size_t i = 1; i < bins_.size(); ++i) {
+    if (bins_[i].first == bins_[last].first) {
+      bins_[last].second += bins_[i].second;
+    } else {
+      bins_[++last] = bins_[i];
+    }
+  }
+  bins_.resize(last + 1);
+  sorted_ = bins_.size();
 }
 
 double Histogram::quantile(double q) const {
   if (count_ == 0) return 0.0;
   MANGO_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
-  // Sorted per query, not kept sorted: a hash map holds the counts in
-  // less memory than a tree, and a report asks for a handful of
-  // quantiles. The sample at rank r is read off the cumulative counts.
-  std::vector<std::pair<double, std::uint64_t>> sorted(counts_.begin(),
-                                                       counts_.end());
-  std::sort(sorted.begin(), sorted.end());
+  compact();
+  // The sample at rank r is read off the cumulative counts.
   const double pos = q * static_cast<double>(count_ - 1);
   const auto lo = static_cast<std::uint64_t>(pos);
   const std::uint64_t hi = std::min(lo + 1, count_ - 1);
@@ -50,7 +63,7 @@ double Histogram::quantile(double q) const {
   double at_lo = 0.0;
   double at_hi = 0.0;
   std::uint64_t below = 0;  // samples ranked before the current entry
-  for (const auto& [x, n] : sorted) {
+  for (const auto& [x, n] : bins_) {
     if (lo >= below && lo < below + n) at_lo = x;
     below += n;
     if (hi < below) {
@@ -59,23 +72,6 @@ double Histogram::quantile(double q) const {
     }
   }
   return at_lo * (1.0 - frac) + at_hi * frac;
-}
-
-void LatencyLog::count_into(Histogram& into) const {
-  // Saturated GS streams deliver runs of equal latencies (about six
-  // samples a run on the 8x8 ring set); one add per run.
-  Time run = 0;
-  std::uint64_t n = 0;
-  for_each([&](Time ps) {
-    if (n != 0 && ps == run) {
-      ++n;
-      return;
-    }
-    if (n != 0) into.add(to_ns(run), n);
-    run = ps;
-    n = 1;
-  });
-  if (n != 0) into.add(to_ns(run), n);
 }
 
 double LatencyLog::quantile(double q) const {

@@ -6,7 +6,6 @@
 #include <deque>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -37,24 +36,37 @@ class Accumulator {
   double sum_ = 0.0;
 };
 
-/// Exact counting histogram: one count per distinct value, so memory is
-/// O(distinct values) whatever the sample count, and histograms merge by
-/// addition. Latencies are integer picoseconds added as to_ns(ps), so a
-/// run's aggregate is bounded by its distinct latencies, not by how many
-/// flits it delivers. quantile(q) interpolates between the sorted
-/// samples at rank floor(q * (count - 1)) and the next, read off the
-/// cumulative counts: bit for bit what sorting every sample gives.
+/// Exact counting histogram: (value, count) entries in a flat vector, so
+/// memory is O(distinct values) whatever the sample count, and
+/// histograms merge by addition. add() bumps the last entry when the
+/// value repeats and appends otherwise; once the vector has doubled
+/// since the last compaction it is sorted and equal values merged.
+/// Latencies are integer picoseconds added as to_ns(ps), so a run's
+/// aggregate is bounded by its distinct latencies, not by how many flits
+/// it delivers. quantile(q) compacts, then interpolates between the
+/// sorted samples at rank floor(q * (count - 1)) and the next, read off
+/// the cumulative counts: bit for bit what sorting every sample gives.
+/// Reads compact in place (mutable state), so a Histogram must not be
+/// read from two threads at once.
 class Histogram {
  public:
   /// Records `n` samples of value `x`.
   void add(double x, std::uint64_t n = 1) {
-    counts_[x] += n;
     count_ += n;
+    if (!bins_.empty() && bins_.back().first == x) {
+      bins_.back().second += n;
+      return;
+    }
+    if (bins_.size() >= std::max(kMinCompact, 2 * sorted_)) compact();
+    bins_.emplace_back(x, n);
   }
   Histogram& operator+=(const Histogram& other);
 
   std::uint64_t count() const { return count_; }
-  std::size_t distinct() const { return counts_.size(); }
+  std::size_t distinct() const {
+    compact();
+    return bins_.size();
+  }
   double quantile(double q) const;  ///< q in [0,1]; 0 if empty
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }
@@ -62,40 +74,66 @@ class Histogram {
   double max() const { return quantile(1.0); }
 
  private:
-  std::unordered_map<double, std::uint64_t> counts_;
+  static constexpr std::size_t kMinCompact = 16;
+
+  /// Sorts bins_ by value and merges equal values.
+  void compact() const;
+
+  mutable std::vector<std::pair<double, std::uint64_t>> bins_;
+  /// Length of the sorted, merged prefix of bins_.
+  mutable std::size_t sorted_ = 0;
   std::uint64_t count_ = 0;
 };
 
-/// Delivery-order log of integer-picosecond latencies at 4 bytes a
-/// sample (plus ~3% block overhead). A latency of kWide ps (~4.3 ms) or
-/// more is logged as the kWide mark with its exact value in a side
-/// vector, so long horizons neither truncate nor throw. Quantile
-/// accessors count the log into a Histogram per call.
+/// Delivery-order log of integer-picosecond latencies, run-length
+/// encoded in 4-byte words. A word below kRun is one sample: its value
+/// in ps, or the kWide mark (2^31 - 1 ps, ~2.1 ms, or more), whose exact
+/// value is the next entry of a side vector, so long horizons neither
+/// truncate nor throw. A word with the top bit set repeats the previous
+/// sample (word - kRun) more times; a full one is followed by a new one.
+/// Saturated GS streams deliver runs of equal latencies (about six a
+/// run on the 8x8 ring set), which cost two words a run, while
+/// all-distinct latencies cost 4 bytes a sample (plus ~3% block
+/// overhead). Quantile accessors count the log into a Histogram per
+/// call.
 class LatencyLog {
  public:
-  static constexpr std::uint32_t kWide = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kRun = 0x80000000u;
+  static constexpr std::uint32_t kWide = kRun - 1;
 
   void add(Time ps) {
+    if (count_++ != 0 && ps == last_) {
+      std::uint32_t& w = words_.back();
+      if (w >= kRun && w != ~std::uint32_t{0}) {  // a run word, not full
+        ++w;
+      } else {
+        words_.push_back(kRun + 1);
+      }
+      return;
+    }
+    last_ = ps;
     if (ps < kWide) {
-      ticks_.push_back(static_cast<std::uint32_t>(ps));
+      words_.push_back(static_cast<std::uint32_t>(ps));
     } else {
-      ticks_.push_back(kWide);
+      words_.push_back(kWide);
       wide_.push_back(ps);
     }
   }
 
-  std::uint64_t count() const { return ticks_.size(); }
+  std::uint64_t count() const { return count_; }
 
   /// Calls f(ps) for every sample, in delivery order.
   template <class F>
   void for_each(F&& f) const {
-    auto wide = wide_.begin();
-    for (const std::uint32_t t : ticks_) f(t == kWide ? *wide++ : Time{t});
+    for_each_run([&](Time ps, std::uint64_t n) {
+      while (n-- > 0) f(ps);
+    });
   }
 
-  /// Adds every sample to `into` as to_ns(ps) (runs of equal values as
-  /// one add).
-  void count_into(Histogram& into) const;
+  /// Adds every sample to `into` as to_ns(ps), one add per run.
+  void count_into(Histogram& into) const {
+    for_each_run([&](Time ps, std::uint64_t n) { into.add(to_ns(ps), n); });
+  }
 
   double quantile(double q) const;  ///< in ns; 0 if empty
   double p50() const { return quantile(0.50); }
@@ -104,10 +142,30 @@ class LatencyLog {
   double max() const { return quantile(1.0); }
 
  private:
+  /// Calls f(ps, n) for every run of n equal samples, in delivery order.
+  template <class F>
+  void for_each_run(F&& f) const {
+    auto wide = wide_.begin();
+    Time ps = 0;
+    std::uint64_t n = 0;
+    for (const std::uint32_t w : words_) {
+      if (w >= kRun) {
+        n += w - kRun;
+        continue;
+      }
+      if (n != 0) f(ps, n);
+      ps = w == kWide ? *wide++ : Time{w};
+      n = 1;
+    }
+    if (n != 0) f(ps, n);
+  }
+
   /// A deque grows in fixed blocks: no reallocation copy and no
   /// doubling slack, unlike a vector.
-  std::deque<std::uint32_t> ticks_;
+  std::deque<std::uint32_t> words_;
   std::vector<Time> wide_;  ///< exact values of the kWide marks, in order
+  Time last_ = 0;           ///< the latest sample
+  std::uint64_t count_ = 0;
 };
 
 /// Named counter registry bundled into SimContext: components bump

@@ -4,9 +4,11 @@
 //    delivery order and a BE flow's samples as the delivered multiset,
 //    at one shard and at four (where BE flows spread across hubs).
 //  * Recording is cheap in memory: at most 5 heap bytes per sample,
-//    amortized (4-byte picosecond logs in fixed blocks).
-//  * exp::collect_stats counts latencies into histograms keyed on the
-//    distinct values: its allocation does not grow with the samples.
+//    amortized (4-byte picosecond words in fixed blocks), and at most
+//    1.5 when latencies repeat in runs (one run word per run).
+//  * exp::collect_stats counts latencies into flat histograms of the
+//    distinct values: its allocation does not grow with the samples,
+//    and it requests at most 64 bytes per distinct value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -206,6 +208,56 @@ TEST(SinkMemory, RecordingCostsAtMostFiveHeapBytesPerSample) {
                                 << " bytes per sample";
 }
 
+TEST(SinkMemory, GsRunsOfSixCostAtMostOneAndAHalfHeapBytesPerSample) {
+  // A saturated GS stream delivers runs of equal latencies (about six a
+  // run on the 8x8 ring set); the log keeps a sample word and a run word
+  // per run, 1.45 bytes a sample here against 4.2 for a word a sample.
+  constexpr std::uint32_t kFlows = 8;
+  constexpr std::uint64_t kRounds = 6u << 13;
+  Flit f;
+  MeasurementHub hub;
+  sim::Time now = 100000;
+
+  const std::uint64_t before = g_bytes.load();
+  for (std::uint64_t i = 0; i < kRounds; ++i) {
+    for (std::uint32_t k = 0; k < kFlows; ++k) {
+      now += 97;
+      f.tag = kGsTagBase + k;
+      f.seq = i;
+      f.injected_at = now - (4000 + ((i / 6) * 7 + k) % 911);
+      hub.record_gs_flit(now, f);
+    }
+  }
+  const std::uint64_t bytes = g_bytes.load() - before;
+  const std::uint64_t samples = kFlows * kRounds;
+  ASSERT_EQ(hub.total_flits(), samples);
+  EXPECT_LE(bytes, 3 * samples / 2) << static_cast<double>(bytes) / samples
+                                    << " bytes per sample";
+}
+
+TEST(SinkMemory, WideRunKeepsOneSideEntry) {
+  // 2^16 equal latencies beyond the wide mark: one mark, one side entry
+  // and a run word, not a side entry per sample.
+  Flit f;
+  f.tag = kGsTagBase;
+  f.injected_at = 0;
+  MeasurementHub hub;
+  hub.flow(f.tag);  // the slot's own allocation is not the log's
+  const std::uint64_t before = g_bytes.load();
+  for (std::uint64_t i = 0; i < (1u << 16); ++i) {
+    f.seq = i;
+    hub.record_gs_flit(sim::Time{1} << 40, f);
+  }
+  const std::uint64_t bytes = g_bytes.load() - before;
+  EXPECT_LE(bytes, 1024u) << bytes << " bytes";
+  std::uint64_t n = 0;
+  hub.find_flow(f.tag)->latency_ns.for_each([&](sim::Time ps) {
+    EXPECT_EQ(ps, sim::Time{1} << 40);
+    ++n;
+  });
+  EXPECT_EQ(n, 1u << 16);
+}
+
 // --- 3. collect_stats allocation is O(distinct values) ---------------------
 
 /// Heap bytes exp::collect_stats requests for a 2x2 mesh whose hub holds
@@ -255,6 +307,48 @@ TEST(SinkMemory, CollectStatsAllocatesPerDistinctValueNotPerSample) {
   const std::uint64_t large = collect_bytes(64000);
   // 504K more samples; a per-sample copy would add megabytes.
   EXPECT_LE(large, small + 1024) << "small " << small << " large " << large;
+}
+
+/// Heap bytes exp::collect_stats requests for a 2x2 mesh whose hub holds
+/// 4 BE flows of `per_flow` packets each, every latency distinct.
+std::uint64_t collect_bytes_distinct(std::uint64_t per_flow) {
+  sim::SimContext ctx;
+  NetworkConfig cfg;
+  cfg.topology = TopologySpec::mesh(2, 2);
+  Network net(ctx, cfg);
+  HubSet hubs(1);
+  MeasurementHub& hub = hubs.shard(0);
+  exp::ScenarioSpec spec;
+  spec.width = spec.height = 2;
+  spec.duration_ps = 1000000;
+  BePacket pkt;
+  pkt.flits.resize(2);
+  sim::Time now = 50000;
+  for (std::uint64_t i = 0; i < per_flow; ++i) {
+    for (std::uint32_t k = 0; k < 4; ++k) {
+      now += 10;
+      pkt.flits.front().tag = kBeTagBase + k;
+      pkt.flits.front().injected_at = now - (20000 + 4 * i + k);
+      hub.record_be_packet(now, pkt);
+    }
+  }
+
+  const std::uint64_t before = g_bytes.load();
+  const exp::ScenarioStats st =
+      exp::collect_stats(spec, net, hubs, {}, nullptr, nullptr);
+  const std::uint64_t bytes = g_bytes.load() - before;
+  EXPECT_EQ(st.be_packets_delivered, 4 * per_flow);
+  return bytes;
+}
+
+TEST(SinkMemory, CollectStatsRequestsAtMostSixtyFourBytesPerDistinctValue) {
+  // 20k distinct BE latencies. A hash-map node per distinct value plus
+  // a sorted copy per quantile requested 104 bytes per value; flat
+  // 16-byte (value, count) entries grown by doubling request 52.
+  constexpr std::uint64_t kDistinct = 20000;
+  const std::uint64_t bytes = collect_bytes_distinct(kDistinct / 4);
+  EXPECT_LE(bytes, 64 * kDistinct)
+      << static_cast<double>(bytes) / kDistinct << " bytes per distinct value";
 }
 
 }  // namespace

@@ -186,8 +186,8 @@ TEST(Histogram, MemoryBoundedByDistinctValues) {
 }
 
 TEST(LatencyLog, WideLatenciesRoundTripExactly) {
-  // 2^32 ps is ~4.3 ms: values from just below the 4-byte mark to far
-  // beyond it must come back unchanged and in order.
+  // The wide mark is 2^31 - 1 ps (~2.1 ms): values from just below it to
+  // far beyond it must come back unchanged and in order.
   const std::vector<Time> in = {5,
                                 LatencyLog::kWide - 1,
                                 LatencyLog::kWide,
@@ -232,6 +232,118 @@ TEST(LatencyLog, QuantilesEqualOracleInDeliveryOrder) {
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(log.p50(), oracle_quantile(sorted, 0.50));
   EXPECT_EQ(log.p99(), oracle_quantile(sorted, 0.99));
+}
+
+// --- run-length encoding of the log ----------------------------------------
+
+/// Logs `in`, then expects for_each to give it back in delivery order,
+/// count() to count it, and the log's and its histogram's quantiles to
+/// equal the sort oracle's.
+void expect_log_round_trip(const std::vector<Time>& in) {
+  LatencyLog log;
+  for (const Time p : in) log.add(p);
+  EXPECT_EQ(log.count(), in.size());
+  std::vector<Time> out;
+  log.for_each([&](Time p) { out.push_back(p); });
+  EXPECT_EQ(out, in);
+  Histogram h;
+  log.count_into(h);
+  expect_matches_oracle(h, as_ns(in));
+  std::vector<double> sorted = as_ns(in);
+  std::sort(sorted.begin(), sorted.end());
+  for (const double q : kQs) {
+    EXPECT_EQ(log.quantile(q), oracle_quantile(sorted, q)) << q;
+  }
+}
+
+TEST(LatencyLogRuns, RunAsTheFirstSamples) {
+  // A first sample of 0 ps equals the log's initial state; it must still
+  // be logged as a sample, not as a repeat.
+  expect_log_round_trip({0});
+  expect_log_round_trip({0, 0, 0, 0});
+  expect_log_round_trip({0, 0, 7, 7, 7, 0});
+  expect_log_round_trip({4031, 4031, 4031, 4031, 4031, 4031, 12});
+}
+
+TEST(LatencyLogRuns, WideRunsAndNarrowNeighbours) {
+  const Time wide = Time{1} << 40;
+  expect_log_round_trip({LatencyLog::kWide, LatencyLog::kWide,
+                         LatencyLog::kWide, LatencyLog::kWide - 1,
+                         LatencyLog::kWide - 1});
+  expect_log_round_trip({3, 3, 3, wide, wide, wide, wide, 3, 3,
+                         LatencyLog::kWide, wide, wide, kTimeNever - 1,
+                         kTimeNever - 1, 5});
+  expect_log_round_trip({wide, wide, wide + 1, wide + 1, wide});
+}
+
+TEST(LatencyLogRuns, BrokenRunResumes) {
+  expect_log_round_trip({4, 4, 4, 9, 4, 4, 4, 4});
+  expect_log_round_trip({4, 4, 4, LatencyLog::kWide, 4, 4, 4});
+  expect_log_round_trip({4, 9, 4, 9, 9, 4});
+}
+
+TEST(LatencyLogRuns, RandomRunsAndSingletons) {
+  Rng rng(29);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Time> in;
+    while (in.size() < 3000) {
+      // Mostly narrow values over a small range (so runs recur after a
+      // break), some wide ones; run lengths from 1 (a singleton) to 12.
+      const Time p = rng.next_below(8) == 0
+                         ? LatencyLog::kWide + rng.next_below(3)
+                         : 4000 + 31 * rng.next_below(6);
+      for (std::uint64_t r = 1 + rng.next_below(12); r-- > 0;) {
+        in.push_back(p);
+      }
+    }
+    expect_log_round_trip(in);
+  }
+}
+
+TEST(Histogram, AnyOrderOfAddsAndMergesMatchesOracle) {
+  // Histograms built by single adds, weighted adds and merges, with
+  // queries (which compact) interleaved at random, so operands of +=
+  // are sometimes compacted and sometimes not.
+  Rng rng(41);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::uint64_t spread = trial % 2 == 0 ? 40 : 5000;
+    std::vector<Histogram> hs(4);
+    std::vector<std::vector<double>> xs(4);
+    for (int op = 0; op < 600; ++op) {
+      const std::size_t i = rng.next_below(4);
+      const double x = to_ns(4000 + rng.next_below(spread));
+      switch (rng.next_below(8)) {
+        case 0: {
+          const std::uint64_t n = 1 + rng.next_below(5);
+          hs[i].add(x, n);
+          xs[i].insert(xs[i].end(), n, x);
+          break;
+        }
+        case 1: {
+          const std::size_t j = rng.next_below(4);
+          if (xs[i].size() + xs[j].size() > 20000) break;  // no blow-up
+          hs[i] += hs[j];
+          const std::vector<double> from = xs[j];  // j may equal i
+          xs[i].insert(xs[i].end(), from.begin(), from.end());
+          break;
+        }
+        case 2:
+          hs[i].quantile(0.5);
+          break;
+        default:
+          hs[i].add(x);
+          hs[i].add(x);  // an immediate repeat bumps the last entry
+          xs[i].insert(xs[i].end(), 2, x);
+      }
+    }
+    for (std::size_t i = 0; i < hs.size(); ++i) {
+      std::vector<double> unique = xs[i];
+      std::sort(unique.begin(), unique.end());
+      unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+      EXPECT_EQ(hs[i].distinct(), unique.size());
+      expect_matches_oracle(hs[i], xs[i]);
+    }
+  }
 }
 
 TEST(TablePrinter, RowWidthMismatchThrows) {
