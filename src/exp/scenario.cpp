@@ -28,6 +28,16 @@ std::uint64_t sum_counter(noc::Network& net, const std::string& name) {
   return n;
 }
 
+/// Appends the latency log of `tag` from every shard hub that holds it.
+void append_logs(const noc::HubSet& hub, std::uint32_t tag,
+                 std::vector<const sim::LatencyLog*>& out) {
+  for (unsigned s = 0; s < hub.size(); ++s) {
+    if (const noc::FlowStats* f = hub.shard(s).find_flow(tag)) {
+      out.push_back(&f->latency_ns);
+    }
+  }
+}
+
 }  // namespace
 
 ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
@@ -41,10 +51,10 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
 
   // --- BE aggregate ---
   st.be_packets_generated = sum_counter(net, "traffic.be_packets_generated");
-  // Latency aggregates are counted over the per-flow logs of every
-  // shard hub, one add per run of equal latencies, into flat histograms
-  // whose memory is O(distinct latencies), not O(samples).
-  sim::Histogram be_lat;
+  // Latency aggregates are exact selections over the per-flow logs of
+  // every shard hub (sim::quantile_of), so their memory is one pointer
+  // per log whatever the number of distinct latencies.
+  std::vector<const sim::LatencyLog*> be_logs;
   const auto be_base = noc::kBeTagBase;
   // One flow per core: concentrated meshes run spec().concentration BE
   // sources per router (flow = node * k + core).
@@ -54,16 +64,16 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
   for (const std::uint32_t tag : hub.tags()) {
     if (tag < be_base || tag >= be_end) continue;
     st.be_packets_delivered += hub.flow_packets(tag);
-    hub.count_latencies(tag, be_lat);
+    append_logs(hub, tag, be_logs);
   }
   if (duration_ns > 0) {
     st.be_throughput_pkts_per_ns =
         static_cast<double>(st.be_packets_delivered) / duration_ns;
   }
-  st.be_latency_p50_ns = be_lat.p50();
-  st.be_latency_p95_ns = be_lat.p95();
-  st.be_latency_p99_ns = be_lat.p99();
-  st.be_latency_max_ns = be_lat.max();
+  st.be_latency_p50_ns = sim::quantile_of(be_logs, 0.50);
+  st.be_latency_p95_ns = sim::quantile_of(be_logs, 0.95);
+  st.be_latency_p99_ns = sim::quantile_of(be_logs, 0.99);
+  st.be_latency_max_ns = sim::quantile_of(be_logs, 1.0);
 
   // --- GS aggregate + guarantee check ---
   st.gs_connections = gs_eps.size();
@@ -75,7 +85,7 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
                              ? guarantee
                              : 1000.0 / static_cast<double>(spec.gs_period_ps);
   const double expected_rate = std::min(offered, guarantee);
-  sim::Histogram gs_lat;
+  std::vector<const sim::LatencyLog*> gs_logs;
   for (const noc::GsSetEndpoint& ep : gs_eps) {
     if (!hub.has_flow(ep.tag)) {
       // Nothing delivered on an open, driven connection at all.
@@ -89,7 +99,7 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
     const std::uint64_t seq_errors = hub.flow_seq_errors(ep.tag);
     st.gs_flits_delivered += flits;
     st.gs_seq_errors += seq_errors;
-    hub.count_latencies(ep.tag, gs_lat);
+    append_logs(hub, ep.tag, gs_logs);
     sim::Accumulator acc;
     hub.for_each_latency(ep.tag,
                          [&](sim::Time ps) { acc.add(sim::to_ns(ps)); });
@@ -107,9 +117,9 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
     st.gs_throughput_flits_per_ns =
         static_cast<double>(st.gs_flits_delivered) / duration_ns;
   }
-  st.gs_latency_p50_ns = gs_lat.p50();
-  st.gs_latency_p99_ns = gs_lat.p99();
-  st.gs_latency_max_ns = gs_lat.max();
+  st.gs_latency_p50_ns = sim::quantile_of(gs_logs, 0.50);
+  st.gs_latency_p99_ns = sim::quantile_of(gs_logs, 0.99);
+  st.gs_latency_max_ns = sim::quantile_of(gs_logs, 1.0);
 
   // --- connection churn (broker lifecycle + delivery contract) ---
   if (broker != nullptr) {

@@ -191,10 +191,11 @@ ScenarioResult run_scenario(const ScenarioSpec& spec);
 ScenarioResult run_scenario(const ScenarioSpec& spec, const RunOptions& opt);
 
 /// The stats of a run that reached spec.duration_ps: sums over `hub`,
-/// BE and GS latency aggregates counted over the per-flow logs of every
-/// shard hub (allocation grows with the distinct latency values, not
-/// with the samples), the per-endpoint guarantee check, churn lifecycle
-/// and link summary. run_scenario calls it once at the horizon.
+/// BE and GS latency quantiles selected exactly over the per-flow logs
+/// of every shard hub (sim::quantile_of: allocation is one pointer per
+/// log, whatever the number of samples or distinct latencies), the
+/// per-endpoint guarantee check, churn lifecycle and link summary.
+/// run_scenario calls it once at the horizon.
 ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
                             const noc::HubSet& hub,
                             const std::vector<noc::GsSetEndpoint>& gs_eps,

@@ -124,12 +124,6 @@ std::uint64_t HubSet::flow_seq_errors(std::uint32_t tag) const {
   return n;
 }
 
-void HubSet::count_latencies(std::uint32_t tag, sim::Histogram& into) const {
-  for (const MeasurementHub& hub : hubs_) {
-    if (const FlowStats* f = hub.find_flow(tag)) f->latency_ns.count_into(into);
-  }
-}
-
 void HubSet::append_latency_samples(std::uint32_t tag,
                                     std::vector<double>& out) const {
   for_each_latency(tag, [&](sim::Time ps) { out.push_back(sim::to_ns(ps)); });

@@ -8,8 +8,10 @@
 // (interleaved GS deliveries miss the cache on most records), and
 // iteration follows a sorted tag index so reports are byte-stable.
 // Latencies are logged in delivery order as integer picoseconds,
-// run-length encoded in 4-byte words (sim::LatencyLog); aggregates are
-// built by counting (sim::Histogram), never by concatenating samples.
+// run-length encoded in 4-byte words (sim::LatencyLog) whose blocks are
+// allocated on the first sample, so a flow that never delivers costs no
+// log memory. Aggregate quantiles are exact selections over the logs
+// themselves (sim::quantile_of), never a copy or a histogram of them.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +69,6 @@ class HubSet {
   /// GS flow's samples in exact delivery order.
   template <class F>
   void for_each_latency(std::uint32_t tag, F&& f) const;
-  /// Counts every latency sample of `tag` into `into`, as sim::to_ns(ps).
-  void count_latencies(std::uint32_t tag, sim::Histogram& into) const;
   /// Appends every latency sample of `tag` as sim::to_ns(ps), in
   /// for_each_latency order (delivery order for a GS flow).
   void append_latency_samples(std::uint32_t tag,

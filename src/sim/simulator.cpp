@@ -61,46 +61,51 @@ void Simulator::insert_wheel(EventNode* n) {
   const std::size_t idx = granule_of(n->time) & kWheelMask;
   Bucket& b = wheel_[idx];
   ++wheel_count_;
-  if (b.head == nullptr) {
-    n->prev = n->next = nullptr;
-    b.head = b.tail = n;
+  EventNode* const head = b.head;
+  if (head == nullptr) {
+    n->prev = n;  // a lone node is its own tail
+    n->next = nullptr;
+    b.head = n;
     mark_occupied(idx);
     return;
   }
   // Fast path: sequence numbers grow monotonically and most events are
   // scheduled time-forward, so the overwhelmingly common case appends.
-  if (earlier(b.tail->time, b.tail->birth, b.tail->seq, n->time, n->birth,
+  EventNode* const tail = head->prev;
+  if (earlier(tail->time, tail->birth, tail->seq, n->time, n->birth,
               n->seq)) {
-    n->prev = b.tail;
+    n->prev = tail;
     n->next = nullptr;
-    b.tail->next = n;
-    b.tail = n;
+    tail->next = n;
+    head->prev = n;
     return;
   }
   // Out-of-order within the bucket (a shorter delay scheduled after a
   // longer one landing in the same granule): sorted insert, searching
-  // BACKWARD from the tail. The displaced suffix is only the handful of
+  // BACKWARD from the tail and stopping at the head (whose prev link
+  // wraps to the tail). The displaced suffix is only the handful of
   // strictly-later timestamps already in the bucket — never the
   // same-timestamp train at the front (n has the largest (birth, seq)
   // among its time-equals, so it sorts after all of them), which on a
   // 1k-node fabric with phase-aligned CBR sources can be thousands of
   // events long. A head-forward walk would traverse that train on every
   // out-of-order insert and turn the kernel O(nodes) per event.
-  EventNode* q = b.tail->prev;
-  while (q != nullptr &&
-         earlier(n->time, n->birth, n->seq, q->time, q->birth, q->seq)) {
+  EventNode* q = tail;  // n sorts before q
+  while (q != head &&
+         earlier(n->time, n->birth, n->seq, q->prev->time, q->prev->birth,
+                 q->prev->seq)) {
     q = q->prev;
   }
-  if (q == nullptr) {
-    n->prev = nullptr;
-    n->next = b.head;
-    b.head->prev = n;
+  if (q == head) {
+    n->prev = tail;
+    n->next = head;
+    head->prev = n;
     b.head = n;
   } else {
-    n->prev = q;
-    n->next = q->next;
-    q->next->prev = n;
-    q->next = n;
+    n->prev = q->prev;
+    n->next = q;
+    q->prev->next = n;
+    q->prev = n;
   }
 }
 
@@ -147,10 +152,9 @@ Simulator::EventNode* Simulator::pop_earliest() {
   EventNode* n = b->head;
   b->head = n->next;
   if (b->head == nullptr) {
-    b->tail = nullptr;
     mark_empty(cur_granule_ & kWheelMask);
   } else {
-    b->head->prev = nullptr;
+    b->head->prev = n->prev;  // the tail
   }
   --wheel_count_;
   --pending_;

@@ -14,9 +14,11 @@
 //     2^kBucketShift-ps granule. Nearly every handshake delay in the model
 //     (60 ps .. ~16 ns) lands within the wheel horizon, so insert and pop
 //     are O(1) amortized — no heap percolation per event. Buckets are
-//     doubly-linked sorted chains: in-order schedules append at the tail,
-//     and the rare out-of-order insert searches backward from the tail,
-//     so the same-timestamp event trains a thousand phase-aligned CBR
+//     doubly-linked sorted chains held by one head pointer, whose prev
+//     link wraps to the tail (the wheel is 8 bytes a bucket, 128 KiB):
+//     in-order schedules append at the tail, and the rare out-of-order
+//     insert searches backward from the tail and stops at the head, so
+//     the same-timestamp event trains a thousand phase-aligned CBR
 //     sources produce (all firing at k x period) are never traversed;
 //   * a min-heap overflow for events beyond the horizon (timeouts, traffic
 //     interarrivals, warm-up deadlines). Overflow events migrate into the
@@ -218,10 +220,11 @@ class Simulator {
     Time time;
     Time birth;         // now() at scheduling time (tie-break level 2)
     std::uint64_t seq;  // FIFO tie-break for simultaneous events
-    EventNode* next;
+    EventNode* next;  // null at a bucket's tail
     EventNode* prev;  // bucket chains are doubly linked so the
                       // out-of-order insert searches backward from the
-                      // tail (see insert_wheel)
+                      // tail (see insert_wheel); a head's prev is its
+                      // bucket's tail
     TypedEvent ev;    // 64-byte capture area
   };
   static_assert(std::is_trivially_copyable_v<EventNode>,
@@ -229,10 +232,12 @@ class Simulator {
   static_assert(std::is_trivially_destructible_v<EventNode>,
                 "recycling a node runs no destructor");
   static_assert(sizeof(EventNode) == 104, "five key/link words + the record");
+  /// A wheel bucket: the head of its sorted chain (head->prev is the
+  /// tail), or null when the bucket is empty.
   struct Bucket {
     EventNode* head = nullptr;
-    EventNode* tail = nullptr;
   };
+  static_assert(sizeof(Bucket) == sizeof(void*), "one pointer per bucket");
   /// Min-heap comparator for the overflow: true when `a` dispatches after
   /// `b`.
   struct HeapLater {

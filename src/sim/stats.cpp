@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <new>
 
 #include "sim/assert.hpp"
 
@@ -74,10 +75,110 @@ double Histogram::quantile(double q) const {
   return at_lo * (1.0 - frac) + at_hi * frac;
 }
 
+LatencyLog::~LatencyLog() {
+  while (head_ != nullptr) {
+    Block* next = head_->next;
+    ::operator delete(head_);
+    head_ = next;
+  }
+}
+
+void LatencyLog::grow() {
+  const std::uint32_t words = tail_ == nullptr ? kFirstWords : kBlockWords;
+  Block* b = new (::operator new(sizeof(Block) + words * sizeof(std::uint32_t)))
+      Block;
+  if (tail_ == nullptr) {
+    head_ = b;
+  } else {
+    tail_->next = b;
+  }
+  tail_ = b;
+  used_ = 0;
+}
+
 double LatencyLog::quantile(double q) const {
-  Histogram h;
-  count_into(h);
-  return h.quantile(q);
+  const LatencyLog* self = this;
+  return quantile_of(&self, 1, q);
+}
+
+namespace {
+
+constexpr unsigned kSelectBits = 12;
+constexpr std::size_t kSelectRanges = std::size_t{1} << kSelectBits;
+
+/// Calls f(ps, n) for every run of every log.
+template <class F>
+void for_each_run(const LatencyLog* const* logs, std::size_t n, F&& f) {
+  for (std::size_t i = 0; i < n; ++i) logs[i]->for_each_run(f);
+}
+
+/// The sample at 0-based rank `r` of the logs, given that every sample
+/// lies in [lo, hi]. Each pass splits [lo, hi] into at most
+/// kSelectRanges sub-ranges of 2^shift values, counts the samples of
+/// each and keeps the one holding rank r, until one value is left.
+Time select_rank(const LatencyLog* const* logs, std::size_t n,
+                 std::uint64_t r, Time lo, Time hi) {
+  std::uint64_t counts[kSelectRanges];
+  std::uint64_t below = 0;  // samples smaller than lo
+  while (lo < hi) {
+    const Time width = hi - lo;  // range holds width + 1 values
+    const int bits = 64 - __builtin_clzll(width);
+    const unsigned shift =
+        bits > static_cast<int>(kSelectBits) ? bits - kSelectBits : 0;
+    const std::size_t used = static_cast<std::size_t>(width >> shift) + 1;
+    std::fill_n(counts, used, 0);
+    for_each_run(logs, n, [&](Time ps, std::uint64_t k) {
+      if (ps - lo <= width) counts[(ps - lo) >> shift] += k;
+    });
+    std::size_t i = 0;
+    while (below + counts[i] <= r) below += counts[i++];
+    // Sub-range i is [lo + i * 2^shift, lo + (i + 1) * 2^shift - 1],
+    // clipped to hi; the clip also keeps the top from overflowing.
+    lo += Time{i} << shift;
+    hi = lo + std::min(hi - lo, (Time{1} << shift) - 1);
+  }
+  return lo;
+}
+
+}  // namespace
+
+double quantile_of(const LatencyLog* const* logs, std::size_t n, double q) {
+  std::uint64_t count = 0;
+  Time min = kTimeNever;
+  Time max = 0;
+  for_each_run(logs, n, [&](Time ps, std::uint64_t k) {
+    count += k;
+    min = std::min(min, ps);
+    max = std::max(max, ps);
+  });
+  if (count == 0) return 0.0;
+  MANGO_ASSERT(q >= 0.0 && q <= 1.0, "quantile out of range");
+  // Histogram::quantile's interpolated rank, over the same values.
+  const double pos = q * static_cast<double>(count - 1);
+  const auto lo = static_cast<std::uint64_t>(pos);
+  const std::uint64_t hi = std::min(lo + 1, count - 1);
+  const double frac = pos - static_cast<double>(lo);
+  const Time ps_lo = lo == 0           ? min
+                     : lo == count - 1 ? max
+                                       : select_rank(logs, n, lo, min, max);
+  Time ps_hi = ps_lo;
+  if (hi != lo && frac != 0.0) {
+    // Rank hi holds ps_lo again unless rank lo is its last copy; then it
+    // holds the smallest larger sample.
+    std::uint64_t not_above = 0;
+    Time next = kTimeNever;
+    for_each_run(logs, n, [&](Time ps, std::uint64_t k) {
+      if (ps <= ps_lo) {
+        not_above += k;
+      } else {
+        next = std::min(next, ps);
+      }
+    });
+    if (hi >= not_above) ps_hi = next;
+  }
+  const double at_lo = to_ns(ps_lo);
+  const double at_hi = to_ns(ps_hi);
+  return at_lo * (1.0 - frac) + at_hi * frac;
 }
 
 std::uint64_t StatsRegistry::counter_value(const std::string& name) const {

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -41,11 +40,12 @@ class Accumulator {
 /// histograms merge by addition. add() bumps the last entry when the
 /// value repeats and appends otherwise; once the vector has doubled
 /// since the last compaction it is sorted and equal values merged.
-/// Latencies are integer picoseconds added as to_ns(ps), so a run's
-/// aggregate is bounded by its distinct latencies, not by how many flits
-/// it delivers. quantile(q) compacts, then interpolates between the
-/// sorted samples at rank floor(q * (count - 1)) and the next, read off
-/// the cumulative counts: bit for bit what sorting every sample gives.
+/// It serves the broker's setup and teardown times and the benches; a
+/// run's latency aggregates are selected over the logs instead
+/// (quantile_of), which needs no entry per distinct latency.
+/// quantile(q) compacts, then interpolates between the sorted samples
+/// at rank floor(q * (count - 1)) and the next, read off the cumulative
+/// counts: bit for bit what sorting every sample gives.
 /// Reads compact in place (mutable state), so a Histogram must not be
 /// read from two threads at once.
 class Histogram {
@@ -93,29 +93,40 @@ class Histogram {
 /// sample (word - kRun) more times; a full one is followed by a new one.
 /// Saturated GS streams deliver runs of equal latencies (about six a
 /// run on the 8x8 ring set), which cost two words a run, while
-/// all-distinct latencies cost 4 bytes a sample (plus ~3% block
-/// overhead). Quantile accessors count the log into a Histogram per
-/// call.
+/// all-distinct latencies cost 4 bytes a sample (plus ~2% block
+/// overhead).
+///
+/// Words live in a singly linked chain of blocks, allocated on demand:
+/// an empty log holds no heap memory, the first block holds
+/// kFirstWords words (a short-lived flow costs one 72-byte block), and
+/// every later block holds kBlockWords. Appends never move a word.
+/// Quantiles are exact order statistics read by quantile_of(), which
+/// keeps no copy of the samples.
 class LatencyLog {
  public:
   static constexpr std::uint32_t kRun = 0x80000000u;
   static constexpr std::uint32_t kWide = kRun - 1;
 
+  LatencyLog() = default;
+  LatencyLog(const LatencyLog&) = delete;
+  LatencyLog& operator=(const LatencyLog&) = delete;
+  ~LatencyLog();
+
   void add(Time ps) {
     if (count_++ != 0 && ps == last_) {
-      std::uint32_t& w = words_.back();
+      std::uint32_t& w = tail_->words()[used_ - 1];
       if (w >= kRun && w != ~std::uint32_t{0}) {  // a run word, not full
         ++w;
       } else {
-        words_.push_back(kRun + 1);
+        push_word(kRun + 1);
       }
       return;
     }
     last_ = ps;
     if (ps < kWide) {
-      words_.push_back(static_cast<std::uint32_t>(ps));
+      push_word(static_cast<std::uint32_t>(ps));
     } else {
-      words_.push_back(kWide);
+      push_word(kWide);
       wide_.push_back(ps);
     }
   }
@@ -130,6 +141,28 @@ class LatencyLog {
     });
   }
 
+  /// Calls f(ps, n) for every run of n equal samples, in delivery order.
+  template <class F>
+  void for_each_run(F&& f) const {
+    auto wide = wide_.begin();
+    Time ps = 0;
+    std::uint64_t n = 0;
+    for (const Block* b = head_; b != nullptr; b = b->next) {
+      const std::uint32_t* w = b->words();
+      const std::uint32_t* end = w + (b == tail_ ? used_ : capacity(b));
+      for (; w != end; ++w) {
+        if (*w >= kRun) {
+          n += *w - kRun;
+          continue;
+        }
+        if (n != 0) f(ps, n);
+        ps = *w == kWide ? *wide++ : Time{*w};
+        n = 1;
+      }
+    }
+    if (n != 0) f(ps, n);
+  }
+
   /// Adds every sample to `into` as to_ns(ps), one add per run.
   void count_into(Histogram& into) const {
     for_each_run([&](Time ps, std::uint64_t n) { into.add(to_ns(ps), n); });
@@ -142,31 +175,51 @@ class LatencyLog {
   double max() const { return quantile(1.0); }
 
  private:
-  /// Calls f(ps, n) for every run of n equal samples, in delivery order.
-  template <class F>
-  void for_each_run(F&& f) const {
-    auto wide = wide_.begin();
-    Time ps = 0;
-    std::uint64_t n = 0;
-    for (const std::uint32_t w : words_) {
-      if (w >= kRun) {
-        n += w - kRun;
-        continue;
-      }
-      if (n != 0) f(ps, n);
-      ps = w == kWide ? *wide++ : Time{w};
-      n = 1;
-    }
-    if (n != 0) f(ps, n);
-  }
+  static constexpr std::uint32_t kFirstWords = 16;
+  static constexpr std::uint32_t kBlockWords = 128;
 
-  /// A deque grows in fixed blocks: no reallocation copy and no
-  /// doubling slack, unlike a vector.
-  std::deque<std::uint32_t> words_;
+  /// A chain link followed in the same allocation by its words.
+  struct Block {
+    Block* next = nullptr;
+    std::uint32_t* words() {
+      return reinterpret_cast<std::uint32_t*>(this + 1);
+    }
+    const std::uint32_t* words() const {
+      return reinterpret_cast<const std::uint32_t*>(this + 1);
+    }
+  };
+
+  std::uint32_t capacity(const Block* b) const {
+    return b == head_ ? kFirstWords : kBlockWords;
+  }
+  void push_word(std::uint32_t w) {
+    if (tail_ == nullptr || used_ == capacity(tail_)) grow();
+    tail_->words()[used_++] = w;
+  }
+  /// Links a new empty block at the tail.
+  void grow();
+
+  Block* head_ = nullptr;
+  Block* tail_ = nullptr;
+  std::uint32_t used_ = 0;  ///< words filled in tail_
   std::vector<Time> wide_;  ///< exact values of the kWide marks, in order
   Time last_ = 0;           ///< the latest sample
   std::uint64_t count_ = 0;
 };
+
+/// Exact q-quantile, in ns, of every sample of `n` logs taken together;
+/// 0 if they hold none. Bit for bit what Histogram::quantile gives over
+/// the same samples added as to_ns(ps), whatever the logs' number and
+/// order. Memory is constant: a first pass over the runs finds the
+/// count, min and max, then each needed rank is narrowed down by passes
+/// that count the samples into a fixed array of 4096 sub-ranges of the
+/// current integer-ps range (two passes when the samples span under
+/// 2^24 ps), and the next rank up is the smallest larger sample.
+double quantile_of(const LatencyLog* const* logs, std::size_t n, double q);
+inline double quantile_of(const std::vector<const LatencyLog*>& logs,
+                          double q) {
+  return quantile_of(logs.data(), logs.size(), q);
+}
 
 /// Named counter registry bundled into SimContext: components bump
 /// counters under dotted names ("traffic.be_packets_generated") without

@@ -135,6 +135,50 @@ TEST(Scheduler, AdmitTypedOrdersByBirthThenSeq) {
   }
 }
 
+// A wheel bucket is one head pointer whose prev link is the tail, so the
+// wheel costs one pointer a bucket.
+static_assert(sizeof(Simulator) < (std::size_t{1} << 14) * 2 * sizeof(void*),
+              "the wheel holds one pointer per bucket");
+
+TEST(Scheduler, SameTimeBucketTakesHeadMiddleAndTailInsertsAcrossRefills) {
+  // All at t = 700, one 1-ps bucket. Admitted births place each record
+  // at the chain's head, in its middle, just before its tail and at its
+  // tail, including after the bucket has been popped empty and refilled
+  // and while it is partly popped.
+  Simulator sim;
+  Recorder r(sim);
+  const Time t = 700;
+  sim.run_until(100);
+  sim.at_typed(t, r.id(50));          // birth 100: the first node
+  sim.admit_typed(t, 10, r.id(10));   // head
+  sim.admit_typed(t, 60, r.id(30));   // middle
+  sim.admit_typed(t, 100, r.id(60));  // tail (append)
+  sim.admit_typed(t, 30, r.id(20));   // middle
+  sim.admit_typed(t, 80, r.id(40));   // middle
+  sim.admit_typed(t, 200, r.id(80));  // tail (append)
+  sim.admit_typed(t, 150, r.id(70));  // just before the tail
+  sim.admit_typed(t, 5, r.id(0));     // head again
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(sim.step());
+  EXPECT_EQ(r.order, (std::vector<int>{0, 10, 20}));
+  sim.admit_typed(t, 0, r.id(25));    // head of a partly popped bucket
+  sim.admit_typed(t, 90, r.id(45));   // middle
+  sim.admit_typed(t, 300, r.id(90));  // tail
+  sim.run_until(t);
+  EXPECT_EQ(r.order,
+            (std::vector<int>{0, 10, 20, 25, 30, 40, 45, 50, 60, 70, 80, 90}));
+  ASSERT_TRUE(sim.idle());
+
+  // Refill the emptied bucket at the same time and again out of order.
+  r.order.clear();
+  sim.at_typed(t, r.id(3));           // birth 700: a lone node
+  sim.admit_typed(t, 400, r.id(1));   // head
+  sim.admit_typed(t, 700, r.id(4));   // tail (append)
+  sim.admit_typed(t, 500, r.id(2));   // middle
+  sim.admit_typed(t, 100, r.id(0));   // head
+  sim.run();
+  EXPECT_EQ(r.order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
 TEST(Scheduler, OverflowEventEarlierThanLaterWheelInsertStillWins) {
   // Regression shape: an overflow event whose granule enters the wheel
   // window only after the cursor advances must still dispatch before a

@@ -6,9 +6,11 @@
 //  * Recording is cheap in memory: at most 5 heap bytes per sample,
 //    amortized (4-byte picosecond words in fixed blocks), and at most
 //    1.5 when latencies repeat in runs (one run word per run).
-//  * exp::collect_stats counts latencies into flat histograms of the
-//    distinct values: its allocation does not grow with the samples,
-//    and it requests at most 64 bytes per distinct value.
+//  * A log allocates nothing until its first sample, and a short flow
+//    costs one small block.
+//  * exp::collect_stats selects its quantiles over the logs in place:
+//    its allocation grows neither with the samples nor with the
+//    distinct values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,13 +56,21 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   g_bytes += size;
   return std::malloc(size);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+namespace {
+/// Out of line, so that GCC never inlines a replaced operator delete into
+/// a caller and then flags operator new's pointer reaching free()
+/// (-Wmismatched-new-delete cannot see that these operators pair
+/// malloc with free).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace {
@@ -258,7 +268,40 @@ TEST(SinkMemory, WideRunKeepsOneSideEntry) {
   EXPECT_EQ(n, 1u << 16);
 }
 
-// --- 3. collect_stats allocation is O(distinct values) ---------------------
+TEST(SinkMemory, FlowWithoutSamplesAllocatesNoLogMemory) {
+  const std::uint64_t before = g_bytes.load();
+  {
+    const FlowStats idle;
+    EXPECT_EQ(idle.latency_ns.count(), 0u);
+    EXPECT_EQ(idle.latency_ns.max(), 0.0);
+  }
+  EXPECT_EQ(g_bytes.load() - before, 0u);
+}
+
+TEST(SinkMemory, TenSampleFlowsCostAtMost128LogBytesEach) {
+  // The churn and ring workloads open hundreds of flows, many of which
+  // deliver a handful of flits: each costs one small first block (a
+  // fixed-block container would cost its full block and map up front).
+  constexpr std::size_t kFlows = 1000;
+  // The slots' own storage is not the logs': allocate it first.
+  void* slots = ::operator new(kFlows * sizeof(FlowStats));
+  FlowStats* flows = static_cast<FlowStats*>(slots);
+  const std::uint64_t before = g_bytes.load();
+  for (std::size_t k = 0; k < kFlows; ++k) {
+    FlowStats* s = new (&flows[k]) FlowStats;
+    for (sim::Time i = 0; i < 10; ++i) s->latency_ns.add(4000 + 31 * i + k);
+  }
+  const std::uint64_t bytes = g_bytes.load() - before;
+  EXPECT_LE(bytes, 128 * kFlows)
+      << static_cast<double>(bytes) / kFlows << " bytes per flow";
+  for (std::size_t k = 0; k < kFlows; ++k) {
+    EXPECT_EQ(flows[k].latency_ns.count(), 10u);
+    flows[k].~FlowStats();
+  }
+  ::operator delete(slots);
+}
+
+// --- 3. collect_stats allocation is constant -------------------------------
 
 /// Heap bytes exp::collect_stats requests for a 2x2 mesh whose hub holds
 /// `per_flow` samples on each of 4 GS and 4 BE flows, drawn from 64
@@ -349,6 +392,15 @@ TEST(SinkMemory, CollectStatsRequestsAtMostSixtyFourBytesPerDistinctValue) {
   const std::uint64_t bytes = collect_bytes_distinct(kDistinct / 4);
   EXPECT_LE(bytes, 64 * kDistinct)
       << static_cast<double>(bytes) / kDistinct << " bytes per distinct value";
+}
+
+TEST(SinkMemory, CollectStatsMemoryIsIndependentOfDistinctLatencies) {
+  // Quantiles are selected over the logs in place, so 200k distinct BE
+  // latencies cost what 20k do: no histogram entry per distinct value.
+  for (const std::uint64_t distinct : {20000u, 200000u}) {
+    const std::uint64_t bytes = collect_bytes_distinct(distinct / 4);
+    EXPECT_LE(bytes, 64u * 1024) << distinct << " distinct latencies";
+  }
 }
 
 }  // namespace

@@ -300,6 +300,137 @@ TEST(LatencyLogRuns, RandomRunsAndSingletons) {
   }
 }
 
+// --- exact selection over several logs -----------------------------------
+
+/// quantile_of over `logs` at every q of kQs.
+std::vector<double> select_all(const std::vector<const LatencyLog*>& logs) {
+  std::vector<double> out;
+  for (const double q : kQs) out.push_back(quantile_of(logs, q));
+  return out;
+}
+std::vector<double> select_all(const std::vector<LatencyLog>& logs) {
+  std::vector<const LatencyLog*> ptrs;
+  for (const LatencyLog& l : logs) ptrs.push_back(&l);
+  return select_all(ptrs);
+}
+
+/// Expects quantile_of over `logs` to give the sort oracle's quantiles
+/// of `all`, bit for bit.
+void expect_selection_matches_oracle(const std::vector<LatencyLog>& logs,
+                                     const std::vector<Time>& all) {
+  std::vector<double> sorted = as_ns(all);
+  std::sort(sorted.begin(), sorted.end());
+  const std::vector<double> got = select_all(logs);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], oracle_quantile(sorted, kQs[i])) << "q " << kQs[i];
+  }
+}
+
+/// `n` random samples: runs and singletons of narrow values, values
+/// around the wide mark, and values up to kTimeNever - 1.
+std::vector<Time> mixed_samples(Rng& rng, std::size_t n) {
+  std::vector<Time> out;
+  while (out.size() < n) {
+    Time p = 0;
+    switch (rng.next_below(6)) {
+      case 0:
+        p = LatencyLog::kWide - 1 + rng.next_below(3);  // kWide +- 1
+        break;
+      case 1:
+        p = kTimeNever - 1 - rng.next_below(4);
+        break;
+      case 2:
+        p = (Time{1} << (32 + rng.next_below(30))) + rng.next_below(1000);
+        break;
+      default:
+        p = 4000 + 31 * rng.next_below(50) + rng.next_below(3);
+    }
+    for (std::uint64_t r = 1 + rng.next_below(8); r-- > 0;) out.push_back(p);
+  }
+  out.resize(n);
+  return out;
+}
+
+TEST(QuantileOf, RandomMultiLogInputEqualsSortOracle) {
+  Rng rng(53);
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::vector<Time> all = mixed_samples(rng, 1 + rng.next_below(3000));
+    std::vector<LatencyLog> logs(1 + rng.next_below(6));
+    for (const Time p : all) logs[rng.next_below(logs.size())].add(p);
+    expect_selection_matches_oracle(logs, all);
+  }
+}
+
+TEST(QuantileOf, NarrowDistinctLatenciesEqualSortOracle) {
+  // Nearly every BE latency is distinct at picosecond resolution; a
+  // range wider than one pass of sub-ranges takes the narrowing passes.
+  Rng rng(59);
+  for (const Time spread : {Time{10}, Time{5000}, Time{1} << 20}) {
+    std::vector<Time> all;
+    std::vector<LatencyLog> logs(3);
+    for (int i = 0; i < 20000; ++i) {
+      const Time p = 20000 + rng.next_below(spread);
+      all.push_back(p);
+      logs[static_cast<std::size_t>(i) % logs.size()].add(p);
+    }
+    expect_selection_matches_oracle(logs, all);
+  }
+}
+
+TEST(QuantileOf, EmptyOneAndAllEqualSamples) {
+  EXPECT_EQ(quantile_of(std::vector<const LatencyLog*>{}, 0.5), 0.0);
+  std::vector<LatencyLog> empty(3);
+  for (const double q : select_all(empty)) EXPECT_EQ(q, 0.0);
+
+  for (const Time p : {Time{0}, Time{4031}, Time{LatencyLog::kWide},
+                       kTimeNever - 1}) {
+    std::vector<LatencyLog> one(2);
+    one[1].add(p);
+    expect_selection_matches_oracle(one, {p});
+    std::vector<LatencyLog> equal(2);
+    std::vector<Time> all;
+    for (int i = 0; i < 1000; ++i) {
+      equal[static_cast<std::size_t>(i) % 2].add(p);
+      all.push_back(p);
+    }
+    expect_selection_matches_oracle(equal, all);
+  }
+}
+
+TEST(QuantileOf, OutOfRangeQuantileThrows) {
+  LatencyLog log;
+  log.add(5);
+  const LatencyLog* one = &log;
+  EXPECT_THROW(quantile_of(&one, 1, 1.5), mango::ModelError);
+  EXPECT_THROW(log.quantile(-0.1), mango::ModelError);
+}
+
+TEST(QuantileOf, SplitAndOrderDoNotChangeAnyBit) {
+  // A BE flow's samples sit in one hub at one shard and spread over four
+  // at four shards, each hub in its own delivery order.
+  Rng rng(61);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Time> all = mixed_samples(rng, 500 + rng.next_below(2000));
+    std::vector<LatencyLog> one(1);
+    for (const Time p : all) one[0].add(p);
+    const std::vector<double> want = select_all(one);
+    for (int order = 0; order < 3; ++order) {
+      for (std::size_t i = all.size(); i > 1; --i) {
+        std::swap(all[i - 1], all[rng.next_below(i)]);
+      }
+      std::vector<LatencyLog> four(4);
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        four[order == 0 ? i % 4 : rng.next_below(4)].add(all[i]);
+      }
+      EXPECT_EQ(select_all(four), want) << "trial " << trial;
+      const std::vector<const LatencyLog*> backward = {&four[3], &four[2],
+                                                       &four[1], &four[0]};
+      EXPECT_EQ(select_all(backward), want) << "trial " << trial;
+    }
+    expect_selection_matches_oracle(one, all);
+  }
+}
+
 TEST(Histogram, AnyOrderOfAddsAndMergesMatchesOracle) {
   // Histograms built by single adds, weighted adds and merges, with
   // queries (which compact) interleaved at random, so operands of +=
