@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <tuple>
 
 #include "model/timing.hpp"
 #include "noc/network/connection_broker.hpp"
@@ -174,28 +173,11 @@ std::uint64_t sum_held(
 }  // namespace
 
 bool operator==(const ScenarioStats& a, const ScenarioStats& b) {
-  const auto tie = [](const ScenarioStats& s) {
-    return std::tie(s.events, s.be_packets_generated, s.be_packets_delivered,
-                    s.be_injections_held, s.be_throughput_pkts_per_ns,
-                    s.be_latency_p50_ns, s.be_latency_p95_ns,
-                    s.be_latency_p99_ns, s.be_latency_max_ns,
-                    s.gs_connections, s.gs_flits_generated,
-                    s.gs_flits_delivered, s.gs_throughput_flits_per_ns,
-                    s.gs_latency_p50_ns, s.gs_latency_p99_ns,
-                    s.gs_latency_max_ns, s.gs_jitter_max_ns,
-                    s.guarantee_violations, s.gs_seq_errors,
-                    s.total_flits_on_links, s.peak_link_utilization);
-  };
-  const auto tie_churn = [](const ScenarioStats& s) {
-    return std::tie(s.churn_requested, s.churn_admitted, s.churn_queued,
-                    s.churn_rejected, s.churn_ready, s.churn_closed,
-                    s.churn_retries, s.churn_blocking_probability,
-                    s.churn_setup_p50_ns, s.churn_setup_p99_ns,
-                    s.churn_setup_max_ns, s.churn_teardown_p50_ns,
-                    s.churn_teardown_p99_ns, s.churn_flits_generated,
-                    s.churn_flits_delivered);
-  };
-  return tie(a) == tie(b) && tie_churn(a) == tie_churn(b);
+  bool equal = true;
+  for_each_stats_field([&](const char*, auto member) {
+    equal = equal && a.*member == b.*member;
+  });
+  return equal;
 }
 
 noc::TopologySpec ScenarioSpec::topology_spec() const {

@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <memory>
@@ -148,6 +150,64 @@ struct ScenarioStats {
     return !(a == b);
   }
 };
+
+/// The one ScenarioStats field list, in report order: (JSON name, member
+/// pointer). operator== and the JSON stats columns both visit it, so a
+/// new column is one entry here.
+inline constexpr auto kScenarioStatsFields = std::make_tuple(
+    std::pair{"events", &ScenarioStats::events},
+    std::pair{"be_packets_generated", &ScenarioStats::be_packets_generated},
+    std::pair{"be_packets_delivered", &ScenarioStats::be_packets_delivered},
+    std::pair{"be_injections_held", &ScenarioStats::be_injections_held},
+    std::pair{"be_throughput_pkts_per_ns",
+              &ScenarioStats::be_throughput_pkts_per_ns},
+    std::pair{"be_latency_p50_ns", &ScenarioStats::be_latency_p50_ns},
+    std::pair{"be_latency_p95_ns", &ScenarioStats::be_latency_p95_ns},
+    std::pair{"be_latency_p99_ns", &ScenarioStats::be_latency_p99_ns},
+    std::pair{"be_latency_max_ns", &ScenarioStats::be_latency_max_ns},
+    std::pair{"gs_connections", &ScenarioStats::gs_connections},
+    std::pair{"gs_flits_generated", &ScenarioStats::gs_flits_generated},
+    std::pair{"gs_flits_delivered", &ScenarioStats::gs_flits_delivered},
+    std::pair{"gs_throughput_flits_per_ns",
+              &ScenarioStats::gs_throughput_flits_per_ns},
+    std::pair{"gs_latency_p50_ns", &ScenarioStats::gs_latency_p50_ns},
+    std::pair{"gs_latency_p99_ns", &ScenarioStats::gs_latency_p99_ns},
+    std::pair{"gs_latency_max_ns", &ScenarioStats::gs_latency_max_ns},
+    std::pair{"gs_jitter_max_ns", &ScenarioStats::gs_jitter_max_ns},
+    std::pair{"guarantee_violations", &ScenarioStats::guarantee_violations},
+    std::pair{"gs_seq_errors", &ScenarioStats::gs_seq_errors},
+    std::pair{"churn_requested", &ScenarioStats::churn_requested},
+    std::pair{"churn_admitted", &ScenarioStats::churn_admitted},
+    std::pair{"churn_queued", &ScenarioStats::churn_queued},
+    std::pair{"churn_rejected", &ScenarioStats::churn_rejected},
+    std::pair{"churn_ready", &ScenarioStats::churn_ready},
+    std::pair{"churn_closed", &ScenarioStats::churn_closed},
+    std::pair{"churn_retries", &ScenarioStats::churn_retries},
+    std::pair{"churn_blocking_probability",
+              &ScenarioStats::churn_blocking_probability},
+    std::pair{"churn_setup_p50_ns", &ScenarioStats::churn_setup_p50_ns},
+    std::pair{"churn_setup_p99_ns", &ScenarioStats::churn_setup_p99_ns},
+    std::pair{"churn_setup_max_ns", &ScenarioStats::churn_setup_max_ns},
+    std::pair{"churn_teardown_p50_ns", &ScenarioStats::churn_teardown_p50_ns},
+    std::pair{"churn_teardown_p99_ns", &ScenarioStats::churn_teardown_p99_ns},
+    std::pair{"churn_flits_generated", &ScenarioStats::churn_flits_generated},
+    std::pair{"churn_flits_delivered", &ScenarioStats::churn_flits_delivered},
+    std::pair{"total_flits_on_links", &ScenarioStats::total_flits_on_links},
+    std::pair{"peak_link_utilization", &ScenarioStats::peak_link_utilization});
+
+/// Every field is eight bytes: a member added without a table entry
+/// fails here instead of silently dropping out of equality and reports.
+static_assert(sizeof(ScenarioStats) ==
+                  8 * std::tuple_size_v<decltype(kScenarioStatsFields)>,
+              "every ScenarioStats field needs a kScenarioStatsFields entry");
+
+/// Calls fn(name, member_pointer) for every ScenarioStats field in
+/// report order.
+template <typename Fn>
+void for_each_stats_field(Fn&& fn) {
+  std::apply([&fn](const auto&... f) { (fn(f.first, f.second), ...); },
+             kScenarioStatsFields);
+}
 
 struct ScenarioResult {
   ScenarioSpec spec;

@@ -60,42 +60,8 @@ void write_spec(noc::JsonWriter& w, const ScenarioSpec& s) {
 
 void write_stats(noc::JsonWriter& w, const ScenarioStats& st) {
   w.begin_object();
-  w.kv("events", st.events);
-  w.kv("be_packets_generated", st.be_packets_generated);
-  w.kv("be_packets_delivered", st.be_packets_delivered);
-  w.kv("be_injections_held", st.be_injections_held);
-  w.kv("be_throughput_pkts_per_ns", st.be_throughput_pkts_per_ns);
-  w.kv("be_latency_p50_ns", st.be_latency_p50_ns);
-  w.kv("be_latency_p95_ns", st.be_latency_p95_ns);
-  w.kv("be_latency_p99_ns", st.be_latency_p99_ns);
-  w.kv("be_latency_max_ns", st.be_latency_max_ns);
-  w.kv("gs_connections", st.gs_connections);
-  w.kv("gs_flits_generated", st.gs_flits_generated);
-  w.kv("gs_flits_delivered", st.gs_flits_delivered);
-  w.kv("gs_throughput_flits_per_ns", st.gs_throughput_flits_per_ns);
-  w.kv("gs_latency_p50_ns", st.gs_latency_p50_ns);
-  w.kv("gs_latency_p99_ns", st.gs_latency_p99_ns);
-  w.kv("gs_latency_max_ns", st.gs_latency_max_ns);
-  w.kv("gs_jitter_max_ns", st.gs_jitter_max_ns);
-  w.kv("guarantee_violations", st.guarantee_violations);
-  w.kv("gs_seq_errors", st.gs_seq_errors);
-  w.kv("churn_requested", st.churn_requested);
-  w.kv("churn_admitted", st.churn_admitted);
-  w.kv("churn_queued", st.churn_queued);
-  w.kv("churn_rejected", st.churn_rejected);
-  w.kv("churn_ready", st.churn_ready);
-  w.kv("churn_closed", st.churn_closed);
-  w.kv("churn_retries", st.churn_retries);
-  w.kv("churn_blocking_probability", st.churn_blocking_probability);
-  w.kv("churn_setup_p50_ns", st.churn_setup_p50_ns);
-  w.kv("churn_setup_p99_ns", st.churn_setup_p99_ns);
-  w.kv("churn_setup_max_ns", st.churn_setup_max_ns);
-  w.kv("churn_teardown_p50_ns", st.churn_teardown_p50_ns);
-  w.kv("churn_teardown_p99_ns", st.churn_teardown_p99_ns);
-  w.kv("churn_flits_generated", st.churn_flits_generated);
-  w.kv("churn_flits_delivered", st.churn_flits_delivered);
-  w.kv("total_flits_on_links", st.total_flits_on_links);
-  w.kv("peak_link_utilization", st.peak_link_utilization);
+  for_each_stats_field(
+      [&](const char* name, auto member) { w.kv(name, st.*member); });
   w.end_object();
 }
 

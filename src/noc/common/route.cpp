@@ -61,12 +61,4 @@ unsigned hop_distance(NodeId a, NodeId b) {
       std::abs(static_cast<int>(a.y) - static_cast<int>(b.y)));
 }
 
-bool route_reaches(NodeId src, NodeId dst, const std::vector<Direction>& moves) {
-  NodeId cur = src;
-  for (Direction d : moves) {
-    if (!try_step(cur, d)) return false;
-  }
-  return cur == dst;
-}
-
 }  // namespace mango::noc

@@ -1,4 +1,4 @@
-// Mesh-geometry route math and the BE VC-class (dateline) rule.
+// Mesh-geometry route references and the BE VC-class (dateline) rule.
 //
 // The BE router performs pure source routing; deadlock freedom comes from
 // the *source* computing cycle-free routes (Section 5: "to avoid
@@ -6,14 +6,13 @@
 // the same path computation when the connection manager reserves VCs hop
 // by hop.
 //
-// The free functions below are MESH GEOMETRY ONLY: they know Manhattan
-// coordinates and nothing about wrap-around links or irregular
-// adjacency. Production routes and hop counts are walks of the
-// materialized RouteTable (noc/network/routing.hpp), which is
-// wrap-aware; xy_route stays as the mesh reference the route-table
-// tests compare against. Feeding these functions a torus-width wrap is
-// a checked error (step() asserts instead of silently wrapping the
-// 16-bit coordinate).
+// Production routes and hop counts are walks of the materialized
+// RouteTable (noc/network/routing.hpp), and route checks walk the
+// topology's port table (Topology::route_reaches). The three free
+// functions below are MESH GEOMETRY ONLY — Manhattan coordinates, no
+// wrap links, no irregular adjacency — and stay as the references the
+// route-table tests compare against. Feeding step() a wrap move is a
+// checked error, not a silently wrapped 16-bit coordinate.
 #pragma once
 
 #include <vector>
@@ -35,11 +34,6 @@ NodeId step(NodeId n, Direction d);
 /// Number of mesh hops between two nodes (Manhattan distance). Mesh
 /// only: wrap-aware hop counts come from RouteTable::hops.
 unsigned hop_distance(NodeId a, NodeId b);
-
-/// True if the move sequence leads from src to dst on an unbounded mesh.
-/// A sequence that walks off the coordinate grid returns false (it can
-/// reach nothing). Topology-aware checks: Topology::route_reaches.
-bool route_reaches(NodeId src, NodeId dst, const std::vector<Direction>& moves);
 
 // ---------------------------------------------------------------------------
 // BE VC classes (dateline scheme)

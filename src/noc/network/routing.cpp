@@ -78,30 +78,30 @@ std::vector<Direction> RoutingAlgorithm::self_route(NodeId src) const {
   std::deque<State> queue;
   const std::size_t src_idx = topo_.index(src);
 
-  const auto expand = [&](NodeId at, PortIdx in_port,
+  const auto expand = [&](std::size_t at, PortIdx in_port,
                           std::optional<std::size_t> from_state)
       -> std::optional<std::size_t> {
     for (PortIdx p = 0; p < kNumDirections; ++p) {
       if (is_network_port(in_port) && p == in_port) continue;  // u-turn
-      const auto peer = topo_.link_peer(at, p);
-      if (!peer.has_value()) continue;
-      const std::size_t peer_idx = topo_.index(peer->node);
-      const std::size_t sid = state_id(peer_idx, peer->port);
+      const std::uint32_t a = topo_.adj(at, p);
+      if (a == Topology::kNoLink) continue;
+      const std::size_t peer_idx = a >> 2;
+      const auto peer_port = static_cast<PortIdx>(a & 0x3u);
+      const std::size_t sid = state_id(peer_idx, peer_port);
       if (parent[sid].has_value()) continue;  // visited
       parent[sid] = {from_state.value_or(sid), direction_of(p)};
       if (peer_idx == src_idx) return sid;  // cycle closed
-      queue.push_back(State{peer_idx, peer->port});
+      queue.push_back(State{peer_idx, peer_port});
     }
     return std::nullopt;
   };
 
   // Seed: first hops out of src (in_port = local, no u-turn constraint).
-  std::optional<std::size_t> goal = expand(src, kLocalPort, std::nullopt);
+  std::optional<std::size_t> goal = expand(src_idx, kLocalPort, std::nullopt);
   while (!goal.has_value() && !queue.empty()) {
     const State st = queue.front();
     queue.pop_front();
-    goal = expand(topo_.node_at(st.node_idx), st.in_port,
-                  state_id(st.node_idx, st.in_port));
+    goal = expand(st.node_idx, st.in_port, state_id(st.node_idx, st.in_port));
   }
   if (!goal.has_value()) {
     model_fail("topology " + topo_.label() +
@@ -153,20 +153,20 @@ Direction dim_step(unsigned from, unsigned to, unsigned extent,
 }  // namespace
 
 NextHop TorusDorRouting::next_hop(NodeId node, NodeId dst, unsigned) const {
-  const auto& torus = static_cast<const TorusTopology&>(topo_);
   if (node.x != dst.x) {
-    return NextHop{port_of(dim_step(node.x, dst.x, torus.width(),
+    return NextHop{port_of(dim_step(node.x, dst.x, topo_.spec().width,
                                     Direction::kEast, Direction::kWest)),
                    0};
   }
   MANGO_ASSERT(node.y != dst.y, "next_hop at the destination");
-  return NextHop{port_of(dim_step(node.y, dst.y, torus.height(),
+  return NextHop{port_of(dim_step(node.y, dst.y, topo_.spec().height,
                                   Direction::kNorth, Direction::kSouth)),
                  0};
 }
 
 BeVcClassMap TorusDorRouting::vc_class_map() const {
-  const auto& torus = static_cast<const TorusTopology&>(topo_);
+  const std::uint16_t w = topo_.spec().width;
+  const std::uint16_t h = topo_.spec().height;
   BeVcClassMap map;
   map.enabled = true;
   map.dateline.resize(topo_.node_count());
@@ -175,9 +175,9 @@ BeVcClassMap TorusDorRouting::vc_class_map() const {
     // The wrap links are the datelines: forwarding East off the high-x
     // edge (or West off x=0, North off the high-y edge, South off y=0)
     // crosses one.
-    map.dateline[i][port_of(Direction::kEast)] = n.x + 1 == torus.width();
+    map.dateline[i][port_of(Direction::kEast)] = n.x + 1 == w;
     map.dateline[i][port_of(Direction::kWest)] = n.x == 0;
-    map.dateline[i][port_of(Direction::kNorth)] = n.y + 1 == torus.height();
+    map.dateline[i][port_of(Direction::kNorth)] = n.y + 1 == h;
     map.dateline[i][port_of(Direction::kSouth)] = n.y == 0;
   }
   return map;
@@ -216,11 +216,10 @@ UpDownRouting::UpDownRouting(const Topology& topo) : RoutingAlgorithm(topo) {
   while (!queue.empty()) {
     const std::size_t cur = queue.front();
     queue.pop_front();
-    const NodeId cur_node = topo.node_at(cur);
     for (PortIdx p = 0; p < kNumDirections; ++p) {
-      const auto peer = topo.link_peer(cur_node, p);
-      if (!peer.has_value()) continue;
-      const std::size_t pi = topo.index(peer->node);
+      const std::uint32_t a = topo.adj(cur, p);
+      if (a == Topology::kNoLink) continue;
+      const std::size_t pi = a >> 2;
       if (level_[pi] != kUnreached) continue;
       level_[pi] = static_cast<std::uint16_t>(level_[cur] + 1);
       queue.push_back(pi);
@@ -245,12 +244,11 @@ UpDownRouting::UpDownRouting(const Topology& topo) : RoutingAlgorithm(topo) {
       states.pop_front();
       const std::size_t u = s / 2;
       const unsigned phase = s % 2;
-      const NodeId u_node = topo.node_at(u);
       // Predecessors v with a legal step v -> u landing in state s.
       for (PortIdx p = 0; p < kNumDirections; ++p) {
-        const auto peer = topo.link_peer(u_node, p);
-        if (!peer.has_value()) continue;
-        const std::size_t v = topo.index(peer->node);
+        const std::uint32_t a = topo.adj(u, p);
+        if (a == Topology::kNoLink) continue;
+        const std::size_t v = a >> 2;
         const bool up_move = is_up(v, u);  // the v -> u direction
         std::size_t pred;
         if (phase == 0) {
@@ -293,9 +291,9 @@ NextHop UpDownRouting::next_hop(NodeId node, NodeId dst,
   const std::size_t cur_idx = topo_.index(node);
   MANGO_ASSERT(cur_idx != topo_.index(dst), "next_hop at the destination");
   for (PortIdx p = 0; p < kNumDirections; ++p) {
-    const auto peer = topo_.link_peer(node, p);
-    if (!peer.has_value()) continue;
-    const std::size_t pi = topo_.index(peer->node);
+    const std::uint32_t a = topo_.adj(cur_idx, p);
+    if (a == Topology::kNoLink) continue;
+    const std::size_t pi = a >> 2;
     const bool up_move = is_up(cur_idx, pi);
     if (phase == 1 && up_move) continue;  // no down->up turns
     const unsigned next_phase = up_move ? phase : 1;
@@ -312,16 +310,13 @@ std::unique_ptr<RoutingAlgorithm> make_routing(const Topology& topo) {
   switch (topo.kind()) {
     case TopologyKind::kMesh:
     case TopologyKind::kCMesh:
-      // A concentrated mesh IS-A mesh at the wire level; XY applies
-      // unchanged (concentration only multiplies traffic sources).
-      return std::make_unique<XyRouting>(
-          static_cast<const MeshTopology&>(topo));
+      // A concentrated mesh has the mesh's wires; XY applies unchanged
+      // (concentration only multiplies traffic sources).
+      return std::make_unique<XyRouting>(topo);
     case TopologyKind::kTorus:
-      return std::make_unique<TorusDorRouting>(
-          static_cast<const TorusTopology&>(topo));
+      return std::make_unique<TorusDorRouting>(topo);
     case TopologyKind::kRing:
-      return std::make_unique<RingRouting>(
-          static_cast<const RingTopology&>(topo));
+      return std::make_unique<RingRouting>(topo);
     case TopologyKind::kGraph:
       // Unconstrained shortest paths deadlock on cyclic graphs (the
       // validator rejects them); up*/down* turns are the canonical
@@ -335,38 +330,24 @@ std::unique_ptr<RoutingAlgorithm> make_routing(const Topology& topo) {
 
 RouteTable::RouteTable(const Topology& topo, const RoutingAlgorithm& routing,
                        unsigned build_threads)
-    : n_(topo.node_count()), routing_(&routing) {
+    : n_(topo.node_count()), topo_(&topo), routing_(&routing) {
   if (n_ > kDenseNodeLimit) {
     model_fail(topo.label() + " has " + std::to_string(n_) +
                " nodes; route tables support at most " +
                std::to_string(kDenseNodeLimit));
   }
-  materialize_adjacency(topo);
   materialize_self_routes(topo, routing, build_threads);
   materialize_pairs(topo, routing, build_threads);
 }
 
 bool operator==(const RouteTable& a, const RouteTable& b) {
   return a.n_ == b.n_ && a.hop_ == b.hop_ &&
-         a.meta_ == b.meta_ && a.header_ == b.header_ && a.adj_ == b.adj_ &&
+         a.meta_ == b.meta_ && a.header_ == b.header_ &&
          a.self_moves_ == b.self_moves_ &&
          a.self_offsets_ == b.self_offsets_ &&
          a.self_delivery_ == b.self_delivery_ &&
          a.self_header_ == b.self_header_ && a.self_shift_ == b.self_shift_ &&
          a.self_unavailable_ == b.self_unavailable_;
-}
-
-void RouteTable::materialize_adjacency(const Topology& topo) {
-  adj_.assign(n_ * kNumDirections, kNoLink);
-  for (std::size_t i = 0; i < n_; ++i) {
-    const NodeId node = topo.node_at(i);
-    for (PortIdx p = 0; p < kNumDirections; ++p) {
-      const auto peer = topo.link_peer(node, p);
-      if (!peer.has_value()) continue;
-      adj_[i * kNumDirections + p] = static_cast<std::uint32_t>(
-          (topo.index(peer->node) << 2) | (peer->port & 0x3u));
-    }
-  }
 }
 
 void RouteTable::materialize_self_routes(const Topology& topo,
@@ -475,7 +456,7 @@ void RouteTable::materialize_pairs(const Topology& topo,
   // independent of fabric diameter.
   //
   // Destinations are independent: each one's sweep reads only the
-  // immutable topology/routing/adjacency and commits only its own
+  // immutable topology and routing and commits only its own
   // (v, d) column — disjoint bytes whose values are pure functions of
   // the pair — so the sweep fans out across build_threads workers (one
   // private scratch each) and any thread count yields the identical
@@ -493,8 +474,8 @@ void RouteTable::materialize_pairs(const Topology& topo,
         const unsigned phase = s & 1u;
         const NodeId node = topo.node_at(node_idx);
         const NextHop nh = routing.next_hop(node, dst, phase);
-        const std::uint32_t a = adj(node_idx, nh.port);
-        MANGO_ASSERT(a != kNoLink,
+        const std::uint32_t a = topo.adj(node_idx, nh.port);
+        MANGO_ASSERT(a != Topology::kNoLink,
                      "route " + to_string(node) + "->" + to_string(dst) +
                          " uses the unwired port " + port_name(nh.port) +
                          " at " + to_string(node));
@@ -564,7 +545,7 @@ bool RouteTable::self_pair(std::size_t src_idx, std::size_t dst_idx) const {
   MANGO_ASSERT(src_idx < n_ && dst_idx < n_, "route table index out of range");
   if (src_idx != dst_idx) return false;
   if (self_unavailable_[src_idx]) {
-    routing_->self_route(routing_->topology().node_at(src_idx));  // throws
+    routing_->self_route(topo_->node_at(src_idx));  // throws
   }
   return true;
 }
@@ -583,8 +564,9 @@ void RouteTable::append_moves(std::size_t src_idx, std::size_t dst_idx,
     MANGO_ASSERT(guard-- > 0, "route-table chain walk does not terminate");
     const NextHop nh = next_hop(cur, dst_idx, phase);
     out.push_back(direction_of(nh.port));
-    const std::uint32_t a = adj(cur, nh.port);
-    MANGO_ASSERT(a != kNoLink, "route-table chain walks an unwired port");
+    const std::uint32_t a = topo_->adj(cur, nh.port);
+    MANGO_ASSERT(a != Topology::kNoLink,
+                 "route-table chain walks an unwired port");
     cur = a >> 2;
     phase = nh.phase;
   }
@@ -808,8 +790,8 @@ DeadlockCheck check_deadlock_freedom(const Topology& topo,
             const std::size_t key = (cur * 2 + phase) * kMaxBeVcs + vc;
             if (sc.stamp[key] == sc.epoch) break;  // suffix already expanded
             sc.stamp[key] = sc.epoch;
-            const std::uint32_t a = table.adj(cur, nh.port);
-            MANGO_ASSERT(a != RouteTable::kNoLink,
+            const std::uint32_t a = topo.adj(cur, nh.port);
+            MANGO_ASSERT(a != Topology::kNoLink,
                          "route " + to_string(topo.node_at(si)) + "->" +
                              to_string(topo.node_at(di)) +
                              " uses the unwired port " + port_name(nh.port) +

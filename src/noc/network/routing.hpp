@@ -106,16 +106,14 @@ class RoutingAlgorithm {
 
 class XyRouting : public RoutingAlgorithm {
  public:
-  explicit XyRouting(const MeshTopology& topo)
-      : RoutingAlgorithm(topo) {}
+  explicit XyRouting(const Topology& topo) : RoutingAlgorithm(topo) {}
   const char* name() const override { return "xy"; }
   NextHop next_hop(NodeId node, NodeId dst, unsigned phase) const override;
 };
 
 class TorusDorRouting : public RoutingAlgorithm {
  public:
-  explicit TorusDorRouting(const TorusTopology& topo)
-      : RoutingAlgorithm(topo) {}
+  explicit TorusDorRouting(const Topology& topo) : RoutingAlgorithm(topo) {}
   const char* name() const override { return "torus-dor"; }
   NextHop next_hop(NodeId node, NodeId dst, unsigned phase) const override;
   BeVcClassMap vc_class_map() const override;
@@ -124,7 +122,7 @@ class TorusDorRouting : public RoutingAlgorithm {
 
 class RingRouting : public RoutingAlgorithm {
  public:
-  explicit RingRouting(const RingTopology& topo) : RoutingAlgorithm(topo) {}
+  explicit RingRouting(const Topology& topo) : RoutingAlgorithm(topo) {}
   const char* name() const override { return "ring"; }
   NextHop next_hop(NodeId node, NodeId dst, unsigned phase) const override;
   BeVcClassMap vc_class_map() const override;
@@ -183,6 +181,11 @@ std::unique_ptr<RoutingAlgorithm> make_routing(const Topology& topo);
 /// own local port) are materialized per node as explicit move lists;
 /// fabrics without a u-turn-free cycle record the miss and re-raise the
 /// routing error on first use, preserving lazy construction semantics.
+///
+/// The table stores routes, not wires: its chain walks and the deadlock
+/// check step through the topology's own port table (Topology::adj),
+/// which the table borrows — the Topology outlives it, as it outlives
+/// the routing.
 ///
 /// Fabrics beyond kDenseNodeLimit nodes are a ModelError: the n^2
 /// storage is the only route representation the network reads.
@@ -244,18 +247,6 @@ class RouteTable {
     return shift_code(src_idx, dst_idx) == kTableRouted;
   }
 
-  /// Unwired-port sentinel in the dense adjacency below.
-  static constexpr std::uint32_t kNoLink = 0xFFFFFFFFu;
-  /// Dense adjacency of the wired fabric, one entry per (node, out
-  /// port): packed (peer_index << 2) | arrival_port, kNoLink when the
-  /// port is unwired. Built once with O(4 n) virtual link_peer calls so
-  /// the chain walks and the deadlock validator run on flat arrays
-  /// instead of re-deriving neighbours through the virtual topology
-  /// interface on every hop.
-  std::uint32_t adj(std::size_t node_idx, PortIdx port) const {
-    return adj_[node_idx * kNumDirections + port];
-  }
-
   /// Precomputed BE header of the src -> dst route with `iface` folded
   /// in: the packed source-route word for routes within the 15-code
   /// budget, the table-routed word beyond. Self-routes are always
@@ -276,7 +267,6 @@ class RouteTable {
   void materialize_self_routes(const Topology& topo,
                                const RoutingAlgorithm& routing,
                                unsigned build_threads);
-  void materialize_adjacency(const Topology& topo);
   void materialize_pairs(const Topology& topo,
                          const RoutingAlgorithm& routing,
                          unsigned build_threads);
@@ -291,8 +281,6 @@ class RouteTable {
   /// Per-pair packed source-route header with zeroed interface bits
   /// (valid when the shift code is not kTableRouted).
   std::vector<std::uint32_t> header_;
-  /// Dense adjacency (see adj()).
-  std::vector<std::uint32_t> adj_;
   /// Self-route cycles, flattened per node.
   std::vector<Direction> self_moves_;
   std::vector<std::uint32_t> self_offsets_;
@@ -301,6 +289,8 @@ class RouteTable {
   std::vector<std::uint8_t> self_shift_;  ///< kNoHeader: over budget
   /// Self-route misses (no u-turn-free cycle): re-raise lazily.
   std::vector<bool> self_unavailable_;
+  /// The fabric's port table: chain walks step through Topology::adj.
+  const Topology* topo_ = nullptr;
   const RoutingAlgorithm* routing_ = nullptr;  ///< for lazy error re-raise
 };
 

@@ -210,29 +210,146 @@ std::string TopologySpec::label() const {
   return "?";
 }
 
-// --- Topology base -----------------------------------------------------------
+// --- Topology ----------------------------------------------------------------
 
-std::vector<NodeId> Topology::nodes() const {
-  std::vector<NodeId> out;
-  out.reserve(node_count());
-  for (std::size_t i = 0; i < node_count(); ++i) out.push_back(node_at(i));
-  return out;
+namespace {
+
+/// The spec as its kind's factory spells it, so every field the rest of
+/// the model reads (width, height, concentration) is consistent with the
+/// kind: a graph's width is its node count, a ring is one row, a plain
+/// mesh carries no concentration.
+TopologySpec canonical(const TopologySpec& s) {
+  switch (s.kind) {
+    case TopologyKind::kMesh: return TopologySpec::mesh(s.width, s.height);
+    case TopologyKind::kTorus: return TopologySpec::torus(s.width, s.height);
+    case TopologyKind::kRing:
+      // Ring labels are {i, 0}: the node count must fit 16 bits.
+      MANGO_ASSERT(s.node_count() <= 0xFFFF,
+                   "a ring supports at most 65535 nodes (got " +
+                       std::to_string(s.node_count()) + ")");
+      return TopologySpec::ring(static_cast<std::uint16_t>(s.node_count()));
+    case TopologyKind::kGraph: return TopologySpec::irregular(s.graph);
+    case TopologyKind::kCMesh:
+      return TopologySpec::cmesh(s.width, s.height, s.concentration);
+  }
+  model_fail("unknown topology kind");
+}
+
+std::uint32_t pack_peer(std::size_t peer_idx, PortIdx arrival) {
+  return static_cast<std::uint32_t>((peer_idx << 2) | (arrival & 0x3u));
+}
+
+}  // namespace
+
+Topology::Topology(const TopologySpec& spec) : spec_(canonical(spec)) {
+  const std::uint16_t w = spec_.width;
+  const std::uint16_t h = spec_.height;
+  switch (spec_.kind) {
+    case TopologyKind::kMesh:
+    case TopologyKind::kCMesh:
+      MANGO_ASSERT(w >= 1 && h >= 1, "degenerate mesh");
+      MANGO_ASSERT(spec_.concentration >= 1,
+                   "a concentrated mesh needs at least one core per router");
+      wire_grid(false);
+      return;
+    case TopologyKind::kTorus:
+      MANGO_ASSERT(w >= 2 && h >= 2,
+                   "a torus needs both dimensions >= 2 (wrap links would be "
+                   "self-loops otherwise) — use ring for 1D");
+      wire_grid(true);
+      return;
+    case TopologyKind::kRing:
+      MANGO_ASSERT(w >= 2, "a ring needs at least two nodes");
+      wire_grid(true);
+      return;
+    case TopologyKind::kGraph:
+      wire_graph();
+      return;
+  }
+}
+
+void Topology::wire_grid(bool wrap) {
+  const std::uint16_t w = spec_.width;
+  const std::uint16_t h = spec_.height;
+  const bool wrap_x = wrap && w >= 2;
+  const bool wrap_y = wrap && h >= 2;
+  adj_.assign(node_count() * kNumDirections, kNoLink);
+  for (std::size_t i = 0; i < node_count(); ++i) {
+    const NodeId n = node_at(i);
+    const auto wire = [&](Direction d, unsigned x, unsigned y) {
+      adj_[i * kNumDirections + port_of(d)] =
+          pack_peer(static_cast<std::size_t>(y) * w + x, port_of(opposite(d)));
+    };
+    if (n.y + 1 < h || wrap_y) wire(Direction::kNorth, n.x, (n.y + 1) % h);
+    if (n.x + 1 < w || wrap_x) wire(Direction::kEast, (n.x + 1) % w, n.y);
+    if (n.y > 0 || wrap_y) wire(Direction::kSouth, n.x, (n.y + h - 1) % h);
+    if (n.x > 0 || wrap_x) wire(Direction::kWest, (n.x + w - 1) % w, n.y);
+  }
+}
+
+void Topology::wire_graph() {
+  const GraphSpec& g = spec_.graph;
+  MANGO_ASSERT(g.node_count >= 2, "a graph topology needs >= 2 nodes");
+  adj_.assign(node_count() * kNumDirections, kNoLink);
+  const auto first_free_port = [this](std::uint16_t node) -> PortIdx {
+    for (PortIdx p = 0; p < kNumDirections; ++p) {
+      if (adj(node, p) == kNoLink) return p;
+    }
+    model_fail("graph node " + std::to_string(node) +
+               " exceeds the four router ports (degree > 4)");
+  };
+  for (const auto& [a, b] : g.edges) {
+    MANGO_ASSERT(a < g.node_count && b < g.node_count,
+                 "graph edge endpoint out of range");
+    MANGO_ASSERT(a != b, "graph self-loops are not supported");
+    const PortIdx pa = first_free_port(a);
+    const PortIdx pb = first_free_port(b);
+    adj_[a * kNumDirections + pa] = pack_peer(b, pb);
+    adj_[b * kNumDirections + pb] = pack_peer(a, pa);
+  }
+  // Connectivity check: every node must be reachable, or routing (and
+  // link wiring) would silently strand traffic.
+  std::vector<bool> seen(g.node_count, false);
+  std::vector<std::size_t> frontier{0};
+  seen[0] = true;
+  while (!frontier.empty()) {
+    const std::size_t cur = frontier.back();
+    frontier.pop_back();
+    for (PortIdx p = 0; p < kNumDirections; ++p) {
+      const std::uint32_t a = adj(cur, p);
+      if (a != kNoLink && !seen[a >> 2]) {
+        seen[a >> 2] = true;
+        frontier.push_back(a >> 2);
+      }
+    }
+  }
+  MANGO_ASSERT(std::find(seen.begin(), seen.end(), false) == seen.end(),
+               "graph topology is disconnected");
+}
+
+void Topology::fail_not_member(NodeId n) const {
+  model_fail("node " + to_string(n) + " is not in the topology " + label());
+}
+
+void Topology::fail_index(std::size_t idx) {
+  model_fail("node index " + std::to_string(idx) + " out of range");
+}
+
+std::optional<PortPeer> Topology::link_peer(NodeId n, PortIdx p) const {
+  const std::size_t i = index(n);
+  if (!is_network_port(p)) return std::nullopt;
+  const std::uint32_t a = adj(i, p);
+  if (a == kNoLink) return std::nullopt;
+  return PortPeer{node_at(a >> 2), static_cast<PortIdx>(a & 0x3u)};
 }
 
 unsigned Topology::degree(NodeId n) const {
+  const std::size_t i = index(n);
   unsigned d = 0;
   for (PortIdx p = 0; p < kNumDirections; ++p) {
-    if (link_peer(n, p).has_value()) ++d;
+    if (adj(i, p) != kNoLink) ++d;
   }
   return d;
-}
-
-Direction Topology::any_neighbor_direction(NodeId n) const {
-  MANGO_ASSERT(contains(n), "node " + to_string(n) + " not in the topology");
-  for (PortIdx p = 0; p < kNumDirections; ++p) {
-    if (link_peer(n, p).has_value()) return direction_of(p);
-  }
-  model_fail("node " + to_string(n) + " has no neighbours (" + label() + ")");
 }
 
 std::optional<Topology::WalkEnd> Topology::walk(
@@ -254,191 +371,6 @@ bool Topology::route_reaches(NodeId src, NodeId dst,
   if (moves.empty()) return src == dst;
   const auto end = walk(src, moves);
   return end.has_value() && end->node == dst;
-}
-
-// --- Grid2DTopology ----------------------------------------------------------
-
-std::size_t Grid2DTopology::index(NodeId n) const {
-  MANGO_ASSERT(contains(n), "node " + to_string(n) + " out of bounds");
-  return static_cast<std::size_t>(n.y) * width() + n.x;
-}
-
-NodeId Grid2DTopology::node_at(std::size_t idx) const {
-  MANGO_ASSERT(idx < node_count(), "node index out of range");
-  return NodeId{static_cast<std::uint16_t>(idx % width()),
-                static_cast<std::uint16_t>(idx / width())};
-}
-
-// --- MeshTopology ------------------------------------------------------------
-
-MeshTopology::MeshTopology(std::uint16_t width, std::uint16_t height)
-    : MeshTopology(TopologySpec::mesh(width, height)) {}
-
-MeshTopology::MeshTopology(TopologySpec spec)
-    : Grid2DTopology(std::move(spec)) {
-  MANGO_ASSERT(width() >= 1 && height() >= 1, "degenerate mesh");
-}
-
-std::optional<NodeId> MeshTopology::neighbor(NodeId n, Direction d) const {
-  const auto peer = link_peer(n, port_of(d));
-  if (!peer.has_value()) return std::nullopt;
-  return peer->node;
-}
-
-std::optional<PortPeer> MeshTopology::link_peer(NodeId n, PortIdx p) const {
-  MANGO_ASSERT(in_bounds(n), "node out of bounds");
-  if (!is_network_port(p)) return std::nullopt;
-  const Direction d = direction_of(p);
-  // Guard against wrap-around on the mesh edge.
-  switch (d) {
-    case Direction::kNorth:
-      if (n.y + 1 >= height()) return std::nullopt;
-      break;
-    case Direction::kEast:
-      if (n.x + 1 >= width()) return std::nullopt;
-      break;
-    case Direction::kSouth:
-      if (n.y == 0) return std::nullopt;
-      break;
-    case Direction::kWest:
-      if (n.x == 0) return std::nullopt;
-      break;
-  }
-  return PortPeer{step(n, d), port_of(opposite(d))};
-}
-
-// --- ConcentratedMeshTopology ------------------------------------------------
-
-ConcentratedMeshTopology::ConcentratedMeshTopology(std::uint16_t width,
-                                                   std::uint16_t height,
-                                                   std::uint16_t concentration)
-    : MeshTopology(TopologySpec::cmesh(width, height, concentration)) {
-  MANGO_ASSERT(concentration >= 1,
-               "a concentrated mesh needs at least one core per router");
-}
-
-// --- TorusTopology -----------------------------------------------------------
-
-TorusTopology::TorusTopology(std::uint16_t width, std::uint16_t height)
-    : Grid2DTopology(TopologySpec::torus(width, height)) {
-  MANGO_ASSERT(width >= 2 && height >= 2,
-               "a torus needs both dimensions >= 2 (wrap links would be "
-               "self-loops otherwise) — use ring for 1D");
-}
-
-std::optional<PortPeer> TorusTopology::link_peer(NodeId n, PortIdx p) const {
-  MANGO_ASSERT(contains(n), "node out of bounds");
-  if (!is_network_port(p)) return std::nullopt;
-  const std::uint16_t w = width();
-  const std::uint16_t h = height();
-  NodeId peer = n;
-  switch (direction_of(p)) {
-    case Direction::kNorth:
-      peer.y = static_cast<std::uint16_t>((n.y + 1) % h);
-      break;
-    case Direction::kEast:
-      peer.x = static_cast<std::uint16_t>((n.x + 1) % w);
-      break;
-    case Direction::kSouth:
-      peer.y = static_cast<std::uint16_t>((n.y + h - 1) % h);
-      break;
-    case Direction::kWest:
-      peer.x = static_cast<std::uint16_t>((n.x + w - 1) % w);
-      break;
-  }
-  return PortPeer{peer, port_of(opposite(direction_of(p)))};
-}
-
-// --- RingTopology ------------------------------------------------------------
-
-RingTopology::RingTopology(std::uint16_t nodes)
-    : Topology(TopologySpec::ring(nodes)) {
-  MANGO_ASSERT(nodes >= 2, "a ring needs at least two nodes");
-}
-
-std::size_t RingTopology::index(NodeId n) const {
-  MANGO_ASSERT(contains(n), "node " + to_string(n) + " not on the ring");
-  return n.x;
-}
-
-NodeId RingTopology::node_at(std::size_t idx) const {
-  MANGO_ASSERT(idx < node_count(), "node index out of range");
-  return NodeId{static_cast<std::uint16_t>(idx), 0};
-}
-
-std::optional<PortPeer> RingTopology::link_peer(NodeId n, PortIdx p) const {
-  MANGO_ASSERT(contains(n), "node not on the ring");
-  const std::uint16_t count = spec().width;
-  switch (p < kNumDirections ? direction_of(p) : Direction::kNorth) {
-    case Direction::kEast:
-      return PortPeer{{static_cast<std::uint16_t>((n.x + 1) % count), 0},
-                      port_of(Direction::kWest)};
-    case Direction::kWest:
-      return PortPeer{
-          {static_cast<std::uint16_t>((n.x + count - 1) % count), 0},
-          port_of(Direction::kEast)};
-    default:
-      return std::nullopt;  // North/South (and the local port) are unwired
-  }
-}
-
-// --- GraphTopology -----------------------------------------------------------
-
-GraphTopology::GraphTopology(GraphSpec g)
-    : Topology(TopologySpec::irregular(g)) {
-  MANGO_ASSERT(g.node_count >= 2, "a graph topology needs >= 2 nodes");
-  adjacency_.resize(g.node_count);
-  const auto first_free_port = [this](std::uint16_t node) -> PortIdx {
-    for (PortIdx p = 0; p < kNumDirections; ++p) {
-      if (!adjacency_[node][p].has_value()) return p;
-    }
-    model_fail("graph node " + std::to_string(node) +
-               " exceeds the four router ports (degree > 4)");
-  };
-  for (const auto& [a, b] : g.edges) {
-    MANGO_ASSERT(a < g.node_count && b < g.node_count,
-                 "graph edge endpoint out of range");
-    MANGO_ASSERT(a != b, "graph self-loops are not supported");
-    const PortIdx pa = first_free_port(a);
-    const PortIdx pb = first_free_port(b);
-    adjacency_[a][pa] = {b, pb};
-    adjacency_[b][pb] = {a, pa};
-  }
-  // Connectivity check: every node must be reachable, or routing (and
-  // link wiring) would silently strand traffic.
-  std::vector<bool> seen(g.node_count, false);
-  std::vector<std::uint16_t> frontier{0};
-  seen[0] = true;
-  while (!frontier.empty()) {
-    const std::uint16_t cur = frontier.back();
-    frontier.pop_back();
-    for (const auto& peer : adjacency_[cur]) {
-      if (peer.has_value() && !seen[peer->first]) {
-        seen[peer->first] = true;
-        frontier.push_back(peer->first);
-      }
-    }
-  }
-  MANGO_ASSERT(std::find(seen.begin(), seen.end(), false) == seen.end(),
-               "graph topology is disconnected");
-}
-
-std::size_t GraphTopology::index(NodeId n) const {
-  MANGO_ASSERT(contains(n), "node " + to_string(n) + " not in the graph");
-  return n.x;
-}
-
-NodeId GraphTopology::node_at(std::size_t idx) const {
-  MANGO_ASSERT(idx < node_count(), "node index out of range");
-  return NodeId{static_cast<std::uint16_t>(idx), 0};
-}
-
-std::optional<PortPeer> GraphTopology::link_peer(NodeId n, PortIdx p) const {
-  MANGO_ASSERT(contains(n), "node not in the graph");
-  if (!is_network_port(p)) return std::nullopt;
-  const auto& peer = adjacency_[n.x][p];
-  if (!peer.has_value()) return std::nullopt;
-  return PortPeer{{peer->first, 0}, peer->second};
 }
 
 std::vector<unsigned> partition_shards(std::size_t node_count,
@@ -508,21 +440,7 @@ std::vector<std::uint64_t> partition_weights(const Topology& topo) {
 // --- factory -----------------------------------------------------------------
 
 std::unique_ptr<Topology> make_topology(const TopologySpec& spec) {
-  switch (spec.kind) {
-    case TopologyKind::kMesh:
-      return std::make_unique<MeshTopology>(spec.width, spec.height);
-    case TopologyKind::kTorus:
-      return std::make_unique<TorusTopology>(spec.width, spec.height);
-    case TopologyKind::kRing:
-      return std::make_unique<RingTopology>(
-          static_cast<std::uint16_t>(spec.node_count()));
-    case TopologyKind::kGraph:
-      return std::make_unique<GraphTopology>(spec.graph);
-    case TopologyKind::kCMesh:
-      return std::make_unique<ConcentratedMeshTopology>(
-          spec.width, spec.height, spec.concentration);
-  }
-  model_fail("unknown topology kind");
+  return std::make_unique<Topology>(spec);
 }
 
 }  // namespace mango::noc

@@ -1,34 +1,34 @@
-// Pluggable network topologies.
+// Network topologies: one port-level adjacency table per fabric.
 //
 // A Topology is a port-level adjacency graph over router nodes: every
 // node exposes up to four network ports (the Direction values double as
 // port labels on all fabrics — the 2-bit BE header codes address ports,
-// not geometry), and link_peer() answers "where does the link on this
-// port go, and on which port does it arrive". Four implementations:
+// not geometry). The constructor builds one dense port table from a
+// TopologySpec: per (node, port), the peer's node index and the port the
+// link arrives on over there. Each kind is a builder for that table:
 //
-//   * MeshTopology  — the paper's 2D mesh (no wrap links),
-//   * TorusTopology — 2D mesh with wrap-around links in both dimensions,
-//   * RingTopology  — a 1D cycle on the East/West ports,
-//   * GraphTopology — an arbitrary adjacency loaded from a GraphSpec
-//                     (degree <= 4, connected; ports auto-assigned),
-//   * ConcentratedMeshTopology — a mesh whose routers each serve k
-//                     cores. The wire graph is exactly the mesh's; the
-//                     concentration factor lives in the spec and is
-//                     consumed by the traffic layer (k BE sources per
-//                     router), quartering router count at k = 4 for the
-//                     same core count — the standard first rung of the
-//                     scaling ladder before going hierarchical.
+//   * mesh  — the paper's 2D mesh (no wrap links),
+//   * torus — the mesh plus wrap-around links in both dimensions,
+//   * ring  — a 1D cycle on the East/West ports,
+//   * graph — an arbitrary adjacency from a GraphSpec (degree <= 4,
+//             connected; ports assigned in edge order),
+//   * cmesh — a concentrated mesh: the mesh's wire table, with k cores
+//             per router. The concentration factor lives in the spec and
+//             is consumed by the traffic layer (k BE sources per router),
+//             quartering router count at k = 4 for the same core count —
+//             the standard first rung of the scaling ladder before going
+//             hierarchical.
 //
 // Hierarchical compositions (express-link rings, rings of meshes) are
 // GraphSpec builders: they flatten to an irregular adjacency and route
-// up*/down*, so a thousand-core fabric needs no new topology class.
+// up*/down*, so a thousand-core fabric needs no new topology kind.
 //
-// Route computation lives in the RoutingAlgorithm layer
-// (noc/network/routing.hpp); the Network wires links straight from this
-// adjacency.
+// Every consumer reads the one table: link_peer() decodes an entry, the
+// Network wires its links from it, and the RouteTable chain walks and the
+// deadlock check read adj() directly. Route computation lives in the
+// RoutingAlgorithm layer (noc/network/routing.hpp).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "noc/common/ids.hpp"
-#include "noc/common/route.hpp"
 
 namespace mango::noc {
 
@@ -161,33 +160,56 @@ struct PortPeer {
   }
 };
 
-class Topology {
+/// The port table of one fabric. Node labels and indices: grid kinds
+/// (mesh, torus, cmesh) label nodes {x, y} with x growing East and y
+/// growing North, node (0,0) the south-west corner; ring and graph nodes
+/// are {i, 0}. Either way the index is y * W + x over a W x H extent —
+/// width x height on grids, node_count x 1 on rings and graphs.
+class Topology final {
  public:
-  explicit Topology(TopologySpec spec) : spec_(std::move(spec)) {}
-  virtual ~Topology() = default;
+  /// Builds the port table of `spec`. ModelError on invalid specs.
+  explicit Topology(const TopologySpec& spec);
 
   Topology(const Topology&) = delete;
   Topology& operator=(const Topology&) = delete;
 
+  /// The spec as its kind's factory spells it (e.g. a graph's width is
+  /// its node count, a mesh carries no concentration).
   const TopologySpec& spec() const { return spec_; }
   TopologyKind kind() const { return spec_.kind; }
   std::string label() const { return spec_.label(); }
 
-  virtual std::size_t node_count() const = 0;
+  std::size_t node_count() const {
+    return static_cast<std::size_t>(spec_.width) * spec_.height;
+  }
+  bool contains(NodeId n) const {
+    return n.x < spec_.width && n.y < spec_.height;
+  }
   /// Linear index of a member node (ModelError otherwise).
-  virtual std::size_t index(NodeId n) const = 0;
-  virtual NodeId node_at(std::size_t idx) const = 0;
-  virtual bool contains(NodeId n) const = 0;
-  /// The link leaving `n` on port `p`, if that port is wired.
-  virtual std::optional<PortPeer> link_peer(NodeId n, PortIdx p) const = 0;
+  std::size_t index(NodeId n) const {
+    if (!contains(n)) fail_not_member(n);
+    return static_cast<std::size_t>(n.y) * spec_.width + n.x;
+  }
+  /// The node at a linear index (ModelError when out of range).
+  NodeId node_at(std::size_t idx) const {
+    if (idx >= node_count()) fail_index(idx);
+    return NodeId{static_cast<std::uint16_t>(idx % spec_.width),
+                  static_cast<std::uint16_t>(idx / spec_.width)};
+  }
 
-  /// All nodes in index order.
-  std::vector<NodeId> nodes() const;
+  /// Unwired-port entry of the port table.
+  static constexpr std::uint32_t kNoLink = 0xFFFFFFFFu;
+  /// The port table entry of (node index, network port): packed
+  /// (peer_index << 2) | arrival_port, kNoLink when the port is unwired.
+  /// Unchecked — callers pass a valid index and a network port.
+  std::uint32_t adj(std::size_t node_idx, PortIdx port) const {
+    return adj_[node_idx * kNumDirections + port];
+  }
+  /// The link leaving `n` on port `p`, if that port is wired (never the
+  /// local port). ModelError when `n` is not a member.
+  std::optional<PortPeer> link_peer(NodeId n, PortIdx p) const;
   /// Wired network ports of `n`.
   unsigned degree(NodeId n) const;
-  /// Any wired direction from n. Checked: ModelError when the node has
-  /// no neighbours at all (e.g. a 1x1 mesh).
-  Direction any_neighbor_direction(NodeId n) const;
 
   /// End state of applying `moves` (each an out-port) from `src`:
   /// the final node and the port the last hop arrived on. nullopt if a
@@ -199,118 +221,28 @@ class Topology {
   std::optional<WalkEnd> walk(NodeId src,
                               const std::vector<Direction>& moves) const;
 
-  /// True if the move sequence leads from src to dst over wired links.
-  /// This is the wrap-aware replacement for the mesh-only free function
-  /// route_reaches().
+  /// True if the move sequence leads from src to dst over wired links;
+  /// a move off the fabric (an unwired port) returns false.
   bool route_reaches(NodeId src, NodeId dst,
                      const std::vector<Direction>& moves) const;
 
  private:
+  [[noreturn]] void fail_not_member(NodeId n) const;
+  [[noreturn]] static void fail_index(std::size_t idx);
+  /// Grid builder (mesh, torus, ring): each node links to its four
+  /// coordinate neighbours; with `wrap`, every dimension of extent >= 2
+  /// closes into a cycle (a ring's extent-1 y dimension has no links).
+  void wire_grid(bool wrap);
+  /// Graph builder: edge endpoints take the first free port in spec
+  /// order. Rejects self-loops, degree > 4 and disconnected graphs.
+  void wire_graph();
+
   TopologySpec spec_;
+  std::vector<std::uint32_t> adj_;
 };
 
-/// Shared row-major enumeration of a width x height 2D grid (mesh and
-/// torus differ only in their links). Coordinates: x grows East, y
-/// grows North; node (0,0) is the south-west corner.
-class Grid2DTopology : public Topology {
- public:
-  using Topology::Topology;
-
-  std::uint16_t width() const { return spec().width; }
-  std::uint16_t height() const { return spec().height; }
-
-  std::size_t node_count() const override {
-    return static_cast<std::size_t>(width()) * height();
-  }
-  std::size_t index(NodeId n) const override;
-  NodeId node_at(std::size_t idx) const override;
-  bool contains(NodeId n) const override {
-    return n.x < width() && n.y < height();
-  }
-};
-
-/// A 2D mesh (no wrap links). A 1x1 mesh is constructible as a graph
-/// value, but has no neighbours (and a Network needs >= 2 nodes).
-class MeshTopology : public Grid2DTopology {
- public:
-  MeshTopology(std::uint16_t width, std::uint16_t height);
-
-  bool in_bounds(NodeId n) const { return contains(n); }
-
-  std::optional<PortPeer> link_peer(NodeId n, PortIdx p) const override;
-
-  /// Neighbour in direction d, if inside the mesh.
-  std::optional<NodeId> neighbor(NodeId n, Direction d) const;
-
- protected:
-  /// For subclasses carrying a mesh wire graph under another spec kind
-  /// (ConcentratedMeshTopology).
-  explicit MeshTopology(TopologySpec spec);
-};
-
-/// A concentrated mesh: the mesh's wire graph with `concentration` cores
-/// hanging off every router's local port. Routing, links and route
-/// tables see a plain mesh (this IS-A MeshTopology, and XY routing
-/// applies unchanged); the spec's concentration factor tells the
-/// traffic layer to run k BE sources per router. This is how a
-/// 1024-core fabric runs on a 16x16 router grid.
-class ConcentratedMeshTopology : public MeshTopology {
- public:
-  ConcentratedMeshTopology(std::uint16_t width, std::uint16_t height,
-                           std::uint16_t concentration);
-
-  std::uint16_t concentration() const { return spec().concentration; }
-};
-
-/// A 2D torus: the mesh plus wrap-around links. Every node has all four
-/// ports wired. width == 2 (or height == 2) yields two parallel links
-/// between the same node pair, one per direction — a valid degenerate
-/// torus.
-class TorusTopology : public Grid2DTopology {
- public:
-  TorusTopology(std::uint16_t width, std::uint16_t height);
-
-  std::optional<PortPeer> link_peer(NodeId n, PortIdx p) const override;
-};
-
-/// N nodes on a 1D cycle using the East/West ports: node i's East link
-/// reaches node (i+1) % N. Nodes are labelled {i, 0}.
-class RingTopology : public Topology {
- public:
-  explicit RingTopology(std::uint16_t nodes);
-
-  std::size_t node_count() const override { return spec().width; }
-  std::size_t index(NodeId n) const override;
-  NodeId node_at(std::size_t idx) const override;
-  bool contains(NodeId n) const override {
-    return n.y == 0 && n.x < spec().width;
-  }
-  std::optional<PortPeer> link_peer(NodeId n, PortIdx p) const override;
-};
-
-/// Arbitrary adjacency from a GraphSpec. Nodes are labelled {i, 0};
-/// edge endpoints get the first free port in spec order. Construction
-/// rejects self-loops, degree > 4 and disconnected graphs.
-class GraphTopology : public Topology {
- public:
-  explicit GraphTopology(GraphSpec spec);
-
-  std::size_t node_count() const override { return adjacency_.size(); }
-  std::size_t index(NodeId n) const override;
-  NodeId node_at(std::size_t idx) const override;
-  bool contains(NodeId n) const override {
-    return n.y == 0 && n.x < adjacency_.size();
-  }
-  std::optional<PortPeer> link_peer(NodeId n, PortIdx p) const override;
-
- private:
-  /// adjacency_[node][port] -> peer (node index, port).
-  std::vector<std::array<std::optional<std::pair<std::uint16_t, PortIdx>>,
-                         kNumDirections>>
-      adjacency_;
-};
-
-/// Builds the topology described by `spec`. ModelError on invalid specs.
+/// Heap-allocates the topology described by `spec` (FabricPlan owns one).
+/// ModelError on invalid specs.
 std::unique_ptr<Topology> make_topology(const TopologySpec& spec);
 
 }  // namespace mango::noc

@@ -16,7 +16,7 @@ namespace mango::noc {
 namespace {
 
 TEST(Patterns, TransposeSwapsCoordinates) {
-  const MeshTopology topo(4, 4);
+  const Topology topo(TopologySpec::mesh(4, 4));
   for (std::uint16_t x = 0; x < 4; ++x) {
     for (std::uint16_t y = 0; y < 4; ++y) {
       const auto d = pattern_dst(BePattern::kTranspose, {x, y}, topo);
@@ -35,8 +35,8 @@ TEST(Patterns, TransposeOnNonSquareMeshIsInjective) {
   // on non-square meshes — no two sources share a destination, so the
   // pattern never degenerates into an accidental hotspot.
   for (const auto& [w, h] : {std::pair<int, int>{4, 2}, {3, 5}, {2, 4}}) {
-    const MeshTopology topo(static_cast<std::uint16_t>(w),
-                            static_cast<std::uint16_t>(h));
+    const Topology topo(TopologySpec::mesh(static_cast<std::uint16_t>(w),
+                                           static_cast<std::uint16_t>(h)));
     std::set<std::size_t> dsts;
     std::size_t silent = 0;
     for (std::size_t i = 0; i < topo.node_count(); ++i) {
@@ -53,7 +53,7 @@ TEST(Patterns, TransposeOnNonSquareMeshIsInjective) {
 }
 
 TEST(Patterns, BitComplementReversesLinearIndex) {
-  const MeshTopology topo(4, 3);
+  const Topology topo(TopologySpec::mesh(4, 3));
   const std::size_t n = topo.node_count();
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId src = topo.node_at(i);
@@ -68,7 +68,7 @@ TEST(Patterns, BitComplementReversesLinearIndex) {
 }
 
 TEST(Patterns, BitComplementIsAPermutationAndSymmetric) {
-  const MeshTopology topo(4, 4);
+  const Topology topo(TopologySpec::mesh(4, 4));
   std::set<std::size_t> dsts;
   for (std::size_t i = 0; i < topo.node_count(); ++i) {
     const NodeId src = topo.node_at(i);
@@ -84,7 +84,7 @@ TEST(Patterns, BitComplementIsAPermutationAndSymmetric) {
 }
 
 TEST(Patterns, TornadoShiftsHalfway) {
-  const MeshTopology topo(4, 4);
+  const Topology topo(TopologySpec::mesh(4, 4));
   const auto d = pattern_dst(BePattern::kTornado, {0, 0}, topo);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(*d, (NodeId{2, 2}));
@@ -94,14 +94,14 @@ TEST(Patterns, TornadoShiftsHalfway) {
 }
 
 TEST(Patterns, TornadoOnTwoWideMeshReachesNeighbor) {
-  const MeshTopology topo(2, 2);
+  const Topology topo(TopologySpec::mesh(2, 2));
   const auto d = pattern_dst(BePattern::kTornado, {0, 1}, topo);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(*d, (NodeId{1, 0}));
 }
 
 TEST(Patterns, StochasticPatternsHaveNoFixedDestination) {
-  const MeshTopology topo(4, 4);
+  const Topology topo(TopologySpec::mesh(4, 4));
   for (const BePattern p :
        {BePattern::kUniform, BePattern::kHotspot, BePattern::kBursty}) {
     EXPECT_FALSE(pattern_dst(p, {1, 2}, topo).has_value());
@@ -109,7 +109,7 @@ TEST(Patterns, StochasticPatternsHaveNoFixedDestination) {
 }
 
 TEST(Patterns, UniformPickCoversAllOtherNodesEvenly) {
-  const MeshTopology topo(4, 4);
+  const Topology topo(TopologySpec::mesh(4, 4));
   const NodeId src{1, 1};
   BePatternOptions opt;
   sim::Rng rng(7);
@@ -119,7 +119,7 @@ TEST(Patterns, UniformPickCoversAllOtherNodesEvenly) {
     const NodeId d =
         pattern_pick_dst(BePattern::kUniform, src, topo, opt, rng);
     ASSERT_NE(d, src);
-    ASSERT_TRUE(topo.in_bounds(d));
+    ASSERT_TRUE(topo.contains(d));
     ++counts[topo.index(d)];
   }
   EXPECT_EQ(counts.size(), topo.node_count() - 1);
@@ -132,7 +132,7 @@ TEST(Patterns, UniformPickCoversAllOtherNodesEvenly) {
 }
 
 TEST(Patterns, HotspotFractionIsRespected) {
-  const MeshTopology topo(4, 4);
+  const Topology topo(TopologySpec::mesh(4, 4));
   BePatternOptions opt;
   opt.hotspot = {3, 3};
   opt.hotspot_fraction = 0.6;
@@ -154,7 +154,7 @@ TEST(Patterns, HotspotFractionIsRespected) {
 }
 
 TEST(Patterns, HotspotSourceAtHotspotFallsBackToUniform) {
-  const MeshTopology topo(3, 3);
+  const Topology topo(TopologySpec::mesh(3, 3));
   BePatternOptions opt;
   opt.hotspot = {1, 1};
   sim::Rng rng(3);
@@ -166,10 +166,10 @@ TEST(Patterns, HotspotSourceAtHotspotFallsBackToUniform) {
 }
 
 TEST(Patterns, SupportMatrixPerTopologyFamily) {
-  const MeshTopology mesh(4, 4);
-  const TorusTopology torus(4, 4);
-  const RingTopology ring(8);
-  const GraphTopology graph(GraphSpec::irregular(8));
+  const Topology mesh(TopologySpec::mesh(4, 4));
+  const Topology torus(TopologySpec::torus(4, 4));
+  const Topology ring(TopologySpec::ring(8));
+  const Topology graph(TopologySpec::irregular(GraphSpec::irregular(8)));
   for (const BePattern p : all_be_patterns()) {
     EXPECT_TRUE(pattern_supported(p, mesh)) << to_string(p);
     EXPECT_TRUE(pattern_supported(p, torus)) << to_string(p);
@@ -184,7 +184,7 @@ TEST(Patterns, SupportMatrixPerTopologyFamily) {
 }
 
 TEST(Patterns, UnsupportedPatternFailsLoudlyNotSilently) {
-  const RingTopology ring(8);
+  const Topology ring(TopologySpec::ring(8));
   EXPECT_THROW(pattern_dst(BePattern::kTranspose, {0, 0}, ring),
                mango::ModelError);
   sim::SimContext ctx;
@@ -199,20 +199,20 @@ TEST(Patterns, UnsupportedPatternFailsLoudlyNotSilently) {
 }
 
 TEST(Patterns, TornadoOnRingIsTheHalfRingShift) {
-  const RingTopology ring(8);
+  const Topology ring(TopologySpec::ring(8));
   const auto d = pattern_dst(BePattern::kTornado, {1, 0}, ring);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(*d, (NodeId{5, 0}));
   // Bit-complement works on any enumeration, e.g. the irregular graph.
-  const GraphTopology graph(GraphSpec::irregular(8));
+  const Topology graph(TopologySpec::irregular(GraphSpec::irregular(8)));
   const auto c = pattern_dst(BePattern::kBitComplement, {2, 0}, graph);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(*c, (NodeId{5, 0}));
 }
 
 TEST(Patterns, TransposeOnTorusMatchesMeshPermutation) {
-  const MeshTopology mesh(4, 4);
-  const TorusTopology torus(4, 4);
+  const Topology mesh(TopologySpec::mesh(4, 4));
+  const Topology torus(TopologySpec::torus(4, 4));
   for (std::size_t i = 0; i < mesh.node_count(); ++i) {
     EXPECT_EQ(pattern_dst(BePattern::kTranspose, mesh.node_at(i), mesh),
               pattern_dst(BePattern::kTranspose, torus.node_at(i), torus));

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "noc/common/route.hpp"
+#include "noc/network/topology.hpp"
 
 namespace mango::noc {
 namespace {
@@ -49,6 +50,8 @@ class XyRouteAllPairs
 
 TEST_P(XyRouteAllPairs, ReachesWithManhattanLengthAndXyOrder) {
   const auto [w, h] = GetParam();
+  const Topology mesh(TopologySpec::mesh(static_cast<std::uint16_t>(w),
+                                         static_cast<std::uint16_t>(h)));
   for (int sx = 0; sx < w; ++sx) {
     for (int sy = 0; sy < h; ++sy) {
       for (int dx = 0; dx < w; ++dx) {
@@ -58,7 +61,7 @@ TEST_P(XyRouteAllPairs, ReachesWithManhattanLengthAndXyOrder) {
           const NodeId dst{static_cast<std::uint16_t>(dx),
                            static_cast<std::uint16_t>(dy)};
           const auto moves = xy_route(src, dst);
-          ASSERT_TRUE(route_reaches(src, dst, moves));
+          ASSERT_TRUE(mesh.route_reaches(src, dst, moves));
           ASSERT_EQ(moves.size(), hop_distance(src, dst));
           // XY order: once a Y move appears, no X move may follow.
           bool seen_y = false;
@@ -84,8 +87,9 @@ INSTANTIATE_TEST_SUITE_P(MeshSizes, XyRouteAllPairs,
                                            std::make_pair(8, 8)));
 
 TEST(RouteReaches, DetectsWrongRoutes) {
-  EXPECT_FALSE(route_reaches({0, 0}, {1, 0}, {Direction::kNorth}));
-  EXPECT_TRUE(route_reaches({0, 0}, {1, 0}, {Direction::kEast}));
+  const Topology mesh(TopologySpec::mesh(2, 2));
+  EXPECT_FALSE(mesh.route_reaches({0, 0}, {1, 0}, {Direction::kNorth}));
+  EXPECT_TRUE(mesh.route_reaches({0, 0}, {1, 0}, {Direction::kEast}));
 }
 
 }  // namespace

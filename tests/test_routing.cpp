@@ -267,9 +267,10 @@ TEST(RoutingProperties, FreeStepRejectsCoordinateWraps) {
   EXPECT_THROW(step({0, 0}, Direction::kWest), mango::ModelError);
   EXPECT_THROW(step({0, 0}, Direction::kSouth), mango::ModelError);
   EXPECT_EQ(step({1, 1}, Direction::kWest), (NodeId{0, 1}));
-  // route_reaches tolerates (and fails) such sequences instead.
-  EXPECT_FALSE(route_reaches({0, 0}, {0, 0},
-                             {Direction::kWest, Direction::kEast}));
+  // Topology::route_reaches tolerates (and fails) such sequences instead.
+  const Topology mesh(TopologySpec::mesh(2, 2));
+  EXPECT_FALSE(mesh.route_reaches({0, 0}, {0, 0},
+                                  {Direction::kWest, Direction::kEast}));
 }
 
 TEST(SelfRoutes, ShortestUturnFreeCyclesPerTopology) {

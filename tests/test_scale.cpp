@@ -28,7 +28,7 @@ namespace {
 // only catches an accidental return to per-pair route walks, which
 // would cost minutes here, without flaking on loaded CI runners.
 TEST(ScaleRouteTable, ThousandNodeConstructionStaysInBudget) {
-  const MeshTopology topo(32, 32);
+  const Topology topo(TopologySpec::mesh(32, 32));
   const auto routing = make_routing(topo);
   const auto t0 = std::chrono::steady_clock::now();
   const RouteTable table(topo, *routing);
@@ -63,7 +63,7 @@ TEST(ScaleRouteTable, OverDenseLimitIsACheckedError) {
 // XY mesh the hop count is the Manhattan distance, so both schemes are
 // exercised across the full pair matrix.
 TEST(ScaleRouteTable, TableRoutedExactlyWhenOverHeaderBudget) {
-  const MeshTopology topo(32, 32);
+  const Topology topo(TopologySpec::mesh(32, 32));
   const auto routing = make_routing(topo);
   const RouteTable table(topo, *routing);
   std::size_t long_routes = 0;
@@ -241,7 +241,8 @@ TEST(ScaleHierarchy, RingOfMeshesAndExpressRingDeliverAllPairs) {
     attach_hub(net, hub);
     const Topology& topo = net.topology();
     // Wire symmetry of the composed graph.
-    for (const NodeId n : topo.nodes()) {
+    for (std::size_t i = 0; i < topo.node_count(); ++i) {
+      const NodeId n = topo.node_at(i);
       for (PortIdx p = 0; p < kNumDirections; ++p) {
         const auto peer = topo.link_peer(n, p);
         if (!peer.has_value()) continue;
@@ -273,9 +274,9 @@ TEST(ScaleHierarchy, RingOfMeshesNodeCountAndDegreeBounds) {
   const GraphSpec g = GraphSpec::ring_of_meshes(4, 3, 2);
   const auto topo = make_topology(TopologySpec::irregular(g));
   EXPECT_EQ(topo->node_count(), 4u * 3u * 2u);
-  for (const NodeId n : topo->nodes()) {
-    EXPECT_LE(topo->degree(n), 4u) << topo->label();
-    EXPECT_GE(topo->degree(n), 1u) << topo->label();
+  for (std::size_t i = 0; i < topo->node_count(); ++i) {
+    EXPECT_LE(topo->degree(topo->node_at(i)), 4u) << topo->label();
+    EXPECT_GE(topo->degree(topo->node_at(i)), 1u) << topo->label();
   }
 }
 

@@ -3,10 +3,12 @@
 
 Greps README.md and DESIGN.md for the artifacts they point readers at —
 preset names (``--preset NAME``), mango_sweep CLI flags (``--flag``),
-benchmark binaries (``bench_*``), test suites (``test_*``) and tracked
-benchmark histories (``BENCH_*.json``) — and verifies each one against
-ground truth: ``mango_sweep --list-presets`` / ``--help`` output and the
-bench/ and tests/ source trees.  Exits nonzero listing every dangling
+benchmark binaries (``bench_*``), test suites (``test_*``), tracked
+benchmark histories (``BENCH_*.json``) and backticked source paths
+(``src/...``, ``tests/...``, ``tools/...``, ``bench/...``,
+``examples/...``, and ``sim/...``, ``noc/...``, ``exp/...`` under src/)
+— and verifies each one against ground truth: ``mango_sweep
+--list-presets`` / ``--help`` output and the repository tree.  Exits nonzero listing every dangling
 reference, so CI fails when a rename or removal leaves the docs behind.
 
 Usage: check_doc_links.py [--sweep-bin PATH] [--repo PATH]
@@ -19,6 +21,13 @@ import subprocess
 import sys
 
 DOC_FILES = ["README.md", "DESIGN.md"]
+
+# Backticked paths under these roots must exist.  The src/ subtrees are
+# also named without their src/ prefix, the way #include lines spell them.
+PATH_ROOTS = ("src", "tests", "tools", "bench", "examples")
+SRC_SUBTREES = ("sim", "noc", "exp")
+PATH_RE = re.compile(r"(?<![\w./-])((?:%s)/[\w./{},*-]*)"
+                     % "|".join(PATH_ROOTS + SRC_SUBTREES))
 
 # Flags that appear in docs but belong to other tools (cmake, ctest,
 # benchmark binaries, perfbench, git) rather than mango_sweep.  Anything
@@ -130,6 +139,34 @@ def check_doc(path, presets, flags, benches, tests, bench_json):
         if name not in bench_json:
             errors.append(f"{where(name)}: history `{name}` does not exist")
 
+    errors += check_paths(path, path.parent, where)
+    return errors
+
+
+def expand_braces(path):
+    """``a.{hpp,cpp}`` -> [``a.hpp``, ``a.cpp``] (one level, repeatable)."""
+    m = re.search(r"\{([^{}]*)\}", path)
+    if not m:
+        return [path]
+    out = []
+    for alt in m.group(1).split(","):
+        out += expand_braces(path[:m.start()] + alt + path[m.end():])
+    return out
+
+
+def check_paths(path, repo, where):
+    """Every backticked source path must name a file or directory."""
+    errors = []
+    for span in re.findall(r"`([^`\n]+)`", path.read_text()):
+        for ref in PATH_RE.findall(span):
+            ref = ref.rstrip(".,:;")
+            for candidate in expand_braces(ref):
+                rel = candidate
+                if rel.split("/", 1)[0] in SRC_SUBTREES:
+                    rel = "src/" + rel
+                if not any(repo.glob(rel.rstrip("/"))):
+                    errors.append(f"{where(ref)}: path `{ref}` does not "
+                                  f"exist ({rel})")
     return errors
 
 

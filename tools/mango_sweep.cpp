@@ -479,8 +479,13 @@ int main(int argc, char** argv) {
     std::FILE* f = std::fopen(out_file.c_str(), "w");
     if (f == nullptr) die("cannot open '" + out_file + "' for writing");
     const std::string json = stable ? report.stats_json() : report.full_json();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    const bool written = std::fwrite(json.data(), 1, json.size(), f) ==
+                         json.size();
+    // fclose flushes the buffered tail, so it can fail even when every
+    // fwrite was accepted.
+    if (std::fclose(f) != 0 || !written) {
+      die("cannot write the report to '" + out_file + "'");
+    }
     if (!quiet) std::printf("report written to %s\n", out_file.c_str());
   }
 
