@@ -194,30 +194,49 @@ void TablePrinter::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TablePrinter::print() const {
+namespace {
+/// Display width of a UTF-8 string in code points: continuation bytes
+/// (10xxxxxx) do not start a character.
+std::size_t code_points(const std::string& s) {
+  std::size_t n = 0;
+  for (char c : s) n += (static_cast<unsigned char>(c) & 0xC0) != 0x80;
+  return n;
+}
+}  // namespace
+
+std::string TablePrinter::render() const {
   std::vector<std::size_t> width(headers_.size());
-  for (std::size_t c = 0; c < headers_.size(); ++c) width[c] = headers_[c].size();
+  for (std::size_t c = 0; c < headers_.size(); ++c) {
+    width[c] = code_points(headers_[c]);
+  }
   for (const auto& row : rows_) {
     for (std::size_t c = 0; c < row.size(); ++c) {
-      width[c] = std::max(width[c], row[c].size());
+      width[c] = std::max(width[c], code_points(row[c]));
     }
   }
-  auto print_row = [&](const std::vector<std::string>& row) {
-    std::printf("|");
+  std::string out;
+  auto add_row = [&](const std::vector<std::string>& row) {
+    out += '|';
     for (std::size_t c = 0; c < row.size(); ++c) {
-      std::printf(" %-*s |", static_cast<int>(width[c]), row[c].c_str());
+      out += ' ';
+      out += row[c];
+      out.append(width[c] - code_points(row[c]) + 1, ' ');
+      out += '|';
     }
-    std::printf("\n");
+    out += '\n';
   };
-  print_row(headers_);
-  std::printf("|");
+  add_row(headers_);
+  out += '|';
   for (std::size_t c = 0; c < headers_.size(); ++c) {
-    for (std::size_t i = 0; i < width[c] + 2; ++i) std::printf("-");
-    std::printf("|");
+    out.append(width[c] + 2, '-');
+    out += '|';
   }
-  std::printf("\n");
-  for (const auto& row : rows_) print_row(row);
+  out += '\n';
+  for (const auto& row : rows_) add_row(row);
+  return out;
 }
+
+void TablePrinter::print() const { std::fputs(render().c_str(), stdout); }
 
 std::string TablePrinter::fmt(double v, int precision) {
   char buf[64];

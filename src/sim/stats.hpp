@@ -245,14 +245,17 @@ class StatsRegistry {
   std::map<std::string, std::uint64_t> counters_;
 };
 
-/// Simple fixed-width text table printer used by the bench harnesses to
-/// emit paper-style tables.
+/// Simple fixed-width text table printer used by the experiments to
+/// emit paper-style tables. Cells are UTF-8; columns are padded by code
+/// points, so a cell holding "—" lines up with ASCII cells.
 class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> headers);
 
   void add_row(std::vector<std::string> cells);
-  /// Renders the table (header, separator, rows) to stdout.
+  /// The table as text: header, separator, rows.
+  std::string render() const;
+  /// Writes render() to stdout.
   void print() const;
 
   static std::string fmt(double v, int precision = 3);

@@ -1,8 +1,8 @@
 # Runs one program and compares its stdout byte for byte with the
 # checked-in golden file.
 #
-#   cmake -DPROGRAM=<executable> -DGOLDEN=<file> -DOUT=<scratch file>
-#         -P compare_stdout.cmake
+#   cmake -DPROGRAM=<executable> [-DARGS=<arg;...>] -DGOLDEN=<file>
+#         -DOUT=<scratch file> -P compare_stdout.cmake
 #
 # A nonzero exit or any byte difference fails.
 foreach(var PROGRAM GOLDEN OUT)
@@ -15,7 +15,7 @@ endforeach()
 file(REMOVE "${OUT}")
 get_filename_component(out_dir "${OUT}" DIRECTORY)
 file(MAKE_DIRECTORY "${out_dir}")
-execute_process(COMMAND "${PROGRAM}" OUTPUT_FILE "${OUT}" RESULT_VARIABLE rc)
+execute_process(COMMAND "${PROGRAM}" ${ARGS} OUTPUT_FILE "${OUT}" RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${PROGRAM} exited with ${rc}")
 endif()

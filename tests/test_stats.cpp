@@ -487,5 +487,18 @@ TEST(TablePrinter, FormatsDoubles) {
   EXPECT_EQ(TablePrinter::fmt(0.0005, 3), "0.001");
 }
 
+TEST(TablePrinter, PadsMultiByteCellsByCodePoint) {
+  // "—" is one column but three UTF-8 bytes; byte padding would leave
+  // its row two columns short of the others.
+  TablePrinter t({"scheme", "n"});
+  t.add_row({"a — b", "1"});
+  t.add_row({"abcdef", "2"});
+  EXPECT_EQ(t.render(),
+            "| scheme | n |\n"
+            "|--------|---|\n"
+            "| a — b  | 1 |\n"
+            "| abcdef | 2 |\n");
+}
+
 }  // namespace
 }  // namespace mango::sim

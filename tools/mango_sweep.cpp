@@ -455,6 +455,14 @@ int main(int argc, char** argv) {
   }
   if (specs.empty()) die("empty scenario grid");
 
+  // Open the report before the grid runs: a path that cannot be written
+  // fails now, not after the whole sweep's wall time.
+  std::FILE* out = nullptr;
+  if (!out_file.empty()) {
+    out = std::fopen(out_file.c_str(), "w");
+    if (out == nullptr) die("cannot open '" + out_file + "' for writing");
+  }
+
   exp::SweepRunner::ProgressFn progress;
   if (!quiet) {
     std::printf("running %zu scenarios...\n", specs.size());
@@ -475,15 +483,13 @@ int main(int argc, char** argv) {
     print_summary(report);
   }
 
-  if (!out_file.empty()) {
-    std::FILE* f = std::fopen(out_file.c_str(), "w");
-    if (f == nullptr) die("cannot open '" + out_file + "' for writing");
+  if (out != nullptr) {
     const std::string json = stable ? report.stats_json() : report.full_json();
-    const bool written = std::fwrite(json.data(), 1, json.size(), f) ==
+    const bool written = std::fwrite(json.data(), 1, json.size(), out) ==
                          json.size();
     // fclose flushes the buffered tail, so it can fail even when every
     // fwrite was accepted.
-    if (std::fclose(f) != 0 || !written) {
+    if (std::fclose(out) != 0 || !written) {
       die("cannot write the report to '" + out_file + "'");
     }
     if (!quiet) std::printf("report written to %s\n", out_file.c_str());
