@@ -68,12 +68,21 @@ struct StageDelays {
 StageDelays stage_delays(TimingCorner corner);
 
 /// Link-access arbitration scheme (Section 4.4: GS schemes are pluggable).
+/// E10 compares the three on one saturated link.
 enum class ArbiterKind {
-  kFairShare,       ///< round-robin: every VC guaranteed >= 1/V of the link
-  kStaticPriority,  ///< lower VC index wins; with share-lock = ALG-style
-                    ///< latency guarantees (ref [6])
-  kUnregulated,     ///< static priority *without* per-VC fairness intent:
-                    ///< models priority-QoS routers with no hard guarantees
+  /// Round-robin: every VC guaranteed >= 1/V of the link. The MANGO
+  /// demonstrator's scheme.
+  kFairShare,
+  /// Lower VC index wins, with share-based VC control: the ALG-style
+  /// configuration (Section 2, ref [6]) that bounds every VC's service
+  /// interference, giving latency guarantees per priority level.
+  kStaticPriority,
+  /// Static priority with credit-based VC control and no per-VC fairness
+  /// intent: the clockless priority-VC QoS baseline (Felicijan & Furber,
+  /// Section 2, ref [9]). A high-priority VC claims back-to-back link
+  /// cycles while its credits last, so low-priority VCs can starve —
+  /// "differentiated services by prioritizing VCs", no hard guarantees.
+  kUnregulated,
 };
 
 /// Inter-router link signaling discipline (Section 6).

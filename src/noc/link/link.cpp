@@ -59,7 +59,7 @@ void Link::transfer(unsigned dir, sim::Time delay, const sim::TypedEvent& ev) {
     // Cross-shard: the record waits in the channel for barrier admission
     // into the peer's kernel, under the sender's scheduling time.
     boundary_[dir]->batch.push(
-        BoundaryRecord{self.now() + delay, self.now(), ev});
+        BoundaryRecord{sim::EventKey{self.now() + delay, self.now()}, ev});
     return;
   }
   MANGO_ASSERT(sims_[0] == sims_[1],

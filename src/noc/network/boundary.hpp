@@ -3,15 +3,16 @@
 // A link whose endpoint routers live in different shards cannot schedule
 // the receive event directly into the peer's kernel (that kernel runs on
 // another thread). Instead, the sending side pushes a BoundaryRecord —
-// the typed event it would have scheduled, plus its model-level arrival
-// time AND the sender's scheduling time (birth) — into the per-direction
-// handoff channel; the shard engine drains every channel at window
-// barriers and admits the events into the destination kernel sorted by
-// (arrival, birth, channel order key, FIFO order). The order key is the
-// link's position in the Network's link list times two plus the
-// direction, which is a pure function of the topology — never of the
-// partition or of wall-clock arrival — so the records tied on (arrival,
-// birth) break the tie the same way under every partition.
+// the typed event it would have scheduled, under the sim::EventKey it
+// would have drawn: its model-level arrival time and the sender's
+// scheduling time (birth) — into the per-direction handoff channel; the
+// shard engine drains every channel at window barriers and admits the
+// events into the destination kernel sorted by (key, channel order key,
+// FIFO order). The order key is the link's position in the Network's
+// link list times two plus the direction, which is a pure function of
+// the topology — never of the partition or of wall-clock arrival — so
+// records with equal keys break the tie the same way under every
+// partition.
 //
 // Boundary transfers always use the uncoalesced two-event handshake
 // chains: the coalesced fast path resolves the peer's switching plan at
@@ -28,9 +29,10 @@
 namespace mango::noc {
 
 struct BoundaryRecord {
-  sim::Time arrival = 0;  ///< model arrival instant at the destination
-  sim::Time birth = 0;    ///< sender's now() when the transfer left
-  sim::TypedEvent ev;     ///< the receive event, addressed to the peer
+  /// {model arrival instant at the destination, sender's now() when the
+  /// transfer left}
+  sim::EventKey at;
+  sim::TypedEvent ev;  ///< the receive event, addressed to the peer
 };
 
 /// One direction of one cross-shard link. The sending shard's worker

@@ -117,7 +117,7 @@ void ConnectionBroker::request_close(RequestId id, ClosedFn on_closed) {
   mgr_.mark_draining(rq.conn);
   sim::TypedEvent ev = events::make(events::kOpBrokerClear, this);
   ev.d = id;
-  net_.simulator().after_typed(cfg_.drain_ps, ev);
+  net_.simulator().after_typed(kBrokerDrainPs, ev);
 }
 
 void ConnectionBroker::begin_clear(RequestId id) {

@@ -43,17 +43,18 @@ namespace mango::noc {
 
 using RequestId = std::uint32_t;
 
+/// Draining dwell between request_close and the clear packets: covers
+/// reverse unlock signals of the last delivered flit still propagating
+/// upstream. The caller is responsible for stopping sources and letting
+/// in-flight *flits* drain before requesting the close.
+inline constexpr sim::Time kBrokerDrainPs = 2000;
+
 struct BrokerConfig {
   /// Open requests parked when the path is busy; 0 = reject immediately.
   unsigned max_queue = 16;
   /// Program via BE packets through the live network (the real MANGO
   /// path). false = zero-time direct table writes (unit tests, benches).
   bool packet_mode = true;
-  /// Draining dwell between request_close and the clear packets: covers
-  /// reverse unlock signals of the last delivered flit still propagating
-  /// upstream. The caller is responsible for stopping sources and
-  /// letting in-flight *flits* drain before requesting the close.
-  sim::Time drain_ps = 2000;
 };
 
 /// Lifecycle of one broker request (mirrors ConnState plus the broker's

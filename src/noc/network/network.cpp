@@ -154,13 +154,11 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
     // The window width doubles as the control deferral bound: a post
     // made mid-window at u lands at u + deferral >= window end, so the
     // engine always sees it in time to park the shards on its key.
-    std::vector<sim::Time> slack;
-    slack.push_back(min_link_latency_);
     sim::ShardEngine::Options opt;
     opt.spin_us = cfg_.spin_us;
     opt.spin_even_oversubscribed = cfg_.force_spin;
     engine_ = std::make_unique<sim::ShardEngine>(
-        std::move(sims), sim::conservative_lookahead(slack), control_,
+        std::move(sims), min_link_latency_, control_,
         [this] { drain_boundaries(); },
         [this](std::size_t s) { flush_boundaries(s); }, opt);
   }
@@ -221,22 +219,16 @@ void Network::drain_boundaries() {
     });
   }
   if (admit_buf_.empty()) return;
-  // (arrival, birth, channel order key) with stable_sort: records of one
-  // channel keep their FIFO order, records of different channels tie-
-  // break on the topology-derived key — never on wall-clock arrival.
+  // (key, channel order key) with stable_sort: records of one channel
+  // keep their FIFO order, records of different channels tie-break on
+  // the topology-derived key — never on wall-clock arrival.
   std::stable_sort(admit_buf_.begin(), admit_buf_.end(),
                    [](const PendingAdmit& x, const PendingAdmit& y) {
-                     if (x.rec.arrival != y.rec.arrival) {
-                       return x.rec.arrival < y.rec.arrival;
-                     }
-                     if (x.rec.birth != y.rec.birth) {
-                       return x.rec.birth < y.rec.birth;
-                     }
+                     if (!(x.rec.at == y.rec.at)) return x.rec.at < y.rec.at;
                      return x.ch->order_key < y.ch->order_key;
                    });
   for (const PendingAdmit& a : admit_buf_) {
-    shard_ctxs_[a.ch->dst_shard]->sim().admit_typed(a.rec.arrival,
-                                                    a.rec.birth, a.rec.ev);
+    shard_ctxs_[a.ch->dst_shard]->sim().admit_typed(a.rec.at, a.rec.ev);
   }
 }
 

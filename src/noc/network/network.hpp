@@ -172,8 +172,8 @@ class Network {
 
  private:
   /// Barrier hook: drains every boundary channel and admits the records
-  /// into their destination kernels in (arrival, birth, channel, FIFO)
-  /// order. Runs on the engine thread with all workers parked.
+  /// into their destination kernels in (EventKey, channel, FIFO) order.
+  /// Runs on the engine thread with all workers parked.
   void drain_boundaries();
   /// Window-flush hook: publishes shard `s`'s boundary batches (one
   /// release store per dirty channel). Runs on the worker thread that

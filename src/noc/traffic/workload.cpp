@@ -358,6 +358,19 @@ std::vector<std::unique_ptr<GsStreamSource>> start_gs_set(
 
 // --- connection churn ------------------------------------------------------
 
+namespace {
+
+/// Drain poll cadence: after stopping a stream the workload waits until
+/// delivered == generated before requesting the close.
+constexpr sim::Time kDrainPollPs = 1000;
+/// A connection still short of delivered == generated this long after
+/// its stream stopped has lost flits — counted as a violation. Must
+/// comfortably exceed the worst-case in-flight drain (a few hops of
+/// worst-case fair-share latency, ~100 ns on a 4x4 fabric).
+constexpr sim::Time kDrainGracePs = 500000;
+
+}  // namespace
+
 ChurnWorkload::ChurnWorkload(Network& net, ConnectionBroker& broker,
                              HubSet& hub, ChurnOptions opt)
     : net_(net),
@@ -395,7 +408,6 @@ void ChurnWorkload::start(sim::Time at) {
 }
 
 void ChurnWorkload::schedule_next_open() {
-  if (opt_.max_opens != 0 && slots_.size() >= opt_.max_opens) return;
   const auto gap = std::max<sim::Time>(
       1, static_cast<sim::Time>(rng_.next_exponential(
              static_cast<double>(opt_.mean_open_interarrival_ps))));
@@ -452,7 +464,7 @@ std::uint64_t ChurnWorkload::delivered(const Slot& s) const {
 void ChurnWorkload::poll_drained(std::size_t k) {
   Slot& s = slots_[k];
   if (delivered(s) != s.source->generated()) {
-    ctrl_.post_at(sim_, sim_.now() + opt_.drain_poll_ps,
+    ctrl_.post_at(sim_, sim_.now() + kDrainPollPs,
                   [this, k] { poll_drained(k); });
     return;
   }
@@ -486,7 +498,7 @@ ChurnWorkload::Totals ChurnWorkload::finalize(sim::Time horizon) const {
     // edge of the horizon get grace — they are still legally in flight).
     if (s.state == SlotState::kDrainWait && got < s.source->generated() &&
         horizon > s.drain_started_at &&
-        horizon - s.drain_started_at > opt_.drain_grace_ps) {
+        horizon - s.drain_started_at > kDrainGracePs) {
       violated = true;
     }
     if (s.state == SlotState::kClosed &&

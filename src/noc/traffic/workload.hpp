@@ -170,16 +170,7 @@ struct ChurnOptions {
   /// NA source queue stays empty and the post-stop drain terminates;
   /// the constructor throws a ModelError otherwise.
   sim::Time gs_period_ps = 16000;
-  /// Drain poll cadence: after stopping a stream the workload waits
-  /// until delivered == generated before requesting the close.
-  sim::Time drain_poll_ps = 1000;
-  /// A connection still short of delivered == generated this long after
-  /// its stream stopped has lost flits — counted as a violation. Must
-  /// comfortably exceed the worst-case in-flight drain (a few hops of
-  /// worst-case fair-share latency, ~100 ns on a 4x4 fabric).
-  sim::Time drain_grace_ps = 500000;
   std::uint64_t seed = 1;
-  std::uint64_t max_opens = 0;  ///< 0 = unlimited (horizon-bounded)
 };
 
 /// Drives dynamic GS connection lifecycles: Poisson open requests with

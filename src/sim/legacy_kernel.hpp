@@ -71,9 +71,6 @@ class LegacySimulator {
 
   bool idle() const { return queue_.empty(); }
   std::size_t pending() const { return queue_.size(); }
-  Time next_event_time() const {
-    return queue_.empty() ? kTimeNever : queue_.top().time;
-  }
   std::uint64_t events_dispatched() const { return dispatched_; }
 
  private:

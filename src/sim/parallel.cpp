@@ -6,23 +6,6 @@
 
 namespace mango::sim {
 
-Time conservative_lookahead(const std::vector<Time>& boundary_latencies) {
-  if (boundary_latencies.empty()) {
-    model_fail(
-        "sharded run has no cross-shard links to derive a lookahead from "
-        "(degenerate partition)");
-  }
-  Time w = kTimeNever;
-  for (const Time t : boundary_latencies) w = std::min(w, t);
-  if (w == 0) {
-    model_fail(
-        "zero lookahead: a cross-shard link with no latency gives the "
-        "conservative engine no synchronization slack — repartition so "
-        "every boundary link has positive latency");
-  }
-  return w;
-}
-
 void ControlPlane::bind_kernel(Simulator& sim) {
   kernel_ = &sim;
   parked_.clear();
@@ -68,7 +51,7 @@ void ControlPlane::post_at(Simulator& from, Time t, Fn fn) {
   }
   const std::uint32_t s = shard_index(from);
   PerShard& b = per_shard_[s];
-  b.out.push_back(Pending{t, from.now(), s, b.seq++, std::move(fn)});
+  b.out.push_back(Pending{EventKey{t, from.now()}, s, b.seq++, std::move(fn)});
 }
 
 void ControlPlane::fire(TypedEvent& ev) {
@@ -96,18 +79,17 @@ void ControlPlane::collect() {
   std::sort(queue_.begin(), queue_.end(), key_before);
 }
 
-bool ControlPlane::peek(Key& out) const {
+bool ControlPlane::peek(EventKey& out) const {
   if (queue_head_ >= queue_.size()) return false;
-  out.time = queue_[queue_head_].time;
-  out.birth = queue_[queue_head_].birth;
+  out = queue_[queue_head_].at;
   return true;
 }
 
-void ControlPlane::run_due(Time t, Time birth) {
+void ControlPlane::run_due(EventKey at) {
   for (;;) {
     if (queue_head_ >= queue_.size()) break;
     Pending& p = queue_[queue_head_];
-    if (p.time != t || p.birth != birth) break;
+    if (!(p.at == at)) break;
     Fn fn = std::move(p.fn);
     ++queue_head_;
     fn();
@@ -144,7 +126,10 @@ ShardEngine::ShardEngine(std::vector<Simulator*> shards, Time lookahead,
       drain_(std::move(drain)),
       flush_(std::move(flush)) {
   MANGO_ASSERT(shards_.size() >= 2, "shard engine needs at least 2 shards");
-  MANGO_ASSERT(lookahead_ > 0, "shard engine needs a positive lookahead");
+  MANGO_ASSERT(lookahead_ > 0,
+               "zero lookahead: a fabric with a zero-latency link (or no "
+               "link) gives the conservative engine no synchronization "
+               "slack — every link needs a positive latency");
   MANGO_ASSERT(drain_ && flush_, "shard engine needs drain and flush hooks");
   // Spinning only pays when every barrier participant owns a hardware
   // thread; oversubscribed, a spinner steals cycles from the very shard
@@ -162,21 +147,12 @@ ShardEngine::ShardEngine(std::vector<Simulator*> shards, Time lookahead,
 }
 
 ShardEngine::~ShardEngine() {
-  publish(Phase::kExit, 0, 0);
+  publish(Phase::kExit, EventKey{});
   for (std::thread& t : threads_) t.join();
 }
 
 void ShardEngine::run_shard(std::size_t idx) {
-  Simulator& s = *shards_[idx];
-  std::uint64_t n = 0;
-  switch (phase_) {
-    case Phase::kWindow: n = s.run_window(phase_time_); break;
-    case Phase::kTie: n = s.run_until_tie(phase_time_, phase_birth_); break;
-    case Phase::kFinal: n = s.run_until(phase_time_); break;
-    case Phase::kIdle:
-    case Phase::kExit: return;
-  }
-  (void)n;
+  shards_[idx]->run_before(phase_bound_);
   // Publish this shard's boundary batches before signalling the
   // barrier: the drain that consumes them runs strictly after every
   // done_ bump, so one release store per channel per phase suffices.
@@ -253,13 +229,12 @@ void ShardEngine::rethrow_worker_failure() {
   }
 }
 
-void ShardEngine::publish(Phase p, Time t, Time birth) {
+void ShardEngine::publish(Phase p, EventKey bound) {
   // The phase fields ride the generation bump: workers read them only
   // after acquiring the new generation, and the previous wait_for_done()
   // guarantees no worker still touches done_ when it resets.
   phase_ = p;
-  phase_time_ = t;
-  phase_birth_ = birth;
+  phase_bound_ = bound;
   done_.store(0, std::memory_order_relaxed);
   generation_.fetch_add(1, std::memory_order_seq_cst);
   if (sleepers_.load(std::memory_order_seq_cst) != 0) {
@@ -284,12 +259,12 @@ void ShardEngine::publish(Phase p, Time t, Time birth) {
 Time ShardEngine::global_horizon(Time ctrl_key) {
   // Safe from the engine thread with workers parked: the barrier's
   // done_/generation_ pair orders this read after each worker's last
-  // kernel mutation and before its next one. next_event_time() is a
+  // kernel mutation and before its next one. next_event_key() is a
   // pure function of kernel state (its cursor fast-forward is an
   // internal cache), so the horizon — and every elision decision made
   // from it — is identical on every run and machine.
   Time h = ctrl_key;
-  for (Simulator* s : shards_) h = std::min(h, s->next_event_time());
+  for (Simulator* s : shards_) h = std::min(h, s->next_event_key().time);
   return h;
 }
 
@@ -301,7 +276,7 @@ std::uint64_t ShardEngine::run_until(Time t_end) {
 
   for (;;) {
     ctrl_.collect();
-    ControlPlane::Key k;
+    EventKey k;
     const bool has_ctrl = ctrl_.peek(k) && k.time <= t_end;
     if (cursor_ >= t_end && !has_ctrl) break;
     // Quiet-window elision: a window [c, c+W) in which no shard has
@@ -330,13 +305,13 @@ std::uint64_t ShardEngine::run_until(Time t_end) {
     if (has_ctrl && k.time <= window_end) {
       // Park every shard exactly at the control key, then run the
       // action on the engine thread while the fabric is quiescent.
-      publish(Phase::kTie, k.time, k.birth);
+      publish(Phase::kRun, k);
       drain_();
-      ctrl_.run_due(k.time, k.birth);
+      ctrl_.run_due(k);
       cursor_ = k.time;
       continue;
     }
-    publish(Phase::kWindow, window_end, 0);
+    publish(Phase::kRun, EventKey{window_end, 0});
     ++windows_;
     drain_();
     cursor_ = window_end;
@@ -344,7 +319,7 @@ std::uint64_t ShardEngine::run_until(Time t_end) {
   // Horizon edge: events at exactly t_end cannot influence another shard
   // at t_end (every boundary latency >= lookahead > 0), so each shard
   // finishes them independently with single-kernel semantics.
-  publish(Phase::kFinal, t_end, 0);
+  publish(Phase::kRun, EventKey{t_end, kTimeNever});
   drain_();  // records for t > t_end: admitted, never dispatched — same
              // as the single-kernel run leaving them pending.
   cursor_ = t_end;

@@ -7,7 +7,7 @@
 // window no shard can affect another before the window's end, so the
 // shards run concurrently; at the barrier, boundary events are drained
 // from their channels and admitted into their destination kernels —
-// sorted by (time, birth, channel, fifo-order), never by wall-clock
+// sorted by (EventKey, channel, fifo-order), never by wall-clock
 // arrival — so the merged dispatch order is a pure function of the
 // model and the shard count. A run with N shards reproduces the
 // single-kernel run bit for bit on every tested grid; DESIGN.md section
@@ -21,11 +21,14 @@
 //    itself: a post parks its action in a slot table and schedules one
 //    kOpControlPlane record carrying the slot, so it draws the key a
 //    plain event would and the single-kernel run is untouched. At N>=2
-//    the engine parks every shard on the exact (time, birth) key of the
-//    next control event and runs the action on the engine thread while
-//    the fabric is quiescent.
+//    the engine parks every shard on the exact EventKey of the next
+//    control event and runs the action on the engine thread while the
+//    fabric is quiescent.
 //
-//  * ShardEngine — the window/barrier loop and worker threads.
+//  * ShardEngine — the window/barrier loop and worker threads. Every
+//    phase it publishes is one Simulator::run_before bound: {end, 0} for
+//    a window, the control key {t, b} for a control tie, and
+//    {t_end, kTimeNever} for the final phase at the horizon.
 #pragma once
 
 #include <atomic>
@@ -46,12 +49,6 @@ namespace mango::sim {
 /// ShardEngine::Options::spin_us).
 inline constexpr std::uint32_t kDefaultBarrierSpinUs = 50;
 
-/// Conservative lookahead: the minimum of the given cross-boundary
-/// latencies. A zero (or absent) lookahead means the partition has no
-/// synchronization slack and the sharded engine cannot make progress —
-/// rejected as a model error rather than silently degrading.
-Time conservative_lookahead(const std::vector<Time>& boundary_latencies);
-
 class ControlPlane {
  public:
   using Fn = std::function<void()>;
@@ -70,11 +67,11 @@ class ControlPlane {
   void set_deferral(Time d) { deferral_ = d; }
   Time deferral() const { return deferral_; }
 
-  /// Schedules `fn` at absolute time `t` with birth = from.now(). In
-  /// kernel mode this is one sim.at_typed() of a kOpControlPlane record;
-  /// in engine mode the action is queued under the deterministic key
-  /// (t, birth, shard, post-seq) and executed with every shard parked at
-  /// that key.
+  /// Schedules `fn` at absolute time `t`, born at from.now(). In kernel
+  /// mode this is one sim.at_typed() of a kOpControlPlane record; in
+  /// engine mode the action is queued under the deterministic order
+  /// (EventKey{t, from.now()}, shard, post-seq) and executed with every
+  /// shard parked at that key.
   void post_at(Simulator& from, Time t, Fn fn);
 
   /// Runs the kernel-mode action a kOpControlPlane record names (the
@@ -92,17 +89,13 @@ class ControlPlane {
 
   // --- engine side (valid in engine mode, callers hold all workers
   // parked) ---
-  struct Key {
-    Time time = kTimeNever;
-    Time birth = 0;
-  };
   /// Moves per-shard post buffers into the merged queue.
   void collect();
   /// Earliest queued key, or false when the queue is empty.
-  bool peek(Key& out) const;
-  /// Executes every queued action with exactly key (t, birth), in
+  bool peek(EventKey& out) const;
+  /// Executes every queued action with exactly key `at`, in
   /// (shard, post-seq) order, re-collecting after each action.
-  void run_due(Time t, Time birth);
+  void run_due(EventKey at);
   /// Actions executed in engine mode (counted into the merged event
   /// total so stats match the N=1 run, where posts are kernel events).
   std::uint64_t executed() const { return executed_; }
@@ -111,8 +104,7 @@ class ControlPlane {
 
  private:
   struct Pending {
-    Time time = 0;
-    Time birth = 0;
+    EventKey at;
     std::uint32_t shard = 0;
     std::uint64_t seq = 0;
     Fn fn;
@@ -122,8 +114,7 @@ class ControlPlane {
     std::uint64_t seq = 0;
   };
   static bool key_before(const Pending& a, const Pending& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.birth != b.birth) return a.birth < b.birth;
+    if (!(a.at == b.at)) return a.at < b.at;
     if (a.shard != b.shard) return a.shard < b.shard;
     return a.seq < b.seq;
   }
@@ -164,7 +155,8 @@ class ShardEngine {
   /// kernels (Network supplies it). `flush` runs on each worker thread
   /// at the end of every phase it executes — before the worker signals
   /// the barrier — so producer-owned boundary batches publish once per
-  /// window. `lookahead` must be positive (use conservative_lookahead()).
+  /// window. `lookahead` must be positive: a zero lookahead is a
+  /// ModelError.
   ShardEngine(std::vector<Simulator*> shards, Time lookahead,
               ControlPlane& ctrl, std::function<void()> drain,
               std::function<void(std::size_t)> flush, Options opt);
@@ -191,9 +183,10 @@ class ShardEngine {
   bool spinning() const { return spin_iters_ != 0; }
 
  private:
-  enum class Phase : std::uint8_t { kIdle, kWindow, kTie, kFinal, kExit };
+  /// kRun: every shard runs to phase_bound_ (Simulator::run_before).
+  enum class Phase : std::uint8_t { kIdle, kRun, kExit };
 
-  void publish(Phase p, Time t, Time birth);
+  void publish(Phase p, EventKey bound);
   void run_shard(std::size_t idx);
   void worker_main(std::size_t idx);
   void rethrow_worker_failure();
@@ -231,8 +224,7 @@ class ShardEngine {
   std::atomic<std::uint32_t> sleepers_{0};
   std::atomic<bool> engine_waiting_{false};
   Phase phase_ = Phase::kIdle;
-  Time phase_time_ = 0;
-  Time phase_birth_ = 0;
+  EventKey phase_bound_;
   std::vector<std::exception_ptr> worker_error_;
   std::vector<std::thread> threads_;
 };

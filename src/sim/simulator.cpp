@@ -32,9 +32,9 @@ void Simulator::insert(EventNode* n) {
     // cursor starts at (or below) the new event's granule (run_until may
     // have advanced now() far past the stale cursor).
     cur_granule_ = granule_of(now_);
-  } else if (granule_of(n->time) < cur_granule_) {
-    // The cursor fast-forwarded past this granule (next_event_time()
-    // scanning ahead of a declined run_until boundary). Rewind it to
+  } else if (granule_of(n->key.time) < cur_granule_) {
+    // The cursor fast-forwarded past this granule (next_event_key()
+    // scanning ahead of a declined run_before bound). Rewind it to
     // now()'s granule: every pending event has time >= now() and — by the
     // now()-anchored admission bound below — every wheel event's granule
     // lies in [granule(now), granule(now) + kWheelSize), so the rewound
@@ -48,17 +48,17 @@ void Simulator::insert(EventNode* n) {
   // after fast-forwarding, and a cursor-relative bound would admit events
   // that alias into an already-passed bucket — and so dispatch one full
   // wheel lap early — once a near insert rewinds the cursor.
-  if (granule_of(n->time) < granule_of(now_) + kWheelSize) {
+  if (granule_of(n->key.time) < granule_of(now_) + kWheelSize) {
     insert_wheel(n);
   } else {
     overflow_.push_back(n);
     std::push_heap(overflow_.begin(), overflow_.end(), HeapLater{});
-    overflow_top_ = std::min(overflow_top_, n->time);
+    overflow_top_ = std::min(overflow_top_, n->key);
   }
 }
 
 void Simulator::insert_wheel(EventNode* n) {
-  const std::size_t idx = granule_of(n->time) & kWheelMask;
+  const std::size_t idx = granule_of(n->key.time) & kWheelMask;
   Bucket& b = wheel_[idx];
   ++wheel_count_;
   EventNode* const head = b.head;
@@ -72,8 +72,7 @@ void Simulator::insert_wheel(EventNode* n) {
   // Fast path: sequence numbers grow monotonically and most events are
   // scheduled time-forward, so the overwhelmingly common case appends.
   EventNode* const tail = head->prev;
-  if (earlier(tail->time, tail->birth, tail->seq, n->time, n->birth,
-              n->seq)) {
+  if (earlier(tail, n)) {
     n->prev = tail;
     n->next = nullptr;
     tail->next = n;
@@ -91,9 +90,7 @@ void Simulator::insert_wheel(EventNode* n) {
   // events long. A head-forward walk would traverse that train on every
   // out-of-order insert and turn the kernel O(nodes) per event.
   EventNode* q = tail;  // n sorts before q
-  while (q != head &&
-         earlier(n->time, n->birth, n->seq, q->prev->time, q->prev->birth,
-                 q->prev->seq)) {
+  while (q != head && earlier(n, q->prev)) {
     q = q->prev;
   }
   if (q == head) {
@@ -113,7 +110,7 @@ Simulator::EventNode* Simulator::pop_overflow() {
   std::pop_heap(overflow_.begin(), overflow_.end(), HeapLater{});
   EventNode* n = overflow_.back();
   overflow_.pop_back();
-  overflow_top_ = overflow_.empty() ? kTimeNever : overflow_.front()->time;
+  overflow_top_ = overflow_.empty() ? EventKey{} : overflow_.front()->key;
   return n;
 }
 
@@ -121,8 +118,8 @@ void Simulator::migrate_overflow() {
   // Same now()-anchored horizon as insert(): migrating against the cursor
   // would re-create the one-lap-early aliasing that admission avoids.
   while (!overflow_.empty() &&
-         granule_of(overflow_top_) < granule_of(now_) + kWheelSize) {
-    // The heap pops in (time, seq) order, so same-bucket migrants arrive
+         granule_of(overflow_top_.time) < granule_of(now_) + kWheelSize) {
+    // The heap pops in (key, seq) order, so same-bucket migrants arrive
     // in dispatch order and insert_wheel's append fast path applies.
     insert_wheel(pop_overflow());
   }
@@ -135,12 +132,12 @@ Simulator::EventNode* Simulator::pop_earliest() {
     // step() sets now() to its time before dispatch, so the remaining
     // overflow (all with time >= this one) stays ahead of the window.
     EventNode* n = pop_overflow();
-    cur_granule_ = granule_of(n->time);
+    cur_granule_ = granule_of(n->key.time);
     --pending_;
     return n;
   }
-  if (!overflow_.empty() && granule_of(overflow_top_) < cur_granule_) {
-    // next_event_time() fast-forwarded the cursor past the overflow
+  if (!overflow_.empty() && granule_of(overflow_top_.time) < cur_granule_) {
+    // next_event_key() fast-forwarded the cursor past the overflow
     // top's granule (an overflow event older than every wheel event).
     // Rewind to now()'s granule — at or below every pending granule — so
     // the migration below lands it ahead of the cursor, not behind it.
@@ -186,69 +183,40 @@ std::size_t Simulator::next_occupied(std::size_t idx) const {
   }
 }
 
-Time Simulator::next_event_time() {
-  if (pending_ == 0) return kTimeNever;
-  Time best = kTimeNever;
+EventKey Simulator::next_event_key() {
+  // The overflow top participates even when the wheel is non-empty: an
+  // overflow event can be *earlier* than wheel events inserted after the
+  // cursor advanced past its granule (it only migrates at pop time).
+  EventKey best = overflow_top_;
   if (wheel_count_ > 0) {
     // A wheel event exists within the horizon, so the skip terminates.
     // Advancing the cursor over the empty buckets is safe — pop_earliest
     // would skip them anyway, and insert() rewinds the cursor if a later
     // schedule lands below it — and lets the step() that typically
-    // follows start at the non-empty bucket found here.
-    skip_to_occupied();
-    best = wheel_[cur_granule_ & kWheelMask].head->time;
-  }
-  // An overflow event can be *earlier* than wheel events inserted after
-  // the cursor advanced past its granule (it only migrates at pop time),
-  // so the overflow top always participates in the minimum.
-  if (overflow_top_ < best) best = overflow_top_;
-  return best;
-}
-
-Simulator::EventKey Simulator::next_event_key() {
-  if (pending_ == 0) return EventKey{};
-  const EventNode* best = nullptr;
-  if (wheel_count_ > 0) {
-    // Same cursor fast-forward as next_event_time(); the head of the
+    // follows start at the non-empty bucket found here. The head of the
     // first non-empty bucket is the wheel minimum (buckets are sorted
     // and one granule each, so time order dominates across buckets).
     skip_to_occupied();
-    best = wheel_[cur_granule_ & kWheelMask].head;
+    best = std::min(best, wheel_[cur_granule_ & kWheelMask].head->key);
   }
-  if (!overflow_.empty() &&
-      (best == nullptr ||
-       earlier(overflow_.front()->time, overflow_.front()->birth,
-               overflow_.front()->seq, best->time, best->birth, best->seq))) {
-    best = overflow_.front();
-  }
-  return EventKey{best->time, best->birth};
+  return best;
 }
 
-std::uint64_t Simulator::run_window(Time end) {
+std::uint64_t Simulator::run_before(EventKey bound) {
   std::uint64_t n = 0;
-  while (pending_ != 0 && next_event_time() < end) {
+  while (pending_ != 0 && next_event_key() < bound) {
     step();
     ++n;
   }
-  if (now_ < end) {
-    now_ = end;
-    // Same cursor discipline as run_until(): everything still pending is
-    // at `end` or later, so the jump cannot pass a non-empty bucket.
-    if (cur_granule_ < granule_of(now_)) cur_granule_ = granule_of(now_);
-  }
-  return n;
-}
-
-std::uint64_t Simulator::run_until_tie(Time t, Time birth_bound) {
-  std::uint64_t n = 0;
-  while (pending_ != 0) {
-    const EventKey k = next_event_key();
-    if (k.time > t || (k.time == t && k.birth >= birth_bound)) break;
-    step();
-    ++n;
-  }
-  if (now_ < t) {
-    now_ = t;
+  if (now_ < bound.time) {
+    now_ = bound.time;
+    // Keep the cursor at or above granule(now) — the wheel scan is only
+    // correct when every wheel event lies within one lap of the cursor,
+    // and admission bounds events by granule(now) + kWheelSize. The jump
+    // cannot pass a non-empty bucket: every pending key is at or after
+    // `bound`, so every pending time is at least bound.time. (step()
+    // maintains the invariant by itself: the popped event's granule,
+    // where the cursor ends up, is granule(new now).)
     if (cur_granule_ < granule_of(now_)) cur_granule_ = granule_of(now_);
   }
   return n;
@@ -257,7 +225,7 @@ std::uint64_t Simulator::run_until_tie(Time t, Time birth_bound) {
 bool Simulator::step() {
   if (pending_ == 0) return false;
   EventNode* n = pop_earliest();
-  now_ = n->time;
+  now_ = n->key.time;
   ++dispatched_;
   // Dispatch straight from the node — the node is unlinked, so handlers
   // may freely schedule new events (those draw fresh nodes); it is
@@ -267,25 +235,6 @@ bool Simulator::step() {
   dispatcher_(n->ev);
   free_node(n);
   return true;
-}
-
-std::uint64_t Simulator::run_until(Time t_end) {
-  std::uint64_t n = 0;
-  while (pending_ != 0 && next_event_time() <= t_end) {
-    step();
-    ++n;
-  }
-  if (now_ < t_end) {
-    now_ = t_end;
-    // Keep the cursor at or above granule(now) — the wheel scan is only
-    // correct when every wheel event lies within one lap of the cursor,
-    // and admission bounds events by granule(now) + kWheelSize. The jump
-    // cannot pass a non-empty bucket: everything still pending is later
-    // than t_end. (step() maintains the invariant by itself: the popped
-    // event's granule, where the cursor ends up, is granule(new now).)
-    if (cur_granule_ < granule_of(now_)) cur_granule_ = granule_of(now_);
-  }
-  return n;
 }
 
 std::uint64_t Simulator::run() {

@@ -34,17 +34,22 @@
 // nodes are recycled through a free list carved from slabs — the
 // steady-state loop performs no allocation at all.
 //
-// Dispatch order is (time, birth, insertion seq), where `birth` is the
-// kernel clock at scheduling time. For events scheduled organically via
-// at_typed()/after_typed() the birth of a later seq is never smaller at
-// equal time (now() is nondecreasing), so the order is bit-identical to
-// the classic (time, insertion seq) kernel (sim/legacy_kernel.hpp keeps
-// that implementation for differential tests and benchmarks). The
-// explicit birth component exists for the sharded engine
-// (sim/parallel.hpp): boundary events handed across shards are admitted
-// with the *sender's* scheduling time as their birth, so a merged
-// multi-kernel run dispatches them exactly where the single-kernel run
-// would have.
+// Dispatch order is (EventKey, insertion seq). An EventKey is (time,
+// birth), where `birth` is the kernel clock at scheduling time. For
+// events scheduled organically via at_typed()/after_typed() the birth of
+// a later seq is never smaller at equal time (now() is nondecreasing),
+// so the order is bit-identical to the classic (time, insertion seq)
+// kernel (sim/legacy_kernel.hpp keeps that implementation for
+// differential tests and benchmarks). The explicit birth component
+// exists for the sharded engine (sim/parallel.hpp): boundary events
+// handed across shards are admitted with the *sender's* scheduling time
+// as their birth, so a merged multi-kernel run dispatches them exactly
+// where the single-kernel run would have.
+//
+// Every run loop is run_before(bound): dispatch each event whose key is
+// before `bound`, then park the clock at bound.time. A conservative
+// window is {end, 0}, an exact control-event key is {t, b}, and
+// run_until(t) is {t, kTimeNever}.
 #pragma once
 
 #include <algorithm>
@@ -86,6 +91,25 @@ static_assert(std::is_trivially_copyable_v<TypedEvent>,
 /// model.
 inline constexpr std::uint8_t kOpControlPlane = 0xFF;
 
+/// The dispatch key of a kernel event: its time, then its birth (the
+/// clock of the kernel that scheduled it). Events dispatch in (key,
+/// insertion seq) order. This is the one definition of the (time, birth)
+/// order: the kernel, the control plane, the boundary records and the
+/// barrier merge all compare EventKeys.
+struct EventKey {
+  Time time = kTimeNever;
+  Time birth = 0;
+
+  constexpr bool operator<(const EventKey& o) const {
+    return time != o.time ? time < o.time : birth < o.birth;
+  }
+  constexpr bool operator==(const EventKey& o) const {
+    return time == o.time && birth == o.birth;
+  }
+  /// True when the event is not born after the instant it fires at.
+  constexpr bool causal() const { return birth <= time; }
+};
+
 /// The event kernel. One instance drives one simulated network.
 class Simulator {
  public:
@@ -119,8 +143,7 @@ class Simulator {
     MANGO_ASSERT(dispatcher_ != nullptr,
                  "event scheduled on a kernel with no dispatcher");
     EventNode* n = alloc_node();
-    n->time = t;
-    n->birth = now_;
+    n->key = EventKey{t, now_};
     n->seq = next_seq_++;
     n->ev = ev;
     insert(n);
@@ -131,51 +154,49 @@ class Simulator {
     at_typed(now_ + delay, ev);
   }
 
-  /// Admits a record with an explicit birth timestamp. Used by the shard
-  /// engine to merge boundary events from other kernels: the event keeps
-  /// the *sender's* scheduling time as its tie-break key, so it sorts
-  /// against local events exactly as it would have in one shared kernel.
-  /// Requires t >= now() and birth <= t.
-  void admit_typed(Time t, Time birth, const TypedEvent& ev) {
-    MANGO_ASSERT(t >= now_, "cannot admit an event in the past");
-    MANGO_ASSERT(birth <= t, "admitted birth must not exceed the event time");
+  /// Admits a record under an explicit key. Used by the shard engine to
+  /// merge boundary events from other kernels: the event keeps the
+  /// *sender's* scheduling time as its birth, so it sorts against local
+  /// events exactly as it would have in one shared kernel. Requires
+  /// at.time >= now() and a causal key.
+  void admit_typed(EventKey at, const TypedEvent& ev) {
+    MANGO_ASSERT(at.time >= now_, "cannot admit an event in the past");
+    MANGO_ASSERT(at.causal(), "admitted birth must not exceed the event time");
     MANGO_ASSERT(dispatcher_ != nullptr,
                  "event admitted on a kernel with no dispatcher");
     EventNode* n = alloc_node();
-    n->time = t;
-    n->birth = birth;
+    n->key = at;
     n->seq = next_seq_++;
     n->ev = ev;
     insert(n);
   }
 
-  /// Earliest pending (time, birth) key; (kTimeNever, 0) when idle.
-  struct EventKey {
-    Time time = kTimeNever;
-    Time birth = 0;
-  };
+  /// Earliest pending key; EventKey{} (time kTimeNever) when idle.
+  /// Fast-forwards the wheel cursor over empty buckets as a side effect,
+  /// so a peek-then-step sequence (run_before's loop) scans each bucket
+  /// once.
   EventKey next_event_key();
 
-  /// Conservative-window run: dispatches every event strictly earlier
-  /// than `end`, then parks now() at `end`. Events at exactly `end` stay
-  /// pending so that boundary events admitted *at* a window edge can
-  /// still be merged ahead of (or between) them by (time, birth, seq).
+  /// Dispatches every event whose key is before `bound`, then parks
+  /// now() at bound.time. The three bound shapes:
+  ///   {end, 0}         a conservative window: events strictly earlier
+  ///                    than `end`. Events at exactly `end` stay pending,
+  ///                    so boundary events admitted *at* the edge still
+  ///                    merge ahead of (or between) them by key;
+  ///   {t, b}           an exact control-event key: the shard engine
+  ///                    parks every shard there before the action runs;
+  ///   {t, kTimeNever}  every event with time <= t (run_until).
   /// Returns the number of events dispatched.
-  std::uint64_t run_window(Time end);
+  std::uint64_t run_before(EventKey bound);
 
-  /// Dispatches every event with key (time, birth) lexicographically
-  /// before (t, birth_bound), then parks now() at `t`. Used by the shard
-  /// engine to align every shard on an exact control-event key before
-  /// executing a control action. Returns events dispatched.
-  std::uint64_t run_until_tie(Time t, Time birth_bound);
+  /// Dispatches every event with time <= `t_end`, then parks now() at
+  /// `t_end`. Returns the number of events dispatched.
+  std::uint64_t run_until(Time t_end) {
+    return run_before(EventKey{t_end, kTimeNever});
+  }
 
   /// Dispatches the single next event. Returns false if none is pending.
   bool step();
-
-  /// Runs until the queue drains or the next event is later than `t_end`
-  /// (events exactly at `t_end` are dispatched); leaves now() at `t_end`.
-  /// Returns the number of events dispatched.
-  std::uint64_t run_until(Time t_end);
 
   /// Runs until the event queue is empty. Returns events dispatched.
   std::uint64_t run();
@@ -185,11 +206,6 @@ class Simulator {
 
   /// Number of pending events.
   std::size_t pending() const { return pending_; }
-
-  /// Time of the earliest pending event; kTimeNever when idle. Fast-
-  /// forwards the wheel cursor over empty buckets as a side effect, so a
-  /// peek-then-step sequence (run_until's loop) scans each bucket once.
-  Time next_event_time();
 
   /// Total events dispatched since construction. Includes handshake
   /// hops folded into coalesced transfer events (note_folded_hop_at)
@@ -217,9 +233,8 @@ class Simulator {
 
  private:
   struct EventNode {
-    Time time;
-    Time birth;         // now() at scheduling time (tie-break level 2)
-    std::uint64_t seq;  // FIFO tie-break for simultaneous events
+    EventKey key;       // (time, now() at scheduling time)
+    std::uint64_t seq;  // FIFO tie-break for equal keys
     EventNode* next;  // null at a bucket's tail
     EventNode* prev;  // bucket chains are doubly linked so the
                       // out-of-order insert searches backward from the
@@ -242,7 +257,7 @@ class Simulator {
   /// `b`.
   struct HeapLater {
     bool operator()(const EventNode* a, const EventNode* b) const {
-      return earlier(b->time, b->birth, b->seq, a->time, a->birth, a->seq);
+      return earlier(b, a);
     }
   };
 
@@ -271,12 +286,9 @@ class Simulator {
 
   static constexpr std::uint64_t granule_of(Time t) { return t >> kBucketShift; }
 
-  /// True when (ta, ba, sa) dispatches strictly before (tb, bb, sb).
-  static constexpr bool earlier(Time ta, Time ba, std::uint64_t sa, Time tb,
-                                Time bb, std::uint64_t sb) {
-    if (ta != tb) return ta < tb;
-    if (ba != bb) return ba < bb;
-    return sa < sb;
+  /// True when `a` dispatches strictly before `b`: by key, then seq.
+  static bool earlier(const EventNode* a, const EventNode* b) {
+    return a->key == b->key ? a->seq < b->seq : a->key < b->key;
   }
 
   EventNode* alloc_node();
@@ -353,13 +365,12 @@ class Simulator {
     fold_compact_at_ = std::max(kFoldCompactLimit, 2 * w);
   }
 
-  /// Beyond-horizon events: min-heap on the full dispatch key
-  /// (time, birth, seq) — see HeapLater.
+  /// Beyond-horizon events: min-heap on (key, seq) — see HeapLater.
   std::vector<EventNode*> overflow_;
-  /// Time of the overflow top (kTimeNever when empty), kept on every
-  /// push and pop: the per-pop horizon checks read it instead of the
-  /// top node, which is usually cold.
-  Time overflow_top_ = kTimeNever;
+  /// Key of the overflow top (EventKey{} when empty), kept on every
+  /// push and pop: the per-pop horizon checks and run_before's bound
+  /// check read it instead of the top node, which is usually cold.
+  EventKey overflow_top_;
   /// Unsorted ledger of declared folded-hop times not yet retired.
   std::vector<Time> folds_;
   std::size_t fold_compact_at_ = kFoldCompactLimit;

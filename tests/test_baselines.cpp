@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "baseline/output_buffered_router.hpp"
-#include "baseline/priority_vc_router.hpp"
 #include "baseline/tdm_router.hpp"
 #include "sim/context.hpp"
 #include "sim/parallel.hpp"
@@ -125,12 +124,6 @@ TEST_F(TdmFixture, ErrorsOnProtocolMisuse) {
   EXPECT_THROW(tdm.reserve(0, 0, 1), mango::ModelError);  // id 0 reserved
   ASSERT_TRUE(tdm.reserve(1, 0, 1));
   EXPECT_THROW(tdm.reserve(1, 1, 1), mango::ModelError);  // double reserve
-}
-
-TEST(BaselineConfigs, ThreeDistinctArbitrationPolicies) {
-  EXPECT_EQ(mango_fair_share_config().arbiter, noc::ArbiterKind::kFairShare);
-  EXPECT_EQ(priority_qos_config().arbiter, noc::ArbiterKind::kUnregulated);
-  EXPECT_EQ(alg_config().arbiter, noc::ArbiterKind::kStaticPriority);
 }
 
 }  // namespace

@@ -194,7 +194,7 @@ TEST(BrokerPacketMode, SetupAndTeardownLatenciesAreMeasured) {
   // teardown includes the drain dwell.
   EXPECT_GT(st.setup_latency_ns.max(), 0.0);
   EXPECT_GE(st.teardown_latency_ns.max(),
-            sim::to_ns(BrokerConfig{}.drain_ps));
+            sim::to_ns(kBrokerDrainPs));
 
   // The lifecycle block folds into the network report under schema v2.
   NetworkReport rep = NetworkReport::collect(net, ctx.now());

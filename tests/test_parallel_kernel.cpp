@@ -1,4 +1,4 @@
-// Sharded conservative kernel: the (time, birth, seq) merge order, the
+// Sharded conservative kernel: the (EventKey, seq) merge order, the
 // window/lookahead contract, the batched boundary handoff, the topology
 // partition, the sweep core budget — and the invariant everything above
 // exists to uphold: a scenario's stats are bit-identical for every
@@ -37,9 +37,9 @@ TEST(ParallelKernel, AdmittedEventSortsByBirthAgainstLocals) {
   s.at_typed(50, r.action([&] { s.at_typed(100, r.id(1)); }));
   EXPECT_EQ(s.run_until(60), 1u);
   // Boundary event for the same instant, born at 10 on the sender.
-  s.admit_typed(100, 10, r.id(2));
+  s.admit_typed(sim::EventKey{100, 10}, r.id(2));
   // And one born later than the local event.
-  s.admit_typed(100, 70, r.id(3));
+  s.admit_typed(sim::EventKey{100, 70}, r.id(3));
   s.run_until(100);
   EXPECT_EQ(r.order, (std::vector<int>{2, 1, 3}));
 }
@@ -51,22 +51,22 @@ TEST(ParallelKernel, EqualBirthPreservesInsertionOrder) {
   test::Recorder r(s);
   s.at_typed(100, r.id(1));
   s.at_typed(100, r.id(2));
-  s.admit_typed(100, 0, r.id(3));
+  s.admit_typed(sim::EventKey{100, 0}, r.id(3));
   s.run();
   EXPECT_EQ(r.order, (std::vector<int>{1, 2, 3}));
 }
 
 // --- window contract ---------------------------------------------------
 
-// run_window(end) is half-open: events strictly before `end` dispatch,
-// events exactly at `end` stay pending, and the clock parks at `end` so
-// the barrier can admit boundary events *at* the edge.
-TEST(ParallelKernel, RunWindowIsHalfOpen) {
+// A window bound {end, 0} is half-open: events strictly before `end`
+// dispatch, events exactly at `end` stay pending, and the clock parks at
+// `end` so the barrier can admit boundary events *at* the edge.
+TEST(ParallelKernel, WindowBoundIsHalfOpen) {
   sim::Simulator s;
   test::Recorder r(s);
   s.at_typed(99, r.id(1));
   s.at_typed(100, r.id(2));
-  EXPECT_EQ(s.run_window(100), 1u);
+  EXPECT_EQ(s.run_before(sim::EventKey{100, 0}), 1u);
   EXPECT_EQ(r.order, (std::vector<int>{1}));
   EXPECT_EQ(s.now(), 100u);
   EXPECT_EQ(s.pending(), 1u);
@@ -80,20 +80,20 @@ TEST(ParallelKernel, BoundaryFlitExactlyOnWindowEdgeMergesByBirth) {
   sim::Simulator s;
   test::Recorder r(s);
   s.at_typed(40, r.action([&] { s.at_typed(100, r.id(1)); }));  // birth 40
-  s.run_window(100);  // park at the edge; the t=100 event is pending
-  s.admit_typed(100, 20, r.id(2));  // born earlier remotely
-  s.run_window(200);
+  s.run_before(sim::EventKey{100, 0});  // park at the edge; t=100 pends
+  s.admit_typed(sim::EventKey{100, 20}, r.id(2));  // born earlier remotely
+  s.run_before(sim::EventKey{200, 0});
   EXPECT_EQ(r.order, (std::vector<int>{2, 1}));
 }
 
-// run_until_tie aligns a shard on an exact (time, birth) key: events
+// A control-key bound {t, b} aligns a shard on an exact key: events
 // strictly before the key dispatch, the event *at* the key does not.
-TEST(ParallelKernel, RunUntilTieStopsAtTheExactKey) {
+TEST(ParallelKernel, ControlKeyBoundStopsAtTheExactKey) {
   sim::Simulator s;
   test::Recorder r(s);
-  s.admit_typed(100, 10, r.id(1));
-  s.admit_typed(100, 50, r.id(2));
-  EXPECT_EQ(s.run_until_tie(100, 50), 1u);
+  s.admit_typed(sim::EventKey{100, 10}, r.id(1));
+  s.admit_typed(sim::EventKey{100, 50}, r.id(2));
+  EXPECT_EQ(s.run_before(sim::EventKey{100, 50}), 1u);
   EXPECT_EQ(r.order, (std::vector<int>{1}));
   EXPECT_EQ(s.now(), 100u);
   s.run();
@@ -111,12 +111,12 @@ TEST(ParallelKernel, KernelModeControlPostKeepsThePlainEventKey) {
   ctrl.bind_kernel(s);
   s.at_typed(100, r.id(1));  // birth 0
   s.run_until(50);
-  s.admit_typed(100, 20, r.id(2));  // born before the post
+  s.admit_typed(sim::EventKey{100, 20}, r.id(2));  // born before the post
   ctrl.post_at(s, 100, [&] {        // birth 50
     r.order.push_back(3);
     ctrl.post_at(s, 100, [&] { r.order.push_back(5); });  // birth 100
   });
-  s.admit_typed(100, 70, r.id(4));  // born after the post
+  s.admit_typed(sim::EventKey{100, 70}, r.id(4));  // born after the post
   s.run();
   EXPECT_EQ(r.order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
@@ -146,9 +146,17 @@ TEST(ParallelKernel, RejectedKernelModePostClaimsNoSlot) {
 // --- lookahead ---------------------------------------------------------
 
 TEST(ParallelKernel, ZeroLookaheadIsACheckedError) {
-  EXPECT_THROW(sim::conservative_lookahead({}), ModelError);
-  EXPECT_THROW(sim::conservative_lookahead({500, 0, 800}), ModelError);
-  EXPECT_EQ(sim::conservative_lookahead({500, 400, 800}), 400u);
+  sim::Simulator a;
+  sim::Simulator b;
+  sim::ControlPlane ctrl;
+  ctrl.bind_engine({&a, &b});
+  const auto make = [&](sim::Time lookahead) {
+    return std::make_unique<sim::ShardEngine>(
+        std::vector<sim::Simulator*>{&a, &b}, lookahead, ctrl, [] {},
+        [](std::size_t) {}, sim::ShardEngine::Options{});
+  };
+  EXPECT_THROW(make(0), ModelError);
+  EXPECT_EQ(make(400)->lookahead(), 400u);
 }
 
 // --- boundary handoff ------------------------------------------------

@@ -3,8 +3,11 @@
 // check against the reference priority-queue kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <set>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -78,13 +81,13 @@ TEST(Scheduler, AdmittedOverflowTiesDispatchByBirthThenSeq) {
   // the seq tie-break.
   Simulator sim;
   Recorder r(sim);
-  sim.admit_typed(kBeyondHorizon, 700, r.id(3));
-  sim.admit_typed(kBeyondHorizon, 100, r.id(1));
-  sim.admit_typed(kBeyondHorizon, 700, r.id(4));  // seq tie
-  sim.admit_typed(kBeyondHorizon, 300, r.id(2));
+  sim.admit_typed(EventKey{kBeyondHorizon, 700}, r.id(3));
+  sim.admit_typed(EventKey{kBeyondHorizon, 100}, r.id(1));
+  sim.admit_typed(EventKey{kBeyondHorizon, 700}, r.id(4));  // seq tie
+  sim.admit_typed(EventKey{kBeyondHorizon, 300}, r.id(2));
   // An earlier timestamp beats every later-time event regardless of its
   // birth being the largest of the batch.
-  sim.admit_typed(kBeyondHorizon - 512, 900, r.id(0));
+  sim.admit_typed(EventKey{kBeyondHorizon - 512, 900}, r.id(0));
   sim.run();
   EXPECT_EQ(r.order, (std::vector<int>{0, 1, 2, 3, 4}));
 
@@ -94,8 +97,8 @@ TEST(Scheduler, AdmittedOverflowTiesDispatchByBirthThenSeq) {
   // event forces the migration).
   Simulator sim2;
   Recorder r2(sim2);
-  sim2.admit_typed(kBeyondHorizon, 500, r2.id(2));
-  sim2.admit_typed(kBeyondHorizon, 200, r2.id(1));
+  sim2.admit_typed(EventKey{kBeyondHorizon, 500}, r2.id(2));
+  sim2.admit_typed(EventKey{kBeyondHorizon, 200}, r2.id(1));
   sim2.run_until(kBeyondHorizon - 1000);
   sim2.after_typed(50, r2.id(0));
   sim2.run();
@@ -124,11 +127,11 @@ TEST(Scheduler, AdmitTypedOrdersByBirthThenSeq) {
   for (const Time t : {Time{700}, kBeyondHorizon}) {
     Simulator sim;
     Recorder r(sim);
-    sim.admit_typed(t, 500, r.id(4));
-    sim.admit_typed(t, 200, r.id(2));
-    sim.admit_typed(t, 500, r.id(5));  // seq tie with 4
-    sim.admit_typed(t, 100, r.id(1));
-    sim.admit_typed(t, 200, r.id(3));  // seq tie with 2
+    sim.admit_typed(EventKey{t, 500}, r.id(4));
+    sim.admit_typed(EventKey{t, 200}, r.id(2));
+    sim.admit_typed(EventKey{t, 500}, r.id(5));  // seq tie with 4
+    sim.admit_typed(EventKey{t, 100}, r.id(1));
+    sim.admit_typed(EventKey{t, 200}, r.id(3));  // seq tie with 2
     sim.at_typed(t, r.id(0));          // birth 0 = now()
     sim.run();
     EXPECT_EQ(r.order, (std::vector<int>{0, 1, 2, 3, 4, 5})) << "t=" << t;
@@ -150,19 +153,19 @@ TEST(Scheduler, SameTimeBucketTakesHeadMiddleAndTailInsertsAcrossRefills) {
   const Time t = 700;
   sim.run_until(100);
   sim.at_typed(t, r.id(50));          // birth 100: the first node
-  sim.admit_typed(t, 10, r.id(10));   // head
-  sim.admit_typed(t, 60, r.id(30));   // middle
-  sim.admit_typed(t, 100, r.id(60));  // tail (append)
-  sim.admit_typed(t, 30, r.id(20));   // middle
-  sim.admit_typed(t, 80, r.id(40));   // middle
-  sim.admit_typed(t, 200, r.id(80));  // tail (append)
-  sim.admit_typed(t, 150, r.id(70));  // just before the tail
-  sim.admit_typed(t, 5, r.id(0));     // head again
+  sim.admit_typed(EventKey{t, 10}, r.id(10));   // head
+  sim.admit_typed(EventKey{t, 60}, r.id(30));   // middle
+  sim.admit_typed(EventKey{t, 100}, r.id(60));  // tail (append)
+  sim.admit_typed(EventKey{t, 30}, r.id(20));   // middle
+  sim.admit_typed(EventKey{t, 80}, r.id(40));   // middle
+  sim.admit_typed(EventKey{t, 200}, r.id(80));  // tail (append)
+  sim.admit_typed(EventKey{t, 150}, r.id(70));  // just before the tail
+  sim.admit_typed(EventKey{t, 5}, r.id(0));     // head again
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(sim.step());
   EXPECT_EQ(r.order, (std::vector<int>{0, 10, 20}));
-  sim.admit_typed(t, 0, r.id(25));    // head of a partly popped bucket
-  sim.admit_typed(t, 90, r.id(45));   // middle
-  sim.admit_typed(t, 300, r.id(90));  // tail
+  sim.admit_typed(EventKey{t, 0}, r.id(25));    // head of a part-popped bucket
+  sim.admit_typed(EventKey{t, 90}, r.id(45));   // middle
+  sim.admit_typed(EventKey{t, 300}, r.id(90));  // tail
   sim.run_until(t);
   EXPECT_EQ(r.order,
             (std::vector<int>{0, 10, 20, 25, 30, 40, 45, 50, 60, 70, 80, 90}));
@@ -171,10 +174,10 @@ TEST(Scheduler, SameTimeBucketTakesHeadMiddleAndTailInsertsAcrossRefills) {
   // Refill the emptied bucket at the same time and again out of order.
   r.order.clear();
   sim.at_typed(t, r.id(3));           // birth 700: a lone node
-  sim.admit_typed(t, 400, r.id(1));   // head
-  sim.admit_typed(t, 700, r.id(4));   // tail (append)
-  sim.admit_typed(t, 500, r.id(2));   // middle
-  sim.admit_typed(t, 100, r.id(0));   // head
+  sim.admit_typed(EventKey{t, 400}, r.id(1));   // head
+  sim.admit_typed(EventKey{t, 700}, r.id(4));   // tail (append)
+  sim.admit_typed(EventKey{t, 500}, r.id(2));   // middle
+  sim.admit_typed(EventKey{t, 100}, r.id(0));   // head
   sim.run();
   EXPECT_EQ(r.order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -258,7 +261,7 @@ TEST(Scheduler, WheelRolloverManyRotations) {
 }
 
 TEST(Scheduler, InsertBelowFastForwardedCursorStillDispatchesInOrder) {
-  // run_until declines an event after next_event_time() fast-forwarded
+  // run_until declines an event after next_event_key() fast-forwarded
   // the wheel cursor to its bucket; a subsequent insert below the cursor
   // must rewind it (insert() guard) and dispatch everything in order.
   Simulator sim;
@@ -274,7 +277,7 @@ TEST(Scheduler, InsertBelowFastForwardedCursorStillDispatchesInOrder) {
 
 TEST(Scheduler, FarInsertUnderFastForwardedCursorDoesNotLapEarly) {
   // Regression: run_until() declines the first event after
-  // next_event_time() fast-forwarded the cursor well past granule(now).
+  // next_event_key() fast-forwarded the cursor well past granule(now).
   // An insert that is beyond now()'s wheel horizon but *within the
   // cursor's* must not be admitted to the wheel: a subsequent near insert
   // rewinds the cursor to granule(now), and the far event — aliased into
@@ -297,7 +300,7 @@ TEST(Scheduler, FarInsertUnderFastForwardedCursorDoesNotLapEarly) {
 
 TEST(Scheduler, OverflowMigrationAfterCursorFastForward) {
   // An overflow event older than every wheel event, with a
-  // next_event_time() call interposed so the cursor has fast-forwarded
+  // next_event_key() call interposed so the cursor has fast-forwarded
   // past the overflow granule before the migration happens (pop_earliest
   // rewind guard).
   Simulator sim;
@@ -310,21 +313,21 @@ TEST(Scheduler, OverflowMigrationAfterCursorFastForward) {
     }));
   }));
   // Drain up to just past t=4e6, peeking (and fast-forwarding) each step.
-  while (sim.next_event_time() <= 4 * 1000 * 1000) sim.step();
+  while (sim.next_event_key().time <= 4 * 1000 * 1000) sim.step();
   sim.run();
   EXPECT_EQ(r.order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(Scheduler, NextEventTimeSeesBothWheelAndOverflow) {
+TEST(Scheduler, NextEventKeySeesBothWheelAndOverflow) {
   Simulator sim;
   Recorder r(sim);
-  EXPECT_EQ(sim.next_event_time(), kTimeNever);
+  EXPECT_EQ(sim.next_event_key().time, kTimeNever);
   sim.at_typed(kBeyondHorizon, r.id(0));
-  EXPECT_EQ(sim.next_event_time(), kBeyondHorizon);
+  EXPECT_EQ(sim.next_event_key().time, kBeyondHorizon);
   sim.at_typed(300, r.id(0));
-  EXPECT_EQ(sim.next_event_time(), 300u);
+  EXPECT_EQ(sim.next_event_key().time, 300u);
   sim.step();
-  EXPECT_EQ(sim.next_event_time(), kBeyondHorizon);
+  EXPECT_EQ(sim.next_event_key().time, kBeyondHorizon);
 }
 
 TEST(Scheduler, RecordReachesTheDispatcherByteForByte) {
@@ -347,6 +350,139 @@ TEST(Scheduler, RecordReachesTheDispatcherByteForByte) {
   sim.at_typed(kBeyondHorizon, ev);  // through the overflow heap
   sim.run();
   EXPECT_EQ(std::memcmp(&seen, &ev, sizeof ev), 0);
+}
+
+// run_before against a sorted oracle. Organic schedules (from the test
+// and from handlers) mix with admit_typed events whose random births are
+// at most their times, some past the wheel horizon; the kernel is driven
+// through random bounds of all three shapes — {t, 0}, a pending key
+// {t, b}, and {t, kTimeNever}. Each call must dispatch exactly the
+// oracle's (key, seq)-sorted prefix below the bound, return its length
+// and park now() at bound.time.
+struct OracleEntry {
+  EventKey key;
+  std::uint64_t seq;
+  std::uint32_t id;
+  bool operator<(const OracleEntry& o) const {
+    return key == o.key ? seq < o.seq : key < o.key;
+  }
+};
+
+struct OracleRun {
+  Simulator sim;
+  Rng rng;
+  std::set<OracleEntry> pending;  // what the kernel should still hold
+  std::vector<std::uint32_t> fired;
+  std::vector<std::uint32_t> expected;
+  std::vector<EventKey> expected_keys;
+  std::uint64_t next_seq = 0;  // mirrors the kernel's insertion counter
+  std::uint32_t next_id = 0;
+  std::uint64_t budget = 6000;
+
+  explicit OracleRun(std::uint64_t seed) : rng(seed) {
+    sim.set_typed_dispatcher([](TypedEvent& ev) {
+      static_cast<OracleRun*>(ev.p0)->fire(ev.d);
+    });
+  }
+
+  TypedEvent record() {
+    TypedEvent ev{};
+    ev.op = 1;
+    ev.p0 = this;
+    ev.d = next_id;
+    return ev;
+  }
+  void schedule(Time delay) {
+    const EventKey key{sim.now() + delay, sim.now()};
+    sim.after_typed(delay, record());
+    pending.insert({key, next_seq++, next_id++});
+  }
+  void admit(EventKey key) {
+    sim.admit_typed(key, record());
+    pending.insert({key, next_seq++, next_id++});
+  }
+
+  /// A delay that is zero, short, near the ~16.4-ns wheel horizon or
+  /// past it.
+  Time random_delay() {
+    switch (rng.next_below(5)) {
+      case 0: return 0;
+      case 1: return rng.next_below(4);
+      case 2: return rng.next_below(2000);
+      case 3: return 15000 + rng.next_below(3000);
+      default: return 20000 + rng.next_below(60000);
+    }
+  }
+
+  void fire(std::uint32_t id) {
+    fired.push_back(id);
+    if (pending.empty()) {
+      expected.push_back(~std::uint32_t{0});  // the oracle holds nothing
+    } else {
+      expected.push_back(pending.begin()->id);
+      expected_keys.push_back(pending.begin()->key);
+      pending.erase(pending.begin());
+    }
+    if (budget > 0 && rng.next_below(3) == 0) {
+      --budget;
+      schedule(random_delay());
+    }
+  }
+};
+
+TEST(Scheduler, RunBeforeDispatchesTheSortedPrefixBelowEachBound) {
+  for (const std::uint64_t seed : {3ull, 17ull, 0xC0FFEEull}) {
+    OracleRun o(seed);
+    Rng& rng = o.rng;
+    std::uint64_t shapes[3] = {};
+    for (int round = 0; round < 600; ++round) {
+      for (std::uint64_t k = rng.next_below(4); k > 0; --k) {
+        const Time now = o.sim.now();
+        if (rng.next_below(2) == 0) {
+          o.schedule(o.random_delay());
+        } else {
+          // Births anywhere up to the event time: before now() (a
+          // sender behind the receiver), at now(), or after it.
+          const Time t = now + o.random_delay();
+          const Time b = rng.next_below(3) == 0 ? now : rng.next_below(t + 1);
+          o.admit(EventKey{t, b});
+        }
+      }
+      const Time now = o.sim.now();
+      EventKey bound;
+      const std::uint64_t shape = rng.next_below(3);
+      if (shape == 1 && !o.pending.empty()) {
+        auto it = o.pending.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             rng.next_below(std::min<std::uint64_t>(
+                                 o.pending.size(), 8))));
+        bound = it->key;
+      } else {
+        const Time t = now + rng.next_below(30000);
+        bound = shape == 0 ? EventKey{t, 0} : EventKey{t, kTimeNever};
+      }
+      ++shapes[shape];
+      o.fired.clear();
+      o.expected.clear();
+      o.expected_keys.clear();
+      const std::uint64_t n = o.sim.run_before(bound);
+      ASSERT_EQ(o.fired, o.expected) << "seed " << seed << " round " << round;
+      ASSERT_EQ(n, o.fired.size());
+      for (const EventKey& k : o.expected_keys) {
+        ASSERT_TRUE(k < bound) << "seed " << seed << " round " << round;
+      }
+      ASSERT_TRUE(o.pending.empty() || !(o.pending.begin()->key < bound))
+          << "seed " << seed << " round " << round;
+      ASSERT_EQ(o.sim.now(), std::max(now, bound.time));
+      ASSERT_EQ(o.sim.pending(), o.pending.size());
+    }
+    for (const std::uint64_t c : shapes) EXPECT_GT(c, 100u) << "seed " << seed;
+    o.fired.clear();
+    o.expected.clear();
+    o.sim.run();
+    EXPECT_EQ(o.fired, o.expected) << "seed " << seed;
+    EXPECT_TRUE(o.pending.empty());
+  }
 }
 
 TEST(InlineFunctionTest, InlineCapturesDoNotAllocate) {
@@ -456,14 +592,16 @@ std::vector<std::pair<Time, std::uint64_t>> run_storm(std::uint64_t seed) {
   Rng& rng = st.rng;
   for (int i = 0; i < 32; ++i) st.schedule(rng.next_below(1000));
   // Drive through randomized run_until() boundaries instead of one run(),
-  // peeking next_event_time() (which fast-forwards the calendar cursor)
+  // peeking next_event_key() (which fast-forwards the calendar cursor)
   // and scheduling fresh events from *outside* any handler between
   // segments — the cursor fast-forward/rewind state space that pure
   // run()-driven storms never enter. The wheel horizon is ~2.1 us, so the
   // delay mix below straddles it from both sides.
   while (!sim.idle()) {
     sim.run_until(sim.now() + 1 + rng.next_below(6 * 1000 * 1000));
-    (void)sim.next_event_time();
+    if constexpr (std::is_same_v<Kernel, Simulator>) {
+      (void)sim.next_event_key();
+    }
     const std::uint64_t extra = rng.next_below(3);
     for (std::uint64_t k = 0; k < extra && st.budget > 0; ++k) {
       --st.budget;

@@ -93,7 +93,10 @@ TEST(Simulator, SchedulingInThePastIsAModelError) {
   sim.step();
   EXPECT_EQ(sim.now(), 100u);
   EXPECT_THROW(sim.at_typed(50, r.id(0)), ModelError);
-  EXPECT_THROW(sim.admit_typed(50, 0, r.id(0)), ModelError);
+  EXPECT_THROW(sim.admit_typed(EventKey{50, 0}, r.id(0)), ModelError);
+  // A key born after the instant it fires at is not causal.
+  EXPECT_THROW(sim.admit_typed(EventKey{200, 300}, r.id(0)), ModelError);
+  EXPECT_TRUE(sim.idle());
 }
 
 // A kernel with no registered dispatcher rejects every schedule as a
@@ -105,7 +108,7 @@ TEST(Simulator, SchedulingWithoutADispatcherIsAModelError) {
   ev.op = 1;
   EXPECT_THROW(sim.at_typed(10, ev), ModelError);
   EXPECT_THROW(sim.after_typed(10, ev), ModelError);
-  EXPECT_THROW(sim.admit_typed(10, 0, ev), ModelError);
+  EXPECT_THROW(sim.admit_typed(EventKey{10, 0}, ev), ModelError);
   EXPECT_TRUE(sim.idle());
   Recorder r(sim);
   sim.at_typed(10, r.id(1));

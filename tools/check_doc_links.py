@@ -6,10 +6,14 @@ preset names (``--preset NAME``), mango_sweep CLI flags (``--flag``),
 benchmark binaries (``bench_*``), test suites (``test_*``), tracked
 benchmark histories (``BENCH_*.json``) and backticked source paths
 (``src/...``, ``tests/...``, ``tools/...``, ``bench/...``,
-``examples/...``, and ``sim/...``, ``noc/...``, ``exp/...`` under src/)
-— and verifies each one against ground truth: ``mango_sweep
---list-presets`` / ``--help`` output and the repository tree.  Exits nonzero listing every dangling
-reference, so CI fails when a rename or removal leaves the docs behind.
+``examples/...``, and ``sim/...``, ``noc/...``, ``exp/...`` under src/),
+backticked qualified names (``Class::member``, ``ns::name``) and
+backticked call forms (``name(`` / ``name()``) — and verifies each one
+against ground truth: ``mango_sweep --list-presets`` / ``--help``
+output, the repository tree, and the identifiers of the code (comments
+and docstrings stripped) under src/ and tools/.  Exits nonzero listing
+every dangling reference, so CI fails when a rename or removal leaves
+the docs behind.
 
 Usage: check_doc_links.py [--sweep-bin PATH] [--repo PATH]
 """
@@ -28,6 +32,19 @@ PATH_ROOTS = ("src", "tests", "tools", "bench", "examples")
 SRC_SUBTREES = ("sim", "noc", "exp")
 PATH_RE = re.compile(r"(?<![\w./-])((?:%s)/[\w./{},*-]*)"
                      % "|".join(PATH_ROOTS + SRC_SUBTREES))
+
+# Code whose identifiers a backticked qualified name or call form may
+# cite: C++ under src/ and tools/, plus the Python tools.
+CODE_ROOTS = ("src", "tools")
+CODE_SUFFIXES = {".cpp", ".hpp", ".py"}
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+# ``A::B`` chains (``Simulator::run_before``, ``sim::EventKey``); names in
+# the standard library's namespace are not this repository's to check.
+QUALIFIED_RE = re.compile(r"(?<![\w:])([A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)+)")
+# ``name(`` where the span closes the call later (``run_until(t)``,
+# ``next_event_key()``), so prose parentheses in a span are not calls.
+CALL_RE = re.compile(r"(?<![\w:])([A-Za-z_]\w*)\((?=[^`]*\))")
+FOREIGN_NAMESPACES = {"std"}
 
 # Flags that appear in docs but belong to other tools (cmake, ctest,
 # benchmark binaries, perfbench, git) rather than mango_sweep.  Anything
@@ -81,7 +98,54 @@ def collect_ground_truth(sweep_bin, repo):
     return presets, flags, benches, tests, bench_json
 
 
-def check_doc(path, presets, flags, benches, tests, bench_json):
+def strip_comments(path, text):
+    """Code without its comments (C++) or comments and docstrings (Python),
+    so a name that survives only in prose does not count as existing."""
+    if path.suffix == ".py":
+        text = re.sub(r'"""[\s\S]*?"""', " ", text)
+        return re.sub(r"#[^\n]*", " ", text)
+    text = re.sub(r"/\*[\s\S]*?\*/", " ", text)
+    return re.sub(r"//[^\n]*", " ", text)
+
+
+def collect_identifiers(repo):
+    idents = set()
+    for root in CODE_ROOTS:
+        for f in (repo / root).rglob("*"):
+            if f.suffix in CODE_SUFFIXES and f.is_file():
+                idents.update(IDENT_RE.findall(
+                    strip_comments(f, f.read_text())))
+    return idents
+
+
+def check_identifiers(path, idents, where):
+    """Every backticked ``A::B`` and ``name(`` must name code that exists.
+
+    A member is spelled as the code spells it, trailing underscore
+    included (``Simulator::overflow_top_``)."""
+    errors = []
+    seen = set()
+    for span in re.findall(r"`([^`\n]+)`", path.read_text()):
+        for ref in QUALIFIED_RE.findall(span):
+            parts = [p.lstrip("~") for p in ref.split("::")]
+            if parts[0] in FOREIGN_NAMESPACES or ref in seen:
+                continue
+            seen.add(ref)
+            missing = [p for p in parts if p not in idents]
+            if missing:
+                errors.append(f"{where(ref)}: `{ref}` names no identifier "
+                              f"in src/ or tools/ ({', '.join(missing)})")
+        for name in CALL_RE.findall(span):
+            if name in seen:
+                continue
+            seen.add(name)
+            if name not in idents:
+                errors.append(f"{where(name + '(')}: call `{name}(` names "
+                              f"no identifier in src/ or tools/")
+    return errors
+
+
+def check_doc(path, presets, flags, benches, tests, bench_json, idents):
     errors = []
     text = path.read_text()
     lines = text.splitlines()
@@ -140,6 +204,7 @@ def check_doc(path, presets, flags, benches, tests, bench_json):
             errors.append(f"{where(name)}: history `{name}` does not exist")
 
     errors += check_paths(path, path.parent, where)
+    errors += check_identifiers(path, idents, where)
     return errors
 
 
@@ -179,6 +244,7 @@ def main():
     repo = pathlib.Path(opts.repo).resolve()
     presets, flags, benches, tests, bench_json = collect_ground_truth(
         opts.sweep_bin, repo)
+    idents = collect_identifiers(repo)
     if not presets:
         print("could not parse any presets from --list-presets",
               file=sys.stderr)
@@ -187,7 +253,7 @@ def main():
     errors = []
     for doc in DOC_FILES:
         errors += check_doc(repo / doc, presets, flags, benches, tests,
-                            bench_json)
+                            bench_json, idents)
 
     readme_flags = set(re.findall(r"--[a-z][a-z0-9-]*",
                                   (repo / "README.md").read_text()))
@@ -205,7 +271,8 @@ def main():
         checked = ", ".join(DOC_FILES)
         print(f"doc cross-links ok ({checked}: {len(presets)} presets, "
               f"{len(flags)} flags, {len(benches)} benches, "
-              f"{len(tests)} test suites on record)")
+              f"{len(tests)} test suites, {len(idents)} code identifiers "
+              "on record)")
     return 1 if errors else 0
 
 
