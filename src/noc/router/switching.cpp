@@ -49,41 +49,22 @@ SwitchingModule::SwitchingModule(sim::Simulator& sim, const RouterConfig& cfg,
 }
 
 void SwitchingModule::route(PortIdx in_port, LinkFlit lf) {
-  MANGO_ASSERT(in_port < kNumPorts, "route(): bad input port");
-  const Dest dest = map_[in_port][lf.steer.split];
+  const PlannedHop hop = plan(in_port, lf.steer);
   ++flits_routed_;
-  switch (dest.kind) {
-    case Dest::Kind::kGs: {
-      const unsigned vc = dest.half * kVcsPerHalf + lf.steer.vc;
-      const unsigned limit =
-          dest.out == kLocalPort ? local_ifaces_ : vcs_per_port_;
-      MANGO_ASSERT(vc < limit, "steering bits select a nonexistent VC buffer");
-      MANGO_ASSERT(static_cast<bool>(gs_sink_), "switching has no GS sink");
-      sim::TypedEvent ev{};
-      ev.op = events::kOpSwitchGs;
-      ev.a = dest.out;
-      ev.b = static_cast<std::uint8_t>(vc);
-      ev.p0 = this;
-      events::store_flit(ev, lf.flit);
-      sim_.after_typed(
-          delays_.split_fwd + delays_.switch_fwd + delays_.unshare_fwd, ev);
-      return;
-    }
-    case Dest::Kind::kBe: {
-      MANGO_ASSERT(static_cast<bool>(be_sink_), "switching has no BE sink");
-      sim::TypedEvent ev{};
-      ev.op = events::kOpSwitchBe;
-      ev.a = in_port;
-      ev.p0 = this;
-      events::store_flit(ev, lf.flit);
-      sim_.after_typed(delays_.split_fwd, ev);
-      return;
-    }
-    case Dest::Kind::kInvalid:
-      break;
+  sim::TypedEvent ev{};
+  ev.p0 = this;
+  events::store_flit(ev, lf.flit);
+  if (hop.to_be) {
+    MANGO_ASSERT(static_cast<bool>(be_sink_), "switching has no BE sink");
+    ev.op = events::kOpSwitchBe;
+    ev.a = in_port;
+  } else {
+    MANGO_ASSERT(static_cast<bool>(gs_sink_), "switching has no GS sink");
+    ev.op = events::kOpSwitchGs;
+    ev.a = hop.target.port;
+    ev.b = hop.target.vc;
   }
-  model_fail("flit entered " + port_name(in_port) +
-             " with an unmapped split code " + std::to_string(lf.steer.split));
+  sim_.after_typed(hop.stage_delay, ev);
 }
 
 SwitchingModule::PlannedHop SwitchingModule::plan(PortIdx in_port,

@@ -50,14 +50,17 @@ class SwitchingModule {
   /// Installs the BE delivery callback (fires after the split delay).
   void set_be_sink(BeSink sink) { be_sink_ = std::move(sink); }
 
-  /// Routes a link flit arriving on `in_port`. Steering bits are
-  /// consumed here; the delivered flit no longer carries them.
+  /// Routes a link flit arriving on `in_port`: decodes it with plan()
+  /// and schedules the GS or BE delivery after the planned stage delay.
+  /// Steering bits are consumed here; the delivered flit no longer
+  /// carries them.
   void route(PortIdx in_port, LinkFlit lf);
 
-  /// Send-time decode for the coalesced transfer path: the split map is
-  /// static, so the upstream hop can resolve the destination when it
-  /// schedules the link event and fold the stage delay into the arrival
-  /// timestamp. Performs exactly route()'s validity checks.
+  /// The one steering decode: split map, VC-limit check and stage delay
+  /// (an unmapped split code is a ModelError). route() runs it at
+  /// arrival; the coalesced transfer path runs it at send time, since
+  /// the split map is static, and folds the stage delay into the link
+  /// event's arrival timestamp.
   struct PlannedHop {
     bool to_be = false;
     VcBufferId target{};        ///< GS destination (valid when !to_be)

@@ -38,9 +38,10 @@
 // birth), where `birth` is the kernel clock at scheduling time. For
 // events scheduled organically via at_typed()/after_typed() the birth of
 // a later seq is never smaller at equal time (now() is nondecreasing),
-// so the order is bit-identical to the classic (time, insertion seq)
-// kernel (sim/legacy_kernel.hpp keeps that implementation for
-// differential tests and benchmarks). The explicit birth component
+// so the order is the classic (time, insertion seq) order. The
+// kernel's one executable reference is the sorted (time, birth, seq)
+// oracle in tests/test_scheduler.cpp, which checks randomized workloads
+// dispatch by dispatch. The explicit birth component
 // exists for the sharded engine (sim/parallel.hpp): boundary events
 // handed across shards are admitted with the *sender's* scheduling time
 // as their birth, so a merged multi-kernel run dispatches them exactly
@@ -112,7 +113,33 @@ struct EventKey {
 
 /// The event kernel. One instance drives one simulated network.
 class Simulator {
+  // Bucket width tuned for thousand-node fabrics: a saturated 32x32 run
+  // keeps several thousand events in flight at >7 events/ps, so 512-ps
+  // buckets develop O(nodes)-long chains and every out-of-order insert
+  // pays a chain walk. One-picosecond buckets make a bucket a single
+  // timestamp: a new event always carries the largest (birth, seq) among
+  // its time-equals, so every wheel insert is the O(1) tail append
+  // (measured: zero out-of-order inserts across the scale-1k presets).
+  // The 16.4-ns horizon still covers every handshake delay; longer
+  // schedules (traffic interarrivals, timeouts) ride the overflow heap
+  // and migrate as the cursor approaches. The sparse-workload flip side
+  // — a lone GS stream dispatches one event every few hundred granules,
+  // and walking empty 1-ps buckets one head==nullptr check at a time
+  // would cost more than the chains did — is paid off by a two-level
+  // occupancy bitmap (occ_/occ_l1_): the cursor jumps straight to the
+  // next non-empty bucket with a handful of word scans.
+  static constexpr unsigned kBucketShift = 0;  // 1 ps per bucket
+  static constexpr unsigned kWheelBits = 14;   // 16384 buckets
+  static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
+
  public:
+  /// The wheel horizon, 16384 ps (~16.4 ns): an event scheduled less
+  /// than this far past now() goes into the wheel, a later one into the
+  /// overflow heap. Tests derive their "near" and "beyond the horizon"
+  /// delays from it.
+  static constexpr Time kHorizonPs = static_cast<Time>(kWheelSize)
+                                    << kBucketShift;
+
   /// The event switch, registered once per kernel by the model layer.
   /// Takes the record by reference straight out of the event node.
   using TypedDispatcher = void (*)(TypedEvent&);
@@ -261,24 +288,6 @@ class Simulator {
     }
   };
 
-  // Bucket width tuned for thousand-node fabrics: a saturated 32x32 run
-  // keeps several thousand events in flight at >7 events/ps, so 512-ps
-  // buckets develop O(nodes)-long chains and every out-of-order insert
-  // pays a chain walk. One-picosecond buckets make a bucket a single
-  // timestamp: a new event always carries the largest (birth, seq) among
-  // its time-equals, so every wheel insert is the O(1) tail append
-  // (measured: zero out-of-order inserts across the scale-1k presets).
-  // The 16.4-ns horizon still covers every handshake delay; longer
-  // schedules (traffic interarrivals, timeouts) ride the overflow heap
-  // and migrate as the cursor approaches. The sparse-workload flip side
-  // — a lone GS stream dispatches one event every few hundred granules,
-  // and walking empty 1-ps buckets one head==nullptr check at a time
-  // would cost more than the chains did — is paid off by a two-level
-  // occupancy bitmap (occ_/occ_l1_): the cursor jumps straight to the
-  // next non-empty bucket with a handful of word scans.
-  static constexpr unsigned kBucketShift = 0;  // 1 ps per bucket
-  static constexpr unsigned kWheelBits = 14;   // 16384 buckets, ~16.4 ns horizon
-  static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
   static constexpr std::size_t kWheelMask = kWheelSize - 1;
   static constexpr std::size_t kOccWords = kWheelSize / 64;
   static constexpr std::size_t kOccL1Words = kOccWords / 64;

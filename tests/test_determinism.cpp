@@ -86,12 +86,11 @@ TEST(Determinism, IdenticalSeedsGiveIdenticalRuns) {
   }
 }
 
-// Extended for the calendar-queue kernel swap: beyond delivery
-// timestamps, the *entire* stats surface (context registry counters and
-// per-flow latency samples, bit-exact doubles) must be reproducible.
-// Together with SchedulerDifferential.BitIdenticalDispatchVsLegacyKernel
-// (tests/test_scheduler.cpp) this pins the old->new kernel swap to
-// bit-identical simulation results.
+// Beyond delivery timestamps, the *entire* stats surface (context
+// registry counters and per-flow latency samples, bit-exact doubles)
+// must be reproducible. Together with the sorted-key oracle in
+// tests/test_scheduler.cpp, which checks the kernel's dispatch order
+// event by event, this pins simulation results to that order.
 TEST(Determinism, FullStatsSnapshotIsBitIdentical) {
   const RunResult a = run_scenario(42);
   const RunResult b = run_scenario(42);

@@ -1,19 +1,23 @@
 // Calendar-queue scheduler coverage: ordering semantics the NoC model
-// depends on, wheel/overflow mechanics, and a randomized differential
-// check against the reference priority-queue kernel.
+// depends on, wheel/overflow mechanics, and the kernel's one dispatch-
+// order reference — a sorted (time, birth, seq) oracle that checks
+// randomized workloads dispatch by dispatch
+// (RunBeforeDispatchesTheSortedPrefixBelowEachBound).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <iterator>
 #include <set>
-#include <type_traits>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/callback.hpp"
-#include "sim/legacy_kernel.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "typed_recorder.hpp"
@@ -23,17 +27,16 @@ namespace {
 
 using test::Recorder;
 
-// One wheel bucket is 512 ps and the wheel spans 4096 buckets, so events
-// past ~2.1 us of the cursor take the overflow path. Derived here rather
-// than exported: the values are an implementation detail, the tests only
-// need "definitely beyond the horizon".
-constexpr Time kBeyondHorizon = 8 * 1000 * 1000;  // 8 us
+constexpr Time kHorizon = Simulator::kHorizonPs;
+// Twice the wheel horizon: an event this far from now() takes the
+// overflow path.
+constexpr Time kBeyondHorizon = 2 * kHorizon;
 
 TEST(Scheduler, SameTimestampDispatchesInInsertionOrderAcrossBuckets) {
   Simulator sim;
   Recorder r(sim);
-  // Interleave three timestamps so insertions hit the same bucket list
-  // non-monotonically: 700 and 900 share bucket 1, 100 sits in bucket 0.
+  // Interleave three timestamps out of time order, with a later
+  // insertion at two of them.
   sim.at_typed(900, r.id(3));
   sim.at_typed(100, r.id(1));
   sim.at_typed(700, r.id(2));
@@ -188,13 +191,15 @@ TEST(Scheduler, OverflowEventEarlierThanLaterWheelInsertStillWins) {
   // *later* event that was inserted directly into the wheel.
   Simulator sim;
   Recorder r(sim);
+  const Time x = 10 + 3 * kHorizon;
   sim.at_typed(10, r.action([&] {
-    // From t=10 the horizon ends around ~2.1 us, so 5 us is overflow.
-    sim.at_typed(5 * 1000 * 1000, r.id(2));
-    // Walk the cursor forward with a chain of near events until the
-    // 5 us granule is inside the window, then insert a later wheel event.
-    sim.at_typed(4 * 1000 * 1000, r.action([&] {
-      sim.at_typed(5 * 1000 * 1000 + 100, r.id(3));
+    // From t=10 the horizon ends at 10 + kHorizon, so x is overflow.
+    sim.at_typed(x, r.id(2));
+    // Half a horizon before x, its granule is inside the window but the
+    // event is still in the overflow heap (migration happens at pop
+    // time); insert a later event straight into the wheel.
+    sim.at_typed(x - kHorizon / 2, r.action([&] {
+      sim.at_typed(x + 100, r.id(3));
       r.order.push_back(1);
     }));
   }));
@@ -245,8 +250,10 @@ TEST(Scheduler, WheelRolloverManyRotations) {
   Time last = 0;
   bool monotonic = true;
   constexpr std::uint64_t kTicks = 20000;
-  // 1300 ps period: co-prime-ish with the 512 ps bucket so the event
-  // lands at varying bucket offsets. The tick re-arms its own record.
+  // A 1300 ps period is not a divisor of the wheel, so the event lands
+  // at varying bucket offsets over ~1600 wheel laps. The tick re-arms
+  // its own record.
+  static_assert(1300 * kTicks > 1000 * kHorizon, "over a thousand laps");
   TypedEvent tick{};
   tick = r.action([&] {
     if (sim.now() < last) monotonic = false;
@@ -267,12 +274,12 @@ TEST(Scheduler, InsertBelowFastForwardedCursorStillDispatchesInOrder) {
   Simulator sim;
   Recorder r(sim);
   sim.at_typed(100, r.id(1));
-  sim.at_typed(1 * 1000 * 1000, r.id(3));  // same wheel window
-  EXPECT_EQ(sim.run_until(500), 1u);  // dispatches t=100, peeks at t=1e6
+  sim.at_typed(kHorizon / 2, r.id(3));  // same wheel window
+  EXPECT_EQ(sim.run_until(500), 1u);  // dispatches t=100, peeks the other
   sim.at_typed(600, r.id(2));  // granule below the cursor
   sim.run();
   EXPECT_EQ(r.order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.now(), 1 * 1000 * 1000u);
+  EXPECT_EQ(sim.now(), kHorizon / 2);
 }
 
 TEST(Scheduler, FarInsertUnderFastForwardedCursorDoesNotLapEarly) {
@@ -285,17 +292,21 @@ TEST(Scheduler, FarInsertUnderFastForwardedCursorDoesNotLapEarly) {
   // dispatch one full wheel lap early (and drag now() backwards after it).
   Simulator sim;
   Recorder r(sim);
-  // Granules (512 ps buckets): 51200 -> 100, 2107392 -> 4116, 5120 -> 10.
-  // From now()=10 the horizon ends at granule 4096; from the cursor
-  // (fast-forwarded to 100) it would end at 4196, wrongly admitting 4116.
-  sim.at_typed(51200, r.id(2));
-  EXPECT_EQ(sim.run_until(10), 0u);  // peek fast-forwards cursor to 100
-  sim.at_typed(2107392, r.id(3));  // beyond now()+horizon
-  sim.at_typed(5120, r.id(1));     // below cursor: rewinds
+  // A bucket is one picosecond. From now()=10 the horizon ends at
+  // 10 + kHorizon; from the cursor (fast-forwarded to `ahead`) it would
+  // end at ahead + kHorizon, wrongly admitting `far`, whose bucket lies
+  // between `near` and `ahead`.
+  const Time ahead = kHorizon / 2;
+  const Time far = 10 + kHorizon + kHorizon / 4;
+  const Time near = 1000;
+  sim.at_typed(ahead, r.id(2));
+  EXPECT_EQ(sim.run_until(10), 0u);  // peek fast-forwards cursor to ahead
+  sim.at_typed(far, r.id(3));   // beyond now()+horizon
+  sim.at_typed(near, r.id(1));  // below cursor: rewinds
   std::vector<Time> times;
   while (sim.step()) times.push_back(sim.now());
   EXPECT_EQ(r.order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(times, (std::vector<Time>{5120, 51200, 2107392}));
+  EXPECT_EQ(times, (std::vector<Time>{near, ahead, far}));
 }
 
 TEST(Scheduler, OverflowMigrationAfterCursorFastForward) {
@@ -305,15 +316,17 @@ TEST(Scheduler, OverflowMigrationAfterCursorFastForward) {
   // rewind guard).
   Simulator sim;
   Recorder r(sim);
+  const Time x = 10 + 3 * kHorizon;
+  const Time y = x - kHorizon / 2;
   sim.at_typed(10, r.action([&] {
-    sim.at_typed(5 * 1000 * 1000, r.id(2));  // overflow
-    sim.at_typed(4 * 1000 * 1000, r.action([&] {
-      sim.at_typed(5 * 1000 * 1000 + 100, r.id(3));  // wheel
+    sim.at_typed(x, r.id(2));  // overflow
+    sim.at_typed(y, r.action([&] {
+      sim.at_typed(x + 100, r.id(3));  // wheel
       r.order.push_back(1);
     }));
   }));
-  // Drain up to just past t=4e6, peeking (and fast-forwarding) each step.
-  while (sim.next_event_key().time <= 4 * 1000 * 1000) sim.step();
+  // Drain through y, peeking (and fast-forwarding) each step.
+  while (sim.next_event_key().time <= y) sim.step();
   sim.run();
   EXPECT_EQ(r.order, (std::vector<int>{1, 2, 3}));
 }
@@ -352,32 +365,89 @@ TEST(Scheduler, RecordReachesTheDispatcherByteForByte) {
   EXPECT_EQ(std::memcmp(&seen, &ev, sizeof ev), 0);
 }
 
-// run_before against a sorted oracle. Organic schedules (from the test
-// and from handlers) mix with admit_typed events whose random births are
-// at most their times, some past the wheel horizon; the kernel is driven
-// through random bounds of all three shapes — {t, 0}, a pending key
-// {t, b}, and {t, kTimeNever}. Each call must dispatch exactly the
-// oracle's (key, seq)-sorted prefix below the bound, return its length
-// and park now() at bound.time.
+// The kernel's dispatch order, stated once: events fire in (time,
+// birth, seq) order, where birth is the clock at scheduling time (or the
+// birth admit_typed() was given) and seq counts every schedule and
+// admission (the oracle's event ids count the same way, so an id is its
+// event's seq). The oracle holds every pending event in a set sorted by
+// that tuple, spelled out field by field rather than through EventKey,
+// and checks each dispatch against the set's minimum.
+//
+// RunBeforeDispatchesTheSortedPrefixBelowEachBound drives the kernel
+// with a randomized storm, for each of six seeds:
+//   * handlers schedule 0-2 follow-ups each until a budget of 20,000 is
+//     spent, and between run calls the test schedules and admits events
+//     from outside any handler, for at least 5,000 rounds; admitted
+//     births lie anywhere up to the event time (before, at or after
+//     now());
+//   * delays come in classes (DelayClass), from same-timestamp ties to
+//     far timeouts of microseconds, sized against Simulator::kHorizonPs.
+//     After a peek has fast-forwarded the wheel cursor, the test lands
+//     events just past now() + kHorizonPs but inside the cursor's window
+//     (horizon edge) and inserts below the cursor, which rewinds it. An
+//     edge event followed by a rewind is the shape that dispatches one
+//     wheel lap early if the horizon is checked against the cursor
+//     instead of now();
+//   * each round peeks next_event_key(), which must equal the oracle's
+//     minimum, then runs to a random bound of one of four shapes: a
+//     window {t, 0}, a pending key {t, b}, {t, kTimeNever}, or a
+//     run_until() segment of up to 6 us.
+// Every run call must dispatch exactly the oracle's prefix below its
+// bound, return its length and park now() at bound.time. Every class
+// and shape must occur for every seed; the counts are printed.
+bool key_before(EventKey a, EventKey b) {
+  return std::tie(a.time, a.birth) < std::tie(b.time, b.birth);
+}
+
 struct OracleEntry {
   EventKey key;
-  std::uint64_t seq;
-  std::uint32_t id;
+  std::uint32_t id;  // = seq
+  bool wheel;  // scheduled less than kHorizon past now(): in the wheel
   bool operator<(const OracleEntry& o) const {
-    return key == o.key ? seq < o.seq : key < o.key;
+    return std::tie(key.time, key.birth, id) <
+           std::tie(o.key.time, o.key.birth, o.id);
   }
 };
+
+enum DelayClass : std::size_t {
+  kTie,          // 0: a same-timestamp tie
+  kAdjacent,     // 1-3 ps: neighbouring one-picosecond buckets
+  kHandshake,    // up to 2.5 ns: a circuit delay
+  kHorizonSpan,  // within 1.5 ns either side of the horizon
+  kPastHorizon,  // 1-5 horizons out: overflow that migrates soon
+  kFarTimeout,   // 3-23 us: deep overflow
+  kHorizonEdge,  // past now() + kHorizon, within the cursor's window
+  kBelowCursor,  // under a fast-forwarded cursor: rewinds it
+  kLapEarly,     // a horizon-edge event, then a below-cursor insert
+  kDelayClasses
+};
+constexpr std::size_t kRandomClasses = kFarTimeout + 1;
+constexpr std::array<const char*, kDelayClasses> kClassNames = {
+    "tie",          "adjacent",     "handshake",
+    "horizon-span", "past-horizon", "far-timeout",
+    "horizon-edge", "below-cursor", "lap-early"};
+
+enum BoundShape : std::size_t {
+  kWindow,      // {t, 0}
+  kPendingKey,  // a pending event's {t, b}
+  kThrough,     // {t, kTimeNever}
+  kSegment,     // run_until(t), t up to 6 us ahead
+  kBoundShapes
+};
+constexpr std::array<const char*, kBoundShapes> kShapeNames = {
+    "window", "pending-key", "through", "segment"};
 
 struct OracleRun {
   Simulator sim;
   Rng rng;
   std::set<OracleEntry> pending;  // what the kernel should still hold
-  std::vector<std::uint32_t> fired;
-  std::vector<std::uint32_t> expected;
-  std::vector<EventKey> expected_keys;
-  std::uint64_t next_seq = 0;  // mirrors the kernel's insertion counter
+  std::size_t wheel_pending = 0;  // pending entries flagged `wheel`
+  EventKey bound;                 // of the run call in progress
+  std::uint64_t fired = 0;
+  std::string failure;            // the first dispatch off the oracle
   std::uint32_t next_id = 0;
-  std::uint64_t budget = 6000;
+  std::uint64_t budget = 20000;   // follow-ups handlers may still schedule
+  std::array<std::uint64_t, kDelayClasses> classes{};
 
   explicit OracleRun(std::uint64_t seed) : rng(seed) {
     sim.set_typed_dispatcher([](TypedEvent& ev) {
@@ -392,96 +462,160 @@ struct OracleRun {
     ev.d = next_id;
     return ev;
   }
+  void add(EventKey key) {
+    const bool wheel = key.time - sim.now() < kHorizon;
+    pending.insert({key, next_id++, wheel});
+    wheel_pending += wheel;
+  }
   void schedule(Time delay) {
-    const EventKey key{sim.now() + delay, sim.now()};
     sim.after_typed(delay, record());
-    pending.insert({key, next_seq++, next_id++});
+    add(EventKey{sim.now() + delay, sim.now()});
   }
   void admit(EventKey key) {
     sim.admit_typed(key, record());
-    pending.insert({key, next_seq++, next_id++});
+    add(key);
   }
-
-  /// A delay that is zero, short, near the ~16.4-ns wheel horizon or
-  /// past it.
-  Time random_delay() {
-    switch (rng.next_below(5)) {
-      case 0: return 0;
-      case 1: return rng.next_below(4);
-      case 2: return rng.next_below(2000);
-      case 3: return 15000 + rng.next_below(3000);
-      default: return 20000 + rng.next_below(60000);
+  /// A delay of class `c`, counted. The two cursor classes draw below
+  /// `gap`, how far the cursor is known to sit past now().
+  Time delay(DelayClass c, Time gap = 1) {
+    ++classes[c];
+    switch (c) {
+      case kTie: return 0;
+      case kAdjacent: return 1 + rng.next_below(3);
+      case kHandshake: return 4 + rng.next_below(2500);
+      case kHorizonSpan: return kHorizon - 1500 + rng.next_below(3000);
+      case kPastHorizon:
+        return kHorizon + 1500 + rng.next_below(4 * kHorizon);
+      case kFarTimeout: return 3000000 + rng.next_below(20000000);
+      case kHorizonEdge: return kHorizon + rng.next_below(gap);
+      case kBelowCursor: return rng.next_below(gap);
+      default: return 0;  // kLapEarly counts a pair, not a delay
     }
+  }
+  Time random_delay() {
+    return delay(static_cast<DelayClass>(rng.next_below(kRandomClasses)));
   }
 
   void fire(std::uint32_t id) {
-    fired.push_back(id);
-    if (pending.empty()) {
-      expected.push_back(~std::uint32_t{0});  // the oracle holds nothing
-    } else {
-      expected.push_back(pending.begin()->id);
-      expected_keys.push_back(pending.begin()->key);
-      pending.erase(pending.begin());
+    ++fired;
+    if (pending.empty()) return note(id, "nothing is pending");
+    const OracleEntry e = *pending.begin();
+    pending.erase(pending.begin());
+    wheel_pending -= e.wheel;
+    if (e.id != id || sim.now() != e.key.time) {
+      note(id, "expected id " + std::to_string(e.id) + " at (" +
+                   std::to_string(e.key.time) + ", " +
+                   std::to_string(e.key.birth) + ")");
+    } else if (!key_before(e.key, bound)) {
+      note(id, "its key is not before the bound");
     }
-    if (budget > 0 && rng.next_below(3) == 0) {
-      --budget;
+    for (std::uint64_t k = rng.next_below(3); k > 0 && budget > 0;
+         --k, --budget) {
       schedule(random_delay());
+    }
+  }
+  void note(std::uint32_t id, const std::string& what) {
+    if (failure.empty()) {
+      failure = "dispatch " + std::to_string(fired) + " fired id " +
+                std::to_string(id) + " at " + std::to_string(sim.now()) +
+                ": " + what;
     }
   }
 };
 
 TEST(Scheduler, RunBeforeDispatchesTheSortedPrefixBelowEachBound) {
-  for (const std::uint64_t seed : {3ull, 17ull, 0xC0FFEEull}) {
+  constexpr std::uint64_t kRounds = 5000;
+  for (const std::uint64_t seed :
+       {1ull, 42ull, 0xDEADBEEFull, 3ull, 17ull, 0xC0FFEEull}) {
     OracleRun o(seed);
     Rng& rng = o.rng;
-    std::uint64_t shapes[3] = {};
-    for (int round = 0; round < 600; ++round) {
+    std::array<std::uint64_t, kBoundShapes> shapes{};
+    for (int i = 0; i < 32; ++i) o.schedule(rng.next_below(1000));
+    std::uint64_t round = 0;
+    for (; round < kRounds || o.budget > 0; ++round) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " round " + std::to_string(round);
+      const Time now = o.sim.now();
+      const EventKey next = o.sim.next_event_key();
+      const EventKey first =
+          o.pending.empty() ? EventKey{} : o.pending.begin()->key;
+      ASSERT_TRUE(next.time == first.time && next.birth == first.birth)
+          << where << ": next_event_key() is (" << next.time << ", "
+          << next.birth << "), the oracle's first key (" << first.time
+          << ", " << first.birth << ")";
+
+      // The peek left the cursor on the first non-empty wheel bucket, so
+      // with a wheel event pending it sits at least `gap` past now().
+      if (o.wheel_pending > 0 && next.time > now) {
+        const Time gap = next.time - now;
+        const std::uint64_t pick = rng.next_below(4);
+        const bool edge = pick == 0 || pick == 2;
+        if (edge) o.schedule(o.delay(kHorizonEdge, gap));
+        if (pick == 1 || pick == 2) {
+          o.schedule(o.delay(kBelowCursor, gap));
+          if (edge) ++o.classes[kLapEarly];
+        }
+      }
       for (std::uint64_t k = rng.next_below(4); k > 0; --k) {
-        const Time now = o.sim.now();
         if (rng.next_below(2) == 0) {
           o.schedule(o.random_delay());
         } else {
-          // Births anywhere up to the event time: before now() (a
-          // sender behind the receiver), at now(), or after it.
           const Time t = now + o.random_delay();
           const Time b = rng.next_below(3) == 0 ? now : rng.next_below(t + 1);
           o.admit(EventKey{t, b});
         }
       }
-      const Time now = o.sim.now();
+
+      const auto shape = static_cast<BoundShape>(rng.next_below(kBoundShapes));
       EventKey bound;
-      const std::uint64_t shape = rng.next_below(3);
-      if (shape == 1 && !o.pending.empty()) {
+      if (shape == kPendingKey && !o.pending.empty()) {
         auto it = o.pending.begin();
-        std::advance(it, static_cast<std::ptrdiff_t>(
-                             rng.next_below(std::min<std::uint64_t>(
-                                 o.pending.size(), 8))));
+        std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(
+                             std::min<std::uint64_t>(o.pending.size(), 8))));
         bound = it->key;
+      } else if (shape == kSegment) {
+        bound = EventKey{now + 1 + rng.next_below(6000000), kTimeNever};
       } else {
         const Time t = now + rng.next_below(30000);
-        bound = shape == 0 ? EventKey{t, 0} : EventKey{t, kTimeNever};
+        bound = shape == kWindow ? EventKey{t, 0} : EventKey{t, kTimeNever};
       }
       ++shapes[shape];
-      o.fired.clear();
-      o.expected.clear();
-      o.expected_keys.clear();
-      const std::uint64_t n = o.sim.run_before(bound);
-      ASSERT_EQ(o.fired, o.expected) << "seed " << seed << " round " << round;
-      ASSERT_EQ(n, o.fired.size());
-      for (const EventKey& k : o.expected_keys) {
-        ASSERT_TRUE(k < bound) << "seed " << seed << " round " << round;
-      }
-      ASSERT_TRUE(o.pending.empty() || !(o.pending.begin()->key < bound))
-          << "seed " << seed << " round " << round;
-      ASSERT_EQ(o.sim.now(), std::max(now, bound.time));
-      ASSERT_EQ(o.sim.pending(), o.pending.size());
+      o.bound = bound;
+      const std::uint64_t fired_before = o.fired;
+      const std::uint64_t n = shape == kSegment
+                                  ? o.sim.run_until(bound.time)
+                                  : o.sim.run_before(bound);
+      ASSERT_TRUE(o.failure.empty()) << where << ": " << o.failure;
+      ASSERT_EQ(n, o.fired - fired_before) << where;
+      ASSERT_TRUE(o.pending.empty() ||
+                  !key_before(o.pending.begin()->key, bound))
+          << where << ": an event before the bound is still pending";
+      ASSERT_EQ(o.sim.now(), std::max(now, bound.time)) << where;
+      ASSERT_EQ(o.sim.pending(), o.pending.size()) << where;
     }
-    for (const std::uint64_t c : shapes) EXPECT_GT(c, 100u) << "seed " << seed;
-    o.fired.clear();
-    o.expected.clear();
+    o.bound = EventKey{kTimeNever, kTimeNever};
     o.sim.run();
-    EXPECT_EQ(o.fired, o.expected) << "seed " << seed;
-    EXPECT_TRUE(o.pending.empty());
+    EXPECT_TRUE(o.failure.empty()) << "seed " << seed << ": " << o.failure;
+    EXPECT_TRUE(o.pending.empty()) << "seed " << seed;
+    EXPECT_EQ(o.fired, o.next_id) << "seed " << seed;
+    EXPECT_EQ(o.budget, 0u) << "seed " << seed;
+
+    std::printf("seed %llu: %llu events, %llu rounds;",
+                static_cast<unsigned long long>(seed),
+                static_cast<unsigned long long>(o.fired),
+                static_cast<unsigned long long>(round));
+    for (std::size_t c = 0; c < kDelayClasses; ++c) {
+      std::printf(" %s %llu", kClassNames[c],
+                  static_cast<unsigned long long>(o.classes[c]));
+      EXPECT_GT(o.classes[c], 0u) << "seed " << seed << " " << kClassNames[c];
+    }
+    std::printf(";");
+    for (std::size_t s = 0; s < kBoundShapes; ++s) {
+      std::printf(" %s %llu", kShapeNames[s],
+                  static_cast<unsigned long long>(shapes[s]));
+      EXPECT_GT(shapes[s], 100u) << "seed " << seed << " " << kShapeNames[s];
+    }
+    std::printf("\n");
   }
 }
 
@@ -526,112 +660,6 @@ TEST(InlineFunctionTest, MoveOnlyCapturesWork) {
   auto p = std::make_unique<int>(7);
   InlineFunction<int()> f = [p = std::move(p)] { return *p; };
   EXPECT_EQ(f(), 7);
-}
-
-/// Randomized differential test: the calendar-queue kernel and the
-/// reference priority-queue kernel must produce bit-identical dispatch
-/// sequences — (time, event id) — for identical workloads mixing
-/// handshake-scale delays, far timeouts and same-time ties. The
-/// production kernel schedules each storm node as a typed record (p0 =
-/// the storm's shared state, d = the node id); the reference kernel
-/// schedules it as a closure.
-template <typename Kernel>
-struct Storm {
-  Kernel sim;
-  Rng rng;
-  std::vector<std::pair<Time, std::uint64_t>> trace;
-  std::uint64_t next_id = 0;
-  std::uint64_t budget = 20000;
-
-  explicit Storm(std::uint64_t seed) : rng(seed) {
-    if constexpr (std::is_same_v<Kernel, Simulator>) {
-      sim.set_typed_dispatcher([](TypedEvent& ev) {
-        static_cast<Storm*>(ev.p0)->fire(ev.d);
-      });
-    }
-  }
-
-  void schedule(Time d) {
-    const std::uint64_t id = next_id++;
-    if constexpr (std::is_same_v<Kernel, Simulator>) {
-      TypedEvent ev{};
-      ev.op = 1;
-      ev.p0 = this;
-      ev.d = static_cast<std::uint32_t>(id);
-      sim.after_typed(d, ev);
-    } else {
-      sim.after(d, [this, id] { fire(id); });
-    }
-  }
-
-  void fire(std::uint64_t id) {
-    trace.emplace_back(sim.now(), id);
-    if (budget == 0) return;
-    // 0-2 follow-ups with mixed horizons, sometimes zero delay.
-    const std::uint64_t kids = rng.next_below(3);
-    for (std::uint64_t k = 0; k < kids && budget > 0; ++k) {
-      --budget;
-      const std::uint64_t kind = rng.next_below(10);
-      Time d = 0;
-      if (kind == 0) {
-        d = 0;  // same-timestamp tie
-      } else if (kind == 1) {
-        d = 3 * 1000 * 1000 + rng.next_below(20 * 1000 * 1000);
-      } else {
-        d = 60 + rng.next_below(2500);
-      }
-      schedule(d);
-    }
-  }
-};
-
-template <typename Kernel>
-std::vector<std::pair<Time, std::uint64_t>> run_storm(std::uint64_t seed) {
-  Storm<Kernel> st(seed);
-  Kernel& sim = st.sim;
-  Rng& rng = st.rng;
-  for (int i = 0; i < 32; ++i) st.schedule(rng.next_below(1000));
-  // Drive through randomized run_until() boundaries instead of one run(),
-  // peeking next_event_key() (which fast-forwards the calendar cursor)
-  // and scheduling fresh events from *outside* any handler between
-  // segments — the cursor fast-forward/rewind state space that pure
-  // run()-driven storms never enter. The wheel horizon is ~2.1 us, so the
-  // delay mix below straddles it from both sides.
-  while (!sim.idle()) {
-    sim.run_until(sim.now() + 1 + rng.next_below(6 * 1000 * 1000));
-    if constexpr (std::is_same_v<Kernel, Simulator>) {
-      (void)sim.next_event_key();
-    }
-    const std::uint64_t extra = rng.next_below(3);
-    for (std::uint64_t k = 0; k < extra && st.budget > 0; ++k) {
-      --st.budget;
-      const std::uint64_t kind = rng.next_below(4);
-      Time d = 0;
-      if (kind == 0) {
-        d = rng.next_below(2500);  // near: below the cursor when rewound
-      } else if (kind == 1) {
-        // Horizon edge: beyond now()+horizon yet possibly within the
-        // fast-forwarded cursor's window (the lap-early aliasing shape).
-        d = 2 * 1000 * 1000 + rng.next_below(400 * 1000);
-      } else {
-        d = 3 * 1000 * 1000 + rng.next_below(20 * 1000 * 1000);  // far
-      }
-      st.schedule(d);
-    }
-  }
-  return st.trace;
-}
-
-TEST(SchedulerDifferential, BitIdenticalDispatchVsLegacyKernel) {
-  for (std::uint64_t seed : {1ull, 42ull, 0xDEADBEEFull}) {
-    const auto a = run_storm<Simulator>(seed);
-    const auto b = run_storm<LegacySimulator>(seed);
-    ASSERT_EQ(a.size(), b.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], b[i]) << "divergence at event " << i << ", seed "
-                            << seed;
-    }
-  }
 }
 
 }  // namespace

@@ -7,11 +7,13 @@ benchmark binaries (``bench_*``), test suites (``test_*``), tracked
 benchmark histories (``BENCH_*.json``) and backticked source paths
 (``src/...``, ``tests/...``, ``tools/...``, ``bench/...``,
 ``examples/...``, and ``sim/...``, ``noc/...``, ``exp/...`` under src/),
-backticked qualified names (``Class::member``, ``ns::name``) and
-backticked call forms (``name(`` / ``name()``) — and verifies each one
+backticked qualified names (``Class::member``, ``ns::name``),
+backticked call forms (``name(`` / ``name()``) and backticked test
+cases (``Suite.Case``, ``test_binary.Case``) — and verifies each one
 against ground truth: ``mango_sweep --list-presets`` / ``--help``
-output, the repository tree, and the identifiers of the code (comments
-and docstrings stripped) under src/ and tools/.  Exits nonzero listing
+output, the repository tree, the identifiers of the code (comments
+and docstrings stripped) under src/ and tools/, and the ``TEST``,
+``TEST_F`` and ``TEST_P`` declarations under tests/.  Exits nonzero listing
 every dangling reference, so CI fails when a rename or removal leaves
 the docs behind.
 
@@ -45,6 +47,13 @@ QUALIFIED_RE = re.compile(r"(?<![\w:])([A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)+)")
 # ``next_event_key()``), so prose parentheses in a span are not calls.
 CALL_RE = re.compile(r"(?<![\w:])([A-Za-z_]\w*)\((?=[^`]*\))")
 FOREIGN_NAMESPACES = {"std"}
+
+# ``Suite.Case`` (a gtest suite and case) or ``test_binary.Case`` (a case
+# in tests/test_binary.cpp): the case is capitalized, which keeps file
+# names (``ROADMAP.md``, ``E7.txt``) out.
+TEST_REF_RE = re.compile(
+    r"(?<![\w./])([A-Z]\w*|test_[a-z0-9_]+)\.([A-Z]\w*)(?![\w.])")
+TEST_DECL_RE = re.compile(r"\bTEST(?:_F|_P)?\(\s*(\w+)\s*,\s*(\w+)\s*\)")
 
 # Flags that appear in docs but belong to other tools (cmake, ctest,
 # benchmark binaries, perfbench, git) rather than mango_sweep.  Anything
@@ -118,6 +127,31 @@ def collect_identifiers(repo):
     return idents
 
 
+def collect_test_cases(repo):
+    """Every (suite, case) declared under tests/, and (binary, case) for
+    the test_*.cpp file that declares it."""
+    cases = set()
+    for f in (repo / "tests").rglob("*.cpp"):
+        for suite, case in TEST_DECL_RE.findall(
+                strip_comments(f, f.read_text())):
+            cases.add((suite, case))
+            cases.add((f.stem, case))
+    return cases
+
+
+def check_test_names(path, cases, where):
+    """Every backticked ``Suite.Case`` / ``test_binary.Case`` must name a
+    TEST, TEST_F or TEST_P under tests/."""
+    errors = []
+    for span in re.findall(r"`([^`\n]+)`", path.read_text()):
+        for suite, case in TEST_REF_RE.findall(span):
+            if (suite, case) not in cases:
+                ref = f"{suite}.{case}"
+                errors.append(f"{where(ref)}: test `{ref}` is declared by "
+                              "no TEST/TEST_F/TEST_P in tests/")
+    return errors
+
+
 def check_identifiers(path, idents, where):
     """Every backticked ``A::B`` and ``name(`` must name code that exists.
 
@@ -145,7 +179,8 @@ def check_identifiers(path, idents, where):
     return errors
 
 
-def check_doc(path, presets, flags, benches, tests, bench_json, idents):
+def check_doc(path, presets, flags, benches, tests, bench_json, idents,
+              cases):
     errors = []
     text = path.read_text()
     lines = text.splitlines()
@@ -205,6 +240,7 @@ def check_doc(path, presets, flags, benches, tests, bench_json, idents):
 
     errors += check_paths(path, path.parent, where)
     errors += check_identifiers(path, idents, where)
+    errors += check_test_names(path, cases, where)
     return errors
 
 
@@ -245,6 +281,7 @@ def main():
     presets, flags, benches, tests, bench_json = collect_ground_truth(
         opts.sweep_bin, repo)
     idents = collect_identifiers(repo)
+    cases = collect_test_cases(repo)
     if not presets:
         print("could not parse any presets from --list-presets",
               file=sys.stderr)
@@ -253,7 +290,7 @@ def main():
     errors = []
     for doc in DOC_FILES:
         errors += check_doc(repo / doc, presets, flags, benches, tests,
-                            bench_json, idents)
+                            bench_json, idents, cases)
 
     readme_flags = set(re.findall(r"--[a-z][a-z0-9-]*",
                                   (repo / "README.md").read_text()))
@@ -271,8 +308,8 @@ def main():
         checked = ", ".join(DOC_FILES)
         print(f"doc cross-links ok ({checked}: {len(presets)} presets, "
               f"{len(flags)} flags, {len(benches)} benches, "
-              f"{len(tests)} test suites, {len(idents)} code identifiers "
-              "on record)")
+              f"{len(tests)} test suites, {len(idents)} code identifiers, "
+              f"{len(cases)} suite and binary case names on record)")
     return 1 if errors else 0
 
 
