@@ -408,8 +408,10 @@ namespace {
 /// throughput bound, or paced just under its guarantee for the latency
 /// bound (a saturated probe queues behind itself, which the lone-flit
 /// worst case deliberately excludes). Three 2-hop saturating
-/// connections start at every path node, so each path link carries the
-/// probe and up to 6 other VCs.
+/// connections start at every path node, so the first path link carries
+/// the probe and the 3 VCs that start at (0,0) (the probe and those 3
+/// use all four of its local GS interfaces), and every later path link
+/// the probe and 6 other VCs.
 MultihopRow run_probe(unsigned hops, bool saturate) {
   Fabric f(mesh(8, 2));
   const NodeId dst{static_cast<std::uint16_t>(hops), 0};
@@ -429,8 +431,9 @@ MultihopRow run_probe(unsigned hops, bool saturate) {
 }
 
 void print_e7() {
-  std::printf("E7 — End-to-end guarantees over multi-hop connections, "
-              "every path link contended by 6 other saturating VCs\n\n");
+  std::printf("E7 — End-to-end guarantees over multi-hop connections, the "
+              "first path link contended by 3 other saturating VCs, every "
+              "later one by 6\n\n");
   const double guarantee = model::fair_share_guarantee_flits_per_ns(kWorst, 8);
   std::printf("hard lower bound: %.4f flits/ns (1/8 of the link)\n\n",
               guarantee);

@@ -85,7 +85,8 @@ struct IndependenceRow {
 };
 std::vector<IndependenceRow> gs_be_independence(std::uint64_t be_seed = 77);
 
-/// E7: a 1..6-hop probe, every path link contended by 6 saturating VCs:
+/// E7: a 1..6-hop probe, its first path link contended by 3 saturating
+/// VCs and every later one by 6:
 /// saturated for throughput, paced just under 1/8 for latency (ns).
 struct MultihopRow {
   unsigned hops;

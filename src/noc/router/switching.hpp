@@ -19,11 +19,11 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 
 #include "noc/common/config.hpp"
 #include "noc/common/flit.hpp"
 #include "noc/common/ids.hpp"
+#include "sim/callback.hpp"
 #include "sim/simulator.hpp"
 
 namespace mango::noc {
@@ -37,8 +37,8 @@ class SwitchingModule {
     std::uint8_t half = 0; ///< GS: which 4x4 half-switch
   };
 
-  using GsSink = std::function<void(VcBufferId, Flit&&)>;
-  using BeSink = std::function<void(PortIdx in_port, Flit&&)>;
+  using GsSink = sim::InlineFunction<void(VcBufferId, Flit&&)>;
+  using BeSink = sim::InlineFunction<void(PortIdx in_port, Flit&&)>;
 
   SwitchingModule(sim::Simulator& sim, const RouterConfig& cfg,
                   const StageDelays& delays);

@@ -22,14 +22,38 @@ class ModelError : public std::runtime_error {
 
 [[noreturn]] inline void model_fail(const std::string& msg) { throw ModelError(msg); }
 
+namespace detail {
+
+/// Builds and throws the MANGO_ASSERT failure text.
+[[noreturn]] [[gnu::cold]] [[gnu::noinline]] inline void invariant_fail(
+    const std::string& msg, const char* cond, const char* file, int line) {
+  std::string what("invariant violated: ");
+  what.append(msg);
+  what.append(" [").append(cond).append("] at ").append(file);
+  what.append(":").append(std::to_string(line));
+  model_fail(what);
+}
+
+/// The out-of-line failure path of one MANGO_ASSERT site. The message is
+/// a lambda so its construction (string concatenation, to_string) is
+/// compiled here, away from the checking function, and runs only when
+/// the check fails.
+template <typename Msg>
+[[noreturn]] [[gnu::cold]] [[gnu::noinline]] void assert_fail(
+    const Msg& msg, const char* cond, const char* file, int line) {
+  invariant_fail(msg(), cond, file, line);
+}
+
+}  // namespace detail
 }  // namespace mango
 
-/// Checks an architectural invariant; throws mango::ModelError on failure.
-#define MANGO_ASSERT(cond, msg)                                               \
-  do {                                                                        \
-    if (!(cond)) {                                                            \
-      ::mango::model_fail(std::string("invariant violated: ") + (msg) +      \
-                          " [" #cond "] at " __FILE__ ":" +                   \
-                          std::to_string(__LINE__));                          \
-    }                                                                         \
+/// Checks an architectural invariant; throws mango::ModelError on failure
+/// with the text "invariant violated: <msg> [<cond>] at <file>:<line>".
+/// `msg` is evaluated only when `cond` is false.
+#define MANGO_ASSERT(cond, msg)                                           \
+  do {                                                                    \
+    if (__builtin_expect(!(cond), 0)) {                                   \
+      ::mango::detail::assert_fail([&] { return std::string(msg); },      \
+                                   #cond, __FILE__, __LINE__);            \
+    }                                                                     \
   } while (false)

@@ -6,79 +6,26 @@
 
 namespace mango::sim {
 
-Simulator::EventNode* Simulator::alloc_node() {
-  if (free_list_ == nullptr) {
-    slabs_.push_back(std::make_unique<EventNode[]>(kSlabNodes));
-    EventNode* block = slabs_.back().get();
-    for (std::size_t i = 0; i < kSlabNodes; ++i) {
-      block[i].next = free_list_;
-      free_list_ = &block[i];
-    }
+Simulator::EventNode* Simulator::refill_free_list() {
+  slabs_.push_back(std::make_unique<EventNode[]>(kSlabNodes));
+  EventNode* block = slabs_.back().get();
+  for (std::size_t i = 0; i < kSlabNodes; ++i) {
+    block[i].next = free_list_;
+    free_list_ = &block[i];
   }
-  EventNode* n = free_list_;
-  free_list_ = n->next;
-  n->next = nullptr;
-  return n;
+  return free_list_;
 }
 
-void Simulator::free_node(EventNode* n) {
-  n->next = free_list_;
-  free_list_ = n;
+void Simulator::push_overflow(EventNode* n) {
+  overflow_.push_back(n);
+  std::push_heap(overflow_.begin(), overflow_.end(), HeapLater{});
+  overflow_top_ = std::min(overflow_top_, n->key);
 }
 
-void Simulator::insert(EventNode* n) {
-  if (pending_ == 0) {
-    // Queue fully drained: re-anchor the wheel at the current time so the
-    // cursor starts at (or below) the new event's granule (run_until may
-    // have advanced now() far past the stale cursor).
-    cur_granule_ = granule_of(now_);
-  } else if (granule_of(n->key.time) < cur_granule_) {
-    // The cursor fast-forwarded past this granule (next_event_key()
-    // scanning ahead of a declined run_before bound). Rewind it to
-    // now()'s granule: every pending event has time >= now() and — by the
-    // now()-anchored admission bound below — every wheel event's granule
-    // lies in [granule(now), granule(now) + kWheelSize), so the rewound
-    // cursor sits at or below every wheel event and each bucket still
-    // holds events of a single granule.
-    cur_granule_ = granule_of(now_);
-  }
-  ++pending_;
-  // Wheel admission is bounded by now(), NOT the cursor: the cursor may
-  // legitimately sit anywhere in [granule(now), granule(now) + kWheelSize)
-  // after fast-forwarding, and a cursor-relative bound would admit events
-  // that alias into an already-passed bucket — and so dispatch one full
-  // wheel lap early — once a near insert rewinds the cursor.
-  if (granule_of(n->key.time) < granule_of(now_) + kWheelSize) {
-    insert_wheel(n);
-  } else {
-    overflow_.push_back(n);
-    std::push_heap(overflow_.begin(), overflow_.end(), HeapLater{});
-    overflow_top_ = std::min(overflow_top_, n->key);
-  }
-}
-
-void Simulator::insert_wheel(EventNode* n) {
-  const std::size_t idx = granule_of(n->key.time) & kWheelMask;
+void Simulator::insert_sorted(EventNode* n, std::size_t idx) {
   Bucket& b = wheel_[idx];
-  ++wheel_count_;
   EventNode* const head = b.head;
-  if (head == nullptr) {
-    n->prev = n;  // a lone node is its own tail
-    n->next = nullptr;
-    b.head = n;
-    mark_occupied(idx);
-    return;
-  }
-  // Fast path: sequence numbers grow monotonically and most events are
-  // scheduled time-forward, so the overwhelmingly common case appends.
   EventNode* const tail = head->prev;
-  if (earlier(tail, n)) {
-    n->prev = tail;
-    n->next = nullptr;
-    tail->next = n;
-    head->prev = n;
-    return;
-  }
   // Out-of-order within the bucket (a shorter delay scheduled after a
   // longer one landing in the same granule): sorted insert, searching
   // BACKWARD from the tail and stopping at the head (whose prev link
@@ -115,7 +62,7 @@ Simulator::EventNode* Simulator::pop_overflow() {
 }
 
 void Simulator::migrate_overflow() {
-  // Same now()-anchored horizon as insert(): migrating against the cursor
+  // Same now()-anchored horizon as schedule(): migrating against the cursor
   // would re-create the one-lap-early aliasing that admission avoids.
   while (!overflow_.empty() &&
          granule_of(overflow_top_.time) < granule_of(now_) + kWheelSize) {
@@ -125,37 +72,61 @@ void Simulator::migrate_overflow() {
   }
 }
 
-Simulator::EventNode* Simulator::pop_earliest() {
+template <bool kBounded>
+Simulator::EventNode* Simulator::pop_next(EventKey bound) {
+  if (granule_of(overflow_top_.time) < granule_of(now_) + kWheelSize) {
+    if (granule_of(overflow_top_.time) < cur_granule_) {
+      // A peek fast-forwarded the cursor past the overflow top's granule
+      // (an overflow event older than every wheel event). Rewind to
+      // now()'s granule — at or below every pending granule — so the
+      // migration below lands it ahead of the cursor, not behind it.
+      cur_granule_ = granule_of(now_);
+    }
+    migrate_overflow();
+  }
+  // Every overflow event now lies past the wheel horizon, so a non-empty
+  // wheel holds the earliest event: the head of its first occupied
+  // bucket (buckets are sorted and one granule each).
   if (wheel_count_ == 0) {
     // Everything pending lives beyond the horizon: pop the overflow heap
     // directly and re-anchor the cursor at the popped event's granule.
-    // step() sets now() to its time before dispatch, so the remaining
-    // overflow (all with time >= this one) stays ahead of the window.
+    // The dispatch sets now() to its time, so the remaining overflow
+    // (all with time >= this one) stays ahead of the window.
+    if (overflow_.empty() || (kBounded && !(overflow_top_ < bound))) {
+      return nullptr;
+    }
     EventNode* n = pop_overflow();
     cur_granule_ = granule_of(n->key.time);
     --pending_;
     return n;
   }
-  if (!overflow_.empty() && granule_of(overflow_top_.time) < cur_granule_) {
-    // next_event_key() fast-forwarded the cursor past the overflow
-    // top's granule (an overflow event older than every wheel event).
-    // Rewind to now()'s granule — at or below every pending granule — so
-    // the migration below lands it ahead of the cursor, not behind it.
-    cur_granule_ = granule_of(now_);
-  }
-  migrate_overflow();
   skip_to_occupied();
-  Bucket* b = &wheel_[cur_granule_ & kWheelMask];
-  EventNode* n = b->head;
-  b->head = n->next;
-  if (b->head == nullptr) {
-    mark_empty(cur_granule_ & kWheelMask);
+  const std::size_t idx = cur_granule_ & kWheelMask;
+  Bucket& b = wheel_[idx];
+  EventNode* n = b.head;
+  if (kBounded && !(n->key < bound)) return nullptr;
+  b.head = n->next;
+  if (b.head == nullptr) {
+    mark_empty(idx);
   } else {
-    b->head->prev = n->prev;  // the tail
+    b.head->prev = n->prev;  // the tail
   }
   --wheel_count_;
   --pending_;
   return n;
+}
+
+void Simulator::dispatch(EventNode* n) {
+  now_ = n->key.time;
+  ++dispatched_;
+  // Dispatch straight from the node — the node is unlinked, so handlers
+  // may freely schedule new events (those draw fresh nodes); it is
+  // recycled after the call returns. If the handler throws (model
+  // errors in failure-injection tests), the node is simply orphaned
+  // until slab teardown — never double-used.
+  dispatcher_(n->ev);
+  n->next = free_list_;
+  free_list_ = n;
 }
 
 std::size_t Simulator::next_occupied(std::size_t idx) const {
@@ -190,12 +161,11 @@ EventKey Simulator::next_event_key() {
   EventKey best = overflow_top_;
   if (wheel_count_ > 0) {
     // A wheel event exists within the horizon, so the skip terminates.
-    // Advancing the cursor over the empty buckets is safe — pop_earliest
-    // would skip them anyway, and insert() rewinds the cursor if a later
-    // schedule lands below it — and lets the step() that typically
-    // follows start at the non-empty bucket found here. The head of the
-    // first non-empty bucket is the wheel minimum (buckets are sorted
-    // and one granule each, so time order dominates across buckets).
+    // Advancing the cursor over the empty buckets is safe — pop_next()
+    // would skip them anyway, and schedule() rewinds the cursor if a
+    // later schedule lands below it. The head of the first non-empty
+    // bucket is the wheel minimum (buckets are sorted and one granule
+    // each, so time order dominates across buckets).
     skip_to_occupied();
     best = std::min(best, wheel_[cur_granule_ & kWheelMask].head->key);
   }
@@ -204,8 +174,8 @@ EventKey Simulator::next_event_key() {
 
 std::uint64_t Simulator::run_before(EventKey bound) {
   std::uint64_t n = 0;
-  while (pending_ != 0 && next_event_key() < bound) {
-    step();
+  while (EventNode* e = pop_next<true>(bound)) {
+    dispatch(e);
     ++n;
   }
   if (now_ < bound.time) {
@@ -214,7 +184,7 @@ std::uint64_t Simulator::run_before(EventKey bound) {
     // correct when every wheel event lies within one lap of the cursor,
     // and admission bounds events by granule(now) + kWheelSize. The jump
     // cannot pass a non-empty bucket: every pending key is at or after
-    // `bound`, so every pending time is at least bound.time. (step()
+    // `bound`, so every pending time is at least bound.time. (A dispatch
     // maintains the invariant by itself: the popped event's granule,
     // where the cursor ends up, is granule(new now).)
     if (cur_granule_ < granule_of(now_)) cur_granule_ = granule_of(now_);
@@ -223,17 +193,9 @@ std::uint64_t Simulator::run_before(EventKey bound) {
 }
 
 bool Simulator::step() {
-  if (pending_ == 0) return false;
-  EventNode* n = pop_earliest();
-  now_ = n->key.time;
-  ++dispatched_;
-  // Dispatch straight from the node — the node is unlinked, so handlers
-  // may freely schedule new events (those draw fresh nodes); it is
-  // recycled after the call returns. If the handler throws (model
-  // errors in failure-injection tests), the node is simply orphaned
-  // until slab teardown — never double-used.
-  dispatcher_(n->ev);
-  free_node(n);
+  EventNode* e = pop_next<false>(EventKey{});
+  if (e == nullptr) return false;
+  dispatch(e);
   return true;
 }
 

@@ -169,11 +169,7 @@ class Simulator {
     MANGO_ASSERT(t >= now_, "cannot schedule an event in the past");
     MANGO_ASSERT(dispatcher_ != nullptr,
                  "event scheduled on a kernel with no dispatcher");
-    EventNode* n = alloc_node();
-    n->key = EventKey{t, now_};
-    n->seq = next_seq_++;
-    n->ev = ev;
-    insert(n);
+    schedule(EventKey{t, now_}, ev);
   }
 
   /// Schedules a record after `delay` picoseconds.
@@ -191,17 +187,14 @@ class Simulator {
     MANGO_ASSERT(at.causal(), "admitted birth must not exceed the event time");
     MANGO_ASSERT(dispatcher_ != nullptr,
                  "event admitted on a kernel with no dispatcher");
-    EventNode* n = alloc_node();
-    n->key = at;
-    n->seq = next_seq_++;
-    n->ev = ev;
-    insert(n);
+    schedule(at, ev);
   }
 
-  /// Earliest pending key; EventKey{} (time kTimeNever) when idle.
-  /// Fast-forwards the wheel cursor over empty buckets as a side effect,
-  /// so a peek-then-step sequence (run_before's loop) scans each bucket
-  /// once.
+  /// Earliest pending key; EventKey{} (time kTimeNever) when idle. A
+  /// peek for the shard engine's horizon scan and the tests; the run
+  /// loops do not call it. Fast-forwards the wheel cursor over empty
+  /// buckets as a side effect, so the pop that follows starts at the
+  /// bucket found here.
   EventKey next_event_key();
 
   /// Dispatches every event whose key is before `bound`, then parks
@@ -300,12 +293,71 @@ class Simulator {
     return a->key == b->key ? a->seq < b->seq : a->key < b->key;
   }
 
-  EventNode* alloc_node();
-  void free_node(EventNode* n);
-  void insert(EventNode* n);
-  void insert_wheel(EventNode* n);
+  /// The schedule path. Inline: the free-list pop, the cursor rewind
+  /// check and the wheel's empty-bucket and tail-append cases. Out of
+  /// line: the slab refill, the overflow push and the backward sorted
+  /// insert.
+  void schedule(EventKey key, const TypedEvent& ev) {
+    EventNode* n = free_list_;
+    if (n == nullptr) n = refill_free_list();
+    free_list_ = n->next;
+    n->key = key;
+    n->seq = next_seq_++;
+    n->ev = ev;
+    const std::uint64_t g = granule_of(key.time);
+    if (pending_ == 0 || g < cur_granule_) {
+      // Queue drained (run_until may have moved now() far past the stale
+      // cursor), or a peek fast-forwarded the cursor past this granule:
+      // re-anchor at now()'s granule. Every pending event has time >=
+      // now() and — by the now()-anchored admission bound below — every
+      // wheel event's granule lies in [granule(now), granule(now) +
+      // kWheelSize), so the cursor sits at or below every wheel event
+      // and each bucket still holds events of a single granule.
+      cur_granule_ = granule_of(now_);
+    }
+    ++pending_;
+    // Wheel admission is bounded by now(), NOT the cursor: the cursor may
+    // legitimately sit anywhere in [granule(now), granule(now) +
+    // kWheelSize) after fast-forwarding, and a cursor-relative bound
+    // would admit events that alias into an already-passed bucket — and
+    // so dispatch one full wheel lap early — once a near insert rewinds
+    // the cursor.
+    if (g < granule_of(now_) + kWheelSize) {
+      insert_wheel(n);
+    } else {
+      push_overflow(n);
+    }
+  }
+  void insert_wheel(EventNode* n) {
+    const std::size_t idx = granule_of(n->key.time) & kWheelMask;
+    ++wheel_count_;
+    EventNode* const head = wheel_[idx].head;
+    if (head == nullptr) {
+      n->prev = n;  // a lone node is its own tail
+      n->next = nullptr;
+      wheel_[idx].head = n;
+      mark_occupied(idx);
+      return;
+    }
+    // Sequence numbers grow monotonically and most events are scheduled
+    // time-forward, so the overwhelmingly common case appends.
+    EventNode* const tail = head->prev;
+    if (earlier(tail, n)) {
+      n->prev = tail;
+      n->next = nullptr;
+      tail->next = n;
+      head->prev = n;
+      return;
+    }
+    insert_sorted(n, idx);
+  }
+  /// Carves a slab into the empty free list; returns its first node.
+  EventNode* refill_free_list();
+  void push_overflow(EventNode* n);
+  /// Out-of-order wheel insert into the non-empty bucket `idx`.
+  void insert_sorted(EventNode* n, std::size_t idx);
   /// Occupancy-bitmap maintenance: exactly insert_wheel() marks and
-  /// pop_earliest() clears, so a bit is set iff its bucket has a head.
+  /// pop_next() clears, so a bit is set iff its bucket has a head.
   void mark_occupied(std::size_t idx) {
     occ_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
     occ_l1_[idx >> 12] |= std::uint64_t{1} << ((idx >> 6) & 63);
@@ -330,8 +382,13 @@ class Simulator {
   EventNode* pop_overflow();
   /// Moves every overflow event now inside the wheel horizon into the wheel.
   void migrate_overflow();
-  /// Unlinks and returns the earliest pending event (caller checks pending_).
-  EventNode* pop_earliest();
+  /// The one pop routine behind run_before(), step() and run(): unlinks
+  /// and returns the earliest pending event if its key is before `bound`
+  /// (any key when !kBounded), else returns null and leaves it pending.
+  template <bool kBounded>
+  EventNode* pop_next(EventKey bound);
+  /// Advances the clock to `n`'s time, dispatches it and recycles it.
+  void dispatch(EventNode* n);
 
   // Slab storage: nodes are carved in blocks and recycled via free_list_;
   // nothing is returned to the system until destruction.
@@ -352,7 +409,7 @@ class Simulator {
   /// migration are bounded by now(), so each bucket holds events of one
   /// granule only — and the cursor never passes a non-empty bucket, so
   /// cur_granule_ <= the minimum wheel granule whenever the wheel is
-  /// non-empty (insert() rewinds it to granule(now) otherwise).
+  /// non-empty (schedule() rewinds it to granule(now) otherwise).
   std::uint64_t cur_granule_ = 0;
 
   static constexpr std::size_t kFoldCompactLimit = 4096;
@@ -377,8 +434,8 @@ class Simulator {
   /// Beyond-horizon events: min-heap on (key, seq) — see HeapLater.
   std::vector<EventNode*> overflow_;
   /// Key of the overflow top (EventKey{} when empty), kept on every
-  /// push and pop: the per-pop horizon checks and run_before's bound
-  /// check read it instead of the top node, which is usually cold.
+  /// push and pop: pop_next()'s horizon and bound checks read it instead
+  /// of the top node, which is usually cold.
   EventKey overflow_top_;
   /// Unsorted ledger of declared folded-hop times not yet retired.
   std::vector<Time> folds_;

@@ -389,12 +389,16 @@ TEST(Scheduler, RecordReachesTheDispatcherByteForByte) {
 //     wheel lap early if the horizon is checked against the cursor
 //     instead of now();
 //   * each round peeks next_event_key(), which must equal the oracle's
-//     minimum, then runs to a random bound of one of four shapes: a
-//     window {t, 0}, a pending key {t, b}, {t, kTimeNever}, or a
-//     run_until() segment of up to 6 us.
-// Every run call must dispatch exactly the oracle's prefix below its
-// bound, return its length and park now() at bound.time. Every class
-// and shape must occur for every seed; the counts are printed.
+//     minimum, then drives one of the kernel's popping entry points: a
+//     run_before() to a window {t, 0}, a pending key {t, b} or
+//     {t, kTimeNever}; a run_until() segment of up to 6 us; 1-4 step()
+//     calls; or, once the budget is spent, a run() that drains the
+//     queue.
+// Every bounded run call must dispatch exactly the oracle's prefix below
+// its bound, return its length and park now() at bound.time. Each
+// step() dispatches the oracle's minimum and returns false only when
+// nothing is pending; run() dispatches everything. Every class and
+// shape must occur for every seed; the counts are printed.
 bool key_before(EventKey a, EventKey b) {
   return std::tie(a.time, a.birth) < std::tie(b.time, b.birth);
 }
@@ -432,10 +436,12 @@ enum BoundShape : std::size_t {
   kPendingKey,  // a pending event's {t, b}
   kThrough,     // {t, kTimeNever}
   kSegment,     // run_until(t), t up to 6 us ahead
+  kStep,        // 1-4 step() calls
+  kRun,         // run(), drawn only once the budget is spent
   kBoundShapes
 };
 constexpr std::array<const char*, kBoundShapes> kShapeNames = {
-    "window", "pending-key", "through", "segment"};
+    "window", "pending-key", "through", "segment", "step", "run"};
 
 struct OracleRun {
   Simulator sim;
@@ -444,6 +450,7 @@ struct OracleRun {
   std::size_t wheel_pending = 0;  // pending entries flagged `wheel`
   EventKey bound;                 // of the run call in progress
   std::uint64_t fired = 0;
+  Time last_fired = 0;            // the time of the latest dispatch
   std::string failure;            // the first dispatch off the oracle
   std::uint32_t next_id = 0;
   std::uint64_t budget = 20000;   // follow-ups handlers may still schedule
@@ -498,6 +505,7 @@ struct OracleRun {
 
   void fire(std::uint32_t id) {
     ++fired;
+    last_fired = sim.now();
     if (pending.empty()) return note(id, "nothing is pending");
     const OracleEntry e = *pending.begin();
     pending.erase(pending.begin());
@@ -566,7 +574,30 @@ TEST(Scheduler, RunBeforeDispatchesTheSortedPrefixBelowEachBound) {
         }
       }
 
-      const auto shape = static_cast<BoundShape>(rng.next_below(kBoundShapes));
+      const auto shape = static_cast<BoundShape>(
+          rng.next_below(o.budget > 0 ? kRun : kBoundShapes));
+      ++shapes[shape];
+      const std::uint64_t fired_before = o.fired;
+      if (shape == kStep || shape == kRun) {
+        // No bound: every dispatch is the oracle's minimum.
+        o.bound = EventKey{kTimeNever, kTimeNever};
+        std::uint64_t n = 0;
+        if (shape == kRun) {
+          n = o.sim.run();
+          ASSERT_TRUE(o.pending.empty()) << where << ": run() left events";
+        } else {
+          for (std::uint64_t k = 1 + rng.next_below(4); k > 0; --k) {
+            const bool had = !o.pending.empty();
+            ASSERT_EQ(o.sim.step(), had) << where;
+            n += had;
+          }
+        }
+        ASSERT_TRUE(o.failure.empty()) << where << ": " << o.failure;
+        ASSERT_EQ(n, o.fired - fired_before) << where;
+        ASSERT_EQ(o.sim.now(), n > 0 ? o.last_fired : now) << where;
+        ASSERT_EQ(o.sim.pending(), o.pending.size()) << where;
+        continue;
+      }
       EventKey bound;
       if (shape == kPendingKey && !o.pending.empty()) {
         auto it = o.pending.begin();
@@ -579,9 +610,7 @@ TEST(Scheduler, RunBeforeDispatchesTheSortedPrefixBelowEachBound) {
         const Time t = now + rng.next_below(30000);
         bound = shape == kWindow ? EventKey{t, 0} : EventKey{t, kTimeNever};
       }
-      ++shapes[shape];
       o.bound = bound;
-      const std::uint64_t fired_before = o.fired;
       const std::uint64_t n = shape == kSegment
                                   ? o.sim.run_until(bound.time)
                                   : o.sim.run_before(bound);
@@ -617,6 +646,38 @@ TEST(Scheduler, RunBeforeDispatchesTheSortedPrefixBelowEachBound) {
     }
     std::printf("\n");
   }
+}
+
+// The pop routine migrates overflow events that have come inside the
+// horizon before it compares the earliest key with the bound, so a
+// run_before() can migrate an event and then decline to dispatch it.
+// Here a peek has also fast-forwarded the cursor past the migrant's
+// granule: O sits in the overflow, W in the wheel after it, and the
+// peek leaves the cursor on W. run_before() must rewind the cursor,
+// migrate O, and decline; the next dispatch is still the oracle's
+// minimum, O, not W.
+TEST(Scheduler, RunBeforeDeclinesItsBoundRightAfterAMigration) {
+  OracleRun o(1);
+  o.budget = 0;  // handlers schedule no follow-ups
+  o.schedule(kHorizon + 100);  // O, id 0: beyond the horizon at t = 0
+  o.bound = EventKey{200, kTimeNever};
+  ASSERT_EQ(o.sim.run_until(200), 0u);
+  o.schedule(kHorizon - 1);  // W, id 1: in the wheel, after O
+  const EventKey peek = o.sim.next_event_key();  // leaves the cursor on W
+  ASSERT_EQ(peek.time, kHorizon + 100);           // O's key
+  ASSERT_EQ(peek.birth, 0u);
+
+  o.bound = EventKey{kHorizon + 50, kTimeNever};
+  ASSERT_EQ(o.sim.run_before(o.bound), 0u);  // migrates O, then declines
+  ASSERT_EQ(o.sim.now(), kHorizon + 50);
+  ASSERT_EQ(o.sim.pending(), 2u);
+
+  o.bound = EventKey{kTimeNever, kTimeNever};
+  ASSERT_TRUE(o.sim.step());
+  ASSERT_TRUE(o.failure.empty()) << o.failure;
+  EXPECT_EQ(o.sim.run(), 1u);
+  EXPECT_TRUE(o.failure.empty()) << o.failure;
+  EXPECT_TRUE(o.pending.empty());
 }
 
 TEST(InlineFunctionTest, InlineCapturesDoNotAllocate) {

@@ -1,8 +1,10 @@
 // Unit tests for the discrete-event kernel.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "sim/assert.hpp"
 #include "sim/simulator.hpp"
 #include "typed_recorder.hpp"
 
@@ -114,6 +116,33 @@ TEST(Simulator, SchedulingWithoutADispatcherIsAModelError) {
   sim.at_typed(10, r.id(1));
   sim.run();
   EXPECT_EQ(r.order, (std::vector<int>{1}));
+}
+
+// MANGO_ASSERT's contract: a passing check never evaluates its message
+// (the failure path, message included, is out of line), and a failing
+// one throws ModelError with the exact text
+// "invariant violated: <msg> [<cond>] at <file>:<line>".
+TEST(ModelAssert, MessageIsEvaluatedOnlyOnFailureAndKeepsItsText) {
+  int evaluated = 0;
+  const auto message = [&evaluated](int v) {
+    ++evaluated;
+    return "value " + std::to_string(v);
+  };
+  const int v = 7;
+  for (int i = 0; i < 3; ++i) MANGO_ASSERT(v == 7, message(v));
+  EXPECT_EQ(evaluated, 0);
+
+  std::string what;
+  int line = 0;
+  try {
+    line = __LINE__ + 1;
+    MANGO_ASSERT(v < 3, message(v));
+  } catch (const ModelError& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_EQ(what, "invariant violated: value 7 [v < 3] at " __FILE__ ":" +
+                      std::to_string(line));
 }
 
 TEST(Simulator, ConflictingDispatchersAreAModelError) {
