@@ -55,8 +55,8 @@ void run_phase(const char* name, sim::Time be_interarrival_ps) {
   // An interarrival of 0 means "no BE traffic" in this example.
   std::vector<std::unique_ptr<BeTrafficSource>> be;
   if (be_interarrival_ps > 0) {
-    be = start_uniform_be(net, be_interarrival_ps, /*payload=*/6,
-                          /*seed=*/2026);
+    be = start_pattern_be(net, BePattern::kUniform, {}, be_interarrival_ps,
+                          /*payload=*/6, /*seed=*/2026);
   }
 
   hub.set_horizon(40_us);

@@ -8,6 +8,7 @@
 
 #include "baseline/output_buffered_router.hpp"
 #include "baseline/tdm_router.hpp"
+#include "exp/scenario.hpp"
 #include "model/power.hpp"
 #include "model/timing.hpp"
 #include "noc/network/connection_manager.hpp"
@@ -36,67 +37,74 @@ MeshConfig mesh(std::uint16_t width, std::uint16_t height) {
   return m;
 }
 
-/// One simulated MANGO fabric: context, network, a host at (0,0) that
-/// programs connections directly, a hub on every NA, and the traffic
-/// sources the experiment starts (destroyed before the network).
-struct Fabric {
+/// A width x height mesh scenario with no BE traffic and no GS set:
+/// the experiment adds its connections and, if any, its BE load.
+ScenarioSpec mesh_spec(std::uint16_t width, std::uint16_t height) {
+  ScenarioSpec s;
+  s.width = width;
+  s.height = height;
+  s.be_interarrival_ps = sim::kTimeNever;
+  return s;
+}
+
+/// Runs `spec` to `horizon`. The experiments' specs are valid by
+/// construction, so a failed run is a ModelError.
+ScenarioResult run_to(ScenarioSpec spec, sim::Time horizon) {
+  spec.duration_ps = horizon;
+  ScenarioResult r = run_scenario(spec);
+  if (!r.ok()) throw ModelError(r.error);
+  return r;
+}
+
+/// Flits each explicit connection delivered between the horizons of
+/// `from` and `to`, two runs of one spec. The shorter run is a prefix
+/// of the longer, and the hub counts each flit at its delivery instant,
+/// so the window is exact.
+std::vector<Delivered> window(const ScenarioResult& from,
+                              const ScenarioResult& to) {
+  std::vector<Delivered> out;
+  for (std::size_t i = 0; i < to.connections.size(); ++i) {
+    out.push_back({to.connections[i].flits - from.connections[i].flits,
+                   to.spec.duration_ps - from.spec.duration_ps});
+  }
+  return out;
+}
+std::vector<Delivered> window(const ScenarioSpec& spec, sim::Time warmup,
+                              sim::Time length) {
+  return window(run_to(spec, warmup), run_to(spec, warmup + length));
+}
+
+/// Saturates `vcs` VCs of the (2,0)->(3,0) link of a 4x2 mesh. Up to 4
+/// start at (2,0) and turn north after the link (XY routes x first);
+/// the rest route through from (1,0) and end at (3,0), since each node
+/// has only 4 local interfaces per direction.
+ScenarioSpec link_spec(unsigned vcs) {
+  ScenarioSpec s = mesh_spec(4, 2);
+  for (unsigned v = 1; v <= vcs; ++v) {
+    if (v <= 4) s.connections.push_back({{2, 0}, {3, 1}, {}});
+    else s.connections.push_back({{1, 0}, {3, 0}, {}});
+  }
+  return s;
+}
+
+/// One saturating VC (0,0)->(1,0) on `m`, run to `horizon`: the flits
+/// it delivered by then and their p50 latency [ns]. Link depth,
+/// signalling and skew are fabric parameters a ScenarioSpec does not
+/// carry, so E5 and E15 build the network directly.
+std::pair<std::uint64_t, double> single_vc_run(const MeshConfig& m,
+                                               sim::Time horizon) {
   sim::SimContext ctx;
-  Network net;
-  ConnectionManager mgr{net, NodeId{0, 0}};
+  Network net(ctx, m);
   MeasurementHub hub;
-  std::vector<std::unique_ptr<GsStreamSource>> gs;
-  std::vector<std::unique_ptr<BeTrafficSource>> be;
-
-  explicit Fabric(const MeshConfig& cfg) : net(ctx, cfg) {
-    attach_hub(net, hub);
-  }
-  sim::Simulator& sim() { return ctx.sim(); }
-
-  void saturate(NodeId src, NodeId dst, std::uint32_t tag) {
-    gs.push_back(saturate_connection(net, mgr, src, dst, tag));
-  }
-  void stream(NodeId src, NodeId dst, std::uint32_t tag,
-              GsStreamSource::Options opt) {
-    const Connection& c = mgr.open_direct(src, dst);
-    gs.push_back(
-        std::make_unique<GsStreamSource>(net.na(src), c.src_iface, tag, opt));
-    gs.back()->start();
-  }
-  /// Saturates `vcs` VCs of the (2,0)->(3,0) link, tags 1..vcs. Up to 4
-  /// start at (2,0) and turn north after the link (XY routes x first);
-  /// the rest route through from (1,0) and end at (3,0), since each node
-  /// has only 4 local interfaces per direction. Needs a 4x2 mesh.
-  void saturate_link(unsigned vcs) {
-    for (std::uint32_t t = 1; t <= vcs; ++t) {
-      if (t <= 4) saturate({2, 0}, {3, 1}, t);
-      else saturate({1, 0}, {3, 0}, t);
-    }
-  }
-  /// Runs to `warmup`, then `window` further, and returns the flits
-  /// each flow tagged 1..flows delivered in between.
-  std::vector<Delivered> delivered(sim::Time warmup, sim::Time window,
-                                   std::uint32_t flows) {
-    sim().run_until(warmup);
-    std::vector<std::uint64_t> base(flows + 1);
-    for (std::uint32_t t = 1; t <= flows; ++t) base[t] = hub.flow(t).flits;
-    sim().run_until(warmup + window);
-    std::vector<Delivered> out;
-    for (std::uint32_t t = 1; t <= flows; ++t) {
-      out.push_back({hub.flow(t).flits - base[t], window});
-    }
-    return out;
-  }
-  /// Latency histogram (ns) over every BE flow.
-  sim::Histogram be_latency(std::uint64_t* packets) {
-    sim::Histogram all;
-    for (auto& [tag, s] : hub.flows_by_tag()) {
-      if (tag < kBeTagBase) continue;
-      *packets += s->packets;
-      s->latency_ns.count_into(all);
-    }
-    return all;
-  }
-};
+  hub.set_horizon(horizon);
+  attach_hub(net, hub);
+  ConnectionManager mgr(net, {0, 0});
+  GsStreamSource source(net.na({0, 0}),
+                        mgr.open_direct({0, 0}, {1, 0}).src_iface, 1, {});
+  source.start();
+  ctx.run_until(horizon);
+  return {hub.flow(1).flits, hub.flow(1).latency_ns.p50()};
+}
 
 std::string ns_label(sim::Time ps) {
   return ps == 0 ? "none" : std::to_string(ps / 1000) + " ns";
@@ -166,14 +174,10 @@ std::vector<PortSpeedRow> port_speed() {
   std::vector<PortSpeedRow> rows;
   for (const auto& [corner, paper] :
        {std::pair{kWorst, 515.0}, std::pair{TimingCorner::kTypical, 795.0}}) {
-    MeshConfig m = mesh(4, 2);
-    m.router.corner = corner;
-    Fabric f(m);
-    f.saturate_link(8);
+    ScenarioSpec s = link_spec(8);
+    s.router.corner = corner;
     Delivered link{0, 4000_ns};
-    for (const Delivered& d : f.delivered(200_ns, 4000_ns, 8)) {
-      link.flits += d.flits;
-    }
+    for (const Delivered& d : window(s, 200_ns, 4000_ns)) link.flits += d.flits;
     rows.push_back({corner, paper, link});
   }
   return rows;
@@ -281,9 +285,7 @@ void print_e4() {
 std::vector<FairShareRow> fair_share() {
   std::vector<FairShareRow> rows;
   for (unsigned n = 1; n <= 8; ++n) {
-    Fabric f(mesh(4, 2));
-    f.saturate_link(n);
-    const std::vector<Delivered> vcs = f.delivered(300_ns, 6000_ns, n);
+    const std::vector<Delivered> vcs = window(link_spec(n), 300_ns, 6000_ns);
     FairShareRow r{n, vcs[0], vcs[0], 0.0};
     for (const Delivered& d : vcs) {
       if (d.flits < r.min_vc.flits) r.min_vc = d;
@@ -327,9 +329,10 @@ std::vector<SingleVcRow> single_vc() {
   for (unsigned stages : {1u, 2u, 3u, 4u, 6u}) {
     MeshConfig m = mesh(2, 2);
     m.link_pipeline_stages = stages;
-    Fabric f(m);
-    f.saturate({0, 0}, {1, 0}, 1);
-    rows.push_back({stages, f.delivered(300_ns, 6000_ns, 1)[0]});
+    rows.push_back({stages,
+                    {single_vc_run(m, 6300_ns).first -
+                         single_vc_run(m, 300_ns).first,
+                     6000_ns}});
   }
   return rows;
 }
@@ -349,16 +352,17 @@ void print_e6() {
   double gs_max = 0.0;
   std::uint64_t seq_errors = 0;
   for (const IndependenceRow& r : rows) {
-    p50_max = std::max(p50_max, r.gs_p50);
-    p99_max = std::max(p99_max, r.gs_p99);
-    gs_max = std::max(gs_max, r.gs_max);
-    seq_errors += r.gs_seq_errors;
+    p50_max = std::max(p50_max, r.gs.latency_p50_ns);
+    p99_max = std::max(p99_max, r.gs.latency_p99_ns);
+    gs_max = std::max(gs_max, r.gs.latency_max_ns);
+    seq_errors += r.gs.seq_errors;
     table.add_row({ns_label(r.be_interarrival_ps),
                    std::to_string(r.be_packets),
-                   TablePrinter::fmt(r.gs_p50, 2),
-                   TablePrinter::fmt(r.gs_p99, 2),
-                   TablePrinter::fmt(r.gs_max - r.gs_min, 2),
-                   std::to_string(r.gs_seq_errors),
+                   TablePrinter::fmt(r.gs.latency_p50_ns, 2),
+                   TablePrinter::fmt(r.gs.latency_p99_ns, 2),
+                   TablePrinter::fmt(
+                       r.gs.latency_max_ns - r.gs.latency_min_ns, 2),
+                   std::to_string(r.gs.seq_errors),
                    TablePrinter::fmt(r.be_p50, 1),
                    TablePrinter::fmt(r.be_p99, 1)});
   }
@@ -373,7 +377,8 @@ void print_e6() {
       "worst-case bound of %.1f ns, with %llu GS sequence errors: BE load\n"
       "moves GS latency inside the guarantee, never past it. BE latency, "
       "by contrast,\ngrows with its own load.\n",
-      rows.front().gs_p50, p50_max, rows.front().gs_p99, p99_max, gs_max,
+      rows.front().gs.latency_p50_ns, p50_max, rows.front().gs.latency_p99_ns,
+      p99_max, gs_max,
       bound_ns, static_cast<unsigned long long>(seq_errors));
 }
 }  // namespace
@@ -381,22 +386,17 @@ void print_e6() {
 std::vector<IndependenceRow> gs_be_independence(std::uint64_t be_seed) {
   std::vector<IndependenceRow> rows;
   for (sim::Time interarrival : {0, 80000, 40000, 20000, 10000, 6000}) {
-    Fabric f(mesh(4, 4));
+    ScenarioSpec s = mesh_spec(4, 4);
     GsStreamSource::Options paced;
     paced.period_ps = 16000;  // half the probe's guarantee
-    f.stream({0, 0}, {3, 3}, 1, paced);
-    if (interarrival > 0) {
-      f.be = start_uniform_be(f.net, interarrival, /*payload=*/6, be_seed);
-    }
-    f.hub.set_horizon(60_us);
-    f.sim().run_until(60_us);
-    std::uint64_t be_packets = 0;
-    const sim::Histogram be = f.be_latency(&be_packets);
-    const FlowStats& g = f.hub.flow(1);
-    rows.push_back({interarrival, be_packets, g.flits, g.seq_errors,
-                    g.latency_ns.p50(), g.latency_ns.p99(),
-                    g.latency_ns.quantile(0.0), g.latency_ns.max(), be.p50(),
-                    be.p99()});
+    s.connections.push_back({{0, 0}, {3, 3}, paced});
+    if (interarrival > 0) s.be_interarrival_ps = interarrival;
+    s.payload_words = 6;
+    s.seed = be_seed;
+    const ScenarioResult r = run_to(s, 60_us);
+    rows.push_back({interarrival, r.stats.be_packets_delivered,
+                    r.connections[0], r.stats.be_latency_p50_ns,
+                    r.stats.be_latency_p99_ns});
   }
   return rows;
 }
@@ -404,7 +404,8 @@ std::vector<IndependenceRow> gs_be_independence(std::uint64_t be_seed) {
 // --- E7 ----------------------------------------------------------------------
 
 namespace {
-/// A probe (0,0)->(hops,0) on an 8x2 mesh, tag 1: saturating for the
+/// A probe (0,0)->(hops,0) on an 8x2 mesh, the spec's first
+/// connection, with flit period `period`: saturating (0) for the
 /// throughput bound, or paced just under its guarantee for the latency
 /// bound (a saturated probe queues behind itself, which the lone-flit
 /// worst case deliberately excludes). Three 2-hop saturating
@@ -412,22 +413,18 @@ namespace {
 /// the probe and the 3 VCs that start at (0,0) (the probe and those 3
 /// use all four of its local GS interfaces), and every later path link
 /// the probe and 6 other VCs.
-MultihopRow run_probe(unsigned hops, bool saturate) {
-  Fabric f(mesh(8, 2));
-  const NodeId dst{static_cast<std::uint16_t>(hops), 0};
-  GsStreamSource::Options paced;
-  paced.period_ps = 9 * stage_delays(kWorst).arb_cycle;
-  if (saturate) f.saturate({0, 0}, dst, 1);
-  else f.stream({0, 0}, dst, 1, paced);
-  std::uint32_t tag = 100;
+ScenarioSpec probe_spec(unsigned hops, sim::Time period) {
+  ScenarioSpec s = mesh_spec(8, 2);
+  GsStreamSource::Options probe;
+  probe.period_ps = period;
+  s.connections.push_back(
+      {{0, 0}, {static_cast<std::uint16_t>(hops), 0}, probe});
   for (std::uint16_t k = 0; k < hops; ++k) {
-    const NodeId src{k, 0};
-    const NodeId bg_dst{static_cast<std::uint16_t>(k + 2), 0};
-    for (int i = 0; i < 3; ++i) f.saturate(src, bg_dst, tag++);
+    const GsConnection background{
+        {k, 0}, {static_cast<std::uint16_t>(k + 2), 0}, {}};
+    s.connections.insert(s.connections.end(), 3, background);
   }
-  const Delivered d = f.delivered(1000_ns, 10000_ns, 1)[0];
-  const FlowStats& s = f.hub.flow(1);
-  return {hops, d, s.latency_ns.p50(), s.latency_ns.p99(), s.seq_errors};
+  return s;
 }
 
 void print_e7() {
@@ -480,11 +477,15 @@ void print_e7() {
 
 std::vector<MultihopRow> multihop() {
   std::vector<MultihopRow> rows;
+  const sim::Time paced_period = 9 * stage_delays(kWorst).arb_cycle;
   for (unsigned hops = 1; hops <= 6; ++hops) {
-    const MultihopRow sat = run_probe(hops, /*saturate=*/true);
-    const MultihopRow paced = run_probe(hops, /*saturate=*/false);
-    rows.push_back({hops, sat.saturated, paced.paced_p50, paced.paced_p99,
-                    sat.seq_errors + paced.seq_errors});
+    const ScenarioSpec sat = probe_spec(hops, 0);
+    const ScenarioResult sat_end = run_to(sat, 11000_ns);
+    const Delivered rate = window(run_to(sat, 1000_ns), sat_end)[0];
+    const ConnectionStats paced =
+        run_to(probe_spec(hops, paced_period), 11000_ns).connections[0];
+    rows.push_back({hops, rate, paced.latency_p50_ns, paced.latency_p99_ns,
+                    sat_end.connections[0].seq_errors + paced.seq_errors});
   }
   return rows;
 }
@@ -493,18 +494,16 @@ std::vector<MultihopRow> multihop() {
 
 namespace {
 BeLoadRow run_be_load(sim::Time interarrival) {
-  Fabric f(mesh(4, 4));
-  f.be = start_uniform_be(f.net, interarrival, /*payload=*/4, /*seed=*/31337);
-  const sim::Time window = 50_us;
-  f.hub.set_horizon(window);
-  f.sim().run_until(window);
-  std::uint64_t generated = 0;
-  for (auto& s : f.be) generated += s->generated();
-  std::uint64_t delivered = 0;
-  const sim::Histogram all = f.be_latency(&delivered);
-  return {interarrival, static_cast<double>(generated) / sim::to_us(window),
-          static_cast<double>(delivered) / sim::to_us(window), all.p50(),
-          all.p99()};
+  ScenarioSpec s = mesh_spec(4, 4);
+  s.be_interarrival_ps = interarrival;
+  s.payload_words = 4;
+  s.seed = 31337;
+  const sim::Time horizon = 50_us;
+  const ScenarioStats st = run_to(s, horizon).stats;
+  return {interarrival,
+          static_cast<double>(st.be_packets_generated) / sim::to_us(horizon),
+          static_cast<double>(st.be_packets_delivered) / sim::to_us(horizon),
+          st.be_latency_p50_ns, st.be_latency_p99_ns};
 }
 
 /// Head-of-line blocking probe: short packets to an uncongested
@@ -514,47 +513,51 @@ BeLoadRow run_be_load(sim::Time interarrival) {
 double hol_probe_p99(unsigned be_vcs) {
   MeshConfig m = mesh(4, 2);
   m.router.be_vcs = be_vcs;
-  Fabric f(m);
-  sim::Simulator& simulator = f.sim();
+  sim::SimContext ctx;
+  sim::Simulator& simulator = ctx.sim();
+  Network net(ctx, m);
+  MeasurementHub hub;
+  attach_hub(net, hub);
   BeTrafficSource::Options bulk;  // long packets (0,0) -> (3,0)
   bulk.mean_interarrival_ps = 30000;
   bulk.payload_words = 24;
   bulk.fixed_dst = NodeId{3, 0};
   bulk.seed = 3;
-  f.be.push_back(
-      std::make_unique<BeTrafficSource>(f.net, NodeId{0, 0}, 1, bulk));
-  f.be.back()->start();
+  BeTrafficSource source(net, NodeId{0, 0}, 1, bulk);
+  source.start();
   // Probe: short urgent packets (0,0) -> (0,1), on the second VC when
   // available.
   const BeVcIdx probe_vc = be_vcs > 1 ? 1 : 0;
   std::uint64_t sent = 0;
   std::function<void()> send_probe = [&] {
     if (sent >= 400) return;
-    BePacket pkt = make_be_packet(f.net.be_route({0, 0}, {0, 1}), {1u}, 2);
+    BePacket pkt = make_be_packet(net.be_route({0, 0}, {0, 1}), {1u}, 2);
     for (Flit& fl : pkt.flits) fl.injected_at = simulator.now();
-    f.net.na({0, 0}).send_be_packet(std::move(pkt), probe_vc);
+    net.na({0, 0}).send_be_packet(std::move(pkt), probe_vc);
     ++sent;
-    f.net.control().post_at(simulator, simulator.now() + 25000, send_probe);
+    net.control().post_at(simulator, simulator.now() + 25000, send_probe);
   };
-  f.net.control().post_at(simulator, simulator.now() + 1000, send_probe);
-  f.hub.set_horizon(50_us);
+  net.control().post_at(simulator, simulator.now() + 1000, send_probe);
+  hub.set_horizon(50_us);
   simulator.run_until(50_us);
-  return f.hub.flow(2).latency_ns.p99();
+  return hub.flow(2).latency_ns.p99();
 }
 
 double path_p50(unsigned hops) {
-  Fabric f(mesh(8, 2));
+  sim::SimContext ctx;
+  Network net(ctx, mesh(8, 2));
+  MeasurementHub hub;
+  attach_hub(net, hub);
   BeTrafficSource::Options opt;
   opt.mean_interarrival_ps = 100000;  // light load: pure path latency
   opt.fixed_dst = NodeId{static_cast<std::uint16_t>(hops), 0};
   opt.payload_words = 4;
   opt.max_packets = 100;
   opt.seed = 5;
-  f.be.push_back(
-      std::make_unique<BeTrafficSource>(f.net, NodeId{0, 0}, 1, opt));
-  f.be.back()->start();
-  f.sim().run();
-  return f.hub.flow(1).latency_ns.p50();
+  BeTrafficSource source(net, NodeId{0, 0}, 1, opt);
+  source.start();
+  ctx.run();
+  return hub.flow(1).latency_ns.p50();
 }
 
 void print_e8() {
@@ -694,23 +697,17 @@ namespace {
 /// the probe delivered nothing. VCs are allocated in open order, and
 /// (0,0) has 4 source interfaces, so this covers priorities 0..3.
 double alg_probe_max_ns(unsigned priority) {
-  MeshConfig m = mesh(2, 1);
-  m.router.arbiter = ArbiterKind::kStaticPriority;
-  Fabric f(m);
-  const Connection* probe = nullptr;
-  for (unsigned v = 0; v < 4; ++v) {
-    if (v == priority) probe = &f.mgr.open_direct({0, 0}, {1, 0});
-    else f.saturate({0, 0}, {1, 0}, 100 + v);
-  }
+  ScenarioSpec s = mesh_spec(2, 1);
+  s.router.arbiter = ArbiterKind::kStaticPriority;
   GsStreamSource::Options paced;
   paced.period_ps = 40000;  // well under any share: measures pure waits
   paced.max_flits = 200;
-  f.gs.push_back(std::make_unique<GsStreamSource>(
-      f.net.na({0, 0}), probe->src_iface, 1, paced));
-  f.gs.back()->start();
-  f.sim().run_until(10_us);
-  if (f.hub.flow(1).flits == 0) return -1.0;
-  return f.hub.flow(1).latency_ns.max();
+  for (unsigned v = 0; v < 4; ++v) {
+    s.connections.push_back(
+        {{0, 0}, {1, 0}, v == priority ? paced : GsStreamSource::Options{}});
+  }
+  const ConnectionStats probe = run_to(s, 10_us).connections[priority];
+  return probe.flits == 0 ? -1.0 : probe.latency_max_ns;
 }
 
 void print_e10() {
@@ -775,12 +772,10 @@ ArbiterAblation arbiter_ablation() {
        "none — low priorities can starve"},
   };
   for (const auto& s : schemes) {
-    MeshConfig m = mesh(4, 2);
-    m.router.arbiter = s.arbiter;
-    Fabric f(m);
-    f.saturate_link(8);
+    ScenarioSpec spec = link_spec(8);
+    spec.router.arbiter = s.arbiter;
     ArbiterRow row{s.name, s.guarantee, {}, 0.0};
-    for (const Delivered& d : f.delivered(500_ns, 8000_ns, 8)) {
+    for (const Delivered& d : window(spec, 500_ns, 8000_ns)) {
       row.per_vc_rate.push_back(d.per_ns());
       row.aggregate += d.per_ns();
     }
@@ -884,18 +879,28 @@ std::vector<PowerRow> idle_power() {
                                 {"1 flit / 16 ns", 16000, 0.0},
                                 {"1 flit / 4 ns", 4000, 0.0},
                                 {"saturated VC (~2.1 ns)", 2200, 0.0}};
+  // Router activity is an observation a ScenarioResult does not carry,
+  // so E12 builds the network directly.
   for (PowerRow& r : rows) {
-    Fabric f(mesh(2, 2));
+    sim::SimContext ctx;
+    Network net(ctx, mesh(2, 2));
+    MeasurementHub hub;
+    attach_hub(net, hub);
+    ConnectionManager mgr(net, {0, 0});
+    std::unique_ptr<GsStreamSource> source;
     if (r.gs_period_ps > 0) {
       GsStreamSource::Options opt;
       opt.period_ps = r.gs_period_ps;
-      f.stream({0, 0}, {1, 1}, 1, opt);
+      const Connection& c = mgr.open_direct({0, 0}, {1, 1});
+      source = std::make_unique<GsStreamSource>(net.na({0, 0}), c.src_iface,
+                                                1, opt);
+      source->start();
     }
-    const sim::Time window = 20_us;
-    f.sim().run_until(window);
-    for (std::size_t i = 0; i < f.net.node_count(); ++i) {
+    const sim::Time horizon = 20_us;
+    ctx.run_until(horizon);
+    for (std::size_t i = 0; i < net.node_count(); ++i) {
       r.dynamic_mw += model::dynamic_power_mw(
-          f.net.router(f.net.node_at(i)).activity(), window);
+          net.router(net.node_at(i)).activity(), horizon);
     }
   }
   return rows;
@@ -906,26 +911,33 @@ std::vector<PowerRow> idle_power() {
 namespace {
 /// Opens (0,0)->(hops,0) through programming packets, optionally after
 /// 5 us of uniform BE background; 0 latency if it does not complete
-/// within 200 us.
+/// within 200 us. Packet-programmed setup is not a scenario connection,
+/// so E13 builds the network directly.
 std::pair<sim::Time, unsigned> setup_latency(unsigned hops, bool background) {
-  Fabric f(mesh(8, 2));
+  sim::SimContext ctx;
+  sim::Simulator& simulator = ctx.sim();
+  Network net(ctx, mesh(8, 2));
+  MeasurementHub hub;
+  attach_hub(net, hub);
+  ConnectionManager mgr(net, {0, 0});
+  std::vector<std::unique_ptr<BeTrafficSource>> be;
   if (background) {
-    f.be = start_uniform_be(f.net, 20000, 4, 11);
-    f.sim().run_until(5_us);
+    be = start_pattern_be(net, BePattern::kUniform, {}, 20000, 4, 11);
+    simulator.run_until(5_us);
   }
-  const sim::Time t0 = f.sim().now();
+  const sim::Time t0 = simulator.now();
   std::pair<sim::Time, unsigned> out{0, 0};
   bool done = false;
-  f.mgr.open_via_packets({0, 0}, {static_cast<std::uint16_t>(hops), 0},
-                         [&](const Connection& conn) {
-                           out = {f.sim().now() - t0,
-                                  static_cast<unsigned>(conn.hops.size())};
-                           done = true;
-                         });
+  mgr.open_via_packets({0, 0}, {static_cast<std::uint16_t>(hops), 0},
+                       [&](const Connection& conn) {
+                         out = {simulator.now() - t0,
+                                static_cast<unsigned>(conn.hops.size())};
+                         done = true;
+                       });
   // Setup takes well under a microsecond; stop once it completes instead
   // of simulating the background traffic for the whole 200 us budget.
-  while (!done && f.sim().now() < t0 + 200_us) {
-    f.sim().run_until(f.sim().now() + 1_us);
+  while (!done && simulator.now() < t0 + 200_us) {
+    simulator.run_until(simulator.now() + 1_us);
   }
   return out;
 }
@@ -970,10 +982,9 @@ SignalingOutcome run_link(LinkSignaling s, sim::Time skew) {
   m.link_signaling = s;
   m.link_skew_ps = skew;
   try {
-    Fabric f(m);
-    f.saturate({0, 0}, {1, 0}, 1);
-    const Delivered d = f.delivered(200_ns, 4000_ns, 1)[0];
-    return {true, d.mhz(), f.hub.flow(1).latency_ns.p50()};
+    const auto [flits, p50] = single_vc_run(m, 4200_ns);
+    const Delivered d{flits - single_vc_run(m, 200_ns).first, 4000_ns};
+    return {true, d.mhz(), p50};
   } catch (const ModelError&) {
     return {};  // bundled-data timing closure failed
   }

@@ -2,7 +2,12 @@
 //
 // Each experiment is a function that runs its simulations, or reads the
 // analytic models, and returns the rows of its table as plain numbers.
-// tests/test_claims.cpp asserts the paper's claims on them and
+// The MANGO fabric experiments E2, E4, E6, E7, E8's load sweep and E10
+// are ScenarioSpecs run by exp::run_scenario; a rate over a window is
+// the difference of two runs of one spec, to each edge of the window.
+// E5, E8's probes, E12, E13 and E15 need a fabric parameter or an
+// observation a spec does not carry, so they build noc::Network
+// directly. tests/test_claims.cpp asserts the paper's claims on them and
 // tools/mango_claims.cpp prints them through the registry below. E14 is
 // the kernel microbenchmark (bench/bench_sim_kernel.cpp) and has no
 // table here.
@@ -13,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "exp/scenario.hpp"
 #include "model/area.hpp"
 #include "noc/common/config.hpp"
 #include "sim/time.hpp"
@@ -79,8 +85,7 @@ std::vector<SingleVcRow> single_vc();
 struct IndependenceRow {
   sim::Time be_interarrival_ps;
   std::uint64_t be_packets;
-  std::uint64_t gs_flits, gs_seq_errors;
-  double gs_p50, gs_p99, gs_min, gs_max;
+  ConnectionStats gs;  ///< the probe
   double be_p50, be_p99;
 };
 std::vector<IndependenceRow> gs_be_independence(std::uint64_t be_seed = 77);

@@ -80,12 +80,13 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
   const double guarantee = model::fair_share_guarantee_flits_per_ns(
       spec.router.corner, spec.router.vcs_per_port,
       net.config().link_pipeline_stages);
-  const double offered = spec.gs_period_ps == 0
-                             ? guarantee
-                             : 1000.0 / static_cast<double>(spec.gs_period_ps);
-  const double expected_rate = std::min(offered, guarantee);
   std::vector<const sim::LatencyLog*> gs_logs;
-  for (const noc::GsSetEndpoint& ep : gs_eps) {
+  // The set's endpoints come first; the explicit connections follow.
+  MANGO_ASSERT(gs_eps.size() >= spec.connections.size(),
+               "fewer GS endpoints than explicit connections");
+  const std::size_t set_size = gs_eps.size() - spec.connections.size();
+  for (std::size_t i = 0; i < gs_eps.size(); ++i) {
+    const noc::GsSetEndpoint& ep = gs_eps[i];
     if (!hub.has_flow(ep.tag)) {
       // Nothing delivered on an open, driven connection at all.
       ++st.guarantee_violations;
@@ -104,9 +105,20 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
                          [&](sim::Time ps) { acc.add(sim::to_ns(ps)); });
     st.gs_jitter_max_ns = std::max(st.gs_jitter_max_ns, acc.stddev());
     // Rate contract: over the horizon the connection must deliver at
-    // least min(offered, guarantee), with 10% tolerance for fill and
-    // drain edges. Only meaningful when the horizon spans many flits.
-    const double expected_count = expected_rate * duration_ns;
+    // least min(offered, guarantee) at its own source's period (and no
+    // more than its flit budget), with 10% tolerance for fill and drain
+    // edges. Only meaningful when the horizon spans many flits.
+    noc::GsStreamSource::Options o;
+    o.period_ps = spec.gs_period_ps;
+    if (i >= set_size) o = spec.connections[i - set_size].opt;
+    const double offered =
+        o.period_ps == 0 ? guarantee
+                         : 1000.0 / static_cast<double>(o.period_ps);
+    double expected_count = std::min(offered, guarantee) * duration_ns;
+    if (o.max_flits > 0) {
+      expected_count =
+          std::min(expected_count, static_cast<double>(o.max_flits));
+    }
     const bool shortfall =
         expected_count >= 16.0 &&
         static_cast<double>(flits) < 0.9 * expected_count;
@@ -160,17 +172,6 @@ ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
   st.peak_link_utilization = rep.peak_link_utilization;
   return st;
 }
-
-namespace {
-
-std::uint64_t sum_held(
-    const std::vector<std::unique_ptr<noc::BeTrafficSource>>& sources) {
-  std::uint64_t held = 0;
-  for (const auto& s : sources) held += s->offered_but_held();
-  return held;
-}
-
-}  // namespace
 
 bool operator==(const ScenarioStats& a, const ScenarioStats& b) {
   bool equal = true;
@@ -245,11 +246,21 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
     noc::attach_hub(net, hub);
 
     noc::ConnectionManager mgr(net, net.node_at(0));
-    const std::vector<noc::GsSetEndpoint> gs_eps =
+    std::vector<noc::GsSetEndpoint> gs_eps =
         noc::open_gs_set(net, mgr, spec.gs_set, spec.gs_opt);
     noc::GsStreamSource::Options gs_opt;
     gs_opt.period_ps = spec.gs_period_ps;
-    const auto gs_sources = noc::start_gs_set(net, gs_eps, gs_opt);
+    auto gs_sources = noc::start_gs_set(net, gs_eps, gs_opt);
+    // Explicit connections continue the set's tag numbering.
+    for (const GsConnection& c : spec.connections) {
+      const noc::Connection& conn = mgr.open_direct(c.src, c.dst);
+      gs_eps.push_back({conn.id, c.src, c.dst, conn.src_iface,
+                        noc::kGsTagBase +
+                            static_cast<std::uint32_t>(gs_eps.size())});
+      gs_sources.push_back(std::make_unique<noc::GsStreamSource>(
+          net.na(c.src), conn.src_iface, gs_eps.back().tag, c.opt));
+      gs_sources.back()->start();
+    }
     const auto be_sources = noc::start_pattern_be(
         net, spec.pattern, spec.pattern_opt, spec.be_interarrival_ps,
         spec.payload_words, spec.seed);
@@ -275,7 +286,19 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
     net.run_until(spec.duration_ps);
     result.stats =
         collect_stats(spec, net, hub, gs_eps, broker.get(), churn.get());
-    result.stats.be_injections_held = sum_held(be_sources);
+    for (const auto& s : be_sources) {
+      result.stats.be_injections_held += s->offered_but_held();
+    }
+    for (std::size_t i = gs_eps.size() - spec.connections.size();
+         i < gs_eps.size(); ++i) {
+      const std::uint32_t tag = gs_eps[i].tag;
+      std::vector<const sim::LatencyLog*> logs;
+      append_logs(hub, tag, logs);
+      result.connections.push_back(
+          {hub.flow_flits(tag), hub.flow_seq_errors(tag),
+           sim::quantile_of(logs, 0.0), sim::quantile_of(logs, 0.50),
+           sim::quantile_of(logs, 0.99), sim::quantile_of(logs, 1.0)});
+    }
     result.windows_run = net.windows_run();
     result.windows_elided = net.windows_elided();
   } catch (const std::exception& e) {
@@ -297,28 +320,25 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
   return result;
 }
 
+namespace {
+
+/// `axis`, or the base spec's value alone when the axis is empty.
+template <class T>
+std::vector<T> or_base(const std::vector<T>& axis, const T& base) {
+  return axis.empty() ? std::vector<T>{base} : axis;
+}
+
+}  // namespace
+
 std::vector<ScenarioSpec> SweepGrid::expand() const {
-  const auto topologies_v =
-      topologies.empty() ? std::vector<noc::TopologyKind>{base.topology}
-                         : topologies;
-  const auto meshes_v =
-      meshes.empty()
-          ? std::vector<std::pair<std::uint16_t, std::uint16_t>>{{base.width,
-                                                                  base.height}}
-          : meshes;
-  const auto patterns_v = patterns.empty()
-                              ? std::vector<noc::BePattern>{base.pattern}
-                              : patterns;
-  const auto ia_v = interarrivals_ps.empty()
-                        ? std::vector<sim::Time>{base.be_interarrival_ps}
-                        : interarrivals_ps;
-  const auto gs_v = gs_sets.empty() ? std::vector<noc::GsSetKind>{base.gs_set}
-                                    : gs_sets;
-  const auto churn_v = churn_interarrivals_ps.empty()
-                           ? std::vector<sim::Time>{base.churn_interarrival_ps}
-                           : churn_interarrivals_ps;
-  const auto seeds_v =
-      seeds.empty() ? std::vector<std::uint64_t>{base.seed} : seeds;
+  const auto topologies_v = or_base(topologies, base.topology);
+  const auto meshes_v = or_base(meshes, std::pair{base.width, base.height});
+  const auto patterns_v = or_base(patterns, base.pattern);
+  const auto ia_v = or_base(interarrivals_ps, base.be_interarrival_ps);
+  const auto gs_v = or_base(gs_sets, base.gs_set);
+  const auto churn_v =
+      or_base(churn_interarrivals_ps, base.churn_interarrival_ps);
+  const auto seeds_v = or_base(seeds, base.seed);
 
   std::vector<ScenarioSpec> specs;
   specs.reserve(topologies_v.size() * meshes_v.size() * patterns_v.size() *

@@ -1,8 +1,8 @@
 // Declarative simulation scenarios.
 //
 // A ScenarioSpec is a value describing one complete experiment: mesh
-// size, BE traffic pattern and rate, GS connection set, duration and
-// seed. run_scenario() turns a spec into numbers inside its own
+// size, BE traffic pattern and rate, GS connection set and explicit GS
+// connections, duration and seed. run_scenario() turns a spec into numbers inside its own
 // SimContext, touching no state outside that context — which is what
 // lets the SweepRunner (sweep.hpp) execute many specs concurrently.
 // SweepGrid expands cartesian products of spec dimensions, and a small
@@ -27,6 +27,13 @@
 
 namespace mango::exp {
 
+/// One explicit GS connection of a scenario: src -> dst, driven by its
+/// own source options (period 0 = saturate).
+struct GsConnection {
+  noc::NodeId src, dst;
+  noc::GsStreamSource::Options opt;
+};
+
 struct ScenarioSpec {
   std::string name = "scenario";
   /// Fabric: mesh/torus use width x height; ring and the built-in
@@ -44,13 +51,19 @@ struct ScenarioSpec {
   // Best-effort traffic, one source per node (see start_pattern_be).
   noc::BePattern pattern = noc::BePattern::kUniform;
   noc::BePatternOptions pattern_opt;
-  sim::Time be_interarrival_ps = 10000;  ///< mean per node; 0 = saturate
+  /// Mean per node; 0 = saturate, sim::kTimeNever = no BE traffic.
+  sim::Time be_interarrival_ps = 10000;
   unsigned payload_words = 4;
 
   // Guaranteed-service connection set, each driven by a CBR source.
   noc::GsSetKind gs_set = noc::GsSetKind::kNone;
   noc::GsSetOptions gs_opt;
   sim::Time gs_period_ps = 4000;  ///< flit period per connection; 0 = saturate
+  /// Explicit connections, opened after the gs_set in list order. They
+  /// join the gs_* columns and the guarantee check (each at its own
+  /// period), and ScenarioResult::connections reports them one by one.
+  /// A connection that cannot be opened fails the run.
+  std::vector<GsConnection> connections;
 
   // Runtime connection churn through the ConnectionBroker (the MANGO
   // open/close lifecycle, programmed with BE packets): Poisson open
@@ -209,9 +222,17 @@ void for_each_stats_field(Fn&& fn) {
              kScenarioStatsFields);
 }
 
+/// What one explicit connection delivered within the horizon.
+struct ConnectionStats {
+  std::uint64_t flits, seq_errors;
+  double latency_min_ns, latency_p50_ns, latency_p99_ns, latency_max_ns;
+};
+
 struct ScenarioResult {
   ScenarioSpec spec;
   ScenarioStats stats;
+  /// One row per spec.connections entry, in list order.
+  std::vector<ConnectionStats> connections;
   std::string error;    ///< non-empty if the run threw (stats invalid)
   double wall_ms = 0.0; ///< host time; excluded from deterministic output
   /// Wall-time split of wall_ms: fabric construction (plan acquisition
@@ -255,6 +276,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const RunOptions& opt);
 /// of every shard hub (sim::quantile_of: allocation is one pointer per
 /// log, whatever the number of samples or distinct latencies), the
 /// per-endpoint guarantee check, churn lifecycle and link summary.
+/// `gs_eps` is the gs_set's endpoints followed by one per
+/// spec.connections entry, each checked at its own source's rate.
 /// run_scenario calls it once at the horizon.
 ScenarioStats collect_stats(const ScenarioSpec& spec, noc::Network& net,
                             const noc::HubSet& hub,

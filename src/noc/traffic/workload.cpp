@@ -48,32 +48,6 @@ void attach_hub(Network& net, HubSet& hubs) {
   }
 }
 
-std::vector<std::unique_ptr<BeTrafficSource>> start_uniform_be(
-    Network& net, sim::Time mean_interarrival_ps, unsigned payload_words,
-    std::uint64_t seed, sim::Time start_at) {
-  BePatternOptions popt;
-  return start_pattern_be(net, BePattern::kUniform, popt, mean_interarrival_ps,
-                          payload_words, seed, start_at);
-}
-
-std::unique_ptr<GsStreamSource> saturate_connection(Network& net,
-                                                    ConnectionManager& mgr,
-                                                    NodeId src, NodeId dst,
-                                                    std::uint32_t tag,
-                                                    sim::Time start_at) {
-  const Connection& conn = mgr.open_direct(src, dst);
-  GsStreamSource::Options opt;  // period 0 = saturate
-  auto gen = std::make_unique<GsStreamSource>(net.na(src), conn.src_iface,
-                                              tag, opt);
-  gen->start(start_at);
-  return gen;
-}
-
-double link_capacity_flits_per_ns(const Network& net) {
-  const StageDelays d = stage_delays(net.config().router.corner);
-  return 1000.0 / static_cast<double>(d.arb_cycle);
-}
-
 // --- BE patterns -----------------------------------------------------------
 
 const char* to_string(BePattern p) {
@@ -208,6 +182,7 @@ std::vector<std::unique_ptr<BeTrafficSource>> start_pattern_be(
                std::string("BE pattern '") + to_string(pattern) +
                    "' is not defined on topology " + topo.label() +
                    " — pick a supported pattern (see pattern_supported)");
+  if (mean_interarrival_ps == sim::kTimeNever) return {};
   // Concentration: k cores share each router's local port, so a
   // concentrated mesh runs k independent sources per node. Tag and seed
   // derivation generalize the one-source scheme (core j of node i is

@@ -29,22 +29,8 @@ void attach_hub(Network& net, MeasurementHub& hub);
 /// shard count; the HubSet's merged reads are shard-count invariant.
 void attach_hub(Network& net, HubSet& hubs);
 
-/// Starts uniform-random BE traffic from every node. `mean_interarrival`
-/// is per node; tags are kBeTagBase + node index.
+/// Tag of the BE flow of core `i` (see start_pattern_be): kBeTagBase + i.
 inline constexpr std::uint32_t kBeTagBase = 0x42000000;
-std::vector<std::unique_ptr<BeTrafficSource>> start_uniform_be(
-    Network& net, sim::Time mean_interarrival_ps, unsigned payload_words,
-    std::uint64_t seed, sim::Time start_at = 0);
-
-/// Opens a connection (direct programming) and attaches a saturating
-/// source. Returns the generator; the connection is owned by `mgr`.
-std::unique_ptr<GsStreamSource> saturate_connection(
-    Network& net, ConnectionManager& mgr, NodeId src, NodeId dst,
-    std::uint32_t tag, sim::Time start_at = 0);
-
-/// Link-bandwidth reference: flits per nanosecond of one link at the
-/// configured corner (= 1 / arb_cycle).
-double link_capacity_flits_per_ns(const Network& net);
 
 // ---------------------------------------------------------------------------
 // BE traffic patterns
@@ -100,7 +86,8 @@ NodeId pattern_pick_dst(BePattern p, NodeId src, const Topology& topo,
 /// mesh (core j of node i is flow i*k + j; k = 1 reproduces the
 /// historical per-node tags and seeds bit-for-bit). Permutation nodes
 /// that map to themselves get no sources. Tags are kBeTagBase + flow;
-/// per-flow RNGs derive from `seed` + flow as in start_uniform_be.
+/// per-flow RNGs derive from `seed` + flow.
+/// A mean interarrival of sim::kTimeNever starts no source.
 /// ModelError (before any source starts) when the pattern is undefined
 /// on the network's topology.
 std::vector<std::unique_ptr<BeTrafficSource>> start_pattern_be(

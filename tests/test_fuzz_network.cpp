@@ -83,7 +83,8 @@ TEST_P(NetworkFuzz, RandomScenarioUpholdsAllInvariants) {
   }
 
   // BE background.
-  auto be = start_uniform_be(net, 10000 + rng.next_below(50000), 4,
+  auto be = start_pattern_be(net, BePattern::kUniform, {},
+                             10000 + rng.next_below(50000), 4,
                              GetParam() * 13 + 7);
 
   sim.run_until(30_us);

@@ -1,6 +1,7 @@
 // Whole-network integration tests on a 4x4 mesh.
 #include <gtest/gtest.h>
 
+#include "model/timing.hpp"
 #include "noc/network/connection_manager.hpp"
 #include "noc/network/network.hpp"
 #include "noc/traffic/generator.hpp"
@@ -102,7 +103,8 @@ TEST_F(MeshFixture, GsAndBeCoexistOnTheSameLinks) {
   gopt.max_flits = 200;
   GsStreamSource gs(net.na({0, 0}), conn.src_iface, 1, gopt);
   gs.start();
-  auto be_sources = start_uniform_be(net, 20000, 4, 123);
+  auto be_sources =
+      start_pattern_be(net, BePattern::kUniform, {}, 20000, 4, 123);
   sim.run_until(600_ns);
   for (auto& s : be_sources) s->stop();
   sim.run_until(5000_ns);
@@ -158,7 +160,7 @@ TEST_F(MeshFixture, SaturatedLinkReachesPortSpeed) {
   std::uint64_t total = 0;
   for (std::uint32_t t = 1; t < tag; ++t) total += hub.flow(t).flits;
   const double rate = static_cast<double>(total) / sim::to_ns(window);
-  const double capacity = link_capacity_flits_per_ns(net);
+  const double capacity = model::port_speed_mhz(mesh.router.corner) / 1000.0;
   // Warm-up costs a little; expect > 90% of the port speed.
   EXPECT_GT(rate, 0.9 * capacity);
   EXPECT_LE(rate, 1.01 * capacity);

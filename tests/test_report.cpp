@@ -92,7 +92,9 @@ TEST(NetworkReportTest, JsonCarriesIdentifiedLinksAndTotals) {
   ConnectionManager mgr(net, NodeId{0, 0});
   MeasurementHub hub;
   attach_hub(net, hub);
-  auto src = saturate_connection(net, mgr, {0, 0}, {1, 0}, /*tag=*/1);
+  const Connection& conn = mgr.open_direct({0, 0}, {1, 0});
+  GsStreamSource src(net.na({0, 0}), conn.src_iface, /*tag=*/1, {});
+  src.start();
   sim.run_until(1_us);
   const NetworkReport r = NetworkReport::collect(net, 1_us);
   std::string out;

@@ -375,11 +375,13 @@ TEST(Scheduler, RecordReachesTheDispatcherByteForByte) {
 //
 // RunBeforeDispatchesTheSortedPrefixBelowEachBound drives the kernel
 // with a randomized storm, for each of six seeds:
-//   * handlers schedule 0-2 follow-ups each until a budget of 20,000 is
-//     spent, and between run calls the test schedules and admits events
-//     from outside any handler, for at least 5,000 rounds; admitted
-//     births lie anywhere up to the event time (before, at or after
-//     now());
+//   * handlers schedule 0-2 follow-ups each, at most kFollowUpsPerRound
+//     a round, until a budget of 20,000 is spent, and between run calls
+//     the test schedules and admits events from outside any handler, for
+//     at least 5,000 rounds; admitted births lie anywhere up to the
+//     event time (before, at or after now()). The per-round cap spreads
+//     the budget over most of the storm, so handler-scheduled events
+//     dispatch throughout it, not only in its first few hundred rounds;
 //   * delays come in classes (DelayClass), from same-timestamp ties to
 //     far timeouts of microseconds, sized against Simulator::kHorizonPs.
 //     After a peek has fast-forwarded the wheel cursor, the test lands
@@ -398,7 +400,8 @@ TEST(Scheduler, RecordReachesTheDispatcherByteForByte) {
 // its bound, return its length and park now() at bound.time. Each
 // step() dispatches the oracle's minimum and returns false only when
 // nothing is pending; run() dispatches everything. Every class and
-// shape must occur for every seed; the counts are printed.
+// shape must occur for every seed, and at least kFollowUpRoundFloor
+// rounds must dispatch a handler-scheduled event; the counts are printed.
 bool key_before(EventKey a, EventKey b) {
   return std::tie(a.time, a.birth) < std::tie(b.time, b.birth);
 }
@@ -407,6 +410,7 @@ struct OracleEntry {
   EventKey key;
   std::uint32_t id;  // = seq
   bool wheel;  // scheduled less than kHorizon past now(): in the wheel
+  bool follow_up;  // scheduled by a handler
   bool operator<(const OracleEntry& o) const {
     return std::tie(key.time, key.birth, id) <
            std::tie(o.key.time, o.key.birth, o.id);
@@ -454,6 +458,10 @@ struct OracleRun {
   std::string failure;            // the first dispatch off the oracle
   std::uint32_t next_id = 0;
   std::uint64_t budget = 20000;   // follow-ups handlers may still schedule
+  std::uint64_t round_budget = 0;  // of those, in the current round
+  std::uint64_t round = 0;         // the storm's current round
+  std::uint64_t follow_up_rounds = 0;  // rounds that dispatched a follow-up
+  std::uint64_t last_follow_up_round = ~std::uint64_t{0};
   std::array<std::uint64_t, kDelayClasses> classes{};
 
   explicit OracleRun(std::uint64_t seed) : rng(seed) {
@@ -469,14 +477,14 @@ struct OracleRun {
     ev.d = next_id;
     return ev;
   }
-  void add(EventKey key) {
+  void add(EventKey key, bool follow_up = false) {
     const bool wheel = key.time - sim.now() < kHorizon;
-    pending.insert({key, next_id++, wheel});
+    pending.insert({key, next_id++, wheel, follow_up});
     wheel_pending += wheel;
   }
-  void schedule(Time delay) {
+  void schedule(Time delay, bool follow_up = false) {
     sim.after_typed(delay, record());
-    add(EventKey{sim.now() + delay, sim.now()});
+    add(EventKey{sim.now() + delay, sim.now()}, follow_up);
   }
   void admit(EventKey key) {
     sim.admit_typed(key, record());
@@ -517,9 +525,14 @@ struct OracleRun {
     } else if (!key_before(e.key, bound)) {
       note(id, "its key is not before the bound");
     }
-    for (std::uint64_t k = rng.next_below(3); k > 0 && budget > 0;
-         --k, --budget) {
-      schedule(random_delay());
+    if (e.follow_up && last_follow_up_round != round) {
+      last_follow_up_round = round;
+      ++follow_up_rounds;
+    }
+    for (std::uint64_t k = rng.next_below(3);
+         k > 0 && budget > 0 && round_budget > 0;
+         --k, --budget, --round_budget) {
+      schedule(random_delay(), /*follow_up=*/true);
     }
   }
   void note(std::uint32_t id, const std::string& what) {
@@ -533,16 +546,18 @@ struct OracleRun {
 
 TEST(Scheduler, RunBeforeDispatchesTheSortedPrefixBelowEachBound) {
   constexpr std::uint64_t kRounds = 5000;
+  constexpr std::uint64_t kFollowUpsPerRound = 12;
+  constexpr std::uint64_t kFollowUpRoundFloor = 2500;
   for (const std::uint64_t seed :
        {1ull, 42ull, 0xDEADBEEFull, 3ull, 17ull, 0xC0FFEEull}) {
     OracleRun o(seed);
     Rng& rng = o.rng;
     std::array<std::uint64_t, kBoundShapes> shapes{};
     for (int i = 0; i < 32; ++i) o.schedule(rng.next_below(1000));
-    std::uint64_t round = 0;
-    for (; round < kRounds || o.budget > 0; ++round) {
+    for (; o.round < kRounds || o.budget > 0; ++o.round) {
+      o.round_budget = kFollowUpsPerRound;
       const std::string where =
-          "seed " + std::to_string(seed) + " round " + std::to_string(round);
+          "seed " + std::to_string(seed) + " round " + std::to_string(o.round);
       const Time now = o.sim.now();
       const EventKey next = o.sim.next_event_key();
       const EventKey first =
@@ -629,10 +644,12 @@ TEST(Scheduler, RunBeforeDispatchesTheSortedPrefixBelowEachBound) {
     EXPECT_EQ(o.fired, o.next_id) << "seed " << seed;
     EXPECT_EQ(o.budget, 0u) << "seed " << seed;
 
-    std::printf("seed %llu: %llu events, %llu rounds;",
+    std::printf("seed %llu: %llu events, %llu rounds, %llu with a follow-up;",
                 static_cast<unsigned long long>(seed),
                 static_cast<unsigned long long>(o.fired),
-                static_cast<unsigned long long>(round));
+                static_cast<unsigned long long>(o.round),
+                static_cast<unsigned long long>(o.follow_up_rounds));
+    EXPECT_GE(o.follow_up_rounds, kFollowUpRoundFloor) << "seed " << seed;
     for (std::size_t c = 0; c < kDelayClasses; ++c) {
       std::printf(" %s %llu", kClassNames[c],
                   static_cast<unsigned long long>(o.classes[c]));

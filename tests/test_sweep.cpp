@@ -181,6 +181,85 @@ TEST(RunScenario, GsGuaranteesHoldUnderBeSaturation) {
   EXPECT_EQ(r.stats.gs_seq_errors, 0u);
 }
 
+// Explicit connections take the gs_set's path: the ring set's pairs,
+// listed in ring order at gs_period_ps, give the same stats as the set.
+TEST(RunScenario, ExplicitRingConnectionsEqualTheRingSet) {
+  ScenarioSpec ring;
+  ring.name = "ring";
+  ring.width = ring.height = 4;
+  ring.be_interarrival_ps = 8000;
+  ring.gs_set = noc::GsSetKind::kRing;
+  ring.gs_period_ps = 8000;
+  ring.duration_ps = 1000000;
+  ScenarioSpec listed = ring;
+  listed.gs_set = noc::GsSetKind::kNone;
+  noc::GsStreamSource::Options opt;
+  opt.period_ps = ring.gs_period_ps;
+  for (std::uint16_t i = 0; i < 16; ++i) {
+    const auto next = static_cast<std::uint16_t>((i + 1) % 16);
+    listed.connections.push_back({{static_cast<std::uint16_t>(i % 4),
+                                   static_cast<std::uint16_t>(i / 4)},
+                                  {static_cast<std::uint16_t>(next % 4),
+                                   static_cast<std::uint16_t>(next / 4)},
+                                  opt});
+  }
+  const ScenarioResult a = run_scenario(ring);
+  ScenarioResult b = run_scenario(listed);
+  ASSERT_TRUE(a.ok()) << a.error;
+  ASSERT_TRUE(b.ok()) << b.error;
+  EXPECT_EQ(a.stats.gs_connections, 16u);
+  EXPECT_GT(a.stats.gs_flits_delivered, 0u);
+  EXPECT_TRUE(a.stats == b.stats);
+  // Byte-equal stats JSON (the spec section is the ring's on both sides).
+  b.spec = a.spec;
+  SweepReport ra, rb;
+  ra.results.push_back(a);
+  rb.results.push_back(b);
+  EXPECT_EQ(ra.stats_json(), rb.stats_json());
+
+  // One row per listed connection; the set's connections have none.
+  EXPECT_TRUE(a.connections.empty());
+  ASSERT_EQ(b.connections.size(), 16u);
+  std::uint64_t flits = 0;
+  for (const ConnectionStats& c : b.connections) {
+    flits += c.flits;
+    EXPECT_EQ(c.seq_errors, 0u);
+    EXPECT_GT(c.latency_min_ns, 0.0);
+    EXPECT_LE(c.latency_min_ns, c.latency_p50_ns);
+    EXPECT_LE(c.latency_p50_ns, c.latency_p99_ns);
+    EXPECT_LE(c.latency_p99_ns, c.latency_max_ns);
+  }
+  EXPECT_EQ(flits, b.stats.gs_flits_delivered);
+}
+
+// The guarantee check holds each explicit connection to its own source:
+// its period, and its flit budget. A slow or capped connection is no
+// violation; one that cannot be opened fails the run.
+TEST(RunScenario, ExplicitConnectionsAreCheckedAtTheirOwnRate) {
+  ScenarioSpec spec;
+  spec.width = spec.height = 3;
+  spec.be_interarrival_ps = sim::kTimeNever;  // no BE traffic
+  spec.gs_period_ps = 4000;  // the (empty) set's rate, above 1/8 link
+  spec.duration_ps = 2000000;
+  noc::GsStreamSource::Options slow;
+  slow.period_ps = 64000;  // a quarter of the 1/8 guarantee
+  noc::GsStreamSource::Options capped;  // saturating, 20 flits
+  capped.max_flits = 20;
+  spec.connections = {{{0, 0}, {2, 2}, slow}, {{2, 0}, {0, 2}, capped}};
+  const ScenarioResult r = run_scenario(spec);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.stats.be_packets_generated, 0u);
+  EXPECT_EQ(r.stats.gs_connections, 2u);
+  ASSERT_EQ(r.connections.size(), 2u);
+  EXPECT_GE(r.connections[0].flits, 30u);
+  EXPECT_EQ(r.connections[1].flits, 20u);
+  EXPECT_EQ(r.stats.guarantee_violations, 0u);
+
+  // Five connections from one node exceed its four local interfaces.
+  spec.connections.assign(5, {{0, 0}, {2, 2}, slow});
+  EXPECT_FALSE(run_scenario(spec).ok());
+}
+
 TEST(RunScenario, ErrorsAreCapturedNotThrown) {
   ScenarioSpec spec;
   spec.width = 0;  // invalid mesh

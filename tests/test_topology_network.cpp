@@ -83,8 +83,9 @@ TEST(TopologyNetwork, GsStreamsAcrossWrapAndGraphPaths) {
     for (std::size_t i = 1; i < net.node_count(); ++i) {
       if (table.hops(0, i) > table.hops(0, far)) far = i;
     }
-    auto gen = saturate_connection(net, mgr, net.node_at(0),
-                                   net.node_at(far), /*tag=*/7);
+    const Connection& conn = mgr.open_direct(net.node_at(0), net.node_at(far));
+    GsStreamSource gen(net.na(net.node_at(0)), conn.src_iface, /*tag=*/7, {});
+    gen.start();
     ctx.run_until(1_us);
     ASSERT_TRUE(hub.has_flow(7)) << net.topology().label();
     const FlowStats& f = hub.flow(7);
