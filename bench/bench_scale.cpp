@@ -181,8 +181,7 @@ void BM_ScaleConstruction(benchmark::State& state) {
     noc::NetworkConfig cfg;
     cfg.topology = spec;
     cfg.router.be_vcs = 2;
-    cfg.build_threads = threads;
-    if (warm) cfg.plan = reference;
+    cfg.plan = warm ? reference : noc::FabricPlan::build(spec, 2, threads);
     sim::SimContext ctx;
     noc::Network net(ctx, cfg);
     benchmark::DoNotOptimize(net);

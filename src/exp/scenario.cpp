@@ -238,7 +238,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
     net_cfg.spin_us = spec.spin_us;
     net_cfg.force_spin = spec.force_spin;
     net_cfg.plan = opt.plan;
-    net_cfg.build_threads = opt.build_threads;
     noc::Network net(ctx, net_cfg);
     if (!opt.plan) result.plan_ms = net.plan().build_ms();
     noc::HubSet hub(net.shard_count());

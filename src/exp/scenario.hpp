@@ -254,16 +254,14 @@ struct ScenarioResult {
 };
 
 /// Execution-strategy options for run_scenario — how the fabric plan is
-/// obtained, never what is simulated. Stats are byte-identical for
-/// every combination (shared vs inline plan, any build_threads).
+/// obtained, never what is simulated. Stats are byte-identical with a
+/// shared plan and with an inline build.
 struct RunOptions {
   /// Prebuilt plan for the spec's fabric (null: build inline). Must
   /// match fabric_plan_key(spec.topology_spec(), spec.router.be_vcs).
   std::shared_ptr<const noc::FabricPlan> plan;
   bool plan_cached = false;  ///< reporting: the plan was a cache hit
   double plan_ms = 0.0;      ///< reporting: caller-side acquisition time
-  /// Worker threads for the inline plan build (plan == null).
-  unsigned build_threads = 1;
 };
 
 /// Runs one scenario to its horizon in a fresh SimContext and collects

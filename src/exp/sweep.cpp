@@ -95,7 +95,6 @@ void SweepReport::write_json(noc::JsonWriter& w, bool include_timing) const {
     // sweep spent cold (building a fabric) vs warm (reusing a resident
     // plan). Execution strategy like --shards — the stats JSON is
     // byte-identical whether a plan was built or reused.
-    w.kv("build_threads", build_threads);
     w.kv("plan_builds", plan_builds);
     w.kv("plan_hits", plan_hits);
     double c_total = 0.0, c_cold = 0.0, c_warm = 0.0;
@@ -172,10 +171,9 @@ unsigned effective_shards(unsigned jobs, unsigned shards,
 
 SweepReport SweepRunner::run(const std::vector<ScenarioSpec>& specs,
                              unsigned jobs, ProgressFn on_done,
-                             unsigned repeat, SweepOptions opts) {
+                             unsigned repeat) {
   const auto t0 = std::chrono::steady_clock::now();
   if (repeat == 0) repeat = 1;
-  if (opts.build_threads == 0) opts.build_threads = 1;
   SweepReport report;
   report.results.resize(specs.size());
   if (jobs == 0) jobs = std::thread::hardware_concurrency();
@@ -185,7 +183,6 @@ SweepReport SweepRunner::run(const std::vector<ScenarioSpec>& specs,
   }
   report.jobs = jobs;
   report.repeat = repeat;
-  report.build_threads = opts.build_threads;
 
   // Core budget: clamp each scenario's shard count so jobs x shards
   // never oversubscribes the machine. Deterministic (pure function of
@@ -229,8 +226,8 @@ SweepReport SweepRunner::run(const std::vector<ScenarioSpec>& specs,
       bool fetch_ok = true;
       const auto tp0 = std::chrono::steady_clock::now();
       try {
-        const noc::FabricPlanCache::Fetch fetch = plans_.get_or_build(
-            s.topology_spec(), s.router.be_vcs, opts.build_threads);
+        const noc::FabricPlanCache::Fetch fetch =
+            plans_.get_or_build(s.topology_spec(), s.router.be_vcs);
         first_ro.plan = rerun_ro.plan = fetch.plan;
         first_ro.plan_cached = fetch.hit;
         rerun_ro.plan_cached = true;  // resident by the rerun

@@ -36,7 +36,6 @@ struct SweepReport {
   /// shards: the plan cache is execution strategy and never changes
   /// stats). plan_builds counts cold fabric constructions, plan_hits
   /// scenarios served from a resident plan.
-  unsigned build_threads = 1;
   std::uint64_t plan_builds = 0;
   std::uint64_t plan_hits = 0;
 
@@ -74,14 +73,6 @@ struct SweepReport {
 unsigned effective_shards(unsigned jobs, unsigned shards,
                           unsigned hardware_threads);
 
-/// Execution-strategy knobs of one sweep invocation — like --shards,
-/// these move wall time only: per-scenario stats (and stats_json) are
-/// byte-identical for every value.
-struct SweepOptions {
-  /// Worker threads for each fabric plan materialization.
-  unsigned build_threads = 1;
-};
-
 class SweepRunner {
  public:
   /// Called after each scenario finishes (serialized by a mutex).
@@ -95,8 +86,7 @@ class SweepRunner {
   /// best wall time, so events-per-second figures are reproducible from
   /// one command instead of hand-timed best-of-N.
   SweepReport run(const std::vector<ScenarioSpec>& specs, unsigned jobs,
-                  ProgressFn on_done = {}, unsigned repeat = 1,
-                  SweepOptions opts = {});
+                  ProgressFn on_done = {}, unsigned repeat = 1);
 
   /// Whether this runner has already warned about the shard clamp. The
   /// flag is per-runner — a runner driving many sweeps (test binaries,

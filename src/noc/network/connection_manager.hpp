@@ -31,10 +31,10 @@
 // The host programs its *own* router through the local programming port
 // (the programming interface is an extension on the local port the host
 // core sits on — no network crossing), modeled as one NA wire hop plus
-// one BE-router cycle per word. Remote routers get real BE packets.
-// Earlier versions bounced an out-and-back BE self-route off a neighbor
-// instead; that workaround cannot scale (a 16-node ring's only
-// u-turn-free cycle is 16 hops, past the 15-code header budget).
+// one BE-router cycle per word. Remote routers get real BE packets. A
+// packet cannot reach its own source's router: a code pointing back the
+// way a packet came means local delivery (paper Section 5), and the
+// route table rejects src == dst.
 #pragma once
 
 #include <array>

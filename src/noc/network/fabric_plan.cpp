@@ -1,6 +1,8 @@
 #include "noc/network/fabric_plan.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <thread>
 #include <utility>
 
 #include "sim/assert.hpp"
@@ -24,6 +26,15 @@ std::string fabric_plan_key(const TopologySpec& spec, unsigned be_vcs) {
 }
 
 std::shared_ptr<const FabricPlan> FabricPlan::build(const TopologySpec& spec,
+                                                    unsigned be_vcs) {
+  const unsigned workers =
+      spec.node_count() >= kParallelBuildNodes
+          ? std::max(1u, std::thread::hardware_concurrency())
+          : 1;
+  return build(spec, be_vcs, workers);
+}
+
+std::shared_ptr<const FabricPlan> FabricPlan::build(const TopologySpec& spec,
                                                     unsigned be_vcs,
                                                     unsigned build_threads) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -31,21 +42,20 @@ std::shared_ptr<const FabricPlan> FabricPlan::build(const TopologySpec& spec,
   // members are written exactly once, here.
   std::shared_ptr<FabricPlan> plan(new FabricPlan());
   plan->topo_ = make_topology(spec);
-  plan->routing_ = make_routing(*plan->topo_);
+  // The routing is needed only to materialize the table: the hot path
+  // reads the table, never the virtual interface.
+  const std::unique_ptr<RoutingAlgorithm> routing = make_routing(*plan->topo_);
   plan->be_vcs_ = be_vcs;
   plan->key_ = fabric_plan_key(spec, be_vcs);
-  MANGO_ASSERT(
-      be_vcs >= plan->routing_->required_be_vcs(),
-      std::string(plan->routing_->name()) + " routing on " +
-          plan->topo_->label() + " needs " +
-          std::to_string(plan->routing_->required_be_vcs()) +
-          " BE VCs (dateline classes) but the router config has " +
-          std::to_string(be_vcs));
-  // Materialize the route tables once: the per-packet hot path reads
-  // these, never the virtual interface.
-  plan->table_ = std::make_unique<RouteTable>(*plan->topo_, *plan->routing_,
-                                              build_threads);
-  plan->vc_map_ = plan->routing_->vc_class_map();
+  MANGO_ASSERT(be_vcs >= routing->required_be_vcs(),
+               std::string(routing->name()) + " routing on " +
+                   plan->topo_->label() + " needs " +
+                   std::to_string(routing->required_be_vcs()) +
+                   " BE VCs (dateline classes) but the router config has " +
+                   std::to_string(be_vcs));
+  plan->table_ =
+      std::make_unique<RouteTable>(*plan->topo_, *routing, build_threads);
+  plan->vc_map_ = routing->vc_class_map();
   // Deadlock freedom is a construction invariant, not an assumption:
   // reject any (topology, routing, VC config) whose BE channel
   // dependency graph is cyclic. The check runs against the materialized
@@ -53,7 +63,7 @@ std::shared_ptr<const FabricPlan> FabricPlan::build(const TopologySpec& spec,
   plan->check_ = check_deadlock_freedom(*plan->topo_, *plan->table_,
                                         plan->vc_map_, be_vcs, build_threads);
   MANGO_ASSERT(plan->check_.acyclic,
-               std::string(plan->routing_->name()) + " routing on " +
+               std::string(routing->name()) + " routing on " +
                    plan->topo_->label() +
                    " is not deadlock-free; dependency cycle: " +
                    plan->check_.cycle);
@@ -65,8 +75,7 @@ std::shared_ptr<const FabricPlan> FabricPlan::build(const TopologySpec& spec,
 }
 
 FabricPlanCache::Fetch FabricPlanCache::get_or_build(const TopologySpec& spec,
-                                                     unsigned be_vcs,
-                                                     unsigned build_threads) {
+                                                     unsigned be_vcs) {
   const std::string key = fabric_plan_key(spec, be_vcs);
   std::promise<std::shared_ptr<const FabricPlan>> promise;
   bool building = false;
@@ -90,7 +99,7 @@ FabricPlanCache::Fetch FabricPlanCache::get_or_build(const TopologySpec& spec,
   // Build outside the lock: distinct fabrics materialize concurrently;
   // only same-key requests wait on this future.
   try {
-    promise.set_value(FabricPlan::build(spec, be_vcs, build_threads));
+    promise.set_value(FabricPlan::build(spec, be_vcs));
   } catch (...) {
     promise.set_exception(std::current_exception());
     throw;

@@ -1,9 +1,9 @@
 // Immutable, shareable fabric construction plans.
 //
 // A FabricPlan is everything about a network that is a pure function of
-// (topology spec, BE VC count): the Topology object, the canonical
-// RoutingAlgorithm, the materialized RouteTable (dense next-hop nibbles
-// plus encoded BE headers), the channel-dependency-graph deadlock
+// (topology spec, BE VC count): the Topology object, the RouteTable the
+// canonical routing materializes (dense next-hop nibbles plus encoded
+// BE headers), the channel-dependency-graph deadlock
 // certificate, the cached dateline VC-class map, and the load-weighted
 // partition weights the shard engine cuts stripes from. None of it
 // depends on traffic, seeds, churn, shard count or any other run-time
@@ -13,10 +13,11 @@
 // cold per-scenario build (sharing is execution strategy, like
 // `--shards`; see DESIGN.md section 10, "construction path").
 //
-// Plans are built in parallel when asked: the O(n^2) route-table
-// columns and the CDG edge enumeration fan out across `build_threads`
-// workers with a deterministic merge, so any thread count yields a
-// bit-identical plan (tests/test_fabric_plan.cpp).
+// Large plans are built in parallel: the O(n^2) route-table columns and
+// the CDG edge enumeration fan out across worker threads with a
+// deterministic merge, so any thread count yields a bit-identical plan
+// (tests/test_fabric_plan.cpp). The worker count follows from the node
+// count (kParallelBuildNodes); it is not a knob.
 #pragma once
 
 #include <cstdint>
@@ -42,16 +43,28 @@ std::string fabric_plan_key(const TopologySpec& spec, unsigned be_vcs);
 
 class FabricPlan {
  public:
+  /// Fabrics of at least this many nodes build on every hardware thread,
+  /// smaller ones on one: the measured crossover. Cold mesh construction
+  /// on a 4-vCPU host, four threads against one: a tie at 12x12 and
+  /// 16x16 (144 and 256 nodes), faster in every paired run from 20x20
+  /// (400 nodes, ~14%) up, ~1.5x at 32x32 and ~2.4x at 64x64 (DESIGN.md
+  /// section 10, "Parallel build determinism").
+  static constexpr std::size_t kParallelBuildNodes = 400;
+
   /// Builds the full static side of a fabric: topology -> canonical
   /// routing -> BE VC sufficiency check -> materialized route table ->
   /// CDG deadlock validation -> partition weights. Raises the same
   /// ModelErrors (byte-identical messages) Network construction
   /// historically raised for an under-provisioned VC config or a cyclic
-  /// routing. `build_threads` bounds the materialization pool; every
-  /// value produces an identical plan.
+  /// routing. The worker count is derived from the node count (see
+  /// kParallelBuildNodes).
+  static std::shared_ptr<const FabricPlan> build(const TopologySpec& spec,
+                                                 unsigned be_vcs);
+  /// The same build on exactly `build_threads` workers; every value
+  /// produces an identical plan.
   static std::shared_ptr<const FabricPlan> build(const TopologySpec& spec,
                                                  unsigned be_vcs,
-                                                 unsigned build_threads = 1);
+                                                 unsigned build_threads);
 
   const Topology& topology() const { return *topo_; }
   const RouteTable& table() const { return *table_; }
@@ -76,9 +89,6 @@ class FabricPlan {
   FabricPlan() = default;
 
   std::unique_ptr<Topology> topo_;
-  /// Kept alive for RouteTable, which re-raises self-route errors
-  /// through it.
-  std::unique_ptr<RoutingAlgorithm> routing_;
   std::unique_ptr<RouteTable> table_;
   DeadlockCheck check_;
   BeVcClassMap vc_map_;
@@ -102,9 +112,8 @@ class FabricPlanCache {
   };
 
   /// Returns the cached plan for fabric_plan_key(spec, be_vcs),
-  /// building (with `build_threads` workers) on first use.
-  Fetch get_or_build(const TopologySpec& spec, unsigned be_vcs,
-                     unsigned build_threads = 1);
+  /// building it on first use.
+  Fetch get_or_build(const TopologySpec& spec, unsigned be_vcs);
 
   /// Distinct fabrics resident (diagnostics).
   std::size_t size() const;

@@ -33,8 +33,7 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
   // raises the historical construction errors (VC sufficiency, CDG
   // acyclicity) with byte-identical messages.
   plan_ = cfg_.plan ? cfg_.plan
-                    : FabricPlan::build(cfg_.topology, cfg_.router.be_vcs,
-                                        cfg_.build_threads);
+                    : FabricPlan::build(cfg_.topology, cfg_.router.be_vcs);
   MANGO_ASSERT(plan_->key() == fabric_plan_key(cfg_.topology,
                                                cfg_.router.be_vcs),
                "fabric plan key mismatch: config wants " +
@@ -43,8 +42,8 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
   topo_ = &plan_->topology();
   table_ = &plan_->table();
   MANGO_ASSERT(topo_->node_count() >= 2,
-               "a network needs at least two nodes (self-programming uses "
-               "out-and-back routes)");
+               "a network needs at least two nodes (a lone router has no "
+               "link to carry traffic)");
 
   // Shard partition: contiguous node-index ranges weighted by each
   // node's deterministic event load (wired degree + endpoints per

@@ -54,9 +54,6 @@ struct NetworkConfig {
   /// error, never a silently different fabric. Stats are byte-identical
   /// with and without a shared plan.
   std::shared_ptr<const FabricPlan> plan;
-  /// Worker threads for the inline plan build when `plan` is null (the
-  /// table/CDG materialization; byte-identical results for any value).
-  unsigned build_threads = 1;
 };
 
 /// Mesh shorthand kept for the (many) mesh-only experiments: the same
@@ -142,10 +139,8 @@ class Network {
   NodeId node_at(std::size_t idx) const { return topo_->node_at(idx); }
 
   /// BE route from src to dst: the walk of the plan's route table.
-  /// src == dst yields the topology's shortest u-turn-free cycle back to
-  /// src (used to reach a node's own local port, e.g. for
-  /// self-programming; see DESIGN.md) — a checked error on fabrics with
-  /// no such cycle (e.g. tree graphs).
+  /// src == dst is a ModelError: a node reaches its own local port
+  /// through that port, never through the network (see RouteTable).
   BeRoute be_route(NodeId src, NodeId dst,
                    LocalIface iface = LocalIface::kNetworkAdapter) const;
 
@@ -154,8 +149,7 @@ class Network {
   /// the paper's 15-code budget get the packed source-route word,
   /// bit-identical to build_be_header(be_route(src, dst, iface));
   /// longer routes get the table-routed scheme (BeHeader::table set).
-  /// Self-routes stay source-routed and keep the ModelError on cycles
-  /// over the budget.
+  /// src == dst is a ModelError, as for be_route.
   BeHeader be_header(NodeId src, NodeId dst,
                      LocalIface iface = LocalIface::kNetworkAdapter) const;
 

@@ -57,70 +57,6 @@ void parallel_items(std::size_t items, unsigned threads, MakeState make_state,
 
 }  // namespace
 
-// --- base --------------------------------------------------------------------
-
-std::vector<Direction> RoutingAlgorithm::self_route(NodeId src) const {
-  // BFS over (node, arrival port) states for the shortest cycle back to
-  // src that never leaves a node by its arrival port (the u-turn code
-  // means local delivery). Port order gives deterministic tie-breaks.
-  MANGO_ASSERT(topo_.contains(src), "self-route source not in the topology");
-  struct State {
-    std::size_t node_idx;
-    PortIdx in_port;
-  };
-  const std::size_t n = topo_.node_count();
-  // parent[state] = (previous state index, move), or unset.
-  std::vector<std::optional<std::pair<std::size_t, Direction>>> parent(
-      n * kNumDirections);
-  const auto state_id = [](std::size_t node_idx, PortIdx in_port) {
-    return node_idx * kNumDirections + in_port;
-  };
-  std::deque<State> queue;
-  const std::size_t src_idx = topo_.index(src);
-
-  const auto expand = [&](std::size_t at, PortIdx in_port,
-                          std::optional<std::size_t> from_state)
-      -> std::optional<std::size_t> {
-    for (PortIdx p = 0; p < kNumDirections; ++p) {
-      if (is_network_port(in_port) && p == in_port) continue;  // u-turn
-      const std::uint32_t a = topo_.adj(at, p);
-      if (a == Topology::kNoLink) continue;
-      const std::size_t peer_idx = a >> 2;
-      const auto peer_port = static_cast<PortIdx>(a & 0x3u);
-      const std::size_t sid = state_id(peer_idx, peer_port);
-      if (parent[sid].has_value()) continue;  // visited
-      parent[sid] = {from_state.value_or(sid), direction_of(p)};
-      if (peer_idx == src_idx) return sid;  // cycle closed
-      queue.push_back(State{peer_idx, peer_port});
-    }
-    return std::nullopt;
-  };
-
-  // Seed: first hops out of src (in_port = local, no u-turn constraint).
-  std::optional<std::size_t> goal = expand(src_idx, kLocalPort, std::nullopt);
-  while (!goal.has_value() && !queue.empty()) {
-    const State st = queue.front();
-    queue.pop_front();
-    goal = expand(st.node_idx, st.in_port, state_id(st.node_idx, st.in_port));
-  }
-  if (!goal.has_value()) {
-    model_fail("topology " + topo_.label() +
-               " has no u-turn-free cycle through " + to_string(src) +
-               " — self-routes (programming a host's own router by "
-               "packet) are unavailable on this fabric");
-  }
-  std::vector<Direction> moves;
-  std::size_t sid = *goal;
-  for (;;) {
-    const auto& [prev, move] = *parent[sid];
-    moves.push_back(move);
-    if (prev == sid) break;  // seed state points at itself
-    sid = prev;
-  }
-  std::reverse(moves.begin(), moves.end());
-  return moves;
-}
-
 // --- XY on the mesh ----------------------------------------------------------
 
 NextHop XyRouting::next_hop(NodeId node, NodeId dst, unsigned) const {
@@ -330,86 +266,18 @@ std::unique_ptr<RoutingAlgorithm> make_routing(const Topology& topo) {
 
 RouteTable::RouteTable(const Topology& topo, const RoutingAlgorithm& routing,
                        unsigned build_threads)
-    : n_(topo.node_count()), topo_(&topo), routing_(&routing) {
+    : n_(topo.node_count()), topo_(&topo) {
   if (n_ > kDenseNodeLimit) {
     model_fail(topo.label() + " has " + std::to_string(n_) +
                " nodes; route tables support at most " +
                std::to_string(kDenseNodeLimit));
   }
-  materialize_self_routes(topo, routing, build_threads);
   materialize_pairs(topo, routing, build_threads);
 }
 
 bool operator==(const RouteTable& a, const RouteTable& b) {
-  return a.n_ == b.n_ && a.hop_ == b.hop_ &&
-         a.meta_ == b.meta_ && a.header_ == b.header_ &&
-         a.self_moves_ == b.self_moves_ &&
-         a.self_offsets_ == b.self_offsets_ &&
-         a.self_delivery_ == b.self_delivery_ &&
-         a.self_header_ == b.self_header_ && a.self_shift_ == b.self_shift_ &&
-         a.self_unavailable_ == b.self_unavailable_;
-}
-
-void RouteTable::materialize_self_routes(const Topology& topo,
-                                         const RoutingAlgorithm& routing,
-                                         unsigned build_threads) {
-  self_offsets_.assign(n_ + 1, 0);
-  self_delivery_.assign(n_, 0);
-  self_header_.assign(n_, 0);
-  self_shift_.assign(n_, kNoHeader);
-  self_unavailable_.assign(n_, false);
-  // Phase 1 (parallel): each node's self cycle is an independent BFS —
-  // a pure function of (topology, node) written to its own slot.
-  // Self-routes exist only on fabrics with a u-turn-free cycle; record
-  // the miss and re-raise the routing error on first use (construction
-  // stays lazy, exactly like the virtual path).
-  std::vector<std::vector<Direction>> cycles(n_);
-  std::vector<std::uint8_t> miss(n_, 0);  // byte-wide: vector<bool> packs bits
-  parallel_items(
-      n_, build_threads, [] { return 0; },
-      [&](std::size_t s, int&) {
-        try {
-          cycles[s] = routing.self_route(topo.node_at(s));
-        } catch (const ModelError&) {
-          miss[s] = 1;
-        }
-      });
-  // Phase 2 (serial): flatten in node order and fold headers, so the
-  // packed layout is independent of the phase-1 thread assignment.
-  for (std::size_t s = 0; s < n_; ++s) {
-    self_offsets_[s] = static_cast<std::uint32_t>(self_moves_.size());
-    if (miss[s]) {
-      self_unavailable_[s] = true;
-      continue;
-    }
-    const NodeId src = topo.node_at(s);
-    const std::vector<Direction>& mv = cycles[s];
-    MANGO_ASSERT(!mv.empty(), "routing produced an empty self-route");
-    self_moves_.insert(self_moves_.end(), mv.begin(), mv.end());
-    const auto end = topo.walk(src, mv);
-    MANGO_ASSERT(end.has_value(), "self-route walks an unwired port");
-    self_delivery_[s] = end->arrival_port;
-    // Fold the header now when the cycle fits the 15-code budget; the
-    // interface bits stay zero and are ORed in per lookup. Self-routes
-    // are always source-routed (a table header addressed to the local
-    // router would be delivered without ever leaving it), so an
-    // over-budget cycle keeps the paper's error behaviour.
-    const std::size_t codes = mv.size() + 1;
-    if (codes <= kMaxHeaderCodes) {
-      std::uint32_t header = 0;
-      for (const Direction d : mv) {
-        header = (header << 2) | (static_cast<std::uint32_t>(d) & 0x3u);
-      }
-      header = (header << 2) |
-               (static_cast<std::uint32_t>(end->arrival_port) & 0x3u);
-      header <<= 2;  // interface bits, zeroed
-      const unsigned used_bits = 2 * static_cast<unsigned>(codes + 1);
-      header <<= (32 - used_bits);
-      self_header_[s] = header;
-      self_shift_[s] = static_cast<std::uint8_t>(32 - used_bits);
-    }
-  }
-  self_offsets_[n_] = static_cast<std::uint32_t>(self_moves_.size());
+  return a.n_ == b.n_ && a.hop_ == b.hop_ && a.meta_ == b.meta_ &&
+         a.header_ == b.header_;
 }
 
 namespace {
@@ -541,22 +409,18 @@ void RouteTable::materialize_pairs(const Topology& topo,
       resolve_destination);
 }
 
-bool RouteTable::self_pair(std::size_t src_idx, std::size_t dst_idx) const {
+void RouteTable::check_pair(std::size_t src_idx, std::size_t dst_idx) const {
   MANGO_ASSERT(src_idx < n_ && dst_idx < n_, "route table index out of range");
-  if (src_idx != dst_idx) return false;
-  if (self_unavailable_[src_idx]) {
-    routing_->self_route(topo_->node_at(src_idx));  // throws
-  }
-  return true;
+  MANGO_ASSERT(src_idx != dst_idx,
+               "no route from " + to_string(topo_->node_at(src_idx)) +
+                   " to itself: a code pointing back the way a packet came "
+                   "means local delivery (paper Section 5), so a node "
+                   "reaches its own local port only through that port");
 }
 
 void RouteTable::append_moves(std::size_t src_idx, std::size_t dst_idx,
                               std::vector<Direction>& out) const {
-  if (self_pair(src_idx, dst_idx)) {
-    out.insert(out.end(), self_moves_.begin() + self_offsets_[src_idx],
-               self_moves_.begin() + self_offsets_[src_idx + 1]);
-    return;
-  }
+  check_pair(src_idx, dst_idx);
   std::size_t cur = src_idx;
   unsigned phase = 0;
   std::size_t guard = 2 * n_ + 2;
@@ -574,16 +438,12 @@ void RouteTable::append_moves(std::size_t src_idx, std::size_t dst_idx,
 
 PortIdx RouteTable::delivery_port(std::size_t src_idx,
                                   std::size_t dst_idx) const {
-  if (self_pair(src_idx, dst_idx)) {
-    return static_cast<PortIdx>(self_delivery_[src_idx]);
-  }
+  check_pair(src_idx, dst_idx);
   return static_cast<PortIdx>(meta_[pair(src_idx, dst_idx)] & 0x3u);
 }
 
 unsigned RouteTable::hops(std::size_t src_idx, std::size_t dst_idx) const {
-  if (self_pair(src_idx, dst_idx)) {
-    return self_offsets_[src_idx + 1] - self_offsets_[src_idx];
-  }
+  check_pair(src_idx, dst_idx);
   const std::uint8_t code = shift_code(src_idx, dst_idx);
   if (code != kTableRouted) return 14u - code;  // shift 28 - 2*hops
   std::vector<Direction> mv;
@@ -593,23 +453,7 @@ unsigned RouteTable::hops(std::size_t src_idx, std::size_t dst_idx) const {
 
 BeHeader RouteTable::be_header(std::size_t src_idx, std::size_t dst_idx,
                                LocalIface iface) const {
-  if (self_pair(src_idx, dst_idx)) {
-    const std::uint8_t shift = self_shift_[src_idx];
-    if (shift == kNoHeader) {
-      // Over budget: rebuild through the legacy path so the ModelError
-      // is byte-identical to build_be_header's.
-      BeRoute r;
-      r.moves.assign(self_moves_.begin() + self_offsets_[src_idx],
-                     self_moves_.begin() + self_offsets_[src_idx + 1]);
-      r.delivery =
-          direction_of(static_cast<PortIdx>(self_delivery_[src_idx]));
-      r.iface = iface;
-      return BeHeader{build_be_header(r), false};  // throws
-    }
-    return BeHeader{self_header_[src_idx] |
-                        (static_cast<std::uint32_t>(iface) << shift),
-                    false};
-  }
+  check_pair(src_idx, dst_idx);
   const std::size_t p = pair(src_idx, dst_idx);
   const std::uint8_t code = static_cast<std::uint8_t>(meta_[p] >> 4);
   if (code == kTableRouted) {
@@ -764,7 +608,7 @@ DeadlockCheck check_deadlock_freedom(const Topology& topo,
         auto& edges = emitted[k];
         ++sc.epoch;
         for (std::size_t si = 0; si < n; si += stride) {
-          if (si == di) continue;  // self-routes carry no inter-packet deps
+          if (si == di) continue;  // no route from a node to itself
           std::size_t cur = si;
           unsigned phase = 0;
           PortIdx in = kLocalPort;

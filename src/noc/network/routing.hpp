@@ -33,7 +33,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,12 +90,6 @@ class RoutingAlgorithm {
   virtual BeVcClassMap vc_class_map() const { return {}; }
   /// BE VCs the scheme needs (2 when vc_class_map() is enabled).
   virtual unsigned required_be_vcs() const { return 1; }
-
-  /// Shortest u-turn-free cycle from src back to its own local port
-  /// (self-routes reach a node's own NA/programming interface; see
-  /// DESIGN.md). ModelError when the topology has no such cycle through
-  /// src (e.g. tree graphs).
-  std::vector<Direction> self_route(NodeId src) const;
 
   const Topology& topology() const { return topo_; }
 
@@ -177,15 +170,14 @@ std::unique_ptr<RoutingAlgorithm> make_routing(const Topology& topo);
 ///   * longer routes: the table-routed scheme (THDR header carrying the
 ///     destination index; routers call next_hop() per hop).
 ///
-/// Self-routes (src == dst, the out-and-back cycle reaching a node's
-/// own local port) are materialized per node as explicit move lists;
-/// fabrics without a u-turn-free cycle record the miss and re-raise the
-/// routing error on first use, preserving lazy construction semantics.
+/// There is no route from a node to itself: a code pointing back the
+/// way a packet came means local delivery (paper Section 5), so a node
+/// reaches its own local port through that port, never through the
+/// network. Every accessor below raises a ModelError for src == dst.
 ///
 /// The table stores routes, not wires: its chain walks and the deadlock
 /// check step through the topology's own port table (Topology::adj),
-/// which the table borrows — the Topology outlives it, as it outlives
-/// the routing.
+/// which the table borrows — the Topology outlives it.
 ///
 /// Fabrics beyond kDenseNodeLimit nodes are a ModelError: the n^2
 /// storage is the only route representation the network reads.
@@ -195,16 +187,13 @@ class RouteTable {
   /// Sentinel shift code (meta high nibble): the route exceeds the
   /// 15-code BE header budget and is table-routed instead.
   static constexpr std::uint8_t kTableRouted = 0xF;
-  /// Sentinel shift: a self-route over the 15-code header budget.
-  static constexpr std::uint8_t kNoHeader = 0xFF;
 
   /// `build_threads` bounds the worker pool used to materialize the
-  /// per-destination route columns and self-route cycles. Every value
-  /// produces a byte-identical table: each destination's column (and
-  /// each node's self cycle) is a pure function of (topology, routing)
-  /// written to disjoint bytes, so the thread assignment cannot leak
-  /// into the result (tests/test_fabric_plan.cpp asserts == across
-  /// thread counts on every fabric kind).
+  /// per-destination route columns. Every value produces a
+  /// byte-identical table: each destination's column is a pure function
+  /// of (topology, routing) written to disjoint bytes, so the thread
+  /// assignment cannot leak into the result (tests/test_fabric_plan.cpp
+  /// asserts == across thread counts on every fabric kind).
   RouteTable(const Topology& topo, const RoutingAlgorithm& routing,
              unsigned build_threads = 1);
 
@@ -230,16 +219,15 @@ class RouteTable {
                    static_cast<std::uint8_t>((nib >> 2) & 1u)};
   }
 
-  /// Appends the full move sequence of src -> dst (phase-0 injection);
-  /// src == dst yields the self-route cycle (ModelError when the fabric
-  /// has none through src). O(route length) chain walk.
+  /// Appends the full move sequence of src -> dst (phase-0 injection).
+  /// O(route length) chain walk.
   void append_moves(std::size_t src_idx, std::size_t dst_idx,
                     std::vector<Direction>& out) const;
   /// Port the final hop arrives on at the destination (the code that
   /// reads as "back the way it came" there).
   PortIdx delivery_port(std::size_t src_idx, std::size_t dst_idx) const;
-  /// Link hops of the materialized src -> dst route (src != dst). O(1)
-  /// for header-scheme routes, an O(route length) chain walk beyond.
+  /// Link hops of the materialized src -> dst route. O(1) for
+  /// header-scheme routes, an O(route length) chain walk beyond.
   unsigned hops(std::size_t src_idx, std::size_t dst_idx) const;
   /// True when (src, dst) selected the table-routed header scheme —
   /// exactly the pairs whose route exceeds 14 hops (src != dst).
@@ -249,24 +237,17 @@ class RouteTable {
 
   /// Precomputed BE header of the src -> dst route with `iface` folded
   /// in: the packed source-route word for routes within the 15-code
-  /// budget, the table-routed word beyond. Self-routes are always
-  /// source-routed and raise build_be_header's ModelError when the
-  /// fabric's shortest self cycle is over budget.
+  /// budget, the table-routed word beyond.
   BeHeader be_header(std::size_t src_idx, std::size_t dst_idx,
                      LocalIface iface) const;
 
  private:
   std::size_t pair(std::size_t s, std::size_t d) const { return s * n_ + d; }
-  /// Range-checks a pair and tells whether it is a self-route; on a
-  /// fabric without a u-turn-free cycle through src it re-raises the
-  /// routing's self-route ModelError instead.
-  bool self_pair(std::size_t src_idx, std::size_t dst_idx) const;
+  /// Range-checks a pair and rejects src == dst (ModelError).
+  void check_pair(std::size_t src_idx, std::size_t dst_idx) const;
   std::uint8_t shift_code(std::size_t s, std::size_t d) const {
     return static_cast<std::uint8_t>(meta_[pair(s, d)] >> 4);
   }
-  void materialize_self_routes(const Topology& topo,
-                               const RoutingAlgorithm& routing,
-                               unsigned build_threads);
   void materialize_pairs(const Topology& topo,
                          const RoutingAlgorithm& routing,
                          unsigned build_threads);
@@ -281,17 +262,8 @@ class RouteTable {
   /// Per-pair packed source-route header with zeroed interface bits
   /// (valid when the shift code is not kTableRouted).
   std::vector<std::uint32_t> header_;
-  /// Self-route cycles, flattened per node.
-  std::vector<Direction> self_moves_;
-  std::vector<std::uint32_t> self_offsets_;
-  std::vector<std::uint8_t> self_delivery_;
-  std::vector<std::uint32_t> self_header_;
-  std::vector<std::uint8_t> self_shift_;  ///< kNoHeader: over budget
-  /// Self-route misses (no u-turn-free cycle): re-raise lazily.
-  std::vector<bool> self_unavailable_;
   /// The fabric's port table: chain walks step through Topology::adj.
   const Topology* topo_ = nullptr;
-  const RoutingAlgorithm* routing_ = nullptr;  ///< for lazy error re-raise
 };
 
 /// Result of the channel-dependency-graph acyclicity check. Beyond the

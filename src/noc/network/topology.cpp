@@ -77,8 +77,8 @@ GraphSpec GraphSpec::irregular(std::uint16_t nodes) {
   for (std::uint16_t i = 1; i < nodes; ++i) {
     spec.edges.emplace_back(i, static_cast<std::uint16_t>((i - 1) / 3));
   }
-  // Chords pair up consecutive leaves, adding cycles (so u-turn-free
-  // self-routes exist) while keeping shortest-path routing's channel
+  // Chords pair up consecutive leaves, adding cycles (alternative paths
+  // beyond the tree) while keeping shortest-path routing's channel
   // dependencies acyclic (asserted by the deadlock validator and the
   // routing property tests).
   std::vector<std::uint16_t> leaves;

@@ -101,8 +101,8 @@ struct GraphSpec {
 
   /// Deterministic built-in irregular fabric: a ternary-tree backbone
   /// (node i hangs off (i-1)/3) plus chords between consecutive leaves,
-  /// giving heterogeneous degrees, non-uniform distances and enough
-  /// cycles for u-turn-free self-routes. Used by the "graph" topology
+  /// giving heterogeneous degrees, non-uniform distances and cycles
+  /// beyond the tree. Used by the "graph" topology
   /// axis of the sweep CLI and the topologies-4x4 preset.
   static GraphSpec irregular(std::uint16_t nodes);
 

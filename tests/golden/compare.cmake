@@ -4,8 +4,8 @@
 #   cmake -DSWEEP=<mango_sweep> "-DARGS=<sweep flags>" -DGOLDEN=<file>
 #         -DOUT=<scratch file> -P compare.cmake
 #
-# ARGS is a space-separated flag list, execution flags (--jobs, --shards,
-# --build-threads) included; the script appends --stable --quiet
+# ARGS is a space-separated flag list, execution flags (--jobs, --shards)
+# included; the script appends --stable --quiet
 # --out OUT. A nonzero mango_sweep exit or any byte difference fails.
 foreach(var SWEEP ARGS GOLDEN OUT)
   if(NOT DEFINED ${var})

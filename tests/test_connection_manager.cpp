@@ -110,7 +110,7 @@ TEST_F(MgrFixture, PacketSetupProgramsEveryRouter) {
 TEST_F(MgrFixture, PacketSetupOfHostOwnRouterUsesLocalPort) {
   // Source = host: the host's own router is programmed through the
   // local programming port (no network crossing, but nonzero time — see
-  // connection_manager.hpp), so setup completes without a self-route.
+  // connection_manager.hpp), so the host's own hop needs no packet.
   bool ready = false;
   const Connection& c = mgr.open_via_packets(
       {0, 0}, {0, 2}, [&](const Connection&) { ready = true; });

@@ -1,9 +1,9 @@
 // FabricPlan subsystem: parallel route-table / CDG materialization is
-// bit-identical for every thread count, the plan cache keys fabrics
+// bit-identical for every thread count (the derived worker count
+// included) and pinned to recorded digests, the plan cache keys fabrics
 // canonically and builds each exactly once, and sharing a plan across
 // scenarios is pure execution strategy — stats (and whole sweep
-// reports) are byte-identical to per-scenario inline builds, for any
-// build-thread count.
+// reports) are byte-identical to per-scenario inline builds.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -102,6 +102,86 @@ TEST(FabricPlan, ParallelBuildYieldsIdenticalPlan) {
   }
 }
 
+/// FNV-1a over every src != dst pair's table answers: next hop and
+/// phase in both routing phases, delivery port, hop count, header
+/// scheme and the encoded BE header for both local interfaces.
+std::uint64_t table_digest(const RouteTable& t) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto add = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xFFu)) * 1099511628211ull;
+    }
+  };
+  for (std::size_t s = 0; s < t.node_count(); ++s) {
+    for (std::size_t d = 0; d < t.node_count(); ++d) {
+      if (s == d) continue;
+      for (const unsigned phase : {0u, 1u}) {
+        const NextHop nh = t.next_hop(s, d, phase);
+        add(nh.port);
+        add(nh.phase);
+      }
+      add(t.delivery_port(s, d));
+      add(t.hops(s, d));
+      add(t.table_routed(s, d));
+      for (const LocalIface iface :
+           {LocalIface::kNetworkAdapter, LocalIface::kProgramming}) {
+        const BeHeader hdr = t.be_header(s, d, iface);
+        add(hdr.word);
+        add(hdr.table);
+      }
+    }
+  }
+  return h;
+}
+
+struct RecordedPlan {
+  TopologySpec spec;
+  std::uint64_t table;
+  std::uint64_t edges;
+  std::uint64_t cdg;
+};
+
+// The plan bytes the route-table and CDG code must keep producing,
+// recorded from the serial build. The 32x32 mesh is built with the
+// derived worker count, so the parallel path is pinned too.
+TEST(FabricPlan, TablesAndCertificatesMatchRecordedDigests) {
+  const std::vector<RecordedPlan> recorded = {
+      {TopologySpec::mesh(4, 4), 0xd249ec9789e0b887ull, 68,
+       0xb5db8a209b371af3ull},
+      {TopologySpec::torus(4, 4), 0x49ee8640bde2f0cbull, 104,
+       0x7ce8f4eaaa630673ull},
+      {TopologySpec::ring(12), 0x761e50cc8cbcbb03ull, 31,
+       0xea3b4b4cba7ded25ull},
+      {TopologySpec::irregular(GraphSpec::irregular(16)),
+       0xa60a2dc4e54c9dd3ull, 48, 0xc2989630e105a691ull},
+      {TopologySpec::cmesh(4, 4, 4), 0xd249ec9789e0b887ull, 68,
+       0xb5db8a209b371af3ull},
+      {TopologySpec::mesh(32, 32), 0xecdf9b317c1b957bull, 7684,
+       0x8e635289e20d5e93ull},
+  };
+  for (const RecordedPlan& r : recorded) {
+    const auto plan = FabricPlan::build(r.spec, 2);
+    const DeadlockCheck& cert = plan->deadlock_certificate();
+    EXPECT_EQ(table_digest(plan->table()), r.table) << r.spec.label();
+    EXPECT_TRUE(cert.acyclic) << r.spec.label();
+    EXPECT_EQ(cert.edges, r.edges) << r.spec.label();
+    EXPECT_EQ(cert.digest, r.cdg) << r.spec.label();
+    EXPECT_TRUE(cert.cycle.empty()) << r.spec.label();
+  }
+  // The cyclic verdict: torus DOR on one BE VC.
+  const auto torus = make_topology(TopologySpec::torus(4, 4));
+  const auto routing = make_routing(*torus);
+  const RouteTable table(*torus, *routing, 1);
+  const DeadlockCheck cyclic =
+      check_deadlock_freedom(*torus, table, routing->vc_class_map(), 1, 1);
+  EXPECT_FALSE(cyclic.acyclic);
+  EXPECT_EQ(cyclic.edges, 96u);
+  EXPECT_EQ(cyclic.digest, 0x42e9594e73199fd3ull);
+  EXPECT_EQ(cyclic.cycle,
+            "(0,0).N/vc0 -> (0,1).N/vc0 -> (0,2).N/vc0 -> (0,3).N/vc0 -> "
+            "(0,0).N/vc0");
+}
+
 TEST(FabricPlanKey, SeedAndTrafficDoNotKeyButFabricDoes) {
   exp::ScenarioSpec a;
   a.topology = TopologyKind::kTorus;
@@ -157,7 +237,7 @@ TEST(FabricPlanCache, ConcurrentMissesBuildExactlyOnce) {
   std::vector<std::thread> pool;
   for (std::size_t i = 0; i < plans.size(); ++i) {
     pool.emplace_back(
-        [&, i] { plans[i] = cache.get_or_build(spec, 1, 2).plan; });
+        [&, i] { plans[i] = cache.get_or_build(spec, 1).plan; });
   }
   for (auto& t : pool) t.join();
   for (const auto& p : plans) EXPECT_EQ(p.get(), plans[0].get());
@@ -238,16 +318,26 @@ exp::SweepReport inline_report(const std::vector<exp::ScenarioSpec>& specs) {
 
 TEST(Sweep, CachedReportMatchesInlineBuildsAndAnyBuildThreads) {
   const auto specs = plan_grid().expand();
-  exp::SweepOptions threaded;
-  threaded.build_threads = 4;
   const exp::SweepReport cached = exp::SweepRunner().run(specs, 2);
-  const exp::SweepReport r_thr =
-      exp::SweepRunner().run(specs, 1, {}, 1, threaded);
   EXPECT_EQ(cached.stats_json(), inline_report(specs).stats_json());
-  EXPECT_EQ(cached.stats_json(), r_thr.stats_json());
   // 2 fabrics x 3 seeds: each fabric builds once, the rest are hits.
   EXPECT_EQ(cached.plan_builds, 2u);
   EXPECT_EQ(cached.plan_hits, 4u);
+
+  // A fabric large enough for the derived worker count to go parallel:
+  // the cached plan equals the one-thread build byte for byte.
+  const TopologySpec big = TopologySpec::mesh(32, 32);
+  ASSERT_GE(big.node_count(), FabricPlan::kParallelBuildNodes);
+  FabricPlanCache cache;
+  const auto derived = cache.get_or_build(big, 2).plan;
+  const auto serial = FabricPlan::build(big, 2, 1);
+  EXPECT_TRUE(derived->table() == serial->table());
+  const DeadlockCheck& a = derived->deadlock_certificate();
+  const DeadlockCheck& b = serial->deadlock_certificate();
+  EXPECT_EQ(a.acyclic, b.acyclic);
+  EXPECT_EQ(a.cycle, b.cycle);
+  EXPECT_EQ(a.edges, b.edges);
+  EXPECT_EQ(a.digest, b.digest);
 }
 
 TEST(Sweep, PlanCacheStaysWarmAcrossRuns) {

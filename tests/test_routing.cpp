@@ -1,7 +1,7 @@
-// The routing layer: per-topology route properties, self-routes, the
-// dateline VC-class rule and the channel-dependency-graph deadlock
-// validator — including its rejection of intentionally cyclic routing
-// functions.
+// The routing layer: per-topology route properties, the checked error
+// for a route from a node to itself, the dateline VC-class rule and the
+// channel-dependency-graph deadlock validator — including its rejection
+// of intentionally cyclic routing functions.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -273,40 +273,58 @@ TEST(RoutingProperties, FreeStepRejectsCoordinateWraps) {
                                   {Direction::kWest, Direction::kEast}));
 }
 
-TEST(SelfRoutes, ShortestUturnFreeCyclesPerTopology) {
-  for (const TopologySpec& spec : fuzz_specs()) {
-    if (spec.kind == TopologyKind::kMesh &&
-        (spec.width < 2 || spec.height < 2)) {
-      continue;  // path-shaped meshes have no cycle (checked below)
+// There is no route from a node to itself: a code pointing back the way
+// a packet came means local delivery (paper Section 5). Every route
+// accessor raises one ModelError naming the node — on cyclic fabrics
+// and on a tree and a path alike, and whether or not the node has a
+// u-turn-free cycle through it.
+TEST(RouteToSelf, IsACheckedErrorOnEveryFabric) {
+  const std::vector<TopologySpec> specs = {
+      TopologySpec::mesh(4, 4),
+      TopologySpec::torus(4, 4),
+      TopologySpec::ring(12),
+      TopologySpec::irregular(GraphSpec::irregular(16)),
+      TopologySpec::cmesh(4, 4, 4),
+      TopologySpec::irregular(GraphSpec::parse("0-1,1-2,1-3")),  // a tree
+      TopologySpec::mesh(1, 6),                                  // a path
+  };
+  for (const TopologySpec& spec : specs) {
+    sim::SimContext ctx;
+    NetworkConfig cfg;
+    cfg.topology = spec;
+    cfg.router.be_vcs = 2;
+    const Network net(ctx, cfg);
+    const RouteTable& table = net.plan().table();
+    for (std::size_t i = 0; i < net.node_count(); ++i) {
+      const NodeId n = net.node_at(i);
+      const auto expect_self_error = [&](const char* call, auto&& fn) {
+        try {
+          fn();
+          ADD_FAILURE() << spec.label() << " " << call << " at "
+                        << to_string(n) << " returned";
+        } catch (const mango::ModelError& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("no route from " + to_string(n) + " to itself"),
+                    std::string::npos)
+              << call << ": " << what;
+          EXPECT_NE(what.find("Section 5"), std::string::npos) << what;
+        }
+      };
+      expect_self_error("be_route", [&] { net.be_route(n, n); });
+      expect_self_error("be_header", [&] { net.be_header(n, n); });
+      std::vector<Direction> moves;
+      expect_self_error("append_moves",
+                        [&] { table.append_moves(i, i, moves); });
+      expect_self_error("delivery_port", [&] { table.delivery_port(i, i); });
+      expect_self_error("hops", [&] { table.hops(i, i); });
+      expect_self_error("RouteTable::be_header", [&] {
+        table.be_header(i, i, LocalIface::kProgramming);
+      });
+      EXPECT_TRUE(moves.empty()) << spec.label();
     }
-    const auto topo = make_topology(spec);
-    const auto routing = make_routing(*topo);
-    for (std::size_t i = 0; i < topo->node_count(); ++i) {
-      const NodeId n = topo->node_at(i);
-      const std::vector<Direction> cycle = routing->self_route(n);
-      ASSERT_GE(cycle.size(), 2u) << topo->label();
-      EXPECT_TRUE(topo->route_reaches(n, n, cycle)) << topo->label();
-    }
+    // Distinct endpoints still route.
+    EXPECT_GE(net.be_route(net.node_at(0), net.node_at(1)).moves.size(), 1u);
   }
-}
-
-TEST(SelfRoutes, MeshUsesTheFourHopSquare) {
-  const auto topo = make_topology(TopologySpec::mesh(4, 4));
-  const auto routing = make_routing(*topo);
-  EXPECT_EQ(routing->self_route({0, 0}).size(), 4u);
-  // A 2-node torus ring has a 2-hop cycle over the parallel links.
-  const auto torus = make_topology(TopologySpec::torus(2, 2));
-  EXPECT_EQ(make_routing(*torus)->self_route({0, 0}).size(), 2u);
-}
-
-TEST(SelfRoutes, AcyclicFabricsFailLoudly) {
-  // A pure tree has no u-turn-free cycle at all.
-  const auto tree =
-      make_topology(TopologySpec::irregular(GraphSpec::parse("0-1,1-2,1-3")));
-  EXPECT_THROW(make_routing(*tree)->self_route({0, 0}), mango::ModelError);
-  // Neither does a 1-wide (path-shaped) mesh.
-  const auto path = make_topology(TopologySpec::mesh(1, 6));
-  EXPECT_THROW(make_routing(*path)->self_route({0, 2}), mango::ModelError);
 }
 
 // --- the deadlock validator itself ------------------------------------------

@@ -94,8 +94,8 @@ TEST(TopologyNetwork, GsStreamsAcrossWrapAndGraphPaths) {
   }
 }
 
-// GS setup via BE programming packets — including programming the
-// host's own router through a self-route cycle — works on wrap fabrics.
+// GS setup via BE programming packets works on wrap fabrics, with the
+// host's own router programmed through its local programming port.
 TEST(TopologyNetwork, GsSetupViaPacketsOnTorus) {
   sim::SimContext ctx;
   Network net(ctx, config_for(TopologySpec::torus(3, 3), 2));
@@ -103,8 +103,8 @@ TEST(TopologyNetwork, GsSetupViaPacketsOnTorus) {
   attach_hub(net, hub);
   ConnectionManager mgr(net, net.node_at(0));
   bool ready = false;
-  // src == host: hop 0 lives on the host's own router, so one
-  // programming packet takes the self-route cycle.
+  // src == host: hop 0 lives on the host's own router, which the host
+  // programs locally; the other routers get BE programming packets.
   mgr.open_via_packets({0, 0}, {2, 2},
                        [&ready](const Connection& c) {
                          ready = true;

@@ -82,7 +82,6 @@ REQUIRED_DOCUMENTED_FLAGS = {
     "--shards",
     "--repeat",
     "--spin-us",
-    "--build-threads",
 }
 
 

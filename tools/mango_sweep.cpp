@@ -87,10 +87,6 @@ void usage(std::FILE* out) {
       "                        before falling back to the condvar sleep\n"
       "                        (default 50; 0 = condvar-only; ignored\n"
       "                        when cores < shards). Stats unchanged\n"
-      "  --build-threads N     worker threads materializing each fabric\n"
-      "                        plan's route tables and dependency graph\n"
-      "                        (default 1; plans are byte-identical for\n"
-      "                        every N). Stats unchanged\n"
       "  --out FILE            write the JSON report to FILE\n"
       "  --stable              omit wall-clock fields from the JSON so\n"
       "                        reports of identical sweeps are byte-equal\n"
@@ -195,7 +191,6 @@ int main(int argc, char** argv) {
   std::string out_file;
   unsigned jobs = 0;  // hardware concurrency
   unsigned repeat = 1;
-  exp::SweepOptions sweep_opts;
   bool stable = false;
   bool quiet = false;
   bool have_grid_flags = false;
@@ -393,13 +388,6 @@ int main(int argc, char** argv) {
       }
       grid.base.spin_us = static_cast<std::uint32_t>(n);
       set_spin_us = true;
-    } else if (arg == "--build-threads") {
-      std::uint64_t n = 0;
-      if (!parse_u64(next_arg(i, "--build-threads"), &n) || n == 0 ||
-          n > 64) {
-        die("bad --build-threads (want 1..64)");
-      }
-      sweep_opts.build_threads = static_cast<unsigned>(n);
     } else if (arg == "--repeat") {
       std::uint64_t n = 0;
       if (!parse_u64(next_arg(i, "--repeat"), &n) || n == 0 || n > 100) {
@@ -476,7 +464,7 @@ int main(int argc, char** argv) {
   }
 
   const exp::SweepReport report =
-      exp::SweepRunner().run(specs, jobs, progress, repeat, sweep_opts);
+      exp::SweepRunner().run(specs, jobs, progress, repeat);
 
   if (!quiet) {
     std::printf("\n");
