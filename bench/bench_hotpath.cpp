@@ -36,7 +36,7 @@ void gs_hop(benchmark::State& state, bool coalesce) {
     ConnectionManager mgr(net, NodeId{0, 0});
     const Connection& c = mgr.open_direct({0, 0}, {1, 0});
     std::uint64_t delivered = 0;
-    net.na({1, 0}).set_gs_handler_timed(
+    net.na({1, 0}).set_gs_handler(
         [&](LocalIfaceIdx, Flit&&, sim::Time) { ++delivered; });
     const auto n = static_cast<std::uint64_t>(state.range(0));
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -66,7 +66,7 @@ void BM_BeInjectionToSink(benchmark::State& state) {
     Network net(ctx, mesh);
     sim::VectorPool<Flit>& pool = ctx.pools().vectors<Flit>();
     std::uint64_t delivered = 0;
-    net.na({1, 1}).set_be_handler_timed(
+    net.na({1, 1}).set_be_handler(
         [&](BePacket&& pkt, sim::Time) {
           ++delivered;
           pool.release(std::move(pkt.flits));

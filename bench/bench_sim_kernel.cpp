@@ -122,9 +122,9 @@ void BM_GsFlitHop(benchmark::State& state) {
     ConnectionManager mgr(net, NodeId{0, 0});
     const Connection& c = mgr.open_direct({0, 0}, {1, 0});
     std::uint64_t delivered = 0;
-    // Passive measurement sink (the attach_hub style): the NA folds the
-    // final wire hop instead of scheduling a handler event per flit.
-    net.na({1, 0}).set_gs_handler_timed(
+    // Zero-service measurement sink (the attach_hub style): the NA folds
+    // the final wire hop instead of scheduling a handler event per flit.
+    net.na({1, 0}).set_gs_handler(
         [&](LocalIfaceIdx, Flit&&, sim::Time) { ++delivered; });
     const auto n = static_cast<std::uint64_t>(state.range(0));
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -216,10 +216,12 @@ SweepReport SweepRunner::run(const std::vector<ScenarioSpec>& specs,
       const ScenarioSpec& s = run_specs[i];
       // Plan acquisition: fetch from the cache, building at most once
       // per distinct fabric across the whole sweep (and across this
-      // runner's earlier sweeps). The simulation sees the same plan
-      // content an inline build gives, so stats are byte-identical to
-      // run_scenario(spec) — and a failed fetch reports the same
-      // ModelError message an inline build would have thrown.
+      // runner's earlier sweeps). Up to `jobs` workers build at once,
+      // so a large build gets hardware / jobs cores, as shards do. The
+      // simulation sees the same plan content an inline build gives,
+      // so stats are byte-identical to run_scenario(spec) — and a
+      // failed fetch reports the same ModelError message an inline
+      // build would have thrown.
       RunOptions first_ro;
       RunOptions rerun_ro;
       ScenarioResult best;
@@ -227,7 +229,7 @@ SweepReport SweepRunner::run(const std::vector<ScenarioSpec>& specs,
       const auto tp0 = std::chrono::steady_clock::now();
       try {
         const noc::FabricPlanCache::Fetch fetch =
-            plans_.get_or_build(s.topology_spec(), s.router.be_vcs);
+            plans_.get_or_build(s.topology_spec(), s.router.be_vcs, jobs);
         first_ro.plan = rerun_ro.plan = fetch.plan;
         first_ro.plan_cached = fetch.hit;
         rerun_ro.plan_cached = true;  // resident by the rerun

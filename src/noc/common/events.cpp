@@ -111,7 +111,7 @@ void dispatch_event(sim::TypedEvent& ev) {
           static_cast<LocalIfaceIdx>(ev.a));
       return;
     case kOpNaBeDeliver:
-      static_cast<NetworkAdapter*>(ev.p0)->accept_be_flit(load_flit(ev));
+      static_cast<NetworkAdapter*>(ev.p0)->handoff_be(load_flit(ev));
       return;
     case kOpShareboxRearm:
       static_cast<Sharebox*>(ev.p0)->rearm();

@@ -8,12 +8,17 @@
 // capture area) dispatched through the single switch in
 // dispatch_event(), entering the component models through non-virtual
 // entry points. A record's p0 is the component that handles it: the
-// router's local-port records (first-hop reverse, BE credit, BE
-// delivery) name the attached NetworkAdapter itself, so no relay sits
-// between the switch and the NA. Actions that own memory (OCP clock edges, host-local
-// programming, churn timers, the baseline routers' clocks) go through
-// a sim::ControlPlane instead: in kernel mode the plane parks the
-// closure and schedules one kOpControlPlane record carrying its slot.
+// local-port records (first-hop reverse, BE credit, BE delivery) name
+// the attached NetworkAdapter itself, so no relay sits between the
+// switch and the NA. The NA-local delivery records run only in the
+// chains the NA does not fold: kOpNaBeDeliver without coalesced
+// handshakes, kOpNaSinkService and kOpNaGsHandoff also on credit-based
+// local buffers and under a non-zero GS sink service time. Otherwise
+// the NA calls its handler directly with the delivery instant. Actions that
+// own memory (OCP clock edges, host-local programming, churn timers,
+// the baseline routers' clocks) go through a sim::ControlPlane
+// instead: in kernel mode the plane parks the closure and schedules one
+// kOpControlPlane record carrying its slot.
 //
 // Every emitting component registers the switch idempotently from its
 // constructor (install()), so standalone component tests work without a

@@ -27,11 +27,24 @@ void NetworkAdapter::return_be_credit(BeVcIdx vc) {
   drain_be();
 }
 
+void NetworkAdapter::deliver_be_flit(Flit&& f) {
+  const sim::Time at = sim_.now() + delays_.na_link_fwd;
+  if (coalesce_) {
+    // Reassembly has no same-instant side effects on the network, so
+    // the wire hop folds into this call at its analytic instant.
+    sim_.note_folded_hop_at(at);
+    accept_be_flit(std::move(f), at);
+    return;
+  }
+  sim::TypedEvent ev{};
+  ev.op = events::kOpNaBeDeliver;
+  ev.p0 = this;
+  events::store_flit(ev, f);
+  sim_.after_typed(delays_.na_link_fwd, ev);
+}
+
 void NetworkAdapter::accept_be_flit(Flit&& f, sim::Time at) {
-  // Passive (timed) BE handlers get the flits synchronously with the
-  // delivery instant attached; reactive handlers get the evented
-  // hand-over. Reassembly itself is passive either way. Packets on
-  // different BE VCs may interleave: reassemble per VC.
+  // Packets on different BE VCs may interleave: reassemble per VC.
   BeLane& lane = be_lanes_.at(be_vc_of(f));
   lane.assembling.push_back(f);
   if (!f.eop) return;
@@ -41,11 +54,7 @@ void NetworkAdapter::accept_be_flit(Flit&& f, sim::Time at) {
   // Fresh reassembly storage from the pool — the swapped-out body left
   // with the packet (and comes back via release once it is consumed).
   lane.assembling = flit_pool_.acquire();
-  if (be_timed_handler_) {
-    be_timed_handler_(std::move(pkt), at);
-  } else if (be_handler_) {
-    be_handler_(std::move(pkt));
-  }
+  if (be_handler_) be_handler_(std::move(pkt), at);
 }
 
 void NetworkAdapter::configure_gs_source(LocalIfaceIdx iface,
@@ -153,6 +162,21 @@ void NetworkAdapter::recover_gs_stage(LocalIfaceIdx iface) {
   drain_gs(iface);
 }
 
+void NetworkAdapter::send_local_reverse(LocalIfaceIdx iface) {
+  // The NA sits next to the router; charge the (shorter) local wire. The
+  // uncoalesced flow box adds its own re-arm delay; the coalesced path
+  // charges the re-arm here too and the box completes directly at the
+  // analytically computed ready instant — one event instead of two.
+  sim::Time delay = delays_.na_link_fwd;
+  if (coalesce_) {
+    const sim::Time fold = router_.reverse_fold_delay();
+    if (fold > 0) sim_.note_folded_hop_at(sim_.now() + delay);
+    delay += fold;
+  }
+  sim_.after_typed(delay, events::make(events::kOpVcLocalReverse, this, iface,
+                                       coalesce_ ? 1 : 0));
+}
+
 void NetworkAdapter::on_local_reverse(LocalIfaceIdx iface) {
   GsSource& src = gs_src_.at(iface);
   MANGO_ASSERT(src.configured && src.flow != nullptr,
@@ -168,22 +192,20 @@ void NetworkAdapter::complete_local_reverse(LocalIfaceIdx iface) {
 }
 
 void NetworkAdapter::on_local_head(LocalIfaceIdx iface) {
-  if (coalesce_ && sink_service_ == 0 && gs_timed_handler_ &&
+  if (coalesce_ && sink_service_ == 0 &&
       router_.vc_scheme() == VcScheme::kShareBased) {
-    // Zero-service sink feeding a *passive* handler on a share-based
-    // buffer: the service event would fire at this same instant and the
-    // pop has no same-time side effects (share-based buffers signal on
-    // the advance, not the pop), so consume the head synchronously and
-    // hand the flit over stamped with the instant the evented handler
-    // would run. Both skipped events are declared to the fold ledger
-    // for event-count parity. Evented (reactive) handlers keep the full
-    // chain below — the pop's insertion point is part of their exact
-    // firing-order contract.
+    // Zero-service sink on a share-based buffer: the service event
+    // would fire at this same instant and the pop has no same-time side
+    // effects (share-based buffers signal on the advance, not the pop),
+    // so consume the head synchronously and hand the flit over stamped
+    // with its delivery instant. Both skipped events are declared to
+    // the fold ledger for event-count parity. A credit-based pop
+    // signals the reverse wire, so its instant stays an event.
     Flit f = router_.local_out_pop(iface);
     sim_.note_folded_hop_at(sim_.now());
     const sim::Time at = sim_.now() + delays_.na_link_fwd;
     sim_.note_folded_hop_at(at);
-    gs_timed_handler_(iface, std::move(f), at);
+    if (gs_handler_) gs_handler_(iface, std::move(f), at);
     return;
   }
   if (sink_busy_.at(iface)) return;
@@ -206,11 +228,7 @@ void NetworkAdapter::serve_sink(LocalIfaceIdx iface) {
 }
 
 void NetworkAdapter::handoff_gs(LocalIfaceIdx iface, Flit&& f) {
-  if (gs_timed_handler_) {
-    gs_timed_handler_(iface, std::move(f), sim_.now());
-  } else if (gs_handler_) {
-    gs_handler_(iface, std::move(f));
-  }
+  if (gs_handler_) gs_handler_(iface, std::move(f), sim_.now());
 }
 
 void NetworkAdapter::send_be_packet(BePacket pkt, BeVcIdx vc) {

@@ -21,6 +21,14 @@
 // (Router::attach_na); the router then calls the "router-side entry
 // points" below directly. The delivery handlers and GS suppliers are
 // the NA's only callbacks: users install them.
+//
+// Delivery has one handler per traffic class, and each receives the
+// delivery instant `at`: the moment the flit (or the packet's last
+// flit) finishes the NA-local wire. The NA alone decides, from fabric
+// settings only (coalescing, the buffer scheme, the sink service time),
+// whether that wire hop is a scheduled event or folded into the call,
+// so a handler may run before `at`. A consumer that reacts schedules
+// its reaction from `at`, never from now().
 #pragma once
 
 #include <array>
@@ -48,19 +56,11 @@ class NetworkAdapter {
  public:
   /// Inline-capture handlers: these fire once per delivered flit/packet,
   /// and the measurement-hub captures ([&net, &hub, &pool]) fit inline.
-  using GsHandler = sim::InlineFunction<void(LocalIfaceIdx, Flit&&), 5>;
-  using BeHandler = sim::InlineFunction<void(BePacket&&), 5>;
-  using GsSupplier = sim::InlineFunction<std::optional<Flit>(), 5>;
-  /// Passive (measurement-style) handlers: invoked synchronously at the
-  /// pop with the delivery instant `at` (= the time the evented handler
-  /// would run) as an argument, so the final NA wire hop needs no event
-  /// of its own. Only for handlers that do not feed back into the
-  /// simulation — a reactive consumer (e.g. OCP) must use the evented
-  /// set_gs_handler/set_be_handler, which preserve exact firing order.
-  using GsTimedHandler =
+  /// `at` is the delivery instant (see the header comment).
+  using GsHandler =
       sim::InlineFunction<void(LocalIfaceIdx, Flit&&, sim::Time at), 5>;
-  using BeTimedHandler =
-      sim::InlineFunction<void(BePacket&&, sim::Time at), 5>;
+  using BeHandler = sim::InlineFunction<void(BePacket&&, sim::Time at), 5>;
+  using GsSupplier = sim::InlineFunction<std::optional<Flit>(), 5>;
 
   /// Attaches to `router`'s local port and runs in the router's
   /// SimContext. ModelError if the router already has an NA.
@@ -80,16 +80,7 @@ class NetworkAdapter {
   std::uint64_t gs_flits_sent(LocalIfaceIdx iface) const;
 
   // --- GS delivery side ---
-  /// Installing either handler style replaces the other (last one wins).
-  void set_gs_handler(GsHandler h) {
-    gs_handler_ = std::move(h);
-    gs_timed_handler_ = nullptr;
-  }
-  /// Passive variant (see GsTimedHandler).
-  void set_gs_handler_timed(GsTimedHandler h) {
-    gs_timed_handler_ = std::move(h);
-    gs_handler_ = nullptr;
-  }
+  void set_gs_handler(GsHandler h) { gs_handler_ = std::move(h); }
   /// Consumption service time per delivered flit (default 0: the core
   /// keeps up with the link).
   void set_gs_sink_service(sim::Time per_flit) { sink_service_ = per_flit; }
@@ -98,16 +89,7 @@ class NetworkAdapter {
   /// Sends a packet on BE virtual channel `vc` (< RouterConfig::be_vcs);
   /// all flits get their bevc bit stamped accordingly.
   void send_be_packet(BePacket pkt, BeVcIdx vc = 0);
-  /// Installing either handler style replaces the other (last one wins).
-  void set_be_handler(BeHandler h) {
-    be_handler_ = std::move(h);
-    be_timed_handler_ = nullptr;
-  }
-  /// Passive variant (see BeTimedHandler).
-  void set_be_handler_timed(BeTimedHandler h) {
-    be_timed_handler_ = std::move(h);
-    be_handler_ = nullptr;
-  }
+  void set_be_handler(BeHandler h) { be_handler_ = std::move(h); }
   std::size_t be_queue_flits() const;
   std::uint64_t be_packets_sent() const { return be_packets_sent_; }
   std::uint64_t be_packets_received() const { return be_packets_received_; }
@@ -120,31 +102,39 @@ class NetworkAdapter {
   void inject_gs_now(LocalIfaceIdx iface, const LinkFlit& lf);
   /// The local GS handshake stage recovers after one cycle.
   void recover_gs_stage(LocalIfaceIdx iface);
-  /// A consumed GS flit crosses the NA-local wire to the handler.
-  void handoff_gs(LocalIfaceIdx iface, Flit&& f);
   /// A BE flit crosses the NA-local wire into the router.
   void inject_be_now(Flit f);
   /// The BE injection stage recovers after one cycle.
   void recover_be_stage();
+  // The delivery records below run only in the chains the NA does not
+  // fold (see on_local_head and deliver_be_flit); a folded delivery
+  // calls the handler directly with the same instant.
   /// The sink's service time elapsed: consume `iface`'s head, if any.
   void serve_sink(LocalIfaceIdx iface);
+  /// A consumed GS flit crosses the NA-local wire to the handler.
+  void handoff_gs(LocalIfaceIdx iface, Flit&& f);
+  /// A BE flit crosses the NA-local wire into reassembly.
+  void handoff_be(Flit&& f) { accept_be_flit(std::move(f), sim_.now()); }
 
   // --- router-side entry points (direct calls and typed records) ---
-  /// First-hop reverse signal for source `iface`'s flow box; the
-  /// complete variant has the re-arm charged already (coalesced path).
+  /// The router's VC control sends a first-hop reverse signal to source
+  /// `iface`'s flow box across the NA-local wire.
+  void send_local_reverse(LocalIfaceIdx iface);
+  /// The reverse signal landed; the complete variant has the re-arm
+  /// charged already (coalesced path).
   void on_local_reverse(LocalIfaceIdx iface);
   void complete_local_reverse(LocalIfaceIdx iface);
-  /// Local output interface `iface` has a head flit for the core.
+  /// Local output interface `iface` has a head flit for the core. With
+  /// coalesced handshakes, a share-based buffer and a zero sink service
+  /// time the head is consumed and handed over at once; otherwise the
+  /// sink service and hand-over are events.
   void on_local_head(LocalIfaceIdx iface);
   /// The router's local BE input freed a slot on BE VC `vc`.
   void return_be_credit(BeVcIdx vc);
-  /// True when the BE handler is passive, so the router may hand flits
-  /// over synchronously with their delivery instant.
-  bool be_passive() const { return static_cast<bool>(be_timed_handler_); }
-  /// A BE flit arrives for reassembly; `at` is its delivery instant
-  /// (now() for the evented hand-over).
-  void accept_be_flit(Flit&& f, sim::Time at);
-  void accept_be_flit(Flit&& f) { accept_be_flit(std::move(f), sim_.now()); }
+  /// The router's BE local output hands a flit to the NA-local wire:
+  /// reassembled at once with coalesced handshakes, after an event
+  /// without.
+  void deliver_be_flit(Flit&& f);
 
  private:
   struct GsSource {
@@ -163,6 +153,9 @@ class NetworkAdapter {
 
   void drain_gs(LocalIfaceIdx iface);
   void drain_be();
+  /// Reassembles a BE flit delivered at `at`; the last flit of a packet
+  /// calls the BE handler.
+  void accept_be_flit(Flit&& f, sim::Time at);
 
   sim::Simulator& sim_;
   Router& router_;
@@ -178,7 +171,6 @@ class NetworkAdapter {
   unsigned num_ifaces_;
 
   GsHandler gs_handler_;
-  GsTimedHandler gs_timed_handler_;
   sim::Time sink_service_ = 0;
   std::array<bool, 8> sink_busy_{};
 
@@ -193,7 +185,6 @@ class NetworkAdapter {
   unsigned be_rr_ = 0;
   bool be_stage_busy_ = false;
   BeHandler be_handler_;
-  BeTimedHandler be_timed_handler_;
   std::uint64_t be_packets_sent_ = 0;
   std::uint64_t be_packets_received_ = 0;
 };

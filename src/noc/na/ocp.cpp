@@ -35,7 +35,8 @@ OcpMaster::OcpMaster(NetworkAdapter& na, ClockDomain clock, std::string name)
       clock_(clock),
       name_(std::move(name)) {
   control_.bind_kernel(sim_);
-  na_.set_be_handler([this](BePacket&& pkt) { on_packet(std::move(pkt)); });
+  na_.set_be_handler(
+      [this](BePacket&& pkt, sim::Time at) { on_packet(std::move(pkt), at); });
 }
 
 void OcpMaster::issue(const OcpRequest& req, const BeRoute& route,
@@ -64,7 +65,7 @@ void OcpMaster::issue(const OcpRequest& req, const BeRoute& route,
       });
 }
 
-void OcpMaster::on_packet(BePacket&& pkt) {
+void OcpMaster::on_packet(BePacket&& pkt, sim::Time at) {
   MANGO_ASSERT(pkt.size() >= 2, "short OCP response");
   const std::uint32_t w0 = pkt.flits[1].data;
   MANGO_ASSERT(ocp_decode_cmd(w0) == OcpCmd::kResp,
@@ -79,8 +80,9 @@ void OcpMaster::on_packet(BePacket&& pkt) {
   Completion done = std::move(it->second.first);
   pending_.erase(it);
   ++completed_;
-  // Synchronize the completion back into the master's clock domain.
-  const sim::Time deliver_at = clock_.sync_in(sim_.now());
+  // Synchronize the completion back into the master's clock domain from
+  // the delivery instant (the NA may hand the packet over before it).
+  const sim::Time deliver_at = clock_.sync_in(at);
   control_.post_at(sim_, deliver_at,
                    [this, resp, done = std::move(done)]() mutable {
                      resp.completed_at = sim_.now();
@@ -96,7 +98,8 @@ OcpSlave::OcpSlave(NetworkAdapter& na, ClockDomain clock, std::string name,
       name_(std::move(name)),
       memory_(memory_words, 0) {
   control_.bind_kernel(sim_);
-  na_.set_be_handler([this](BePacket&& pkt) { on_packet(std::move(pkt)); });
+  na_.set_be_handler(
+      [this](BePacket&& pkt, sim::Time at) { on_packet(std::move(pkt), at); });
 }
 
 std::uint32_t OcpSlave::peek(std::uint32_t addr) const {
@@ -109,7 +112,7 @@ void OcpSlave::poke(std::uint32_t addr, std::uint32_t data) {
   memory_[addr] = data;
 }
 
-void OcpSlave::on_packet(BePacket&& pkt) {
+void OcpSlave::on_packet(BePacket&& pkt, sim::Time at) {
   MANGO_ASSERT(pkt.size() >= 3, "short OCP request");
   const std::uint32_t w0 = pkt.flits[1].data;
   const OcpCmd cmd = ocp_decode_cmd(w0);
@@ -129,9 +132,10 @@ void OcpSlave::on_packet(BePacket&& pkt) {
   }
   ++served_;
 
-  // Serve on the slave's clock (ingress sync + one service cycle), then
-  // send the response along the pre-built return route.
-  const sim::Time respond_at = clock_.sync_in(sim_.now()) + clock_.period();
+  // Serve on the slave's clock (ingress sync of the delivery instant +
+  // one service cycle), then send the response along the pre-built
+  // return route.
+  const sim::Time respond_at = clock_.sync_in(at) + clock_.period();
   control_.post_at(
       sim_, respond_at, [this, cmd, tag, status, rdata, return_header] {
         std::vector<std::uint32_t> payload;

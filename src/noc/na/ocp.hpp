@@ -11,6 +11,12 @@
 //   request:  w0 = [cmd(4) | tag(8) | addr(20)], w1 = return-route header,
 //             w2 = data (writes only)
 //   response: w0 = [kResp(4) | tag(8) | status(20)], w1 = data (reads)
+//
+// Masters and slaves take packets through the NA's one BE handler,
+// which passes the delivery instant `at`. With coalesced handshakes the
+// NA may call it one NA-local wire hop before `at`, so every clock-edge
+// reaction synchronizes from `at` (clock_.sync_in(at)), never from
+// now(): transaction timing is the same whether the hop folds or not.
 #pragma once
 
 #include <cstdint>
@@ -84,7 +90,7 @@ class OcpMaster {
   std::uint64_t completed() const { return completed_; }
 
  private:
-  void on_packet(BePacket&& pkt);
+  void on_packet(BePacket&& pkt, sim::Time at);
 
   sim::Simulator& sim_;
   /// Schedules the clock-edge actions as kernel-mode control posts (the
@@ -109,7 +115,7 @@ class OcpSlave {
   std::uint64_t requests_served() const { return served_; }
 
  private:
-  void on_packet(BePacket&& pkt);
+  void on_packet(BePacket&& pkt, sim::Time at);
 
   sim::Simulator& sim_;
   /// Schedules the clock-edge actions as kernel-mode control posts (the

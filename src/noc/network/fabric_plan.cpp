@@ -25,13 +25,17 @@ std::string fabric_plan_key(const TopologySpec& spec, unsigned be_vcs) {
   return key;
 }
 
+unsigned FabricPlan::build_workers(std::size_t nodes, unsigned jobs,
+                                  unsigned hardware_threads) {
+  if (nodes < kParallelBuildNodes) return 1;
+  return std::max(1u, hardware_threads / std::max(1u, jobs));
+}
+
 std::shared_ptr<const FabricPlan> FabricPlan::build(const TopologySpec& spec,
                                                     unsigned be_vcs) {
-  const unsigned workers =
-      spec.node_count() >= kParallelBuildNodes
-          ? std::max(1u, std::thread::hardware_concurrency())
-          : 1;
-  return build(spec, be_vcs, workers);
+  return build(spec, be_vcs,
+               build_workers(spec.node_count(), 1,
+                             std::thread::hardware_concurrency()));
 }
 
 std::shared_ptr<const FabricPlan> FabricPlan::build(const TopologySpec& spec,
@@ -75,7 +79,8 @@ std::shared_ptr<const FabricPlan> FabricPlan::build(const TopologySpec& spec,
 }
 
 FabricPlanCache::Fetch FabricPlanCache::get_or_build(const TopologySpec& spec,
-                                                     unsigned be_vcs) {
+                                                     unsigned be_vcs,
+                                                     unsigned jobs) {
   const std::string key = fabric_plan_key(spec, be_vcs);
   std::promise<std::shared_ptr<const FabricPlan>> promise;
   bool building = false;
@@ -99,7 +104,10 @@ FabricPlanCache::Fetch FabricPlanCache::get_or_build(const TopologySpec& spec,
   // Build outside the lock: distinct fabrics materialize concurrently;
   // only same-key requests wait on this future.
   try {
-    promise.set_value(FabricPlan::build(spec, be_vcs));
+    promise.set_value(FabricPlan::build(
+        spec, be_vcs,
+        FabricPlan::build_workers(spec.node_count(), jobs,
+                                  std::thread::hardware_concurrency())));
   } catch (...) {
     promise.set_exception(std::current_exception());
     throw;

@@ -51,13 +51,20 @@ class FabricPlan {
   /// section 10, "Parallel build determinism").
   static constexpr std::size_t kParallelBuildNodes = 400;
 
+  /// Workers one build of a `nodes`-node fabric takes when `jobs` builds
+  /// may run at once on `hardware_threads` cores: 1 below
+  /// kParallelBuildNodes, else max(1, hardware_threads / jobs), the
+  /// budget exp::effective_shards gives each sweep job's shards. A
+  /// `jobs` or `hardware_threads` of 0 counts as 1.
+  static unsigned build_workers(std::size_t nodes, unsigned jobs,
+                                unsigned hardware_threads);
+
   /// Builds the full static side of a fabric: topology -> canonical
   /// routing -> BE VC sufficiency check -> materialized route table ->
   /// CDG deadlock validation -> partition weights. Raises the same
   /// ModelErrors (byte-identical messages) Network construction
   /// historically raised for an under-provisioned VC config or a cyclic
-  /// routing. The worker count is derived from the node count (see
-  /// kParallelBuildNodes).
+  /// routing. The worker count is build_workers(nodes, 1, hardware).
   static std::shared_ptr<const FabricPlan> build(const TopologySpec& spec,
                                                  unsigned be_vcs);
   /// The same build on exactly `build_threads` workers; every value
@@ -112,8 +119,11 @@ class FabricPlanCache {
   };
 
   /// Returns the cached plan for fabric_plan_key(spec, be_vcs),
-  /// building it on first use.
-  Fetch get_or_build(const TopologySpec& spec, unsigned be_vcs);
+  /// building it on first use. `jobs` callers may build at once, so a
+  /// build takes FabricPlan::build_workers(nodes, jobs, hardware)
+  /// workers.
+  Fetch get_or_build(const TopologySpec& spec, unsigned be_vcs,
+                     unsigned jobs = 1);
 
   /// Distinct fabrics resident (diagnostics).
   std::size_t size() const;

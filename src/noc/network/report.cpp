@@ -136,7 +136,6 @@ ConnectionLifecycleReport ConnectionLifecycleReport::from(
     const ConnectionBroker& broker) {
   const ConnectionBroker::Stats& st = broker.stats();
   ConnectionLifecycleReport r;
-  r.present = true;
   r.requested = st.requested;
   r.admitted = st.admitted;
   r.queued = st.queued;
@@ -199,60 +198,6 @@ void NetworkReport::print(std::FILE* out) const {
                topology.c_str(), links.size(),
                static_cast<unsigned long long>(total_flits_on_links),
                peak_link_utilization * 100.0);
-}
-
-void NetworkReport::attach_lifecycle(const ConnectionBroker& broker) {
-  lifecycle = ConnectionLifecycleReport::from(broker);
-}
-
-void NetworkReport::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.kv("schema_version", kReportSchemaVersion);
-  w.kv("topology", topology);
-  w.key("routers");
-  w.begin_array();
-  for (const RouterReport& r : routers) {
-    w.begin_object();
-    w.kv("node", to_string(r.node));
-    w.kv("switch_flits", r.switch_flits);
-    w.kv("arb_grants", r.arb_grants);
-    w.kv("be_flits", r.be_flits);
-    w.kv("vc_control_signals", r.vc_control_signals);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("links");
-  w.begin_array();
-  for (const LinkReport& l : links) {
-    w.begin_object();
-    w.kv("node", to_string(l.a));
-    w.kv("port", port_name(l.a_port));
-    w.kv("flits", l.flits);
-    w.kv("utilization", l.utilization);
-    w.end_object();
-  }
-  w.end_array();
-  w.kv("total_flits_on_links", total_flits_on_links);
-  w.kv("peak_link_utilization", peak_link_utilization);
-  if (lifecycle.present) {
-    w.key("connection_lifecycle");
-    w.begin_object();
-    w.kv("requested", lifecycle.requested);
-    w.kv("admitted", lifecycle.admitted);
-    w.kv("queued", lifecycle.queued);
-    w.kv("rejected", lifecycle.rejected);
-    w.kv("ready", lifecycle.ready);
-    w.kv("closed", lifecycle.closed);
-    w.kv("retries", lifecycle.retries);
-    w.kv("blocking_probability", lifecycle.blocking_probability);
-    w.kv("setup_p50_ns", lifecycle.setup_p50_ns);
-    w.kv("setup_p99_ns", lifecycle.setup_p99_ns);
-    w.kv("setup_max_ns", lifecycle.setup_max_ns);
-    w.kv("teardown_p50_ns", lifecycle.teardown_p50_ns);
-    w.kv("teardown_p99_ns", lifecycle.teardown_p99_ns);
-    w.end_object();
-  }
-  w.end_object();
 }
 
 }  // namespace mango::noc

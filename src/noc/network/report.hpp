@@ -1,6 +1,7 @@
 // Network-wide observability: per-router activity and per-link
 // utilization summaries for examples, benches and post-run analysis,
-// plus the JSON writer used by them and the exp/ sweep reports.
+// the broker's connection-lifecycle summary, and the JSON writer the
+// exp/ sweep report uses.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +16,8 @@ namespace mango::noc {
 
 class ConnectionBroker;
 
-/// Version stamp of every JSON document this layer emits (NetworkReport
-/// and the exp/ sweep report share it). History:
+/// Version stamp of the exp/ sweep report, the one JSON document the
+/// product writes. History:
 ///   1 — implicit: documents without a "schema_version" member (PR 2-4)
 ///   2 — schema_version stamped; connection-lifecycle fields (broker
 ///       setup/teardown latency percentiles, blocking probability) and
@@ -88,7 +89,6 @@ struct RouterReport {
 /// Connection-lifecycle summary from a ConnectionBroker: admission
 /// counts, blocking probability and setup/teardown latency percentiles.
 struct ConnectionLifecycleReport {
-  bool present = false;  ///< a broker was attached to this report
   std::uint64_t requested = 0;
   std::uint64_t admitted = 0;
   std::uint64_t queued = 0;
@@ -112,22 +112,13 @@ struct NetworkReport {
   std::vector<LinkReport> links;
   std::uint64_t total_flits_on_links = 0;
   double peak_link_utilization = 0.0;
-  /// Filled by attach_lifecycle when the scenario ran a broker.
-  ConnectionLifecycleReport lifecycle;
 
   /// Collects counters from every router and link; `window_ps` is the
   /// observation window used to normalize utilizations.
   static NetworkReport collect(Network& net, sim::Time window_ps);
 
-  /// Folds a broker's lifecycle statistics into the report (the
-  /// "connection_lifecycle" JSON object).
-  void attach_lifecycle(const ConnectionBroker& broker);
-
   /// Renders a compact table to `out`.
   void print(std::FILE* out = stdout) const;
-
-  /// Serializes the report as one JSON object into `w`.
-  void write_json(JsonWriter& w) const;
 };
 
 }  // namespace mango::noc

@@ -140,19 +140,7 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
                      [this](Flit&& f) {
                        MANGO_ASSERT(na_ != nullptr,
                                     "no NA BE delivery sink on " + name_);
-                       if (cfg_.coalesce_handshakes && na_->be_passive()) {
-                         // Passive NA consumer: fold the wire hop.
-                         const sim::Time at =
-                             sim_.now() + delays_.na_link_fwd;
-                         sim_.note_folded_hop_at(at);
-                         na_->accept_be_flit(std::move(f), at);
-                         return;
-                       }
-                       sim::TypedEvent ev{};
-                       ev.op = events::kOpNaBeDeliver;
-                       ev.p0 = na_;
-                       events::store_flit(ev, f);
-                       sim_.after_typed(delays_.na_link_fwd, ev);
+                       na_->deliver_be_flit(std::move(f));
                      },
                  });
   be_.set_output(BeRouter::kOutProgramming,
@@ -284,19 +272,7 @@ void Router::signal_reverse(VcBufferId buf) {
     return;
   }
   MANGO_ASSERT(na_ != nullptr, "no NA reverse handler on " + name_);
-  // The NA sits next to the router; charge the (shorter) local wire. The
-  // uncoalesced NA flow box adds its own re-arm delay; the coalesced
-  // path charges the re-arm here too and the box completes directly at
-  // the analytically computed ready instant — one event instead of two.
-  sim::Time delay = delays_.na_link_fwd;
-  if (cfg_.coalesce_handshakes) {
-    const sim::Time fold = reverse_fold_delay();
-    if (fold > 0) sim_.note_folded_hop_at(sim_.now() + delay);
-    delay += fold;
-  }
-  sim_.after_typed(delay, events::make(events::kOpVcLocalReverse, na_,
-                                       static_cast<LocalIfaceIdx>(entry.wire),
-                                       cfg_.coalesce_handshakes ? 1 : 0));
+  na_->send_local_reverse(static_cast<LocalIfaceIdx>(entry.wire));
 }
 
 const Router::GsSendPlan& Router::send_plan(PortIdx port, VcIdx vc) {

@@ -85,8 +85,8 @@ class HubSet {
 /// Collects flow statistics; install its record_* hooks as NA handlers.
 class MeasurementHub {
  public:
-  /// Samples at delivery instants beyond `h` are ignored. Passive
-  /// (timed) NA handlers hand flits over before their delivery instant;
+  /// Samples at delivery instants beyond `h` are ignored. An NA that
+  /// folds its wire hop hands flits over before their delivery instant;
   /// bounding the hub by the experiment horizon keeps "delivered within
   /// the horizon" semantics exact under run_until().
   void set_horizon(sim::Time h) { horizon_ = h; }

@@ -12,15 +12,14 @@ namespace mango::noc {
 namespace {
 
 void attach_hub_to_na(NetworkAdapter& na, MeasurementHub& hub) {
-  // Measurement is passive: the timed handlers receive the delivery
-  // instant as an argument, letting the NA fold the final wire hop
-  // instead of scheduling one event per delivered flit/packet. The
-  // recycle pool is the NA's own shard's (the handler runs there).
+  // Measurement records each delivery at its instant `at`, however the
+  // NA schedules the final wire hop. The recycle pool is the NA's own
+  // shard's (the handler runs there).
   sim::VectorPool<Flit>& pool = na.router().ctx().pools().vectors<Flit>();
-  na.set_gs_handler_timed([&hub](LocalIfaceIdx, Flit&& f, sim::Time at) {
+  na.set_gs_handler([&hub](LocalIfaceIdx, Flit&& f, sim::Time at) {
     hub.record_gs_flit(at, f);
   });
-  na.set_be_handler_timed([&hub, &pool](BePacket&& pkt, sim::Time at) {
+  na.set_be_handler([&hub, &pool](BePacket&& pkt, sim::Time at) {
     hub.record_be_packet(at, pkt);
     // Measurement consumed the packet: recycle its flit storage.
     pool.release(std::move(pkt.flits));

@@ -49,7 +49,7 @@ TEST_F(DualVcFixture, ReassemblyIsPerVcDespiteInterleaving) {
   std::vector<std::uint32_t> pay_a(12, 0xAAAAAAAA);
   std::vector<std::uint32_t> pay_b(12, 0xBBBBBBBB);
   std::vector<BePacket> received;
-  net->na({2, 0}).set_be_handler([&](BePacket&& pkt) {
+  net->na({2, 0}).set_be_handler([&](BePacket&& pkt, sim::Time) {
     received.push_back(std::move(pkt));
   });
   net->na({0, 0}).send_be_packet(
@@ -75,11 +75,11 @@ TEST_F(DualVcFixture, SecondVcAvoidsHeadOfLineBlocking) {
   std::vector<std::uint32_t> long_payload(64, 7);
   sim::Time vc1_done = 0;
   sim::Time vc0_done = 0;
-  net->na({2, 0}).set_be_handler([&](BePacket&& pkt) {
-    if (pkt.flits[1].tag == 1) vc0_done = sim.now();
+  net->na({2, 0}).set_be_handler([&](BePacket&& pkt, sim::Time at) {
+    if (pkt.flits[1].tag == 1) vc0_done = at;
   });
-  net->na({0, 1}).set_be_handler([&](BePacket&& pkt) {
-    if (pkt.flits[1].tag == 2) vc1_done = sim.now();
+  net->na({0, 1}).set_be_handler([&](BePacket&& pkt, sim::Time at) {
+    if (pkt.flits[1].tag == 2) vc1_done = at;
   });
   // Long VC0 packet to (2,0), then a short VC1 packet to (0,1).
   net->na({0, 0}).send_be_packet(

@@ -5,7 +5,6 @@
 #include "noc/network/connection_broker.hpp"
 #include "noc/network/connection_manager.hpp"
 #include "noc/network/network.hpp"
-#include "noc/network/report.hpp"
 #include "sim/context.hpp"
 
 namespace mango::noc {
@@ -195,17 +194,6 @@ TEST(BrokerPacketMode, SetupAndTeardownLatenciesAreMeasured) {
   EXPECT_GT(st.setup_latency_ns.max(), 0.0);
   EXPECT_GE(st.teardown_latency_ns.max(),
             sim::to_ns(kBrokerDrainPs));
-
-  // The lifecycle block folds into the network report under schema v2.
-  NetworkReport rep = NetworkReport::collect(net, ctx.now());
-  rep.attach_lifecycle(broker);
-  std::string out;
-  JsonWriter w(&out);
-  rep.write_json(w);
-  EXPECT_NE(out.find("\"schema_version\": 2"), std::string::npos);
-  EXPECT_NE(out.find("\"connection_lifecycle\""), std::string::npos);
-  EXPECT_NE(out.find("\"blocking_probability\""), std::string::npos);
-  EXPECT_NE(out.find("\"setup_p99_ns\""), std::string::npos);
 }
 
 }  // namespace

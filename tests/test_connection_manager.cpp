@@ -127,7 +127,8 @@ TEST_F(MgrFixture, PacketSetupConnectionCarriesTraffic) {
   sim.run();
   ASSERT_NE(done, nullptr);
   int delivered = 0;
-  net.na({0, 1}).set_gs_handler([&](LocalIfaceIdx, Flit&&) { ++delivered; });
+  net.na({0, 1}).set_gs_handler(
+      [&](LocalIfaceIdx, Flit&&, sim::Time) { ++delivered; });
   for (int i = 0; i < 10; ++i) net.na({2, 0}).gs_send(done->src_iface, Flit{});
   sim.run();
   EXPECT_EQ(delivered, 10);

@@ -38,20 +38,19 @@ RunResult run_scenario(std::uint64_t seed) {
   RunResult result;
 
   const Connection& conn = mgr.open_direct({0, 0}, {2, 2});
-  net.na({2, 2}).set_gs_handler([&](LocalIfaceIdx, Flit&& f) {
+  net.na({2, 2}).set_gs_handler([&](LocalIfaceIdx, Flit&& f, sim::Time at) {
     ++result.gs_flits;
-    result.gs_delivery_times.push_back(sim.now());
-    result.flow_latencies[f.tag].push_back(
-        sim::to_ns(sim.now() - f.injected_at));
+    result.gs_delivery_times.push_back(at);
+    result.flow_latencies[f.tag].push_back(sim::to_ns(at - f.injected_at));
   });
   for (std::size_t i = 0; i < net.node_count(); ++i) {
     const NodeId n = net.node_at(i);
     // The GS handler at (2,2) coexists with a BE handler on the same NA.
-    net.na(n).set_be_handler([&](BePacket&& pkt) {
+    net.na(n).set_be_handler([&](BePacket&& pkt, sim::Time at) {
       ++result.be_packets;
-      result.be_delivery_times.push_back(sim.now());
+      result.be_delivery_times.push_back(at);
       result.flow_latencies[pkt.flits.front().tag].push_back(
-          sim::to_ns(sim.now() - pkt.flits.front().injected_at));
+          sim::to_ns(at - pkt.flits.front().injected_at));
     });
   }
 

@@ -6,6 +6,7 @@
 // reports) are byte-identical to per-scenario inline builds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -99,6 +100,31 @@ TEST(FabricPlan, ParallelBuildYieldsIdenticalPlan) {
     EXPECT_EQ(p1->deadlock_certificate().digest,
               p8->deadlock_certificate().digest);
     EXPECT_EQ(p1->partition_weights(), p8->partition_weights());
+  }
+}
+
+// A sweep of `jobs` workers may build that many large fabrics at once,
+// so each build takes hardware / jobs workers (at least one), the
+// arithmetic effective_shards applies to shards; small fabrics build
+// on one worker whatever the budget.
+TEST(FabricPlan, BuildWorkersShareTheCoresWithSweepJobs) {
+  const std::size_t big = FabricPlan::kParallelBuildNodes;
+  EXPECT_EQ(FabricPlan::build_workers(big - 1, 1, 8), 1u);
+  EXPECT_EQ(FabricPlan::build_workers(big, 1, 4), 4u);
+  EXPECT_EQ(FabricPlan::build_workers(1024, 4, 4), 1u);
+  EXPECT_EQ(FabricPlan::build_workers(1024, 2, 8), 4u);
+  EXPECT_EQ(FabricPlan::build_workers(1024, 3, 8), 2u);
+  EXPECT_EQ(FabricPlan::build_workers(1024, 8, 4), 1u);
+  EXPECT_EQ(FabricPlan::build_workers(1024, 0, 4), 4u);
+  EXPECT_EQ(FabricPlan::build_workers(1024, 1, 0), 1u);
+  for (unsigned hw = 1; hw <= 16; ++hw) {
+    for (unsigned jobs = 1; jobs <= 16; ++jobs) {
+      EXPECT_EQ(FabricPlan::build_workers(big, jobs, hw),
+                exp::effective_shards(jobs, hw, hw))
+          << jobs << " jobs on " << hw << " hardware threads";
+      EXPECT_LE(jobs * FabricPlan::build_workers(big, jobs, hw),
+                std::max(jobs, hw));
+    }
   }
 }
 

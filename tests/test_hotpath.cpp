@@ -4,8 +4,9 @@
 //    randomized BE+GS traffic on every topology family must produce
 //    bit-identical scenario statistics — delivery counts, latency
 //    quantiles down to the max, event totals (folded hops included) —
-//    with RouterConfig::coalesce_handshakes on and off, and the per-flit
-//    arrival sequences at every destination must match exactly.
+//    with RouterConfig::coalesce_handshakes on and off, the per-flit
+//    arrival sequences at every destination must match exactly, and so
+//    must every OCP transaction's issue and completion instants.
 //  * The pooled packet path performs no heap allocation at steady state:
 //    after warm-up, assembling, injecting, delivering and recycling BE
 //    packets touches only pooled/slab storage.
@@ -13,10 +14,14 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "exp/scenario.hpp"
+#include "noc/na/ocp.hpp"
 #include "noc/network/connection_manager.hpp"
 #include "noc/network/network.hpp"
 #include "noc/traffic/generator.hpp"
@@ -121,11 +126,11 @@ std::vector<std::vector<Arrival>> run_and_record(bool coalesce,
   std::vector<std::vector<Arrival>> arrivals(net.node_count());
   for (std::size_t i = 0; i < net.node_count(); ++i) {
     NetworkAdapter& na = net.na(net.node_at(i));
-    na.set_gs_handler_timed(
+    na.set_gs_handler(
         [&arrivals, i](LocalIfaceIdx, Flit&& f, sim::Time at) {
           arrivals[i].push_back(Arrival{f.tag, f.seq, at});
         });
-    na.set_be_handler_timed([&arrivals, i](BePacket&& pkt, sim::Time at) {
+    na.set_be_handler([&arrivals, i](BePacket&& pkt, sim::Time at) {
       arrivals[i].push_back(
           Arrival{pkt.flits.front().tag, pkt.flits.front().seq, at});
     });
@@ -172,7 +177,94 @@ TEST(HotpathDifferential, PerFlitArrivalSequencesMatchLegacy) {
   }
 }
 
-// --- 3. steady-state zero-allocation on the pooled packet path --------------
+// --- 3. OCP transaction timing across the GALS boundary ---------------------
+
+struct Transaction {
+  sim::Time issued_at;
+  sim::Time completed_at;
+  std::uint32_t data;
+  bool ok;
+  bool operator==(const Transaction& o) const {
+    return issued_at == o.issued_at && completed_at == o.completed_at &&
+           data == o.data && ok == o.ok;
+  }
+};
+
+constexpr unsigned kOcpPerMaster = 60;  ///< transactions per master
+
+/// Four clocked OCP masters on the corners of a 3x3 mesh each run a
+/// chain of writes and reads against two clocked slaves, issuing the
+/// next transaction from the previous one's completion. Returns every
+/// master's responses in completion order. The five clocks are
+/// unrelated to each other and to the network's stage delays, so
+/// requests and responses land at every phase of the receiving clock,
+/// some within one NA-local wire hop after an edge: there a hand-over
+/// synchronized from the moment it runs instead of from the delivery
+/// instant would reach the core a cycle early.
+std::vector<std::vector<Transaction>> run_ocp(bool coalesce) {
+  sim::SimContext ctx;
+  RouterConfig rc;
+  rc.coalesce_handshakes = coalesce;
+  NetworkConfig cfg;
+  cfg.topology = TopologySpec::mesh(3, 3);
+  cfg.router = rc;
+  Network net(ctx, cfg);
+
+  constexpr std::uint32_t kWords = 64;
+  const NodeId slave_nodes[2] = {{1, 1}, {2, 1}};
+  OcpSlave slave0(net.na(slave_nodes[0]), ClockDomain{1538, 77}, "mem0",
+                  kWords);
+  OcpSlave slave1(net.na(slave_nodes[1]), ClockDomain{1261, 400}, "mem1",
+                  kWords);
+  const NodeId master_nodes[4] = {{0, 0}, {2, 0}, {0, 2}, {2, 2}};
+  const ClockDomain master_clocks[4] = {
+      {1000, 0}, {1117, 31}, {1403, 250}, {1999, 999}};
+  std::vector<std::unique_ptr<OcpMaster>> masters;
+  for (unsigned m = 0; m < 4; ++m) {
+    masters.push_back(std::make_unique<OcpMaster>(
+        net.na(master_nodes[m]), master_clocks[m], "cpu" + std::to_string(m)));
+  }
+
+  std::vector<std::vector<Transaction>> log(4);
+  std::function<void(unsigned, unsigned)> issue = [&](unsigned m,
+                                                      unsigned k) {
+    const NodeId slave = slave_nodes[(m + k) % 2];
+    const OcpCmd cmd = k % 3 == 2 ? OcpCmd::kRead : OcpCmd::kWrite;
+    const OcpRequest req{cmd, (m * 8 + k) % kWords, m * 1000 + k};
+    masters[m]->issue(req, net.be_route(master_nodes[m], slave),
+                      net.be_route(slave, master_nodes[m]),
+                      [&, m, k](const OcpResponse& r) {
+                        log[m].push_back(Transaction{
+                            r.issued_at, r.completed_at, r.data, r.ok});
+                        if (k + 1 < kOcpPerMaster) issue(m, k + 1);
+                      });
+  };
+  for (unsigned m = 0; m < 4; ++m) issue(m, 0);
+  ctx.run();
+  return log;
+}
+
+TEST(HotpathDifferential, OcpTransactionTimesMatchLegacy) {
+  const auto coalesced = run_ocp(/*coalesce=*/true);
+  const auto legacy = run_ocp(/*coalesce=*/false);
+  ASSERT_EQ(coalesced.size(), legacy.size());
+  for (std::size_t m = 0; m < coalesced.size(); ++m) {
+    ASSERT_EQ(coalesced[m].size(), kOcpPerMaster) << "master " << m;
+    ASSERT_EQ(legacy[m].size(), kOcpPerMaster) << "master " << m;
+    for (std::size_t k = 0; k < coalesced[m].size(); ++k) {
+      const Transaction& a = coalesced[m][k];
+      const Transaction& b = legacy[m][k];
+      ASSERT_TRUE(a == b) << "master " << m << " transaction " << k
+                          << ": issued " << a.issued_at << "/" << b.issued_at
+                          << " completed " << a.completed_at << "/"
+                          << b.completed_at << " data " << a.data << "/"
+                          << b.data;
+      EXPECT_TRUE(a.ok);
+    }
+  }
+}
+
+// --- 4. steady-state zero-allocation on the pooled packet path --------------
 
 TEST(HotpathAllocation, PooledBePathIsAllocationFreeAtSteadyState) {
   sim::SimContext ctx;
@@ -180,7 +272,7 @@ TEST(HotpathAllocation, PooledBePathIsAllocationFreeAtSteadyState) {
   Network net(ctx, mesh);
   sim::VectorPool<Flit>& pool = ctx.pools().vectors<Flit>();
   std::uint64_t delivered = 0;
-  net.na({1, 1}).set_be_handler_timed([&](BePacket&& pkt, sim::Time) {
+  net.na({1, 1}).set_be_handler([&](BePacket&& pkt, sim::Time) {
     ++delivered;
     pool.release(std::move(pkt.flits));
   });

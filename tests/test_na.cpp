@@ -39,7 +39,8 @@ TEST_F(NaFixture, QueueDrainsAtInterfacePace) {
 TEST_F(NaFixture, SupplierIsPulledWhenInterfaceCanSend) {
   const Connection& c = mgr.open_direct({0, 0}, {1, 0});
   int delivered = 0;
-  net.na({1, 0}).set_gs_handler([&](LocalIfaceIdx, Flit&&) { ++delivered; });
+  net.na({1, 0}).set_gs_handler(
+      [&](LocalIfaceIdx, Flit&&, sim::Time) { ++delivered; });
   int supplied = 0;
   net.na({0, 0}).set_gs_supplier(c.src_iface, [&]() -> std::optional<Flit> {
     if (supplied >= 20) return std::nullopt;
@@ -64,7 +65,7 @@ TEST_F(NaFixture, ReleaseRequiresDrainedQueue) {
 
 TEST_F(NaFixture, BePacketRoundTripReassembles) {
   BePacket received;
-  net.na({1, 1}).set_be_handler([&](BePacket&& pkt) {
+  net.na({1, 1}).set_be_handler([&](BePacket&& pkt, sim::Time) {
     received = std::move(pkt);
   });
   const std::vector<std::uint32_t> payload = {0xA, 0xB, 0xC, 0xD, 0xE};
@@ -92,7 +93,7 @@ TEST_F(NaFixture, SendingMalformedBePacketThrows) {
 
 TEST_F(NaFixture, ManyBePacketsQueueAndAllArrive) {
   int received = 0;
-  net.na({1, 0}).set_be_handler([&](BePacket&&) { ++received; });
+  net.na({1, 0}).set_be_handler([&](BePacket&&, sim::Time) { ++received; });
   for (int i = 0; i < 30; ++i) {
     net.na({0, 0}).send_be_packet(
         make_be_packet(net.be_route({0, 0}, {1, 0}), {1u, 2u},
@@ -107,8 +108,10 @@ TEST_F(NaFixture, GsSourcesAreIndependent) {
   const Connection& c1 = mgr.open_direct({0, 0}, {1, 0});
   const Connection& c2 = mgr.open_direct({0, 0}, {0, 1});
   int at_10 = 0, at_01 = 0;
-  net.na({1, 0}).set_gs_handler([&](LocalIfaceIdx, Flit&&) { ++at_10; });
-  net.na({0, 1}).set_gs_handler([&](LocalIfaceIdx, Flit&&) { ++at_01; });
+  net.na({1, 0}).set_gs_handler(
+      [&](LocalIfaceIdx, Flit&&, sim::Time) { ++at_10; });
+  net.na({0, 1}).set_gs_handler(
+      [&](LocalIfaceIdx, Flit&&, sim::Time) { ++at_01; });
   for (int i = 0; i < 15; ++i) {
     net.na({0, 0}).gs_send(c1.src_iface, Flit{});
     net.na({0, 0}).gs_send(c2.src_iface, Flit{});

@@ -23,9 +23,10 @@ struct GsPathFixture : ::testing::Test {
   std::vector<sim::Time> delivery_times;
 
   void SetUp() override {
-    net.na({1, 0}).set_gs_handler([this](LocalIfaceIdx, Flit&& f) {
+    net.na({1, 0}).set_gs_handler([this](LocalIfaceIdx, Flit&& f,
+                                         sim::Time at) {
       delivered.push_back(f);
-      delivery_times.push_back(sim.now());
+      delivery_times.push_back(at);
     });
   }
 };

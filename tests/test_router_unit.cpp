@@ -64,7 +64,7 @@ TEST(RouterUnit, ActivityCountersTrackTraffic) {
   Network net(ctx, mesh);
   ConnectionManager mgr(net, NodeId{0, 0});
   const Connection& c = mgr.open_direct({0, 0}, {1, 0});
-  net.na({1, 0}).set_gs_handler([](LocalIfaceIdx, Flit&&) {});
+  net.na({1, 0}).set_gs_handler([](LocalIfaceIdx, Flit&&, sim::Time) {});
   const RouterActivity before = net.router({0, 0}).activity();
   EXPECT_EQ(before.switch_flits, 0u);
   for (int i = 0; i < 10; ++i) net.na({0, 0}).gs_send(c.src_iface, Flit{});
@@ -87,7 +87,7 @@ TEST(RouterUnit, BeFlitsCountInLinkActivity) {
   sim::SimContext ctx;
   MeshConfig mesh{2, 1, RouterConfig{}, 1};
   Network net(ctx, mesh);
-  net.na({1, 0}).set_be_handler([](BePacket&&) {});
+  net.na({1, 0}).set_be_handler([](BePacket&&, sim::Time) {});
   BePacket pkt = make_be_packet(net.be_route({0, 0}, {1, 0}), {1u, 2u, 3u});
   ASSERT_EQ(pkt.size(), 4u);
   net.na({0, 0}).send_be_packet(std::move(pkt), 0);
@@ -142,7 +142,7 @@ TEST(RouterUnit, SecondNetworkAdapterOnOneRouterIsAModelError) {
                mango::ModelError);
   // The network's own NA still receives what the local port delivers.
   std::size_t received = 0;
-  net.na({1, 0}).set_be_handler([&](BePacket&&) { ++received; });
+  net.na({1, 0}).set_be_handler([&](BePacket&&, sim::Time) { ++received; });
   net.na({0, 0}).send_be_packet(
       make_be_packet(net.be_route({0, 0}, {1, 0}), {1u, 2u}), 0);
   ctx.run();

@@ -110,12 +110,12 @@ OrderRun run_ring_and_uniform(unsigned shards) {
     MeasurementHub& hub = hubs.shard(net.shard_of(i));
     std::vector<Delivery>& log = seen[i];
     sim::VectorPool<Flit>& pool = na.router().ctx().pools().vectors<Flit>();
-    na.set_gs_handler_timed(
+    na.set_gs_handler(
         [&hub, &log](LocalIfaceIdx, Flit&& f, sim::Time at) {
           hub.record_gs_flit(at, f);
           log.push_back({f.tag, at - f.injected_at});
         });
-    na.set_be_handler_timed([&hub, &log, &pool](BePacket&& pkt, sim::Time at) {
+    na.set_be_handler([&hub, &log, &pool](BePacket&& pkt, sim::Time at) {
       hub.record_be_packet(at, pkt);
       const Flit& header = pkt.flits.front();
       log.push_back({header.tag, at - header.injected_at});

@@ -8,19 +8,22 @@ benchmark histories (``BENCH_*.json``) and backticked source paths
 (``src/...``, ``tests/...``, ``tools/...``, ``bench/...``,
 ``examples/...``, and ``sim/...``, ``noc/...``, ``exp/...`` under src/),
 backticked qualified names (``Class::member``, ``ns::name``),
-backticked call forms (``name(`` / ``name()``) and backticked test
-cases (``Suite.Case``, ``test_binary.Case``) — and verifies each one
-against ground truth: ``mango_sweep --list-presets`` / ``--help``
-output, the repository tree, the identifiers of the code (comments
-and docstrings stripped) under src/ and tools/, and the ``TEST``,
-``TEST_F`` and ``TEST_P`` declarations under tests/.  Exits nonzero listing
-every dangling reference, so CI fails when a rename or removal leaves
-the docs behind.
+backticked call forms (``name(`` / ``name()``), bare backticked
+snake_case names (``coalesce_handshakes``, ``sleepers_``) and
+backticked test cases (``Suite.Case``, ``test_binary.Case``) — and
+verifies each one against ground truth: ``mango_sweep --list-presets`` /
+``--help`` output, the repository tree, the identifiers of the code
+(comments and docstrings stripped) under src/ and tools/ (and, for bare
+names, perfbench/ and the keys of the BENCH_*.json histories), and the
+``TEST``, ``TEST_F`` and ``TEST_P`` declarations under tests/.  Exits
+nonzero listing every dangling reference, so CI (and the ``docs_cross_links``
+ctest) fails when a rename or removal leaves the docs behind.
 
 Usage: check_doc_links.py [--sweep-bin PATH] [--repo PATH]
 """
 
 import argparse
+import json
 import pathlib
 import re
 import subprocess
@@ -47,6 +50,18 @@ QUALIFIED_RE = re.compile(r"(?<![\w:])([A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)+)")
 # ``next_event_key()``), so prose parentheses in a span are not calls.
 CALL_RE = re.compile(r"(?<![\w:])([A-Za-z_]\w*)\((?=[^`]*\))")
 FOREIGN_NAMESPACES = {"std"}
+
+# A backticked span that is one snake_case name (``run_before``,
+# ``engine_waiting_``): at least one inner underscore, so plain words
+# stay prose.  test_* and bench_* names have their own rules below.
+SNAKE_RE = re.compile(r"_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+_?")
+# Bare names may also cite the benchmark harness and the metric keys of
+# the tracked histories.
+BARE_NAME_ROOTS = CODE_ROOTS + ("perfbench",)
+# Names a measurement record quotes on purpose although the code no
+# longer has them: DESIGN.md section 6's sampler profile of the kernel
+# lists the out-of-line functions of the layout it measured.
+RECORDED_NAMES = {"alloc_node", "pop_earliest"}
 
 # ``Suite.Case`` (a gtest suite and case) or ``test_binary.Case`` (a case
 # in tests/test_binary.cpp): the case is capitalized, which keeps file
@@ -116,14 +131,36 @@ def strip_comments(path, text):
     return re.sub(r"//[^\n]*", " ", text)
 
 
-def collect_identifiers(repo):
+def collect_identifiers(repo, roots=CODE_ROOTS):
+    """Identifiers of the code under `roots`.  This checker is left out:
+    its own lists (RECORDED_NAMES) must not vouch for a name."""
     idents = set()
-    for root in CODE_ROOTS:
+    me = pathlib.Path(__file__).resolve()
+    for root in roots:
         for f in (repo / root).rglob("*"):
-            if f.suffix in CODE_SUFFIXES and f.is_file():
+            if (f.suffix in CODE_SUFFIXES and f.is_file()
+                    and f.resolve() != me):
                 idents.update(IDENT_RE.findall(
                     strip_comments(f, f.read_text())))
     return idents
+
+
+def json_keys(node):
+    """Every object key anywhere in a parsed JSON document."""
+    if isinstance(node, dict):
+        return set(node).union(*map(json_keys, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(json_keys, node))
+    return set()
+
+
+def collect_bare_names(repo):
+    """What a bare backticked snake_case name may cite: identifiers of
+    src/, tools/ and perfbench/, plus the BENCH_*.json keys."""
+    names = collect_identifiers(repo, BARE_NAME_ROOTS)
+    for f in repo.glob("BENCH_*.json"):
+        names |= json_keys(json.loads(f.read_text()))
+    return names
 
 
 def collect_test_cases(repo):
@@ -178,8 +215,26 @@ def check_identifiers(path, idents, where):
     return errors
 
 
+def check_bare_names(path, names, where):
+    """Every backticked span that is a lone snake_case name must name an
+    identifier or a history key (see SNAKE_RE and RECORDED_NAMES)."""
+    errors = []
+    seen = set()
+    for span in re.findall(r"`([^`\n]+)`", path.read_text()):
+        name = span.strip()
+        if (name in seen or not SNAKE_RE.fullmatch(name)
+                or name.startswith(("test_", "bench_"))):
+            continue
+        seen.add(name)
+        if name not in names and name not in RECORDED_NAMES:
+            errors.append(f"{where(name)}: `{name}` names no identifier in "
+                          "src/, tools/ or perfbench/ and no BENCH_*.json "
+                          "key")
+    return errors
+
+
 def check_doc(path, presets, flags, benches, tests, bench_json, idents,
-              cases):
+              cases, bare_names):
     errors = []
     text = path.read_text()
     lines = text.splitlines()
@@ -239,6 +294,7 @@ def check_doc(path, presets, flags, benches, tests, bench_json, idents,
 
     errors += check_paths(path, path.parent, where)
     errors += check_identifiers(path, idents, where)
+    errors += check_bare_names(path, bare_names, where)
     errors += check_test_names(path, cases, where)
     return errors
 
@@ -280,6 +336,7 @@ def main():
     presets, flags, benches, tests, bench_json = collect_ground_truth(
         opts.sweep_bin, repo)
     idents = collect_identifiers(repo)
+    bare_names = collect_bare_names(repo)
     cases = collect_test_cases(repo)
     if not presets:
         print("could not parse any presets from --list-presets",
@@ -289,7 +346,7 @@ def main():
     errors = []
     for doc in DOC_FILES:
         errors += check_doc(repo / doc, presets, flags, benches, tests,
-                            bench_json, idents, cases)
+                            bench_json, idents, cases, bare_names)
 
     readme_flags = set(re.findall(r"--[a-z][a-z0-9-]*",
                                   (repo / "README.md").read_text()))
@@ -308,6 +365,7 @@ def main():
         print(f"doc cross-links ok ({checked}: {len(presets)} presets, "
               f"{len(flags)} flags, {len(benches)} benches, "
               f"{len(tests)} test suites, {len(idents)} code identifiers, "
+              f"{len(bare_names)} bare names, "
               f"{len(cases)} suite and binary case names on record)")
     return 1 if errors else 0
 
