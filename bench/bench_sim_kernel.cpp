@@ -66,9 +66,10 @@ void BM_EventChain(benchmark::State& state) {
 }
 BENCHMARK(BM_EventChain)->Arg(100000);
 
-/// Interleaved near/far horizon traffic: stresses the calendar queue's
-/// overflow heap and wheel migration (timeouts and packet interarrivals
-/// mixed with handshake-scale delays, 64 concurrent event chains).
+/// Interleaved near/far delay traffic: 2000 distinct handshake-scale
+/// delays (more than there are lanes, so lanes rebind and many schedules
+/// take the heap) mixed with far timeouts and packet interarrivals, 64
+/// concurrent event chains.
 struct MixedHorizon {
   sim::Rng rng{7};
   std::uint64_t count = 0;

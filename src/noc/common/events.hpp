@@ -4,8 +4,8 @@
 // traversals, BE route cycles, arbiter/stage recoveries, credit and
 // reverse signals, source fires, and the cold ones (sink service,
 // source starts, broker drains) — is a sim::TypedEvent record (a
-// one-byte opcode plus packed args filling the event node's 64-byte
-// capture area) dispatched through the single switch in
+// one-byte opcode plus packed args in 64 bytes, built and dispatched in
+// its kernel slot) dispatched through the single switch in
 // dispatch_event(), entering the component models through non-virtual
 // entry points. A record's p0 is the component that handles it: the
 // local-port records (first-hop reverse, BE credit, BE delivery) name
@@ -22,9 +22,10 @@
 //
 // Every emitting component registers the switch idempotently from its
 // constructor (install()), so standalone component tests work without a
-// Network, and schedules its records directly with Simulator::after_typed
-// / at_typed. A record crossing a shard boundary stays a TypedEvent: the
-// link hands it to the barrier, which admits it with admit_typed.
+// Network, and builds each record in its kernel slot with after() / at()
+// (Simulator::emplace_at). A record crossing a shard boundary stays a
+// TypedEvent: the link builds it in the boundary channel, and the
+// barrier admits it with admit_typed.
 #pragma once
 
 #include <cstring>
@@ -102,16 +103,25 @@ inline LinkFlit load_link_flit(const sim::TypedEvent& ev) {
   return lf;
 }
 
-/// A record with opcode `op`, receiver `p0` and scalars `a`, `b`; the
-/// caller sets p1 or d where its opcode needs them.
-inline sim::TypedEvent make(Op op, void* p0, std::uint8_t a = 0,
-                            std::uint8_t b = 0) {
-  sim::TypedEvent ev{};
+/// Schedules a record at absolute time `t` and returns it in its kernel
+/// slot with opcode `op`, receiver `p0` and scalars `a`, `b` set and
+/// every other field zero; the caller sets p1, d or the payload there
+/// (the slot stays put until the event dispatches).
+inline sim::TypedEvent& at(sim::Simulator& sim, sim::Time t, Op op,
+                           void* p0, std::uint8_t a = 0, std::uint8_t b = 0) {
+  sim::TypedEvent& ev = sim.emplace_at(t);
   ev.op = op;
   ev.a = a;
   ev.b = b;
   ev.p0 = p0;
   return ev;
+}
+
+/// at() `delay` picoseconds from now.
+inline sim::TypedEvent& after(sim::Simulator& sim, sim::Time delay, Op op,
+                              void* p0, std::uint8_t a = 0,
+                              std::uint8_t b = 0) {
+  return at(sim, sim.now() + delay, op, p0, a, b);
 }
 
 }  // namespace mango::noc::events

@@ -53,18 +53,27 @@ unsigned Link::dir_of(const Router* from) const {
   return 1;
 }
 
-void Link::transfer(unsigned dir, sim::Time delay, const sim::TypedEvent& ev) {
+sim::TypedEvent& Link::transfer(unsigned dir, sim::Time delay,
+                                events::Op op) {
   sim::Simulator& self = *sims_[dir];
+  const Endpoint& peer = dir == 0 ? b_ : a_;
   if (boundary_[dir] != nullptr) {
     // Cross-shard: the record waits in the channel for barrier admission
     // into the peer's kernel, under the sender's scheduling time.
-    boundary_[dir]->batch.push(
-        BoundaryRecord{sim::EventKey{self.now() + delay, self.now()}, ev});
-    return;
+    sim::TypedEvent& ev =
+        boundary_[dir]
+            ->batch
+            .push(BoundaryRecord{sim::EventKey{self.now() + delay, self.now()},
+                                 sim::TypedEvent{}})
+            .ev;
+    ev.op = op;
+    ev.a = peer.port;
+    ev.p0 = peer.router;
+    return ev;
   }
   MANGO_ASSERT(sims_[0] == sims_[1],
                "cross-context link used without boundary channels");
-  self.after_typed(delay, ev);
+  return events::after(self, delay, op, peer.router, peer.port);
 }
 
 sim::Time Link::forward_latency() const {
@@ -90,27 +99,17 @@ sim::Time Link::reverse_latency() const {
 
 void Link::send_flit(const Router* from, LinkFlit lf) {
   const unsigned dir = dir_of(from);
-  const Endpoint& peer = dir == 0 ? b_ : a_;
   ++flits_carried_[dir];
-  sim::TypedEvent ev{};
-  ev.op = events::kOpLinkFlit;
-  ev.a = peer.port;
-  ev.p0 = peer.router;
-  events::store_link_flit(ev, lf);
-  transfer(dir, forward_latency(), ev);
+  events::store_link_flit(transfer(dir, forward_latency(), events::kOpLinkFlit),
+                          lf);
 }
 
 void Link::send_reverse(const Router* from, VcIdx wire) {
   const unsigned dir = dir_of(from);
   const Endpoint& peer = dir == 0 ? b_ : a_;
-  sim::TypedEvent ev{};
-  ev.a = peer.port;
-  ev.b = wire;
-  ev.p0 = peer.router;
   if (!coalesce_ || boundary_[dir] != nullptr) {
     // Cross-shard transfers keep the uncoalesced chain (boundary.hpp).
-    ev.op = events::kOpReverse;
-    transfer(dir, reverse_latency(), ev);
+    transfer(dir, reverse_latency(), events::kOpReverse).b = wire;
     return;
   }
   // Fold the flow box's re-arm delay (0 for credit boxes) into the wire
@@ -119,8 +118,7 @@ void Link::send_reverse(const Router* from, VcIdx wire) {
   const sim::Time rearm = peer.router->reverse_fold_delay();
   const sim::Time rev = reverse_latency();
   if (rearm > 0) sim_.note_folded_hop_at(sim_.now() + rev);
-  ev.op = events::kOpReverseDone;
-  transfer(dir, rev + rearm, ev);
+  transfer(dir, rev + rearm, events::kOpReverseDone).b = wire;
 }
 
 sim::Time Link::be_credit_latency() const {
@@ -129,14 +127,7 @@ sim::Time Link::be_credit_latency() const {
 }
 
 void Link::send_be_credit(const Router* from, BeVcIdx vc) {
-  const unsigned dir = dir_of(from);
-  const Endpoint& peer = dir == 0 ? b_ : a_;
-  sim::TypedEvent ev{};
-  ev.op = events::kOpBeCredit;
-  ev.a = peer.port;
-  ev.b = vc;
-  ev.p0 = peer.router;
-  transfer(dir, be_credit_latency(), ev);
+  transfer(dir_of(from), be_credit_latency(), events::kOpBeCredit).b = vc;
 }
 
 }  // namespace mango::noc

@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "noc/common/config.hpp"
+#include "noc/common/events.hpp"
 #include "noc/common/flit.hpp"
 #include "noc/common/ids.hpp"
 #include "sim/simulator.hpp"
@@ -116,9 +117,11 @@ class Link {
  private:
   const Endpoint& peer_of(const Router* from) const;
   unsigned dir_of(const Router* from) const;
-  /// Delivers `ev` to the peer after `delay`: scheduled into the shared
-  /// kernel, or handed to the boundary channel on a cross-shard link.
-  void transfer(unsigned dir, sim::Time delay, const sim::TypedEvent& ev);
+  /// Delivers a record to the peer after `delay`: scheduled into the
+  /// shared kernel, or handed to the boundary channel on a cross-shard
+  /// link. Returns it in place with opcode `op`, the peer router and its
+  /// port set, for the caller to fill before its next send.
+  sim::TypedEvent& transfer(unsigned dir, sim::Time delay, events::Op op);
 
   sim::Simulator* sims_[2];  ///< per endpoint (equal for intra-shard links)
   Endpoint a_;

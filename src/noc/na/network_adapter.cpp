@@ -36,11 +36,9 @@ void NetworkAdapter::deliver_be_flit(Flit&& f) {
     accept_be_flit(std::move(f), at);
     return;
   }
-  sim::TypedEvent ev{};
-  ev.op = events::kOpNaBeDeliver;
-  ev.p0 = this;
-  events::store_flit(ev, f);
-  sim_.after_typed(delays_.na_link_fwd, ev);
+  events::store_flit(
+      events::after(sim_, delays_.na_link_fwd, events::kOpNaBeDeliver, this),
+      f);
 }
 
 void NetworkAdapter::accept_be_flit(Flit&& f, sim::Time at) {
@@ -131,26 +129,17 @@ void NetworkAdapter::drain_gs(LocalIfaceIdx iface) {
   ++src.sent;
   if (coalesce_) {
     sim_.note_folded_hop_at(sim_.now() + delays_.na_link_fwd);
-    sim::TypedEvent ev{};
-    ev.op = events::kOpGsDeliverPtr;
-    ev.p0 = &router_;
+    sim::TypedEvent& ev = events::after(sim_, src.inject_delay,
+                                        events::kOpGsDeliverPtr, &router_);
     ev.p1 = src.inject_target;
     events::store_flit(ev, f);
-    sim_.after_typed(src.inject_delay, ev);
   } else {
-    sim::TypedEvent ev{};
-    ev.op = events::kOpNaGsInject;
-    ev.a = iface;
-    ev.p0 = this;
-    events::store_link_flit(ev, LinkFlit{src.steer, f});
-    sim_.after_typed(delays_.na_link_fwd, ev);
+    events::store_link_flit(events::after(sim_, delays_.na_link_fwd,
+                                          events::kOpNaGsInject, this, iface),
+                            LinkFlit{src.steer, f});
   }
   // The local interface handshake stage recovers after one cycle.
-  sim::TypedEvent ev{};
-  ev.op = events::kOpNaGsRecover;
-  ev.a = iface;
-  ev.p0 = this;
-  sim_.after_typed(delays_.arb_cycle, ev);
+  events::after(sim_, delays_.arb_cycle, events::kOpNaGsRecover, this, iface);
 }
 
 void NetworkAdapter::inject_gs_now(LocalIfaceIdx iface, const LinkFlit& lf) {
@@ -173,8 +162,8 @@ void NetworkAdapter::send_local_reverse(LocalIfaceIdx iface) {
     if (fold > 0) sim_.note_folded_hop_at(sim_.now() + delay);
     delay += fold;
   }
-  sim_.after_typed(delay, events::make(events::kOpVcLocalReverse, this, iface,
-                                       coalesce_ ? 1 : 0));
+  events::after(sim_, delay, events::kOpVcLocalReverse, this, iface,
+                coalesce_ ? 1 : 0);
 }
 
 void NetworkAdapter::on_local_reverse(LocalIfaceIdx iface) {
@@ -210,20 +199,16 @@ void NetworkAdapter::on_local_head(LocalIfaceIdx iface) {
   }
   if (sink_busy_.at(iface)) return;
   sink_busy_[iface] = true;
-  sim_.after_typed(sink_service_,
-                   events::make(events::kOpNaSinkService, this, iface));
+  events::after(sim_, sink_service_, events::kOpNaSinkService, this, iface);
 }
 
 void NetworkAdapter::serve_sink(LocalIfaceIdx iface) {
   sink_busy_[iface] = false;
   if (!router_.local_out_has_head(iface)) return;
   Flit f = router_.local_out_pop(iface);
-  sim::TypedEvent ev{};
-  ev.op = events::kOpNaGsHandoff;
-  ev.a = iface;
-  ev.p0 = this;
-  events::store_flit(ev, f);
-  sim_.after_typed(delays_.na_link_fwd, ev);
+  events::store_flit(events::after(sim_, delays_.na_link_fwd,
+                                   events::kOpNaGsHandoff, this, iface),
+                     f);
   // The buffer refill (unsharebox advance) re-notifies us.
 }
 
@@ -266,15 +251,10 @@ void NetworkAdapter::drain_be() {
     lane.queue.pop_front();
     --lane.credits;
     be_stage_busy_ = true;
-    sim::TypedEvent ev{};
-    ev.op = events::kOpNaBeInject;
-    ev.p0 = this;
-    events::store_flit(ev, f);
-    sim_.after_typed(delays_.na_link_fwd, ev);
-    sim::TypedEvent rec{};
-    rec.op = events::kOpNaBeRecover;
-    rec.p0 = this;
-    sim_.after_typed(delays_.arb_cycle, rec);
+    events::store_flit(
+        events::after(sim_, delays_.na_link_fwd, events::kOpNaBeInject, this),
+        f);
+    events::after(sim_, delays_.arb_cycle, events::kOpNaBeRecover, this);
     return;
   }
 }

@@ -115,9 +115,8 @@ void ConnectionBroker::request_close(RequestId id, ClosedFn on_closed) {
   rq.close_requested_at = net_.simulator().now();
   rq.on_closed = std::move(on_closed);
   mgr_.mark_draining(rq.conn);
-  sim::TypedEvent ev = events::make(events::kOpBrokerClear, this);
-  ev.d = id;
-  net_.simulator().after_typed(kBrokerDrainPs, ev);
+  events::after(net_.simulator(), kBrokerDrainPs, events::kOpBrokerClear, this)
+      .d = id;
 }
 
 void ConnectionBroker::begin_clear(RequestId id) {

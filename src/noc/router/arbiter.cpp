@@ -67,10 +67,7 @@ void LinkArbiter::try_grant() {
   }
   // The link-output stage recovers after one arbitration cycle; the
   // reciprocal of this pacing is the port speed reported in Section 6.
-  sim::TypedEvent ev{};
-  ev.op = events::kOpArbRearm;
-  ev.p0 = this;
-  sim_.after_typed(arb_cycle_, ev);
+  events::after(sim_, arb_cycle_, events::kOpArbRearm, this);
 }
 
 void LinkArbiter::complete_cycle() {

@@ -242,12 +242,10 @@ void BeRouter::try_route(unsigned out) {
     // set, so re-decode explicitly.
     if (buf.has_head()) on_input_head(in, vc);
   }
-  sim::TypedEvent ev{};
-  ev.op = events::kOpBeRouteDone;
-  ev.a = static_cast<std::uint8_t>(out);
-  ev.p0 = this;
-  events::store_flit(ev, f);
-  sim_.after_typed(delays_.be_route_cycle, ev);
+  events::store_flit(events::after(sim_, delays_.be_route_cycle,
+                                   events::kOpBeRouteDone, this,
+                                   static_cast<std::uint8_t>(out)),
+                     f);
 }
 
 void BeRouter::complete_route_cycle(unsigned out, Flit&& f) {

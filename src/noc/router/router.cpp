@@ -160,8 +160,8 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
   }
   be_.set_credit_return(kLocalPort, [this](BeVcIdx vc) {
     if (na_ != nullptr) {
-      sim_.after_typed(delays_.be_credit_back,
-                       events::make(events::kOpLocalBeCredit, na_, vc));
+      events::after(sim_, delays_.be_credit_back, events::kOpLocalBeCredit,
+                    na_, vc);
     }
   });
 }
@@ -248,12 +248,8 @@ void Router::update_gs_request(PortIdx port, VcIdx vc) {
   }
   // The request line rises after the buffer-head -> arbiter wire delay;
   // re-check the condition at fire time (events may have intervened).
-  sim::TypedEvent ev{};
-  ev.op = events::kOpGsReqRecheck;
-  ev.a = port;
-  ev.b = vc;
-  ev.p0 = this;
-  sim_.after_typed(delays_.req_fwd, ev);
+  events::after(sim_, delays_.req_fwd, events::kOpGsReqRecheck, this, port,
+                vc);
 }
 
 void Router::recheck_gs_request(PortIdx port, VcIdx vc) {
@@ -316,12 +312,10 @@ void Router::on_gs_grant(PortIdx port, VcIdx vc) {
     ++*plan.flit_counter;
     ++link_flits_sent_;
     sim_.note_folded_hop_at(sim_.now() + plan.fwd);
-    sim::TypedEvent ev{};
-    ev.op = events::kOpGsDeliverPtr;
-    ev.p0 = plan.peer;
+    sim::TypedEvent& ev = events::after(sim_, plan.total_delay,
+                                        events::kOpGsDeliverPtr, plan.peer);
     ev.p1 = plan.target;
     events::store_flit(ev, f);
-    sim_.after_typed(plan.total_delay, ev);
     update_gs_request(port, vc);
     return;
   }

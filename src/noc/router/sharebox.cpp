@@ -13,7 +13,7 @@ void Sharebox::on_admit() {
 void Sharebox::on_reverse_signal() {
   MANGO_ASSERT(locked_, "unlock toggle on an unlocked sharebox");
   count_reverse();
-  sim_.after_typed(rearm_ps_, events::make(events::kOpShareboxRearm, this));
+  events::after(sim_, rearm_ps_, events::kOpShareboxRearm, this);
 }
 
 void Sharebox::rearm() {

@@ -51,20 +51,18 @@ SwitchingModule::SwitchingModule(sim::Simulator& sim, const RouterConfig& cfg,
 void SwitchingModule::route(PortIdx in_port, LinkFlit lf) {
   const PlannedHop hop = plan(in_port, lf.steer);
   ++flits_routed_;
-  sim::TypedEvent ev{};
-  ev.p0 = this;
-  events::store_flit(ev, lf.flit);
   if (hop.to_be) {
     MANGO_ASSERT(static_cast<bool>(be_sink_), "switching has no BE sink");
-    ev.op = events::kOpSwitchBe;
-    ev.a = in_port;
+    events::store_flit(events::after(sim_, hop.stage_delay,
+                                     events::kOpSwitchBe, this, in_port),
+                       lf.flit);
   } else {
     MANGO_ASSERT(static_cast<bool>(gs_sink_), "switching has no GS sink");
-    ev.op = events::kOpSwitchGs;
-    ev.a = hop.target.port;
-    ev.b = hop.target.vc;
+    events::store_flit(
+        events::after(sim_, hop.stage_delay, events::kOpSwitchGs, this,
+                      hop.target.port, hop.target.vc),
+        lf.flit);
   }
-  sim_.after_typed(hop.stage_delay, ev);
 }
 
 SwitchingModule::PlannedHop SwitchingModule::plan(PortIdx in_port,

@@ -40,10 +40,7 @@ Flit VcBuffer::pop() {
 void VcBuffer::try_advance() {
   if (advancing_ || !unshare_full_ || slot_full_) return;
   advancing_ = true;
-  sim::TypedEvent ev{};
-  ev.op = events::kOpVcAdvance;
-  ev.p0 = this;
-  sim_.after_typed(delays_.buf_advance, ev);
+  events::after(sim_, delays_.buf_advance, events::kOpVcAdvance, this);
 }
 
 void VcBuffer::complete_advance() {

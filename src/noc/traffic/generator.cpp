@@ -20,8 +20,7 @@ GsStreamSource::GsStreamSource(NetworkAdapter& na, LocalIfaceIdx iface,
 void GsStreamSource::start(sim::Time at) {
   MANGO_ASSERT(!started_, "GS source started twice");
   started_ = true;
-  sim_.at_typed(std::max(at, sim_.now()),
-                events::make(events::kOpGsSourceStart, this));
+  events::at(sim_, std::max(at, sim_.now()), events::kOpGsSourceStart, this);
 }
 
 void GsStreamSource::begin() {
@@ -63,10 +62,7 @@ void GsStreamSource::tick() {
   if (in_on_phase()) {
     na_.gs_send(iface_, make_flit());
   }
-  sim::TypedEvent ev{};
-  ev.op = events::kOpGsSourceTick;
-  ev.p0 = this;
-  sim_.after_typed(opt_.period_ps, ev);
+  events::after(sim_, opt_.period_ps, events::kOpGsSourceTick, this);
 }
 
 BeTraceSource::BeTraceSource(Network& net, NodeId src, std::uint32_t tag,
@@ -90,8 +86,8 @@ BeTraceSource::BeTraceSource(Network& net, NodeId src, std::uint32_t tag,
 
 void BeTraceSource::start() {
   if (!trace_.empty()) {
-    sim_.at_typed(std::max(trace_.front().at, sim_.now()),
-                  events::make(events::kOpBeTraceInject, this));
+    events::at(sim_, std::max(trace_.front().at, sim_.now()),
+               events::kOpBeTraceInject, this);
   }
 }
 
@@ -109,9 +105,9 @@ void BeTraceSource::inject(std::size_t idx) {
   net_.na(src_).send_be_packet(std::move(pkt), e.vc);
   ++injected_;
   if (idx + 1 < trace_.size()) {
-    sim::TypedEvent ev = events::make(events::kOpBeTraceInject, this);
-    ev.d = static_cast<std::uint32_t>(idx + 1);
-    sim_.at_typed(std::max(trace_[idx + 1].at, now), ev);
+    events::at(sim_, std::max(trace_[idx + 1].at, now),
+               events::kOpBeTraceInject, this)
+        .d = static_cast<std::uint32_t>(idx + 1);
   }
 }
 
@@ -134,8 +130,7 @@ BeTrafficSource::BeTrafficSource(Network& net, NodeId src, std::uint32_t tag,
 }
 
 void BeTrafficSource::start(sim::Time at) {
-  sim_.at_typed(std::max(at, sim_.now()),
-                events::make(events::kOpBeSourceStart, this));
+  events::at(sim_, std::max(at, sim_.now()), events::kOpBeSourceStart, this);
 }
 
 void BeTrafficSource::begin() {
@@ -149,7 +144,7 @@ void BeTrafficSource::schedule_phase_toggle() {
   const auto len =
       std::max<sim::Time>(1, static_cast<sim::Time>(rng_.next_exponential(mean)));
   phase_end_ = sim_.now() + len;
-  sim_.after_typed(len, events::make(events::kOpBePhaseToggle, this));
+  events::after(sim_, len, events::kOpBePhaseToggle, this);
 }
 
 void BeTrafficSource::toggle_phase() {
@@ -179,20 +174,14 @@ void BeTrafficSource::inject() {
   if (modulated() && !on_phase_) {
     // Defer to the ON edge. The toggle event at phase_end_ was scheduled
     // before this one, so it dispatches first and flips the phase.
-    sim::TypedEvent ev{};
-    ev.op = events::kOpBeSourceInject;
-    ev.p0 = this;
-    sim_.at_typed(phase_end_, ev);
+    events::at(sim_, phase_end_, events::kOpBeSourceInject, this);
     return;
   }
   NetworkAdapter& na = net_.na(src_);
   if (na.be_queue_flits() > opt_.na_queue_limit) {
     // Backpressured: count and retry shortly without generating.
     ++held_;
-    sim::TypedEvent ev{};
-    ev.op = events::kOpBeSourceInject;
-    ev.p0 = this;
-    sim_.after_typed(1000, ev);
+    events::after(sim_, 1000, events::kOpBeSourceInject, this);
     return;
   }
   const NodeId dst = pick_dst();
@@ -218,10 +207,7 @@ void BeTrafficSource::schedule_next() {
     gap = static_cast<sim::Time>(rng_.next_exponential(
         static_cast<double>(opt_.mean_interarrival_ps)));
   }
-  sim::TypedEvent ev{};
-  ev.op = events::kOpBeSourceInject;
-  ev.p0 = this;
-  sim_.after_typed(gap, ev);
+  events::after(sim_, gap, events::kOpBeSourceInject, this);
 }
 
 }  // namespace mango::noc

@@ -260,9 +260,9 @@ Time ShardEngine::global_horizon(Time ctrl_key) {
   // Safe from the engine thread with workers parked: the barrier's
   // done_/generation_ pair orders this read after each worker's last
   // kernel mutation and before its next one. next_event_key() is a
-  // pure function of kernel state (its cursor fast-forward is an
-  // internal cache), so the horizon — and every elision decision made
-  // from it — is identical on every run and machine.
+  // const O(1) read of kernel state (the lane min-tree root and the
+  // heap top), so the horizon — and every elision decision made from
+  // it — is identical on every run and machine.
   Time h = ctrl_key;
   for (Simulator* s : shards_) h = std::min(h, s->next_event_key().time);
   return h;

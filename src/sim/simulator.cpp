@@ -6,196 +6,216 @@
 
 namespace mango::sim {
 
-Simulator::EventNode* Simulator::refill_free_list() {
-  slabs_.push_back(std::make_unique<EventNode[]>(kSlabNodes));
-  EventNode* block = slabs_.back().get();
-  for (std::size_t i = 0; i < kSlabNodes; ++i) {
-    block[i].next = free_list_;
-    free_list_ = &block[i];
+namespace {
+
+constexpr std::size_t kCellSlab = 64;
+
+/// Marks a run loop for its lifetime, so a handler that re-enters one
+/// fails instead of popping under the record it is running from.
+class RunningFlag {
+ public:
+  explicit RunningFlag(bool& flag) : flag_(flag) {
+    MANGO_ASSERT(!flag_, "a run loop re-entered from an event handler");
+    flag_ = true;
   }
-  return free_list_;
+  ~RunningFlag() { flag_ = false; }
+  RunningFlag(const RunningFlag&) = delete;
+  RunningFlag& operator=(const RunningFlag&) = delete;
+
+ private:
+  bool& flag_;
+};
+
+}  // namespace
+
+Simulator::Simulator() {
+  std::fill(std::begin(tree_), std::end(tree_), kNoLaneKey);
+  seen_.fill(kTimeNever);
 }
 
-void Simulator::push_overflow(EventNode* n) {
-  overflow_.push_back(n);
-  std::push_heap(overflow_.begin(), overflow_.end(), HeapLater{});
-  overflow_top_ = std::min(overflow_top_, n->key);
-}
-
-void Simulator::insert_sorted(EventNode* n, std::size_t idx) {
-  Bucket& b = wheel_[idx];
-  EventNode* const head = b.head;
-  EventNode* const tail = head->prev;
-  // Out-of-order within the bucket (a shorter delay scheduled after a
-  // longer one landing in the same granule): sorted insert, searching
-  // BACKWARD from the tail and stopping at the head (whose prev link
-  // wraps to the tail). The displaced suffix is only the handful of
-  // strictly-later timestamps already in the bucket — never the
-  // same-timestamp train at the front (n has the largest (birth, seq)
-  // among its time-equals, so it sorts after all of them), which on a
-  // 1k-node fabric with phase-aligned CBR sources can be thousands of
-  // events long. A head-forward walk would traverse that train on every
-  // out-of-order insert and turn the kernel O(nodes) per event.
-  EventNode* q = tail;  // n sorts before q
-  while (q != head && earlier(n, q->prev)) {
-    q = q->prev;
+TypedEvent& Simulator::place_slow(Time t) {
+  if (t < kLaneTimeEnd && lane_for(t - now_) == kNoLane) {
+    const std::size_t l = bind(t - now_);
+    if (l < kLanes) return append(l, t);
   }
-  if (q == head) {
-    n->prev = tail;
-    n->next = head;
-    head->prev = n;
-    b.head = n;
-  } else {
-    n->prev = q->prev;
-    n->next = q;
-    q->prev->next = n;
-    q->prev = n;
+  return push_heap(EventKey{t, now_});
+}
+
+std::size_t Simulator::bind(Time d) {
+  Time& seen = seen_[hash(d, kSeenBits)];
+  if (seen != d) {
+    seen = d;
+    return kNoLane;
   }
-}
-
-Simulator::EventNode* Simulator::pop_overflow() {
-  std::pop_heap(overflow_.begin(), overflow_.end(), HeapLater{});
-  EventNode* n = overflow_.back();
-  overflow_.pop_back();
-  overflow_top_ = overflow_.empty() ? EventKey{} : overflow_.front()->key;
-  return n;
-}
-
-void Simulator::migrate_overflow() {
-  // Same now()-anchored horizon as schedule(): migrating against the cursor
-  // would re-create the one-lap-early aliasing that admission avoids.
-  while (!overflow_.empty() &&
-         granule_of(overflow_top_.time) < granule_of(now_) + kWheelSize) {
-    // The heap pops in (key, seq) order, so same-bucket migrants arrive
-    // in dispatch order and insert_wheel's append fast path applies.
-    insert_wheel(pop_overflow());
-  }
-}
-
-template <bool kBounded>
-Simulator::EventNode* Simulator::pop_next(EventKey bound) {
-  if (granule_of(overflow_top_.time) < granule_of(now_) + kWheelSize) {
-    if (granule_of(overflow_top_.time) < cur_granule_) {
-      // A peek fast-forwarded the cursor past the overflow top's granule
-      // (an overflow event older than every wheel event). Rewind to
-      // now()'s granule — at or below every pending granule — so the
-      // migration below lands it ahead of the cursor, not behind it.
-      cur_granule_ = granule_of(now_);
+  // Second sighting: an unbound lane, else the empty lane appended to
+  // longest ago. A non-empty lane is never evicted.
+  std::size_t pick = kNoLane;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const Lane& ln = lanes_[l];
+    if (ln.delay == kTimeNever) {
+      pick = l;
+      break;
     }
-    migrate_overflow();
-  }
-  // Every overflow event now lies past the wheel horizon, so a non-empty
-  // wheel holds the earliest event: the head of its first occupied
-  // bucket (buckets are sorted and one granule each).
-  if (wheel_count_ == 0) {
-    // Everything pending lives beyond the horizon: pop the overflow heap
-    // directly and re-anchor the cursor at the popped event's granule.
-    // The dispatch sets now() to its time, so the remaining overflow
-    // (all with time >= this one) stays ahead of the window.
-    if (overflow_.empty() || (kBounded && !(overflow_top_ < bound))) {
-      return nullptr;
+    if (ln.head == ln.tail &&
+        (pick == kNoLane || ln.last_seq < lanes_[pick].last_seq)) {
+      pick = l;
     }
-    EventNode* n = pop_overflow();
-    cur_granule_ = granule_of(n->key.time);
-    --pending_;
-    return n;
   }
-  skip_to_occupied();
-  const std::size_t idx = cur_granule_ & kWheelMask;
-  Bucket& b = wheel_[idx];
-  EventNode* n = b.head;
-  if (kBounded && !(n->key < bound)) return nullptr;
-  b.head = n->next;
-  if (b.head == nullptr) {
-    mark_empty(idx);
+  if (pick == kNoLane) return kNoLane;
+  Lane& ln = lanes_[pick];
+  if (ln.delay != kTimeNever) map_[ln.map_at] = MapEntry{};  // evict
+  const std::size_t h = hash(d, kMapBits);
+  if (map_[h].lane != kNoLane && map_[h ^ 1].lane != kNoLane) {
+    ln.delay = kTimeNever;  // both map entries taken: d stays unbound
+    return kNoLane;
+  }
+  ln.map_at = map_[h].lane == kNoLane ? h : h ^ 1;
+  map_[ln.map_at] = MapEntry{d, pick};
+  ln.delay = d;
+  // Re-rank the bound lanes by descending delay and re-key the tree.
+  for (std::size_t a = 0; a < kLanes; ++a) {
+    lanes_[a].rank = 0;
+    for (const Lane& b : lanes_) {
+      lanes_[a].rank += b.delay != kTimeNever && b.delay > lanes_[a].delay;
+    }
+    if (lanes_[a].delay != kTimeNever) {
+      rank_lane_[lanes_[a].rank] = static_cast<std::uint8_t>(a);
+    }
+  }
+  rebuild_tree();
+  return pick;
+}
+
+void Simulator::rebuild_tree() {
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const Lane& ln = lanes_[l];
+    tree_[kLanes + l] = ln.head == ln.tail
+                            ? kNoLaneKey
+                            : ln.head->time << kRankBits | ln.rank;
+  }
+  for (std::size_t n = kLanes - 1; n > 0; --n) {
+    tree_[n] = std::min(tree_[2 * n], tree_[2 * n + 1]);
+  }
+}
+
+void Simulator::grow(Lane& ln) {
+  Chunk* c = free_chunks_;
+  if (c != nullptr) {
+    free_chunks_ = c->next;
   } else {
-    b.head->prev = n->prev;  // the tail
+    chunks_.push_back(std::make_unique<Chunk>());
+    c = chunks_.back().get();
   }
-  --wheel_count_;
+  c->next = nullptr;
+  if (ln.tail_chunk == nullptr) {
+    ln.head_chunk = c;
+    ln.head = c->slots;
+    ln.head_end = c->slots + kChunkSlots;
+  } else {
+    ln.tail_chunk->next = c;
+  }
+  ln.tail_chunk = c;
+  ln.tail = c->slots;
+  ln.tail_end = c->slots + kChunkSlots;
+}
+
+TypedEvent& Simulator::push_heap(EventKey key) {
+  TypedEvent* rec = free_cells_;
+  if (rec == nullptr) {
+    cell_slabs_.push_back(std::make_unique<TypedEvent[]>(kCellSlab));
+    TypedEvent* slab = cell_slabs_.back().get();
+    for (std::size_t i = 1; i < kCellSlab; ++i) {
+      slab[i].p0 = free_cells_;
+      free_cells_ = &slab[i];
+    }
+    rec = slab;
+  } else {
+    free_cells_ = static_cast<TypedEvent*>(rec->p0);
+  }
+  heap_.push_back(HeapEntry{key, next_seq_++, rec});
+  std::push_heap(heap_.begin(), heap_.end(), HeapLater{});
+  heap_top_ = heap_.front().key;
+  ++pending_;
+  return *rec;
+}
+
+inline void Simulator::dispatch_lane(std::size_t l) {
+  Lane& ln = lanes_[l];
+  Slot* const s = ln.head++;
+  if (ln.head == ln.head_end) {
+    // The head chunk is drained: move on (or leave the lane chunkless)
+    // and retire the chunk, which still holds s.
+    Chunk* const done = ln.head_chunk;
+    if (ln.head == ln.tail) {
+      ln.head = ln.head_end = ln.tail = ln.tail_end = nullptr;
+      ln.head_chunk = ln.tail_chunk = nullptr;
+    } else {
+      ln.head_chunk = done->next;
+      ln.head = ln.head_chunk->slots;
+      ln.head_end = ln.head + kChunkSlots;
+    }
+    if (retired_ != nullptr) {
+      retired_->next = free_chunks_;
+      free_chunks_ = retired_;
+    }
+    retired_ = done;
+  }
+  set_head_key(l, ln.head == ln.tail ? kNoLaneKey
+                                     : ln.head->time << kRankBits | ln.rank);
   --pending_;
-  return n;
-}
-
-void Simulator::dispatch(EventNode* n) {
-  now_ = n->key.time;
+  now_ = s->time;
   ++dispatched_;
-  // Dispatch straight from the node — the node is unlinked, so handlers
-  // may freely schedule new events (those draw fresh nodes); it is
-  // recycled after the call returns. If the handler throws (model
-  // errors in failure-injection tests), the node is simply orphaned
-  // until slab teardown — never double-used.
-  dispatcher_(n->ev);
-  n->next = free_list_;
-  free_list_ = n;
+  // In place: s stays valid however many events the handler schedules.
+  // If the handler throws (model errors in failure-injection tests) the
+  // event is simply gone, and the kernel stays consistent.
+  dispatcher_(s->ev);
 }
 
-std::size_t Simulator::next_occupied(std::size_t idx) const {
-  // Tail of the word containing idx (its own bit included).
-  const std::uint64_t first = occ_[idx >> 6] >> (idx & 63);
-  if (first != 0) {
-    return idx + static_cast<std::size_t>(__builtin_ctzll(first));
-  }
-  // Linear word scan to the next level-1 span boundary, then jump
-  // span-to-span through occ_l1_. Terminates because wheel_count_ > 0
-  // implies some occ_l1_ word is non-zero.
-  std::size_t w = idx >> 6;
-  for (;;) {
-    w = (w + 1) & (kOccWords - 1);
-    if ((w & 63) == 0) {
-      std::size_t span = w >> 6;
-      while (occ_l1_[span] == 0) span = (span + 1) & (kOccL1Words - 1);
-      w = (span << 6) +
-          static_cast<std::size_t>(__builtin_ctzll(occ_l1_[span]));
-      return (w << 6) + static_cast<std::size_t>(__builtin_ctzll(occ_[w]));
-    }
-    if (occ_[w] != 0) {
-      return (w << 6) + static_cast<std::size_t>(__builtin_ctzll(occ_[w]));
-    }
-  }
-}
-
-EventKey Simulator::next_event_key() {
-  // The overflow top participates even when the wheel is non-empty: an
-  // overflow event can be *earlier* than wheel events inserted after the
-  // cursor advanced past its granule (it only migrates at pop time).
-  EventKey best = overflow_top_;
-  if (wheel_count_ > 0) {
-    // A wheel event exists within the horizon, so the skip terminates.
-    // Advancing the cursor over the empty buckets is safe — pop_next()
-    // would skip them anyway, and schedule() rewinds the cursor if a
-    // later schedule lands below it. The head of the first non-empty
-    // bucket is the wheel minimum (buckets are sorted and one granule
-    // each, so time order dominates across buckets).
-    skip_to_occupied();
-    best = std::min(best, wheel_[cur_granule_ & kWheelMask].head->key);
-  }
-  return best;
+inline void Simulator::dispatch_heap() {
+  std::pop_heap(heap_.begin(), heap_.end(), HeapLater{});
+  const HeapEntry e = heap_.back();
+  heap_.pop_back();
+  heap_top_ = heap_.empty() ? kNoKey : heap_.front().key;
+  --pending_;
+  now_ = e.key.time;
+  ++dispatched_;
+  // The cell returns to the pool only after the handler: it may schedule
+  // into the heap. A throwing handler orphans the cell until teardown.
+  dispatcher_(*e.rec);
+  e.rec->p0 = free_cells_;
+  free_cells_ = e.rec;
 }
 
 std::uint64_t Simulator::run_before(EventKey bound) {
+  const RunningFlag running(running_);
   std::uint64_t n = 0;
-  while (EventNode* e = pop_next<true>(bound)) {
-    dispatch(e);
-    ++n;
+  for (;; ++n) {
+    const std::uint64_t k = tree_[1];
+    if (k != kNoLaneKey) {
+      const std::size_t l = lane_of_key(k);
+      const EventKey lk = lane_head_key(k);
+      if (lane_first(l, lk)) {
+        if (!(lk < bound)) break;
+        dispatch_lane(l);
+        continue;
+      }
+    }
+    if (!(heap_top_ < bound)) break;
+    dispatch_heap();
   }
-  if (now_ < bound.time) {
-    now_ = bound.time;
-    // Keep the cursor at or above granule(now) — the wheel scan is only
-    // correct when every wheel event lies within one lap of the cursor,
-    // and admission bounds events by granule(now) + kWheelSize. The jump
-    // cannot pass a non-empty bucket: every pending key is at or after
-    // `bound`, so every pending time is at least bound.time. (A dispatch
-    // maintains the invariant by itself: the popped event's granule,
-    // where the cursor ends up, is granule(new now).)
-    if (cur_granule_ < granule_of(now_)) cur_granule_ = granule_of(now_);
-  }
+  if (now_ < bound.time) now_ = bound.time;
   return n;
 }
 
 bool Simulator::step() {
-  EventNode* e = pop_next<false>(EventKey{});
-  if (e == nullptr) return false;
-  dispatch(e);
+  if (pending_ == 0) return false;
+  const RunningFlag running(running_);
+  const std::uint64_t k = tree_[1];
+  if (k != kNoLaneKey && lane_first(lane_of_key(k), lane_head_key(k))) {
+    dispatch_lane(lane_of_key(k));
+  } else {
+    dispatch_heap();
+  }
   return true;
 }
 

@@ -7,45 +7,55 @@
 // kernel dispatches them in (time, insertion-order) order so runs are
 // fully deterministic.
 //
-// Event storage is a slab-allocated intrusive list behind a two-level
-// calendar queue (see DESIGN.md):
+// Event storage is a set of delay lanes plus one heap (see DESIGN.md §1):
 //
-//   * a near-horizon wheel of kWheelSize buckets, each covering one
-//     2^kBucketShift-ps granule. Nearly every handshake delay in the model
-//     (60 ps .. ~16 ns) lands within the wheel horizon, so insert and pop
-//     are O(1) amortized — no heap percolation per event. Buckets are
-//     doubly-linked sorted chains held by one head pointer, whose prev
-//     link wraps to the tail (the wheel is 8 bytes a bucket, 128 KiB):
-//     in-order schedules append at the tail, and the rare out-of-order
-//     insert searches backward from the tail and stops at the head, so
-//     the same-timestamp event trains a thousand phase-aligned CBR
-//     sources produce (all firing at k x period) are never traversed;
-//   * a min-heap overflow for events beyond the horizon (timeouts, traffic
-//     interarrivals, warm-up deadlines). Overflow events migrate into the
-//     wheel as the cursor approaches them.
+//   * a delay lane is a FIFO bound to one delay d. A clockless router
+//     fires each latch, arbiter and wire a fixed handshake delay after
+//     its input changes, so a handful of delays carry nearly every
+//     schedule (thirteen stage delays carry 99.7% on a saturated 8x8 GS
+//     mesh). An organic schedule (birth = now()) with delay d appends to
+//     d's lane. now() never decreases, so a lane is already sorted by
+//     (time, birth, seq): insert and pop are O(1), and a lane slot keeps
+//     no birth (it is time - d). A delay binds a free lane on its second
+//     sighting; a lane stays bound while it is empty and only an empty
+//     lane is evicted, so one-off delays (exponential interarrivals)
+//     never push a hot delay out;
+//   * one (key, seq) min-heap holds everything else: records admitted
+//     under an explicit key (admit_typed), one-off delays, schedules
+//     made while no lane is free and events at or past kLaneTimeEnd.
+//     Only heap entries carry a birth.
 //
-// Every event is a TypedEvent record — a one-byte opcode plus packed
-// arguments filling the node's 64-byte capture area — dispatched through
-// the one switch function registered on the kernel, so the loop pays no
-// indirect call per event beyond that switch, no capture construction
-// and no destructor. The node is trivially copyable. Payloads that own
-// memory stay with the component that scheduled them; the record
-// carries a receiver pointer and, where needed, a slot handle. Event
-// nodes are recycled through a free list carved from slabs — the
-// steady-state loop performs no allocation at all.
+// Pop takes the earlier of the lanes' minimum and the heap top. The
+// lanes' minimum is the root of a min-tree over the lane heads, keyed
+// time << 4 | rank with the rank ordering the lanes by descending delay:
+// at equal time the larger delay has the smaller birth, so one 64-bit
+// compare is the (time, birth) order, and next_event_key() is an O(1)
+// const read. Two lanes never tie on (time, birth): equal time and equal
+// birth mean equal delay. Seq decides only a lane head that ties with
+// the heap top.
+//
+// Every event is a TypedEvent record: a one-byte opcode plus packed
+// arguments, dispatched through the one switch function registered on
+// the kernel, so the loop pays no indirect call per event beyond that
+// switch, no capture construction and no destructor. Lanes take their
+// slots in fixed chunks from one shared pool, and heap records live in
+// pooled cells, so storage tracks the number of pending events and a
+// record never moves while it is pending: emplace_at()/emplace_after()
+// hand the caller a zeroed record in its slot to fill in place, and the
+// loop dispatches it from there. The steady-state loop allocates
+// nothing.
 //
 // Dispatch order is (EventKey, insertion seq). An EventKey is (time,
 // birth), where `birth` is the kernel clock at scheduling time. For
-// events scheduled organically via at_typed()/after_typed() the birth of
-// a later seq is never smaller at equal time (now() is nondecreasing),
-// so the order is the classic (time, insertion seq) order. The
-// kernel's one executable reference is the sorted (time, birth, seq)
-// oracle in tests/test_scheduler.cpp, which checks randomized workloads
-// dispatch by dispatch. The explicit birth component
-// exists for the sharded engine (sim/parallel.hpp): boundary events
-// handed across shards are admitted with the *sender's* scheduling time
-// as their birth, so a merged multi-kernel run dispatches them exactly
-// where the single-kernel run would have.
+// events scheduled organically the birth of a later seq is never
+// smaller at equal time, so the order is the classic (time, insertion
+// seq) order. The kernel's one executable reference is the sorted
+// (time, birth, seq) oracle in tests/test_scheduler.cpp, which checks
+// randomized workloads dispatch by dispatch. The explicit birth
+// component exists for the sharded engine (sim/parallel.hpp): boundary
+// events handed across shards are admitted with the *sender's*
+// scheduling time as their birth, so a merged multi-kernel run
+// dispatches them exactly where the single-kernel run would have.
 //
 // Every run loop is run_before(bound): dispatch each event whose key is
 // before `bound`, then park the clock at bound.time. A conservative
@@ -54,6 +64,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -68,9 +79,9 @@ namespace mango::sim {
 /// arguments, dispatched through one registered switch function. The
 /// payload holds a trivially copyable argument blob (a Flit or LinkFlit
 /// in the NoC model) by memcpy; p0/p1 carry receiver pointers and
-/// a/b/c/d small scalars. The record is exactly the event node's capture
-/// area, so scheduling an event is one 64-byte store with no indirect
-/// call, no capture construction and no destructor on recycle.
+/// a/b/c/d small scalars. The record lives in its kernel slot from
+/// schedule to dispatch: no indirect call, no capture construction and
+/// no destructor on recycle.
 struct TypedEvent {
   std::uint8_t op;  ///< opcode, owned by the registered dispatcher
   std::uint8_t a;
@@ -81,7 +92,7 @@ struct TypedEvent {
   void* p1;
   unsigned char payload[40];
 };
-static_assert(sizeof(TypedEvent) == 64, "typed record fills the capture area");
+static_assert(sizeof(TypedEvent) == 64, "a typed record is one cache line");
 static_assert(std::is_trivially_copyable_v<TypedEvent>,
               "typed records move by memcpy");
 
@@ -113,38 +124,20 @@ struct EventKey {
 
 /// The event kernel. One instance drives one simulated network.
 class Simulator {
-  // Bucket width tuned for thousand-node fabrics: a saturated 32x32 run
-  // keeps several thousand events in flight at >7 events/ps, so 512-ps
-  // buckets develop O(nodes)-long chains and every out-of-order insert
-  // pays a chain walk. One-picosecond buckets make a bucket a single
-  // timestamp: a new event always carries the largest (birth, seq) among
-  // its time-equals, so every wheel insert is the O(1) tail append
-  // (measured: zero out-of-order inserts across the scale-1k presets).
-  // The 16.4-ns horizon still covers every handshake delay; longer
-  // schedules (traffic interarrivals, timeouts) ride the overflow heap
-  // and migrate as the cursor approaches. The sparse-workload flip side
-  // — a lone GS stream dispatches one event every few hundred granules,
-  // and walking empty 1-ps buckets one head==nullptr check at a time
-  // would cost more than the chains did — is paid off by a two-level
-  // occupancy bitmap (occ_/occ_l1_): the cursor jumps straight to the
-  // next non-empty bucket with a handful of word scans.
-  static constexpr unsigned kBucketShift = 0;  // 1 ps per bucket
-  static constexpr unsigned kWheelBits = 14;   // 16384 buckets
-  static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
-
  public:
-  /// The wheel horizon, 16384 ps (~16.4 ns): an event scheduled less
-  /// than this far past now() goes into the wheel, a later one into the
-  /// overflow heap. Tests derive their "near" and "beyond the horizon"
-  /// delays from it.
-  static constexpr Time kHorizonPs = static_cast<Time>(kWheelSize)
-                                    << kBucketShift;
+  /// Number of delay lanes: room for every recurring stage delay of the
+  /// model plus a few source periods.
+  static constexpr std::size_t kLanes = 16;
+
+  /// Lanes take events timed below this (2^60 - 1 ps, about 13 simulated
+  /// days), the limit of their packed keys; later events take the heap.
+  static constexpr Time kLaneTimeEnd = (Time{1} << 60) - 1;
 
   /// The event switch, registered once per kernel by the model layer.
-  /// Takes the record by reference straight out of the event node.
+  /// Takes the record by reference in its kernel slot.
   using TypedDispatcher = void (*)(TypedEvent&);
 
-  Simulator() = default;
+  Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -161,41 +154,50 @@ class Simulator {
     dispatcher_ = d;
   }
 
-  /// Schedules a record at absolute time `t` (must be >= now()). The
-  /// record is copied into the node's capture area — one 64-byte store.
+  /// Schedules an event at absolute time `t` (must be >= now()) and
+  /// returns its zeroed record in the kernel's slot, for the caller to
+  /// fill in place. The slot does not move until the event dispatches.
   /// A kernel with no registered dispatcher rejects the schedule, so
   /// dispatch never calls through a null switch.
-  void at_typed(Time t, const TypedEvent& ev) {
-    MANGO_ASSERT(t >= now_, "cannot schedule an event in the past");
-    MANGO_ASSERT(dispatcher_ != nullptr,
-                 "event scheduled on a kernel with no dispatcher");
-    schedule(EventKey{t, now_}, ev);
+  TypedEvent& emplace_at(Time t) {
+    TypedEvent& ev = place(t);
+    ev = TypedEvent{};
+    return ev;
   }
 
-  /// Schedules a record after `delay` picoseconds.
+  /// Schedules an event `delay` picoseconds from now; see emplace_at().
+  TypedEvent& emplace_after(Time delay) { return emplace_at(now_ + delay); }
+
+  /// Schedules a copy of `ev` at absolute time `t` (must be >= now()).
+  void at_typed(Time t, const TypedEvent& ev) { place(t) = ev; }
+
+  /// Schedules a copy of `ev` after `delay` picoseconds.
   void after_typed(Time delay, const TypedEvent& ev) {
-    at_typed(now_ + delay, ev);
+    place(now_ + delay) = ev;
   }
 
   /// Admits a record under an explicit key. Used by the shard engine to
   /// merge boundary events from other kernels: the event keeps the
   /// *sender's* scheduling time as its birth, so it sorts against local
   /// events exactly as it would have in one shared kernel. Requires
-  /// at.time >= now() and a causal key.
+  /// at.time >= now() and a causal key. Admitted records take the heap.
   void admit_typed(EventKey at, const TypedEvent& ev) {
     MANGO_ASSERT(at.time >= now_, "cannot admit an event in the past");
     MANGO_ASSERT(at.causal(), "admitted birth must not exceed the event time");
     MANGO_ASSERT(dispatcher_ != nullptr,
                  "event admitted on a kernel with no dispatcher");
-    schedule(at, ev);
+    push_heap(at) = ev;
   }
 
-  /// Earliest pending key; EventKey{} (time kTimeNever) when idle. A
-  /// peek for the shard engine's horizon scan and the tests; the run
-  /// loops do not call it. Fast-forwards the wheel cursor over empty
-  /// buckets as a side effect, so the pop that follows starts at the
-  /// bucket found here.
-  EventKey next_event_key();
+  /// Earliest pending key; EventKey{} (time kTimeNever) when idle. An
+  /// O(1) read of the lane min-tree's root and the heap top, for the
+  /// shard engine's horizon scan and the tests; the run loops do not
+  /// call it.
+  EventKey next_event_key() const {
+    if (pending_ == 0) return EventKey{};
+    if (tree_[1] == kNoLaneKey) return heap_top_;
+    return std::min(lane_head_key(tree_[1]), heap_top_);
+  }
 
   /// Dispatches every event whose key is before `bound`, then parks
   /// now() at bound.time. The three bound shapes:
@@ -206,7 +208,8 @@ class Simulator {
   ///   {t, b}           an exact control-event key: the shard engine
   ///                    parks every shard there before the action runs;
   ///   {t, kTimeNever}  every event with time <= t (run_until).
-  /// Returns the number of events dispatched.
+  /// Returns the number of events dispatched. A handler may schedule but
+  /// not re-enter a run loop of its own kernel (a model error).
   std::uint64_t run_before(EventKey bound);
 
   /// Dispatches every event with time <= `t_end`, then parks now() at
@@ -226,6 +229,17 @@ class Simulator {
 
   /// Number of pending events.
   std::size_t pending() const { return pending_; }
+
+  /// The lane `delay` is bound to, or -1 when its schedules take the
+  /// heap. Introspection for the scheduler tests.
+  int lane_of(Time delay) const {
+    const std::size_t l = lane_for(delay);
+    return l < kLanes ? static_cast<int>(l) : -1;
+  }
+
+  /// Lane slots allocated so far (pooled chunks times their size).
+  /// Introspection for the scheduler tests.
+  std::size_t lane_slots() const { return chunks_.size() * kChunkSlots; }
 
   /// Total events dispatched since construction. Includes handshake
   /// hops folded into coalesced transfer events (note_folded_hop_at)
@@ -252,165 +266,148 @@ class Simulator {
   }
 
  private:
-  struct EventNode {
-    EventKey key;       // (time, now() at scheduling time)
-    std::uint64_t seq;  // FIFO tie-break for equal keys
-    EventNode* next;  // null at a bucket's tail
-    EventNode* prev;  // bucket chains are doubly linked so the
-                      // out-of-order insert searches backward from the
-                      // tail (see insert_wheel); a head's prev is its
-                      // bucket's tail
-    TypedEvent ev;    // 64-byte capture area
+  /// A lane head's min-tree key: time << kRankBits | the lane's rank,
+  /// where rank orders the bound lanes by descending delay. At equal time
+  /// the larger delay has the smaller birth, so one 64-bit compare is
+  /// the (time, birth) order. Lanes take times below kLaneTimeEnd only,
+  /// so the all-ones key, which marks an empty lane, is never a head's.
+  static constexpr unsigned kRankBits = 4;
+  static constexpr std::uint64_t kNoLaneKey = ~std::uint64_t{0};
+  /// Marks an empty heap.
+  static constexpr EventKey kNoKey{kTimeNever, kTimeNever};
+
+  static constexpr std::size_t kChunkSlots = 32;
+  static constexpr std::size_t kNoLane = kLanes;
+  static constexpr unsigned kMapBits = 7;   // delay -> lane map entries
+  static constexpr unsigned kSeenBits = 8;  // first-sighting memory
+  static_assert(kLanes <= (std::size_t{1} << kRankBits), "a rank per lane");
+  static_assert(kLaneTimeEnd == (Time{1} << (64 - kRankBits)) - 1,
+                "a lane time and a rank fill one key below kNoLaneKey");
+
+  /// A lane slot: the event time and seq, and the record. Birth is the
+  /// time minus the lane's delay.
+  struct Slot {
+    Time time;
+    std::uint64_t seq;
+    TypedEvent ev;
   };
-  static_assert(std::is_trivially_copyable_v<EventNode>,
-                "event nodes are plain records");
-  static_assert(std::is_trivially_destructible_v<EventNode>,
-                "recycling a node runs no destructor");
-  static_assert(sizeof(EventNode) == 104, "five key/link words + the record");
-  /// A wheel bucket: the head of its sorted chain (head->prev is the
-  /// tail), or null when the bucket is empty.
-  struct Bucket {
-    EventNode* head = nullptr;
+  static_assert(sizeof(Slot) == 80, "two key words + the record");
+  /// A fixed run of lane slots; chunks link into a lane's FIFO and
+  /// return to one shared pool once drained.
+  struct Chunk {
+    Slot slots[kChunkSlots];
+    Chunk* next;
   };
-  static_assert(sizeof(Bucket) == sizeof(void*), "one pointer per bucket");
-  /// Min-heap comparator for the overflow: true when `a` dispatches after
-  /// `b`.
+  /// One delay lane: slots [head, tail) across the linked chunks from
+  /// head_chunk to tail_chunk. Empty iff head == tail. A drained lane
+  /// keeps appending after its last slot, so the slot a handler is
+  /// being dispatched from is never reused under it.
+  struct alignas(64) Lane {
+    Slot* head = nullptr;
+    Slot* head_end = nullptr;  // end of head_chunk's slots
+    Slot* tail = nullptr;
+    Slot* tail_end = nullptr;  // end of tail_chunk's slots
+    Time delay = kTimeNever;   // kTimeNever: unbound
+    std::uint64_t rank = 0;
+    Chunk* head_chunk = nullptr;
+    Chunk* tail_chunk = nullptr;
+    std::uint64_t last_seq = 0;  // seq of the latest append
+    std::size_t map_at = 0;      // this lane's map_ entry while bound
+  };
+  /// A heap entry: the key, the seq and the pooled record.
+  struct HeapEntry {
+    EventKey key;
+    std::uint64_t seq;
+    TypedEvent* rec;
+  };
   struct HeapLater {
-    bool operator()(const EventNode* a, const EventNode* b) const {
-      return earlier(b, a);
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+      return a.key == b.key ? b.seq < a.seq : b.key < a.key;
     }
   };
+  /// A delay -> lane entry. A delay lives at its hash or the entry next
+  /// to it (h ^ 1); a delay finding both taken stays unbound.
+  struct MapEntry {
+    Time delay = kTimeNever;
+    std::size_t lane = kNoLane;  // kNoLane: an empty entry
+  };
 
-  static constexpr std::size_t kWheelMask = kWheelSize - 1;
-  static constexpr std::size_t kOccWords = kWheelSize / 64;
-  static constexpr std::size_t kOccL1Words = kOccWords / 64;
-  static constexpr std::size_t kSlabNodes = 256;
-
-  static constexpr std::uint64_t granule_of(Time t) { return t >> kBucketShift; }
-
-  /// True when `a` dispatches strictly before `b`: by key, then seq.
-  static bool earlier(const EventNode* a, const EventNode* b) {
-    return a->key == b->key ? a->seq < b->seq : a->key < b->key;
+  static std::size_t hash(Time d, unsigned bits) {
+    return static_cast<std::size_t>((d * 0x9E3779B97F4A7C15ull) >> (64 - bits));
   }
 
-  /// The schedule path. Inline: the free-list pop, the cursor rewind
-  /// check and the wheel's empty-bucket and tail-append cases. Out of
-  /// line: the slab refill, the overflow push and the backward sorted
-  /// insert.
-  void schedule(EventKey key, const TypedEvent& ev) {
-    EventNode* n = free_list_;
-    if (n == nullptr) n = refill_free_list();
-    free_list_ = n->next;
-    n->key = key;
-    n->seq = next_seq_++;
-    n->ev = ev;
-    const std::uint64_t g = granule_of(key.time);
-    if (pending_ == 0 || g < cur_granule_) {
-      // Queue drained (run_until may have moved now() far past the stale
-      // cursor), or a peek fast-forwarded the cursor past this granule:
-      // re-anchor at now()'s granule. Every pending event has time >=
-      // now() and — by the now()-anchored admission bound below — every
-      // wheel event's granule lies in [granule(now), granule(now) +
-      // kWheelSize), so the cursor sits at or below every wheel event
-      // and each bucket still holds events of a single granule.
-      cur_granule_ = granule_of(now_);
+  /// The lane bound to `d`, or kNoLane.
+  std::size_t lane_for(Time d) const {
+    const std::size_t h = hash(d, kMapBits);
+    const MapEntry& a = map_[h];
+    const MapEntry& b = map_[h ^ 1];
+    return a.delay == d ? a.lane : b.delay == d ? b.lane : kNoLane;
+  }
+
+  /// The one schedule path: an organic schedule at `t`, into its delay's
+  /// lane when one is bound, else through place_slow(). Returns the slot.
+  TypedEvent& place(Time t) {
+    MANGO_ASSERT(t >= now_, "cannot schedule an event in the past");
+    MANGO_ASSERT(dispatcher_ != nullptr,
+                 "event scheduled on a kernel with no dispatcher");
+    const std::size_t l = lane_for(t - now_);
+    if (__builtin_expect(l < kLanes && t < kLaneTimeEnd, 1)) {
+      return append(l, t);
     }
+    return place_slow(t);
+  }
+  /// An unbound delay's schedule: binds a lane on the delay's second
+  /// sighting, else takes the heap.
+  TypedEvent& place_slow(Time t);
+  TypedEvent& append(std::size_t l, Time t) {
+    Lane& ln = lanes_[l];
+    if (ln.tail == ln.tail_end) grow(ln);
+    Slot* s = ln.tail++;
+    s->time = t;
+    s->seq = ln.last_seq = next_seq_++;
     ++pending_;
-    // Wheel admission is bounded by now(), NOT the cursor: the cursor may
-    // legitimately sit anywhere in [granule(now), granule(now) +
-    // kWheelSize) after fast-forwarding, and a cursor-relative bound
-    // would admit events that alias into an already-passed bucket — and
-    // so dispatch one full wheel lap early — once a near insert rewinds
-    // the cursor.
-    if (g < granule_of(now_) + kWheelSize) {
-      insert_wheel(n);
-    } else {
-      push_overflow(n);
+    if (s == ln.head) set_head_key(l, t << kRankBits | ln.rank);  // woke
+    return s->ev;
+  }
+  /// Links a pooled chunk to the lane's tail.
+  void grow(Lane& ln);
+  /// Binds a free lane to `d` on its second sighting; kNoLane otherwise.
+  std::size_t bind(Time d);
+  TypedEvent& push_heap(EventKey key);
+  /// The lane whose head has tree key `k` (not kNoLaneKey).
+  std::size_t lane_of_key(std::uint64_t k) const {
+    return rank_lane_[k & ((std::uint64_t{1} << kRankBits) - 1)];
+  }
+  /// The EventKey of the lane head with tree key `k` (not kNoLaneKey).
+  EventKey lane_head_key(std::uint64_t k) const {
+    const Time t = k >> kRankBits;
+    return EventKey{t, t - lanes_[lane_of_key(k)].delay};
+  }
+  /// Sets lane `l`'s head key and replays the min-tree path from its
+  /// leaf to the root: each level keeps the smaller of the carried key
+  /// and the sibling's, a conditional move with no branch. The key's
+  /// rank bits name the winning lane, so no index travels with it.
+  void set_head_key(std::size_t l, std::uint64_t k) {
+    std::size_t n = kLanes + l;
+    tree_[n] = k;
+    for (; n > 1; n >>= 1) {
+      k = std::min(k, tree_[n ^ 1]);
+      tree_[n >> 1] = k;
     }
   }
-  void insert_wheel(EventNode* n) {
-    const std::size_t idx = granule_of(n->key.time) & kWheelMask;
-    ++wheel_count_;
-    EventNode* const head = wheel_[idx].head;
-    if (head == nullptr) {
-      n->prev = n;  // a lone node is its own tail
-      n->next = nullptr;
-      wheel_[idx].head = n;
-      mark_occupied(idx);
-      return;
-    }
-    // Sequence numbers grow monotonically and most events are scheduled
-    // time-forward, so the overwhelmingly common case appends.
-    EventNode* const tail = head->prev;
-    if (earlier(tail, n)) {
-      n->prev = tail;
-      n->next = nullptr;
-      tail->next = n;
-      head->prev = n;
-      return;
-    }
-    insert_sorted(n, idx);
+  /// Rebuilds every leaf and node after the ranks changed.
+  void rebuild_tree();
+  /// True when the lanes' minimum, lane `l` with head key `lk`,
+  /// dispatches before the heap top. Seq decides only a tie.
+  bool lane_first(std::size_t l, EventKey lk) const {
+    return lk == heap_top_ ? lanes_[l].head->seq < heap_.front().seq
+                           : lk < heap_top_;
   }
-  /// Carves a slab into the empty free list; returns its first node.
-  EventNode* refill_free_list();
-  void push_overflow(EventNode* n);
-  /// Out-of-order wheel insert into the non-empty bucket `idx`.
-  void insert_sorted(EventNode* n, std::size_t idx);
-  /// Occupancy-bitmap maintenance: exactly insert_wheel() marks and
-  /// pop_next() clears, so a bit is set iff its bucket has a head.
-  void mark_occupied(std::size_t idx) {
-    occ_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-    occ_l1_[idx >> 12] |= std::uint64_t{1} << ((idx >> 6) & 63);
-  }
-  void mark_empty(std::size_t idx) {
-    if ((occ_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63))) == 0) {
-      occ_l1_[idx >> 12] &= ~(std::uint64_t{1} << ((idx >> 6) & 63));
-    }
-  }
-  /// Index of the first occupied bucket at or circularly after `idx`.
-  /// Requires wheel_count_ > 0. O(1): one partial word, at most a
-  /// 63-word linear run to the next level-1 span boundary, then
-  /// level-1 jumps.
-  std::size_t next_occupied(std::size_t idx) const;
-  /// Advances cur_granule_ to its bucket's next occupied granule using
-  /// the bitmap (no-op when the cursor bucket itself is occupied).
-  void skip_to_occupied() {
-    const std::size_t idx = cur_granule_ & kWheelMask;
-    cur_granule_ += (next_occupied(idx) - idx) & kWheelMask;
-  }
-  /// Pops the overflow heap's top and refreshes overflow_top_.
-  EventNode* pop_overflow();
-  /// Moves every overflow event now inside the wheel horizon into the wheel.
-  void migrate_overflow();
-  /// The one pop routine behind run_before(), step() and run(): unlinks
-  /// and returns the earliest pending event if its key is before `bound`
-  /// (any key when !kBounded), else returns null and leaves it pending.
-  template <bool kBounded>
-  EventNode* pop_next(EventKey bound);
-  /// Advances the clock to `n`'s time, dispatches it and recycles it.
-  void dispatch(EventNode* n);
-
-  // Slab storage: nodes are carved in blocks and recycled via free_list_;
-  // nothing is returned to the system until destruction.
-  std::vector<std::unique_ptr<EventNode[]>> slabs_;
-  EventNode* free_list_ = nullptr;
-
-  Bucket wheel_[kWheelSize] = {};
-  /// Two-level bucket-occupancy bitmap: occ_ has one bit per bucket,
-  /// occ_l1_ one bit per 64-bucket span of occ_. Lets the cursor skip
-  /// runs of empty 1-ps buckets in O(1) word scans instead of O(gap)
-  /// head==nullptr checks (a sparse workload's inter-event gap can be
-  /// hundreds of granules).
-  std::uint64_t occ_[kOccWords] = {};
-  std::uint64_t occ_l1_[kOccL1Words] = {};
-  std::size_t wheel_count_ = 0;
-  /// Granule of the wheel cursor. Invariants: every wheel event's granule
-  /// lies in [granule(now), granule(now) + kWheelSize) — admission and
-  /// migration are bounded by now(), so each bucket holds events of one
-  /// granule only — and the cursor never passes a non-empty bucket, so
-  /// cur_granule_ <= the minimum wheel granule whenever the wheel is
-  /// non-empty (schedule() rewinds it to granule(now) otherwise).
-  std::uint64_t cur_granule_ = 0;
+  /// Pops lane `l`'s head, advances the clock to it and dispatches it in
+  /// its slot.
+  void dispatch_lane(std::size_t l);
+  /// Pops the heap top, advances the clock to it and dispatches it.
+  void dispatch_heap();
 
   static constexpr std::size_t kFoldCompactLimit = 4096;
 
@@ -431,12 +428,30 @@ class Simulator {
     fold_compact_at_ = std::max(kFoldCompactLimit, 2 * w);
   }
 
-  /// Beyond-horizon events: min-heap on (key, seq) — see HeapLater.
-  std::vector<EventNode*> overflow_;
-  /// Key of the overflow top (EventKey{} when empty), kept on every
-  /// push and pop: pop_next()'s horizon and bound checks read it instead
-  /// of the top node, which is usually cold.
-  EventKey overflow_top_;
+  Lane lanes_[kLanes];
+  /// The min-tree over the lane head keys: node n holds the smallest
+  /// key under it; leaf kLanes + l is lane l (kNoLaneKey when the lane is
+  /// empty), and node 1 is the root. rank_lane_ maps a rank back to its
+  /// lane.
+  std::uint64_t tree_[2 * kLanes];
+  std::uint8_t rank_lane_[kLanes] = {};
+  std::array<MapEntry, std::size_t{1} << kMapBits> map_;
+  /// The delay last seen unbound in each hash bucket.
+  std::array<Time, std::size_t{1} << kSeenBits> seen_;
+
+  /// Every lane chunk, and the pool of drained ones linked by next. The
+  /// chunk drained by the latest pop waits in retired_ until the next
+  /// chunk drains, so the record it holds outlives its dispatch.
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  Chunk* free_chunks_ = nullptr;
+  Chunk* retired_ = nullptr;
+
+  std::vector<HeapEntry> heap_;
+  EventKey heap_top_ = kNoKey;  // heap_.front().key, kNoKey when empty
+  /// Heap record cells, pooled through free_cells_ (linked by p0).
+  std::vector<std::unique_ptr<TypedEvent[]>> cell_slabs_;
+  TypedEvent* free_cells_ = nullptr;
+
   /// Unsorted ledger of declared folded-hop times not yet retired.
   std::vector<Time> folds_;
   std::size_t fold_compact_at_ = kFoldCompactLimit;
@@ -446,6 +461,7 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   TypedDispatcher dispatcher_ = nullptr;
+  bool running_ = false;  // a run loop is dispatching
 };
 
 }  // namespace mango::sim

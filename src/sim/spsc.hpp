@@ -35,10 +35,12 @@ class SpscBatch {
   SpscBatch(const SpscBatch&) = delete;
   SpscBatch& operator=(const SpscBatch&) = delete;
 
-  /// Producer side, during a window. No atomics.
-  void push(T v) {
+  /// Producer side, during a window. No atomics. Returns the record,
+  /// valid until the next push.
+  T& push(T v) {
     buf_.push_back(std::move(v));
     if (buf_.size() > hw_) hw_ = buf_.size();
+    return buf_.back();
   }
 
   /// Producer side, at the window flush (before the barrier signal):
