@@ -159,7 +159,8 @@ void BM_BarrierSyncNsPerWindow(benchmark::State& state) {
   constexpr std::uint64_t kWindows = 2000;
   // Each kernel's one record re-arms itself: p0 is its own kernel.
   const sim::Simulator::TypedDispatcher tick = [](sim::TypedEvent& ev) {
-    static_cast<sim::Simulator*>(ev.p0)->after_typed(kWindow, ev);
+    auto* kernel = static_cast<sim::Simulator*>(ev.p0);
+    kernel->at_typed(kernel->now() + kWindow, ev);
   };
   sim::ShardEngine::Options opt;
   opt.spin_us = static_cast<std::uint32_t>(state.range(0));

@@ -49,7 +49,8 @@ struct Chain {
   std::uint64_t limit;
   static void fire(sim::TypedEvent& ev) {
     auto* c = static_cast<Chain*>(ev.p0);
-    if (++c->count < c->limit) c->simulator->after_typed(100, ev);
+    sim::Simulator& s = *c->simulator;
+    if (++c->count < c->limit) s.at_typed(s.now() + 100, ev);
   }
 };
 
@@ -58,7 +59,7 @@ void BM_EventChain(benchmark::State& state) {
     sim::Simulator simulator;
     simulator.set_typed_dispatcher(&Chain::fire);
     Chain chain{&simulator, 0, static_cast<std::uint64_t>(state.range(0))};
-    simulator.after_typed(100, record_for(&chain));
+    simulator.at_typed(simulator.now() + 100, record_for(&chain));
     simulator.run();
     benchmark::DoNotOptimize(chain.count);
   }
@@ -101,10 +102,10 @@ void BM_EventMixedHorizon(benchmark::State& state) {
     const sim::TypedEvent ev = record_for(&t);
     t.body = [&simulator, &mix, ev] {
       sim::Time d = 0;
-      if (mix.next_delay(d)) simulator.after_typed(d, ev);
+      if (mix.next_delay(d)) simulator.at_typed(simulator.now() + d, ev);
     };
     for (int i = 0; i < 64; ++i) {
-      simulator.after_typed(mix.rng.next_below(2000), ev);
+      simulator.at_typed(simulator.now() + mix.rng.next_below(2000), ev);
     }
     simulator.run();
     benchmark::DoNotOptimize(mix.count);

@@ -62,13 +62,15 @@ std::size_t Simulator::bind(Time d) {
     }
   }
   if (pick == kNoLane) return kNoLane;
+  // d needs one of its two map entries free, or held by the lane it
+  // takes; otherwise it stays unbound and no lane is evicted for it.
+  const std::size_t h = hash(d, kMapBits);
+  const auto room = [&](std::size_t e) {
+    return map_[e].lane == kNoLane || map_[e].lane == pick;
+  };
+  if (!room(h) && !room(h ^ 1)) return kNoLane;
   Lane& ln = lanes_[pick];
   if (ln.delay != kTimeNever) map_[ln.map_at] = MapEntry{};  // evict
-  const std::size_t h = hash(d, kMapBits);
-  if (map_[h].lane != kNoLane && map_[h ^ 1].lane != kNoLane) {
-    ln.delay = kTimeNever;  // both map entries taken: d stays unbound
-    return kNoLane;
-  }
   ln.map_at = map_[h].lane == kNoLane ? h : h ^ 1;
   map_[ln.map_at] = MapEntry{d, pick};
   ln.delay = d;

@@ -40,9 +40,9 @@
 // switch, no capture construction and no destructor. Lanes take their
 // slots in fixed chunks from one shared pool, and heap records live in
 // pooled cells, so storage tracks the number of pending events and a
-// record never moves while it is pending: emplace_at()/emplace_after()
-// hand the caller a zeroed record in its slot to fill in place, and the
-// loop dispatches it from there. The steady-state loop allocates
+// record never moves while it is pending: emplace_at() hands
+// the caller a zeroed record in its slot to fill in place, and the loop
+// dispatches it from there. The steady-state loop allocates
 // nothing.
 //
 // Dispatch order is (EventKey, insertion seq). An EventKey is (time,
@@ -165,16 +165,8 @@ class Simulator {
     return ev;
   }
 
-  /// Schedules an event `delay` picoseconds from now; see emplace_at().
-  TypedEvent& emplace_after(Time delay) { return emplace_at(now_ + delay); }
-
   /// Schedules a copy of `ev` at absolute time `t` (must be >= now()).
   void at_typed(Time t, const TypedEvent& ev) { place(t) = ev; }
-
-  /// Schedules a copy of `ev` after `delay` picoseconds.
-  void after_typed(Time delay, const TypedEvent& ev) {
-    place(now_ + delay) = ev;
-  }
 
   /// Admits a record under an explicit key. Used by the shard engine to
   /// merge boundary events from other kernels: the event keeps the
@@ -326,7 +318,8 @@ class Simulator {
     }
   };
   /// A delay -> lane entry. A delay lives at its hash or the entry next
-  /// to it (h ^ 1); a delay finding both taken stays unbound.
+  /// to it (h ^ 1); a delay finding both taken by other lanes stays
+  /// unbound and evicts no lane.
   struct MapEntry {
     Time delay = kTimeNever;
     std::size_t lane = kNoLane;  // kNoLane: an empty entry

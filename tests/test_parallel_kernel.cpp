@@ -231,7 +231,8 @@ TEST(ParallelKernel, ElisionSkipsOnlyQuietWholeWindows) {
   // Each kernel's one record re-arms itself: p0 = its kernel, d = its
   // period.
   const sim::Simulator::TypedDispatcher tick = [](sim::TypedEvent& ev) {
-    static_cast<sim::Simulator*>(ev.p0)->after_typed(ev.d, ev);
+    auto* kernel = static_cast<sim::Simulator*>(ev.p0);
+    kernel->at_typed(kernel->now() + ev.d, ev);
   };
   for (const std::uint64_t every : {1u, 3u}) {
     std::vector<std::unique_ptr<sim::Simulator>> kernels;

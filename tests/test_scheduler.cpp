@@ -69,7 +69,7 @@ TEST(Scheduler, OneDelaySplitAcrossHeapAndLaneTiesBreakBySeq) {
   Simulator sim;
   Recorder r(sim);
   for (int i = 0; i < 8; ++i) {
-    sim.after_typed(kFar, r.id(i));
+    sim.at_typed(sim.now() + kFar, r.id(i));
     EXPECT_EQ(sim.lane_of(kFar), i == 0 ? -1 : 0) << i;
   }
   sim.run();
@@ -92,19 +92,29 @@ TEST(Scheduler, AdmittedTiesDispatchByBirthThenSeq) {
   sim.admit_typed(EventKey{kFar - 512, 900}, r.id(0));
   sim.run();
   EXPECT_EQ(r.order, (std::vector<int>{0, 1, 2, 3, 4}));
+
+  // Same shape with the clock advanced close to the ties and an organic
+  // event scheduled just ahead of them.
+  Simulator sim2;
+  Recorder r2(sim2);
+  sim2.admit_typed(EventKey{kFar, 500}, r2.id(2));
+  sim2.admit_typed(EventKey{kFar, 200}, r2.id(1));
+  sim2.run_until(kFar - 1000);
+  sim2.at_typed(sim2.now() + 50, r2.id(0));
+  sim2.run();
+  EXPECT_EQ(r2.order, (std::vector<int>{0, 1, 2}));
 }
 
-// at_typed, after_typed, emplace_at and admit_typed draw their (time,
-// birth, seq) keys from one sequence, whatever the record does when it
-// fires.
+// at_typed, emplace_at and admit_typed draw their (time, birth, seq)
+// keys from one sequence, whatever the record does when it fires.
 TEST(Scheduler, RecordsAndActionsAtOneTimestampKeepInsertionOrder) {
   for (const Time t : {Time{700}, kFar}) {
     Simulator sim;
     Recorder r(sim);
     sim.at_typed(t, r.id(1));
     sim.at_typed(t, r.action([&] { r.order.push_back(2); }));
-    sim.after_typed(t, r.id(3));
-    sim.after_typed(t, r.action([&] { r.order.push_back(4); }));
+    sim.at_typed(t, r.id(3));
+    sim.at_typed(t, r.action([&] { r.order.push_back(4); }));
     sim.emplace_at(t) = r.id(5);
     sim.at_typed(t - 1, r.id(0));
     sim.run();
@@ -214,8 +224,8 @@ TEST(Scheduler, SchedulingAfterAnIdleRunUntilStartsFromTheParkedClock) {
   // lanes' slots sit after the drained ones.
   sim.run_until(100 * kFar);
   EXPECT_EQ(sim.now(), 100 * kFar);
-  sim.after_typed(500, r.id(0));
-  sim.after_typed(200, r.id(0));
+  sim.at_typed(sim.now() + 500, r.id(0));
+  sim.at_typed(sim.now() + 200, r.id(0));
   EXPECT_EQ(sim.run(), 2u);
   EXPECT_EQ(r.order.size(), 3u);
   EXPECT_EQ(sim.now(), 100 * kFar + 500);
@@ -236,9 +246,9 @@ TEST(Scheduler, PeriodicEventCyclesLaneChunksThroughThePool) {
   tick = r.action([&] {
     if (sim.now() < last) monotonic = false;
     last = sim.now();
-    if (++count < kTicks) sim.after_typed(1300, tick);
+    if (++count < kTicks) sim.at_typed(sim.now() + 1300, tick);
   });
-  sim.after_typed(1300, tick);
+  sim.at_typed(sim.now() + 1300, tick);
   sim.run();
   EXPECT_EQ(count, kTicks);
   EXPECT_TRUE(monotonic);
@@ -261,14 +271,53 @@ TEST(Scheduler, InsertBelowADeclinedEventStillDispatchesInOrder) {
   EXPECT_EQ(sim.now(), 8000u);
 }
 
+TEST(Scheduler, FarInsertAfterADeclinedEventDoesNotDispatchEarly) {
+  // run_until() declines the first event after a peek at it; a far
+  // insert past it and then a near insert before it must each dispatch
+  // at their own time, with the clock never moving backwards.
+  Simulator sim;
+  Recorder r(sim);
+  const Time ahead = kFar / 2;
+  const Time far = 10 + kFar + kFar / 4;
+  const Time near = 1000;
+  sim.at_typed(ahead, r.id(2));
+  EXPECT_EQ(sim.run_until(10), 0u);  // peeks `ahead`, declines it
+  sim.at_typed(far, r.id(3));
+  sim.at_typed(near, r.id(1));
+  std::vector<Time> times;
+  while (sim.step()) times.push_back(sim.now());
+  EXPECT_EQ(r.order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(times, (std::vector<Time>{near, ahead, far}));
+}
+
+TEST(Scheduler, FarEventOlderThanALaterNearScheduleWinsUnderPeeks) {
+  // A far event scheduled before a nearer handler schedules an event
+  // after it, with next_event_key() peeked before every step.
+  Simulator sim;
+  Recorder r(sim);
+  const Time x = 10 + 3 * kFar;
+  const Time y = x - kFar / 2;
+  sim.at_typed(10, r.action([&] {
+    sim.at_typed(x, r.id(2));
+    sim.at_typed(y, r.action([&] {
+      sim.at_typed(x + 100, r.id(3));
+      r.order.push_back(1);
+    }));
+  }));
+  // Drain through y, peeking each step.
+  while (sim.next_event_key().time <= y) sim.step();
+  sim.run();
+  EXPECT_EQ(r.order, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(Scheduler, NextEventKeySeesBothLanesAndHeap) {
   Simulator sim;
   Recorder r(sim);
   EXPECT_EQ(sim.next_event_key().time, kTimeNever);
   sim.at_typed(kFar, r.id(0));  // heap
   EXPECT_EQ(sim.next_event_key().time, kFar);
-  sim.after_typed(300, r.id(0));  // heap (first sighting)
-  sim.after_typed(300, r.id(0));  // lane
+  sim.at_typed(sim.now() + 300, r.id(0));  // heap (first sighting)
+  sim.at_typed(sim.now() + 300, r.id(0));  // lane
   ASSERT_GE(sim.lane_of(300), 0);
   EXPECT_EQ(sim.next_event_key().time, 300u);
   sim.step();  // the heap's 300
@@ -297,7 +346,7 @@ TEST(Scheduler, RecordReachesTheDispatcherByteForByte) {
     ev.payload[i] = static_cast<unsigned char>(i + 1);
   }
   for (int i = 0; i < 2; ++i) {
-    sim.after_typed(kFar, ev);  // the heap, then a lane
+    sim.at_typed(sim.now() + kFar, ev);  // the heap, then a lane
     ASSERT_TRUE(sim.step());
     EXPECT_EQ(std::memcmp(&seen, &ev, sizeof ev), 0) << i;
   }
@@ -314,7 +363,7 @@ TEST(Scheduler, AOneOffDelayNeverBindsALane) {
   Simulator sim;
   Recorder r(sim);
   for (Time d = 1000; d < 1000 + 4 * kLanes; ++d) {
-    sim.after_typed(d, r.id(0));
+    sim.at_typed(sim.now() + d, r.id(0));
     EXPECT_EQ(sim.lane_of(d), -1) << d;
   }
   sim.run();
@@ -326,23 +375,82 @@ TEST(Scheduler, OnlyAnEmptyLaneIsEvictedAndRebound) {
   Recorder r(sim);
   // Bind every lane, each with an event pending.
   for (Time d = 100; d < 100 + kLanes; ++d) {
-    sim.after_typed(d, r.id(0));
-    sim.after_typed(d, r.id(0));
+    sim.at_typed(sim.now() + d, r.id(0));
+    sim.at_typed(sim.now() + d, r.id(0));
     ASSERT_GE(sim.lane_of(d), 0) << d;
   }
   // A new delay finds no free lane, however often it comes.
-  for (int i = 0; i < 3; ++i) sim.after_typed(5000, r.id(1));
+  for (int i = 0; i < 3; ++i) sim.at_typed(sim.now() + 5000, r.id(1));
   EXPECT_EQ(sim.lane_of(5000), -1);
   // Drain the shortest delay's lane; the next sighting takes it.
   const int lane = sim.lane_of(100);
   ASSERT_EQ(sim.run_until(100), 2u);
-  sim.after_typed(5000, r.id(2));
+  sim.at_typed(sim.now() + 5000, r.id(2));
   EXPECT_EQ(sim.lane_of(5000), lane);
   EXPECT_EQ(sim.lane_of(100), -1);
   for (Time d = 101; d < 100 + kLanes; ++d) EXPECT_GE(sim.lane_of(d), 0);
   sim.run();
   EXPECT_EQ(r.order.back(), 2);
   EXPECT_TRUE(sim.idle());
+}
+
+/// Binds `d` on `sim` (two sightings at one instant); returns its lane,
+/// or -1 when it stays unbound.
+int bind_delay(Simulator& sim, Recorder& r, Time d) {
+  sim.at_typed(sim.now() + d, r.id(-1));
+  sim.at_typed(sim.now() + d, r.id(-1));
+  return sim.lane_of(d);
+}
+
+TEST(Scheduler, ADelayWithNoMapRoomEvictsNoLane) {
+  // A delay can live at two delay -> lane map entries. Find delays
+  // `bound` (fewer than kLanes) and `c` such that, with `bound` bound,
+  // both of c's entries are taken: c then stays unbound though a lane
+  // is free. Random delays, so that some two of `bound` soon share c's
+  // entries; a bound delay is replaced in turn once kLanes - 1 are held.
+  Rng rng(1);
+  std::vector<Time> bound;
+  Time c = 0;
+  for (std::size_t k = 0; c == 0; ++k) {
+    ASSERT_LT(k, 100000u) << "no map collision found";
+    const Time d = 1000 + rng.next_below(1000000);
+    if (std::find(bound.begin(), bound.end(), d) != bound.end()) continue;
+    Simulator probe;
+    Recorder pr(probe);
+    for (const Time b : bound) ASSERT_GE(bind_delay(probe, pr, b), 0);
+    if (bind_delay(probe, pr, d) < 0) {
+      c = d;
+    } else if (bound.size() + 1 < kLanes) {
+      bound.push_back(d);
+    } else {
+      bound[k % bound.size()] = d;
+    }
+  }
+  // Bind `bound`, then fillers until every lane is bound, and leave the
+  // first filler's lane the one appended to longest ago: the eviction
+  // candidate. Neither of c's map entries is a filler's.
+  Simulator sim;
+  Recorder r(sim);
+  for (const Time b : bound) ASSERT_GE(bind_delay(sim, r, b), 0);
+  std::vector<Time> fillers;
+  for (Time d = 5000000; bound.size() + fillers.size() < kLanes; ++d) {
+    if (bind_delay(sim, r, d) >= 0) fillers.push_back(d);
+  }
+  std::vector<Time> delays = bound;
+  delays.insert(delays.end(), fillers.begin() + 1, fillers.end());
+  for (const Time d : delays) sim.at_typed(sim.now() + d, r.id(-1));
+  delays.push_back(fillers.front());
+  sim.run();
+  std::map<Time, int> lanes;
+  for (const Time d : delays) lanes[d] = sim.lane_of(d);
+  ASSERT_EQ(lanes.size(), kLanes);
+
+  r.order.clear();
+  for (int i = 0; i < 4; ++i) sim.at_typed(sim.now() + c, r.id(i));
+  EXPECT_EQ(sim.lane_of(c), -1);
+  for (const auto& [d, lane] : lanes) EXPECT_EQ(sim.lane_of(d), lane) << d;
+  sim.run();
+  EXPECT_EQ(r.order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 /// A kernel whose op-1 records, when they fire, schedule kBurst records
@@ -356,7 +464,7 @@ struct Burst {
   std::vector<std::uint32_t> fired;
   Burst() { sim.set_typed_dispatcher(&Burst::fire); }
   void schedule(Time delay, std::uint8_t op, std::uint32_t d) {
-    TypedEvent& ev = sim.emplace_after(delay);
+    TypedEvent& ev = sim.emplace_at(sim.now() + delay);
     ev.op = op;
     ev.p0 = this;
     ev.d = d;
@@ -417,15 +525,15 @@ TEST(Scheduler, EventsAtTheLaneTimeLimitTakeTheHeapInOrder) {
   Recorder r(sim);
   sim.run_until(kEnd - 1000);
   for (const Time d : {Time{59}, Time{60}}) {
-    sim.after_typed(d, r.id(-1));
-    sim.after_typed(d, r.id(-1));
+    sim.at_typed(sim.now() + d, r.id(-1));
+    sim.at_typed(sim.now() + d, r.id(-1));
     ASSERT_GE(sim.lane_of(d), 0) << d;
   }
   sim.run_until(kEnd - 60);
   r.order.clear();
-  sim.after_typed(60, r.id(2));  // t = kEnd: the heap, though 60 has a lane
-  sim.after_typed(59, r.id(1));  // t = kEnd - 1: 59's lane
-  sim.after_typed(61, r.id(3));
+  sim.at_typed(kEnd, r.id(2));      // delay 60: the heap, though 60 has a lane
+  sim.at_typed(kEnd - 1, r.id(1));  // delay 59: 59's lane
+  sim.at_typed(kEnd + 1, r.id(3));
   sim.at_typed(kTimeNever, r.id(5));
   sim.admit_typed(EventKey{kTimeNever, kTimeNever}, r.id(6));
   sim.admit_typed(EventKey{kEnd, kEnd - 100}, r.id(0));
@@ -587,7 +695,7 @@ struct OracleRun {
   /// Schedules `delay` from now; returns the lane it went to, or -1.
   int schedule(Time delay, bool follow_up = false) {
     const Time t = sim.now() + delay;
-    sim.after_typed(delay, record());
+    sim.at_typed(sim.now() + delay, record());
     const int lane = t < kLaneTimeEnd ? sim.lane_of(delay) : -1;
     if (lane >= 0) {
       const Time was = lane_delay[static_cast<std::size_t>(lane)];
@@ -860,6 +968,35 @@ TEST(Scheduler, RunBeforeDispatchesTheSortedPrefixBelowEachBound) {
     }
     std::printf("\n");
   }
+}
+
+// run_before() declines its bound right after a peek: O waits in the
+// heap, a later event W is scheduled after the clock moved, and the
+// peek reports O. run_before() to a bound below O must dispatch nothing
+// and park the clock; the next dispatch is still the oracle's minimum,
+// O, not W.
+TEST(Scheduler, RunBeforeDeclinesItsBoundRightAfterAPeek) {
+  OracleRun o(1);
+  o.budget = 0;  // handlers schedule no follow-ups
+  o.schedule(kFar + 100);  // O, id 0
+  o.bound = EventKey{200, kTimeNever};
+  ASSERT_EQ(o.sim.run_until(200), 0u);
+  o.schedule(kFar - 1);  // W, id 1: after O
+  const EventKey peek = o.sim.next_event_key();
+  ASSERT_EQ(peek.time, kFar + 100);  // O's key
+  ASSERT_EQ(peek.birth, 0u);
+
+  o.bound = EventKey{kFar + 50, kTimeNever};
+  ASSERT_EQ(o.sim.run_before(o.bound), 0u);
+  ASSERT_EQ(o.sim.now(), kFar + 50);
+  ASSERT_EQ(o.sim.pending(), 2u);
+
+  o.bounded = false;
+  ASSERT_TRUE(o.sim.step());
+  ASSERT_TRUE(o.failure.empty()) << o.failure;
+  EXPECT_EQ(o.sim.run(), 1u);
+  EXPECT_TRUE(o.failure.empty()) << o.failure;
+  EXPECT_TRUE(o.pending.empty());
 }
 
 // A bound equal to a pending lane head's key, with the heap top tied to

@@ -45,7 +45,7 @@ TEST(Simulator, AfterSchedulesRelativeToNow) {
   Recorder r(sim);
   Time fired_at = 0;
   sim.at_typed(1000, r.action([&] {
-    sim.after_typed(250, r.action([&] { fired_at = sim.now(); }));
+    sim.at_typed(sim.now() + 250, r.action([&] { fired_at = sim.now(); }));
   }));
   sim.run();
   EXPECT_EQ(fired_at, 1250u);
@@ -57,9 +57,9 @@ TEST(Simulator, EventsMayScheduleMoreEvents) {
   int count = 0;
   TypedEvent chain{};
   chain = r.action([&] {
-    if (++count < 100) sim.after_typed(10, chain);
+    if (++count < 100) sim.at_typed(sim.now() + 10, chain);
   });
-  sim.after_typed(10, chain);
+  sim.at_typed(sim.now() + 10, chain);
   sim.run();
   EXPECT_EQ(count, 100);
   EXPECT_EQ(sim.now(), 1000u);
@@ -109,7 +109,7 @@ TEST(Simulator, SchedulingWithoutADispatcherIsAModelError) {
   TypedEvent ev{};
   ev.op = 1;
   EXPECT_THROW(sim.at_typed(10, ev), ModelError);
-  EXPECT_THROW(sim.after_typed(10, ev), ModelError);
+  EXPECT_THROW(sim.at_typed(sim.now() + 10, ev), ModelError);
   EXPECT_THROW(sim.admit_typed(EventKey{10, 0}, ev), ModelError);
   EXPECT_TRUE(sim.idle());
   Recorder r(sim);
@@ -167,7 +167,7 @@ TEST(Simulator, ZeroDelayEventRunsAtCurrentTime) {
   Recorder r(sim);
   sim.at_typed(100, r.action([&] {
     r.order.push_back(1);
-    sim.after_typed(0, r.id(2));
+    sim.at_typed(sim.now() + 0, r.id(2));
   }));
   sim.at_typed(100, r.id(3));
   sim.run();

@@ -194,8 +194,7 @@ def check_identifiers(path, idents, where):
     """Every backticked ``A::B`` and ``name(`` must name code that exists.
 
     A member is spelled as the code spells it, trailing underscore
-    included (``Simulator::dispatch_lane``). A call may also name a
-    function a measurement record quotes (RECORDED_NAMES)."""
+    included (``Simulator::dispatch_lane``)."""
     errors = []
     seen = set()
     for span in re.findall(r"`([^`\n]+)`", path.read_text()):
@@ -212,7 +211,7 @@ def check_identifiers(path, idents, where):
             if name in seen:
                 continue
             seen.add(name)
-            if name not in idents and name not in RECORDED_NAMES:
+            if name not in idents:
                 errors.append(f"{where(name + '(')}: call `{name}(` names "
                               f"no identifier in src/ or tools/")
     return errors
