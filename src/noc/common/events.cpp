@@ -113,8 +113,8 @@ void dispatch_event(sim::TypedEvent& ev) {
     case kOpNaBeDeliver:
       static_cast<NetworkAdapter*>(ev.p0)->handoff_be(load_flit(ev));
       return;
-    case kOpShareboxRearm:
-      static_cast<Sharebox*>(ev.p0)->rearm();
+    case kOpFlowBoxRearm:
+      static_cast<FlowBox*>(ev.p0)->rearm();
       return;
     case kOpGsSourceStart:
       static_cast<GsStreamSource*>(ev.p0)->begin();

@@ -61,7 +61,7 @@ enum Op : std::uint8_t {
   kOpVcLocalReverse,  ///< p0=NetworkAdapter*, a=iface, b=complete-flag
   kOpNaSinkService,   ///< p0=NetworkAdapter*, a=iface
   kOpNaBeDeliver,     ///< p0=NetworkAdapter*; payload Flit (NA-link BE forward)
-  kOpShareboxRearm,   ///< p0=Sharebox*
+  kOpFlowBoxRearm,    ///< p0=FlowBox* (share-based re-arm; a credit frees at once)
   kOpGsSourceStart,   ///< p0=GsStreamSource*
   kOpBeSourceStart,   ///< p0=BeTrafficSource*
   kOpBePhaseToggle,   ///< p0=BeTrafficSource*

@@ -42,13 +42,6 @@ BePacket make_be_packet(BeHeader header,
   return make_be_packet({}, header, payload.data(), payload.size(), tag);
 }
 
-BePacket make_be_packet(std::vector<Flit>&& storage, std::uint32_t header,
-                        const std::uint32_t* payload,
-                        std::size_t payload_words, std::uint32_t tag) {
-  return make_be_packet(std::move(storage), BeHeader{header, false}, payload,
-                        payload_words, tag);
-}
-
 BePacket make_be_packet(std::vector<Flit>&& storage, BeHeader be_header,
                         const std::uint32_t* payload,
                         std::size_t payload_words, std::uint32_t tag) {

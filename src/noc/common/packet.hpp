@@ -154,9 +154,4 @@ BePacket make_be_packet(std::vector<Flit>&& storage, BeHeader header,
                         const std::uint32_t* payload,
                         std::size_t payload_words, std::uint32_t tag = 0);
 
-/// Legacy source-route-scheme entry point (header word only, THDR clear).
-BePacket make_be_packet(std::vector<Flit>&& storage, std::uint32_t header,
-                        const std::uint32_t* payload,
-                        std::size_t payload_words, std::uint32_t tag = 0);
-
 }  // namespace mango::noc

@@ -59,9 +59,7 @@ void NetworkAdapter::configure_gs_source(LocalIfaceIdx iface,
                                          SteerBits first_hop) {
   MANGO_ASSERT(iface < num_ifaces_, "GS source iface out of range");
   GsSource& src = gs_src_[iface];
-  MANGO_ASSERT(!src.configured,
-               "GS source iface already bound on " + name_);
-  src.configured = true;
+  MANGO_ASSERT(!src.flow, "GS source iface already bound on " + name_);
   src.steer = first_hop;
   if (coalesce_) {
     // Resolve the (static) switching decision once: injected flits go
@@ -72,8 +70,7 @@ void NetworkAdapter::configure_gs_source(LocalIfaceIdx iface,
     src.inject_target = &router_.vc_buffer(hop.target);
     src.inject_delay = delays_.na_link_fwd + hop.stage_delay;
   }
-  src.flow = make_flow_control(sim_, router_.vc_scheme(),
-                               delays_.sharebox_unlock, /*credits=*/2);
+  src.flow.emplace(sim_, router_.vc_scheme(), delays_.sharebox_unlock);
   src.flow->set_on_ready([this, iface] { drain_gs(iface); });
 }
 
@@ -81,21 +78,20 @@ void NetworkAdapter::release_gs_source(LocalIfaceIdx iface) {
   MANGO_ASSERT(iface < num_ifaces_, "GS source iface out of range");
   GsSource& src = gs_src_[iface];
   MANGO_ASSERT(src.queue.empty(), "releasing a GS source with queued flits");
-  src.configured = false;
   src.flow.reset();
   src.supplier = nullptr;
 }
 
 void NetworkAdapter::gs_send(LocalIfaceIdx iface, Flit f) {
   GsSource& src = gs_src_.at(iface);
-  MANGO_ASSERT(src.configured, "gs_send on unconfigured iface of " + name_);
+  MANGO_ASSERT(src.flow, "gs_send on unconfigured iface of " + name_);
   src.queue.push_back(f);
   drain_gs(iface);
 }
 
 void NetworkAdapter::set_gs_supplier(LocalIfaceIdx iface, GsSupplier s) {
   GsSource& src = gs_src_.at(iface);
-  MANGO_ASSERT(src.configured, "supplier on unconfigured iface of " + name_);
+  MANGO_ASSERT(src.flow, "supplier on unconfigured iface of " + name_);
   src.supplier = std::move(s);
   drain_gs(iface);
 }
@@ -110,7 +106,7 @@ std::uint64_t NetworkAdapter::gs_flits_sent(LocalIfaceIdx iface) const {
 
 void NetworkAdapter::drain_gs(LocalIfaceIdx iface) {
   GsSource& src = gs_src_[iface];
-  if (!src.configured || src.stage_busy || !src.flow->can_admit()) return;
+  if (!src.flow || src.stage_busy || !src.flow->can_admit()) return;
 
   Flit f;
   if (!src.queue.empty()) {
@@ -168,14 +164,14 @@ void NetworkAdapter::send_local_reverse(LocalIfaceIdx iface) {
 
 void NetworkAdapter::on_local_reverse(LocalIfaceIdx iface) {
   GsSource& src = gs_src_.at(iface);
-  MANGO_ASSERT(src.configured && src.flow != nullptr,
+  MANGO_ASSERT(src.flow,
                "reverse signal for unconfigured GS source on " + name_);
   src.flow->on_reverse_signal();
 }
 
 void NetworkAdapter::complete_local_reverse(LocalIfaceIdx iface) {
   GsSource& src = gs_src_.at(iface);
-  MANGO_ASSERT(src.configured && src.flow != nullptr,
+  MANGO_ASSERT(src.flow,
                "reverse signal for unconfigured GS source on " + name_);
   src.flow->complete_reverse();
 }

@@ -34,7 +34,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -138,13 +137,14 @@ class NetworkAdapter {
 
  private:
   struct GsSource {
-    bool configured = false;
+    /// The first media crossing's flow box; present while the source is
+    /// bound (configure_gs_source .. release_gs_source).
+    std::optional<FlowBox> flow;
     SteerBits steer;
     /// Coalesced-injection plan resolved at configure time: the VC
     /// buffer the first hop lands in and the wire + stage delay.
     VcBuffer* inject_target = nullptr;
     sim::Time inject_delay = 0;
-    std::unique_ptr<VcFlowControl> flow;
     sim::FifoRing<Flit> queue;
     GsSupplier supplier;
     bool stage_busy = false;  ///< local interface handshake in progress

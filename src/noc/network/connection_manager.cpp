@@ -251,7 +251,7 @@ void ConnectionManager::program_host_locally(std::vector<std::uint32_t> words,
                                              std::uint32_t tag) {
   // One NA wire hop plus one BE-router cycle per word (header included),
   // mirroring what the packet path would cost without the transit hops.
-  const StageDelays& d = stage_delays(net_.config().router.corner);
+  const StageDelays& d = net_.router(host_).delays();
   sim::Simulator& sim = net_.simulator();
   const sim::Time done =
       sim.now() + d.na_link_fwd + d.be_route_cycle * (words.size() + 1);

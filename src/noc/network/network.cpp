@@ -75,7 +75,7 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
     sim::Arena& arena = *arenas_[shard_of_[i]];
     routers_.push_back(arena.create<Router>(*shard_ctxs_[shard_of_[i]],
                                             cfg_.router, n, "R" + to_string(n),
-                                            &arena));
+                                            arena));
     nas_.push_back(
         arena.create<NetworkAdapter>(*routers_.back(), "NA" + to_string(n)));
   }

@@ -163,8 +163,8 @@ NetworkReport NetworkReport::collect(Network& net, sim::Time window_ps) {
         n, a.switch_flits, a.arb_grants, a.be_router_flits,
         a.vc_control_signals});
   }
-  const StageDelays d = stage_delays(net.config().router.corner);
   for (const auto& link : net.links()) {
+    const StageDelays& d = link->endpoint_a().router->delays();
     LinkReport lr;
     lr.a = link->endpoint_a().router->node();
     lr.a_port = link->endpoint_a().port;

@@ -67,7 +67,7 @@ void BeOutputStage::update_request() {
 }
 
 Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
-               std::string name, sim::Arena* arena)
+               std::string name, sim::Arena& arena)
     : ctx_(ctx),
       sim_(ctx.sim()),
       cfg_(cfg),
@@ -77,8 +77,7 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
       table_(cfg),
       switching_(sim_, cfg, delays_),
       prog_(table_),
-      be_(ctx, cfg, delays_, name_),
-      arena_(arena) {
+      be_(ctx, cfg, delays_, name_) {
   events::install(sim_);
   const unsigned v = cfg_.vcs_per_port;
   scheme_ = cfg_.arbiter == ArbiterKind::kUnregulated
@@ -90,15 +89,15 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
   bufs_.reserve(kNumDirections * v + cfg_.local_gs_ifaces);
   flow_.reserve(kNumDirections * v);
   for (PortIdx p = 0; p < kNumDirections; ++p) {
-    arbiters_[p] = make_component<LinkArbiter>(
+    arbiters_[p] = arena.create<LinkArbiter>(
         sim_, cfg_, delays_, name_ + ".arb" + port_name(p));
     for (VcIdx vc = 0; vc < v; ++vc) {
       const VcBufferId id{p, vc};
-      bufs_.push_back(make_component<VcBuffer>(sim_, delays_, scheme, id));
-      flow_.push_back(make_flow_control(sim_, scheme, delays_.sharebox_unlock,
-                                        /*credits=*/2, arena_));
+      bufs_.push_back(arena.create<VcBuffer>(sim_, delays_, scheme, id));
+      flow_.push_back(
+          arena.create<FlowBox>(sim_, scheme, delays_.sharebox_unlock));
       VcBuffer& buf = *bufs_.back();
-      VcFlowControl& fb = *flow_.back();
+      FlowBox& fb = *flow_.back();
       buf.set_on_head([this, p, vc] { update_gs_request(p, vc); });
       buf.set_on_reverse([this, id] { signal_reverse(id); });
       fb.set_on_ready([this, p, vc] { update_gs_request(p, vc); });
@@ -111,7 +110,7 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
   // Local output interfaces (delivery to the NA; no link arbiter).
   for (LocalIfaceIdx i = 0; i < cfg_.local_gs_ifaces; ++i) {
     const VcBufferId id{kLocalPort, i};
-    bufs_.push_back(make_component<VcBuffer>(sim_, delays_, scheme, id));
+    bufs_.push_back(arena.create<VcBuffer>(sim_, delays_, scheme, id));
     VcBuffer& buf = *bufs_.back();
     buf.set_on_head([this, i] {
       if (na_ != nullptr) na_->on_local_head(i);
@@ -166,13 +165,6 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
   });
 }
 
-Router::~Router() {
-  if (arena_ != nullptr) return;  // arena owns the components
-  for (VcBuffer* b : bufs_) delete b;
-  for (VcFlowControl* f : flow_) delete f;
-  for (LinkArbiter* a : arbiters_) delete a;
-}
-
 std::size_t Router::buf_index(VcBufferId id) const {
   if (id.port == kLocalPort) {
     MANGO_ASSERT(id.vc < cfg_.local_gs_ifaces,
@@ -184,7 +176,7 @@ std::size_t Router::buf_index(VcBufferId id) const {
   return static_cast<std::size_t>(id.port) * cfg_.vcs_per_port + id.vc;
 }
 
-VcFlowControl& Router::flow_control(PortIdx port, VcIdx vc) {
+FlowBox& Router::flow_control(PortIdx port, VcIdx vc) {
   MANGO_ASSERT(port < kNumDirections, "flow boxes exist on network ports only");
   return *flow_.at(buf_index({port, vc}));
 }
@@ -299,7 +291,7 @@ const Router::GsSendPlan& Router::send_plan(PortIdx port, VcIdx vc) {
 }
 
 void Router::on_gs_grant(PortIdx port, VcIdx vc) {
-  VcFlowControl& fb = flow_control(port, vc);
+  FlowBox& fb = flow_control(port, vc);
   MANGO_ASSERT(fb.can_admit(), "grant to a VC whose flow box cannot admit");
   fb.on_admit();
   Flit f = vc_buffer({port, vc}).pop();

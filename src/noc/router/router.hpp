@@ -22,7 +22,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -96,14 +95,12 @@ struct RouterActivity {
 
 class Router {
  public:
-  /// With an `arena`, the router's owned components (VC buffers, flow
-  /// boxes, link arbiters) are bump-allocated from it and destroyed by
-  /// the arena; without one they live on the heap and ~Router() frees
-  /// them. Network passes its per-partition arena so a shard's hot
-  /// state is contiguous in node-index order.
+  /// The router's owned components (VC buffers, flow boxes, link
+  /// arbiters) are bump-allocated from `arena`, which destroys them.
+  /// Network passes its per-partition arena so a shard's hot state is
+  /// contiguous in node-index order.
   Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
-         std::string name, sim::Arena* arena = nullptr);
-  ~Router();
+         std::string name, sim::Arena& arena);
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
@@ -148,7 +145,7 @@ class Router {
   /// Re-arm delay the coalesced reverse path folds into the wire event
   /// (sharebox re-arm for share-based VC control, 0 for credit-based).
   sim::Time reverse_fold_delay() const {
-    return scheme_ == VcScheme::kShareBased ? delays_.sharebox_unlock : 0;
+    return FlowBox::rearm_for(scheme_, delays_.sharebox_unlock);
   }
   VcScheme vc_scheme() const { return scheme_; }
 
@@ -194,21 +191,12 @@ class Router {
   BeRouter& be_router() { return be_; }
   const BeRouter& be_router() const { return be_; }
   VcBuffer& vc_buffer(VcBufferId id) { return *bufs_.at(buf_index(id)); }
-  VcFlowControl& flow_control(PortIdx port, VcIdx vc);
+  FlowBox& flow_control(PortIdx port, VcIdx vc);
 
   RouterActivity activity() const;
 
  private:
   std::size_t buf_index(VcBufferId id) const;
-  /// Allocates an owned component from the arena (when present) or the
-  /// heap; ~Router() frees the heap ones.
-  template <typename T, typename... Args>
-  T* make_component(Args&&... args) {
-    if (arena_ != nullptr) {
-      return arena_->create<T>(std::forward<Args>(args)...);
-    }
-    return new T(std::forward<Args>(args)...);
-  }
   /// The VC control module: switches VC buffer `buf`'s reverse signal
   /// onto its programmed input-port wire (a link, or the NA's flow box).
   /// ModelError if the buffer has no programmed reverse entry.
@@ -231,13 +219,11 @@ class Router {
   ProgrammingInterface prog_;
   BeRouter be_;
 
-  /// Allocation source for the owned components below (null = heap).
-  sim::Arena* arena_ = nullptr;
-  // Network VC buffers (4 * V), then local output interfaces. Raw
-  // pointers either way: arena- or heap-owned per arena_ (see ctor doc).
+  // Arena-owned components (see ctor doc). Network VC buffers (4 * V),
+  // then local output interfaces.
   std::vector<VcBuffer*> bufs_;
   // Flow boxes for the network VC buffers only (local delivery has none).
-  std::vector<VcFlowControl*> flow_;
+  std::vector<FlowBox*> flow_;
   std::array<LinkArbiter*, kNumDirections> arbiters_{};
   std::array<BeOutputStage, kNumDirections> be_out_;
   std::array<Link*, kNumDirections> links_{};

@@ -5,67 +5,33 @@
 
 namespace mango::noc {
 
-void Sharebox::on_admit() {
-  MANGO_ASSERT(!locked_, "sharebox admitted a flit while locked");
-  locked_ = true;
+void FlowBox::on_admit() {
+  MANGO_ASSERT(free_ > 0, "flow box admitted a flit with no free slot");
+  --free_;
 }
 
-void Sharebox::on_reverse_signal() {
-  MANGO_ASSERT(locked_, "unlock toggle on an unlocked sharebox");
-  count_reverse();
-  events::after(sim_, rearm_ps_, events::kOpShareboxRearm, this);
-}
-
-void Sharebox::rearm() {
-  locked_ = false;
-  notify_ready();
-}
-
-void Sharebox::complete_reverse() {
-  // The re-arm delay was charged into the caller's event timestamp; the
-  // box was necessarily locked for the whole wire + re-arm interval
-  // (nothing else clears the lock), so the state transition is the same
-  // one on_reverse_signal's scheduled re-arm would make now.
-  MANGO_ASSERT(locked_, "unlock toggle on an unlocked sharebox");
-  count_reverse();
-  locked_ = false;
-  notify_ready();
-}
-
-void CreditBox::on_admit() {
-  MANGO_ASSERT(credits_ > 0, "flit admitted without a credit");
-  --credits_;
-}
-
-void CreditBox::on_reverse_signal() {
-  count_reverse();
-  // The credit wire delay is charged by the caller (link / the router's
-  // signal_reverse); the counter update itself is immediate.
-  MANGO_ASSERT(credits_ < capacity_, "credit overflow: more returns than admits");
-  ++credits_;
-  notify_ready();
-}
-
-std::unique_ptr<VcFlowControl> make_flow_control(sim::Simulator& sim,
-                                                 VcScheme scheme,
-                                                 sim::Time rearm_ps,
-                                                 unsigned credits) {
-  if (scheme == VcScheme::kShareBased) {
-    return std::make_unique<Sharebox>(sim, rearm_ps);
+void FlowBox::on_reverse_signal() {
+  MANGO_ASSERT(free_ < total_, "reverse signal on a flow box with no flit out");
+  // The wire delay is charged by the caller (link / the NA's local wire);
+  // a sharebox then re-arms after its own delay, a credit counts at once.
+  if (rearm_ps_ > 0) {
+    events::after(sim_, rearm_ps_, events::kOpFlowBoxRearm, this);
+    return;
   }
-  return std::make_unique<CreditBox>(sim, credits);
+  rearm();
 }
 
-VcFlowControl* make_flow_control(sim::Simulator& sim, VcScheme scheme,
-                                 sim::Time rearm_ps, unsigned credits,
-                                 sim::Arena* arena) {
-  if (arena == nullptr) {
-    return make_flow_control(sim, scheme, rearm_ps, credits).release();
-  }
-  if (scheme == VcScheme::kShareBased) {
-    return arena->create<Sharebox>(sim, rearm_ps);
-  }
-  return arena->create<CreditBox>(sim, credits);
+void FlowBox::complete_reverse() {
+  // The re-arm delay was charged into the caller's event timestamp, and
+  // nothing else frees a slot in that interval, so this is the transition
+  // on_reverse_signal's scheduled re-arm would make now.
+  MANGO_ASSERT(free_ < total_, "reverse signal on a flow box with no flit out");
+  rearm();
+}
+
+void FlowBox::rearm() {
+  ++free_;
+  if (on_ready_) on_ready_();
 }
 
 }  // namespace mango::noc

@@ -13,8 +13,9 @@
 // registers the destructor (skipped for trivially destructible types)
 // and ~Arena() runs them in reverse creation order — mirroring the
 // unwind order the member-by-member unique_ptr layout it replaces had.
-// Individual objects cannot be freed early; components with runtime
-// churn (the NA's per-connection flow boxes) must stay on the heap.
+// Individual objects cannot be freed early, so state with runtime churn
+// (the NA's per-connection flow box) lives by value in a slot its owner
+// reuses, not in the arena.
 #pragma once
 
 #include <cstddef>

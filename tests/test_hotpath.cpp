@@ -9,7 +9,8 @@
 //    must every OCP transaction's issue and completion instants.
 //  * The pooled packet path performs no heap allocation at steady state:
 //    after warm-up, assembling, injecting, delivering and recycling BE
-//    packets touches only pooled/slab storage.
+//    packets touches only pooled/slab storage, and rebinding a GS
+//    source reuses its flow box in place.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -72,28 +73,36 @@ exp::ScenarioSpec differential_spec(TopologyKind kind, std::uint64_t seed) {
 }
 
 TEST(HotpathDifferential, CoalescedScenarioStatsAreBitIdenticalToLegacy) {
-  for (const TopologyKind kind :
-       {TopologyKind::kMesh, TopologyKind::kTorus, TopologyKind::kRing,
-        TopologyKind::kGraph}) {
-    for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-      exp::ScenarioSpec coalesced = differential_spec(kind, seed);
-      coalesced.router.coalesce_handshakes = true;
-      exp::ScenarioSpec legacy = differential_spec(kind, seed);
-      legacy.router.coalesce_handshakes = false;
+  // Every arbiter kind: the unregulated baseline runs credit-based flow
+  // boxes (no re-arm to fold, and an NA pop that stays an event).
+  for (const ArbiterKind arbiter :
+       {ArbiterKind::kFairShare, ArbiterKind::kStaticPriority,
+        ArbiterKind::kUnregulated}) {
+    for (const TopologyKind kind :
+         {TopologyKind::kMesh, TopologyKind::kTorus, TopologyKind::kRing,
+          TopologyKind::kGraph}) {
+      for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
+        exp::ScenarioSpec coalesced = differential_spec(kind, seed);
+        coalesced.router.arbiter = arbiter;
+        coalesced.router.coalesce_handshakes = true;
+        exp::ScenarioSpec legacy = coalesced;
+        legacy.router.coalesce_handshakes = false;
 
-      const exp::ScenarioResult a = exp::run_scenario(coalesced);
-      const exp::ScenarioResult b = exp::run_scenario(legacy);
-      ASSERT_TRUE(a.ok()) << a.error;
-      ASSERT_TRUE(b.ok()) << b.error;
-      // Every field, including the exact latency quantiles and the
-      // event total (coalesced folds count hop-for-hop).
-      EXPECT_TRUE(a.stats == b.stats)
-          << "stats diverged on " << coalesced.topology_spec().label()
-          << " seed " << seed << ": events " << a.stats.events << " vs "
-          << b.stats.events << ", BE delivered "
-          << a.stats.be_packets_delivered << " vs "
-          << b.stats.be_packets_delivered << ", GS p99 "
-          << a.stats.gs_latency_p99_ns << " vs " << b.stats.gs_latency_p99_ns;
+        const exp::ScenarioResult a = exp::run_scenario(coalesced);
+        const exp::ScenarioResult b = exp::run_scenario(legacy);
+        ASSERT_TRUE(a.ok()) << a.error;
+        ASSERT_TRUE(b.ok()) << b.error;
+        // Every field, including the exact latency quantiles and the
+        // event total (coalesced folds count hop-for-hop).
+        EXPECT_TRUE(a.stats == b.stats)
+            << "stats diverged on " << coalesced.topology_spec().label()
+            << " arbiter " << static_cast<int>(arbiter) << " seed " << seed
+            << ": events " << a.stats.events << " vs " << b.stats.events
+            << ", BE delivered " << a.stats.be_packets_delivered << " vs "
+            << b.stats.be_packets_delivered << ", GS p99 "
+            << a.stats.gs_latency_p99_ns << " vs "
+            << b.stats.gs_latency_p99_ns;
+      }
     }
   }
 }
@@ -312,6 +321,30 @@ TEST(HotpathAllocation, PooledBePathIsAllocationFreeAtSteadyState) {
     pool.release(std::move(pkt.flits));
   }
   EXPECT_EQ(g_allocs.load() - before2, 0u);
+}
+
+// --- 5. GS source binds keep their flow box in place ------------------------
+
+TEST(HotpathAllocation, GsSourceRebindIsAllocationFree) {
+  sim::SimContext ctx;
+  MeshConfig mesh{2, 2, RouterConfig{}, 1};
+  Network net(ctx, mesh);
+  Router& r = net.router({0, 0});
+  NetworkAdapter& na = net.na({0, 0});
+  const SteerBits first_hop = r.switching().encode_gs(
+      kLocalPort, VcBufferId{port_of(Direction::kEast), 0});
+  // Warm-up: one bind and release.
+  na.configure_gs_source(0, first_hop);
+  na.release_gs_source(0);
+
+  const std::uint64_t before = g_allocs.load();
+  for (int i = 0; i < 100; ++i) {
+    na.configure_gs_source(0, first_hop);
+    na.release_gs_source(0);
+  }
+  const std::uint64_t allocs = g_allocs.load() - before;
+  EXPECT_EQ(allocs, 0u) << "100 GS source binds allocated " << allocs
+                        << " times";
 }
 
 }  // namespace

@@ -14,7 +14,8 @@ namespace {
 TEST(RouterUnit, ComponentAccessorsWork) {
   sim::SimContext ctx;
   RouterConfig cfg;
-  Router r(ctx, cfg, NodeId{1, 2}, "R-test");
+  sim::Arena arena;  // owns the router's components
+  Router r(ctx, cfg, NodeId{1, 2}, "R-test", arena);
   EXPECT_EQ(r.node(), (NodeId{1, 2}));
   EXPECT_EQ(r.name(), "R-test");
   EXPECT_EQ(r.config().vcs_per_port, 8u);
@@ -28,9 +29,10 @@ TEST(RouterUnit, ComponentAccessorsWork) {
 TEST(RouterUnit, DoubleLinkAttachRejected) {
   sim::SimContext ctx;
   RouterConfig cfg;
-  Router a(ctx, cfg, NodeId{0, 0}, "Ra");
-  Router b(ctx, cfg, NodeId{1, 0}, "Rb");
-  Router c(ctx, cfg, NodeId{2, 0}, "Rc");
+  sim::Arena arena;
+  Router a(ctx, cfg, NodeId{0, 0}, "Ra", arena);
+  Router b(ctx, cfg, NodeId{1, 0}, "Rb", arena);
+  Router c(ctx, cfg, NodeId{2, 0}, "Rc", arena);
   Link ab(Link::Endpoint{&a, port_of(Direction::kEast)},
           Link::Endpoint{&b, port_of(Direction::kWest)});
   // Port East of `a` is taken; a second link on it must be rejected.
@@ -42,7 +44,8 @@ TEST(RouterUnit, DoubleLinkAttachRejected) {
 TEST(RouterUnit, SelfLinkRejected) {
   sim::SimContext ctx;
   RouterConfig cfg;
-  Router a(ctx, cfg, NodeId{0, 0}, "Ra");
+  sim::Arena arena;
+  Router a(ctx, cfg, NodeId{0, 0}, "Ra", arena);
   EXPECT_THROW(Link(Link::Endpoint{&a, port_of(Direction::kEast)},
                     Link::Endpoint{&a, port_of(Direction::kWest)}),
                mango::ModelError);
@@ -51,7 +54,8 @@ TEST(RouterUnit, SelfLinkRejected) {
 TEST(RouterUnit, FlowControlAccessorBounds) {
   sim::SimContext ctx;
   RouterConfig cfg;
-  Router r(ctx, cfg, NodeId{0, 0}, "R");
+  sim::Arena arena;
+  Router r(ctx, cfg, NodeId{0, 0}, "R", arena);
   EXPECT_TRUE(r.flow_control(0, 0).can_admit());
   EXPECT_THROW(r.flow_control(kLocalPort, 0), mango::ModelError);
   EXPECT_THROW(r.flow_control(0, 8), mango::ModelError);
@@ -101,7 +105,8 @@ TEST(RouterUnit, BeFlitsCountInLinkActivity) {
 TEST(RouterUnit, LocalGsInjectValidatesInterface) {
   sim::SimContext ctx;
   RouterConfig cfg;
-  Router r(ctx, cfg, NodeId{0, 0}, "R");
+  sim::Arena arena;
+  Router r(ctx, cfg, NodeId{0, 0}, "R", arena);
   EXPECT_THROW(r.inject_local_gs(4, LinkFlit{}), mango::ModelError);
 }
 
@@ -110,7 +115,8 @@ TEST(RouterUnit, UnattachedPortGrantIsDetected) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
   RouterConfig cfg;
-  Router r(ctx, cfg, NodeId{0, 0}, "R");
+  sim::Arena arena;
+  Router r(ctx, cfg, NodeId{0, 0}, "R", arena);
   const PortIdx west = port_of(Direction::kWest);  // edge, no link
   const VcBufferId buf{west, 0};
   // The buffer's reverse signal needs an attached NA (a missing one is

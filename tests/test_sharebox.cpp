@@ -1,4 +1,4 @@
-// Unit tests for the flow-control boxes (share-based and credit-based).
+// Unit tests for the flow box under share-based and credit-based control.
 #include <gtest/gtest.h>
 
 #include "noc/router/sharebox.hpp"
@@ -12,7 +12,7 @@ namespace {
 TEST(Sharebox, LockUnlockCycle) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  Sharebox box(sim, /*rearm_ps=*/100);
+  FlowBox box(sim, VcScheme::kShareBased, /*sharebox_unlock=*/100);
   EXPECT_TRUE(box.can_admit());
   box.on_admit();
   EXPECT_FALSE(box.can_admit());
@@ -29,7 +29,7 @@ TEST(Sharebox, LockUnlockCycle) {
 TEST(Sharebox, DoubleAdmitIsProtocolViolation) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  Sharebox box(sim, 100);
+  FlowBox box(sim, VcScheme::kShareBased, 100);
   box.on_admit();
   EXPECT_THROW(box.on_admit(), mango::ModelError);
 }
@@ -37,7 +37,7 @@ TEST(Sharebox, DoubleAdmitIsProtocolViolation) {
 TEST(Sharebox, UnlockWhileUnlockedIsProtocolViolation) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  Sharebox box(sim, 100);
+  FlowBox box(sim, VcScheme::kShareBased, 100);
   EXPECT_THROW(box.on_reverse_signal(), mango::ModelError);
 }
 
@@ -46,7 +46,7 @@ TEST(Sharebox, AtMostOneFlitInTheMedia) {
   // further admit is possible.
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  Sharebox box(sim, 50);
+  FlowBox box(sim, VcScheme::kShareBased, 50);
   int admitted = 0;
   for (int round = 0; round < 20; ++round) {
     ASSERT_TRUE(box.can_admit());
@@ -54,18 +54,17 @@ TEST(Sharebox, AtMostOneFlitInTheMedia) {
     ++admitted;
     ASSERT_FALSE(box.can_admit());  // exactly one in flight
     box.on_reverse_signal();
+    ASSERT_FALSE(box.can_admit());  // still locked until the re-arm
     sim.run();
   }
   EXPECT_EQ(admitted, 20);
-  EXPECT_EQ(box.reverse_signals(), 20u);
 }
 
 TEST(CreditBox, AllowsAsManyInFlightAsCredits) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  CreditBox box(sim, 3);
-  EXPECT_EQ(box.credits(), 3u);
-  box.on_admit();
+  FlowBox box(sim, VcScheme::kCreditBased, 100);
+  EXPECT_EQ(box.free_slots(), 2u);
   box.on_admit();
   box.on_admit();
   EXPECT_FALSE(box.can_admit());
@@ -75,34 +74,35 @@ TEST(CreditBox, AllowsAsManyInFlightAsCredits) {
 TEST(CreditBox, CreditReturnReenables) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  CreditBox box(sim, 1);
+  FlowBox box(sim, VcScheme::kCreditBased, 100);
+  box.on_admit();
   box.on_admit();
   int ready = 0;
   box.set_on_ready([&] { ++ready; });
-  box.on_reverse_signal();
+  box.on_reverse_signal();  // no re-arm: the credit counts at once
   EXPECT_TRUE(box.can_admit());
   EXPECT_EQ(ready, 1);
+  EXPECT_TRUE(sim.idle());
 }
 
 TEST(CreditBox, OverflowingCreditsIsProtocolViolation) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  CreditBox box(sim, 2);
+  FlowBox box(sim, VcScheme::kCreditBased, 100);
   EXPECT_THROW(box.on_reverse_signal(), mango::ModelError);
 }
 
-TEST(FlowControlFactory, BuildsTheRequestedScheme) {
+TEST(FlowBox, EachSchemeYieldsItsSlotTotalAndRearmDelay) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  auto share = make_flow_control(sim, VcScheme::kShareBased, 100, 2);
-  auto credit = make_flow_control(sim, VcScheme::kCreditBased, 100, 2);
-  ASSERT_NE(dynamic_cast<Sharebox*>(share.get()), nullptr);
-  ASSERT_NE(dynamic_cast<CreditBox*>(credit.get()), nullptr);
-  // Behavioural difference: a sharebox admits one, a 2-credit box two.
-  share->on_admit();
-  EXPECT_FALSE(share->can_admit());
-  credit->on_admit();
-  EXPECT_TRUE(credit->can_admit());
+  const FlowBox share(sim, VcScheme::kShareBased, 100);
+  const FlowBox credit(sim, VcScheme::kCreditBased, 100);
+  EXPECT_EQ(share.slot_total(), 1u);
+  EXPECT_EQ(share.rearm_ps(), 100u);
+  EXPECT_EQ(credit.slot_total(), 2u);
+  EXPECT_EQ(credit.rearm_ps(), 0u);
+  EXPECT_EQ(FlowBox::rearm_for(VcScheme::kShareBased, 100), 100u);
+  EXPECT_EQ(FlowBox::rearm_for(VcScheme::kCreditBased, 100), 0u);
 }
 
 }  // namespace
