@@ -180,8 +180,7 @@ void BM_BarrierSyncNsPerWindow(benchmark::State& state) {
     }
     sim::ControlPlane ctrl;
     ctrl.bind_engine(sims);
-    sim::ShardEngine engine(sims, kWindow, ctrl, [] {}, [](std::size_t) {},
-                            opt);
+    sim::ShardEngine engine(sims, kWindow, ctrl, opt);
     const auto t0 = std::chrono::steady_clock::now();
     engine.run_until(kWindows * kWindow);
     const auto t1 = std::chrono::steady_clock::now();

@@ -24,8 +24,8 @@
 // constructor (install()), so standalone component tests work without a
 // Network, and builds each record in its kernel slot with after() / at()
 // (Simulator::emplace_at). A record crossing a shard boundary stays a
-// TypedEvent: the link builds it in the boundary channel, and the
-// barrier admits it with admit_typed.
+// TypedEvent: the link builds it in its shard pair's outbox, and the
+// receiving shard admits it with admit_typed.
 #pragma once
 
 #include <cstring>

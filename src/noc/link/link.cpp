@@ -1,9 +1,9 @@
 #include "noc/link/link.hpp"
 
 #include "noc/common/events.hpp"
-#include "noc/network/boundary.hpp"
 #include "noc/router/router.hpp"
 #include "sim/assert.hpp"
+#include "sim/spsc.hpp"
 
 namespace mango::noc {
 
@@ -17,7 +17,7 @@ Link::Link(Endpoint a, Endpoint b, unsigned pipeline_stages,
   MANGO_ASSERT(a_.router != nullptr && b_.router != nullptr,
                "link endpoints must be routers");
   // Endpoints in different SimContexts are a shard boundary: allowed,
-  // but every send must go through set_boundary() channels (asserted in
+  // but every send must go through set_boundary() outboxes (asserted in
   // transfer()).
   sims_[0] = &a_.router->ctx().sim();
   sims_[1] = &b_.router->ctx().sim();
@@ -57,22 +57,18 @@ sim::TypedEvent& Link::transfer(unsigned dir, sim::Time delay,
                                 events::Op op) {
   sim::Simulator& self = *sims_[dir];
   const Endpoint& peer = dir == 0 ? b_ : a_;
-  if (boundary_[dir] != nullptr) {
-    // Cross-shard: the record waits in the channel for barrier admission
-    // into the peer's kernel, under the sender's scheduling time.
-    sim::TypedEvent& ev =
-        boundary_[dir]
-            ->batch
-            .push(BoundaryRecord{sim::EventKey{self.now() + delay, self.now()},
-                                 sim::TypedEvent{}})
-            .ev;
+  if (outbox_[dir] != nullptr) {
+    // Cross-shard: the record waits in the outbox until the peer's shard
+    // admits it, under the sender's scheduling time.
+    sim::TypedEvent& ev = outbox_[dir]->push(
+        sim::EventKey{self.now() + delay, self.now()}, order_key_ + dir);
     ev.op = op;
     ev.a = peer.port;
     ev.p0 = peer.router;
     return ev;
   }
   MANGO_ASSERT(sims_[0] == sims_[1],
-               "cross-context link used without boundary channels");
+               "cross-context link used without boundary outboxes");
   return events::after(self, delay, op, peer.router, peer.port);
 }
 
@@ -107,8 +103,8 @@ void Link::send_flit(const Router* from, LinkFlit lf) {
 void Link::send_reverse(const Router* from, VcIdx wire) {
   const unsigned dir = dir_of(from);
   const Endpoint& peer = dir == 0 ? b_ : a_;
-  if (!coalesce_ || boundary_[dir] != nullptr) {
-    // Cross-shard transfers keep the uncoalesced chain (boundary.hpp).
+  if (!coalesce_ || outbox_[dir] != nullptr) {
+    // Cross-shard transfers keep the uncoalesced chain (link.hpp).
     transfer(dir, reverse_latency(), events::kOpReverse).b = wire;
     return;
   }

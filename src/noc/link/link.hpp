@@ -9,6 +9,27 @@
 // for future MANGO versions — would change encoding, not this timing
 // model, so the link is modelled as constant-delay transport with strict
 // FIFO ordering.
+//
+// Shard boundaries. A link whose endpoint routers live in different
+// shards cannot schedule the receive event directly into the peer's
+// kernel (that kernel runs on another thread). Instead, the sending side
+// pushes the typed event it would have scheduled, under the
+// sim::EventKey it would have drawn — its model-level arrival time and
+// the sender's scheduling time (birth) — into the shard engine's outbox
+// for its (sender shard, receiver shard) pair, tagged with the
+// direction's order key. The receiving shard admits its inbound records
+// at the start of its next phase, sorted by (key, order key, FIFO
+// order). The order key is the link's position in the Network's link
+// list times two plus the direction, which is a pure function of the
+// topology — never of the partition or of wall-clock arrival — so
+// records with equal keys break the tie the same way under every
+// partition.
+//
+// Boundary transfers always use the uncoalesced two-event handshake
+// chains: the coalesced fast path resolves the peer's switching plan at
+// send time, which would read another shard's state mid-window. The
+// fold ledger guarantees the two chains have bit-identical event
+// totals and stats, so this costs determinism nothing.
 #pragma once
 
 #include <cstdint>
@@ -19,10 +40,13 @@
 #include "noc/common/ids.hpp"
 #include "sim/simulator.hpp"
 
+namespace mango::sim {
+class SpscBatch;
+}  // namespace mango::sim
+
 namespace mango::noc {
 
 class Router;
-struct BoundaryChannel;
 
 class Link {
  public:
@@ -43,8 +67,8 @@ class Link {
   /// The link runs in the SimContext of its endpoint routers. The
   /// endpoints normally share one context; endpoints in different
   /// contexts (a sharded Network's boundary links) are allowed only if
-  /// set_boundary() attaches a handoff channel per direction before the
-  /// first send.
+  /// set_boundary() attaches an outbox per direction before the first
+  /// send.
   Link(Endpoint a, Endpoint b, unsigned pipeline_stages = 1,
        LinkSignaling signaling = LinkSignaling::kBundledData,
        sim::Time skew_ps = 0);
@@ -78,16 +102,19 @@ class Link {
     return &flits_carried_[dir_of(from)];
   }
 
-  /// Marks this link as a shard boundary: sends from a_ go to `ab`,
-  /// sends from b_ to `ba`. Must be called before any traffic when the
+  /// Marks this link as a shard boundary: sends from a_ go to outbox
+  /// `ab` under order key `order_key`, sends from b_ to `ba` under
+  /// `order_key + 1`. Must be called before any traffic when the
   /// endpoints live in different SimContexts.
-  void set_boundary(BoundaryChannel* ab, BoundaryChannel* ba) {
-    boundary_[0] = ab;
-    boundary_[1] = ba;
+  void set_boundary(std::uint32_t order_key, sim::SpscBatch* ab,
+                    sim::SpscBatch* ba) {
+    order_key_ = order_key;
+    outbox_[0] = ab;
+    outbox_[1] = ba;
   }
   /// True when sends from `from` cross a shard boundary.
   bool is_boundary(const Router* from) const {
-    return boundary_[dir_of(from)] != nullptr;
+    return outbox_[dir_of(from)] != nullptr;
   }
 
   unsigned pipeline_stages() const { return stages_; }
@@ -118,8 +145,7 @@ class Link {
   const Endpoint& peer_of(const Router* from) const;
   unsigned dir_of(const Router* from) const;
   /// Delivers a record to the peer after `delay`: scheduled into the
-  /// shared kernel, or handed to the boundary channel on a cross-shard
-  /// link. Returns it in place with opcode `op`, the peer router and its
+  /// shared kernel, or handed to the outbox on a cross-shard link. Returns it in place with opcode `op`, the peer router and its
   /// port set, for the caller to fill before its next send.
   sim::TypedEvent& transfer(unsigned dir, sim::Time delay, events::Op op);
 
@@ -130,8 +156,10 @@ class Link {
   LinkSignaling signaling_;
   sim::Time skew_;
   bool coalesce_ = true;  ///< from RouterConfig::coalesce_handshakes
-  BoundaryChannel* boundary_[2] = {nullptr, nullptr};  ///< a->b, b->a
-  std::uint64_t flits_carried_[2] = {0, 0};            ///< a->b, b->a
+  std::uint32_t order_key_ = 0;  ///< a->b's; b->a's is one more
+  /// a->b, b->a; null unless the link crosses shards
+  sim::SpscBatch* outbox_[2] = {nullptr, nullptr};
+  std::uint64_t flits_carried_[2] = {0, 0};  ///< a->b, b->a
 };
 
 }  // namespace mango::noc

@@ -84,11 +84,7 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
   // instantiated from its lexicographically smaller (node index, port)
   // endpoint so parallel links (e.g. both directions of a 2-wide torus
   // ring) are each created exactly once. Port order East, North, South,
-  // West keeps mesh link creation in the historical order. Links whose
-  // endpoints land in different shards get a pair of boundary handoff
-  // channels keyed by the link's position here — a pure function of the
-  // topology, which is what makes the barrier merge order partition-
-  // independent.
+  // West keeps mesh link creation in the historical order.
   for (std::size_t i = 0; i < topo_->node_count(); ++i) {
     const NodeId n = topo_->node_at(i);
     for (const Direction d : {Direction::kEast, Direction::kNorth,
@@ -107,21 +103,6 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
           Link::Endpoint{&router(peer->node), peer->port},
           cfg_.link_pipeline_stages, cfg_.link_signaling,
           cfg_.link_skew_ps));
-      if (shard_of_[i] != shard_of_[peer_idx]) {
-        Link& l = *links_.back();
-        const auto link_idx = static_cast<std::uint32_t>(links_.size() - 1);
-        auto ab = std::make_unique<BoundaryChannel>();
-        ab->dst_shard = shard_of_[peer_idx];
-        ab->src_shard = shard_of_[i];
-        ab->order_key = link_idx * 2;
-        auto ba = std::make_unique<BoundaryChannel>();
-        ba->dst_shard = shard_of_[i];
-        ba->src_shard = shard_of_[peer_idx];
-        ba->order_key = link_idx * 2 + 1;
-        l.set_boundary(ab.get(), ba.get());
-        channels_.push_back(std::move(ab));
-        channels_.push_back(std::move(ba));
-      }
     }
   }
   ctx_.stats().counter("network.routers") += topo_->node_count();
@@ -144,12 +125,6 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
     sims.reserve(shard_ctxs_.size());
     for (sim::SimContext* c : shard_ctxs_) sims.push_back(&c->sim());
     control_.bind_engine(sims);
-    // Pre-group the channels by producing shard so the per-shard flush
-    // hook touches exactly the batches its thread owns.
-    channels_by_src_.resize(n_shards);
-    for (auto& chp : channels_) {
-      channels_by_src_[chp->src_shard].push_back(chp.get());
-    }
     // The window width doubles as the control deferral bound: a post
     // made mid-window at u lands at u + deferral >= window end, so the
     // engine always sees it in time to park the shards on its key.
@@ -157,9 +132,21 @@ Network::Network(sim::SimContext& ctx, const NetworkConfig& cfg)
     opt.spin_us = cfg_.spin_us;
     opt.spin_even_oversubscribed = cfg_.force_spin;
     engine_ = std::make_unique<sim::ShardEngine>(
-        std::move(sims), min_link_latency_, control_,
-        [this] { drain_boundaries(); },
-        [this](std::size_t s) { flush_boundaries(s); }, opt);
+        std::move(sims), min_link_latency_, control_, opt);
+    // Each direction of a cross-shard link pushes into its shard pair's
+    // outbox under an order key derived from the link's position in
+    // links_ — a pure function of the topology, which is what makes the
+    // admission order partition-independent.
+    for (std::size_t idx = 0; idx < links_.size(); ++idx) {
+      Link& l = *links_[idx];
+      const Router* ra = l.endpoint_a().router;
+      const unsigned a = shard_of_[topo_->index(ra->node())];
+      const unsigned b =
+          shard_of_[topo_->index(l.peer_endpoint(ra).router->node())];
+      if (a == b) continue;
+      l.set_boundary(static_cast<std::uint32_t>(idx * 2),
+                     &engine_->outbox(a, b), &engine_->outbox(b, a));
+    }
   }
 
   // BE downstream configuration: credits = the peer's BE input depth and
@@ -203,32 +190,6 @@ std::uint64_t Network::events_dispatched() const {
   std::uint64_t n = 0;
   for (const sim::SimContext* c : shard_ctxs_) n += c->sim().events_dispatched();
   return n + control_.executed();
-}
-
-void Network::flush_boundaries(std::size_t s) {
-  for (BoundaryChannel* ch : channels_by_src_[s]) ch->batch.publish();
-}
-
-void Network::drain_boundaries() {
-  admit_buf_.clear();
-  for (auto& chp : channels_) {
-    BoundaryChannel& ch = *chp;
-    ch.batch.consume([&](BoundaryRecord r) {
-      admit_buf_.push_back(PendingAdmit{r, &ch});
-    });
-  }
-  if (admit_buf_.empty()) return;
-  // (key, channel order key) with stable_sort: records of one channel
-  // keep their FIFO order, records of different channels tie-break on
-  // the topology-derived key — never on wall-clock arrival.
-  std::stable_sort(admit_buf_.begin(), admit_buf_.end(),
-                   [](const PendingAdmit& x, const PendingAdmit& y) {
-                     if (!(x.rec.at == y.rec.at)) return x.rec.at < y.rec.at;
-                     return x.ch->order_key < y.ch->order_key;
-                   });
-  for (const PendingAdmit& a : admit_buf_) {
-    shard_ctxs_[a.ch->dst_shard]->sim().admit_typed(a.rec.at, a.rec.ev);
-  }
 }
 
 BeRoute Network::be_route(NodeId src, NodeId dst, LocalIface iface) const {

@@ -13,7 +13,6 @@
 #include "noc/common/packet.hpp"
 #include "noc/link/link.hpp"
 #include "noc/na/network_adapter.hpp"
-#include "noc/network/boundary.hpp"
 #include "noc/network/fabric_plan.hpp"
 #include "noc/network/routing.hpp"
 #include "noc/network/topology.hpp"
@@ -165,15 +164,6 @@ class Network {
   }
 
  private:
-  /// Barrier hook: drains every boundary channel and admits the records
-  /// into their destination kernels in (EventKey, channel, FIFO) order.
-  /// Runs on the engine thread with all workers parked.
-  void drain_boundaries();
-  /// Window-flush hook: publishes shard `s`'s boundary batches (one
-  /// release store per dirty channel). Runs on the worker thread that
-  /// owns shard `s`, before it signals the barrier.
-  void flush_boundaries(std::size_t s);
-
   sim::SimContext& ctx_;
   NetworkConfig cfg_;
   /// The static side of the fabric — owned (and possibly shared with
@@ -196,18 +186,11 @@ class Network {
   std::vector<Router*> routers_;
   std::vector<Link*> links_;
   std::vector<NetworkAdapter*> nas_;
-  std::vector<std::unique_ptr<BoundaryChannel>> channels_;
-  /// channels_ grouped by producing shard, for the per-shard flush hook.
-  std::vector<std::vector<BoundaryChannel*>> channels_by_src_;
-  struct PendingAdmit {
-    BoundaryRecord rec;
-    BoundaryChannel* ch = nullptr;
-  };
-  std::vector<PendingAdmit> admit_buf_;  ///< drain scratch (engine thread)
   sim::Time min_link_latency_ = 0;
   sim::ControlPlane control_;
-  /// Must be the last member: its destructor joins the worker threads
-  /// before any shard state they touch is torn down.
+  /// Owns the cross-shard outboxes the boundary links push into. Must
+  /// be the last member: its destructor joins the worker threads before
+  /// any shard state they touch is torn down.
   std::unique_ptr<sim::ShardEngine> engine_;
 };
 

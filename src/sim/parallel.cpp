@@ -118,30 +118,28 @@ constexpr std::uint32_t kSpinItersPerUs = 128;
 }  // namespace
 
 ShardEngine::ShardEngine(std::vector<Simulator*> shards, Time lookahead,
-                         ControlPlane& ctrl, std::function<void()> drain,
-                         std::function<void(std::size_t)> flush, Options opt)
-    : shards_(std::move(shards)),
-      lookahead_(lookahead),
-      ctrl_(ctrl),
-      drain_(std::move(drain)),
-      flush_(std::move(flush)) {
+                         ControlPlane& ctrl, Options opt)
+    : shards_(std::move(shards)), lookahead_(lookahead), ctrl_(ctrl) {
   MANGO_ASSERT(shards_.size() >= 2, "shard engine needs at least 2 shards");
   MANGO_ASSERT(lookahead_ > 0,
                "zero lookahead: a fabric with a zero-latency link (or no "
                "link) gives the conservative engine no synchronization "
                "slack — every link needs a positive latency");
-  MANGO_ASSERT(drain_ && flush_, "shard engine needs drain and flush hooks");
+  const std::size_t n = shards_.size();
+  outboxes_ = std::make_unique<SpscBatch[]>(n * n);
+  slots_ = std::make_unique<ShardSlot[]>(n);
+  for (std::size_t i = 0; i < n; ++i) slots_[i].runs.reserve(n - 1);
   // Spinning only pays when every barrier participant owns a hardware
   // thread; oversubscribed, a spinner steals cycles from the very shard
   // it is waiting on, so fall back to the condvar protocol outright.
   const unsigned hw = std::thread::hardware_concurrency();
   const bool can_spin =
       opt.spin_us > 0 &&
-      (opt.spin_even_oversubscribed || (hw != 0 && hw >= shards_.size()));
+      (opt.spin_even_oversubscribed || (hw != 0 && hw >= n));
   spin_iters_ = can_spin ? opt.spin_us * kSpinItersPerUs : 0;
-  worker_error_.resize(shards_.size());
-  threads_.reserve(shards_.size() - 1);
-  for (std::size_t i = 1; i < shards_.size(); ++i) {
+  worker_error_.resize(n);
+  threads_.reserve(n - 1);
+  for (std::size_t i = 1; i < n; ++i) {
     threads_.emplace_back([this, i] { worker_main(i); });
   }
 }
@@ -151,12 +149,86 @@ ShardEngine::~ShardEngine() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ShardEngine::run_shard(std::size_t idx) {
-  shards_[idx]->run_before(phase_bound_);
-  // Publish this shard's boundary batches before signalling the
-  // barrier: the drain that consumes them runs strictly after every
-  // done_ bump, so one release store per channel per phase suffices.
-  flush_(idx);
+namespace {
+
+bool handoff_before(const HandoffRecord& x, const HandoffRecord& y) {
+  if (!(x.at == y.at)) return x.at < y.at;
+  return x.order_key < y.order_key;
+}
+
+}  // namespace
+
+void ShardEngine::admit(std::size_t dst, std::uint64_t g) {
+  // Each source's records arrive in push order, which is FIFO per
+  // channel and nearly sorted by key (one window, a few wire delays), so
+  // a stable insertion sort orders them in place without the temporary
+  // buffer std::stable_sort would take. A channel belongs to one source,
+  // so no two runs hold equal (key, order key) records, and merging the
+  // sorted runs gives exactly the (key, order key, FIFO) order a stable
+  // sort of all of them would.
+  const std::size_t n = shards_.size();
+  auto& runs = slots_[dst].runs;
+  runs.clear();
+  for (std::size_t src = 0; src < n; ++src) {
+    std::vector<HandoffRecord>& v = outboxes_[src * n + dst].filled_in(g);
+    if (v.empty()) continue;
+    for (auto it = v.begin() + 1; it < v.end(); ++it) {
+      if (handoff_before(*it, it[-1])) {
+        std::rotate(std::upper_bound(v.begin(), it, *it, handoff_before), it,
+                    it + 1);
+      }
+    }
+    runs.emplace_back(v.data(), v.data() + v.size());
+  }
+  Simulator& kernel = *shards_[dst];
+  while (!runs.empty()) {
+    std::size_t best = 0;
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+      if (handoff_before(*runs[r].first, *runs[best].first)) best = r;
+    }
+    const HandoffRecord& rec = *runs[best].first++;
+    kernel.admit_typed(rec.at, rec.ev);
+    if (runs[best].first == runs[best].second) {
+      runs[best] = runs.back();
+      runs.pop_back();
+    }
+  }
+}
+
+void ShardEngine::admit_all(std::uint64_t g) {
+  const std::size_t n = shards_.size();
+  for (std::size_t dst = 0; dst < n; ++dst) admit(dst, g);
+  // Phase g + 1 would admit these records again.
+  for (std::size_t i = 0; i < n * n; ++i) outboxes_[i].filled_in(g).clear();
+}
+
+void ShardEngine::refresh_keys() {
+  // Safe from the engine thread with workers parked: the barrier's
+  // done_/generation_ pair orders this read after each worker's last
+  // kernel mutation and before its next one. next_event_key() is a
+  // const O(1) read of kernel state, so the horizon — and every elision
+  // decision made from it — is identical on every run and machine.
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    slots_[i].next = shards_[i]->next_event_key().time;
+  }
+}
+
+void ShardEngine::run_shard(std::size_t idx, std::uint64_t g) {
+  admit(idx, g - 1);
+  const std::size_t n = shards_.size();
+  SpscBatch* const out = &outboxes_[idx * n];
+  for (std::size_t dst = 0; dst < n; ++dst) out[dst].begin_phase(g);
+  Simulator& kernel = *shards_[idx];
+  kernel.run_before(phase_bound_);
+  // The earliest instant this shard's work can dispatch next: its own
+  // kernel, or a record it handed to another shard this phase. The
+  // minimum over all shards is the horizon a scan of every kernel after
+  // admission would give.
+  Time next = kernel.next_event_key().time;
+  for (std::size_t dst = 0; dst < n; ++dst) {
+    next = std::min(next, out[dst].earliest());
+  }
+  slots_[idx].next = next;
 }
 
 void ShardEngine::wait_for_command(std::uint64_t& seen) {
@@ -210,7 +282,7 @@ void ShardEngine::worker_main(std::size_t idx) {
     wait_for_command(seen);
     if (phase_ == Phase::kExit) return;
     try {
-      run_shard(idx);
+      run_shard(idx, seen);
     } catch (...) {
       worker_error_[idx] = std::current_exception();
     }
@@ -229,14 +301,14 @@ void ShardEngine::rethrow_worker_failure() {
   }
 }
 
-void ShardEngine::publish(Phase p, EventKey bound) {
+std::uint64_t ShardEngine::publish(Phase p, EventKey bound) {
   // The phase fields ride the generation bump: workers read them only
   // after acquiring the new generation, and the previous wait_for_done()
   // guarantees no worker still touches done_ when it resets.
   phase_ = p;
   phase_bound_ = bound;
   done_.store(0, std::memory_order_relaxed);
-  generation_.fetch_add(1, std::memory_order_seq_cst);
+  const std::uint64_t g = generation_.fetch_add(1, std::memory_order_seq_cst) + 1;
   if (sleepers_.load(std::memory_order_seq_cst) != 0) {
     // Notify under the mutex: a worker between its sleeper registration
     // and the wait either sees the new generation (predicate runs under
@@ -244,28 +316,17 @@ void ShardEngine::publish(Phase p, EventKey bound) {
     std::lock_guard<std::mutex> lk(mu_);
     cv_cmd_.notify_all();
   }
-  if (p == Phase::kExit) return;
+  if (p == Phase::kExit) return g;
   // Shard 0 runs on the engine thread: one fewer context switch per
   // window, and the control shard's cache stays warm for run_due().
   try {
-    run_shard(0);
+    run_shard(0, g);
   } catch (...) {
     worker_error_[0] = std::current_exception();
   }
   wait_for_done();
   rethrow_worker_failure();
-}
-
-Time ShardEngine::global_horizon(Time ctrl_key) {
-  // Safe from the engine thread with workers parked: the barrier's
-  // done_/generation_ pair orders this read after each worker's last
-  // kernel mutation and before its next one. next_event_key() is a
-  // const O(1) read of kernel state (the lane min-tree root and the
-  // heap top), so the horizon — and every elision decision made from
-  // it — is identical on every run and machine.
-  Time h = ctrl_key;
-  for (Simulator* s : shards_) h = std::min(h, s->next_event_key().time);
-  return h;
+  return g;
 }
 
 std::uint64_t ShardEngine::run_until(Time t_end) {
@@ -274,6 +335,8 @@ std::uint64_t ShardEngine::run_until(Time t_end) {
   for (Simulator* s : shards_) before += s->events_dispatched();
   const std::uint64_t ctrl_before = ctrl_.executed();
 
+  // The caller may have scheduled into any kernel since the last call.
+  refresh_keys();
   for (;;) {
     ctrl_.collect();
     EventKey k;
@@ -284,11 +347,16 @@ std::uint64_t ShardEngine::run_until(Time t_end) {
     // and hands nothing across a boundary — a pure no-op apart from
     // parking the kernels' clocks, which no model state observes. So
     // jump the cursor over every window wholly before the global
-    // horizon. The window grid stays anchored at the cursor (skips
-    // are whole multiples of W), so the windows that DO run end at
-    // exactly the instants they would end at if every window ran, and
-    // the merged dispatch order is the same.
-    const Time h = global_horizon(has_ctrl ? k.time : kTimeNever);
+    // horizon: the least key the shards published (each covers its
+    // kernel and what it handed over) and the next control key. The
+    // window grid stays anchored at the cursor (skips are whole
+    // multiples of W), so the windows that DO run end at exactly the
+    // instants they would end at if every window ran, and the merged
+    // dispatch order is the same.
+    Time h = has_ctrl ? k.time : kTimeNever;
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      h = std::min(h, slots_[i].next);
+    }
     if (!has_ctrl && h >= t_end) {
       // Nothing dispatches strictly before t_end; events at exactly
       // t_end belong to the final phase either way.
@@ -303,25 +371,27 @@ std::uint64_t ShardEngine::run_until(Time t_end) {
     }
     const Time window_end = std::min(cursor_ + lookahead_, t_end);
     if (has_ctrl && k.time <= window_end) {
-      // Park every shard exactly at the control key, then run the
-      // action on the engine thread while the fabric is quiescent.
-      publish(Phase::kRun, k);
-      drain_();
+      // Park every shard exactly at the control key, admit what the
+      // park phase handed over (as every phase's records are admitted
+      // before anything else touches their kernels), then run the action
+      // on the engine thread while the fabric is quiescent.
+      admit_all(publish(Phase::kRun, k));
       ctrl_.run_due(k);
+      refresh_keys();
       cursor_ = k.time;
       continue;
     }
     publish(Phase::kRun, EventKey{window_end, 0});
     ++windows_;
-    drain_();
     cursor_ = window_end;
   }
   // Horizon edge: events at exactly t_end cannot influence another shard
   // at t_end (every boundary latency >= lookahead > 0), so each shard
-  // finishes them independently with single-kernel semantics.
-  publish(Phase::kRun, EventKey{t_end, kTimeNever});
-  drain_();  // records for t > t_end: admitted, never dispatched — same
-             // as the single-kernel run leaving them pending.
+  // finishes them independently with single-kernel semantics. Records
+  // for t > t_end are admitted, never dispatched — same as the
+  // single-kernel run leaving them pending — and no outbox holds a
+  // record between calls.
+  admit_all(publish(Phase::kRun, EventKey{t_end, kTimeNever}));
   cursor_ = t_end;
 
   std::uint64_t after = 0;

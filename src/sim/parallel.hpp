@@ -5,13 +5,14 @@
 // link (the lookahead, in the sense of Chandy/Misra/Bryant conservative
 // PDES; darsim drives hornet's parallel mode the same way). Within a
 // window no shard can affect another before the window's end, so the
-// shards run concurrently; at the barrier, boundary events are drained
-// from their channels and admitted into their destination kernels —
-// sorted by (EventKey, channel, fifo-order), never by wall-clock
-// arrival — so the merged dispatch order is a pure function of the
-// model and the shard count. A run with N shards reproduces the
-// single-kernel run bit for bit on every tested grid; DESIGN.md section
-// 8 records a known counterexample.
+// shards run concurrently. A record bound for another shard goes into
+// the engine's outbox for that (source, destination) pair, and the
+// destination shard admits it into its own kernel at the start of its
+// next phase, on its own thread — sorted by (EventKey, channel order
+// key, FIFO), never by wall-clock arrival — so the merged dispatch order
+// is a pure function of the model and the shard count. A run with N
+// shards reproduces the single-kernel run bit for bit on every tested
+// grid; DESIGN.md section 8 records a known counterexample.
 //
 // Two pieces live here:
 //
@@ -25,22 +26,30 @@
 //    control event and runs the action on the engine thread while the
 //    fabric is quiescent.
 //
-//  * ShardEngine — the window/barrier loop and worker threads. Every
-//    phase it publishes is one Simulator::run_before bound: {end, 0} for
-//    a window, the control key {t, b} for a control tie, and
-//    {t_end, kTimeNever} for the final phase at the horizon.
+//  * ShardEngine — the window/barrier loop, the worker threads and the
+//    N x N outboxes. Every phase it publishes is one
+//    Simulator::run_before bound: {end, 0} for a window, the control key
+//    {t, b} for a control tie, and {t_end, kTimeNever} for the final
+//    phase at the horizon. Each shard ends its phase by publishing its
+//    own next key; the engine thread only reduces those N keys and
+//    bumps the barrier.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "sim/assert.hpp"
 #include "sim/simulator.hpp"
+#include "sim/spsc.hpp"
 #include "sim/time.hpp"
 
 namespace mango::sim {
@@ -150,16 +159,9 @@ class ShardEngine {
     bool spin_even_oversubscribed = false;
   };
 
-  /// `drain` runs on the engine thread at every barrier, with all
-  /// workers parked: it must move boundary records into the destination
-  /// kernels (Network supplies it). `flush` runs on each worker thread
-  /// at the end of every phase it executes — before the worker signals
-  /// the barrier — so producer-owned boundary batches publish once per
-  /// window. `lookahead` must be positive: a zero lookahead is a
-  /// ModelError.
+  /// `lookahead` must be positive: a zero lookahead is a ModelError.
   ShardEngine(std::vector<Simulator*> shards, Time lookahead,
-              ControlPlane& ctrl, std::function<void()> drain,
-              std::function<void(std::size_t)> flush, Options opt);
+              ControlPlane& ctrl, Options opt);
   ~ShardEngine();
 
   ShardEngine(const ShardEngine&) = delete;
@@ -182,26 +184,59 @@ class ShardEngine {
   /// True when barrier waits start with the atomic spin fast path.
   bool spinning() const { return spin_iters_ != 0; }
 
+  /// The handoff from shard `src` to shard `dst` (src != dst). Only
+  /// shard `src`'s events may push into it, and only while the engine
+  /// runs them; shard `dst` admits the records at its next phase.
+  SpscBatch& outbox(std::size_t src, std::size_t dst) {
+    MANGO_ASSERT(src != dst && src < shards_.size() && dst < shards_.size(),
+                 "outbox between two distinct shards of this engine");
+    return outboxes_[src * shards_.size() + dst];
+  }
+
  private:
   /// kRun: every shard runs to phase_bound_ (Simulator::run_before).
   enum class Phase : std::uint8_t { kIdle, kRun, kExit };
 
-  void publish(Phase p, EventKey bound);
-  void run_shard(std::size_t idx);
+  /// Runs one phase on every shard and returns its generation g.
+  std::uint64_t publish(Phase p, EventKey bound);
+  /// Phase g of shard `idx`, on its own thread: admit what the other
+  /// shards sent it in phase g - 1, run to the phase bound, publish its
+  /// next key.
+  void run_shard(std::size_t idx, std::uint64_t g);
+  /// Admits the records sent to shard `dst` during phase g into its
+  /// kernel in (EventKey, order key, FIFO) order. The producers empty
+  /// the buffers when they fill them again.
+  void admit(std::size_t dst, std::uint64_t g);
+  /// Engine thread, workers parked: admits phase g's records into every
+  /// shard, so no outbox holds a record across a control action or
+  /// between run_until calls.
+  void admit_all(std::uint64_t g);
+  /// Engine thread, workers parked, outboxes empty: re-reads every
+  /// kernel's next key (the caller or a control action may have
+  /// scheduled into any of them).
+  void refresh_keys();
   void worker_main(std::size_t idx);
   void rethrow_worker_failure();
   void wait_for_command(std::uint64_t& seen);
   void signal_done();
   void wait_for_done();
-  /// Earliest instant any shard (or the control plane, if `ctrl_key` is
-  /// finite) could dispatch next. Engine thread only, workers parked.
-  Time global_horizon(Time ctrl_key);
+
+  /// Per-shard state. `next` is written by the shard's thread at the
+  /// end of each phase and read by the engine after the barrier; `runs`
+  /// is the shard's admission scratch. Each sits in its own cache line,
+  /// so neither the engine's read nor another shard's work bounces the
+  /// line a shard writes.
+  struct ShardSlot {
+    alignas(64) Time next = kTimeNever;
+    alignas(64) std::vector<std::pair<HandoffRecord*, HandoffRecord*>> runs;
+  };
 
   std::vector<Simulator*> shards_;
   Time lookahead_;
   ControlPlane& ctrl_;
-  std::function<void()> drain_;
-  std::function<void(std::size_t)> flush_;
+  /// [src * N + dst]; the N with src == dst stay empty.
+  std::unique_ptr<SpscBatch[]> outboxes_;
+  std::unique_ptr<ShardSlot[]> slots_;
   Time cursor_ = 0;
   std::uint64_t windows_ = 0;
   std::uint64_t windows_elided_ = 0;

@@ -1,76 +1,90 @@
-// Single-producer handoff channel for shard boundaries.
+// Single-producer handoff between shards, double-buffered by phase.
 //
-// Each direction of a cross-shard link is written by exactly one shard
-// worker (the sender) and drained by exactly one thread (the engine, at
-// window barriers, while every worker is parked). The engine's phase
-// barrier orders "producer parked" before "consumer drains" (and back),
-// so the channel needs one release/acquire pair per window, not one per
-// record.
+// Each (source shard, destination shard) pair has one outbox. The
+// source shard's thread appends to it while it runs a phase; the
+// destination shard's thread reads the phase's records at the start of
+// its next phase. The two never touch the same buffer at once: in phase
+// g the producer empties buffer g & 1 and appends to it, while the
+// consumer reads buffer (g - 1) & 1, the one filled during phase g - 1.
+// The shard engine's phase barrier (each worker's done release, the
+// engine's generation release) orders the producer's last append of
+// phase g - 1 before the consumer's reads in phase g, and those reads
+// before the producer empties the buffer again in phase g + 1, so the
+// buffers carry no atomics at all, and the consumer never writes a line
+// the producer appends through.
 #pragma once
 
-#include <atomic>
-#include <cstddef>
-#include <utility>
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
-#include "sim/assert.hpp"
+#include "sim/simulator.hpp"
+#include "sim/time.hpp"
 
 namespace mango::sim {
 
-/// Batched single-producer handoff for barrier-drained channels.
-///
-/// The producer appends to a plain local vector while its shard runs,
-/// then publish() issues a single release store of the
-/// watermark at the window flush (and none at all for windows that left
-/// the channel untouched). The consumer — the shard engine, at the
-/// barrier, with the producer parked — acquires the watermark and takes
-/// records [0, n) in FIFO order. The watermark's release/acquire pair
-/// carries the record contents; the consumer's reset is ordered before
-/// the producer's next append by the engine's phase barrier (generation
-/// release store, acquired by the worker).
-template <typename T>
+/// A typed event crossing shards: the key it would have drawn on a
+/// single kernel (its arrival time, the sender's clock), the order key
+/// of the channel it travels on, and the record itself.
+struct HandoffRecord {
+  EventKey at;
+  std::uint32_t order_key = 0;
+  TypedEvent ev{};
+};
+
+/// The outbox from one shard to another: two FIFO buffers indexed by
+/// phase parity. Producer and consumer each name the phase they act
+/// for; the barrier between phases is the only synchronization (see the
+/// file comment). The order key says which channel a record came from,
+/// so one outbox carries every channel of its shard pair; the
+/// destination restores the (key, order key, FIFO) order when it admits
+/// them.
 class SpscBatch {
  public:
   SpscBatch() = default;
   SpscBatch(const SpscBatch&) = delete;
   SpscBatch& operator=(const SpscBatch&) = delete;
 
-  /// Producer side, during a window. No atomics. Returns the record,
-  /// valid until the next push.
-  T& push(T v) {
-    buf_.push_back(std::move(v));
-    if (buf_.size() > hw_) hw_ = buf_.size();
-    return buf_.back();
+  /// Producer, at the start of phase g: empties buffer g & 1 (its
+  /// capacity kept), which later pushes fill.
+  void begin_phase(std::uint64_t g) {
+    write_ = &buf_[g & 1].v;
+    write_->clear();
+    earliest_ = kTimeNever;
   }
 
-  /// Producer side, at the window flush (before the barrier signal):
-  /// one release store — skipped when nothing accumulated since the
-  /// last drain.
-  void publish() {
-    const std::size_t n = buf_.size();
-    if (n != ready_.load(std::memory_order_relaxed)) {
-      ready_.store(n, std::memory_order_release);
-    }
+  /// Producer, during a phase: appends a zeroed record under `at` and
+  /// returns its event, valid until the next push, for the caller to
+  /// fill in place.
+  TypedEvent& push(EventKey at, std::uint32_t order_key) {
+    earliest_ = std::min(earliest_, at.time);
+    HandoffRecord& rec = write_->emplace_back();
+    rec.at = at;
+    rec.order_key = order_key;
+    return rec.ev;
   }
 
-  /// Consumer side, at the barrier with the producer parked and
-  /// flushed: takes every published record in push order, then resets.
-  template <typename Fn>
-  void consume(Fn&& fn) {
-    const std::size_t n = ready_.load(std::memory_order_acquire);
-    MANGO_ASSERT(n == buf_.size(),
-                 "boundary batch drained before its window flush");
-    for (std::size_t i = 0; i < n; ++i) fn(std::move(buf_[i]));
-    buf_.clear();
-    ready_.store(0, std::memory_order_relaxed);
-  }
+  /// Producer: the earliest time pushed since begin_phase (kTimeNever if
+  /// none).
+  Time earliest() const { return earliest_; }
 
-  std::size_t high_water() const { return hw_; }
+  /// Consumer: the records pushed during phase g, in push order. Ready
+  /// once phase g's barrier has been crossed, until the producer begins
+  /// phase g + 2. Whoever takes them before phase g + 1 starts must
+  /// clear() them, or the destination takes them again in phase g + 1.
+  std::vector<HandoffRecord>& filled_in(std::uint64_t g) {
+    return buf_[g & 1].v;
+  }
 
  private:
-  std::vector<T> buf_;
-  std::size_t hw_ = 0;
-  std::atomic<std::size_t> ready_{0};
+  /// One cache line apart, so reading the finished buffer does not
+  /// bounce the line the producer is appending through.
+  struct alignas(64) Buffer {
+    std::vector<HandoffRecord> v;
+  };
+  Buffer buf_[2];
+  std::vector<HandoffRecord>* write_ = &buf_[0].v;
+  Time earliest_ = kTimeNever;
 };
 
 }  // namespace mango::sim

@@ -11,6 +11,9 @@
 //    after warm-up, assembling, injecting, delivering and recycling BE
 //    packets touches only pooled/slab storage, and rebinding a GS
 //    source reuses its flow box in place.
+//  * The shard engine's windows allocate nothing at steady state:
+//    boundary records travel through outboxes that keep their capacity,
+//    and each shard orders its inbound records in place.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -345,6 +348,46 @@ TEST(HotpathAllocation, GsSourceRebindIsAllocationFree) {
   const std::uint64_t allocs = g_allocs.load() - before;
   EXPECT_EQ(allocs, 0u) << "100 GS source binds allocated " << allocs
                         << " times";
+}
+
+// --- 6. sharded windows hand records over without allocating ---------------
+
+TEST(HotpathAllocation, ShardedWindowsAreAllocationFreeAtSteadyState) {
+  sim::SimContext ctx;
+  NetworkConfig cfg = MeshConfig{4, 4, RouterConfig{}, 1};
+  cfg.shards = 2;
+  Network net(ctx, cfg);
+  ASSERT_EQ(net.shard_count(), 2u);
+  const NodeId src{0, 0};
+  const NodeId dst{0, 3};
+  ASSERT_NE(net.shard_of(net.topology().index(src)),
+            net.shard_of(net.topology().index(dst)))
+      << "the connection must cross the cut";
+  ConnectionManager mgr(net, src);
+  const Connection& conn = mgr.open_direct(src, dst);
+  std::uint64_t delivered = 0;
+  net.na(dst).set_gs_handler(
+      [&](LocalIfaceIdx, Flit&&, sim::Time) { ++delivered; });
+  GsStreamSource gs(net.na(src), conn.src_iface, 1,
+                    GsStreamSource::Options{});  // period 0: saturate
+  gs.start();
+
+  // Warm-up: the outboxes, the kernels' lanes, the fold ledgers and the
+  // admission scratch grow to their steady-state capacities.
+  const sim::Time warm = 5000000;
+  net.run_until(warm);
+  ASSERT_GT(delivered, 0u);
+
+  const std::uint64_t windows = net.windows_run();
+  const std::uint64_t flits = delivered;
+  const std::uint64_t before = g_allocs.load();
+  net.run_until(warm + 2000 * net.min_link_latency());
+  const std::uint64_t allocs = g_allocs.load() - before;
+  ASSERT_GE(net.windows_run() - windows, 1000u);
+  ASSERT_GT(delivered, flits);
+  EXPECT_EQ(allocs, 0u) << (net.windows_run() - windows) << " windows with "
+                        << (delivered - flits) << " boundary flits allocated "
+                        << allocs << " times";
 }
 
 }  // namespace

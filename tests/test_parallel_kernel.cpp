@@ -152,8 +152,8 @@ TEST(ParallelKernel, ZeroLookaheadIsACheckedError) {
   ctrl.bind_engine({&a, &b});
   const auto make = [&](sim::Time lookahead) {
     return std::make_unique<sim::ShardEngine>(
-        std::vector<sim::Simulator*>{&a, &b}, lookahead, ctrl, [] {},
-        [](std::size_t) {}, sim::ShardEngine::Options{});
+        std::vector<sim::Simulator*>{&a, &b}, lookahead, ctrl,
+        sim::ShardEngine::Options{});
   };
   EXPECT_THROW(make(0), ModelError);
   EXPECT_EQ(make(400)->lookahead(), 400u);
@@ -161,29 +161,121 @@ TEST(ParallelKernel, ZeroLookaheadIsACheckedError) {
 
 // --- boundary handoff ------------------------------------------------
 
-// The batched handoff: records accumulate locally, publish() exposes
-// them in one watermark store, consume() takes them in FIFO order and
-// resets the channel for the next window.
+// The parity-buffered outbox: in phase g the producer empties buffer
+// g & 1 and appends to it, while the consumer reads phase g - 1's
+// records in FIFO order from the other buffer; phase g + 1 refills the
+// buffer phase g - 1 filled without reallocating. earliest() is the
+// least time pushed in the producer's current phase.
 TEST(ParallelKernel, SpscBatchPublishesOncePerWindowInFifoOrder) {
-  sim::SpscBatch<int> b;
-  for (int i = 0; i < 20; ++i) b.push(i);
-  b.publish();
-  std::vector<int> got;
-  b.consume([&](int v) { got.push_back(v); });
-  ASSERT_EQ(got.size(), 20u);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(got[i], i);
-  // A window that left the channel untouched publishes nothing and
-  // drains nothing.
-  b.publish();
-  b.consume([&](int) { FAIL() << "clean batch produced a record"; });
-  // The channel is reusable after a drain.
-  b.push(42);
-  b.publish();
-  got.clear();
-  b.consume([&](int v) { got.push_back(v); });
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], 42);
-  EXPECT_EQ(b.high_water(), 20u);
+  sim::SpscBatch b;
+  const auto push = [&](sim::Time t, int id) {
+    b.push(sim::EventKey{t, 0}, 7).d = static_cast<std::uint32_t>(id);
+  };
+  const auto ids = [](const std::vector<sim::HandoffRecord>& v) {
+    std::vector<int> out;
+    for (const sim::HandoffRecord& r : v) {
+      out.push_back(static_cast<int>(r.ev.d));
+    }
+    return out;
+  };
+  b.begin_phase(1);
+  EXPECT_EQ(b.earliest(), sim::kTimeNever);
+  for (int i = 0; i < 20; ++i) push(static_cast<sim::Time>(1000 - i), i);
+  EXPECT_EQ(b.earliest(), 981u);
+  // Phase 2: the producer fills the other buffer while the consumer
+  // reads phase 1's records.
+  b.begin_phase(2);
+  push(5000, 100);
+  EXPECT_EQ(b.earliest(), 5000u);
+  const std::vector<sim::HandoffRecord>& first = b.filled_in(1);
+  ASSERT_EQ(first.size(), 20u);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(first[i].ev.d, static_cast<std::uint32_t>(i));
+    EXPECT_EQ(first[i].order_key, 7u);
+  }
+  const sim::HandoffRecord* storage = first.data();
+  // Phase 3 empties phase 1's buffer, keeping its capacity, and refills
+  // it; phase 2's records stay readable until phase 4.
+  b.begin_phase(3);
+  push(6000, 42);
+  EXPECT_EQ(&b.filled_in(3), &first);
+  EXPECT_EQ(ids(b.filled_in(3)), (std::vector<int>{42}));
+  EXPECT_EQ(b.filled_in(3).data(), storage);
+  EXPECT_EQ(ids(b.filled_in(2)), (std::vector<int>{100}));
+  // A phase that pushed nothing hands over nothing.
+  b.begin_phase(4);
+  EXPECT_TRUE(b.filled_in(4).empty());
+  EXPECT_EQ(b.earliest(), sim::kTimeNever);
+}
+
+// One destination shard fed by two producer shards admits their records
+// in (EventKey, order key, FIFO) order: the order one stable sort of
+// every record would give, whichever shard sent a record and wherever it
+// sits in the push order. The sends cover equal keys on different
+// channels, repeated keys within one channel, and births that reorder
+// equal times. The destination is a worker thread's shard; batches go
+// through the per-phase admission (pushed at 100 and 1100) and through
+// the serial admission at the end of run_until (pushed at 2000, the
+// final phase of the first call).
+TEST(ParallelKernel, PerShardAdmissionKeepsTheGlobalMergeOrder) {
+  constexpr sim::Time kW = 1000;
+  constexpr std::size_t kDst = 1;
+  sim::Simulator k0;
+  sim::Simulator k1;
+  sim::Simulator k2;
+  test::Recorder r0(k0);
+  test::Recorder r1(k1);
+  test::Recorder r2(k2);
+  std::vector<sim::Simulator*> sims{&k0, &k1, &k2};
+  sim::ControlPlane ctrl;
+  ctrl.bind_engine(sims);
+  sim::ShardEngine engine(sims, kW, ctrl, sim::ShardEngine::Options{});
+
+  // Shard 0 owns channels 3 and 5, shard 2 owns channels 4 and 6.
+  struct Send {
+    sim::Time sent;
+    std::size_t src;
+    sim::EventKey at;
+    std::uint32_t order_key;
+  };
+  const std::vector<Send> sends = {
+      {100, 0, {1500, 0}, 5},  {100, 2, {1200, 90}, 4},
+      {100, 0, {1200, 90}, 5}, {100, 0, {1200, 90}, 3},
+      {100, 2, {1200, 90}, 4}, {100, 0, {1200, 90}, 3},
+      {100, 2, {1200, 90}, 6}, {100, 0, {1200, 20}, 5},
+      {100, 2, {1200, 95}, 4}, {100, 2, {1000, 100}, 6},
+      {100, 0, {1200, 90}, 3}, {100, 2, {1500, 0}, 4},
+      {1100, 2, {2300, 1100}, 6}, {1100, 0, {2300, 1100}, 3},
+      {1100, 0, {2100, 1100}, 5}, {1100, 2, {2100, 1100}, 4},
+      {1100, 0, {2300, 1100}, 3}, {1100, 2, {2300, 1100}, 6},
+      {2000, 2, {3000, 2000}, 4}, {2000, 0, {3000, 2000}, 5},
+      {2000, 0, {3000, 2000}, 3}, {2000, 2, {3000, 2000}, 4},
+      {2000, 0, {3400, 2000}, 3}, {2000, 2, {3000, 1900}, 6},
+  };
+  test::Recorder* const recorders[] = {&r0, &r1, &r2};
+  for (const sim::Time t : {100, 1100, 2000}) {
+    for (const std::size_t src : {0u, 2u}) {
+      sims[src]->at_typed(t, recorders[src]->action([&, t, src] {
+        for (std::size_t i = 0; i < sends.size(); ++i) {
+          if (sends[i].sent != t || sends[i].src != src) continue;
+          engine.outbox(src, kDst).push(sends[i].at, sends[i].order_key) =
+              r1.id(static_cast<int>(i));
+        }
+      }));
+    }
+  }
+  engine.run_until(2000);
+  engine.run_until(5000);
+
+  std::vector<int> want(sends.size());
+  for (std::size_t i = 0; i < want.size(); ++i) want[i] = static_cast<int>(i);
+  std::stable_sort(want.begin(), want.end(), [&](int x, int y) {
+    const Send& a = sends[static_cast<std::size_t>(x)];
+    const Send& b = sends[static_cast<std::size_t>(y)];
+    if (!(a.at == b.at)) return a.at < b.at;
+    return a.order_key < b.order_key;
+  });
+  EXPECT_EQ(r1.order, want);
 }
 
 // The per-record handoff and the unelided window grid are gone: asking
@@ -249,8 +341,7 @@ TEST(ParallelKernel, ElisionSkipsOnlyQuietWholeWindows) {
     }
     sim::ControlPlane ctrl;
     ctrl.bind_engine(sims);
-    sim::ShardEngine engine(sims, kW, ctrl, [] {}, [](std::size_t) {},
-                            sim::ShardEngine::Options{});
+    sim::ShardEngine engine(sims, kW, ctrl, sim::ShardEngine::Options{});
     const std::uint64_t events = engine.run_until(kWindows * kW);
     EXPECT_EQ(events, 4 * (kWindows / every + 1)) << "every=" << every;
     EXPECT_EQ(engine.windows_run(), kWindows / every) << "every=" << every;
