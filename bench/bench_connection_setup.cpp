@@ -24,8 +24,8 @@ namespace {
 
 void open_close(benchmark::State& state, bool packet_mode) {
   sim::SimContext ctx;
-  MeshConfig mesh{4, 4, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig net_cfg{TopologySpec::mesh(4, 4)};
+  Network net(ctx, net_cfg);
   ConnectionManager mgr(net, NodeId{0, 0});
   BrokerConfig cfg;
   cfg.packet_mode = packet_mode;

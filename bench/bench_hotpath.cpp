@@ -31,8 +31,9 @@ void gs_hop(benchmark::State& state, bool coalesce) {
     sim::SimContext ctx;
     RouterConfig rc{};
     rc.coalesce_handshakes = coalesce;
-    MeshConfig mesh{2, 1, rc, 1};
-    Network net(ctx, mesh);
+    NetworkConfig cfg{TopologySpec::mesh(2, 1)};
+    cfg.router = rc;
+    Network net(ctx, cfg);
     ConnectionManager mgr(net, NodeId{0, 0});
     const Connection& c = mgr.open_direct({0, 0}, {1, 0});
     std::uint64_t delivered = 0;
@@ -62,8 +63,8 @@ void BM_BeInjectionToSink(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     sim::SimContext ctx;
-    MeshConfig mesh{2, 2, RouterConfig{}, 1};
-    Network net(ctx, mesh);
+    NetworkConfig cfg{TopologySpec::mesh(2, 2)};
+    Network net(ctx, cfg);
     sim::VectorPool<Flit>& pool = ctx.pools().vectors<Flit>();
     std::uint64_t delivered = 0;
     net.na({1, 1}).set_be_handler(
@@ -95,8 +96,8 @@ BENCHMARK(BM_BeInjectionToSink)->Arg(2000);
 
 void BM_BeHeaderLookup(benchmark::State& state) {
   sim::SimContext ctx;
-  MeshConfig mesh{4, 4, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(4, 4)};
+  Network net(ctx, cfg);
   std::uint32_t acc = 0;
   std::uint16_t i = 0;
   for (auto _ : state) {

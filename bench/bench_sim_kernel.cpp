@@ -119,8 +119,8 @@ void BM_GsFlitHop(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     sim::SimContext ctx;
-    MeshConfig mesh{2, 1, RouterConfig{}, 1};
-    Network net(ctx, mesh);
+    NetworkConfig cfg{TopologySpec::mesh(2, 1)};
+    Network net(ctx, cfg);
     ConnectionManager mgr(net, NodeId{0, 0});
     const Connection& c = mgr.open_direct({0, 0}, {1, 0});
     std::uint64_t delivered = 0;

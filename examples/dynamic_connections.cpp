@@ -37,10 +37,8 @@ int main() {
               "(ConnectionBroker)\n\n");
   sim::SimContext ctx;
   sim::Simulator& simulator = ctx.sim();
-  MeshConfig mesh;
-  mesh.width = 3;
-  mesh.height = 3;
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(3, 3)};
+  Network net(ctx, cfg);
   MeasurementHub hub;
   attach_hub(net, hub);
   ConnectionManager mgr(net, NodeId{0, 0});

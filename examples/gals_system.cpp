@@ -62,10 +62,8 @@ int main() {
               "MANGO (Fig 1)\n\n");
   sim::SimContext ctx;
   sim::Simulator& simulator = ctx.sim();
-  MeshConfig mesh;
-  mesh.width = 2;
-  mesh.height = 2;
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(2, 2)};
+  Network net(ctx, cfg);
 
   const NodeId cpu{0, 0}, dsp{1, 0}, memory{1, 1};
   ClockDomain cpu_clk(1000, 0);     // 1 GHz

@@ -28,10 +28,8 @@ constexpr std::uint32_t kDisplayTag = 2;
 void run_phase(const char* name, sim::Time be_interarrival_ps) {
   sim::SimContext ctx;
   sim::Simulator& simulator = ctx.sim();
-  MeshConfig mesh;
-  mesh.width = 4;
-  mesh.height = 4;
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(4, 4)};
+  Network net(ctx, cfg);
   MeasurementHub hub;
   attach_hub(net, hub);
   ConnectionManager mgr(net, NodeId{0, 0});

@@ -26,10 +26,8 @@ int main() {
   //    worst-case 0.12 um timing).
   sim::SimContext ctx;
   sim::Simulator& simulator = ctx.sim();
-  MeshConfig mesh;
-  mesh.width = 2;
-  mesh.height = 2;
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(2, 2)};
+  Network net(ctx, cfg);
 
   // 2. Measurement: record every delivered GS flit / BE packet by tag.
   MeasurementHub hub;
@@ -58,7 +56,7 @@ int main() {
   simulator.run();
   FlowStats& s = hub.flow(1);
   const double guarantee = model::fair_share_guarantee_flits_per_ns(
-      TimingCorner::kWorstCase, mesh.router.vcs_per_port);
+      TimingCorner::kWorstCase, cfg.router.vcs_per_port);
   std::printf("\ndelivered %llu flits, %llu sequence errors\n",
               static_cast<unsigned long long>(s.flits),
               static_cast<unsigned long long>(s.seq_errors));

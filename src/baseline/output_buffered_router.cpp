@@ -32,8 +32,7 @@ void OutputBufferedRouter::serve(unsigned out) {
   queues_[out].pop_front();
   // One switch-output access per arbitration cycle, then the traversal to
   // the VC buffer.
-  const sim::Time traverse =
-      delays_.split_fwd + delays_.switch_fwd + delays_.unshare_fwd;
+  const sim::Time traverse = delays_.switch_traversal();
   after(delays_.arb_cycle, [this, out, p, traverse] {
     busy_[out] = false;
     after(traverse, [this, out, p] {

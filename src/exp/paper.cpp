@@ -30,13 +30,6 @@ namespace {
 
 constexpr TimingCorner kWorst = TimingCorner::kWorstCase;
 
-MeshConfig mesh(std::uint16_t width, std::uint16_t height) {
-  MeshConfig m;
-  m.width = width;
-  m.height = height;
-  return m;
-}
-
 /// A width x height mesh scenario with no BE traffic and no GS set:
 /// the experiment adds its connections and, if any, its BE load.
 ScenarioSpec mesh_spec(std::uint16_t width, std::uint16_t height) {
@@ -87,23 +80,12 @@ ScenarioSpec link_spec(unsigned vcs) {
   return s;
 }
 
-/// One saturating VC (0,0)->(1,0) on `m`, run to `horizon`: the flits
-/// it delivered by then and their p50 latency [ns]. Link depth,
-/// signalling and skew are fabric parameters a ScenarioSpec does not
-/// carry, so E5 and E15 build the network directly.
-std::pair<std::uint64_t, double> single_vc_run(const MeshConfig& m,
-                                               sim::Time horizon) {
-  sim::SimContext ctx;
-  Network net(ctx, m);
-  MeasurementHub hub;
-  hub.set_horizon(horizon);
-  attach_hub(net, hub);
-  ConnectionManager mgr(net, {0, 0});
-  GsStreamSource source(net.na({0, 0}),
-                        mgr.open_direct({0, 0}, {1, 0}).src_iface, 1, {});
-  source.start();
-  ctx.run_until(horizon);
-  return {hub.flow(1).flits, hub.flow(1).latency_ns.p50()};
+/// One saturating VC (0,0)->(1,0) on a width x height mesh: the E5 and
+/// E15 link probe, whose link fields the experiment sets.
+ScenarioSpec single_vc_spec(std::uint16_t width, std::uint16_t height) {
+  ScenarioSpec s = mesh_spec(width, height);
+  s.connections.push_back({{0, 0}, {1, 0}, {}});
+  return s;
 }
 
 std::string ns_label(sim::Time ps) {
@@ -190,9 +172,7 @@ void print_e3() {
   std::printf("E3 — Switch congestion: generic output-buffered router "
               "(Fig 3) vs MANGO non-blocking switching (Fig 4)\n\n");
   // MANGO's column is the analytic media traversal, not a measurement.
-  const StageDelays d = stage_delays(kWorst);
-  const double mango_ns =
-      sim::to_ns(d.split_fwd + d.switch_fwd + d.unshare_fwd);
+  const double mango_ns = sim::to_ns(stage_delays(kWorst).switch_traversal());
   TablePrinter table({"Background load", "generic p50 [ns]",
                       "generic p99 [ns]", "generic max [ns]",
                       "MANGO switch latency [ns]"});
@@ -327,12 +307,9 @@ void print_e5() {
 std::vector<SingleVcRow> single_vc() {
   std::vector<SingleVcRow> rows;
   for (unsigned stages : {1u, 2u, 3u, 4u, 6u}) {
-    MeshConfig m = mesh(2, 2);
-    m.link_pipeline_stages = stages;
-    rows.push_back({stages,
-                    {single_vc_run(m, 6300_ns).first -
-                         single_vc_run(m, 300_ns).first,
-                     6000_ns}});
+    ScenarioSpec s = single_vc_spec(2, 2);
+    s.link_pipeline_stages = stages;
+    rows.push_back({stages, window(s, 300_ns, 6000_ns)[0]});
   }
   return rows;
 }
@@ -511,11 +488,11 @@ BeLoadRow run_be_load(sim::Time interarrival) {
 /// hotspot. With one BE VC the short packets wait behind the long ones
 /// in every shared FIFO; the second BE VC lets them overtake.
 double hol_probe_p99(unsigned be_vcs) {
-  MeshConfig m = mesh(4, 2);
-  m.router.be_vcs = be_vcs;
+  NetworkConfig cfg{TopologySpec::mesh(4, 2)};
+  cfg.router.be_vcs = be_vcs;
   sim::SimContext ctx;
   sim::Simulator& simulator = ctx.sim();
-  Network net(ctx, m);
+  Network net(ctx, cfg);
   MeasurementHub hub;
   attach_hub(net, hub);
   BeTrafficSource::Options bulk;  // long packets (0,0) -> (3,0)
@@ -545,7 +522,7 @@ double hol_probe_p99(unsigned be_vcs) {
 
 double path_p50(unsigned hops) {
   sim::SimContext ctx;
-  Network net(ctx, mesh(8, 2));
+  Network net(ctx, NetworkConfig{TopologySpec::mesh(8, 2)});
   MeasurementHub hub;
   attach_hub(net, hub);
   BeTrafficSource::Options opt;
@@ -784,9 +761,8 @@ ArbiterAblation arbiter_ablation() {
   // ALG wait bounds (ref [6]) on top of the one-hop media latency.
   const StageDelays d = stage_delays(kWorst);
   const double base_ns = sim::to_ns(
-      d.na_link_fwd + (d.split_fwd + d.switch_fwd + d.unshare_fwd) +
-      d.buf_advance + d.req_fwd + (d.merge_fwd + d.link_fwd) +
-      (d.split_fwd + d.switch_fwd + d.unshare_fwd) + d.buf_advance +
+      d.na_link_fwd + d.switch_traversal() + d.buf_advance + d.req_fwd +
+      (d.merge_fwd + d.link_fwd) + d.switch_traversal() + d.buf_advance +
       d.na_link_fwd);
   for (unsigned p = 0; p < 4; ++p) {
     const sim::Time wait = model::alg_wait_bound_ps(kWorst, p);
@@ -883,7 +859,7 @@ std::vector<PowerRow> idle_power() {
   // so E12 builds the network directly.
   for (PowerRow& r : rows) {
     sim::SimContext ctx;
-    Network net(ctx, mesh(2, 2));
+    Network net(ctx, NetworkConfig{TopologySpec::mesh(2, 2)});
     MeasurementHub hub;
     attach_hub(net, hub);
     ConnectionManager mgr(net, {0, 0});
@@ -916,7 +892,7 @@ namespace {
 std::pair<sim::Time, unsigned> setup_latency(unsigned hops, bool background) {
   sim::SimContext ctx;
   sim::Simulator& simulator = ctx.sim();
-  Network net(ctx, mesh(8, 2));
+  Network net(ctx, NetworkConfig{TopologySpec::mesh(8, 2)});
   MeasurementHub hub;
   attach_hub(net, hub);
   ConnectionManager mgr(net, {0, 0});
@@ -977,14 +953,14 @@ std::vector<SetupRow> programming_setup() {
 // --- E15 ---------------------------------------------------------------------
 
 namespace {
-SignalingOutcome run_link(LinkSignaling s, sim::Time skew) {
-  MeshConfig m = mesh(2, 1);
-  m.link_signaling = s;
-  m.link_skew_ps = skew;
+SignalingOutcome run_link(LinkSignaling signaling, sim::Time skew) {
+  ScenarioSpec s = single_vc_spec(2, 1);
+  s.link_signaling = signaling;
+  s.link_skew_ps = skew;
   try {
-    const auto [flits, p50] = single_vc_run(m, 4200_ns);
-    const Delivered d{flits - single_vc_run(m, 200_ns).first, 4000_ns};
-    return {true, d.mhz(), p50};
+    const ScenarioResult to = run_to(s, 4200_ns);
+    const Delivered d = window(run_to(s, 200_ns), to)[0];
+    return {true, d.mhz(), to.connections[0].latency_p50_ns};
   } catch (const ModelError&) {
     return {};  // bundled-data timing closure failed
   }

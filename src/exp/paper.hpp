@@ -2,15 +2,15 @@
 //
 // Each experiment is a function that runs its simulations, or reads the
 // analytic models, and returns the rows of its table as plain numbers.
-// The MANGO fabric experiments E2, E4, E6, E7, E8's load sweep and E10
-// are ScenarioSpecs run by exp::run_scenario; a rate over a window is
-// the difference of two runs of one spec, to each edge of the window.
-// E5, E8's probes, E12, E13 and E15 need a fabric parameter or an
-// observation a spec does not carry, so they build noc::Network
-// directly. tests/test_claims.cpp asserts the paper's claims on them and
-// tools/mango_claims.cpp prints them through the registry below. E14 is
-// the kernel microbenchmark (bench/bench_sim_kernel.cpp) and has no
-// table here.
+// The MANGO fabric experiments E2, E4, E5, E6, E7, E8's load sweep, E10
+// and E15 are ScenarioSpecs run by exp::run_scenario (E5 and E15 set the
+// spec's link fields); a rate over a window is the difference of two
+// runs of one spec, to each edge of the window. E8's probes, E12 and E13
+// need a stimulus or an observation a spec does not carry, so they build
+// noc::Network directly. tests/test_claims.cpp asserts the paper's
+// claims on them and tools/mango_claims.cpp prints them through the
+// registry below. E14 is the kernel microbenchmark
+// (bench/bench_sim_kernel.cpp) and has no table here.
 #pragma once
 
 #include <cstdint>

@@ -190,8 +190,7 @@ noc::TopologySpec ScenarioSpec::topology_spec() const {
     case noc::TopologyKind::kTorus:
       return noc::TopologySpec::torus(width, height);
     case noc::TopologyKind::kCMesh:
-      return noc::TopologySpec::cmesh(width, height,
-                                      concentration == 0 ? 1 : concentration);
+      return noc::TopologySpec::cmesh(width, height, concentration);
     case noc::TopologyKind::kRing:
     case noc::TopologyKind::kGraph: {
       // Node labels are 16-bit: reject instead of silently truncating
@@ -232,6 +231,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const RunOptions& opt) {
     noc::NetworkConfig net_cfg;
     net_cfg.topology = spec.topology_spec();
     net_cfg.router = spec.router;
+    net_cfg.link_pipeline_stages = spec.link_pipeline_stages;
+    net_cfg.link_signaling = spec.link_signaling;
+    net_cfg.link_skew_ps = spec.link_skew_ps;
     net_cfg.shards = spec.shards;
     net_cfg.elide_windows = spec.elide_windows;
     net_cfg.batched_handoff = spec.batched_handoff;

@@ -43,10 +43,17 @@ struct ScenarioSpec {
   noc::TopologyKind topology = noc::TopologyKind::kMesh;
   std::uint16_t width = 4;
   std::uint16_t height = 4;
-  /// Cores per router (kCMesh only; ignored — and left at 1 — on every
-  /// other kind, so existing scenario names and reports are untouched).
+  /// Cores per router (kCMesh only, where 0 is the Topology's checked
+  /// error; ignored — and left at 1 — on every other kind, so existing
+  /// scenario names and reports are untouched).
   std::uint16_t concentration = 1;
   noc::RouterConfig router;
+  /// Link depth, signalling and skew (NetworkConfig's fields and
+  /// defaults). No flag or preset sets them and the report's spec
+  /// section does not record them, so every report runs the defaults.
+  unsigned link_pipeline_stages = 1;
+  noc::LinkSignaling link_signaling = noc::LinkSignaling::kBundledData;
+  sim::Time link_skew_ps = 0;
 
   // Best-effort traffic, one source per node (see start_pattern_be).
   noc::BePattern pattern = noc::BePattern::kUniform;

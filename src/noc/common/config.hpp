@@ -47,11 +47,17 @@ struct StageDelays {
   /// 1-of-4 completion-detection overhead per link stage.
   sim::Time di_completion = 120;
 
+  /// Switching-module traversal of a GS flit: split, half-switch and the
+  /// latch into the unsharebox (constant by the non-blocking property,
+  /// Section 4.2).
+  constexpr sim::Time switch_traversal() const {
+    return split_fwd + switch_fwd + unshare_fwd;
+  }
+
   /// Forward latency from link grant at the upstream router to the flit
-  /// being latched in the downstream unsharebox (constant by the
-  /// non-blocking property, Section 4.2).
+  /// being latched in the downstream unsharebox.
   constexpr sim::Time media_forward() const {
-    return merge_fwd + link_fwd + split_fwd + switch_fwd + unshare_fwd;
+    return merge_fwd + link_fwd + switch_traversal();
   }
 
   /// Cycle time of the share-control loop of a single VC across one hop:

@@ -24,9 +24,12 @@
 
 namespace mango::noc {
 
+/// Every member has an initializer (`router{}` and `plan{}` too), so
+/// `NetworkConfig cfg{TopologySpec::mesh(w, h)};` builds without a
+/// -Wmissing-field-initializers warning.
 struct NetworkConfig {
   TopologySpec topology;  ///< default: 2x2 mesh
-  RouterConfig router;
+  RouterConfig router{};
   unsigned link_pipeline_stages = 1;
   LinkSignaling link_signaling = LinkSignaling::kBundledData;
   sim::Time link_skew_ps = 0;  ///< worst wire skew per link stage
@@ -52,29 +55,7 @@ struct NetworkConfig {
   /// plan is execution strategy, so a mismatched plan is a checked
   /// error, never a silently different fabric. Stats are byte-identical
   /// with and without a shared plan.
-  std::shared_ptr<const FabricPlan> plan;
-};
-
-/// Mesh shorthand kept for the (many) mesh-only experiments: the same
-/// fields the paper's demonstrator is described by, convertible to the
-/// general NetworkConfig.
-struct MeshConfig {
-  std::uint16_t width = 2;
-  std::uint16_t height = 2;
-  RouterConfig router;
-  unsigned link_pipeline_stages = 1;
-  LinkSignaling link_signaling = LinkSignaling::kBundledData;
-  sim::Time link_skew_ps = 0;
-
-  operator NetworkConfig() const {
-    NetworkConfig cfg;
-    cfg.topology = TopologySpec::mesh(width, height);
-    cfg.router = router;
-    cfg.link_pipeline_stages = link_pipeline_stages;
-    cfg.link_signaling = link_signaling;
-    cfg.link_skew_ps = link_skew_ps;
-    return cfg;
-  }
+  std::shared_ptr<const FabricPlan> plan{};
 };
 
 class Network {

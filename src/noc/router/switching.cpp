@@ -77,8 +77,7 @@ SwitchingModule::PlannedHop SwitchingModule::plan(PortIdx in_port,
       MANGO_ASSERT(vc < limit, "steering bits select a nonexistent VC buffer");
       PlannedHop p;
       p.target = VcBufferId{dest.out, static_cast<VcIdx>(vc)};
-      p.stage_delay =
-          delays_.split_fwd + delays_.switch_fwd + delays_.unshare_fwd;
+      p.stage_delay = delays_.switch_traversal();
       return p;
     }
     case Dest::Kind::kBe: {

@@ -18,15 +18,14 @@ using sim::operator""_us;
 struct DualVcFixture : ::testing::Test {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig mesh;
+  NetworkConfig cfg;
   std::unique_ptr<Network> net;
   MeasurementHub hub;
 
   void SetUp() override {
-    mesh.width = 3;
-    mesh.height = 2;
-    mesh.router.be_vcs = 2;
-    net = std::make_unique<Network>(ctx, mesh);
+    cfg.topology = TopologySpec::mesh(3, 2);
+    cfg.router.be_vcs = 2;
+    net = std::make_unique<Network>(ctx, cfg);
     attach_hub(*net, hub);
   }
 };
@@ -130,8 +129,8 @@ TEST_F(DualVcFixture, UniformTrafficOnBothVcsDeliversEverything) {
 
 TEST(BeVcConfig, SingleVcRejectsVc1Traffic) {
   sim::SimContext ctx;
-  MeshConfig mesh;  // default: be_vcs = 1
-  Network net(ctx, mesh);
+  NetworkConfig cfg;  // default: be_vcs = 1
+  Network net(ctx, cfg);
   EXPECT_THROW(net.na({0, 0}).send_be_packet(
                    make_be_packet(net.be_route({0, 0}, {1, 0}), {1u}), 1),
                mango::ModelError);
@@ -139,9 +138,9 @@ TEST(BeVcConfig, SingleVcRejectsVc1Traffic) {
 
 TEST(BeVcConfig, ThreeVcsImpossibleWithOneHeaderBit) {
   sim::SimContext ctx;
-  MeshConfig mesh;
-  mesh.router.be_vcs = 3;
-  EXPECT_THROW(Network(ctx, mesh), mango::ModelError);
+  NetworkConfig cfg;
+  cfg.router.be_vcs = 3;
+  EXPECT_THROW(Network(ctx, cfg), mango::ModelError);
 }
 
 }  // namespace

@@ -15,8 +15,8 @@ namespace {
 // output interfaces at (1,0) — capacity is exactly four connections.
 struct BrokerFixture : ::testing::Test {
   sim::SimContext ctx;
-  MeshConfig mesh{2, 1, RouterConfig{}, 1};
-  Network net{ctx, mesh};
+  NetworkConfig net_cfg{TopologySpec::mesh(2, 1)};
+  Network net{ctx, net_cfg};
   ConnectionManager mgr{net, NodeId{0, 0}};
 
   BrokerConfig direct_cfg() {
@@ -128,8 +128,8 @@ TEST(BrokerPacketMode, CloseBeforeReadyAndDoubleCloseAreChecked) {
   // A 3x3 mesh gives the programming packets a multi-hop path, so the
   // Programming state is observably in flight when we try to close.
   sim::SimContext ctx;
-  MeshConfig mesh{3, 3, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig net_cfg{TopologySpec::mesh(3, 3)};
+  Network net(ctx, net_cfg);
   ConnectionManager mgr(net, NodeId{0, 0});
   ConnectionBroker broker(net, mgr, BrokerConfig{});
   const RequestId id = broker.request_open({1, 0}, {2, 2});
@@ -169,8 +169,8 @@ TEST_F(BrokerFixture, SeesConnectionsOpenedOnTheManager) {
 
 TEST(BrokerPacketMode, SetupAndTeardownLatenciesAreMeasured) {
   sim::SimContext ctx;
-  MeshConfig mesh{3, 3, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig net_cfg{TopologySpec::mesh(3, 3)};
+  Network net(ctx, net_cfg);
   ConnectionManager mgr(net, NodeId{0, 0});
   ConnectionBroker broker(net, mgr, BrokerConfig{});
 

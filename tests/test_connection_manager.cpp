@@ -12,8 +12,8 @@ namespace {
 struct MgrFixture : ::testing::Test {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig mesh{3, 3, RouterConfig{}, 1};
-  Network net{ctx, mesh};
+  NetworkConfig cfg{TopologySpec::mesh(3, 3)};
+  Network net{ctx, cfg};
   ConnectionManager mgr{net, NodeId{0, 0}};
 };
 
@@ -229,8 +229,8 @@ struct ReleaseProbe : ConnectionManager {
 
 TEST(MgrRelease, ReleaseResourcesIsIdempotent) {
   sim::SimContext ctx;
-  MeshConfig mesh{3, 3, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(3, 3)};
+  Network net(ctx, cfg);
   ReleaseProbe mgr(net, NodeId{0, 0});
   Connection conn = mgr.open_direct({0, 0}, {2, 2});  // copy the record
   // Double release must not underflow the ledgers or double-free the
@@ -264,8 +264,8 @@ TEST_F(MgrFixture, CanOpenIsAPureAdmissionQuery) {
 
 TEST(MgrHostCheck, HostMustBeInBounds) {
   sim::SimContext ctx;
-  MeshConfig mesh{2, 2, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(2, 2)};
+  Network net(ctx, cfg);
   EXPECT_THROW(ConnectionManager(net, NodeId{5, 5}), mango::ModelError);
 }
 

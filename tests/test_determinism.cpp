@@ -32,8 +32,8 @@ struct RunResult {
 RunResult run_scenario(std::uint64_t seed) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig mesh{3, 3, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(3, 3)};
+  Network net(ctx, cfg);
   ConnectionManager mgr(net, NodeId{0, 0});
   RunResult result;
 

@@ -13,8 +13,8 @@ namespace {
 struct FailureFixture : ::testing::Test {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig mesh{2, 2, RouterConfig{}, 1};
-  Network net{ctx, mesh};
+  NetworkConfig cfg{TopologySpec::mesh(2, 2)};
+  Network net{ctx, cfg};
 };
 
 TEST_F(FailureFixture, TwoConnectionsOnOneVcBufferCollide) {

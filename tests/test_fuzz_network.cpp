@@ -29,12 +29,13 @@ TEST_P(NetworkFuzz, RandomScenarioUpholdsAllInvariants) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
 
-  MeshConfig mesh;
-  mesh.width = static_cast<std::uint16_t>(2 + rng.next_below(3));   // 2..4
-  mesh.height = static_cast<std::uint16_t>(2 + rng.next_below(3));  // 2..4
-  mesh.router.be_vcs = 1 + static_cast<unsigned>(rng.next_below(2));
-  mesh.link_pipeline_stages = 1 + static_cast<unsigned>(rng.next_below(2));
-  Network net(ctx, mesh);
+  NetworkConfig cfg;
+  const auto w = static_cast<std::uint16_t>(2 + rng.next_below(3));  // 2..4
+  const auto h = static_cast<std::uint16_t>(2 + rng.next_below(3));  // 2..4
+  cfg.topology = TopologySpec::mesh(w, h);
+  cfg.router.be_vcs = 1 + static_cast<unsigned>(rng.next_below(2));
+  cfg.link_pipeline_stages = 1 + static_cast<unsigned>(rng.next_below(2));
+  Network net(ctx, cfg);
   ConnectionManager mgr(net, NodeId{0, 0});
   MeasurementHub hub;
   attach_hub(net, hub);

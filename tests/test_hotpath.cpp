@@ -280,8 +280,8 @@ TEST(HotpathDifferential, OcpTransactionTimesMatchLegacy) {
 
 TEST(HotpathAllocation, PooledBePathIsAllocationFreeAtSteadyState) {
   sim::SimContext ctx;
-  MeshConfig mesh{2, 2, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(2, 2)};
+  Network net(ctx, cfg);
   sim::VectorPool<Flit>& pool = ctx.pools().vectors<Flit>();
   std::uint64_t delivered = 0;
   net.na({1, 1}).set_be_handler([&](BePacket&& pkt, sim::Time) {
@@ -330,8 +330,8 @@ TEST(HotpathAllocation, PooledBePathIsAllocationFreeAtSteadyState) {
 
 TEST(HotpathAllocation, GsSourceRebindIsAllocationFree) {
   sim::SimContext ctx;
-  MeshConfig mesh{2, 2, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(2, 2)};
+  Network net(ctx, cfg);
   Router& r = net.router({0, 0});
   NetworkAdapter& na = net.na({0, 0});
   const SteerBits first_hop = r.switching().encode_gs(
@@ -354,7 +354,7 @@ TEST(HotpathAllocation, GsSourceRebindIsAllocationFree) {
 
 TEST(HotpathAllocation, ShardedWindowsAreAllocationFreeAtSteadyState) {
   sim::SimContext ctx;
-  NetworkConfig cfg = MeshConfig{4, 4, RouterConfig{}, 1};
+  NetworkConfig cfg{TopologySpec::mesh(4, 4)};
   cfg.shards = 2;
   Network net(ctx, cfg);
   ASSERT_EQ(net.shard_count(), 2u);

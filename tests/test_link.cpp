@@ -12,11 +12,9 @@
 namespace mango::noc {
 namespace {
 
-MeshConfig mesh_with(LinkSignaling s, sim::Time skew,
-                     unsigned stages = 1) {
-  MeshConfig cfg;
-  cfg.width = 2;
-  cfg.height = 1;
+NetworkConfig mesh_with(LinkSignaling s, sim::Time skew,
+                        unsigned stages = 1) {
+  NetworkConfig cfg{TopologySpec::mesh(2, 1)};
   cfg.link_signaling = s;
   cfg.link_skew_ps = skew;
   cfg.link_pipeline_stages = stages;
@@ -93,8 +91,8 @@ TEST(LinkSignalingTest, SkewedDiLinksStillMeetGuarantees) {
   // The end-to-end GS machinery is agnostic to the signaling choice.
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig cfg = mesh_with(LinkSignaling::kOneOfFour, 400);
-  cfg.width = 3;
+  NetworkConfig cfg = mesh_with(LinkSignaling::kOneOfFour, 400);
+  cfg.topology = TopologySpec::mesh(3, 1);
   Network net(ctx, cfg);
   ConnectionManager mgr(net, NodeId{0, 0});
   MeasurementHub hub;

@@ -12,8 +12,8 @@ namespace {
 struct NaFixture : ::testing::Test {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig mesh{2, 2, RouterConfig{}, 1};
-  Network net{ctx, mesh};
+  NetworkConfig cfg{TopologySpec::mesh(2, 2)};
+  Network net{ctx, cfg};
   ConnectionManager mgr{net, NodeId{0, 0}};
 };
 

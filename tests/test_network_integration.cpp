@@ -18,8 +18,8 @@ using sim::operator""_ns;
 struct MeshFixture : ::testing::Test {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig mesh{4, 4, RouterConfig{}, 1};
-  Network net{ctx, mesh};
+  NetworkConfig cfg{TopologySpec::mesh(4, 4)};
+  Network net{ctx, cfg};
   ConnectionManager mgr{net, NodeId{0, 0}};
   MeasurementHub hub;
 
@@ -121,7 +121,8 @@ TEST_F(MeshFixture, GsAndBeCoexistOnTheSameLinks) {
 TEST_F(MeshFixture, PipelinedLinksStillDeliverEverything) {
   sim::SimContext ctx2;
   sim::Simulator& sim2 = ctx2.sim();
-  MeshConfig long_mesh{2, 2, RouterConfig{}, 3};  // 3-stage pipelined links
+  NetworkConfig long_mesh{TopologySpec::mesh(2, 2)};
+  long_mesh.link_pipeline_stages = 3;  // 3-stage pipelined links
   Network net2(ctx2, long_mesh);
   ConnectionManager mgr2(net2, NodeId{0, 0});
   MeasurementHub hub2;
@@ -160,7 +161,7 @@ TEST_F(MeshFixture, SaturatedLinkReachesPortSpeed) {
   std::uint64_t total = 0;
   for (std::uint32_t t = 1; t < tag; ++t) total += hub.flow(t).flits;
   const double rate = static_cast<double>(total) / sim::to_ns(window);
-  const double capacity = model::port_speed_mhz(mesh.router.corner) / 1000.0;
+  const double capacity = model::port_speed_mhz(cfg.router.corner) / 1000.0;
   // Warm-up costs a little; expect > 90% of the port speed.
   EXPECT_GT(rate, 0.9 * capacity);
   EXPECT_LE(rate, 1.01 * capacity);

@@ -55,8 +55,8 @@ TEST(OcpWords, BadCommandRejected) {
 struct OcpFixture : ::testing::Test {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig mesh{2, 2, RouterConfig{}, 1};
-  Network net{ctx, mesh};
+  NetworkConfig cfg{TopologySpec::mesh(2, 2)};
+  Network net{ctx, cfg};
   // Master at (0,0) clocked at 1 GHz; slave at (1,1) clocked at 650 MHz —
   // unrelated frequencies, the GALS situation of Fig 1.
   ClockDomain master_clk{1000, 0};

@@ -237,7 +237,7 @@ TEST(Patterns, StringRoundTrip) {
 
 TEST(Patterns, PatternSourcesSkipSilentNodes) {
   sim::SimContext ctx;
-  Network net(ctx, MeshConfig{3, 3, RouterConfig{}, 1});
+  Network net(ctx, NetworkConfig{TopologySpec::mesh(3, 3)});
   BePatternOptions popt;
   const auto sources = start_pattern_be(net, BePattern::kBitComplement, popt,
                                         20000, 2, /*seed=*/1);
@@ -247,7 +247,7 @@ TEST(Patterns, PatternSourcesSkipSilentNodes) {
 
 TEST(GsSets, RingOpensOneConnectionPerNode) {
   sim::SimContext ctx;
-  Network net(ctx, MeshConfig{3, 3, RouterConfig{}, 1});
+  Network net(ctx, NetworkConfig{TopologySpec::mesh(3, 3)});
   ConnectionManager mgr(net, {0, 0});
   const auto eps = open_gs_set(net, mgr, GsSetKind::kRing, GsSetOptions{});
   ASSERT_EQ(eps.size(), 9u);
@@ -266,7 +266,7 @@ TEST(GsSets, RandomPairsAreValidAndDeterministic) {
   std::vector<std::pair<NodeId, NodeId>> first;
   for (int run = 0; run < 2; ++run) {
     sim::SimContext ctx;
-    Network net(ctx, MeshConfig{4, 4, RouterConfig{}, 1});
+    Network net(ctx, NetworkConfig{TopologySpec::mesh(4, 4)});
     ConnectionManager mgr(net, {0, 0});
     const auto eps = open_gs_set(net, mgr, GsSetKind::kRandomPairs, opt);
     ASSERT_EQ(eps.size(), 6u);
@@ -285,7 +285,7 @@ TEST(GsSets, RandomPairsAreValidAndDeterministic) {
 
 TEST(GsSets, AllToHotspotCapsAtSinkInterfaces) {
   sim::SimContext ctx;
-  Network net(ctx, MeshConfig{4, 4, RouterConfig{}, 1});
+  Network net(ctx, NetworkConfig{TopologySpec::mesh(4, 4)});
   ConnectionManager mgr(net, {0, 0});
   GsSetOptions opt;
   opt.hotspot = {2, 2};
@@ -301,7 +301,7 @@ TEST(GsSets, AllToHotspotCapsAtSinkInterfaces) {
 
 TEST(GsSets, NoneIsEmpty) {
   sim::SimContext ctx;
-  Network net(ctx, MeshConfig{2, 2, RouterConfig{}, 1});
+  Network net(ctx, NetworkConfig{TopologySpec::mesh(2, 2)});
   ConnectionManager mgr(net, {0, 0});
   EXPECT_TRUE(open_gs_set(net, mgr, GsSetKind::kNone, GsSetOptions{}).empty());
 }
@@ -312,7 +312,7 @@ TEST(GsSets, NoneIsEmpty) {
 TEST(Patterns, BurstySourceAlternatesPhases) {
   auto run = [](bool bursty) {
     sim::SimContext ctx;
-    Network net(ctx, MeshConfig{2, 2, RouterConfig{}, 1});
+    Network net(ctx, NetworkConfig{TopologySpec::mesh(2, 2)});
     BeTrafficSource::Options opt;
     opt.mean_interarrival_ps = 20000;  // light load: no backpressure skew
     opt.payload_words = 1;

@@ -18,8 +18,8 @@ using sim::operator""_us;
 TEST(NetworkReportTest, IdleNetworkIsAllZero) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig mesh{2, 2, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(2, 2)};
+  Network net(ctx, cfg);
   sim.run_until(1_us);
   const NetworkReport r = NetworkReport::collect(net, 1_us);
   ASSERT_EQ(r.routers.size(), 4u);
@@ -35,8 +35,8 @@ TEST(NetworkReportTest, IdleNetworkIsAllZero) {
 TEST(NetworkReportTest, SaturatedLinkShowsFullUtilization) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig mesh{2, 1, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(2, 1)};
+  Network net(ctx, cfg);
   ConnectionManager mgr(net, NodeId{0, 0});
   MeasurementHub hub;
   attach_hub(net, hub);
@@ -63,8 +63,8 @@ TEST(NetworkReportTest, SaturatedLinkShowsFullUtilization) {
 TEST(NetworkReportTest, CountsBothTrafficClasses) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig mesh{2, 2, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(2, 2)};
+  Network net(ctx, cfg);
   ConnectionManager mgr(net, NodeId{0, 0});
   MeasurementHub hub;
   attach_hub(net, hub);

@@ -14,8 +14,8 @@ namespace {
 struct GsPathFixture : ::testing::Test {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig mesh{2, 1, RouterConfig{}, 1};
-  Network net{ctx, mesh};
+  NetworkConfig cfg{TopologySpec::mesh(2, 1)};
+  Network net{ctx, cfg};
   ConnectionManager mgr{net, NodeId{0, 0}};
   const StageDelays& d = net.router({0, 0}).delays();
 

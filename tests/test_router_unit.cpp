@@ -64,8 +64,8 @@ TEST(RouterUnit, FlowControlAccessorBounds) {
 TEST(RouterUnit, ActivityCountersTrackTraffic) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig mesh{2, 1, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(2, 1)};
+  Network net(ctx, cfg);
   ConnectionManager mgr(net, NodeId{0, 0});
   const Connection& c = mgr.open_direct({0, 0}, {1, 0});
   net.na({1, 0}).set_gs_handler([](LocalIfaceIdx, Flit&&, sim::Time) {});
@@ -89,8 +89,8 @@ TEST(RouterUnit, ActivityCountersTrackTraffic) {
 // link, BE as well as GS.
 TEST(RouterUnit, BeFlitsCountInLinkActivity) {
   sim::SimContext ctx;
-  MeshConfig mesh{2, 1, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(2, 1)};
+  Network net(ctx, cfg);
   net.na({1, 0}).set_be_handler([](BePacket&&, sim::Time) {});
   BePacket pkt = make_be_packet(net.be_route({0, 0}, {1, 0}), {1u, 2u, 3u});
   ASSERT_EQ(pkt.size(), 4u);
@@ -142,8 +142,8 @@ TEST(RouterUnit, SecondNetworkAdapterOnOneRouterIsAModelError) {
   // The local port has one partner. A second NA must not take over the
   // first one's reverse signals, deliveries and BE credits.
   sim::SimContext ctx;
-  MeshConfig mesh{2, 1, RouterConfig{}, 1};
-  Network net(ctx, mesh);
+  NetworkConfig cfg{TopologySpec::mesh(2, 1)};
+  Network net(ctx, cfg);
   EXPECT_THROW(NetworkAdapter(net.router({1, 0}), "NA-extra"),
                mango::ModelError);
   // The network's own NA still receives what the local port delivers.

@@ -6,8 +6,10 @@
 #include <set>
 #include <string>
 
+#include "exp/paper.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
+#include "model/timing.hpp"
 #include "noc/network/report.hpp"
 
 namespace mango::exp {
@@ -258,6 +260,88 @@ TEST(RunScenario, ExplicitConnectionsAreCheckedAtTheirOwnRate) {
   // Five connections from one node exceed its four local interfaces.
   spec.connections.assign(5, {{0, 0}, {2, 2}, slow});
   EXPECT_FALSE(run_scenario(spec).ok());
+}
+
+// A concentrated mesh with no cores is the Topology's checked error, in
+// run_scenario and as that scenario's row of a sweep, never remapped to
+// one core.
+TEST(RunScenario, ZeroCoreCMeshIsACheckedError) {
+  ScenarioSpec spec;
+  spec.topology = noc::TopologyKind::kCMesh;
+  spec.width = spec.height = 2;
+  spec.concentration = 0;
+  spec.duration_ps = 100000;
+  const std::string msg = "a concentrated mesh needs at least one core";
+  const ScenarioResult r = run_scenario(spec);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find(msg), std::string::npos) << r.error;
+
+  ScenarioSpec mesh = spec;
+  mesh.topology = noc::TopologyKind::kMesh;
+  const SweepReport rep = SweepRunner().run({mesh, spec}, 1);
+  ASSERT_EQ(rep.results.size(), 2u);
+  EXPECT_TRUE(rep.results[0].ok()) << rep.results[0].error;
+  EXPECT_FALSE(rep.results[1].ok());
+  EXPECT_NE(rep.results[1].error.find(msg), std::string::npos)
+      << rep.results[1].error;
+}
+
+/// One saturating VC (0,0)->(1,0) with no other traffic: the E5 and
+/// E15 link probe.
+ScenarioSpec single_vc_spec(std::uint16_t width, std::uint16_t height) {
+  ScenarioSpec spec;
+  spec.width = width;
+  spec.height = height;
+  spec.be_interarrival_ps = sim::kTimeNever;
+  spec.connections = {{{0, 0}, {1, 0}, {}}};
+  return spec;
+}
+
+// The link fields reach the fabric. A skew over the bundled-data margin
+// (150 ps at the worst-case corner) cannot close timing; 1-of-4
+// signalling tolerates it.
+TEST(RunScenario, LinkSignalingAndSkewReachTheLinks) {
+  ScenarioSpec spec = single_vc_spec(2, 1);
+  spec.duration_ps = 1000000;
+  spec.link_skew_ps = 300;
+  spec.link_signaling = noc::LinkSignaling::kBundledData;
+  const ScenarioResult bundled = run_scenario(spec);
+  EXPECT_FALSE(bundled.ok());
+  EXPECT_NE(bundled.error.find("bundled-data link skew exceeds the timing "
+                               "margin"),
+            std::string::npos)
+      << bundled.error;
+
+  spec.link_signaling = noc::LinkSignaling::kOneOfFour;
+  const ScenarioResult di = run_scenario(spec);
+  ASSERT_TRUE(di.ok()) << di.error;
+  ASSERT_EQ(di.connections.size(), 1u);
+  EXPECT_GT(di.connections[0].flits, 0u);
+  EXPECT_EQ(di.connections[0].seq_errors, 0u);
+}
+
+// A deeper link stretches the single VC's share-control loop: over one
+// window, 3 pipeline stages deliver fewer flits than 1, and each meets
+// the analytic single-VC rate.
+TEST(RunScenario, LinkPipelineStagesSlowTheSingleVc) {
+  const auto delivered = [](unsigned stages) {
+    ScenarioSpec spec = single_vc_spec(2, 2);
+    spec.link_pipeline_stages = stages;
+    spec.duration_ps = 300000;
+    const std::uint64_t before = run_scenario(spec).connections.at(0).flits;
+    spec.duration_ps = 6300000;
+    const std::uint64_t after = run_scenario(spec).connections.at(0).flits;
+    return paper::Delivered{after - before, 6000000};
+  };
+  const paper::Delivered one = delivered(1);
+  const paper::Delivered three = delivered(3);
+  EXPECT_LT(three.flits, one.flits);
+  for (const auto& [stages, d] : {std::pair{1u, one}, std::pair{3u, three}}) {
+    EXPECT_TRUE(paper::meets_rate(
+        d, model::single_vc_mhz(noc::TimingCorner::kWorstCase, stages) /
+               1000.0))
+        << stages << " stages: " << d.flits << " flits";
+  }
 }
 
 TEST(RunScenario, ErrorsAreCapturedNotThrown) {

@@ -19,8 +19,8 @@ using sim::operator""_us;
 struct TrafficFixture : ::testing::Test {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  MeshConfig mesh{3, 2, RouterConfig{}, 1};
-  Network net{ctx, mesh};
+  NetworkConfig cfg{TopologySpec::mesh(3, 2)};
+  Network net{ctx, cfg};
   ConnectionManager mgr{net, NodeId{0, 0}};
   MeasurementHub hub;
 

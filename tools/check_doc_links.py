@@ -9,13 +9,16 @@ benchmark histories (``BENCH_*.json``) and backticked source paths
 ``examples/...``, and ``sim/...``, ``noc/...``, ``exp/...`` under src/),
 backticked qualified names (``Class::member``, ``ns::name``),
 backticked call forms (``name(`` / ``name()``), bare backticked
-snake_case names (``coalesce_handshakes``, ``sleepers_``) and
+snake_case names (``coalesce_handshakes``, ``sleepers_``), bare
+backticked CamelCase names (``ScenarioSpec``, ``DeadlockCheck``) and
 backticked test cases (``Suite.Case``, ``test_binary.Case``) — and
 verifies each one against ground truth: ``mango_sweep --list-presets`` /
 ``--help`` output, the repository tree, the identifiers of the code
 (comments and docstrings stripped) under src/ and tools/ (and, for bare
-names, perfbench/ and the keys of the BENCH_*.json histories), and the
-``TEST``, ``TEST_F`` and ``TEST_P`` declarations under tests/.  Exits
+snake_case names, perfbench/ and the keys of the BENCH_*.json
+histories; for bare CamelCase names, perfbench/, tests/, bench/ and
+examples/), and the ``TEST``, ``TEST_F`` and ``TEST_P`` declarations
+under tests/.  Exits
 nonzero listing every dangling reference, so CI (and the ``docs_cross_links``
 ctest) fails when a rename or removal leaves the docs behind.
 
@@ -58,6 +61,12 @@ SNAKE_RE = re.compile(r"_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+_?")
 # Bare names may also cite the benchmark harness and the metric keys of
 # the tracked histories.
 BARE_NAME_ROOTS = CODE_ROOTS + ("perfbench",)
+# A backticked span that is one CamelCase name (``ScenarioSpec``,
+# ``FabricPlanCache``): two or more capitalized humps, so a capitalized
+# word (``Network``) stays prose.  Such a span may also name a test case
+# or fixture, so the tests, benches and examples count as well.
+CAMEL_RE = re.compile(r"[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)+")
+CAMEL_NAME_ROOTS = BARE_NAME_ROOTS + ("tests", "bench", "examples")
 # Names a measurement record quotes on purpose although the code no
 # longer has them: DESIGN.md section 6's records of the calendar-wheel
 # kernel (its sampler profile and its loop and schedule-path changes)
@@ -217,17 +226,26 @@ def check_identifiers(path, idents, where):
     return errors
 
 
-def check_bare_names(path, names, where):
+def check_bare_names(path, names, camel_names, where):
     """Every backticked span that is a lone snake_case name must name an
-    identifier or a history key (see SNAKE_RE and RECORDED_NAMES)."""
+    identifier or a history key (see SNAKE_RE and RECORDED_NAMES), and
+    every lone CamelCase name an identifier (see CAMEL_RE)."""
     errors = []
     seen = set()
     for span in re.findall(r"`([^`\n]+)`", path.read_text()):
         name = span.strip()
-        if (name in seen or not SNAKE_RE.fullmatch(name)
-                or name.startswith(("test_", "bench_"))):
+        if name in seen:
             continue
         seen.add(name)
+        if CAMEL_RE.fullmatch(name):
+            if name not in camel_names:
+                errors.append(f"{where(name)}: `{name}` names no identifier "
+                              "in src/, tools/, perfbench/, tests/, bench/ "
+                              "or examples/")
+            continue
+        if (not SNAKE_RE.fullmatch(name)
+                or name.startswith(("test_", "bench_"))):
+            continue
         if name not in names and name not in RECORDED_NAMES:
             errors.append(f"{where(name)}: `{name}` names no identifier in "
                           "src/, tools/ or perfbench/ and no BENCH_*.json "
@@ -236,7 +254,7 @@ def check_bare_names(path, names, where):
 
 
 def check_doc(path, presets, flags, benches, tests, bench_json, idents,
-              cases, bare_names):
+              cases, bare_names, camel_names):
     errors = []
     text = path.read_text()
     lines = text.splitlines()
@@ -296,7 +314,7 @@ def check_doc(path, presets, flags, benches, tests, bench_json, idents,
 
     errors += check_paths(path, path.parent, where)
     errors += check_identifiers(path, idents, where)
-    errors += check_bare_names(path, bare_names, where)
+    errors += check_bare_names(path, bare_names, camel_names, where)
     errors += check_test_names(path, cases, where)
     return errors
 
@@ -339,6 +357,7 @@ def main():
         opts.sweep_bin, repo)
     idents = collect_identifiers(repo)
     bare_names = collect_bare_names(repo)
+    camel_names = collect_identifiers(repo, CAMEL_NAME_ROOTS)
     cases = collect_test_cases(repo)
     if not presets:
         print("could not parse any presets from --list-presets",
@@ -348,7 +367,8 @@ def main():
     errors = []
     for doc in DOC_FILES:
         errors += check_doc(repo / doc, presets, flags, benches, tests,
-                            bench_json, idents, cases, bare_names)
+                            bench_json, idents, cases, bare_names,
+                            camel_names)
 
     readme_flags = set(re.findall(r"--[a-z][a-z0-9-]*",
                                   (repo / "README.md").read_text()))
@@ -367,7 +387,8 @@ def main():
         print(f"doc cross-links ok ({checked}: {len(presets)} presets, "
               f"{len(flags)} flags, {len(benches)} benches, "
               f"{len(tests)} test suites, {len(idents)} code identifiers, "
-              f"{len(bare_names)} bare names, "
+              f"{len(bare_names)} bare names, {len(camel_names)} type "
+              f"and test names, "
               f"{len(cases)} suite and binary case names on record)")
     return 1 if errors else 0
 
