@@ -51,15 +51,15 @@ std::shared_ptr<const FabricPlan> FabricPlan::build(const TopologySpec& spec,
   const std::unique_ptr<RoutingAlgorithm> routing = make_routing(*plan->topo_);
   plan->be_vcs_ = be_vcs;
   plan->key_ = fabric_plan_key(spec, be_vcs);
-  MANGO_ASSERT(be_vcs >= routing->required_be_vcs(),
+  plan->vc_map_ = routing->vc_class_map();
+  MANGO_ASSERT(be_vcs >= plan->vc_map_.required_be_vcs(),
                std::string(routing->name()) + " routing on " +
                    plan->topo_->label() + " needs " +
-                   std::to_string(routing->required_be_vcs()) +
+                   std::to_string(plan->vc_map_.required_be_vcs()) +
                    " BE VCs (dateline classes) but the router config has " +
                    std::to_string(be_vcs));
   plan->table_ =
       std::make_unique<RouteTable>(*plan->topo_, *routing, build_threads);
-  plan->vc_map_ = routing->vc_class_map();
   // Deadlock freedom is a construction invariant, not an assumption:
   // reject any (topology, routing, VC config) whose BE channel
   // dependency graph is cyclic. The check runs against the materialized

@@ -57,50 +57,54 @@ void parallel_items(std::size_t items, unsigned threads, MakeState make_state,
 
 }  // namespace
 
-// --- XY on the mesh ----------------------------------------------------------
-
-NextHop XyRouting::next_hop(NodeId node, NodeId dst, unsigned) const {
-  // XY: finish x before y (xy_route is the same walk, whole).
-  if (node.x != dst.x) {
-    return NextHop{
-        port_of(node.x < dst.x ? Direction::kEast : Direction::kWest), 0};
-  }
-  MANGO_ASSERT(node.y != dst.y, "next_hop at the destination");
-  return NextHop{
-      port_of(node.y < dst.y ? Direction::kNorth : Direction::kSouth), 0};
-}
-
-// --- dimension-ordered torus -------------------------------------------------
+// --- dimension order on grid fabrics -----------------------------------------
 
 namespace {
 
-/// One minimal step along one wrap dimension: distance `fwd` going the
-/// positive direction, `extent - fwd` going back; ties go forward.
-/// Memoryless: moving toward `to` only shrinks the chosen side of the
-/// comparison (ties go forward both before and after the step), so the
-/// walk of these steps is a minimal route.
-Direction dim_step(unsigned from, unsigned to, unsigned extent,
+/// One step along one dimension from `from` toward `to`. Without wrap
+/// links it is the straight way. On a wrap dimension it is the minimal
+/// way round: distance `fwd` going the positive direction,
+/// `extent - fwd` going back; ties go forward. Memoryless: moving toward
+/// `to` only shrinks the chosen side of the comparison (ties go forward
+/// both before and after the step), so the walk of these steps is a
+/// minimal route.
+Direction dim_step(bool wrap, unsigned from, unsigned to, unsigned extent,
                    Direction fwd_dir, Direction back_dir) {
+  if (!wrap) return from < to ? fwd_dir : back_dir;
   const unsigned fwd = (to + extent - from) % extent;
-  const unsigned back = extent - fwd;
-  return fwd <= back ? fwd_dir : back_dir;
+  return fwd <= extent - fwd ? fwd_dir : back_dir;
 }
 
 }  // namespace
 
-NextHop TorusDorRouting::next_hop(NodeId node, NodeId dst, unsigned) const {
+DimensionOrderRouting::DimensionOrderRouting(const Topology& topo)
+    : RoutingAlgorithm(topo) {
+  MANGO_ASSERT(topo.kind() != TopologyKind::kGraph,
+               "dimension-order routing needs a grid fabric, not " +
+                   topo.label());
+  // Node 0 is the south-west corner: its West and South ports are wired
+  // only by a wrap link.
+  wrap_x_ = topo.adj(0, port_of(Direction::kWest)) != Topology::kNoLink;
+  wrap_y_ = topo.adj(0, port_of(Direction::kSouth)) != Topology::kNoLink;
+}
+
+NextHop DimensionOrderRouting::next_hop(NodeId node, NodeId dst,
+                                        unsigned) const {
   if (node.x != dst.x) {
-    return NextHop{port_of(dim_step(node.x, dst.x, topo_.spec().width,
-                                    Direction::kEast, Direction::kWest)),
+    return NextHop{port_of(dim_step(wrap_x_, node.x, dst.x,
+                                    topo_.spec().width, Direction::kEast,
+                                    Direction::kWest)),
                    0};
   }
   MANGO_ASSERT(node.y != dst.y, "next_hop at the destination");
-  return NextHop{port_of(dim_step(node.y, dst.y, topo_.spec().height,
-                                  Direction::kNorth, Direction::kSouth)),
+  return NextHop{port_of(dim_step(wrap_y_, node.y, dst.y,
+                                  topo_.spec().height, Direction::kNorth,
+                                  Direction::kSouth)),
                  0};
 }
 
-BeVcClassMap TorusDorRouting::vc_class_map() const {
+BeVcClassMap DimensionOrderRouting::vc_class_map() const {
+  if (!wrap_x_ && !wrap_y_) return {};
   const std::uint16_t w = topo_.spec().width;
   const std::uint16_t h = topo_.spec().height;
   BeVcClassMap map;
@@ -110,32 +114,12 @@ BeVcClassMap TorusDorRouting::vc_class_map() const {
     const NodeId n = topo_.node_at(i);
     // The wrap links are the datelines: forwarding East off the high-x
     // edge (or West off x=0, North off the high-y edge, South off y=0)
-    // crosses one.
-    map.dateline[i][port_of(Direction::kEast)] = n.x + 1 == w;
-    map.dateline[i][port_of(Direction::kWest)] = n.x == 0;
-    map.dateline[i][port_of(Direction::kNorth)] = n.y + 1 == h;
-    map.dateline[i][port_of(Direction::kSouth)] = n.y == 0;
+    // of a wrap dimension crosses one.
+    map.dateline[i][port_of(Direction::kEast)] = wrap_x_ && n.x + 1 == w;
+    map.dateline[i][port_of(Direction::kWest)] = wrap_x_ && n.x == 0;
+    map.dateline[i][port_of(Direction::kNorth)] = wrap_y_ && n.y + 1 == h;
+    map.dateline[i][port_of(Direction::kSouth)] = wrap_y_ && n.y == 0;
   }
-  return map;
-}
-
-// --- ring --------------------------------------------------------------------
-
-NextHop RingRouting::next_hop(NodeId node, NodeId dst, unsigned) const {
-  const unsigned n = static_cast<unsigned>(topo_.node_count());
-  MANGO_ASSERT(node.x != dst.x, "next_hop at the destination");
-  return NextHop{port_of(dim_step(node.x, dst.x, n, Direction::kEast,
-                                  Direction::kWest)),
-                 0};
-}
-
-BeVcClassMap RingRouting::vc_class_map() const {
-  const unsigned n = static_cast<unsigned>(topo_.node_count());
-  BeVcClassMap map;
-  map.enabled = true;
-  map.dateline.resize(n);
-  map.dateline[n - 1][port_of(Direction::kEast)] = true;  // (n-1) -> 0
-  map.dateline[0][port_of(Direction::kWest)] = true;      // 0 -> (n-1)
   return map;
 }
 
@@ -243,23 +227,13 @@ NextHop UpDownRouting::next_hop(NodeId node, NodeId dst,
 // --- factory -----------------------------------------------------------------
 
 std::unique_ptr<RoutingAlgorithm> make_routing(const Topology& topo) {
-  switch (topo.kind()) {
-    case TopologyKind::kMesh:
-    case TopologyKind::kCMesh:
-      // A concentrated mesh has the mesh's wires; XY applies unchanged
-      // (concentration only multiplies traffic sources).
-      return std::make_unique<XyRouting>(topo);
-    case TopologyKind::kTorus:
-      return std::make_unique<TorusDorRouting>(topo);
-    case TopologyKind::kRing:
-      return std::make_unique<RingRouting>(topo);
-    case TopologyKind::kGraph:
-      // Unconstrained shortest paths deadlock on cyclic graphs (the
-      // validator rejects them); up*/down* turns are the canonical
-      // deadlock-free discipline for irregular fabrics.
-      return std::make_unique<UpDownRouting>(topo);
+  // Unconstrained shortest paths deadlock on cyclic graphs (the
+  // validator rejects them); up*/down* turns are the canonical
+  // deadlock-free discipline for irregular fabrics.
+  if (topo.kind() == TopologyKind::kGraph) {
+    return std::make_unique<UpDownRouting>(topo);
   }
-  model_fail("unknown topology kind");
+  return std::make_unique<DimensionOrderRouting>(topo);
 }
 
 // --- materialized route tables -----------------------------------------------

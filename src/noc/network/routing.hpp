@@ -7,22 +7,17 @@
 // connection manager reserves hop by hop, hop counts, the deadlock
 // check — is a walk of that table. Implementations:
 //
-//   * XyRouting            — dimension-ordered XY on the mesh (the
-//                            paper's scheme; acyclic by monotonicity),
-//   * TorusDorRouting      — minimal dimension-ordered routing on the
-//                            torus; wrap rings are broken by a dateline
-//                            VC-class scheme (packets start a dimension
-//                            on BE VC 0 and are promoted to VC 1 when
-//                            crossing the wrap link), so it requires two
-//                            BE VCs,
-//   * RingRouting          — the 1D case of the same scheme,
-//   * UpDownRouting        — shortest-path table routing for irregular
-//                            graphs, restricted to up*/down* turns over
-//                            a BFS spanning order (up edges point toward
-//                            the root level). Pure minimal routing on an
-//                            irregular graph is NOT deadlock-free in
-//                            general; tests/test_routing.cpp shows the
-//                            validator rejecting it.
+//   * DimensionOrderRouting — x before y on every grid fabric (mesh,
+//     cmesh, torus, ring): XY where a dimension has no wrap links (the
+//     paper's scheme; acyclic by monotonicity), the minimal way round
+//     where it wraps, with the wrap links as datelines (packets start a
+//     dimension on BE VC 0 and are promoted to VC 1 crossing one), so a
+//     wrap fabric requires two BE VCs;
+//   * UpDownRouting — shortest-path table routing for irregular graphs,
+//     restricted to up*/down* turns over a BFS spanning order (up edges
+//     point toward the root level). Pure minimal routing on an irregular
+//     graph is NOT deadlock-free in general; tests/test_routing.cpp
+//     shows the validator rejecting it.
 //
 // Deadlock freedom is not taken on faith: check_deadlock_freedom()
 // builds the channel-dependency graph of (topology, route table,
@@ -55,6 +50,8 @@ struct BeVcClassMap {
   bool is_dateline(std::size_t node_idx, PortIdx out) const {
     return enabled && dateline[node_idx][out];
   }
+  /// BE VCs the rule needs: the promoted class lives on the second one.
+  unsigned required_be_vcs() const { return enabled ? 2 : 1; }
 };
 
 /// One step of a route as a (node, phase) state transition: the out
@@ -88,8 +85,6 @@ class RoutingAlgorithm {
 
   /// The dateline VC-class rule this routing needs (empty by default).
   virtual BeVcClassMap vc_class_map() const { return {}; }
-  /// BE VCs the scheme needs (2 when vc_class_map() is enabled).
-  virtual unsigned required_be_vcs() const { return 1; }
 
   const Topology& topology() const { return topo_; }
 
@@ -97,29 +92,23 @@ class RoutingAlgorithm {
   const Topology& topo_;
 };
 
-class XyRouting : public RoutingAlgorithm {
+/// Dimension-ordered routing on a grid fabric: x before y. Whether a
+/// dimension wraps is read from the port table — node 0's West (South)
+/// port is wired exactly when Topology::wire_grid closed x (y) into a
+/// cycle. A dimension without wrap links routes XY; a wrap dimension
+/// takes the minimal way round (ties forward), and each of its wrap
+/// links is a dateline in vc_class_map(). Irregular graphs are a
+/// ModelError: they route up*/down*.
+class DimensionOrderRouting : public RoutingAlgorithm {
  public:
-  explicit XyRouting(const Topology& topo) : RoutingAlgorithm(topo) {}
-  const char* name() const override { return "xy"; }
-  NextHop next_hop(NodeId node, NodeId dst, unsigned phase) const override;
-};
-
-class TorusDorRouting : public RoutingAlgorithm {
- public:
-  explicit TorusDorRouting(const Topology& topo) : RoutingAlgorithm(topo) {}
-  const char* name() const override { return "torus-dor"; }
-  NextHop next_hop(NodeId node, NodeId dst, unsigned phase) const override;
-  BeVcClassMap vc_class_map() const override;
-  unsigned required_be_vcs() const override { return 2; }
-};
-
-class RingRouting : public RoutingAlgorithm {
- public:
-  explicit RingRouting(const Topology& topo) : RoutingAlgorithm(topo) {}
-  const char* name() const override { return "ring"; }
+  explicit DimensionOrderRouting(const Topology& topo);
+  const char* name() const override { return "dimension-order"; }
   NextHop next_hop(NodeId node, NodeId dst, unsigned phase) const override;
   BeVcClassMap vc_class_map() const override;
-  unsigned required_be_vcs() const override { return 2; }
+
+ private:
+  bool wrap_x_ = false;
+  bool wrap_y_ = false;
 };
 
 /// Up*/down* table routing for irregular graphs: edges are oriented
@@ -146,7 +135,8 @@ class UpDownRouting : public RoutingAlgorithm {
   std::vector<std::vector<std::uint16_t>> dist_;
 };
 
-/// The canonical routing for a topology (what Network installs).
+/// The canonical routing for a topology (what Network installs):
+/// dimension-ordered on grid fabrics, up*/down* on irregular graphs.
 std::unique_ptr<RoutingAlgorithm> make_routing(const Topology& topo);
 
 /// Materialized routes of a RoutingAlgorithm over a topology.

@@ -36,40 +36,7 @@ std::vector<TopologyKind> all_topology_kinds() {
 
 // --- GraphSpec ---------------------------------------------------------------
 
-GraphSpec GraphSpec::parse(const std::string& s) {
-  GraphSpec spec;
-  std::size_t pos = 0;
-  std::uint16_t max_node = 0;
-  while (pos < s.size()) {
-    const std::size_t comma = std::min(s.find(',', pos), s.size());
-    const std::string tok = s.substr(pos, comma - pos);
-    const std::size_t dash = tok.find('-');
-    MANGO_ASSERT(dash != std::string::npos && dash > 0 &&
-                     dash + 1 < tok.size(),
-                 "graph edge '" + tok + "' is not of the form a-b");
-    const auto to_node = [&tok](const std::string& part) -> std::uint16_t {
-      MANGO_ASSERT(!part.empty() && part.size() <= 5 &&
-                       part.find_first_not_of("0123456789") == std::string::npos,
-                   "graph node '" + part + "' in '" + tok +
-                       "' is not a number");
-      const unsigned long v = std::stoul(part);
-      // <= 65534 so node_count = max + 1 still fits the 16-bit label.
-      MANGO_ASSERT(v <= 65534, "graph node index " + part + " out of range");
-      return static_cast<std::uint16_t>(v);
-    };
-    const std::uint16_t a = to_node(tok.substr(0, dash));
-    const std::uint16_t b = to_node(tok.substr(dash + 1));
-    spec.edges.emplace_back(a, b);
-    max_node = std::max({max_node, a, b});
-    pos = comma + 1;
-  }
-  MANGO_ASSERT(!spec.edges.empty(), "graph spec has no edges");
-  spec.node_count = static_cast<std::uint16_t>(max_node + 1);
-  return spec;
-}
-
 GraphSpec GraphSpec::irregular(std::uint16_t nodes) {
-  MANGO_ASSERT(nodes >= 2, "an irregular graph needs at least two nodes");
   GraphSpec spec;
   spec.node_count = nodes;
   // Ternary-tree backbone: node i hangs off (i-1)/3. Node degrees are at
@@ -87,57 +54,6 @@ GraphSpec GraphSpec::irregular(std::uint16_t nodes) {
   }
   for (std::size_t j = 0; j + 1 < leaves.size(); j += 2) {
     spec.edges.emplace_back(leaves[j], leaves[j + 1]);
-  }
-  return spec;
-}
-
-GraphSpec GraphSpec::ring_of_meshes(std::uint16_t meshes, std::uint16_t w,
-                                    std::uint16_t h) {
-  MANGO_ASSERT(meshes >= 2, "a ring of meshes needs at least two meshes");
-  MANGO_ASSERT(w >= 2 && h >= 1, "a ring of meshes needs w >= 2 per mesh");
-  const std::size_t per = static_cast<std::size_t>(w) * h;
-  const std::size_t total = per * meshes;
-  MANGO_ASSERT(total <= 65535, "ring of meshes exceeds the 16-bit node label");
-  GraphSpec spec;
-  spec.node_count = static_cast<std::uint16_t>(total);
-  const auto at = [&](std::uint16_t m, std::uint16_t x,
-                      std::uint16_t y) -> std::uint16_t {
-    return static_cast<std::uint16_t>(m * per + y * w + x);
-  };
-  // Internal mesh edges, row-major within each mesh block.
-  for (std::uint16_t m = 0; m < meshes; ++m) {
-    for (std::uint16_t y = 0; y < h; ++y) {
-      for (std::uint16_t x = 0; x < w; ++x) {
-        if (x + 1 < w) spec.edges.emplace_back(at(m, x, y), at(m, x + 1, y));
-        if (y + 1 < h) spec.edges.emplace_back(at(m, x, y), at(m, x, y + 1));
-      }
-    }
-  }
-  // Ring stitches between corner nodes: mesh corners have internal
-  // degree 2, so the extra hop stays within the four-port budget.
-  for (std::uint16_t m = 0; m < meshes; ++m) {
-    spec.edges.emplace_back(
-        at(m, static_cast<std::uint16_t>(w - 1), 0),
-        at(static_cast<std::uint16_t>((m + 1) % meshes), 0, 0));
-  }
-  return spec;
-}
-
-GraphSpec GraphSpec::express_ring(std::uint16_t nodes, std::uint16_t hop) {
-  MANGO_ASSERT(hop >= 2, "express chords of length < 2 duplicate ring links");
-  MANGO_ASSERT(nodes > 2u * hop,
-               "an express ring needs nodes > 2 * hop for the chords to cut "
-               "the diameter");
-  GraphSpec spec;
-  spec.node_count = nodes;
-  for (std::uint16_t i = 0; i < nodes; ++i) {
-    spec.edges.emplace_back(i, static_cast<std::uint16_t>((i + 1) % nodes));
-  }
-  // Chords at every multiple of hop (no wrap chord): ring degree 2 + at
-  // most one chord out and one in = degree 4.
-  for (std::uint32_t i = 0; i + hop < nodes; i += hop) {
-    spec.edges.emplace_back(static_cast<std::uint16_t>(i),
-                            static_cast<std::uint16_t>(i + hop));
   }
   return spec;
 }
@@ -373,26 +289,6 @@ bool Topology::route_reaches(NodeId src, NodeId dst,
   return end.has_value() && end->node == dst;
 }
 
-std::vector<unsigned> partition_shards(std::size_t node_count,
-                                       unsigned shards) {
-  MANGO_ASSERT(node_count > 0, "cannot partition an empty topology");
-  if (shards == 0) {
-    model_fail("a sharded run needs at least one shard");
-  }
-  const auto n = static_cast<unsigned>(
-      shards > node_count ? node_count : static_cast<std::size_t>(shards));
-  const std::size_t base = node_count / n;
-  const std::size_t extra = node_count % n;
-  std::vector<unsigned> owner(node_count);
-  std::size_t idx = 0;
-  for (unsigned s = 0; s < n; ++s) {
-    const std::size_t span = base + (s < extra ? 1 : 0);
-    for (std::size_t k = 0; k < span; ++k) owner[idx++] = s;
-  }
-  MANGO_ASSERT(idx == node_count, "partition did not cover every node");
-  return owner;
-}
-
 std::vector<unsigned> partition_shards(
     const std::vector<std::uint64_t>& weights, unsigned shards) {
   const std::size_t node_count = weights.size();
@@ -404,7 +300,7 @@ std::vector<unsigned> partition_shards(
       shards > node_count ? node_count : static_cast<std::size_t>(shards));
   std::uint64_t total = 0;
   for (const std::uint64_t w : weights) total += w;
-  if (total == 0) return partition_shards(node_count, n);
+  MANGO_ASSERT(total > 0, "cannot partition by an all-zero weight vector");
 
   std::vector<unsigned> owner(node_count);
   std::size_t idx = 0;       // first index of the current stripe

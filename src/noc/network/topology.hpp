@@ -15,13 +15,7 @@
 //   * cmesh — a concentrated mesh: the mesh's wire table, with k cores
 //             per router. The concentration factor lives in the spec and
 //             is consumed by the traffic layer (k BE sources per router),
-//             quartering router count at k = 4 for the same core count —
-//             the standard first rung of the scaling ladder before going
-//             hierarchical.
-//
-// Hierarchical compositions (express-link rings, rings of meshes) are
-// GraphSpec builders: they flatten to an irregular adjacency and route
-// up*/down*, so a thousand-core fabric needs no new topology kind.
+//             quartering router count at k = 4 for the same core count.
 //
 // Every consumer reads the one table: link_peer() decodes an entry, the
 // Network wires its links from it, and the RouteTable chain walks and the
@@ -55,25 +49,17 @@ std::optional<TopologyKind> topology_kind_from_string(const std::string& s);
 /// it would double-run every mesh property; opt in via "cmesh".
 std::vector<TopologyKind> all_topology_kinds();
 
-/// Contiguous balanced shard partition over node indices: shard s owns
-/// one index range, the first (node_count % shards) shards own one node
-/// more. Node indices are row-major on grid fabrics, so ranges become
-/// row stripes on mesh/torus (boundary links = the row cuts plus, on a
-/// torus, the wrap column) and arcs on a ring. Node index 0 — the
+/// Contiguous load-weighted shard partition over node indices: shard s
+/// owns one index range, ending at the smallest index whose weight
+/// prefix reaches total * (s+1) / shards, clamped so every stripe is
+/// non-empty. Node indices are row-major on grid fabrics, so ranges
+/// become row stripes on mesh/torus (boundary links = the row cuts plus,
+/// on a torus, the wrap column) and arcs on a ring. Node index 0 — the
 /// connection manager's host — always lands in shard 0. `shards` is
-/// clamped to node_count; zero shards is a model error. Returns the
-/// shard id of every node index.
-std::vector<unsigned> partition_shards(std::size_t node_count,
-                                       unsigned shards);
-
-/// Load-weighted variant: stripe boundaries are placed so each shard's
-/// share of the total node weight is proportional, not its node count —
-/// shard s ends at the smallest index whose weight prefix reaches
-/// total * (s+1) / shards, clamped so every stripe is non-empty. Same
-/// invariants as the uniform overload (contiguous, node 0 in shard 0,
-/// shards clamped to the node count); an all-zero weight vector falls
-/// back to the uniform split. Deterministic: the cuts are a pure
-/// function of (weights, shards).
+/// clamped to the node count; zero shards, an empty vector and an
+/// all-zero weight vector are model errors. Deterministic: the cuts are
+/// a pure function of (weights, shards). Returns the shard id of every
+/// node index.
 std::vector<unsigned> partition_shards(const std::vector<std::uint64_t>& weights,
                                        unsigned shards);
 
@@ -95,31 +81,13 @@ struct GraphSpec {
   std::uint16_t node_count = 0;
   std::vector<std::pair<std::uint16_t, std::uint16_t>> edges;
 
-  /// Parses "a-b,c-d,..." (node count = max index + 1). ModelError on
-  /// malformed input.
-  static GraphSpec parse(const std::string& s);
-
   /// Deterministic built-in irregular fabric: a ternary-tree backbone
   /// (node i hangs off (i-1)/3) plus chords between consecutive leaves,
   /// giving heterogeneous degrees, non-uniform distances and cycles
-  /// beyond the tree. Used by the "graph" topology
-  /// axis of the sweep CLI and the topologies-4x4 preset.
+  /// beyond the tree. Used by the "graph" topology axis of the sweep
+  /// CLI and the topologies-4x4 preset. Below two nodes the spec is
+  /// still built; Topology rejects it.
   static GraphSpec irregular(std::uint16_t nodes);
-
-  /// Hierarchical composition: `meshes` w x h meshes on a ring. Mesh i
-  /// occupies indices [i*w*h, (i+1)*w*h) row-major; its south-east
-  /// corner (w-1, 0) links to the south-west corner (0, 0) of mesh
-  /// (i+1) % meshes. Corners have mesh degree 2, so the ring hop keeps
-  /// every node within the four-port budget (max degree 3 at the
-  /// stitched corners). Requires meshes >= 2.
-  static GraphSpec ring_of_meshes(std::uint16_t meshes, std::uint16_t w,
-                                  std::uint16_t h);
-
-  /// Express-link ring: an N-node cycle plus chords of length `hop`
-  /// starting at every multiple of `hop` — the classic diameter cut
-  /// (O(N / hop + hop) instead of N / 2) at degree <= 4. Requires
-  /// 2 <= hop and nodes > 2 * hop.
-  static GraphSpec express_ring(std::uint16_t nodes, std::uint16_t hop);
 };
 
 /// Value description of a topology (what NetworkConfig carries and the

@@ -35,7 +35,8 @@ std::vector<TopologySpec> fuzz_specs() {
       TopologySpec::ring(8),
       TopologySpec::irregular(GraphSpec::irregular(8)),
       TopologySpec::irregular(GraphSpec::irregular(16)),
-      TopologySpec::irregular(GraphSpec::parse("0-1,1-2,2-3,3-0,1-3")),
+      TopologySpec::irregular(
+          GraphSpec{4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 3}}}),
       TopologySpec::cmesh(3, 3, 4),
   };
 }
@@ -171,7 +172,7 @@ TEST(RoutingProperties, EveryTopologyRoutingPairFuzzedEndToEnd) {
     const ShortestPathRouting unconstrained(*topo);
 
     const DeadlockCheck check = check_deadlock_freedom(
-        *topo, *routing, routing->required_be_vcs());
+        *topo, *routing, routing->vc_class_map().required_be_vcs());
     EXPECT_TRUE(check.acyclic)
         << topo->label() << "/" << routing->name() << ": " << check.cycle;
 
@@ -285,8 +286,8 @@ TEST(RouteToSelf, IsACheckedErrorOnEveryFabric) {
       TopologySpec::ring(12),
       TopologySpec::irregular(GraphSpec::irregular(16)),
       TopologySpec::cmesh(4, 4, 4),
-      TopologySpec::irregular(GraphSpec::parse("0-1,1-2,1-3")),  // a tree
-      TopologySpec::mesh(1, 6),                                  // a path
+      TopologySpec::irregular(GraphSpec{4, {{0, 1}, {1, 2}, {1, 3}}}),  // tree
+      TopologySpec::mesh(1, 6),                                         // path
   };
   for (const TopologySpec& spec : specs) {
     sim::SimContext ctx;
@@ -332,10 +333,9 @@ TEST(RouteToSelf, IsACheckedErrorOnEveryFabric) {
 /// An intentionally cyclic routing function: always route clockwise
 /// (East) around the ring, with no dateline classes. Its channel
 /// dependency graph is the full East ring cycle.
-class ClockwiseRingRouting : public RoutingAlgorithm {
+class ClockwiseRouting : public RoutingAlgorithm {
  public:
-  explicit ClockwiseRingRouting(const Topology& topo)
-      : RoutingAlgorithm(topo) {}
+  explicit ClockwiseRouting(const Topology& topo) : RoutingAlgorithm(topo) {}
   const char* name() const override { return "clockwise"; }
   NextHop next_hop(NodeId, NodeId, unsigned) const override {
     return NextHop{port_of(Direction::kEast), 0};
@@ -344,7 +344,7 @@ class ClockwiseRingRouting : public RoutingAlgorithm {
 
 TEST(DeadlockValidator, RejectsIntentionallyCyclicRouting) {
   const auto ring = make_topology(TopologySpec::ring(4));
-  ClockwiseRingRouting cyclic(*ring);
+  ClockwiseRouting cyclic(*ring);
   const DeadlockCheck check = check_deadlock_freedom(*ring, cyclic, 2);
   EXPECT_FALSE(check.acyclic);
   EXPECT_NE(check.cycle.find("->"), std::string::npos) << check.cycle;
@@ -400,14 +400,36 @@ TEST(DeadlockValidator, RoutingOverloadCertifiesWhatTheNetworkChecks) {
 }
 
 TEST(DeadlockValidator, NetworkConstructionEnforcesIt) {
-  // Torus with be_vcs = 1: rejected before any router is built.
-  sim::SimContext ctx;
-  NetworkConfig cfg;
-  cfg.topology = TopologySpec::torus(3, 3);
-  EXPECT_THROW(Network(ctx, cfg), mango::ModelError);
-  cfg.router.be_vcs = 2;
-  Network net(ctx, cfg);  // with dateline classes it constructs
-  EXPECT_EQ(net.node_count(), 9u);
+  // Wrap fabrics with be_vcs = 1: rejected before any router is built,
+  // naming the fabric and the two BE VCs its dateline classes need.
+  for (const TopologySpec& spec :
+       {TopologySpec::ring(8), TopologySpec::torus(4, 4)}) {
+    sim::SimContext ctx;
+    NetworkConfig cfg;
+    cfg.topology = spec;
+    try {
+      Network net(ctx, cfg);
+      ADD_FAILURE() << spec.label() << " built on one BE VC";
+    } catch (const mango::ModelError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(spec.label()), std::string::npos) << what;
+      EXPECT_NE(what.find("needs 2 BE VCs"), std::string::npos) << what;
+    }
+    cfg.router.be_vcs = 2;
+    Network net(ctx, cfg);  // with dateline classes it constructs
+    EXPECT_EQ(net.node_count(), spec.node_count()) << spec.label();
+  }
+  // Fabrics without wrap links need no second BE VC.
+  for (const TopologySpec& spec :
+       {TopologySpec::mesh(4, 4), TopologySpec::cmesh(3, 3, 4),
+        TopologySpec::irregular(GraphSpec::irregular(16))}) {
+    sim::SimContext ctx;
+    NetworkConfig cfg;
+    cfg.topology = spec;
+    ASSERT_EQ(cfg.router.be_vcs, 1u);
+    const Network net(ctx, cfg);
+    EXPECT_EQ(net.node_count(), spec.node_count()) << spec.label();
+  }
 }
 
 // --- dateline VC classes -----------------------------------------------------
@@ -425,9 +447,9 @@ TEST(VcClasses, DatelineRuleStepsAsSpecified) {
 
 TEST(VcClasses, TorusMapMarksExactlyTheWrapPorts) {
   const auto torus = make_topology(TopologySpec::torus(4, 3));
-  const auto routing = make_routing(*torus);
-  const BeVcClassMap map = routing->vc_class_map();
+  const BeVcClassMap map = make_routing(*torus)->vc_class_map();
   ASSERT_TRUE(map.enabled);
+  EXPECT_EQ(map.required_be_vcs(), 2u);
   ASSERT_EQ(map.dateline.size(), torus->node_count());
   for (std::size_t i = 0; i < torus->node_count(); ++i) {
     const NodeId n = torus->node_at(i);
@@ -436,9 +458,27 @@ TEST(VcClasses, TorusMapMarksExactlyTheWrapPorts) {
     EXPECT_EQ(map.is_dateline(i, port_of(Direction::kNorth)), n.y == 2u);
     EXPECT_EQ(map.is_dateline(i, port_of(Direction::kSouth)), n.y == 0u);
   }
-  // Mesh routing has no classes.
-  const auto mesh = make_topology(TopologySpec::mesh(4, 4));
-  EXPECT_FALSE(make_routing(*mesh)->vc_class_map().enabled);
+  // The ring wraps in x only: East at node n-1 and West at node 0 are
+  // its datelines, and its unwired North/South ports carry none.
+  const auto ring = make_topology(TopologySpec::ring(6));
+  const BeVcClassMap ring_map = make_routing(*ring)->vc_class_map();
+  ASSERT_TRUE(ring_map.enabled);
+  EXPECT_EQ(ring_map.required_be_vcs(), 2u);
+  ASSERT_EQ(ring_map.dateline.size(), ring->node_count());
+  for (std::size_t i = 0; i < ring->node_count(); ++i) {
+    EXPECT_EQ(ring_map.is_dateline(i, port_of(Direction::kEast)), i == 5u);
+    EXPECT_EQ(ring_map.is_dateline(i, port_of(Direction::kWest)), i == 0u);
+    EXPECT_FALSE(ring_map.is_dateline(i, port_of(Direction::kNorth)));
+    EXPECT_FALSE(ring_map.is_dateline(i, port_of(Direction::kSouth)));
+  }
+  // Mesh and cmesh routing have no classes.
+  for (const TopologySpec& spec :
+       {TopologySpec::mesh(4, 4), TopologySpec::cmesh(4, 4, 4)}) {
+    const auto topo = make_topology(spec);
+    const BeVcClassMap none = make_routing(*topo)->vc_class_map();
+    EXPECT_FALSE(none.enabled) << spec.label();
+    EXPECT_EQ(none.required_be_vcs(), 1u) << spec.label();
+  }
 }
 
 }  // namespace

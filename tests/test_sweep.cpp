@@ -58,6 +58,25 @@ TEST(SweepGrid, TopologyIsAGridAxis) {
   EXPECT_EQ(specs[4].topology_spec().node_count(), 9u);
 }
 
+// A 1x1 grid names a one-node graph. Expanding it must not throw (the
+// CLI expands outside any try); running it fails that one scenario with
+// the Topology's own message, as a 1x1 ring does.
+TEST(SweepGrid, OneNodeGraphFailsItsScenarioNotTheExpansion) {
+  SweepGrid g;
+  g.base.duration_ps = 100000;
+  g.topologies = {noc::TopologyKind::kGraph};
+  g.meshes = {{1, 1}};
+  std::vector<ScenarioSpec> specs;
+  ASSERT_NO_THROW(specs = g.expand());
+  ASSERT_EQ(specs.size(), 1u);
+  const SweepReport rep = SweepRunner().run(specs, 1);
+  EXPECT_EQ(rep.failed(), 1u);
+  ASSERT_EQ(rep.results.size(), 1u);
+  EXPECT_NE(rep.results[0].error.find("a graph topology needs >= 2 nodes"),
+            std::string::npos)
+      << rep.results[0].error;
+}
+
 TEST(SweepGrid, EmptyDimensionsFallBackToBase) {
   SweepGrid g;
   g.base.width = 5;

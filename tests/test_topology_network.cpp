@@ -32,7 +32,8 @@ std::vector<TopologySpec> fabric_specs() {
       TopologySpec::torus(2, 2),
       TopologySpec::ring(6),
       TopologySpec::irregular(GraphSpec::irregular(9)),
-      TopologySpec::irregular(GraphSpec::parse("0-1,1-2,2-3,3-0,1-3")),
+      TopologySpec::irregular(
+          GraphSpec{4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 3}}}),
   };
 }
 
